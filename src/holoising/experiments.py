@@ -88,6 +88,13 @@ def _combo_label(combo: Tuple[int, int, int, int, int]) -> str:
     return "+".join(parts) if parts else "0"
 
 
+def _sigma_free(
+    combo: Tuple[int, int, int, int, int], config: Tuple[int, int]
+) -> Tuple[int, int, int, int, int]:
+    """`combo` with its Sigma flag cleared where Sigma vanishes (R spin-up)."""
+    return combo[:4] + (0,) if config[1] > 0 else combo
+
+
 def _combo_value(
     combo: Tuple[int, int, int, int, int],
     couplings: Mapping[str, float],
@@ -721,7 +728,7 @@ def reproduce_c1(
     for key in sorted(reference, key=lambda item: (item[0], item[1], _CONFIGS.index(item[2]))):
         pair, replica, config = key
         combo, alt = reference[key]
-        if structure.combos[key] != combo:
+        if _sigma_free(structure.combos[key], config) != _sigma_free(combo, config):
             raise ExperimentError(
                 f"cell {pair}/{replica}/{_config_label(config)}: engine "
                 f"structure {structure.combos[key]} != reference {combo}"

@@ -16,6 +16,7 @@ reproducible across runs; spin tuples at a vertex are ordered by port number.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -62,52 +63,59 @@ class OpenGraph:
     internal_links: Tuple[Link, ...]
     boundary_links: Tuple[Semilink, ...]
 
+    def __post_init__(self):
+        # Incidence tables, built once: every lookup below reads them.
+        ports: Dict[PortRef, str] = {}
+        ends: Dict[str, Tuple[str, str]] = {}
+        for e in self.internal_links:
+            ports[e.source] = e.link_id
+            ports[e.target] = e.link_id
+            ends[e.link_id] = (e.source.vertex, e.target.vertex)
+        for s in self.boundary_links:
+            ports[s.end] = s.link_id
+            ends[s.link_id] = (s.end.vertex, virtual_vertex(s.link_id))
+        internal = tuple(e.link_id for e in self.internal_links)
+        boundary = tuple(s.link_id for s in self.boundary_links)
+        incident = {
+            x: tuple(ports[PortRef(x, p)] for p in range(self.valence[x]))
+            for x in self.vertices
+        }
+        object.__setattr__(self, "_ports", MappingProxyType(ports))
+        object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_internal_ids", internal)
+        object.__setattr__(self, "_boundary_ids", boundary)
+        object.__setattr__(self, "_link_ids", internal + boundary)
+        object.__setattr__(self, "_incident", incident)
+
     # -- lookups ---------------------------------------------------------
 
     def internal_ids(self) -> Tuple[str, ...]:
-        return tuple(e.link_id for e in self.internal_links)
+        return self._internal_ids
 
     def boundary_ids(self) -> Tuple[str, ...]:
-        return tuple(e.link_id for e in self.boundary_links)
+        return self._boundary_ids
 
     def link_ids(self) -> Tuple[str, ...]:
         """All link ids, internal first, in declaration order."""
-        return self.internal_ids() + self.boundary_ids()
+        return self._link_ids
 
-    def is_boundary(self, link_id: str) -> bool:
-        return link_id in set(self.boundary_ids())
-
-    def port_map(self) -> Dict[PortRef, str]:
-        """Map every (vertex, port) to the id of the link using it."""
-        out: Dict[PortRef, str] = {}
-        for e in self.internal_links:
-            out[e.source] = e.link_id
-            out[e.target] = e.link_id
-        for s in self.boundary_links:
-            out[s.end] = s.link_id
-        return out
+    def port_map(self) -> Mapping[PortRef, str]:
+        """Read-only map of every (vertex, port) to the id of the link using it."""
+        return self._ports
 
     def links_at(self, vertex: str) -> Tuple[str, ...]:
         """Link ids incident to `vertex`, ordered by port number."""
-        pm = self.port_map()
-        return tuple(pm[PortRef(vertex, p)] for p in range(self.valence[vertex]))
+        return self._incident[vertex]
 
     def endpoints(self, link_id: str) -> Tuple[str, str]:
         """Endpoint vertex ids (virtual vertex for the open end of a semilink)."""
-        for e in self.internal_links:
-            if e.link_id == link_id:
-                return (e.source.vertex, e.target.vertex)
-        for s in self.boundary_links:
-            if s.link_id == link_id:
-                return (s.end.vertex, virtual_vertex(link_id))
-        raise KeyError(link_id)
+        return self._ends[link_id]
 
     def boundary_vertex(self, link_id: str) -> str:
         """Real vertex a boundary semilink is attached to."""
-        for s in self.boundary_links:
-            if s.link_id == link_id:
-                return s.end.vertex
-        raise KeyError(link_id)
+        if link_id not in self._boundary_ids:
+            raise KeyError(link_id)
+        return self._ends[link_id][0]
 
     # -- serialization ---------------------------------------------------
 

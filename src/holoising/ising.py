@@ -24,6 +24,22 @@ replica of the boundary-to-boundary kind pins the input-region legs to -1.
 
 Any factor that can vanish lives in Delta, never in H; Hamiltonians are only
 defined on Delta-allowed configurations.  All sums accumulate in log domain.
+
+Evaluation paths.  Every kernel Z^{(j,k)}_b and its ground state come from
+one enumeration of the 2^V configurations per (sector pair, replica):
+
+* bulk-to-boundary kernels are compiled.  The model builds, lazily and
+  once, the sign matrix of all configurations, a cut mask (links x
+  configurations) shared by both replicas, and one active mask (vertices x
+  configurations) per replica: 2^V (L + 2V) bytes of booleans.  Each pair
+  then accumulates one numpy energy array, link by link and vertex by vertex
+  in the order `_evaluate` uses, so the result is bit-identical to scoring
+  configurations one at a time.
+* boundary-to-boundary kernels are scored configuration by configuration
+  through `_evaluate`, because their Delta depends on partial traces over
+  the whole spin-down set.
+
+Both paths refuse graphs with more than `exhaustive_limit` vertices.
 """
 
 from __future__ import annotations
@@ -32,7 +48,6 @@ import csv
 import itertools
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -96,9 +111,6 @@ class IsingConfig:
             if x == vertex:
                 return s
         raise KeyError(vertex)
-
-    def up_set(self) -> Tuple[str, ...]:
-        return tuple(x for x, s in self.values if s > 0)
 
     def down_set(self) -> Tuple[str, ...]:
         return tuple(x for x, s in self.values if s < 0)
@@ -345,13 +357,13 @@ class PartitionSumTable:
             json.dump(self.to_json_dict(), handle, indent=2)
 
 
-def _signed_sum(pos: List[float], neg: List[float]) -> float:
+def _signed_sum(pos: Sequence[float], neg: Sequence[float]) -> float:
     """Sum of +/- exp(log) terms, each bucket reduced by log-sum-exp."""
     total = 0.0
-    if pos:
-        total += math.exp(logsumexp(np.array(pos)))
-    if neg:
-        total -= math.exp(logsumexp(np.array(neg)))
+    if len(pos):
+        total += math.exp(logsumexp(np.asarray(pos, dtype=float)))
+    if len(neg):
+        total -= math.exp(logsumexp(np.asarray(neg, dtype=float)))
     return total
 
 
@@ -378,6 +390,7 @@ class IsingModel:
         self.kind = kind
         self.state = state
         self.exhaustive_limit = int(exhaustive_limit)
+        self._masks: Optional[Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]] = None
         if kind.is_boundary_to_boundary:
             if kind.partition is None:
                 raise EngineError("boundary-to-boundary kind lost its partition")
@@ -440,6 +453,14 @@ class IsingModel:
 
     # -- Delta and H -----------------------------------------------------
 
+    def _check_pair(self, j: SpinSector, k: SpinSector, replica: int) -> None:
+        if replica not in (0, 1):
+            raise EngineError(f"replica must be 0 or 1, got {replica!r}")
+        if j.graph is not self.graph and j.graph != self.graph:
+            raise EngineError("sector j belongs to a different graph")
+        if k.graph is not self.graph and k.graph != self.graph:
+            raise EngineError("sector k belongs to a different graph")
+
     def _evaluate(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
     ) -> Tuple[float, Optional[float]]:
@@ -449,12 +470,7 @@ class IsingModel:
         then None.  A +inf Hamiltonian (empty intertwiner space on an active
         vertex) contributes zero weight but is reported as allowed.
         """
-        if replica not in (0, 1):
-            raise EngineError(f"replica must be 0 or 1, got {replica!r}")
-        if j.graph is not self.graph and j.graph != self.graph:
-            raise EngineError("sector j belongs to a different graph")
-        if k.graph is not self.graph and k.graph != self.graph:
-            raise EngineError("sector k belongs to a different graph")
+        self._check_pair(j, k, replica)
         cut, _ = self._cut_links(config, replica)
         for lid in cut:
             if j.spin(lid) != k.spin(lid):
@@ -542,29 +558,167 @@ class IsingModel:
 
     # -- configuration sums ----------------------------------------------
 
-    def _configurations(self) -> Iterable[IsingConfig]:
-        vertices = self.graph.vertices
-        if len(vertices) > self.exhaustive_limit:
+    def _check_limit(self) -> int:
+        nv = len(self.graph.vertices)
+        if nv > self.exhaustive_limit:
             raise EngineError(
-                f"{len(vertices)} vertices exceed the exhaustive limit of "
-                f"{self.exhaustive_limit}; use ground_state instead"
+                f"{nv} vertices exceed the exhaustive limit of "
+                f"{self.exhaustive_limit}; kernels and ground states both "
+                f"enumerate all 2^V configurations.  Raise exhaustive_limit "
+                f"to go further, at 2^{nv} time and memory"
             )
+        return nv
+
+    def _configurations(self) -> Iterable[IsingConfig]:
+        """All configurations; the i-th has spin -1 on vertex p exactly when
+        bit V-1-p of i is set (the first vertex varies slowest)."""
+        vertices = self.graph.vertices
+        self._check_limit()
         for bits in itertools.product((1, -1), repeat=len(vertices)):
             yield IsingConfig(tuple(zip(vertices, bits)))
 
-    def partition_sum_fixed(
+    def _config(self, index: int) -> IsingConfig:
+        """The `index`-th configuration of `_configurations`."""
+        vertices = self.graph.vertices
+        last = len(vertices) - 1
+        return IsingConfig(
+            tuple(
+                (x, -1 if (index >> (last - p)) & 1 else 1)
+                for p, x in enumerate(vertices)
+            )
+        )
+
+    def _bulk_masks(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
+        """(cut, active per replica): boolean masks over all configurations,
+        built once.  Rows are links in `link_ids` order (`cut`) or vertices
+        (`active`); columns are configurations in `_configurations` order,
+        so that each row is contiguous."""
+        if self._masks is not None:
+            return self._masks
+        nv = self._check_limit()
+        index = np.arange(2**nv)
+        down = np.empty((nv, index.size), dtype=bool)
+        for p in range(nv):
+            down[p] = (index >> (nv - 1 - p)) & 1
+        row = {x: p for p, x in enumerate(self.graph.vertices)}
+        links = self.graph.link_ids()
+        cut = np.empty((len(links), index.size), dtype=bool)
+        for li, lid in enumerate(links):
+            src, tgt = self.graph.endpoints(lid)
+            # Boundary legs end on virtual vertices pinned to +1 in this kind.
+            cut[li] = down[row[src]] != down[row[tgt]] if tgt in row else down[row[src]]
+        # A vertex is active where its spin opposes the replica field b.
+        self._masks = (cut, (down, ~down))
+        return self._masks
+
+    def _bulk_kernel(
         self, j: SpinSector, k: SpinSector, replica: int
-    ) -> float:
-        """Exact kernel Z^{(j,k)} = sum over configurations of Delta e^-H."""
+    ) -> Tuple[float, GroundState]:
+        """Kernel and ground state of one bulk-to-boundary (pair, replica)
+        from a single energy array over all configurations.
+
+        Energies accumulate in `_evaluate`'s order (cut links, then active
+        vertices) and `np.add(..., where=)` leaves unaffected entries alone,
+        so every kept energy and the log-weight list have the same bits as
+        the per-configuration path.
+        """
+        self._check_pair(j, k, replica)
+        cut, actives = self._bulk_masks()
+        active = actives[replica]
+        energy = np.zeros(2 ** len(self.graph.vertices))
+        forbidden = np.zeros(energy.size, dtype=bool)
+        for li, lid in enumerate(self.graph.link_ids()):
+            spin = j.spin(lid)
+            if spin != k.spin(lid):
+                forbidden |= cut[li]
+            else:
+                np.add(energy, math.log(spin.dim), out=energy, where=cut[li])
+        for p, x in enumerate(self.graph.vertices):
+            spins = j.vertex_spins(x)
+            if spins != k.vertex_spins(x):
+                forbidden |= active[p]
+                continue
+            dim = intertwiner_dim(spins)
+            lam = math.log(dim) if dim > 0 else math.inf
+            np.add(energy, lam, out=energy, where=active[p])
+        rows = np.flatnonzero(~forbidden & np.isfinite(energy))
+        energies = energy[rows]
+        # log|Delta| - H with Delta = 1, as in the per-configuration path.
+        return _signed_sum(0.0 - energies, ()), self._ground_state(energies, rows)
+
+    def _enumerated_kernel(
+        self, j: SpinSector, k: SpinSector, replica: int
+    ) -> Tuple[float, GroundState]:
+        """Kernel and ground state from one pass of `_evaluate` over all
+        configurations (any model kind)."""
         pos: List[float] = []
         neg: List[float] = []
-        for config in self._configurations():
+        energies: List[float] = []
+        rows: List[int] = []
+        for index, config in enumerate(self._configurations()):
             delta, energy = self._evaluate(j, k, config, replica)
             if delta == 0.0 or energy is None or math.isinf(energy):
                 continue
             log_mag = math.log(abs(delta)) - energy
             (pos if delta > 0 else neg).append(log_mag)
-        return _signed_sum(pos, neg)
+            energies.append(energy)
+            rows.append(index)
+        ground = self._ground_state(
+            np.array(energies, dtype=float), np.array(rows, dtype=np.int64)
+        )
+        return _signed_sum(pos, neg), ground
+
+    def _kernel(
+        self, j: SpinSector, k: SpinSector, replica: int
+    ) -> Tuple[float, GroundState]:
+        if self.kind.is_boundary_to_boundary:
+            return self._enumerated_kernel(j, k, replica)
+        return self._bulk_kernel(j, k, replica)
+
+    def _ground_state(self, energies: np.ndarray, rows: np.ndarray) -> GroundState:
+        """Ground-state data of the allowed configurations `rows` (indices
+        into `_configurations`) with finite `energies`."""
+        if rows.size == 0:
+            return GroundState(config=None, energy=math.inf, degeneracy=0, gap=math.inf)
+        e_min = energies.min()
+        tied = energies - e_min <= TIE_TOL
+        above = energies[~tied]
+        gap = float(above.min() - e_min) if above.size else math.inf
+        return GroundState(
+            config=self._config(self._first_by_down_set(rows[tied])),
+            energy=float(e_min),
+            degeneracy=int(np.count_nonzero(tied)),
+            gap=gap,
+        )
+
+    def _first_by_down_set(self, rows: np.ndarray) -> int:
+        """The configuration index whose sorted tuple of spin-down vertex
+        ids is lexicographically smallest (a prefix sorts first)."""
+        if rows.size == 1:
+            return int(rows[0])
+        vertices = self.graph.vertices
+        nv = len(vertices)
+        by_id = sorted(range(nv), key=vertices.__getitem__)
+        # Row r: ranks (in id order) of r's spin-down vertices, ascending,
+        # padded with -1 so that comparing fixed-length rows gives tuple order.
+        keys = np.empty((rows.size, nv), dtype=np.int16)
+        for rank, p in enumerate(by_id):
+            keys[:, rank] = np.where((rows >> (nv - 1 - p)) & 1, rank, nv)
+        keys.sort(axis=1)
+        keys[keys == nv] = -1
+        best = np.arange(rows.size)
+        for column in keys.T:
+            values = column[best]
+            best = best[values == values.min()]
+            if best.size == 1:
+                break
+        return int(rows[best[0]])
+
+    def partition_sum_fixed(
+        self, j: SpinSector, k: SpinSector, replica: int
+    ) -> float:
+        """Exact kernel Z^{(j,k)} = sum over configurations of Delta e^-H."""
+        return self._kernel(j, k, replica)[0]
 
     def ground_state(
         self, j: SpinSector, k: SpinSector, replica: int
@@ -575,22 +729,7 @@ class IsingModel:
         configuration whose spin-down vertex set is lexicographically
         smallest.  An empty feasible set gives (None, inf, 0, inf).
         """
-        found: List[Tuple[float, IsingConfig]] = []
-        for config in self._configurations():
-            delta, energy = self._evaluate(j, k, config, replica)
-            if delta == 0.0 or energy is None or math.isinf(energy):
-                continue
-            found.append((energy, config))
-        if not found:
-            return GroundState(config=None, energy=math.inf, degeneracy=0, gap=math.inf)
-        e_min = min(e for e, _ in found)
-        ties = [cfg for e, cfg in found if e - e_min <= TIE_TOL]
-        rep = min(ties, key=lambda cfg: tuple(sorted(cfg.down_set())))
-        above = [e for e, _ in found if e - e_min > TIE_TOL]
-        gap = (min(above) - e_min) if above else math.inf
-        return GroundState(
-            config=rep, energy=e_min, degeneracy=len(ties), gap=gap
-        )
+        return self._kernel(j, k, replica)[1]
 
     # -- assembled sums --------------------------------------------------
 
@@ -653,16 +792,13 @@ class IsingModel:
         )
 
     def partition_table(
-        self,
-        sectors: Optional[Sequence[SpinSector]] = None,
-        threads: int = 1,
+        self, sectors: Optional[Sequence[SpinSector]] = None
     ) -> PartitionSumTable:
         """Kernels, ground-state data, K factors, boundary sums, totals.
 
         Totals include every sector pair (also pairs with different boundary
         spins); the boundary rows are the boundary-diagonal restrictions.
-        The thread count never changes results: per-pair outputs are
-        reduced in a fixed pair order.
+        Each (pair, replica) enumerates its configurations once.
         """
         weighted = self._weighted_sectors(sectors)
         pairs = [
@@ -670,21 +806,10 @@ class IsingModel:
             for sec_j, kf_j in weighted
             for sec_k, kf_k in weighted
         ]
-
-        def job(pair):
-            sec_j, kf_j, sec_k, kf_k = pair
-            out = []
-            for replica in (0, 1):
-                z = self.partition_sum_fixed(sec_j, sec_k, replica)
-                gs = self.ground_state(sec_j, sec_k, replica)
-                out.append((replica, z, gs))
-            return out
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = list(pool.map(job, pairs))
-        else:
-            results = [job(p) for p in pairs]
+        results = [
+            [(replica, *self._kernel(sec_j, sec_k, replica)) for replica in (0, 1)]
+            for sec_j, _, sec_k, _ in pairs
+        ]
 
         rows: List[PairRow] = []
         totals_pos: Dict[int, List[float]] = {0: [], 1: []}

@@ -1,12 +1,12 @@
 """Exact small-Hilbert-space simulator used to cross-check the Ising engine.
 
 Everything here is deliberately low-tech linear algebra on explicitly built
-truncated vertex spaces: singlet projectors are materialised as sparse
-matrices, replica averages are sums over swap patterns evaluated by tensor
-contraction, and Monte Carlo states are normalized complex Gaussians.  None
-of the combinatorial shortcuts of the Ising dual (couplings, kernels,
-dimension counting) are used, so agreement between the two routes is a real
-consistency check rather than a tautology.
+truncated vertex spaces: singlet contractions are materialised as support
+masks and amplitudes on the global basis, replica averages are sums over
+swap patterns evaluated by tensor contraction, and Monte Carlo states are
+normalized complex Gaussians.  None of the combinatorial shortcuts of the
+Ising dual (couplings, kernels, dimension counting) are used, so agreement
+between the two routes is a real consistency check rather than a tautology.
 
 The basis of a vertex space is the direct sum over the vertex's admissible
 spin combinations of (intertwiner index) x (one magnetic index per port).
@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.random import Generator, Philox
 
 from .bulk import IntertwinerState
@@ -347,75 +346,6 @@ def singlet_projector(index: HilbertIndex, link_id: str) -> np.ndarray:
         for k in range(d):
             vec[(off + k) * acc + (off + d - 1 - k)] = (-1.0) ** k / np.sqrt(d)
         out += abs(index.family.g(link_id, s)) ** 2 * np.outer(vec, vec.conj())
-    return out
-
-
-def _link_operator(index: HilbertIndex, link) -> sp.csr_matrix:
-    """One link's singlet contraction as a sparse matrix on the global basis.
-
-    Carries the amplitude weight g_j per spin block; applied once on each
-    side of a density matrix this composes to the |g_j|^2 weight of
-    singlet_projector.
-    """
-    graph = index.graph
-    xi = graph.vertices.index(link.source.vertex)
-    yi = graph.vertices.index(link.target.vertex)
-    sx = index.spaces[xi]
-    sy = index.spaces[yi]
-    p = link.source.port
-    q = link.target.port
-    digits = index.digits()
-    ix = digits[xi]
-    iy = digits[yi]
-    ts = np.array([b.port_spins[p].twice for b in sx.blocks], dtype=np.int64)[
-        sx.block_id[ix]
-    ]
-    tt = np.array([b.port_spins[q].twice for b in sy.blocks], dtype=np.int64)[
-        sy.block_id[iy]
-    ]
-    kx = sx.port_digit[p][ix]
-    ky = sy.port_digit[q][iy]
-    # Global strides of the two magnetic digits, which depend on the block.
-    pstride = np.array([sx.port_stride(b, p) for b in sx.blocks], dtype=np.int64)[
-        sx.block_id[ix]
-    ] * index.vstrides[xi]
-    qstride = np.array([sy.port_stride(b, q) for b in sy.blocks], dtype=np.int64)[
-        sy.block_id[iy]
-    ] * index.vstrides[yi]
-
-    rows: List[np.ndarray] = []
-    cols: List[np.ndarray] = []
-    vals: List[np.ndarray] = []
-    g_all = np.arange(index.dim, dtype=np.int64)
-    for s in index.family.allowed[link.link_id]:
-        d = s.dim
-        match = (ts == s.twice) & (tt == s.twice) & (ky == d - 1 - kx)
-        base = g_all[match]
-        if base.size == 0:
-            continue
-        weight = index.family.g(link.link_id, s) / d
-        sign_in = np.where(kx[match] % 2 == 0, 1.0, -1.0)
-        for k2 in range(d):
-            shift = (k2 - kx[match]) * pstride[match] + (
-                (d - 1 - k2) - ky[match]
-            ) * qstride[match]
-            rows.append(base + shift)
-            cols.append(base)
-            vals.append(weight * sign_in * ((-1.0) ** k2))
-    if not rows:
-        return sp.csr_matrix((index.dim, index.dim), dtype=complex)
-    mat = sp.coo_matrix(
-        (np.concatenate(vals).astype(complex), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(index.dim, index.dim),
-    )
-    return mat.tocsr()
-
-
-def pi_gamma(index: HilbertIndex) -> sp.csr_matrix:
-    """Product of all internal-link projectors on the global basis."""
-    out = sp.identity(index.dim, dtype=complex, format="csr")
-    for link in index.graph.internal_links:
-        out = _link_operator(index, link) @ out
     return out
 
 

@@ -223,27 +223,23 @@ class SpinSector:
         # plain dict, and sectors are only ever pooled per graph anyway.
         return hash(self.assignment)
 
+    def __post_init__(self):
+        object.__setattr__(self, "_twice", dict(self.assignment))
+
     def spin(self, link_id: str) -> Spin:
-        for lid, t in self.assignment:
-            if lid == link_id:
-                return Spin(t)
-        raise KeyError(link_id)
+        return Spin(self._twice[link_id])
 
     def spins(self) -> Dict[str, Spin]:
         return {lid: Spin(t) for lid, t in self.assignment}
 
     def vertex_spins(self, vertex: str) -> Tuple[Spin, ...]:
         """Spin tuple j^x, ordered by port number."""
-        lookup = dict(self.assignment)
-        return tuple(Spin(lookup[lid]) for lid in self.graph.links_at(vertex))
+        twice = self._twice
+        return tuple(Spin(twice[lid]) for lid in self.graph.links_at(vertex))
 
     def boundary_part(self) -> Tuple[Tuple[str, int], ...]:
         bnd = set(self.graph.boundary_ids())
         return tuple((lid, t) for lid, t in self.assignment if lid in bnd)
-
-    def bulk_part(self) -> Tuple[Tuple[str, int], ...]:
-        bnd = set(self.graph.boundary_ids())
-        return tuple((lid, t) for lid, t in self.assignment if lid not in bnd)
 
     def key(self) -> Tuple[Tuple[str, int], ...]:
         """Hashable canonical id used by partition tables."""

@@ -7,15 +7,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from conftest import (
     bridge_family,
     bridge_graph,
     bridge_sectors,
     bridge_state,
+    random_instance,
 )
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import (
+    TIE_TOL,
     ContractViolation,
     EngineError,
     IsingConfig,
@@ -556,15 +559,16 @@ class TestTableSerialization:
         assert infeasible
         assert all(r["E_min"] is None for r in infeasible)
 
-    def test_threaded_table_is_identical(self):
+    def test_repeated_table_is_identical(self):
         graph = single_vertex_graph()
         lists = {"p1": ["1/2", "3/2"], "p2": ["1/2"], "p3": ["1/2"], "p4": ["1/2"]}
         family = single_vertex_family(graph, lists)
         model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-        serial = model.partition_table(threads=1)
-        threaded = model.partition_table(threads=4)
-        assert serial.totals == threaded.totals
-        assert serial.rows == threaded.rows
+        first = model.partition_table()
+        second = model.partition_table()
+        fresh = IsingModel(graph, family, ModelKind.bulk_to_boundary()).partition_table()
+        assert first.totals == second.totals == fresh.totals
+        assert first.rows == second.rows == fresh.rows
 
     def test_exhaustive_limit(self):
         graph = bridge_graph()
@@ -575,3 +579,128 @@ class TestTableSerialization:
         )
         with pytest.raises(EngineError, match="exceed"):
             model.partition_sum_fixed(sec_low, sec_low, 0)
+
+
+# -- compiled kernels against configuration-by-configuration evaluation ----
+
+
+def brute_force(model, j, k, replica):
+    """(z, E_min, degeneracy, gap, representative) from `_evaluate` alone."""
+    pos, neg, found = [], [], []
+    for cfg in model._configurations():
+        delta, energy = model._evaluate(j, k, cfg, replica)
+        if delta == 0.0 or energy is None or math.isinf(energy):
+            continue
+        (pos if delta > 0 else neg).append(math.log(abs(delta)) - energy)
+        found.append((energy, cfg))
+    z = 0.0
+    if pos:
+        z += math.exp(logsumexp(np.array(pos)))
+    if neg:
+        z -= math.exp(logsumexp(np.array(neg)))
+    if not found:
+        return z, math.inf, 0, math.inf, None
+    e_min = min(e for e, _ in found)
+    ties = [cfg for e, cfg in found if e - e_min <= TIE_TOL]
+    rep = min(ties, key=lambda cfg: tuple(sorted(cfg.down_set())))
+    above = [e for e, _ in found if e - e_min > TIE_TOL]
+    gap = (min(above) - e_min) if above else math.inf
+    return z, e_min, len(ties), gap, rep
+
+
+def chain_graph(nv, legs=1):
+    """Chain of (2 + legs)-valent vertices: port 0 left, port 1 right, and
+    boundary legs t (port 2) and, with legs=2, u (port 3)."""
+    links = [
+        {"id": f"e{i}", "ends": [[f"v{i - 1}", 1], [f"v{i}", 0]]} for i in range(1, nv)
+    ]
+    links += [{"id": "l", "end": ["v0", 0]}, {"id": "r", "end": [f"v{nv - 1}", 1]}]
+    for port, name in zip((2, 3), "tu"[:legs]):
+        links += [{"id": f"{name}{i}", "end": [f"v{i}", port]} for i in range(nv)]
+    vertices = [{"id": f"v{i}", "valence": 2 + legs} for i in range(nv)]
+    return build_graph({"vertices": vertices, "links": links})
+
+
+class TestCompiledKernel:
+    def assert_matches(self, model, sectors, kernel):
+        """Every ordered pair and replica agrees bit for bit.  Returns how
+        many cases had a zero-intertwiner vertex, a mismatched pair, a tied
+        ground state, and a tied ground state represented by a
+        configuration with spin-down vertices."""
+        seen = dict.fromkeys(("zero_dim", "mismatched", "ties", "tied_down_rep"), 0)
+        for j, k in itertools.product(sectors, repeat=2):
+            for replica in (0, 1):
+                z, e_min, degeneracy, gap, rep = brute_force(model, j, k, replica)
+                got_z, ground = kernel(j, k, replica)
+                assert float(got_z).hex() == float(z).hex()
+                assert float(ground.energy).hex() == float(e_min).hex()
+                assert ground.degeneracy == degeneracy
+                assert float(ground.gap).hex() == float(gap).hex()
+                assert ground.config == rep
+                seen["zero_dim"] += any(
+                    intertwiner_dim(j.vertex_spins(x)) == 0 for x in model.graph.vertices
+                )
+                seen["mismatched"] += j != k
+                seen["ties"] += degeneracy > 1
+                seen["tied_down_rep"] += degeneracy > 1 and bool(rep.down_set())
+        return seen
+
+    def test_random_instances(self):
+        rng = np.random.default_rng(20220715)
+        seen = dict.fromkeys(("zero_dim", "mismatched"), 0)
+        for nv_choices in [(1,)] * 4 + [(2, 3)] * 4:
+            graph, family, _, _ = random_instance(rng, nv_choices=nv_choices)
+            model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+            sectors = model.default_sectors()[:6]
+            found = self.assert_matches(model, sectors, model._bulk_kernel)
+            for key in seen:
+                seen[key] += found[key]
+        assert all(seen.values()), seen
+
+    def test_six_vertex_chain(self):
+        """Spin-0 islands at both ends make flips free there, so ground
+        states tie; the superposed middle link reaches an empty intertwiner
+        space at spin 3, and the half-integer leg at spin 1/2."""
+        graph = chain_graph(6)
+        allowed = {lid: ["1"] for lid in graph.link_ids()}
+        allowed.update({lid: ["0"] for lid in ("l", "t0", "e1", "e5", "r", "t5")})
+        allowed.update({"e3": ["1", "2", "3"], "t1": ["1/2", "1"]})
+        family = SectorFamily.build(graph, "0", "3", allowed=allowed, normalize=False)
+        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+        seen = self.assert_matches(model, model.default_sectors(), model._bulk_kernel)
+        assert all(seen.values()), seen
+
+    def test_near_ties_and_summation_order(self):
+        """Half-integer and integer legs give sums of logs that tie up to
+        rounding, so a different summation order or an exact tie test would
+        change bits or tie counts here."""
+        graph = chain_graph(4, legs=2)
+        allowed = {lid: ["1"] for lid in graph.link_ids()}
+        allowed.update({lid: ["1/2"] for lid in ("e2", "t2", "u0", "u2")})
+        allowed.update({"e1": ["1", "2"], "r": ["1/2", "3/2"], "u1": ["3/2"]})
+        family = SectorFamily.build(graph, "1/2", "2", allowed=allowed, normalize=False)
+        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+        self.assert_matches(model, model.default_sectors(), model._bulk_kernel)
+
+    def test_boundary_to_boundary_single_pass(self):
+        rng = np.random.default_rng(7)
+        checked = 0
+        while checked < 3:
+            graph, family, state, part = random_instance(rng, with_state=True)
+            if part is None:
+                continue
+            model = IsingModel(
+                graph, family, ModelKind.boundary_to_boundary(part), state=state
+            )
+            self.assert_matches(model, model.default_sectors(), model._kernel)
+            checked += 1
+
+    def test_public_methods_wrap_the_kernel(self):
+        graph = bridge_graph()
+        family = bridge_family(graph, 1)
+        low, high = bridge_sectors(graph, 1)
+        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+        for replica in (0, 1):
+            z, ground = model._bulk_kernel(low, high, replica)
+            assert model.partition_sum_fixed(low, high, replica) == z
+            assert model.ground_state(low, high, replica) == ground
