@@ -25,7 +25,6 @@ dimension product, and proportional to the dimension product).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import json
@@ -448,14 +447,7 @@ def _extract_structure(
     )
 
 
-def _map_parallel(fn, points, threads: int):
-    if threads <= 1:
-        return [fn(p) for p in points]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, points, chunksize=max(1, len(points) // (4 * threads))))
-
-
-def _coarse_grid(fn, resolution: int, threads: int):
+def _coarse_grid(fn, resolution: int):
     levels = (0.0, 0.25, 0.5, 0.75, 1.0)
     points = []
     for i in range(resolution + 1):
@@ -465,7 +457,7 @@ def _coarse_grid(fn, resolution: int, threads: int):
             for t_hat in levels:
                 for q_hat in levels:
                     points.append((a, d, t_hat, q_hat))
-    values = _map_parallel(fn, points, threads)
+    values = [fn(p) for p in points]
     best = min(range(len(points)), key=lambda idx: (values[idx], idx))
     return list(points[best]), values[best], len(points)
 
@@ -672,7 +664,6 @@ def reproduce_c1(
     *,
     start: Optional[Mapping[str, complex]] = None,
     grid: int = 20,
-    threads: int = 1,
 ) -> C1Report:
     """Verify the bridge coupling table, assemble its six partition sums,
     and minimize the averaged purity over the bulk-block parameters.
@@ -820,11 +811,11 @@ def reproduce_c1(
 
     # minimize over the simplex box
     coarse_pt, coarse_val, coarse_evals = _coarse_grid(
-        structure.purity_at, grid, threads
+        structure.purity_at, grid
     )
     x_min, best, evals = _refine(structure.purity_at, coarse_pt, 1.0 / grid)
     coarse2_pt, coarse2_val, coarse2_evals = _coarse_grid(
-        structure.purity_at, 2 * grid, threads
+        structure.purity_at, 2 * grid
     )
     x2_min, best2, evals2 = _refine(structure.purity_at, coarse2_pt, 0.5 / grid)
 

@@ -26,18 +26,28 @@ Any factor that can vanish lives in Delta, never in H; Hamiltonians are only
 defined on Delta-allowed configurations.  All sums accumulate in log domain.
 
 Evaluation paths.  Every kernel Z^{(j,k)}_b and its ground state come from
-one enumeration of the 2^V configurations per (sector pair, replica):
+an enumeration of all 2^V configurations:
 
-* bulk-to-boundary kernels are compiled.  The model builds, lazily and
-  once, the sign matrix of all configurations, a cut mask (links x
-  configurations) shared by both replicas, and one active mask (vertices x
-  configurations) per replica: 2^V (L + 2V) bytes of booleans.  Each pair
-  then accumulates one numpy energy array, link by link and vertex by vertex
-  in the order `_evaluate` uses, so the result is bit-identical to scoring
-  configurations one at a time.
+* bulk-to-boundary kernels are batched over a whole sector list.  On an
+  allowed configuration the energy of pair (j, k) depends on j alone, so
+  the model accumulates one energy matrix per replica (sectors x
+  configurations), link by link and vertex by vertex in the order
+  `_evaluate` uses; the kept energies are therefore bit-identical to
+  scoring configurations one at a time.  Which configurations a pair allows
+  depends only on the set of links where j and k differ, so the S^2 ordered
+  pairs are grouped by that set (an S x S x L boolean array) and each group
+  reduces its rows of the matrix once: log-sum-exp for the kernel, then
+  minimum, ties, gap and representative.  Memory: the masks built once per
+  model (a cut mask, links x configurations, shared by both replicas, and
+  one active mask, vertices x configurations, per replica: 2^V (L + 2V)
+  bytes of booleans) plus, per call, S x 2^V float64 per replica and one
+  more for the shared link part.  A single kernel is the two-sector case.
 * boundary-to-boundary kernels are scored configuration by configuration
-  through `_evaluate`, because their Delta depends on partial traces over
-  the whole spin-down set.
+  through `_evaluate`, once per (pair, replica), because their Delta
+  depends on partial traces over the whole spin-down set.
+
+Log-sum-exp follows the steps of `scipy.special.logsumexp` in plain numpy,
+so that sums keep scipy's bits.
 
 Both paths refuse graphs with more than `exhaustive_limit` vertices.
 """
@@ -52,7 +62,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph
@@ -357,14 +366,72 @@ class PartitionSumTable:
             json.dump(self.to_json_dict(), handle, indent=2)
 
 
+def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(row))) of each row of a 2-D array of finite values.
+
+    The steps are those of `scipy.special.logsumexp` on one row, so the bits
+    are too: the maxima are counted (m) and taken out of the sum, the other
+    terms are shifted by the maximum and summed, and the result is
+    log1p(s / m) + log(m) + max.  Each row is summed as its own 1-D array,
+    because numpy's pairwise summation of a 2-D array along an axis can
+    round differently.
+    """
+    a_max = a.max(axis=1, keepdims=True)
+    top = a == a_max
+    m = np.count_nonzero(top, axis=1, keepdims=True).astype(float)
+    shifted = a - a_max
+    np.exp(shifted, out=shifted)
+    shifted[top] = 0.0
+    s = np.array([row.sum() for row in shifted])[:, None]
+    s = np.where(s == 0, s, s / m)
+    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
+
+
 def _signed_sum(pos: Sequence[float], neg: Sequence[float]) -> float:
     """Sum of +/- exp(log) terms, each bucket reduced by log-sum-exp."""
     total = 0.0
     if len(pos):
-        total += math.exp(logsumexp(np.asarray(pos, dtype=float)))
+        total += math.exp(_logsumexp_rows(np.asarray(pos, dtype=float)[None, :])[0])
     if len(neg):
-        total -= math.exp(logsumexp(np.asarray(neg, dtype=float)))
+        total -= math.exp(_logsumexp_rows(np.asarray(neg, dtype=float)[None, :])[0])
     return total
+
+
+def _infeasible(shape) -> Tuple[np.ndarray, ...]:
+    """(E_min, degeneracy, gap, representative) where nothing is allowed."""
+    return (
+        np.full(shape, math.inf),
+        np.zeros(shape, dtype=np.int64),
+        np.full(shape, math.inf),
+        np.full(shape, -1, dtype=np.int64),
+    )
+
+
+@dataclass(frozen=True)
+class _PairKernels:
+    """Kernels and ground-state data of every ordered pair of a sector list,
+    each an (S, S, 2) array indexed [j, k, replica].  `rep` is the
+    representative's index in `_configurations`, -1 where no configuration
+    is allowed."""
+
+    z: np.ndarray
+    e_min: np.ndarray
+    degeneracy: np.ndarray
+    gap: np.ndarray
+    rep: np.ndarray
+
+    @staticmethod
+    def empty(count: int) -> "_PairKernels":
+        shape = (count, count, 2)
+        return _PairKernels(np.zeros(shape), *_infeasible(shape))
+
+    def put(self, index, values) -> None:
+        """Store (z, e_min, degeneracy, gap, rep) at `index`."""
+        self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index], self.rep[index] = values
+
+    def at(self, index) -> Tuple:
+        """(z, e_min, degeneracy, gap, rep) at `index`."""
+        return self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index], self.rep[index]
 
 
 # -- the model -----------------------------------------------------------
@@ -588,11 +655,15 @@ class IsingModel:
             )
         )
 
-    def _bulk_masks(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]:
-        """(cut, active per replica): boolean masks over all configurations,
-        built once.  Rows are links in `link_ids` order (`cut`) or vertices
-        (`active`); columns are configurations in `_configurations` order,
-        so that each row is contiguous."""
+    def _bulk_masks(
+        self,
+    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """(cut, active per replica, incidence), built once.  `cut` and
+        `active` are boolean masks over all configurations: rows are links in
+        `link_ids` order (`cut`) or vertices (`active`), columns are
+        configurations in `_configurations` order, so that each row is
+        contiguous.  `incidence` (vertices x links) marks the links at each
+        vertex."""
         if self._masks is not None:
             return self._masks
         nv = self._check_limit()
@@ -603,54 +674,123 @@ class IsingModel:
         row = {x: p for p, x in enumerate(self.graph.vertices)}
         links = self.graph.link_ids()
         cut = np.empty((len(links), index.size), dtype=bool)
+        incidence = np.zeros((nv, len(links)), dtype=bool)
         for li, lid in enumerate(links):
             src, tgt = self.graph.endpoints(lid)
+            incidence[row[src], li] = True
+            if tgt in row:
+                incidence[row[tgt], li] = True
             # Boundary legs end on virtual vertices pinned to +1 in this kind.
             cut[li] = down[row[src]] != down[row[tgt]] if tgt in row else down[row[src]]
         # A vertex is active where its spin opposes the replica field b.
-        self._masks = (cut, (down, ~down))
+        self._masks = (cut, (down, ~down), incidence)
         return self._masks
+
+    def _bulk_kernels(self, sectors: Sequence[SpinSector]) -> _PairKernels:
+        """Kernels and ground states of every ordered pair of `sectors`, in
+        both bulk-to-boundary replicas.
+
+        On an allowed configuration the energy of pair (j, k) is the energy
+        of j alone, so one matrix per replica (sectors x configurations)
+        holds every pair's energies.  It accumulates in `_evaluate`'s order
+        (cut links, then active vertices), and `np.add(..., where=)` leaves
+        unaffected entries alone, so every kept energy has the bits of the
+        per-configuration path.  Which configurations are allowed depends
+        only on the set of links where j and k differ (a vertex's spin tuple
+        differs exactly when one of its links does), so the pairs are
+        grouped by that set and each group reduces its rows of the matrix
+        once.
+        """
+        for sec in sectors:
+            if sec.graph is not self.graph and sec.graph != self.graph:
+                raise EngineError("sector belongs to a different graph")
+        cut, actives, incidence = self._bulk_masks()
+        links = self.graph.link_ids()
+        vertices = self.graph.vertices
+        count = len(sectors)
+        twice = np.array(
+            [[sec.spin(lid).twice for lid in links] for sec in sectors], dtype=np.int64
+        ).reshape(count, len(links))
+        link_part = np.zeros((count, cut.shape[1]))
+        for li, column in enumerate(twice.T.tolist()):
+            lam = np.array([math.log(t + 1) for t in column])
+            np.add(link_part, lam[:, None], out=link_part, where=cut[li])
+        vertex_lam = np.empty((count, len(vertices)))
+        for a, sec in enumerate(sectors):
+            for p, x in enumerate(vertices):
+                dim = intertwiner_dim(sec.vertex_spins(x))
+                vertex_lam[a, p] = math.log(dim) if dim > 0 else math.inf
+        # Replica 1 takes over the link part's memory.
+        energies = (link_part.copy(), link_part)
+        for energy, active in zip(energies, actives):
+            for p in range(len(vertices)):
+                np.add(energy, vertex_lam[:, p, None], out=energy, where=active[p])
+
+        kernels = _PairKernels.empty(count)
+        differs = (twice[:, None] != twice[None, :]).reshape(count * count, len(links))
+        sets, group = np.unique(differs, axis=0, return_inverse=True)
+        group = group.reshape(-1)
+        by_set = np.argsort(group, kind="stable")
+        starts = np.searchsorted(group[by_set], np.arange(len(sets) + 1))
+        for g, differ in enumerate(sets):
+            j_index, k_index = np.divmod(by_set[starts[g] : starts[g + 1]], count)
+            rows, row_of_pair = np.unique(j_index, return_inverse=True)
+            broken = cut[differ].any(axis=0)
+            flipped = incidence[:, differ].any(axis=1)
+            for replica, active in enumerate(actives):
+                cols = np.flatnonzero(~(broken | active[flipped].any(axis=0)))
+                values = self._bulk_rows(energies[replica][np.ix_(rows, cols)], cols)
+                kernels.put(
+                    (j_index, k_index, replica), [x[row_of_pair] for x in values]
+                )
+        return kernels
+
+    def _bulk_rows(self, energy: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """(z, E_min, degeneracy, gap, representative) of each row of
+        `energy`, the energies of the allowed configurations `cols`.  An
+        infinite energy (an empty intertwiner space on an active vertex)
+        carries no weight, so a block that has one is reduced row by row on
+        each row's finite entries alone."""
+        finite = np.isfinite(energy)
+        if not finite.all():
+            each = [
+                self._bulk_rows(energy[i, finite[i]][None, :], cols[finite[i]])
+                for i in range(len(energy))
+            ]
+            return tuple(np.concatenate(x) for x in zip(*each))
+        z = np.zeros(len(energy))
+        if energy.size:
+            z[:] = [math.exp(v) for v in _logsumexp_rows(0.0 - energy)]
+        return (z, *self._ground_rows(energy, cols))
+
+    def _ground_rows(self, energy: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """(E_min, degeneracy, gap, representative) of each row of `energy`,
+        the finite energies of the allowed configurations `cols` (ascending
+        indices into `_configurations`)."""
+        if energy.shape[1] == 0:
+            return _infeasible(len(energy))
+        e_min = energy.min(axis=1)
+        tied = energy - e_min[:, None] <= TIE_TOL
+        degeneracy = np.count_nonzero(tied, axis=1)
+        gap = np.where(tied, math.inf, energy).min(axis=1) - e_min
+        rep = cols[tied.argmax(axis=1)]
+        for i in np.flatnonzero(degeneracy > 1):
+            rep[i] = self._first_by_down_set(cols[tied[i]])
+        return e_min, degeneracy, gap, rep
 
     def _bulk_kernel(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
-        """Kernel and ground state of one bulk-to-boundary (pair, replica)
-        from a single energy array over all configurations.
-
-        Energies accumulate in `_evaluate`'s order (cut links, then active
-        vertices) and `np.add(..., where=)` leaves unaffected entries alone,
-        so every kept energy and the log-weight list have the same bits as
-        the per-configuration path.
-        """
+        """Kernel and ground state of one bulk-to-boundary (pair, replica):
+        the two-sector case of `_bulk_kernels`."""
         self._check_pair(j, k, replica)
-        cut, actives = self._bulk_masks()
-        active = actives[replica]
-        energy = np.zeros(2 ** len(self.graph.vertices))
-        forbidden = np.zeros(energy.size, dtype=bool)
-        for li, lid in enumerate(self.graph.link_ids()):
-            spin = j.spin(lid)
-            if spin != k.spin(lid):
-                forbidden |= cut[li]
-            else:
-                np.add(energy, math.log(spin.dim), out=energy, where=cut[li])
-        for p, x in enumerate(self.graph.vertices):
-            spins = j.vertex_spins(x)
-            if spins != k.vertex_spins(x):
-                forbidden |= active[p]
-                continue
-            dim = intertwiner_dim(spins)
-            lam = math.log(dim) if dim > 0 else math.inf
-            np.add(energy, lam, out=energy, where=active[p])
-        rows = np.flatnonzero(~forbidden & np.isfinite(energy))
-        energies = energy[rows]
-        # log|Delta| - H with Delta = 1, as in the per-configuration path.
-        return _signed_sum(0.0 - energies, ()), self._ground_state(energies, rows)
+        return self._result(*self._bulk_kernels([j, k]).at((0, 1, replica)))
 
     def _enumerated_kernel(
         self, j: SpinSector, k: SpinSector, replica: int
-    ) -> Tuple[float, GroundState]:
-        """Kernel and ground state from one pass of `_evaluate` over all
-        configurations (any model kind)."""
+    ) -> Tuple:
+        """(z, E_min, degeneracy, gap, representative) from one pass of
+        `_evaluate` over all configurations (any model kind)."""
         pos: List[float] = []
         neg: List[float] = []
         energies: List[float] = []
@@ -663,32 +803,37 @@ class IsingModel:
             (pos if delta > 0 else neg).append(log_mag)
             energies.append(energy)
             rows.append(index)
-        ground = self._ground_state(
-            np.array(energies, dtype=float), np.array(rows, dtype=np.int64)
+        ground = self._ground_rows(
+            np.array(energies, dtype=float)[None, :], np.array(rows, dtype=np.int64)
         )
-        return _signed_sum(pos, neg), ground
+        return (_signed_sum(pos, neg), *(x[0] for x in ground))
+
+    def _pair_kernels(self, sectors: Sequence[SpinSector]) -> _PairKernels:
+        """Kernels and ground states of every ordered pair of `sectors`, in
+        both replicas."""
+        if not self.kind.is_boundary_to_boundary:
+            return self._bulk_kernels(sectors)
+        kernels = _PairKernels.empty(len(sectors))
+        for a, j in enumerate(sectors):
+            for b, k in enumerate(sectors):
+                for replica in (0, 1):
+                    kernels.put((a, b, replica), self._enumerated_kernel(j, k, replica))
+        return kernels
 
     def _kernel(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
         if self.kind.is_boundary_to_boundary:
-            return self._enumerated_kernel(j, k, replica)
+            return self._result(*self._enumerated_kernel(j, k, replica))
         return self._bulk_kernel(j, k, replica)
 
-    def _ground_state(self, energies: np.ndarray, rows: np.ndarray) -> GroundState:
-        """Ground-state data of the allowed configurations `rows` (indices
-        into `_configurations`) with finite `energies`."""
-        if rows.size == 0:
-            return GroundState(config=None, energy=math.inf, degeneracy=0, gap=math.inf)
-        e_min = energies.min()
-        tied = energies - e_min <= TIE_TOL
-        above = energies[~tied]
-        gap = float(above.min() - e_min) if above.size else math.inf
-        return GroundState(
-            config=self._config(self._first_by_down_set(rows[tied])),
+    def _result(self, z, e_min, degeneracy, gap, rep) -> Tuple[float, GroundState]:
+        """(z, GroundState) from one pair's kernel values."""
+        return float(z), GroundState(
+            config=self._config(int(rep)) if rep >= 0 else None,
             energy=float(e_min),
-            degeneracy=int(np.count_nonzero(tied)),
-            gap=gap,
+            degeneracy=int(degeneracy),
+            gap=float(gap),
         )
 
     def _first_by_down_set(self, rows: np.ndarray) -> int:
@@ -769,17 +914,18 @@ class IsingModel:
         weighted = self._weighted_sectors(pool)
         if not weighted:
             raise EngineError("no admissible sector matches this boundary")
+        z = self._pair_kernels([sec for sec, _ in weighted]).z.tolist()
         z_bar = []
         for replica in (0, 1):
             pos: List[float] = []
             neg: List[float] = []
-            for sec_j, kf_j in weighted:
-                for sec_k, kf_k in weighted:
-                    z = self.partition_sum_fixed(sec_j, sec_k, replica)
-                    if z == 0.0:
+            for a, (_, kf_j) in enumerate(weighted):
+                for b, (_, kf_k) in enumerate(weighted):
+                    z_pair = z[a][b][replica]
+                    if z_pair == 0.0:
                         continue
-                    log_mag = kf_j.log_value + kf_k.log_value + math.log(abs(z))
-                    (pos if z > 0 else neg).append(log_mag)
+                    log_mag = kf_j.log_value + kf_k.log_value + math.log(abs(z_pair))
+                    (pos if z_pair > 0 else neg).append(log_mag)
             z_bar.append(_signed_sum(pos, neg))
         dims = sector_dims(weighted[0][0], self.graph, self.family)
         d_total = dims.d_total
@@ -798,52 +944,53 @@ class IsingModel:
 
         Totals include every sector pair (also pairs with different boundary
         spins); the boundary rows are the boundary-diagonal restrictions.
-        Each (pair, replica) enumerates its configurations once.
+        All pair kernels come from one `_pair_kernels` call: for the
+        bulk-to-boundary kind, one energy matrix per replica reduced once per
+        set of differing links; for the boundary-to-boundary kind, one
+        enumeration per (pair, replica).
         """
         weighted = self._weighted_sectors(sectors)
-        pairs = [
-            (sec_j, kf_j, sec_k, kf_k)
-            for sec_j, kf_j in weighted
-            for sec_k, kf_k in weighted
-        ]
-        results = [
-            [(replica, *self._kernel(sec_j, sec_k, replica)) for replica in (0, 1)]
-            for sec_j, _, sec_k, _ in pairs
-        ]
+        kernels = self._pair_kernels([sec for sec, _ in weighted])
+        z, e_min, degeneracy, gap = (
+            x.tolist() for x in (kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap)
+        )
+        labels = [sec.label() for sec, _ in weighted]
+        keys = [sec.boundary_part() for sec, _ in weighted]
 
         rows: List[PairRow] = []
         totals_pos: Dict[int, List[float]] = {0: [], 1: []}
         totals_neg: Dict[int, List[float]] = {0: [], 1: []}
         by_boundary: Dict[Tuple, Dict[int, Tuple[List[float], List[float]]]] = {}
         boundary_reps: Dict[Tuple, SpinSector] = {}
-        for (sec_j, kf_j, sec_k, kf_k), result in zip(pairs, results):
-            pair_id = f"{sec_j.label()}|{sec_k.label()}"
-            for replica, z, gs in result:
-                rows.append(
-                    PairRow(
-                        pair_id=pair_id,
-                        replica=replica,
-                        z=z,
-                        e_min=gs.energy,
-                        degeneracy=gs.degeneracy,
-                        gap=gs.gap,
-                    )
-                )
-                if z != 0.0:
-                    log_mag = (
-                        kf_j.log_value + kf_k.log_value + math.log(abs(z))
-                    )
-                    bucket = totals_pos if z > 0 else totals_neg
-                    bucket[replica].append(log_mag)
-                    if sec_j.boundary_part() == sec_k.boundary_part():
-                        key = sec_j.boundary_part()
-                        boundary_reps.setdefault(key, sec_j)
-                        slot = by_boundary.setdefault(
-                            key, {0: ([], []), 1: ([], [])}
+        for a, (sec_j, kf_j) in enumerate(weighted):
+            for b, (_, kf_k) in enumerate(weighted):
+                pair_id = f"{labels[a]}|{labels[b]}"
+                for replica in (0, 1):
+                    z_pair = z[a][b][replica]
+                    rows.append(
+                        PairRow(
+                            pair_id=pair_id,
+                            replica=replica,
+                            z=z_pair,
+                            e_min=e_min[a][b][replica],
+                            degeneracy=degeneracy[a][b][replica],
+                            gap=gap[a][b][replica],
                         )
-                        (slot[replica][0] if z > 0 else slot[replica][1]).append(
-                            log_mag
+                    )
+                    if z_pair != 0.0:
+                        log_mag = (
+                            kf_j.log_value + kf_k.log_value + math.log(abs(z_pair))
                         )
+                        bucket = totals_pos if z_pair > 0 else totals_neg
+                        bucket[replica].append(log_mag)
+                        if keys[a] == keys[b]:
+                            boundary_reps.setdefault(keys[a], sec_j)
+                            slot = by_boundary.setdefault(
+                                keys[a], {0: ([], []), 1: ([], [])}
+                            )
+                            (slot[replica][0] if z_pair > 0 else slot[replica][1]).append(
+                                log_mag
+                            )
         totals = (
             _signed_sum(totals_pos[0], totals_neg[0]),
             _signed_sum(totals_pos[1], totals_neg[1]),
@@ -863,7 +1010,7 @@ class IsingModel:
                 )
             )
         k_factors = tuple(
-            (sec.label(), kf.value) for sec, kf in weighted
+            (label, kf.value) for label, (_, kf) in zip(labels, weighted)
         )
         return PartitionSumTable(
             rows=tuple(rows),

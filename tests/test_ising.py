@@ -24,6 +24,7 @@ from holoising.ising import (
     IsingConfig,
     IsingModel,
     ModelKind,
+    _logsumexp_rows,
     couplings,
 )
 from holoising.spins import SectorFamily, Spin, SpinSector, intertwiner_dim
@@ -704,3 +705,147 @@ class TestCompiledKernel:
             z, ground = model._bulk_kernel(low, high, replica)
             assert model.partition_sum_fixed(low, high, replica) == z
             assert model.ground_state(low, high, replica) == ground
+
+
+# -- the batched evaluator and its log-sum-exp ------------------------------
+
+
+class TestLogSumExp:
+    def vectors(self):
+        """Seeded vectors of length 1-70 (across numpy's 8-wide pairwise
+        blocks): plain draws, repeated maxima, log-dimension sums full of
+        exact ties, and spreads so wide that every non-maximal term
+        underflows."""
+        rng = np.random.default_rng(2207)
+        for n in range(1, 71):
+            for scale in (1.0, 40.0, 2000.0):
+                a = rng.normal(size=n) * scale
+                yield a
+                tied = a.copy()
+                tied[rng.integers(0, n, size=max(1, n // 3))] = a.max()
+                yield tied
+            yield -np.log(rng.integers(1, 9, size=(n, 3))).sum(axis=1)
+            yield -800.0 * np.arange(n) - 3.5
+
+    def test_matches_scipy_bit_for_bit(self):
+        seen = dict.fromkeys(("repeated_max", "underflow"), 0)
+        for a in self.vectors():
+            want = float(logsumexp(a)).hex()
+            assert float(_logsumexp_rows(a[None, :])[0]).hex() == want, a
+            # Rows of a block reduce independently.
+            block = np.stack([a, a[::-1], np.sort(a)])
+            assert [float(v).hex() for v in _logsumexp_rows(block)] == [
+                float(logsumexp(row)).hex() for row in block
+            ]
+            top = a == a.max()
+            seen["repeated_max"] += np.count_nonzero(top) > 1
+            seen["underflow"] += (~top).any() and not np.exp(a[~top] - a.max()).any()
+        assert all(seen.values()), seen
+
+
+def six_vertex_chain_model():
+    """The spin-0-island chain of `TestCompiledKernel.test_six_vertex_chain`."""
+    graph = chain_graph(6)
+    allowed = {lid: ["1"] for lid in graph.link_ids()}
+    allowed.update({lid: ["0"] for lid in ("l", "t0", "e1", "e5", "r", "t5")})
+    allowed.update({"e3": ["1", "2", "3"], "t1": ["1/2", "1"]})
+    family = SectorFamily.build(graph, "0", "3", allowed=allowed, normalize=False)
+    return IsingModel(graph, family, ModelKind.bulk_to_boundary())
+
+
+def near_tie_chain_model():
+    """The 4-valent chain of `TestCompiledKernel.test_near_ties_and_summation_order`."""
+    graph = chain_graph(4, legs=2)
+    allowed = {lid: ["1"] for lid in graph.link_ids()}
+    allowed.update({lid: ["1/2"] for lid in ("e2", "t2", "u0", "u2")})
+    allowed.update({"e1": ["1", "2"], "r": ["1/2", "3/2"], "u1": ["3/2"]})
+    family = SectorFamily.build(graph, "1/2", "2", allowed=allowed, normalize=False)
+    return IsingModel(graph, family, ModelKind.bulk_to_boundary())
+
+
+class TestBatchedKernels:
+    """`_bulk_kernels` on whole sector lists, pair by pair, against the
+    per-configuration `brute_force`."""
+
+    def assert_matches(self, model, sectors):
+        """Returns the number of distinct sets of differing links."""
+        kernels = model._bulk_kernels(sectors)
+        links = model.graph.link_ids()
+        differing = set()
+        for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
+            differing.add(tuple(j.spin(lid) != k.spin(lid) for lid in links))
+            for replica in (0, 1):
+                z, e_min, degeneracy, gap, rep = brute_force(model, j, k, replica)
+                at = (a, b, replica)
+                assert float(kernels.z[at]).hex() == float(z).hex()
+                assert float(kernels.e_min[at]).hex() == float(e_min).hex()
+                assert kernels.degeneracy[at] == degeneracy
+                assert float(kernels.gap[at]).hex() == float(gap).hex()
+                got = None if kernels.rep[at] < 0 else model._config(int(kernels.rep[at]))
+                assert got == rep
+        return len(differing)
+
+    def test_random_instances(self):
+        """The draws of `TestCompiledKernel.test_random_instances` (two
+        sectors each) and a second seed whose draws reach four sectors."""
+        sets = []
+        for seed in (20220715, 3):
+            rng = np.random.default_rng(seed)
+            for nv_choices in [(1,)] * 4 + [(2, 3)] * 4:
+                graph, family, _, _ = random_instance(rng, nv_choices=nv_choices)
+                model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+                sets.append(self.assert_matches(model, model.default_sectors()))
+        assert sets.count(4) == 2, sets
+
+    def test_six_vertex_chain(self):
+        model = six_vertex_chain_model()
+        sectors = model.default_sectors()
+        assert len(sectors) == 6
+        assert self.assert_matches(model, sectors) == 4
+
+    def test_near_ties(self):
+        model = near_tie_chain_model()
+        sectors = model.default_sectors()
+        assert len(sectors) == 4
+        assert self.assert_matches(model, sectors) == 4
+
+    def test_rows_with_empty_intertwiners(self):
+        """Spin 3 on leg t2 (or spin 0 on t1 next to spins 1/2 and 3/2)
+        leaves a vertex without intertwiners, so some energy rows mix finite
+        and infinite entries.  Summing such a row with its infinite entries
+        as zeros moves the finite ones to other pairwise-sum slots and
+        changes bits; the evaluator drops them row by row."""
+        graph = chain_graph(3)
+        allowed = {"e1": ["1/2"], "e2": ["3/2"], "l": ["1"], "r": ["1/2"], "t0": ["3/2"]}
+        allowed.update({"t1": ["0", "1"], "t2": ["1", "3"]})
+        family = SectorFamily.build(graph, "0", "3", allowed=allowed, normalize=False)
+        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+        sectors = model.default_sectors()
+        assert any(
+            intertwiner_dim(sec.vertex_spins(x)) == 0
+            for sec in sectors
+            for x in graph.vertices
+        )
+        assert self.assert_matches(model, sectors) == 4
+
+    def test_empty_sector_list(self):
+        """Spins (1, 1, 3) leave v0 without intertwiners: every sector has
+        K = 0, so the table has no rows and zero totals."""
+        graph = chain_graph(2)
+        allowed = {lid: ["1"] for lid in graph.link_ids()}
+        allowed["t0"] = ["3"]
+        family = SectorFamily.build(graph, "1", "3", allowed=allowed, normalize=False)
+        table = IsingModel(graph, family, ModelKind.bulk_to_boundary()).partition_table()
+        assert table.rows == () and table.k_factors == () and table.boundary_rows == ()
+        assert table.totals == (0.0, 0.0)
+
+    def test_single_kernel_is_the_two_sector_case(self):
+        model = six_vertex_chain_model()
+        sectors = model.default_sectors()
+        kernels = model._bulk_kernels(sectors)
+        for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
+            for replica in (0, 1):
+                z, ground = model._bulk_kernel(j, k, replica)
+                assert z == kernels.z[a, b, replica]
+                assert ground.energy == kernels.e_min[a, b, replica]
+                assert ground.degeneracy == kernels.degeneracy[a, b, replica]
