@@ -118,6 +118,17 @@ def sector_distribution(
     The boundary-region weights c_E need dimension data, so they are filled
     only when both `graph` and `family` are given.
     """
+    return _sector_distribution(table, None, graph, family)
+
+
+def _sector_distribution(
+    table: PartitionSumTable,
+    cells: Optional[Dict[str, _PairCell]],
+    graph: Optional[OpenGraph],
+    family: Optional[SectorFamily],
+) -> SectorDistribution:
+    """sector_distribution on pair cells already grouped by the caller
+    (None groups them here, after the weight checks)."""
     kmap = dict(table.k_factors)
     k_total = math.fsum(kmap.values())
     if k_total <= 0.0:
@@ -127,7 +138,8 @@ def sector_distribution(
     z0_total = table.totals[0]
     if z0_total == 0.0:
         raise EntropyError("Z_0 = 0: the pair distribution is undefined")
-    cells = _pair_cells(table)
+    if cells is None:
+        cells = _pair_cells(table)
     pair_probs = {
         pid: kmap[c.label_j] * kmap[c.label_k] * c.z[0] / z0_total
         for pid, c in cells.items()
@@ -336,7 +348,7 @@ def average_purity(
         feasible_mass=mass,
         rt_area_estimate=rt_estimate,
         provenance=provenance,
-        distribution=sector_distribution(table, graph, family),
+        distribution=_sector_distribution(table, cells, graph, family),
     )
 
 

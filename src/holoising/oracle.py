@@ -18,18 +18,33 @@ Swap-pattern traces.  For a linear map C (the product of link projectors,
 optionally contracted with a bulk input state) and a replica swap on a slot
 set R, each vertex-subset pattern U contributes
 
-    T = Tr[(C (x) C) S_U (C^+ (x) C^+) S_R]
+    T_U = Tr[(C (x) C) S_U (C^+ (x) C^+) S_R].
 
-which is evaluated by grouping the rows of C into classes that share the
-labels outside R ("pair classes") and contracting two partial Gram tensors
-per class.  The pattern sum with unit weights reproduces the Ising engine's
-unnormalized partition totals; normalized grades reweight the same traces.
+The output rows of C are laid out on a dense (region x rest) grid: a row
+goes to the cell of its compressed labels inside and outside R, and cells
+without a row stay zero.  The components of a mixed bulk input are stacked
+along the rest axis as A = [sqrt(w_n) C_n].  Moving the input axes of the
+vertices in U next to the region axis turns A into a matrix A_U, and
+Q_U = A_U A_U^+ is a partial trace onto R and U, so
+
+    T_U = Tr(Q_U^2) = ||G_U||_F^2,
+
+where G_U is the smaller of A_U A_U^+ and A_U^+ A_U: one matrix product per
+pattern.  This is the swap-pattern form of the Haar average of random tensor
+networks (Hayden et al., arXiv:1601.01694).  The fine grades restrict each
+replica to sector columns, Tr(P_j P_k) = ||A_j^+ A_k||_F^2 with
+P_j = A_j A_j^+.  The grid tensor holds keep x rest x components x input
+entries of complex128 (16 bytes each), a pattern briefly adds a transposed
+and a conjugated copy of it, and GRID_LIMIT caps the entry count.  Monte Carlo shots use the same
+grid: each shot's output state is laid out on it and one batched product
+gives the reduced density on R of every shot.  The pattern sum with unit
+weights reproduces the Ising engine's unnormalized partition totals;
+normalized grades reweight the same traces.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -44,7 +59,9 @@ from .spins import SectorFamily, Spin, SpinSector, enumerate_sectors, intertwine
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "HOLOISING_DIM_CAP"
 
-_PAIR_GUARD = 20_000_000  # hard ceiling on row pairs in a pair basis
+# Most complex entries one (region x rest) grid may hold: keep x rest cells
+# times the input columns of every component, 16 bytes each.
+GRID_LIMIT = 1 << 24
 
 
 class OracleError(RuntimeError):
@@ -350,60 +367,49 @@ def singlet_projector(index: HilbertIndex, link_id: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Pair bases: row classes for partial swaps on non-factorizing labels
+# Region grids: output rows laid out by their labels inside and outside R
 # ---------------------------------------------------------------------------
 
 
-class PairBasis:
-    """All row pairs of an output space that agree outside the swap region R.
+class RegionGrid:
+    """The rows of an output space on a dense (region x rest) grid.
 
-    Rows are grouped by their labels outside R; within a group every ordered
-    pair contributes.  Pairs are classified by the compressed R-labels of
-    their two members, which is exactly the index structure of a partial
-    trace onto R.
+    Row r sits in cell (rid[r], bid[r]), its compressed labels inside and
+    outside the swap region R.  Distinct rows have distinct cells, so an
+    array over the rows becomes a (keep_dim, rest_dim) array that is zero
+    where no row lands, and a partial trace onto R is one matrix product.
+    `width` is the number of entries each cell will carry (input columns
+    times components); GRID_LIMIT caps keep_dim x rest_dim x width.
     """
 
-    def __init__(self, keys_r: List[np.ndarray], keys_rest: List[np.ndarray], dim: int):
-        rid = _compress_rows(keys_r, dim)
+    def __init__(
+        self,
+        keys_r: List[np.ndarray],
+        keys_rest: List[np.ndarray],
+        dim: int,
+        width: int = 1,
+    ):
+        self.rid = _compress_rows(keys_r, dim)
         bid = _compress_rows(keys_rest, dim)
-        self.keep_dim = int(rid.max()) + 1 if dim else 0
-        order = np.lexsort((rid, bid))
-        bid_sorted = bid[order]
-        cuts = np.flatnonzero(np.diff(bid_sorted)) + 1
-        starts = np.concatenate(([0], cuts))
-        ends = np.concatenate((cuts, [dim]))
-        sizes = ends - starts
-        total = int(np.sum(sizes * sizes))
-        if total > _PAIR_GUARD:
+        self.keep_dim = int(self.rid.max()) + 1 if dim else 0
+        self.rest_dim = int(bid.max()) + 1 if dim else 0
+        entries = self.keep_dim * self.rest_dim * width
+        if entries > GRID_LIMIT:
             raise OracleError(
-                f"{total} row pairs needed for this swap region; the instance is "
-                f"too large for the exact contraction"
+                f"the (region x rest) grid needs {self.keep_dim} x {self.rest_dim} "
+                f"cells x {width} entries = {entries}, above GRID_LIMIT = "
+                f"{GRID_LIMIT}; raise holoising.oracle.GRID_LIMIT (16 bytes per "
+                f"entry) or tighten the spin lists"
             )
-        i1 = np.empty(total, dtype=np.int64)
-        i2 = np.empty(total, dtype=np.int64)
-        pos = 0
-        for s, e in zip(starts, ends):
-            grp = order[s:e]
-            n = e - s
-            i1[pos : pos + n * n] = np.repeat(grp, n)
-            i2[pos : pos + n * n] = np.tile(grp, n)
-            pos += n * n
-        c1 = rid[i1]
-        c2 = rid[i2]
-        csort = np.lexsort((c2, c1))
-        self.i1 = i1[csort]
-        self.i2 = i2[csort]
-        c1 = c1[csort]
-        c2 = c2[csort]
-        self.classes: Dict[Tuple[int, int], Tuple[int, int]] = {}
-        if total:
-            stacked = np.stack([c1, c2], axis=1)
-            change = np.any(np.diff(stacked, axis=0) != 0, axis=1)
-            cls_starts = np.concatenate(([0], np.flatnonzero(change) + 1))
-            cls_ends = np.concatenate((cls_starts[1:], [total]))
-            for s, e in zip(cls_starts, cls_ends):
-                self.classes[(int(c1[s]), int(c2[s]))] = (int(s), int(e))
-        self.rid = rid
+        self.cell = self.rid * self.rest_dim + bid
+
+    def lay_out(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Scatter `values`, whose `axis` runs over the rows, onto the grid;
+        that axis becomes the two axes (keep_dim, rest_dim)."""
+        head, tail = values.shape[:axis], values.shape[axis + 1 :]
+        out = np.zeros(head + (self.keep_dim * self.rest_dim,) + tail, dtype=complex)
+        out[(slice(None),) * axis + (self.cell,)] = values
+        return out.reshape(head + (self.keep_dim, self.rest_dim) + tail)
 
 
 def _compress_rows(key_arrays: List[np.ndarray], dim: int) -> np.ndarray:
@@ -457,12 +463,12 @@ class CMap:
         self.col_dims = col_dims
         self.out_dim = self.components[0][1].shape[0] if self.components else 0
         self.in_dim = self.components[0][1].shape[1] if self.components else 0
-        self._pair_cache: Dict[Tuple[Slot, ...], PairBasis] = {}
-        self._gram_cache: Dict[Tuple, np.ndarray] = {}
+        self._grid_cache: Dict[Tuple[Slot, ...], RegionGrid] = {}
 
-    def pair_basis(self, region: Tuple[Slot, ...]) -> PairBasis:
+    def pair_basis(self, region: Tuple[Slot, ...]) -> RegionGrid:
+        """The (region x rest) grid of the output rows for swap region R."""
         key = tuple(sorted(region))
-        if key not in self._pair_cache:
+        if key not in self._grid_cache:
             missing = [s for s in key if s not in self.out_slots]
             if missing:
                 raise OracleError(f"swap region names absent slots: {missing}")
@@ -470,21 +476,13 @@ class CMap:
             keys_rest = [
                 self.out_keys[s][0] for s in self.out_slots if s not in set(key)
             ]
-            self._pair_cache[key] = PairBasis(keys_r, keys_rest, self.out_dim)
-        return self._pair_cache[key]
+            width = len(self.components) * self.in_dim
+            self._grid_cache[key] = RegionGrid(keys_r, keys_rest, self.out_dim, width)
+        return self._grid_cache[key]
 
-    def gram(self, n: int, m: int, colkey, cols: Optional[np.ndarray]) -> np.ndarray:
-        key = (n, m, colkey)
-        if key not in self._gram_cache:
-            if len(self._gram_cache) > 6:
-                self._gram_cache.clear()
-            f1 = self.components[n][1]
-            f2 = self.components[m][1]
-            if cols is not None:
-                f1 = f1[:, cols]
-                f2 = f2[:, cols]
-            self._gram_cache[key] = f1 @ f2.conj().T
-        return self._gram_cache[key]
+    def stacked(self) -> np.ndarray:
+        """The components as A = [sqrt(w_n) C_n], shaped (out_dim, n, in_dim)."""
+        return np.stack([np.sqrt(w) * f for w, f in self.components], axis=1)
 
 
 def _singlet_support(index: HilbertIndex) -> Tuple[np.ndarray, np.ndarray]:
@@ -699,105 +697,55 @@ def resolve_region(index: HilbertIndex, region) -> Tuple[Slot, ...]:
     return tuple(out)
 
 
-def _pattern_trace(
-    cmap: CMap,
-    pb: PairBasis,
-    subset: Tuple[int, ...],
-    n: int,
-    m: int,
-    colsel1: Optional[List[np.ndarray]],
-    colsel2: Optional[List[np.ndarray]],
-    colkey1,
-    colkey2,
-) -> complex:
-    """Tr[(C (x) C) S_subset (C^+ (x) C^+) S_R] for one vertex subset."""
-    f1 = cmap.components[n][1]
-    f2 = cmap.components[m][1]
-    nvert = len(cmap.col_dims)
-    if len(subset) == nvert and colkey1 == colkey2:
-        # Fully swapped pattern: two Gram gathers instead of per-class tensors.
-        cols = _flat_cols(cmap, colsel1)
-        g12 = cmap.gram(n, m, colkey1, cols)
-        total = 0.0 + 0.0j
-        for (a, b), (lo, hi) in pb.classes.items():
-            tlo, thi = pb.classes[(b, a)]
-            m1 = g12[np.ix_(pb.i1[lo:hi], pb.i2[tlo:thi])]
-            m2 = np.conj(g12[np.ix_(pb.i2[lo:hi], pb.i1[tlo:thi])])
-            total += np.einsum("pq,pq->", m1, m2)
-        return total
-    g1 = _pattern_tensor(f1, cmap.col_dims, colsel1, subset)
-    g2 = _pattern_tensor(f2, cmap.col_dims, colsel2, subset)
-    total = 0.0 + 0.0j
-    for (a, b), (lo, hi) in pb.classes.items():
-        tlo, thi = pb.classes[(b, a)]
-        psi1 = np.tensordot(
-            g1[pb.i1[lo:hi]], np.conj(g1[pb.i2[lo:hi]]), axes=[(0, 2), (0, 2)]
-        )
-        psi2 = np.tensordot(
-            g2[pb.i1[tlo:thi]], np.conj(g2[pb.i2[tlo:thi]]), axes=[(0, 2), (0, 2)]
-        )
-        total += np.einsum("uv,vu->", psi1, psi2)
-    return total
-
-
-def _flat_cols(cmap: CMap, colsel: Optional[List[np.ndarray]]) -> Optional[np.ndarray]:
-    if colsel is None:
-        return None
-    flat = np.zeros(1, dtype=np.int64)
-    for rng, dim in zip(colsel, cmap.col_dims):
-        flat = (flat[:, None] * dim + rng[None, :]).reshape(-1)
-    return flat
-
-
-def _pattern_tensor(
-    f: np.ndarray,
-    col_dims: Tuple[int, ...],
-    colsel: Optional[List[np.ndarray]],
-    subset: Tuple[int, ...],
+def _pattern_matrix(
+    a: np.ndarray, subset: Tuple[int, ...], colsel: Optional[List[np.ndarray]]
 ) -> np.ndarray:
-    rows = f.shape[0]
-    t = f.reshape((rows,) + col_dims)
+    """A_U: the grid tensor (keep, rest, *inputs) as a matrix whose rows are
+    (region, inputs of U) and whose columns are (rest, other inputs).
+
+    `colsel` keeps, per averaged vertex, the listed input columns only."""
     if colsel is not None:
-        t = t[np.ix_(np.arange(rows), *colsel)]
-    in_subset = set(subset)
-    axes = (
-        [0]
-        + [1 + i for i in range(len(col_dims)) if i in in_subset]
-        + [1 + i for i in range(len(col_dims)) if i not in in_subset]
-    )
-    t = np.transpose(t, axes)
-    n_u = int(np.prod([t.shape[1 + k] for k in range(len(subset))], dtype=np.int64)) if subset else 1
-    return np.ascontiguousarray(t.reshape(rows, n_u, -1))
+        a = a[(slice(None), slice(None)) + np.ix_(*colsel)]
+    row_axes = [0] + [2 + i for i in subset]
+    col_axes = [1] + [2 + i for i in range(a.ndim - 2) if i not in subset]
+    rows = int(np.prod([a.shape[k] for k in row_axes], dtype=np.int64))
+    cols = int(np.prod([a.shape[k] for k in col_axes], dtype=np.int64))
+    return np.transpose(a, row_axes + col_axes).reshape(rows, cols)
+
+
+def _sq_norm(g: np.ndarray) -> float:
+    return float(np.vdot(g, g).real)
+
+
+def _gram_trace(x1: np.ndarray, x2: np.ndarray) -> float:
+    """Tr(x1 x1^+ x2 x2^+) from the smaller Gram side."""
+    rows = x1.shape[0]
+    if x2 is x1:
+        if rows <= x1.shape[1]:
+            return _sq_norm(x1 @ x1.conj().T)
+        return _sq_norm(x1.conj().T @ x1)
+    if rows * rows <= x1.shape[1] * x2.shape[1]:
+        return float(np.vdot(x2 @ x2.conj().T, x1 @ x1.conj().T).real)
+    return _sq_norm(x1.conj().T @ x2)
 
 
 def _component_pattern_sum(
     cmap: CMap,
-    pb: PairBasis,
+    grid: RegionGrid,
     subsets: Sequence[Tuple[int, ...]],
-    colsel1=None,
-    colsel2=None,
-    colkey1=None,
-    colkey2=None,
-    threads: int = 1,
-) -> complex:
-    jobs = []
+    colsel1: Optional[List[np.ndarray]] = None,
+    colsel2: Optional[List[np.ndarray]] = None,
+) -> float:
+    """Sum over the subsets U of T_U, the first replica restricted to the
+    input columns colsel1 and the second to colsel2 (None keeps all)."""
+    width = grid.rest_dim * len(cmap.components)
+    a = grid.lay_out(cmap.stacked()).reshape((grid.keep_dim, width) + cmap.col_dims)
+    total = 0.0
     for subset in subsets:
-        for n, (wn, _) in enumerate(cmap.components):
-            for m, (wm, _) in enumerate(cmap.components):
-                jobs.append((subset, n, m, wn * wm))
-
-    def run(job):
-        subset, n, m, w = job
-        return w * _pattern_trace(
-            cmap, pb, subset, n, m, colsel1, colsel2, colkey1, colkey2
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, jobs))
-    else:
-        parts = [run(job) for job in jobs]
-    return sum(parts)
+        x1 = _pattern_matrix(a, subset, colsel1)
+        x2 = x1 if colsel2 is colsel1 else _pattern_matrix(a, subset, colsel2)
+        total += _gram_trace(x1, x2)
+    return total
 
 
 def _all_subsets(n: int) -> List[Tuple[int, ...]]:
@@ -816,7 +764,6 @@ def exact_replica_average(
     weights: Optional[Mapping] = None,
     fixed: Optional[FrozenVertices] = None,
     cmap: Optional[CMap] = None,
-    threads: int = 1,
 ) -> float:
     """Exact replica trace summed over swap patterns of the requested grade.
 
@@ -831,25 +778,16 @@ def exact_replica_average(
             kind = ModelKind.bulk_to_boundary()
         cmap = build_cmap(index, kind, state=state, fixed=fixed)
     slots = resolve_region(index, region)
-    pb = cmap.pair_basis(slots)
+    grid = cmap.pair_basis(slots)
     nvert = len(cmap.in_vertices)
 
     if grade == "medium":
-        value = _component_pattern_sum(
-            cmap, pb, _all_subsets(nvert), threads=threads
-        )
-    elif grade == "coarse":
-        subsets = [(), tuple(range(nvert))]
-        value = _component_pattern_sum(cmap, pb, subsets, threads=threads)
-    elif grade in ("fine", "fine-high"):
-        value = _fine_pattern_sum(cmap, pb, weights, grade, threads)
-    else:
-        raise OracleError(f"unknown averaging grade {grade!r}")
-
-    scale = abs(value)
-    if abs(value.imag) > 1e-8 * (scale + 1.0):
-        raise OracleError(f"replica trace came out non-real: {value}")
-    return float(value.real)
+        return _component_pattern_sum(cmap, grid, _all_subsets(nvert))
+    if grade == "coarse":
+        return _component_pattern_sum(cmap, grid, [(), tuple(range(nvert))])
+    if grade in ("fine", "fine-high"):
+        return _fine_pattern_sum(cmap, grid, weights, grade)
+    raise OracleError(f"unknown averaging grade {grade!r}")
 
 
 def _fine_weights(index: HilbertIndex, weights) -> Dict[Tuple, float]:
@@ -875,9 +813,7 @@ def _fine_weights(index: HilbertIndex, weights) -> Dict[Tuple, float]:
     return {k: v / total for k, v in p.items()}
 
 
-def _fine_pattern_sum(
-    cmap: CMap, pb: PairBasis, weights, grade: str, threads: int
-) -> complex:
+def _fine_pattern_sum(cmap: CMap, grid: RegionGrid, weights, grade: str) -> float:
     index = cmap.index
     if cmap.in_vertices != index.graph.vertices:
         raise OracleError("fine averaging requires all vertices to be averaged")
@@ -887,21 +823,14 @@ def _fine_pattern_sum(
     block_dims = {
         s.key(): [r.size for r in ranges[s.key()]] for s in sectors
     }
-    total = 0.0 + 0.0j
+    total = 0.0
     # Identity part: every ordered sector pair, no swap anywhere.
     for sj in sectors:
         for sk in sectors:
             nj = int(np.prod(block_dims[sj.key()], dtype=np.int64))
             nk = int(np.prod(block_dims[sk.key()], dtype=np.int64))
             t = _component_pattern_sum(
-                cmap,
-                pb,
-                [()],
-                colsel1=ranges[sj.key()],
-                colsel2=ranges[sk.key()],
-                colkey1=sj.key(),
-                colkey2=sk.key(),
-                threads=1,
+                cmap, grid, [()], colsel1=ranges[sj.key()], colsel2=ranges[sk.key()]
             )
             total += p[sj.key()] * p[sk.key()] * t / (nj * nk)
     # Diagonal correction: the full per-vertex average inside each sector.
@@ -910,24 +839,10 @@ def _fine_pattern_sum(
         key = sj.key()
         nj = int(np.prod(block_dims[key], dtype=np.int64))
         t_all = _component_pattern_sum(
-            cmap,
-            pb,
-            subsets,
-            colsel1=ranges[key],
-            colsel2=ranges[key],
-            colkey1=key,
-            colkey2=key,
-            threads=threads,
+            cmap, grid, subsets, colsel1=ranges[key], colsel2=ranges[key]
         )
         t_id = _component_pattern_sum(
-            cmap,
-            pb,
-            [()],
-            colsel1=ranges[key],
-            colsel2=ranges[key],
-            colkey1=key,
-            colkey2=key,
-            threads=1,
+            cmap, grid, [()], colsel1=ranges[key], colsel2=ranges[key]
         )
         if grade == "fine":
             norm = 1.0
@@ -948,19 +863,14 @@ def replica_purity(
     weights: Optional[Mapping] = None,
     fixed: Optional[FrozenVertices] = None,
     cmap: Optional[CMap] = None,
-    threads: int = 1,
 ) -> float:
     """Averaged replica purity: the region trace over the empty-region trace."""
     if cmap is None:
         if kind is None:
             kind = ModelKind.bulk_to_boundary()
         cmap = build_cmap(index, kind, state=state, fixed=fixed)
-    z1 = exact_replica_average(
-        index, region, grade=grade, weights=weights, cmap=cmap, threads=threads
-    )
-    z0 = exact_replica_average(
-        index, (), grade=grade, weights=weights, cmap=cmap, threads=threads
-    )
+    z1 = exact_replica_average(index, region, grade=grade, weights=weights, cmap=cmap)
+    z0 = exact_replica_average(index, (), grade=grade, weights=weights, cmap=cmap)
     if z0 <= 0:
         raise OracleError("normalization trace is not positive")
     return z1 / z0
@@ -971,14 +881,67 @@ def replica_purity(
 # ---------------------------------------------------------------------------
 
 
-def _gaussian_vector(seed: int, shot: int, vertex: int, block: int, n: int) -> np.ndarray:
-    key = np.array(
-        [np.uint64(seed), np.uint64((shot << 20) ^ (vertex << 10) ^ block)],
-        dtype=np.uint64,
-    )
-    gen = Generator(Philox(key=key))
-    raw = gen.standard_normal(2 * n)
-    return (raw[:n] + 1j * raw[n:]) / np.sqrt(2.0)
+def _unit_gaussians(
+    seed: int, shots: range, vertex: int, block: int, n: int
+) -> np.ndarray:
+    """Normalized standard complex Gaussian vectors, one row per shot.
+
+    Each row comes from its own Philox stream keyed by (seed, shot, vertex,
+    block).  One generator is re-keyed by resetting its state, which gives
+    the same stream as a fresh Philox(key=...) without building one.
+    """
+    # A seed, unlike key=..., draws no OS entropy; the key is replaced below.
+    bitgen = Philox(0)
+    gen = Generator(bitgen)
+    state = bitgen.state  # fresh: counter zero, buffer empty
+    key = state["state"]["key"]
+    key[0] = seed
+    raw = np.empty((len(shots), 2 * n))
+    for i, shot in enumerate(shots):
+        key[1] = (shot << 20) ^ (vertex << 10) ^ block
+        bitgen.state = state
+        gen.standard_normal(out=raw[i])
+    vecs = (raw[:, :n] + 1j * raw[:, n:]) / np.sqrt(2.0)
+    for v in vecs:
+        v /= np.linalg.norm(v)
+    return vecs
+
+
+def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise Kronecker product: row s is kron(a[s], b[s])."""
+    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+
+
+def _haar_rows(
+    index: HilbertIndex,
+    grade: str,
+    seed: int,
+    shots: range,
+    weights: Optional[Mapping] = None,
+) -> np.ndarray:
+    """haar_sample for every shot in `shots`, one row per shot, bit for bit."""
+    if grade == "medium":
+        rows = np.ones((len(shots), 1), dtype=complex)
+        for vi, space in enumerate(index.spaces):
+            rows = _outer_rows(rows, _unit_gaussians(seed, shots, vi, 0, space.dim))
+        return rows
+    if grade == "coarse":
+        return _unit_gaussians(seed, shots, 0, 1, index.dim)
+    if grade == "fine":
+        p = _fine_weights(index, weights)
+        rows = np.zeros((len(shots), index.dim), dtype=complex)
+        for si, sec in enumerate(index.family_sectors()):
+            w = p.get(sec.key(), 0.0)
+            if w == 0.0:
+                continue
+            block = np.ones((len(shots), 1), dtype=complex)
+            for vi, rng in enumerate(index.sector_local_ranges(sec)):
+                block = _outer_rows(
+                    block, _unit_gaussians(seed, shots, vi, 2 + si, rng.size)
+                )
+            rows[:, index.sector_columns(sec)] += np.sqrt(w) * block
+        return rows
+    raise OracleError(f"unknown averaging grade {grade!r}")
 
 
 def haar_sample(
@@ -992,33 +955,9 @@ def haar_sample(
 
     Haar vectors are realized as normalized standard complex Gaussians; the
     generator is keyed by (seed, shot, vertex, block) counters so results are
-    identical no matter how the shots are scheduled.
+    identical no matter how the shots are scheduled or batched.
     """
-    if grade == "medium":
-        vec = np.ones(1, dtype=complex)
-        for vi, space in enumerate(index.spaces):
-            v = _gaussian_vector(seed, shot, vi, 0, space.dim)
-            v /= np.linalg.norm(v)
-            vec = np.kron(vec, v)
-        return vec
-    if grade == "coarse":
-        v = _gaussian_vector(seed, shot, 0, 1, index.dim)
-        return v / np.linalg.norm(v)
-    if grade == "fine":
-        p = _fine_weights(index, weights)
-        vec = np.zeros(index.dim, dtype=complex)
-        for si, sec in enumerate(index.family_sectors()):
-            w = p.get(sec.key(), 0.0)
-            if w == 0.0:
-                continue
-            block = np.ones(1, dtype=complex)
-            for vi, rng in enumerate(index.sector_local_ranges(sec)):
-                v = _gaussian_vector(seed, shot, vi, 2 + si, rng.size)
-                v /= np.linalg.norm(v)
-                block = np.kron(block, v)
-            vec[index.sector_columns(sec)] += np.sqrt(w) * block
-        return vec
-    raise OracleError(f"unknown averaging grade {grade!r}")
+    return _haar_rows(index, grade, seed, range(shot, shot + 1), weights)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1037,23 +976,19 @@ def reduced_density(
     on its output space).  `subsystem` follows resolve_region; the result is
     indexed by the compressed labels of the kept slots.
     """
-    index, pb = _reduction_basis(source, subsystem)
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    rho = np.zeros((pb.keep_dim, pb.keep_dim), dtype=complex)
-    np.add.at(rho, (pb.rid[pb.i1], pb.rid[pb.i2]), phi[pb.i1] * np.conj(phi[pb.i2]))
-    return rho
+    grid = _reduction_grid(source, subsystem)
+    phi = grid.lay_out(np.asarray(phi, dtype=complex).reshape(-1))
+    return phi @ phi.conj().T
 
 
-def _reduction_basis(source, subsystem) -> Tuple[HilbertIndex, PairBasis]:
+def _reduction_grid(source, subsystem) -> RegionGrid:
     if isinstance(source, CMap):
-        index = source.index
-        slots = resolve_region(index, subsystem)
-        return index, source.pair_basis(slots)
+        return source.pair_basis(resolve_region(source.index, subsystem))
     index = source
     slots = resolve_region(index, subsystem)
     key_r = [index.slot_key(s)[0] for s in slots]
     rest = [index.slot_key(s)[0] for s in index.slots() if s not in set(slots)]
-    return index, PairBasis(key_r, rest, index.dim)
+    return RegionGrid(key_r, rest, index.dim)
 
 
 def sector_states(source, phi: np.ndarray) -> Dict[SpinSector, Tuple[float, np.ndarray]]:
@@ -1116,6 +1051,12 @@ class MCEstimate:
     seed: int
 
 
+def _row_sq_norms(x: np.ndarray) -> np.ndarray:
+    """Sum of |x|^2 over all but the first axis."""
+    flat = np.ascontiguousarray(x).reshape(x.shape[0], -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
 def mc_purity(
     index: HilbertIndex,
     region,
@@ -1135,30 +1076,25 @@ def mc_purity(
         cmap = build_cmap(index, kind, state=state)
     if cmap.in_vertices != index.graph.vertices:
         raise OracleError("Monte Carlo sampling requires all vertices averaged")
-    slots = resolve_region(index, region)
-    pb = cmap.pair_basis(slots)
+    grid = cmap.pair_basis(resolve_region(index, region))
+    # Every component's rows stacked as sqrt(w_n) C_n: one product per batch.
+    stacked = cmap.stacked().reshape(-1, cmap.in_dim)
+    width = grid.rest_dim * len(cmap.components)
     z1 = np.empty(shots)
     z0 = np.empty(shots)
-    done = 0
-    while done < shots:
-        n = min(batch, shots - done)
-        psi = np.stack(
-            [haar_sample(index, grade, seed, done + s, weights) for s in range(n)],
-            axis=1,
-        )
-        rho = np.zeros((pb.keep_dim, pb.keep_dim, n), dtype=complex)
-        trace = np.zeros(n)
-        for w, f in cmap.components:
-            phi = f @ psi
-            np.add.at(
-                rho,
-                (pb.rid[pb.i1], pb.rid[pb.i2]),
-                w * phi[pb.i1] * np.conj(phi[pb.i2]),
-            )
-            trace += w * np.sum(np.abs(phi) ** 2, axis=0)
-        z1[done : done + n] = np.einsum("abs,bas->s", rho, rho).real
-        z0[done : done + n] = trace**2
-        done += n
+    for done in range(0, shots, batch):
+        psi = _haar_rows(index, grade, seed, range(done, min(done + batch, shots)), weights)
+        n = psi.shape[0]
+        phi = (psi @ stacked.T).reshape(n, cmap.out_dim, len(cmap.components))
+        # Each shot on the grid, components along the rest axis.
+        big = grid.lay_out(phi, axis=1).reshape(n, grid.keep_dim, width)
+        # Tr(rho_R^2) = ||G||_F^2 for the smaller Gram G of the shot's grid.
+        if grid.keep_dim <= width:
+            gram = big @ big.conj().transpose(0, 2, 1)
+        else:
+            gram = big.conj().transpose(0, 2, 1) @ big
+        z1[done : done + n] = _row_sq_norms(gram)
+        z0[done : done + n] = _row_sq_norms(phi) ** 2
     m1 = float(np.mean(z1))
     m0 = float(np.mean(z0))
     ratio = m1 / m0
@@ -1285,15 +1221,15 @@ def localisation_probe(
     rows, d_i = _out_sector_rows(cmap, sector)
     a_vals = np.empty(shots)
     b_vals = np.empty(shots)
-    for s in range(shots):
-        psi = haar_sample(index, "medium", seed, s)
-        phi = f @ psi
-        norm = float(np.vdot(phi, phi).real)
-        block = phi[rows].reshape(d_i, -1)
-        wsec = float(np.sum(np.abs(block) ** 2))
-        a_vals[s] = (wsec / norm) ** 2
-        gram = block @ block.conj().T
-        b_vals[s] = float(np.einsum("ab,ba->", gram, gram).real) / max(wsec, 1e-300) ** 2
+    for done in range(0, shots, 256):
+        psi = _haar_rows(index, "medium", seed, range(done, min(done + 256, shots)))
+        n = psi.shape[0]
+        phi = psi @ f.T
+        block = phi[:, rows].reshape(n, d_i, -1)
+        wsec = _row_sq_norms(block)
+        gram = block @ block.conj().transpose(0, 2, 1)
+        a_vals[done : done + n] = (wsec / _row_sq_norms(phi)) ** 2
+        b_vals[done : done + n] = _row_sq_norms(gram) / np.maximum(wsec, 1e-300) ** 2
     cov = float(np.mean((a_vals - a_vals.mean()) * (b_vals - b_vals.mean())))
     spread = (a_vals - a_vals.mean()) * (b_vals - b_vals.mean()) - cov
     sigma = float(np.std(spread) / np.sqrt(shots))

@@ -5,11 +5,15 @@ sums must reproduce the Ising partition totals on instances small enough to
 enumerate, for both map kinds, without sharing any code with the engine.
 """
 
+import itertools
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from conftest import random_instance
 
+from holoising import oracle
 from holoising.bulk import IntertwinerState
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import IsingModel, ModelKind
@@ -18,6 +22,7 @@ from holoising.oracle import (
     OracleError,
     _all_subsets,
     _component_pattern_sum,
+    _haar_rows,
     build_cmap,
     build_hilbert,
     choi_map,
@@ -88,6 +93,18 @@ def glued_family(graph):
             "b2": ["1/2"],
         },
         weights={"e": {"1/2": 0.8, "3/2": 0.6j}},
+    )
+
+
+def tiny_glued_family(graph):
+    """Two sectors (a2 = 0 or 1) in a 64-dimensional space."""
+    return SectorFamily.build(
+        graph,
+        "0",
+        "1",
+        allowed={"e": ["1/2"], "a1": ["1/2"], "a2": ["0", "1"], "b1": ["1/2"], "b2": ["0"]},
+        weights={"e": {"1/2": 0.7 - 0.2j}},
+        normalize=False,
     )
 
 
@@ -229,6 +246,44 @@ class TestHaarSampling:
         sigma = 1.0 / index.dim / np.sqrt(shots)
         assert np.all(np.abs(mean - 1.0 / index.dim) < 4 * sigma)
 
+    def test_matches_fresh_philox_streams(self):
+        # Reference: a fresh Philox per (seed, shot, vertex, block) key and a
+        # Kronecker product over the vertices.
+        def gaussian(seed, shot, vertex, block, n):
+            key = np.array([seed, (shot << 20) ^ (vertex << 10) ^ block], dtype=np.uint64)
+            raw = Generator(Philox(key=key)).standard_normal(2 * n)
+            v = (raw[:n] + 1j * raw[n:]) / np.sqrt(2.0)
+            return v / np.linalg.norm(v)
+
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        s1, s2 = index.family_sectors()
+        for shot in (0, 5, 300):
+            vec = np.ones(1, dtype=complex)
+            for vi, space in enumerate(index.spaces):
+                vec = np.kron(vec, gaussian(7, shot, vi, 0, space.dim))
+            assert np.array_equal(haar_sample(index, "medium", 7, shot), vec)
+            coarse = gaussian(7, shot, 0, 1, index.dim)
+            assert np.array_equal(haar_sample(index, "coarse", 7, shot), coarse)
+            fine = np.zeros(index.dim, dtype=complex)
+            for si, (sec, w) in enumerate([(s1, 0.25), (s2, 0.75)]):
+                block = np.ones(1, dtype=complex)
+                for vi, rng in enumerate(index.sector_local_ranges(sec)):
+                    block = np.kron(block, gaussian(7, shot, vi, 2 + si, rng.size))
+                fine[index.sector_columns(sec)] += np.sqrt(w) * block
+            got = haar_sample(index, "fine", 7, shot, weights={s1: 1.0, s2: 3.0})
+            assert np.array_equal(got, fine)
+
+    @pytest.mark.parametrize("batch", [1, 17, 256])
+    def test_batch_rows_equal_single_samples(self, batch):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        for start in (0, 2 * batch):
+            rows = _haar_rows(index, "medium", 11, range(start, start + batch))
+            assert rows.shape == (batch, index.dim)
+            for s, row in enumerate(rows):
+                assert np.array_equal(row, haar_sample(index, "medium", 11, start + s))
+
     def test_fine_sample_supported_on_weighted_sectors(self):
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
@@ -271,15 +326,7 @@ class TestEngineEquivalence:
         for sec in index.family_sectors():
             cols = index.sector_local_ranges(sec)
             per_sector += sum(
-                _component_pattern_sum(
-                    cmap,
-                    pb,
-                    [u],
-                    colsel1=cols,
-                    colsel2=cols,
-                    colkey1=sec.key(),
-                    colkey2=sec.key(),
-                ).real
+                _component_pattern_sum(cmap, pb, [u], colsel1=cols, colsel2=cols)
                 for u in _all_subsets(2)
             )
         assert per_sector < z1 - 1.0
@@ -408,7 +455,7 @@ class TestGrades:
         expect = (
             _component_pattern_sum(cmap, pb, [()])
             + _component_pattern_sum(cmap, pb, [(0, 1)])
-        ).real
+        )
         coarse = exact_replica_average(index, "bulk", grade="coarse", cmap=cmap)
         assert coarse == pytest.approx(expect, rel=1e-12)
 
@@ -426,14 +473,8 @@ class TestGrades:
 
         def t_sum(sj, sk, subsets):
             return _component_pattern_sum(
-                cmap,
-                pb,
-                subsets,
-                colsel1=cols[sj],
-                colsel2=cols[sk],
-                colkey1=sj.key(),
-                colkey2=sk.key(),
-            ).real
+                cmap, pb, subsets, colsel1=cols[sj], colsel2=cols[sk]
+            )
 
         ident = sum(
             w[sj] * w[sk] * t_sum(sj, sk, [()]) / (size[sj] * size[sk])
@@ -463,13 +504,177 @@ class TestGrades:
         with pytest.raises(OracleError):
             exact_replica_average(index, (), grade="smooth")
 
-    def test_threads_are_bitwise_identical(self):
+    def test_repeated_average_is_identical(self):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        kind = ModelKind.bulk_to_boundary()
+        cmap = build_cmap(index, kind)
+        a = exact_replica_average(index, "bulk", cmap=cmap)
+        b = exact_replica_average(index, "bulk", cmap=cmap)
+        c = exact_replica_average(index, "bulk", cmap=build_cmap(index, kind))
+        assert a == b == c
+
+    def test_grid_limit_names_itself_and_the_way_around(self, monkeypatch):
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
         cmap = build_cmap(index, ModelKind.bulk_to_boundary())
-        a = exact_replica_average(index, "bulk", cmap=cmap, threads=1)
-        b = exact_replica_average(index, "bulk", cmap=cmap, threads=4)
-        assert a == b
+        monkeypatch.setattr(oracle, "GRID_LIMIT", 1000)
+        with pytest.raises(OracleError) as err:
+            exact_replica_average(index, "bulk", cmap=cmap)
+        message = str(err.value)
+        assert "GRID_LIMIT = 1000" in message
+        assert "raise holoising.oracle.GRID_LIMIT" in message
+        with pytest.raises(OracleError):
+            mc_purity(index, "bulk", cmap=cmap, shots=4)
+
+
+def brute_patterns(cmap, region, subsets, cols1=None, cols2=None):
+    """[sum_{n,m} w_n w_m Tr[(C_n (x) C_m) S_U (C_n^+ (x) C_m^+) S_R] for U
+    in subsets], with the operators built as explicit dense matrices.
+    cols1/cols2 keep only those global input columns of each replica."""
+    out, n_in = cmap.out_dim, cmap.in_dim
+    # S_R on (out x out): swap the region labels of the two rows, where
+    # both swapped rows exist.
+    region = sorted(region)
+    rest = [s for s in cmap.out_slots if s not in region]
+    labels = [
+        (
+            tuple(int(cmap.out_keys[s][0][r]) for s in region),
+            tuple(int(cmap.out_keys[s][0][r]) for s in rest),
+        )
+        for r in range(out)
+    ]
+    row_of = {lab: r for r, lab in enumerate(labels)}
+    s_r = np.zeros((out * out, out * out))
+    for r1, r2 in itertools.product(range(out), range(out)):
+        q1 = row_of.get((labels[r2][0], labels[r1][1]))
+        q2 = row_of.get((labels[r1][0], labels[r2][1]))
+        if q1 is not None and q2 is not None:
+            s_r[q1 * out + q2, r1 * out + r2] = 1.0
+
+    def swap_in(subset):
+        """S_U on (in x in) as the permutation it is: swap the digits of
+        the vertices in U between the two input labels."""
+        digits = np.array(np.unravel_index(np.arange(n_in), cmap.col_dims))
+        a1, a2 = (g.reshape(-1) for g in np.meshgrid(np.arange(n_in), np.arange(n_in), indexing="ij"))
+        d1, d2 = digits[:, a1], digits[:, a2]
+        u = list(subset)
+        d1[u], d2[u] = d2[u].copy(), d1[u].copy()
+        return np.ravel_multi_index(tuple(d1), cmap.col_dims) * n_in + np.ravel_multi_index(
+            tuple(d2), cmap.col_dims
+        )
+
+    def restrict(f, cols):
+        if cols is None:
+            return f
+        g = np.zeros_like(f)
+        g[:, cols] = f[:, cols]
+        return g
+
+    perms = [swap_in(u) for u in subsets]
+    totals = np.zeros(len(subsets), dtype=complex)
+    for (wn, fn), (wm, fm) in itertools.product(cmap.components, repeat=2):
+        cc = np.kron(restrict(fn, cols1), restrict(fm, cols2))
+        cc_dag = cc.conj().T
+        for i, perm in enumerate(perms):
+            m = cc @ cc_dag[perm]  # (C (x) C) S_U (C^+ (x) C^+)
+            totals[i] += wn * wm * np.sum(m * s_r.T)  # Tr(m S_R)
+    assert np.all(np.abs(totals.imag) <= 1e-12 * np.abs(totals) + 1e-300)
+    return totals.real
+
+
+def pattern_cases(rng, draws):
+    """(cmap, regions) for the tiny named instances and random draws."""
+    cases = []
+    graph = four_leg_graph()
+    index = build_hilbert(graph, SectorFamily.build(graph, "1/2", "1/2"))
+    cases.append((build_cmap(index, ModelKind.bulk_to_boundary()), [(), "bulk", ["p2", "p4"]]))
+    sec = index.family_sectors()[0]
+    state = IntertwinerState.from_blocks(
+        graph, [sec], {(sec, sec): np.array([[0.7, 0.1j], [-0.1j, 0.3]])}
+    )
+    part = BoundaryPartition.from_input(graph, ["p1", "p3"])
+    kind = ModelKind.boundary_to_boundary(part)
+    cases.append((build_cmap(index, kind, state=state), [(), ["p1", "p3"], ["p2"]]))
+
+    graph = glued_graph()
+    index = build_hilbert(graph, tiny_glued_family(graph))
+    s1, s2 = index.family_sectors()
+    cases.append((build_cmap(index, ModelKind.bulk_to_boundary()), [(), "bulk", ["a2", "b1"]]))
+    state = IntertwinerState.from_blocks(
+        graph,
+        [s1, s2],
+        {(s1, s1): np.array([[0.6]]), (s1, s2): np.array([[0.2 - 0.3j]]), (s2, s2): np.array([[0.4]])},
+    )
+    part = BoundaryPartition.from_input(graph, ["a1", "a2"])
+    kind = ModelKind.boundary_to_boundary(part)
+    cases.append((build_cmap(index, kind, state=state), [["a1", "a2"]]))
+
+    found = 0
+    while found < draws:
+        graph, family, state, part = random_instance(rng, max_dim=64, with_state=True)
+        index = build_hilbert(graph, family, cap=64)
+        bnd = sorted(graph.boundary_ids())
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        if cmap.out_dim * cmap.in_dim > 1024:
+            continue  # the explicit (out^2 x in^2) matrices stay small
+        found += 1
+        cases.append((cmap, [(), "bulk", bnd[:1]]))
+        if part is not None:
+            kind = ModelKind.boundary_to_boundary(part)
+            cmap = build_cmap(index, kind, state=state)
+            if cmap.out_dim * cmap.in_dim <= 1024:
+                cases.append((cmap, [(), sorted(part.input_region), bnd[-1:]]))
+    return cases
+
+
+class TestPatternBruteForce:
+    """Every swap pattern against (C (x) C) S_U (C^+ (x) C^+) S_R built as
+    explicit dense matrices."""
+
+    def test_every_pattern_matches_explicit_operators(self):
+        seen = set()
+        for cmap, regions in pattern_cases(np.random.default_rng(20261018), draws=6):
+            index = cmap.index
+            kind = "b2b" if cmap.kind.is_boundary_to_boundary else "bulk"
+            if len(cmap.components) > 1:
+                seen.add("mixed")
+            for region in regions:
+                slots = resolve_region(index, region)
+                grid = cmap.pair_basis(slots)
+                seen.add((kind, "bulk" if region == "bulk" else bool(slots)))
+                subsets = _all_subsets(len(cmap.in_vertices))
+                want = brute_patterns(cmap, slots, subsets)
+                for subset, expect in zip(subsets, want):
+                    got = _component_pattern_sum(cmap, grid, [subset])
+                    assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
+        assert {"mixed", ("bulk", False), ("bulk", "bulk"), ("bulk", True)} <= seen
+        assert {("b2b", False), ("b2b", True)} <= seen
+
+    def test_fine_sector_columns_match_explicit_operators(self):
+        graph = glued_graph()
+        index = build_hilbert(graph, tiny_glued_family(graph))
+        secs = index.family_sectors()
+        assert len(secs) == 2
+        s1, s2 = secs
+        state = IntertwinerState.from_pure(graph, {s1: [0.6], s2: [0.8j]})
+        part = BoundaryPartition.from_input(graph, ["a2"])
+        cmaps = [
+            (build_cmap(index, ModelKind.bulk_to_boundary()), [(), "bulk"]),
+            (build_cmap(index, ModelKind.boundary_to_boundary(part), state=state), [["a2"]]),
+        ]
+        for cmap, regions in cmaps:
+            for region in regions:
+                slots = resolve_region(index, region)
+                grid = cmap.pair_basis(slots)
+                for sj, sk in itertools.product(secs, repeat=2):
+                    rj, rk = index.sector_local_ranges(sj), index.sector_local_ranges(sk)
+                    cj, ck = index.sector_columns(sj), index.sector_columns(sk)
+                    subsets = _all_subsets(2) if sj == sk else [()]
+                    want = brute_patterns(cmap, slots, subsets, cj, ck)
+                    for subset, expect in zip(subsets, want):
+                        got = _component_pattern_sum(cmap, grid, [subset], colsel1=rj, colsel2=rk)
+                        assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
 
 
 class TestMonteCarlo:
