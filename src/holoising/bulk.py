@@ -6,14 +6,32 @@ space of a sector is an abstract index of dimension D(j^x); a sector's bulk
 space is the tensor product over vertices, and the full state lives on the
 direct sum over its sectors, including cross-sector blocks.
 
-From such a state the boundary-to-boundary Ising data is built:
+The boundary-to-boundary Ising engine (`ising.IsingModel`) builds its data
+from `IntertwinerState.traced_block` alone.  Per sector pair (j, k) and
+configuration it stitches two mixed sectors (j on the links at spin-up
+vertices and k elsewhere, and the reverse), takes the two blocks
+(j, mixed_1) and (k, mixed_2) traced over the spin-up vertices' factors,
+and uses their squared Hilbert-Schmidt norms (relative to the sector
+weights Tr rho_jj, Tr rho_kk) and their Hilbert-Schmidt cosine.
 
-    X operator      partial trace over the spin-up vertices' intertwiner
-                    factors at a fixed spin-up link assignment (block matrix
-                    over the remaining spin-down assignments)
+This module also provides the operators of that construction in the
+paper's form; only tests call them:
+
+    X operator      partial trace of the trace-normalized state over the
+                    spin-up vertices' intertwiner factors at a fixed spin-up
+                    link assignment: a block matrix over every sector of the
+                    state that agrees with that assignment, blocks labelled
+                    by the spin-down restriction
     Sigma_B         1/2 S_2(X) + 1/2 S_2(Y) - log cos(theta_HS), the
                     entropy-like energy of a sector pair at one configuration
     fidelity angle  cos^2(theta_F) = (Tr sqrt(sqrt(X) Y sqrt(X)))^2
+
+They differ from the engine's data in three ways: X collects every
+compatible sector of the state into one matrix where the engine takes one
+block per configuration; X is normalized by the state's trace where the
+engine normalizes by the two sector weights; and `sigma_b` returns +inf
+for a cosine <= 0, where the engine keeps a negative cosine as a signed
+Delta factor of the kernel.
 
 All matrices are dense complex; intertwiner dimensions at the scales treated
 here are tiny.

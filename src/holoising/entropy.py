@@ -36,7 +36,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .graph import OpenGraph
-from .ising import ModelKind, PartitionSumTable, couplings
+from .ising import ModelKind, PartitionSumTable, couplings, require_finite
 from .spins import (
     SectorFamily,
     Spin,
@@ -79,33 +79,44 @@ class SectorDistribution:
 
 
 @dataclass(frozen=True)
-class _PairCell:
-    label_j: str
-    label_k: str
-    z: Tuple[float, float]
-    e_min: Tuple[float, float]
+class _PairCells:
+    """The table's complete pair cells in row order: pair ids, the two
+    sector indices and the cells' kernels and ground-state energies, each
+    (N, 2) over the replicas."""
+
+    ids: List[str]
+    j: np.ndarray
+    k: np.ndarray
+    z: np.ndarray
+    e_min: np.ndarray
 
 
-def _pair_cells(table: PartitionSumTable) -> Dict[str, _PairCell]:
-    """Group the table rows into complete per-pair cells."""
-    grouped: Dict[str, Dict[int, object]] = {}
-    for row in table.rows:
-        grouped.setdefault(row.pair_id, {})[row.replica] = row
-    known = {label for label, _ in table.k_factors}
-    cells: Dict[str, _PairCell] = {}
-    for pair_id, rows in grouped.items():
-        if set(rows) != {0, 1}:
+def _pair_cells(table: PartitionSumTable) -> _PairCells:
+    """The table's pair cells, read from its arrays."""
+    if table.malformed is not None:
+        pair_id, what = table.malformed
+        if what == "replica":
             raise EntropyError(f"pair {pair_id!r} misses a replica row")
-        parts = pair_id.split("|")
-        if len(parts) != 2 or parts[0] not in known or parts[1] not in known:
-            raise EntropyError(f"pair id {pair_id!r} does not name two sectors")
-        cells[pair_id] = _PairCell(
-            label_j=parts[0],
-            label_k=parts[1],
-            z=(rows[0].z, rows[1].z),
-            e_min=(rows[0].e_min, rows[1].e_min),
-        )
-    return cells
+        raise EntropyError(f"pair id {pair_id!r} does not name two sectors")
+    j, k = np.divmod(table.pairs, len(table.labels))
+    return _PairCells(
+        ids=table.pair_ids,
+        j=j,
+        k=k,
+        z=table.z.reshape(-1, 2)[table.pairs],
+        e_min=table.e_min.reshape(-1, 2)[table.pairs],
+    )
+
+
+def _fsum(values, what: str) -> float:
+    """math.fsum, raising `TotalsOverflowError` where the sum of K-weighted
+    values leaves float64."""
+    try:
+        total = math.fsum(values)
+    except (OverflowError, ValueError):
+        total = math.nan
+    require_finite([total], what)
+    return total
 
 
 def sector_distribution(
@@ -123,30 +134,27 @@ def sector_distribution(
 
 def _sector_distribution(
     table: PartitionSumTable,
-    cells: Optional[Dict[str, _PairCell]],
+    cells: Optional[_PairCells],
     graph: Optional[OpenGraph],
     family: Optional[SectorFamily],
 ) -> SectorDistribution:
-    """sector_distribution on pair cells already grouped by the caller
-    (None groups them here, after the weight checks)."""
-    kmap = dict(table.k_factors)
-    k_total = math.fsum(kmap.values())
+    """sector_distribution on pair cells already read by the caller
+    (None reads them here, after the weight checks)."""
+    k_total = _fsum(table.k.tolist(), "sector weights K")
     if k_total <= 0.0:
         raise EntropyError("table carries no sector weight")
-    p = {label: k / k_total for label, k in kmap.items()}
+    p_array = table.k / k_total
+    p = dict(zip(table.labels, p_array.tolist()))
 
     z0_total = table.totals[0]
+    require_finite([z0_total], "Z_0")
     if z0_total == 0.0:
         raise EntropyError("Z_0 = 0: the pair distribution is undefined")
     if cells is None:
         cells = _pair_cells(table)
-    pair_probs = {
-        pid: kmap[c.label_j] * kmap[c.label_k] * c.z[0] / z0_total
-        for pid, c in cells.items()
-    }
-    factorized = {
-        pid: p[c.label_j] * p[c.label_k] for pid, c in cells.items()
-    }
+    k = table.k
+    pair_probs = dict(zip(cells.ids, (k[cells.j] * k[cells.k] * cells.z[:, 0] / z0_total).tolist()))
+    factorized = dict(zip(cells.ids, (p_array[cells.j] * p_array[cells.k]).tolist()))
 
     c_weights: Optional[Dict[str, float]] = None
     if graph is not None and family is not None:
@@ -270,61 +278,56 @@ def average_purity(
     if cumulant_order < 1:
         raise EntropyError("cumulant_order must be at least 1")
     cells = _pair_cells(table)
-    kmap = dict(table.k_factors)
-    k_total = math.fsum(kmap.values())
+    k_total = _fsum(table.k.tolist(), "sector weights K")
     if k_total <= 0.0:
         raise EntropyError("table carries no sector weight")
 
-    ratios: Dict[str, float] = {}
-    base: Dict[str, float] = {}  # unnormalized pair weights
-    for pid, cell in cells.items():
-        kk = kmap[cell.label_j] * kmap[cell.label_k]
-        if mode == "exact":
-            z0, z1 = cell.z
-            if z0 == 0.0:
-                raise EntropyError(f"pair {pid!r} has Z_0^(j,k) = 0")
-            ratios[pid] = z1 / z0
-            base[pid] = kk * z0
-        else:
-            e1 = cell.e_min[1]
-            ratios[pid] = math.exp(-e1) if math.isfinite(e1) else 0.0
-            if mode == "ground_state":
-                base[pid] = kk * cell.z[0]
-            else:
-                base[pid] = kk
-    z0_rep = math.fsum(base.values())
+    z0 = cells.z[:, 0]
+    if mode == "exact":
+        zero = np.flatnonzero(z0 == 0.0)
+        if zero.size:
+            raise EntropyError(f"pair {cells.ids[zero[0]]!r} has Z_0^(j,k) = 0")
+        ratios = cells.z[:, 1] / z0
+    else:
+        ratios = np.array(
+            [math.exp(-e) if math.isfinite(e) else 0.0 for e in cells.e_min[:, 1].tolist()],
+            dtype=float,
+        )
+    # Overflowing weights are reported by _fsum, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = table.k[cells.j] * table.k[cells.k]
+        if mode != "high_spin":
+            base = base * z0
+        weighted = base * ratios
+    z0_rep = _fsum(base.tolist(), "pair weights K_j K_k Z_0^(j,k)")
     if z0_rep == 0.0:
         raise EntropyError("Z_0 = 0: purity undefined")
-    z1_rep = math.fsum(base[pid] * ratios[pid] for pid in cells)
+    z1_rep = _fsum(weighted.tolist(), "pair weights K_j K_k Z_1^(j,k)")
 
-    probs = {pid: base[pid] / z0_rep for pid in cells}
-    low = min(probs.values())
+    probs = (base / z0_rep).tolist()
+    low = min(probs)
     if low < -_SIGN_TOL:
         raise EntropyError(
             "pair weights are signed; no probability-average decomposition"
         )
-    probs = {pid: max(v, 0.0) for pid, v in probs.items()}
+    probs = [max(v, 0.0) for v in probs]
 
-    x_vals: Dict[str, float] = {}
-    for pid, r in ratios.items():
-        if r > 0.0:
-            x_vals[pid] = -math.log(r)
-        elif r == 0.0:
-            x_vals[pid] = math.inf
-        else:
-            x_vals[pid] = math.nan
+    x_vals = [
+        -math.log(r) if r > 0.0 else (math.inf if r == 0.0 else math.nan)
+        for r in ratios.tolist()
+    ]
 
     purity = z1_rep / z0_rep
     if purity <= 0.0:
         raise EntropyError(f"nonpositive purity {purity!r}")
     s2 = -math.log(purity)
 
-    feasible = [pid for pid in cells if math.isfinite(x_vals[pid])]
-    mass = math.fsum(probs[pid] for pid in feasible)
+    feasible = [i for i, x in enumerate(x_vals) if math.isfinite(x)]
+    mass = math.fsum(probs[i] for i in feasible)
     if mass <= 0.0:
         raise EntropyError("no pair carries both weight and a finite exponent")
-    xs = [x_vals[pid] for pid in feasible]
-    ps = [probs[pid] / mass for pid in feasible]
+    xs = [x_vals[i] for i in feasible]
+    ps = [probs[i] / mass for i in feasible]
     series = _cumulant_series(xs, ps, cumulant_order)
 
     provenance = {
@@ -341,8 +344,8 @@ def average_purity(
         z1=z1_rep,
         purity=purity,
         s2=s2,
-        x=x_vals,
-        pair_probs=probs,
+        x=dict(zip(cells.ids, x_vals)),
+        pair_probs=dict(zip(cells.ids, probs)),
         cumulants=series.cumulants,
         cumulant_partial_sums=series.partial_sums,
         feasible_mass=mass,

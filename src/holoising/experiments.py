@@ -1083,48 +1083,36 @@ def reproduce_c2(
         raise ExperimentError(
             "the sector census needs boundary links only (no loops)"
         )
-    vertex = graph.vertices[0]
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
     if window is None:
-        pool = [
-            sector
-            for sector in enumerate_sectors(family, graph)
-            if math.isfinite(model.k_factor(sector).log_value)
-        ]
+        candidates = list(enumerate_sectors(family, graph))
     else:
-        pool = []
+        candidates = []
         for entry in window:
-            matches = [
-                sector
-                for sector in enumerate_sectors(
-                    family, graph, boundary_filter=entry
-                )
-                if math.isfinite(model.k_factor(sector).log_value)
-            ]
-            if not matches:
-                raise ExperimentError(
-                    f"no admissible sector matches the boundary assignment "
-                    f"{dict(entry)!r}"
-                )
-            pool.extend(matches)
-    if not pool:
+            candidates.extend(enumerate_sectors(family, graph, boundary_filter=entry))
+    pool = model.sector_set(candidates).weighted()
+    for entry in window or ():
+        twice = tuple(Spin.parse(entry[lid]).twice for lid in graph.boundary_ids())
+        if twice not in pool.keys:
+            raise ExperimentError(
+                f"no admissible sector matches the boundary assignment "
+                f"{dict(entry)!r}"
+            )
+    if not len(pool):
         raise ExperimentError("the census window is empty")
 
-    table = model.partition_table(sectors=pool)
-    rows = {row.boundary_id: row for row in table.boundary_rows}
+    table = model.partition_table(pool)
     sectors = []
     dims = []
-    for sector in pool:
-        d_i = intertwiner_dim(sector.vertex_spins(vertex))
-        d_o = 1
-        for lid in graph.boundary_ids():
-            d_o *= sector.spin(lid).dim
+    for a, label in enumerate(pool.labels):
+        (d_i,) = pool.vertex_dims[a]
+        code = int(pool.key[a])
+        d_o = pool.d_output(code)
         d = d_i * d_o
-        dims.append((sector.label(), d_i, d_o))
-        row = rows[sector.label()]
+        dims.append((label, d_i, d_o))
         z0_f = d * d + d
         z1_f = d_i * d_o * (d_i + d_o)
-        z0_e, z1_e = row.z_bar
+        z0_e, z1_e = table.z_bar[code]
         r = d_i / d_o
         purity = z1_e / z0_e
         formula = (1.0 / d_i) * (1.0 + r) / (1.0 + r / d_i**2)
@@ -1132,7 +1120,7 @@ def reproduce_c2(
         remainder = abs(formula - first)
         sectors.append(
             C2Sector(
-                label=sector.label(),
+                label=label,
                 d_input=d_i,
                 d_output=d_o,
                 d_total=d,

@@ -50,28 +50,54 @@ Log-sum-exp follows the steps of `scipy.special.logsumexp` in plain numpy,
 so that sums keep scipy's bits.
 
 Both paths refuse graphs with more than `exhaustive_limit` vertices.
+
+Sector sets and the columnar table.  `IsingModel.sector_set` builds one
+`SectorSet` per sector list: the S x L matrix of doubled link spins (which
+the batched kernels read), boundary assignments as integer key codes,
+labels, intertwiner dimensions per sector and vertex, log K per sector, and
+D_I, D_O per boundary key.  Each distinct vertex spin tuple costs one
+`intertwiner_dim` call per model, and D_I comes from one enumeration of the
+family's bulk spin assignments, shared by every key.  `partition_table`
+drops the sectors of zero weight and stores the kernels as arrays:
+`PartitionSumTable.z`, `e_min`, `degeneracy` and `gap` each hold S^2 x 2
+entries, indexed [j, k, replica] (8 bytes each, so 16 S^2 bytes per field),
+and the boundary-diagonal sums one entry per boundary key.  `rows`,
+`k_factors`, `boundary_rows` and the CSV/JSON writers are views over these
+arrays, built on first use; entropy and isometry read the arrays directly.
+
+Totals in log domain.  Z_b sums K_j K_k Z^{(j,k)}_b over all pairs; each
+nonzero term enters its sign bucket as log K_j + log K_k + log|Z^{(j,k)}_b|
+and each bucket is reduced by log-sum-exp, so `PartitionSumTable.log_totals`
+holds every total as (sign, log|Z_b|) and never overflows.  The float
+`totals` are those bucket sums exponentiated, +/-inf where they leave
+float64; boundary rows carry `log_z_bar` the same way.  `entropy` and
+`isometry` raise `TotalsOverflowError`, which names `log_totals`, rather
+than dividing infinities.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
+import functools
 import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph
 from .spins import (
+    SECTOR_LIMIT,
+    SectorEnumerationError,
     SectorFamily,
     Spin,
     SpinSector,
     enumerate_sectors,
     intertwiner_dim,
-    sector_dims,
 )
 
 #: Absolute tolerance for counting ground-state ties.
@@ -277,12 +303,15 @@ class GroundState:
 
 @dataclass(frozen=True)
 class BoundaryFixedSums:
-    """Pair sums restricted to one boundary assignment, and normalized."""
+    """Pair sums restricted to one boundary assignment, and normalized.
+    `log_z_bar` holds each sum as (sign, log|Zbar_b|), which stays finite
+    where the float overflows to +/-inf."""
 
     z_bar: Tuple[float, float]  # (replica 0, replica 1)
     y: Tuple[float, float]
     d_total: int
     sector_count: int
+    log_z_bar: Tuple[Tuple[int, float], Tuple[int, float]]
 
 
 @dataclass(frozen=True)
@@ -297,20 +326,188 @@ class PairRow:
 
 @dataclass(frozen=True)
 class BoundarySumRow:
+    """One boundary-diagonal sum; `log_z_bar` as in `BoundaryFixedSums`
+    (None on a row written by hand)."""
+
     boundary_id: str
     z_bar: Tuple[float, float]
     y: Tuple[float, float]
     d_total: int
+    log_z_bar: Optional[Tuple[Tuple[int, float], Tuple[int, float]]] = None
 
 
-@dataclass(frozen=True, eq=False)
+class TotalsOverflowError(OverflowError):
+    """A sum of K-weighted kernels does not fit a float64.  The table keeps
+    every total in log domain: read `PartitionSumTable.log_totals` (and
+    `BoundarySumRow.log_z_bar`) instead."""
+
+
+def _exp(value: float) -> float:
+    """math.exp, but +inf where the result does not fit a float64."""
+    try:
+        return math.exp(value)
+    except OverflowError:
+        return math.inf
+
+
+def _log_form(value: float) -> Tuple[int, float]:
+    """(sign, log|value|) of a float."""
+    if value == 0.0 or math.isnan(value):
+        return 0, -math.inf if value == 0.0 else math.nan
+    return (1 if value > 0.0 else -1), math.log(abs(value))
+
+
+def _over_square(total: float, log_form: Tuple[int, float], d: int) -> float:
+    """total / d^2 as a float, from the log form where the total or d^2
+    overflows."""
+    if math.isfinite(total):
+        try:
+            return total / d**2
+        except OverflowError:
+            pass
+    sign, log = log_form
+    return sign * _exp(log - 2.0 * math.log(d))
+
+
+def require_finite(values: Iterable[float], what: str) -> None:
+    """Raise `TotalsOverflowError` unless every value is finite."""
+    if not all(math.isfinite(v) for v in values):
+        raise TotalsOverflowError(
+            f"{what} overflow float64; the partition table keeps its totals "
+            f"in log domain as PartitionSumTable.log_totals"
+        )
+
+
 class PartitionSumTable:
-    """All per-pair kernels plus K factors, boundary sums, and totals."""
+    """All per-pair kernels plus K factors, boundary sums, and totals.
 
-    rows: Tuple[PairRow, ...]
-    k_factors: Tuple[Tuple[str, float], ...]
-    boundary_rows: Tuple[BoundarySumRow, ...]
-    totals: Tuple[float, float]  # (Z_0, Z_1)
+    The table is held as arrays over its S sectors (`labels`, weights `k`):
+    `z`, `e_min`, `degeneracy` and `gap` have shape (S, S, 2) and are
+    indexed [j, k, replica].  `pairs` lists the flat indices j * S + k of
+    the complete pair cells in row order, with ids `pair_ids`; an engine
+    table has every pair, in row-major order.  `totals` are Z_0 and Z_1 as
+    floats (+/-inf where they overflow) and `log_totals` the same sums as
+    (sign, log|Z_b|).  Boundary-diagonal sums are indexed by boundary key:
+    `z_bar`, `log_z_bar`, `y` and `d_total` hold one entry per key, and
+    `boundary_keys` lists the keys that have a row.  `sectors` is the
+    engine's `SectorSet` (None for a table written by hand).
+
+    `rows`, `k_factors` and `boundary_rows` are views built on first use;
+    `to_csv` and `to_json_dict` serialize them.
+
+    A table can also be written by hand from rows, K factors, boundary rows
+    and totals; it is then parsed into the same arrays once.  A row naming
+    a sector outside `k_factors` is left out of the arrays and its pair id
+    kept in `stray`; the first pair (in row order) that lacks a replica row
+    or does not name two known sectors is kept in `malformed` as
+    (pair id, "replica" or "sectors").  Consumers decide which of these
+    they reject.
+    """
+
+    def __init__(self, rows, k_factors, boundary_rows, totals):
+        # Instance attributes shadow the lazily built views.
+        self.rows = tuple(rows)
+        self.k_factors = tuple(k_factors)
+        self.boundary_rows = tuple(boundary_rows)
+        self.totals = tuple(totals)
+        self.log_totals = tuple(_log_form(t) for t in self.totals)
+        self.sectors = None
+        self.labels = tuple(label for label, _ in self.k_factors)
+        self.k = np.array([value for _, value in self.k_factors], dtype=float)
+        count = len(self.labels)
+        kernels = _PairKernels.empty(count)
+        self.z, self.e_min, self.degeneracy, self.gap = (
+            kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap
+        )
+        position = {label: i for i, label in enumerate(self.labels)}
+        self.stray: Optional[str] = None
+        cells: Dict[str, Tuple[Optional[int], set]] = {}
+        for row in self.rows:
+            parts = row.pair_id.split("|")
+            cell = None
+            if len(parts) == 2 and all(p in position for p in parts):
+                a, b = position[parts[0]], position[parts[1]]
+                cell = a * count + b
+                if row.replica in (0, 1):
+                    at = (a, b, row.replica)
+                    self.z[at], self.e_min[at] = row.z, row.e_min
+                    self.degeneracy[at], self.gap[at] = row.degeneracy, row.gap
+            elif self.stray is None:
+                self.stray = row.pair_id
+            cells.setdefault(row.pair_id, (cell, set()))[1].add(row.replica)
+        problems = [
+            (pid, "replica" if replicas != {0, 1} else "sectors")
+            for pid, (cell, replicas) in cells.items()
+            if replicas != {0, 1} or cell is None
+        ]
+        self.malformed: Optional[Tuple[str, str]] = problems[0] if problems else None
+        complete = [(pid, cell) for pid, (cell, replicas) in cells.items() if replicas == {0, 1} and cell is not None]
+        self.pair_ids = [pid for pid, _ in complete]
+        self.pairs = np.array([cell for _, cell in complete], dtype=np.int64)
+        self.boundary_keys = tuple(range(len(self.boundary_rows)))
+        self.z_bar = [row.z_bar for row in self.boundary_rows]
+        self.log_z_bar = [
+            row.log_z_bar or tuple(_log_form(v) for v in row.z_bar)
+            for row in self.boundary_rows
+        ]
+        self.y = [row.y for row in self.boundary_rows]
+        self.d_total = [row.d_total for row in self.boundary_rows]
+
+    @classmethod
+    def _assemble(cls, sectors: "SectorSet", kernels: "_PairKernels") -> "PartitionSumTable":
+        """The engine's table of one weighted sector set and its kernels."""
+        table = cls.__new__(cls)
+        table.sectors = sectors
+        table.labels = sectors.labels
+        table.k = np.array([_exp(v) for v in sectors.log_k.tolist()])
+        table.z, table.e_min, table.degeneracy, table.gap = (
+            kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap
+        )
+        count = len(sectors)
+        table.pairs = np.arange(count * count)
+        table.stray = table.malformed = None
+        sums = _kernel_sums(sectors, kernels.z)
+        table.totals = tuple(total for total, _ in sums.totals)
+        table.log_totals = tuple(log for _, log in sums.totals)
+        table.boundary_keys = sums.keys_with_rows
+        table.z_bar = [tuple(t for t, _ in key) for key in sums.by_key]
+        table.log_z_bar = [tuple(log for _, log in key) for key in sums.by_key]
+        table.d_total = [0] * len(sums.by_key)
+        table.y = [(0.0, 0.0)] * len(sums.by_key)
+        d_input = sectors.d_input(sums.keys_with_rows)
+        for c, d_in in zip(sums.keys_with_rows, d_input):
+            table.d_total[c] = d = d_in * sectors.d_output(c)
+            table.y[c] = tuple(_over_square(t, log, d) for t, log in sums.by_key[c])
+        return table
+
+    @functools.cached_property
+    def pair_ids(self) -> List[str]:
+        labels = self.labels
+        return [f"{a}|{b}" for a in labels for b in labels]
+
+    @functools.cached_property
+    def rows(self) -> Tuple[PairRow, ...]:
+        cells = [
+            x.reshape(-1, 2)[self.pairs].tolist()
+            for x in (self.z, self.e_min, self.degeneracy, self.gap)
+        ]
+        return tuple(
+            PairRow(pid, r, z[r], e_min[r], degeneracy[r], gap[r])
+            for pid, z, e_min, degeneracy, gap in zip(self.pair_ids, *cells)
+            for r in (0, 1)
+        )
+
+    @functools.cached_property
+    def k_factors(self) -> Tuple[Tuple[str, float], ...]:
+        return tuple(zip(self.labels, self.k.tolist()))
+
+    @functools.cached_property
+    def boundary_rows(self) -> Tuple[BoundarySumRow, ...]:
+        ids = self.sectors.boundary_ids
+        return tuple(
+            BoundarySumRow(ids[c], self.z_bar[c], self.y[c], self.d_total[c], self.log_z_bar[c])
+            for c in self.boundary_keys
+        )
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as handle:
@@ -387,14 +584,100 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
-def _signed_sum(pos: Sequence[float], neg: Sequence[float]) -> float:
-    """Sum of +/- exp(log) terms, each bucket reduced by log-sum-exp."""
-    total = 0.0
-    if len(pos):
-        total += math.exp(_logsumexp_rows(np.asarray(pos, dtype=float)[None, :])[0])
-    if len(neg):
-        total -= math.exp(_logsumexp_rows(np.asarray(neg, dtype=float)[None, :])[0])
-    return total
+def _logsumexp(terms: Sequence[float]) -> float:
+    """`_logsumexp_rows` of one row (-inf for no terms).  A single term is
+    its own log-sum-exp: the scipy steps give log1p(0) + log(1) + x = x."""
+    if len(terms) == 1:
+        return terms[0]
+    if len(terms) == 0:
+        return -math.inf
+    return _logsumexp_rows(np.asarray(terms, dtype=float)[None, :])[0]
+
+
+def _signed_sum(pos: Sequence[float], neg: Sequence[float]) -> Tuple[float, Tuple[int, float]]:
+    """Sum of +exp(pos) and -exp(neg) terms given by their logs, each
+    bucket reduced by log-sum-exp: (the float, +/-inf where it overflows;
+    (sign, log|sum|))."""
+    lp, ln = (_logsumexp(b) for b in (pos, neg))
+    if lp > ln:
+        log_form = (1, float(lp + math.log1p(-math.exp(ln - lp))))
+    elif ln > lp:
+        log_form = (-1, float(ln + math.log1p(-math.exp(lp - ln))))
+    else:
+        log_form = (0, -math.inf)
+    try:
+        total = 0.0
+        if len(pos):
+            total += math.exp(lp)
+        if len(neg):
+            total -= math.exp(ln)
+    except OverflowError:
+        total = log_form[0] * _exp(log_form[1])
+    return total, log_form
+
+
+def _log_table(rows, zero: float) -> np.ndarray:
+    """math.log of every entry of `rows` (rows of ints), `zero` for 0."""
+    logs = {0: zero}
+    out = []
+    for row in rows:
+        values = []
+        for d in row:
+            value = logs.get(d)
+            if value is None:
+                value = logs[d] = math.log(d)
+            values.append(value)
+        out.append(values)
+    return np.array(out, dtype=float)
+
+
+@dataclass(frozen=True)
+class _KernelSums:
+    """K-weighted kernel sums of a table: `totals` per replica, and
+    `by_key[c]` per replica over the pairs whose two sectors share boundary
+    key c; each sum as (float, (sign, log|sum|)).  `keys_with_rows` lists
+    the keys with at least one nonzero kernel in their diagonal block."""
+
+    totals: Tuple
+    by_key: List[Tuple]
+    keys_with_rows: Tuple[int, ...]
+
+
+def _kernel_sums(sectors: "SectorSet", z: np.ndarray) -> _KernelSums:
+    """Sum K_j K_k Z^(j,k)_b over all pairs and over each boundary key's
+    diagonal block.  Each nonzero kernel enters the bucket of its sign as
+    the log term (log K_j + log K_k) + log|Z|, in row-major pair order; the
+    order fixes the bits of each bucket's log-sum-exp.  Logs come from
+    `math.log`, whose bits numpy's vectorized log need not share.
+    """
+    count = len(sectors)
+    log_k = sectors.log_k
+    log_kk = (log_k[:, None] + log_k[None, :]).ravel()
+    key = sectors.key
+    same = (key[:, None] == key[None, :]).ravel()
+    key_of_pair = np.repeat(key, count)
+    nkeys = len(sectors.keys)
+    by_key: List[List] = [[None, None] for _ in range(nkeys)]
+    has_row = np.zeros(nkeys, dtype=bool)
+    totals = []
+    for replica in (0, 1):
+        flat = z[:, :, replica].ravel()
+        nonzero = np.flatnonzero(flat)
+        values = flat[nonzero]
+        logs = log_kk[nonzero] + np.array(list(map(math.log, np.abs(values).tolist())), dtype=float)
+        pos = values > 0.0
+        totals.append(_signed_sum(logs[pos], logs[~pos]))
+        diagonal = same[nonzero]
+        owner = key_of_pair[nonzero]
+        for c in range(nkeys):
+            block = diagonal & (owner == c)
+            has_row[c] |= block.any()
+            by_key[c][replica] = _signed_sum(logs[block & pos], logs[block & ~pos])
+    return _KernelSums(
+        totals=tuple(totals),
+        by_key=[tuple(sums) for sums in by_key],
+        keys_with_rows=tuple(np.flatnonzero(has_row).tolist()),
+    )
 
 
 def _infeasible(shape) -> Tuple[np.ndarray, ...]:
@@ -432,6 +715,169 @@ class _PairKernels:
     def at(self, index) -> Tuple:
         """(z, e_min, degeneracy, gap, rep) at `index`."""
         return self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index], self.rep[index]
+
+
+# -- sector sets -----------------------------------------------------------
+
+
+class SectorSet:
+    """Per-sector data of one sector list of a model, computed once.
+
+    `twice` is the S x L matrix of doubled link spins (columns in
+    `graph.link_ids()` order).  Boundary assignments are integer codes:
+    `key[a]` indexes `keys`, the list's distinct boundary spin tuples
+    (columns in `graph.boundary_ids()` order) in sorted order.  Labels, log
+    K per sector (-inf for zero weight), intertwiner dimensions per sector
+    and vertex, and D_I, D_O per boundary key are computed on first use.
+    The set keeps the model's graph, family, kind and state, not the model
+    and its configuration masks.
+    """
+
+    def __init__(self, model: "IsingModel", sectors: Sequence[SpinSector], twice: np.ndarray):
+        self.graph, self.family, self.kind, self.state = (
+            model.graph, model.family, model.kind, model.state
+        )
+        self._dims: Dict[Tuple[int, ...], int] = {}      # spin tuple -> D
+        self._d_input: Dict[Tuple[int, ...], int] = {}   # boundary key -> D_I
+        self._select(sectors, twice)
+
+    def _select(self, sectors: Sequence[SpinSector], twice: np.ndarray) -> None:
+        self.sectors = tuple(sectors)
+        self.twice = twice
+        boundary = [tuple(row) for row in twice[:, len(self.graph.internal_ids()):].tolist()]
+        self.keys = sorted(set(boundary))
+        code = {k: c for c, k in enumerate(self.keys)}
+        self.key = np.array([code[k] for k in boundary], dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.sectors)
+
+    def take(self, index: np.ndarray) -> "SectorSet":
+        """The sectors at `index`, sharing the caches and keeping the
+        per-sector data already computed."""
+        index = np.asarray(index, dtype=np.int64).tolist()
+        subset = copy.copy(self)
+        for name in ("labels", "boundary_ids", "vertex_dims", "log_k"):
+            subset.__dict__.pop(name, None)
+        subset._select([self.sectors[i] for i in index], self.twice[index])
+        for name in ("labels", "vertex_dims"):
+            if name in self.__dict__:
+                subset.__dict__[name] = tuple(self.__dict__[name][i] for i in index)
+        if "log_k" in self.__dict__:
+            subset.__dict__["log_k"] = self.log_k[index]
+        return subset
+
+    def weighted(self) -> "SectorSet":
+        """The sectors with nonzero weight K, in order."""
+        finite = np.isfinite(self.log_k)
+        return self if finite.all() else self.take(np.flatnonzero(finite))
+
+    @functools.cached_property
+    def labels(self) -> Tuple[str, ...]:
+        return tuple(",".join(parts) for parts in self._parts(self.graph.link_ids(), self.twice.tolist()))
+
+    @functools.cached_property
+    def boundary_ids(self) -> Tuple[str, ...]:
+        """Boundary labels ("lid=spin,...") of `keys`."""
+        return tuple(",".join(parts) for parts in self._parts(self.graph.boundary_ids(), self.keys))
+
+    @staticmethod
+    def _parts(link_ids: Sequence[str], rows) -> List[List[str]]:
+        text: Dict[Tuple[str, int], str] = {}
+        out = []
+        for row in rows:
+            parts = []
+            for lid, t in zip(link_ids, row):
+                part = text.get((lid, t))
+                if part is None:
+                    part = text[(lid, t)] = f"{lid}={Spin(t)}"
+                parts.append(part)
+            out.append(parts)
+        return out
+
+    @functools.cached_property
+    def vertex_dims(self) -> Tuple[Tuple[int, ...], ...]:
+        """D(j^x) of every sector (rows) and vertex (graph order)."""
+        return self._vertex_dims(self.twice)
+
+    def _vertex_dims(self, twice: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+        """D(j^x) for every row of `twice` (a sector) and every vertex; each
+        distinct spin tuple costs one `intertwiner_dim` call."""
+        column = {lid: i for i, lid in enumerate(self.graph.link_ids())}
+        per_vertex = []
+        for x in self.graph.vertices:
+            dims = []
+            for spins in map(tuple, twice[:, [column[lid] for lid in self.graph.links_at(x)]].tolist()):
+                dim = self._dims.get(spins)
+                if dim is None:
+                    dim = self._dims[spins] = intertwiner_dim(tuple(map(Spin, spins)))
+                dims.append(dim)
+            per_vertex.append(dims)
+        return tuple(zip(*per_vertex)) if per_vertex else tuple(() for _ in range(len(twice)))
+
+    @functools.cached_property
+    def log_k(self) -> np.ndarray:
+        """log K per sector, summed term by term in `IsingModel.k_factor`'s
+        order (boundary links, internal links, then the state weight or the
+        vertices), so that each entry has `k_factor`'s bits."""
+        graph = self.graph
+        column = {lid: i for i, lid in enumerate(graph.link_ids())}
+        log_k = np.zeros(len(self))
+
+        def add(lid: str, term) -> None:
+            spins = self.twice[:, column[lid]].tolist()
+            values = {t: term(t) for t in set(spins)}
+            log_k[:] += [values[t] for t in spins]
+
+        for lid in graph.boundary_ids():
+            add(lid, lambda t: math.log(t + 1))
+        for lid in graph.internal_ids():
+            def amplitude(t, lid=lid):
+                mag = abs(self.family.g(lid, Spin(t))) ** 2
+                return math.log(mag) if mag > 0.0 else -math.inf
+
+            add(lid, amplitude)
+        if self.kind.is_boundary_to_boundary:
+            weights = [self.state.weight(sec) for sec in self.sectors]
+            log_k += [math.log(w) if w > 0.0 else -math.inf for w in weights]
+        else:
+            vertex_logs = _log_table(self.vertex_dims, -math.inf)
+            for p in range(len(graph.vertices)):
+                log_k += vertex_logs[:, p]
+        return log_k
+
+    def d_input(self, codes: Sequence[int]) -> List[int]:
+        """D_I(E) of the boundary keys `codes`: the sum over the family's
+        bulk spins of prod_x D(j^x), as `spins.sector_dims` defines it.  The
+        bulk spin assignments are enumerated once for all keys."""
+        keys = [self.keys[c] for c in codes]
+        missing = [key for key in dict.fromkeys(keys) if key not in self._d_input]
+        if missing:
+            internal = self.graph.internal_ids()
+            choices = [[s.twice for s in self.family.allowed[lid]] for lid in internal]
+            count = math.prod(len(c) for c in choices)
+            if count > SECTOR_LIMIT:
+                raise SectorEnumerationError(
+                    f"{count} sectors exceed the guard of {SECTOR_LIMIT}; tighten "
+                    f"cutoffs or restrict per-link spin lists"
+                )
+            bulk = np.array(list(itertools.product(*choices)), dtype=np.int64)
+            boundary = np.array(missing, dtype=np.int64).reshape(len(missing), -1)
+            twice = np.concatenate(
+                [
+                    np.tile(bulk.reshape(count, len(internal)), (len(missing), 1)),
+                    np.repeat(boundary, count, axis=0),
+                ],
+                axis=1,
+            )
+            products = [math.prod(dims) for dims in self._vertex_dims(twice)]
+            for m, key in enumerate(missing):
+                self._d_input[key] = sum(products[m * count : (m + 1) * count])
+        return [self._d_input[key] for key in keys]
+
+    def d_output(self, code: int) -> int:
+        """D_O(E) of boundary key `code`."""
+        return math.prod(t + 1 for t in self.keys[code])
 
 
 # -- the model -----------------------------------------------------------
@@ -686,7 +1132,7 @@ class IsingModel:
         self._masks = (cut, (down, ~down), incidence)
         return self._masks
 
-    def _bulk_kernels(self, sectors: Sequence[SpinSector]) -> _PairKernels:
+    def _bulk_kernels(self, sectors: Union[Sequence[SpinSector], SectorSet]) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
         both bulk-to-boundary replicas.
 
@@ -701,29 +1147,22 @@ class IsingModel:
         grouped by that set and each group reduces its rows of the matrix
         once.
         """
-        for sec in sectors:
-            if sec.graph is not self.graph and sec.graph != self.graph:
-                raise EngineError("sector belongs to a different graph")
+        sectors = sectors if isinstance(sectors, SectorSet) else self.sector_set(sectors)
         cut, actives, incidence = self._bulk_masks()
         links = self.graph.link_ids()
-        vertices = self.graph.vertices
         count = len(sectors)
-        twice = np.array(
-            [[sec.spin(lid).twice for lid in links] for sec in sectors], dtype=np.int64
-        ).reshape(count, len(links))
+        twice = sectors.twice
         link_part = np.zeros((count, cut.shape[1]))
         for li, column in enumerate(twice.T.tolist()):
             lam = np.array([math.log(t + 1) for t in column])
             np.add(link_part, lam[:, None], out=link_part, where=cut[li])
-        vertex_lam = np.empty((count, len(vertices)))
-        for a, sec in enumerate(sectors):
-            for p, x in enumerate(vertices):
-                dim = intertwiner_dim(sec.vertex_spins(x))
-                vertex_lam[a, p] = math.log(dim) if dim > 0 else math.inf
+        vertex_lam = _log_table(sectors.vertex_dims, math.inf).reshape(
+            count, len(self.graph.vertices)
+        )
         # Replica 1 takes over the link part's memory.
         energies = (link_part.copy(), link_part)
         for energy, active in zip(energies, actives):
-            for p in range(len(vertices)):
+            for p in range(vertex_lam.shape[1]):
                 np.add(energy, vertex_lam[:, p, None], out=energy, where=active[p])
 
         kernels = _PairKernels.empty(count)
@@ -806,16 +1245,16 @@ class IsingModel:
         ground = self._ground_rows(
             np.array(energies, dtype=float)[None, :], np.array(rows, dtype=np.int64)
         )
-        return (_signed_sum(pos, neg), *(x[0] for x in ground))
+        return (_signed_sum(pos, neg)[0], *(x[0] for x in ground))
 
-    def _pair_kernels(self, sectors: Sequence[SpinSector]) -> _PairKernels:
+    def _pair_kernels(self, sectors: SectorSet) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
         both replicas."""
         if not self.kind.is_boundary_to_boundary:
             return self._bulk_kernels(sectors)
         kernels = _PairKernels.empty(len(sectors))
-        for a, j in enumerate(sectors):
-            for b, k in enumerate(sectors):
+        for a, j in enumerate(sectors.sectors):
+            for b, k in enumerate(sectors.sectors):
                 for replica in (0, 1):
                     kernels.put((a, b, replica), self._enumerated_kernel(j, k, replica))
         return kernels
@@ -883,16 +1322,15 @@ class IsingModel:
             return list(self.state.sectors)
         return list(enumerate_sectors(self.family, self.graph))
 
-    def _weighted_sectors(
-        self, sectors: Optional[Sequence[SpinSector]]
-    ) -> List[Tuple[SpinSector, KFactor]]:
+    def sector_set(self, sectors: Optional[Iterable[SpinSector]] = None) -> SectorSet:
+        """The `SectorSet` of `sectors` (default: `default_sectors`)."""
         pool = list(sectors) if sectors is not None else self.default_sectors()
-        out = []
         for sec in pool:
-            kf = self.k_factor(sec)
-            if math.isfinite(kf.log_value):
-                out.append((sec, kf))
-        return out
+            if sec.graph is not self.graph and sec.graph != self.graph:
+                raise EngineError("sector belongs to a different graph")
+        links = self.graph.link_ids()
+        twice = np.array([sec.twice_of(links) for sec in pool], dtype=np.int64)
+        return SectorSet(self, pool, twice.reshape(len(pool), len(links)))
 
     def boundary_fixed_sums(
         self, boundary: Mapping[str, object]
@@ -911,110 +1349,34 @@ class IsingModel:
             pool = list(
                 enumerate_sectors(self.family, self.graph, boundary_filter=fixed)
             )
-        weighted = self._weighted_sectors(pool)
-        if not weighted:
+        weighted = self.sector_set(pool).weighted()
+        if not len(weighted):
             raise EngineError("no admissible sector matches this boundary")
-        z = self._pair_kernels([sec for sec, _ in weighted]).z.tolist()
-        z_bar = []
-        for replica in (0, 1):
-            pos: List[float] = []
-            neg: List[float] = []
-            for a, (_, kf_j) in enumerate(weighted):
-                for b, (_, kf_k) in enumerate(weighted):
-                    z_pair = z[a][b][replica]
-                    if z_pair == 0.0:
-                        continue
-                    log_mag = kf_j.log_value + kf_k.log_value + math.log(abs(z_pair))
-                    (pos if z_pair > 0 else neg).append(log_mag)
-            z_bar.append(_signed_sum(pos, neg))
-        dims = sector_dims(weighted[0][0], self.graph, self.family)
-        d_total = dims.d_total
-        y = tuple(z / d_total**2 for z in z_bar)
+        sums = _kernel_sums(weighted, self._pair_kernels(weighted).z)
+        d_total = weighted.d_input([0])[0] * weighted.d_output(0)
         return BoundaryFixedSums(
-            z_bar=tuple(z_bar),
-            y=y,
+            z_bar=tuple(total for total, _ in sums.totals),
+            y=tuple(_over_square(total, log, d_total) for total, log in sums.totals),
             d_total=d_total,
             sector_count=len(weighted),
+            log_z_bar=tuple(log for _, log in sums.totals),
         )
 
     def partition_table(
-        self, sectors: Optional[Sequence[SpinSector]] = None
+        self, sectors: Union[None, Iterable[SpinSector], SectorSet] = None
     ) -> PartitionSumTable:
         """Kernels, ground-state data, K factors, boundary sums, totals.
 
-        Totals include every sector pair (also pairs with different boundary
+        `sectors` is a sector list or a `SectorSet` (default: the model's
+        `default_sectors`); sectors of zero weight K are dropped.  Totals
+        include every sector pair (also pairs with different boundary
         spins); the boundary rows are the boundary-diagonal restrictions.
         All pair kernels come from one `_pair_kernels` call: for the
         bulk-to-boundary kind, one energy matrix per replica reduced once per
         set of differing links; for the boundary-to-boundary kind, one
         enumeration per (pair, replica).
         """
-        weighted = self._weighted_sectors(sectors)
-        kernels = self._pair_kernels([sec for sec, _ in weighted])
-        z, e_min, degeneracy, gap = (
-            x.tolist() for x in (kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap)
-        )
-        labels = [sec.label() for sec, _ in weighted]
-        keys = [sec.boundary_part() for sec, _ in weighted]
-
-        rows: List[PairRow] = []
-        totals_pos: Dict[int, List[float]] = {0: [], 1: []}
-        totals_neg: Dict[int, List[float]] = {0: [], 1: []}
-        by_boundary: Dict[Tuple, Dict[int, Tuple[List[float], List[float]]]] = {}
-        boundary_reps: Dict[Tuple, SpinSector] = {}
-        for a, (sec_j, kf_j) in enumerate(weighted):
-            for b, (_, kf_k) in enumerate(weighted):
-                pair_id = f"{labels[a]}|{labels[b]}"
-                for replica in (0, 1):
-                    z_pair = z[a][b][replica]
-                    rows.append(
-                        PairRow(
-                            pair_id=pair_id,
-                            replica=replica,
-                            z=z_pair,
-                            e_min=e_min[a][b][replica],
-                            degeneracy=degeneracy[a][b][replica],
-                            gap=gap[a][b][replica],
-                        )
-                    )
-                    if z_pair != 0.0:
-                        log_mag = (
-                            kf_j.log_value + kf_k.log_value + math.log(abs(z_pair))
-                        )
-                        bucket = totals_pos if z_pair > 0 else totals_neg
-                        bucket[replica].append(log_mag)
-                        if keys[a] == keys[b]:
-                            boundary_reps.setdefault(keys[a], sec_j)
-                            slot = by_boundary.setdefault(
-                                keys[a], {0: ([], []), 1: ([], [])}
-                            )
-                            (slot[replica][0] if z_pair > 0 else slot[replica][1]).append(
-                                log_mag
-                            )
-        totals = (
-            _signed_sum(totals_pos[0], totals_neg[0]),
-            _signed_sum(totals_pos[1], totals_neg[1]),
-        )
-        boundary_rows = []
-        for key in sorted(by_boundary):
-            rep = boundary_reps[key]
-            dims = sector_dims(rep, self.graph, self.family)
-            z0 = _signed_sum(*by_boundary[key][0])
-            z1 = _signed_sum(*by_boundary[key][1])
-            boundary_rows.append(
-                BoundarySumRow(
-                    boundary_id=",".join(f"{lid}={Spin(t)}" for lid, t in key),
-                    z_bar=(z0, z1),
-                    y=(z0 / dims.d_total**2, z1 / dims.d_total**2),
-                    d_total=dims.d_total,
-                )
-            )
-        k_factors = tuple(
-            (label, kf.value) for label, (_, kf) in zip(labels, weighted)
-        )
-        return PartitionSumTable(
-            rows=tuple(rows),
-            k_factors=k_factors,
-            boundary_rows=tuple(boundary_rows),
-            totals=totals,
-        )
+        if not isinstance(sectors, SectorSet):
+            sectors = self.sector_set(sectors)
+        weighted = sectors.weighted()
+        return PartitionSumTable._assemble(weighted, self._pair_kernels(weighted))

@@ -41,14 +41,13 @@ import numpy as np
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph
-from .ising import IsingConfig, IsingModel, ModelKind, PartitionSumTable
+from .ising import IsingConfig, IsingModel, ModelKind, PartitionSumTable, require_finite
 from .spins import (
     SectorFamily,
     Spin,
     SpinSector,
     enumerate_sectors,
     intertwiner_dim,
-    sector_dims,
 )
 
 #: Supported evaluation regimes and their default pass tolerances.
@@ -168,23 +167,20 @@ def condition_matrix(table: PartitionSumTable, d_input: float) -> ConditionMatri
     rank deficiency) is flagged rather than raised; the determinant
     diagnostics are then undefined and reported as None.
     """
-    labels = tuple(label for label, _ in table.k_factors)
+    labels = table.labels
     if not labels:
         raise IsometryError("partition table carries no weighted sector")
     if d_input <= 0.0:
         raise IsometryError(f"total input dimension must be positive, got {d_input!r}")
-    pos = {label: i for i, label in enumerate(labels)}
+    if table.stray is not None:
+        raise IsometryError(
+            f"pair {table.stray!r} names a sector outside the K-factor table"
+        )
+    require_finite(table.totals, "Z_0, Z_1")
     n = len(labels)
-    z = np.zeros((2, n, n))
-    for row in table.rows:
-        left, _, right = row.pair_id.partition("|")
-        if left not in pos or right not in pos:
-            raise IsometryError(
-                f"pair {row.pair_id!r} names a sector outside the K-factor table"
-            )
-        z[row.replica, pos[left], pos[right]] = row.z
+    z = np.moveaxis(table.z, 2, 0).copy()
     z0, z1 = z[0], z[1]
-    k = np.array([weight for _, weight in table.k_factors], dtype=float)
+    k = table.k
     total_k = float(k.sum())
     if total_k <= 0.0:
         raise IsometryError("sector weights carry no mass")
@@ -366,36 +362,46 @@ def _normalize_window(
     return out
 
 
-def _regime_kernel(row_z: float, row_e_min: float, regime: str) -> float:
-    if regime == "exact":
-        return row_z
-    return math.exp(-row_e_min) if math.isfinite(row_e_min) else 0.0
+def _running_sum(values: np.ndarray) -> float:
+    """Left-to-right float sum, without pairwise or compensated summation."""
+    total = 0.0
+    for value in values.tolist():
+        total += value
+    return total
 
 
 def _assemble_sums(
     table: PartitionSumTable,
     regime: str,
-    group_of: Optional[Mapping[str, object]] = None,
+    groups: Optional[np.ndarray] = None,
 ):
     """K-weighted totals of both replicas, optionally grouped by sector.
 
     Returns (totals, grouped) where grouped[g][b] sums only pairs whose two
-    labels share the group `g` under `group_of`; grouped is None when no
-    grouping is requested.
+    sectors share the group code `g` in `groups` (one code per sector);
+    grouped is None when no grouping is requested.  Every sum runs over
+    the pairs in row order.
     """
-    weights = {label: value for label, value in table.k_factors}
-    totals = [0.0, 0.0]
-    grouped: Optional[Dict[object, List[float]]] = None
-    if group_of is not None:
-        grouped = {g: [0.0, 0.0] for g in set(group_of.values())}
-    for row in table.rows:
-        left, _, right = row.pair_id.partition("|")
-        value = weights[left] * weights[right] * _regime_kernel(
-            row.z, row.e_min, regime
-        )
-        totals[row.replica] += value
-        if grouped is not None and group_of[left] == group_of[right]:
-            grouped[group_of[left]][row.replica] += value
+    if regime == "exact":
+        kernel = table.z
+    else:
+        kernel = np.array(
+            [math.exp(-e) if math.isfinite(e) else 0.0 for e in table.e_min.ravel().tolist()],
+            dtype=float,
+        ).reshape(table.e_min.shape)
+    k = table.k
+    # Overflowing weights are reported by require_finite, not warned about.
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = (k[:, None] * k[None, :])[:, :, None] * kernel
+    totals = [_running_sum(values[:, :, b].ravel()) for b in (0, 1)]
+    require_finite(totals, "K-weighted sums Z_0, Z_1")
+    grouped: Optional[Dict[int, List[float]]] = None
+    if groups is not None:
+        grouped = {}
+        for g in sorted(set(groups.tolist())):
+            members = np.flatnonzero(groups == g)
+            block = values[np.ix_(members, members)]
+            grouped[g] = [_running_sum(block[:, :, b].ravel()) for b in (0, 1)]
     return totals, grouped
 
 
@@ -430,42 +436,35 @@ def check_bulk_to_boundary(
     regime, tol = _resolve_regime(regime, tolerance)
     entries = _normalize_window(graph, window)
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-    pool: List[SpinSector] = []
-    per_boundary: Dict[Tuple, List[SpinSector]] = {}
-    for key, fixed in entries:
-        admitted = []
-        for sec in enumerate_sectors(family, graph, boundary_filter=fixed):
-            if math.isfinite(model.k_factor(sec).log_value):
-                admitted.append(sec)
-        if not admitted:
+    candidates: List[SpinSector] = []
+    for _, fixed in entries:
+        candidates.extend(enumerate_sectors(family, graph, boundary_filter=fixed))
+    pool = model.sector_set(candidates).weighted()
+    code = {key: c for c, key in enumerate(pool.keys)}
+    e_codes = []
+    for key, _ in entries:
+        twice = tuple(t for _, t in key)
+        if twice not in code:
             raise IsometryError(
                 f"no admissible sector matches boundary {_boundary_label(key)}"
             )
-        per_boundary[key] = admitted
-        pool.extend(admitted)
-    table = model.partition_table(sectors=pool)
-    k_of = {label: value for label, value in table.k_factors}
-    e_of = {sec.label(): sec.boundary_part() for sec in pool}
-    e_min_1 = {
-        row.pair_id: row.e_min for row in table.rows if row.replica == 1
-    }
-    totals, zbar = _assemble_sums(table, regime, group_of=e_of)
+        e_codes.append(code[twice])
+    table = model.partition_table(pool)
+    totals, zbar = _assemble_sums(table, regime, groups=pool.key)
     if totals[0] <= 0.0:
         raise IsometryError("window normalization sum Z_0 vanishes")
 
-    dims = {key: sector_dims(secs[0], graph, family) for key, secs in per_boundary.items()}
-    d_input_total = sum(d.d_input for d in dims.values())
+    d_inputs = pool.d_input(e_codes)
+    d_input_total = sum(d_inputs)
     e_labels = [_boundary_label(key) for key, _ in entries]
-    e_keys = [key for key, _ in entries]
 
     # (a) all-up minimizes the swapped-replica Hamiltonian, sector by sector.
     all_up = IsingConfig.make(graph, {x: +1 for x in graph.vertices})
     labels_a, defects_a = [], []
-    for sec in pool:
-        label = sec.label()
+    for a, sec in enumerate(pool.sectors):
         h_up = model.hamiltonian(sec, sec, all_up, 1)
-        labels_a.append(label)
-        defects_a.append(h_up - e_min_1[f"{label}|{label}"])
+        labels_a.append(pool.labels[a])
+        defects_a.append(h_up - float(table.e_min[a, a, 1]))
     cond_a = _record(
         "ground_state_all_up",
         "all-up configuration attains E_min of the swapped replica",
@@ -475,24 +474,21 @@ def check_bulk_to_boundary(
     )
 
     # (b) the non-intertwiner part of K is the same for every full sector.
-    values_b = []
-    for sec in pool:
-        bulk_dim = 1
-        for x in graph.vertices:
-            bulk_dim *= intertwiner_dim(sec.vertex_spins(x))
-        values_b.append(k_of[sec.label()] / bulk_dim)
+    values_b = [
+        k / math.prod(dims) for k, dims in zip(table.k.tolist(), pool.vertex_dims)
+    ]
     mean_b = sum(values_b) / len(values_b)
     cond_b = _record(
         "weight_constancy",
         "prod |g|^2 * prod boundary d is sector independent",
-        [sec.label() for sec in pool],
+        list(pool.labels),
         [abs(v - mean_b) / mean_b for v in values_b],
         tol,
         extras=(("mean_value", mean_b),),
     )
 
     # (c) constant output dimension across the window.
-    d_outs = [dims[key].d_output for key in e_keys]
+    d_outs = [pool.d_output(c) for c in e_codes]
     mean_out = sum(d_outs) / len(d_outs)
     cond_c = _record(
         "output_dim_constancy",
@@ -505,9 +501,8 @@ def check_bulk_to_boundary(
 
     # (d) boundary-fixed sector conditions.
     defects_ratio, defects_weight = [], []
-    for key in e_keys:
-        zb0, zb1 = zbar[key][0], zbar[key][1]
-        d_in = dims[key].d_input
+    for c, d_in in zip(e_codes, d_inputs):
+        zb0, zb1 = zbar[c][0], zbar[c][1]
         if zb0 <= 0.0:
             defects_ratio.append(math.inf)
             defects_weight.append(math.inf)
@@ -532,13 +527,12 @@ def check_bulk_to_boundary(
 
     # (e) the same conditions phrased through one normalization constant q.
     estimates = []
-    for key in e_keys:
-        d_in = dims[key].d_input
-        estimates.append(zbar[key][1] / d_in)
-        estimates.append(zbar[key][0] / d_in**2)
+    for c, d_in in zip(e_codes, d_inputs):
+        estimates.append(zbar[c][1] / d_in)
+        estimates.append(zbar[c][0] / d_in**2)
     q_fit = sum(estimates) / len(estimates)
     defects_e = []
-    for i, key in enumerate(e_keys):
+    for i in range(len(e_codes)):
         q1, q0 = estimates[2 * i], estimates[2 * i + 1]
         defects_e.append(max(abs(q1 - q_fit), abs(q0 - q_fit)) / q_fit)
     spread = (max(estimates) - min(estimates)) / q_fit
@@ -578,7 +572,7 @@ def check_bulk_to_boundary(
             ("d_output_mean", float(mean_out)),
             ("purity", purity),
             ("sector_count", float(len(pool))),
-            ("boundary_sector_count", float(len(e_keys))),
+            ("boundary_sector_count", float(len(e_codes))),
         ),
     )
 
@@ -887,14 +881,13 @@ def check_boundary_to_boundary(
     kind = ModelKind.boundary_to_boundary(partition)
     model = IsingModel(graph, family, kind, state=zeta)
     table = model.partition_table()
-    if not table.k_factors:
+    if not table.labels:
         raise IsometryError("the bulk state carries no weighted sector")
     totals, _ = _assemble_sums(table, regime)
     if totals[0] <= 0.0:
         raise IsometryError("normalization sum Z_0 vanishes")
     purity = totals[1] / totals[0]
 
-    weighted = {label for label, _ in table.k_factors}
     input_ids = tuple(
         lid for lid in graph.boundary_ids() if lid in partition.input_region
     )
@@ -903,9 +896,7 @@ def check_boundary_to_boundary(
     )
     in_dims: Dict[Tuple, int] = {}
     out_dims: Dict[Tuple, int] = {}
-    for sec in model.default_sectors():
-        if sec.label() not in weighted:
-            continue
+    for sec in table.sectors.sectors:
         ikey = tuple((lid, sec.spin(lid).twice) for lid in input_ids)
         okey = tuple((lid, sec.spin(lid).twice) for lid in output_ids)
         d_i = 1

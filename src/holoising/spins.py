@@ -105,6 +105,10 @@ def intertwiner_dim(spins: Sequence[Spin]) -> int:
     return _fusion_multiplicities(key)[0]
 
 
+#: Largest number of sectors one enumeration may yield.
+SECTOR_LIMIT = 10**6
+
+
 class SectorEnumerationError(RuntimeError):
     """Enumeration would exceed the configured sector-count guard."""
 
@@ -232,6 +236,11 @@ class SpinSector:
     def spins(self) -> Dict[str, Spin]:
         return {lid: Spin(t) for lid, t in self.assignment}
 
+    def twice_of(self, link_ids: Sequence[str]) -> Tuple[int, ...]:
+        """Doubled spins of the given links."""
+        twice = self._twice
+        return tuple(twice[lid] for lid in link_ids)
+
     def vertex_spins(self, vertex: str) -> Tuple[Spin, ...]:
         """Spin tuple j^x, ordered by port number."""
         twice = self._twice
@@ -279,7 +288,7 @@ def enumerate_sectors(
     family: SectorFamily,
     graph: OpenGraph,
     boundary_filter: Optional[Mapping[str, object]] = None,
-    limit: int = 10**6,
+    limit: int = SECTOR_LIMIT,
 ) -> Iterator[SpinSector]:
     """Yield all sectors in lexicographic order of the canonical link order.
 

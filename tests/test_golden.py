@@ -1,0 +1,243 @@
+"""Golden bytes: SHA-256 digests of the serialized engine outputs.
+
+Each digest pins the exact bytes of one output (a table's CSV file and
+JSON dict, a purity report in every mode, an isometry verdict, a c2
+report) on a fixed small instance.  The instances cover cross-boundary
+pairs whose swapped kernel is infeasible, sectors with zero weight K (a
+vanishing superposition amplitude, a vertex without intertwiners) and a
+boundary-to-boundary table with negative pair kernels.  Any change of a
+printed digit, of row order or of a key changes a digest.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from conftest import bridge_family, bridge_graph
+from holoising.bulk import IntertwinerState
+from holoising.entropy import MODES, average_purity
+from holoising.experiments import reproduce_c2
+from holoising.graph import BoundaryPartition, build_graph
+from holoising.ising import IsingModel, ModelKind
+from holoising.isometry import (
+    check_boundary_to_boundary,
+    check_bulk_to_boundary,
+    condition_matrix,
+    suggest_window,
+)
+from holoising.spins import SectorFamily, SpinSector
+
+
+def sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def json_sha(obj) -> str:
+    return sha(json.dumps(obj, sort_keys=True).encode())
+
+
+def star_graph(legs):
+    return build_graph(
+        {
+            "vertices": [{"id": "x", "valence": legs}],
+            "links": [{"id": f"b{i}", "end": ["x", i]} for i in range(legs)],
+        }
+    )
+
+
+def chain2_graph():
+    """Two 3-valent vertices: v0 carries legs l and t0, v1 carries r and t1."""
+    return build_graph(
+        {
+            "vertices": [{"id": "v0", "valence": 3}, {"id": "v1", "valence": 3}],
+            "links": [
+                {"id": "e1", "ends": [["v0", 1], ["v1", 0]]},
+                {"id": "l", "end": ["v0", 0]},
+                {"id": "r", "end": ["v1", 1]},
+                {"id": "t0", "end": ["v0", 2]},
+                {"id": "t1", "end": ["v1", 2]},
+            ],
+        }
+    )
+
+
+def star_table():
+    """Four legs, two of them superposed: pairs with different boundary
+    spins have no allowed swapped configuration."""
+    graph = star_graph(4)
+    family = SectorFamily.build(
+        graph,
+        "1/2",
+        "3/2",
+        allowed={"b0": ["1/2", "3/2"], "b1": ["1/2"], "b2": ["1/2"], "b3": ["1/2", "1"]},
+    )
+    return graph, family
+
+
+def zero_weight_bridge():
+    """Bridge whose internal link superposes spins 1, 2, 3 with a zero
+    amplitude on spin 2; leg c = 3 leaves vertex y without intertwiners."""
+    graph = build_graph(
+        {
+            "vertices": [{"id": "x", "valence": 3}, {"id": "y", "valence": 3}],
+            "links": [
+                {"id": "e", "ends": [["x", 0], ["y", 0]]},
+                {"id": "a1", "end": ["x", 1]},
+                {"id": "a2", "end": ["x", 2]},
+                {"id": "c1", "end": ["y", 1]},
+                {"id": "c2", "end": ["y", 2]},
+            ],
+        }
+    )
+    family = SectorFamily.build(
+        graph,
+        "1/2",
+        "3",
+        allowed={
+            "e": ["1", "2", "3"],
+            "a1": ["1", "2"],
+            "a2": ["1", "2"],
+            "c1": ["1"],
+            "c2": ["1", "3"],
+        },
+        weights={"e": {"1": 0.6 + 0.2j, "2": 0.0, "3": -0.3 + 0.5j}},
+    )
+    return graph, family
+
+
+def signed_b2b_model():
+    """Four sectors differing on legs t0 and t1; with t1 as input, the swapped
+    replica of a pair that differs on both legs allows one configuration
+    whose Hilbert-Schmidt cosine is negative."""
+    graph = chain2_graph()
+    allowed = {lid: ["1"] for lid in ("e1", "l", "r")}
+    allowed.update({"t0": ["1", "2"], "t1": ["1", "2"]})
+    family = SectorFamily.build(graph, "1", "2", allowed=allowed, normalize=False)
+    amps = (0.5 + 0.1j, -0.4 + 0.3j, 0.2 - 0.5j, -0.35 - 0.25j)
+    norm = sum(abs(a) ** 2 for a in amps) ** 0.5
+    spins = [(t0, t1) for t0 in ("1", "2") for t1 in ("1", "2")]
+    vectors = {}
+    for (t0, t1), amp in zip(spins, amps):
+        sector = SpinSector.make(graph, {"e1": "1", "l": "1", "r": "1", "t0": t0, "t1": t1})
+        vectors[sector] = np.array([amp / norm])
+    state = IntertwinerState.from_pure(graph, vectors)
+    kind = ModelKind.boundary_to_boundary(BoundaryPartition.from_input(graph, ["t1"]))
+    return IsingModel(graph, family, kind, state=state)
+
+
+def bulk_model(graph, family):
+    return IsingModel(graph, family, ModelKind.bulk_to_boundary())
+
+
+def table_digests(table, tmp_path):
+    path = tmp_path / "table.csv"
+    table.to_csv(path)
+    return {"csv": sha(path.read_bytes()), "json": json_sha(table.to_json_dict())}
+
+
+def purity_digests(table, graph=None, family=None):
+    return {
+        mode: json_sha(average_purity(table, mode=mode, graph=graph, family=family).to_json_dict())
+        for mode in MODES
+    }
+
+
+#: Digests generated with the engine before its tables became arrays.
+GOLDEN = {
+    "star": {
+        "csv": "1421be80d820478a75c1d6127c19c77d50aababc1fd472a1c83e850ae44bcae6",
+        "json": "927f144260b5b8fdbcce3c8f674f82d67ec58bdf897e65823d8e63f23ad5909e",
+        "exact": "ec2372e0607b8cfb382d467a613ae480c3d50d843ed740131af1ec2e587487ec",
+        "ground_state": "f8a6dfcda3942b8a8a8a354d32de1a1eadab62eb0c44741ca24e5f044408797c",
+        "high_spin": "04101b62ce9ffd7ee27868d6a5f9cc6effd1e178d3312f8a3c09efa6a8f85f67"
+    },
+    "zero_weight_bridge": {
+        "csv": "34a17e2f5e0b252e23f719cec643081380cfb2c811b0a9018bdea304d37d4a91",
+        "json": "8cddd44c68cb45bfa5db2e7e7fc331a34b1421cecb3c33e6e3749abce369b6e3",
+        "exact": "e9b3971b341c6d801747c6ea736702bfc472d3c5110a2dc36da9ff322c161aa0",
+        "ground_state": "cddafe2784a1aa5e7c93da15399170ff815ed925bde6e3334cd077dd66d30837",
+        "high_spin": "3414ab49ffc99c5ce373e9dabae5ce00e86c00a84dca32ee04ba1e1563fc660f",
+        "verdict": "85308f2095785286449a66d3a4bc638a8d5dc97a9e3cb906068c12e601056111",
+        "verdict_gs": "cd169d1906fbc328fcd7a74e22a35803612fba01d96395db435b8c7a21fc11da",
+        "condition_matrix": "2156f97a527ccb56267b86c3e33b2f18ba5928ffe6f891d16d881e7eaf698867"
+    },
+    "signed_b2b": {
+        "csv": "e7328ee30ccbf93216892e64a5444652067f09187cd219c597a6b18e78b59136",
+        "json": "f366f3fc7f8a5e7d1a9d1a86bf9e0125e4e5dd4514accbdc577fa0249dad3220",
+        "verdict_exact": "f5e8369a7abebdcc82b51743722ebf9bf95b3d6dc1ab922a8225ca6fe2b2af97",
+        "verdict_ground_state": "c322bfa561aee20636aa9f243cd4d3a336592f5846442327e12d69fd7320debd"
+    },
+    "bridge_verdict": {
+        "exact": "5124d02d71f3e414e789d3b7eb9bacc4b62a66ad3c10761c420447dbdb710828",
+        "ground_state": "7c951a2b68eeb4f55608d27b6390b56daaac5fdc17ad68732042db341e26ed5e"
+    },
+    "c2_4": "9859ebff2ae5addefc0bacc64ecb57efba975fb822890034b051fabfb1587a14",
+    "c2_5": "b665270410c0db5caa5908d0bf580ec6d32ecba50fcd947c0de7832f5d4e110d"
+}
+
+
+def test_signed_instance_has_negative_kernels():
+    table = signed_b2b_model().partition_table()
+    assert any(row.z < 0.0 for row in table.rows)
+
+
+def test_zero_weight_instance_drops_sectors():
+    graph, family = zero_weight_bridge()
+    model = bulk_model(graph, family)
+    weighted = {label for label, _ in model.partition_table().k_factors}
+    assert 0 < len(weighted) < len(model.default_sectors())
+
+
+def test_star_table(tmp_path):
+    graph, family = star_table()
+    table = bulk_model(graph, family).partition_table()
+    got = table_digests(table, tmp_path)
+    got.update(purity_digests(table, graph, family))
+    assert got == GOLDEN["star"]
+
+
+def test_zero_weight_bridge(tmp_path):
+    graph, family = zero_weight_bridge()
+    table = bulk_model(graph, family).partition_table()
+    got = table_digests(table, tmp_path)
+    got.update(purity_digests(table))
+    window = suggest_window(family, graph)
+    got["verdict"] = json_sha(check_bulk_to_boundary(family, graph, window).to_json_dict())
+    got["verdict_gs"] = json_sha(
+        check_bulk_to_boundary(family, graph, window, regime="ground_state").to_json_dict()
+    )
+    got["condition_matrix"] = json_sha(condition_matrix(table, 7.0).to_json_dict())
+    assert got == GOLDEN["zero_weight_bridge"]
+
+
+def test_signed_b2b_table(tmp_path):
+    model = signed_b2b_model()
+    got = table_digests(model.partition_table(), tmp_path)
+    for regime in ("exact", "ground_state"):
+        verdict = check_boundary_to_boundary(
+            model.family, model.graph, model.kind.partition, model.state, regime=regime
+        )
+        got[f"verdict_{regime}"] = json_sha(verdict.to_json_dict())
+    assert got == GOLDEN["signed_b2b"]
+
+
+def test_bridge_verdict():
+    graph = bridge_graph()
+    family = bridge_family(graph, 1)
+    window = suggest_window(family, graph)
+    got = {
+        regime: json_sha(check_bulk_to_boundary(family, graph, window, regime=regime).to_json_dict())
+        for regime in ("exact", "ground_state")
+    }
+    assert got == GOLDEN["bridge_verdict"]
+
+
+@pytest.mark.parametrize("legs", [4, 5])
+def test_c2_report(legs):
+    graph = star_graph(legs)
+    allowed = {f"b{i}": ["1/2"] for i in range(legs)}
+    allowed.update({"b0": ["1/2", "1"], f"b{legs - 1}": ["1/2", "1", "3/2"]})
+    family = SectorFamily.build(graph, "1/2", "3/2", allowed=allowed)
+    assert json_sha(reproduce_c2(family, graph).to_json_dict()) == GOLDEN[f"c2_{legs}"]

@@ -24,7 +24,9 @@ from holoising.ising import (
     IsingConfig,
     IsingModel,
     ModelKind,
+    TotalsOverflowError,
     _logsumexp_rows,
+    _signed_sum,
     couplings,
 )
 from holoising.spins import SectorFamily, Spin, SpinSector, intertwiner_dim
@@ -849,3 +851,75 @@ class TestBatchedKernels:
                 assert z == kernels.z[a, b, replica]
                 assert ground.energy == kernels.e_min[a, b, replica]
                 assert ground.degeneracy == kernels.degeneracy[a, b, replica]
+
+
+# -- totals in log domain ----------------------------------------------------
+
+
+class TestLogDomainTotals:
+    """A 4-valent chain with V=16 and every spin 1000 has 2 log K ~ 760, past
+    the float64 range (e^709).  The table keeps its totals in log domain
+    and reports the floats as +inf instead of raising."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        graph = chain_graph(16, legs=2)
+        family = SectorFamily.build(graph, "1000", "1000")
+        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+        return model, model.partition_table()
+
+    def test_log_totals_are_two_log_k_plus_log_kernel(self, big):
+        model, table = big
+        (sector,) = model.default_sectors()
+        log_k = model.k_factor(sector).log_value
+        assert 2 * log_k > 709.8
+        for replica in (0, 1):
+            z = model.partition_sum_fixed(sector, sector, replica)
+            sign, log = table.log_totals[replica]
+            assert sign == 1
+            assert log == pytest.approx(2 * log_k + math.log(z), rel=1e-15)
+        # Z_0 leaves float64; Z_1 (the swapped kernel is small) does not.
+        assert table.totals[0] == math.inf
+        assert table.totals[1] == pytest.approx(math.exp(table.log_totals[1][1]), rel=1e-12)
+
+    def test_boundary_sums_in_log_domain(self, big):
+        model, table = big
+        (row,) = table.boundary_rows
+        assert row.z_bar == table.totals
+        assert row.log_z_bar == table.log_totals
+        # D_E^2 alone leaves float64; y is read from the logs.
+        log_d = math.log(row.d_total)
+        assert 2 * log_d > 709.8
+        for replica in (0, 1):
+            assert row.y[replica] == pytest.approx(
+                math.exp(table.log_totals[replica][1] - 2 * log_d), rel=1e-12
+            )
+
+    def test_consumers_name_the_log_totals(self, big):
+        from holoising.entropy import average_purity
+        from holoising.isometry import check_bulk_to_boundary, condition_matrix
+
+        model, table = big
+        for mode in ("exact", "ground_state", "high_spin"):
+            with pytest.raises(TotalsOverflowError, match="log_totals"):
+                average_purity(table, mode=mode)
+        with pytest.raises(TotalsOverflowError, match="log_totals"):
+            condition_matrix(table, 2.0)
+        window = [{lid: "1000" for lid in model.graph.boundary_ids()}]
+        with pytest.raises(TotalsOverflowError, match="log_totals"):
+            check_bulk_to_boundary(model.family, model.graph, window)
+
+    def test_signed_sum_log_form(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            pos = rng.normal(scale=3.0, size=int(rng.integers(0, 5))).tolist()
+            neg = rng.normal(scale=3.0, size=int(rng.integers(0, 5))).tolist()
+            total, (sign, log) = _signed_sum(pos, neg)
+            if total == 0.0:
+                assert sign == 0 and log == -math.inf
+                continue
+            assert sign == (1 if total > 0 else -1)
+            assert math.exp(log) == pytest.approx(abs(total), rel=1e-9, abs=1e-12)
+        total, (sign, log) = _signed_sum([800.0, 1.0], [799.0])
+        assert total == math.inf and sign == 1
+        assert log == pytest.approx(800.0 + math.log1p(-math.exp(-1.0)), rel=1e-15)
