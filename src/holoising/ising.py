@@ -42,9 +42,11 @@ an enumeration of all 2^V configurations:
   one active mask, vertices x configurations, per replica: 2^V (L + 2V)
   bytes of booleans) plus, per call, S x 2^V float64 per replica and one
   more for the shared link part.  A single kernel is the two-sector case.
-* boundary-to-boundary kernels are scored configuration by configuration
-  through `_evaluate`, once per (pair, replica), because their Delta
-  depends on partial traces over the whole spin-down set.
+* boundary-to-boundary kernels are scored configuration by configuration,
+  once per pair for both replicas, because their Delta depends on partial
+  traces over the whole spin-down set.  The traced blocks, their norms and
+  cosine do not depend on the replica, so each configuration computes them
+  once; only the cut links and their log d_e differ between replicas.
 
 Log-sum-exp follows the steps of `scipy.special.logsumexp` in plain numpy,
 so that sums keep scipy's bits.
@@ -984,11 +986,9 @@ class IsingModel:
         vertex) contributes zero weight but is reported as allowed.
         """
         self._check_pair(j, k, replica)
-        cut, _ = self._cut_links(config, replica)
-        for lid in cut:
-            if j.spin(lid) != k.spin(lid):
-                return 0.0, None
-        lam_cut = sum(math.log(j.spin(lid).dim) for lid in cut)
+        lam_cut = self._cut_energy(j, k, config, replica)
+        if lam_cut is None:
+            return 0.0, None
         if not self.kind.is_boundary_to_boundary:
             b = -1 if replica == 1 else +1
             sig = config.sigma
@@ -1000,11 +1000,36 @@ class IsingModel:
                     dim = intertwiner_dim(j.vertex_spins(x))
                     energy += math.log(dim) if dim > 0 else math.inf
             return 1.0, energy
-        return self._evaluate_boundary(j, k, config, lam_cut)
+        return self._boundary_value(self._boundary_terms(j, k, config), lam_cut)
 
-    def _evaluate_boundary(
-        self, j: SpinSector, k: SpinSector, config: IsingConfig, lam_cut: float
+    def _cut_energy(
+        self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
+    ) -> Optional[float]:
+        """Sum of log d_e over the cut links, or None where a cut link has
+        different spins in j and k (Delta = 0)."""
+        cut, _ = self._cut_links(config, replica)
+        for lid in cut:
+            if j.spin(lid) != k.spin(lid):
+                return None
+        return sum(math.log(j.spin(lid).dim) for lid in cut)
+
+    @staticmethod
+    def _boundary_value(
+        terms: Optional[Tuple[float, float, float]], lam_cut: float
     ) -> Tuple[float, Optional[float]]:
+        """(Delta, H) of a boundary-to-boundary configuration from its
+        replica-independent `_boundary_terms` and its cut energy."""
+        if terms is None:
+            return 0.0, None
+        cos, half_log_1, half_log_2 = terms
+        return cos, lam_cut - half_log_1 - half_log_2
+
+    def _boundary_terms(
+        self, j: SpinSector, k: SpinSector, config: IsingConfig
+    ) -> Optional[Tuple[float, float, float]]:
+        """(cosine, 0.5 log(n1^2 / w_j^2), 0.5 log(n2^2 / w_k^2)) of the two
+        traced blocks of a configuration, or None where Delta = 0.  Neither
+        depends on the replica; only the cut energy does."""
         state = self.state
         sig = config.sigma
         up = {x for x, s in config.values if s > 0}
@@ -1034,17 +1059,12 @@ class IsingModel:
         n2_sq = float(np.sum(np.abs(b2) ** 2))
         w_j, w_k = state.weight(j), state.weight(k)
         if n1_sq == 0.0 or n2_sq == 0.0 or w_j <= 0.0 or w_k <= 0.0:
-            return 0.0, None
+            return None
         overlap = float(np.trace(b1 @ b2).real)
         cos = overlap / math.sqrt(n1_sq * n2_sq)
         if cos == 0.0:
-            return 0.0, None
-        energy = (
-            lam_cut
-            - 0.5 * math.log(n1_sq / w_j**2)
-            - 0.5 * math.log(n2_sq / w_k**2)
-        )
-        return cos, energy
+            return None
+        return cos, 0.5 * math.log(n1_sq / w_j**2), 0.5 * math.log(n2_sq / w_k**2)
 
     def delta_factor(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
@@ -1225,27 +1245,38 @@ class IsingModel:
         self._check_pair(j, k, replica)
         return self._result(*self._bulk_kernels([j, k]).at((0, 1, replica)))
 
-    def _enumerated_kernel(
-        self, j: SpinSector, k: SpinSector, replica: int
-    ) -> Tuple:
-        """(z, E_min, degeneracy, gap, representative) from one pass of
-        `_evaluate` over all configurations (any model kind)."""
-        pos: List[float] = []
-        neg: List[float] = []
-        energies: List[float] = []
-        rows: List[int] = []
+    def _enumerated_kernels(
+        self, j: SpinSector, k: SpinSector, replicas: Sequence[int] = (0, 1)
+    ) -> List[Tuple]:
+        """(z, E_min, degeneracy, gap, representative) of a
+        boundary-to-boundary pair in each of `replicas`, from one pass over
+        all configurations.  A configuration's traced blocks are evaluated
+        once, if some replica allows its cut, and shared."""
+        for replica in replicas:
+            self._check_pair(j, k, replica)
+        found = [([], [], [], []) for _ in replicas]  # pos, neg, energies, rows
         for index, config in enumerate(self._configurations()):
-            delta, energy = self._evaluate(j, k, config, replica)
-            if delta == 0.0 or energy is None or math.isinf(energy):
+            cuts = [self._cut_energy(j, k, config, replica) for replica in replicas]
+            if all(lam_cut is None for lam_cut in cuts):
                 continue
-            log_mag = math.log(abs(delta)) - energy
-            (pos if delta > 0 else neg).append(log_mag)
-            energies.append(energy)
-            rows.append(index)
-        ground = self._ground_rows(
-            np.array(energies, dtype=float)[None, :], np.array(rows, dtype=np.int64)
-        )
-        return (_signed_sum(pos, neg)[0], *(x[0] for x in ground))
+            terms = self._boundary_terms(j, k, config)
+            for lam_cut, (pos, neg, energies, rows) in zip(cuts, found):
+                if lam_cut is None:
+                    continue
+                delta, energy = self._boundary_value(terms, lam_cut)
+                if delta == 0.0 or energy is None or math.isinf(energy):
+                    continue
+                log_mag = math.log(abs(delta)) - energy
+                (pos if delta > 0 else neg).append(log_mag)
+                energies.append(energy)
+                rows.append(index)
+        out = []
+        for pos, neg, energies, rows in found:
+            ground = self._ground_rows(
+                np.array(energies, dtype=float)[None, :], np.array(rows, dtype=np.int64)
+            )
+            out.append((_signed_sum(pos, neg)[0], *(x[0] for x in ground)))
+        return out
 
     def _pair_kernels(self, sectors: SectorSet) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
@@ -1255,15 +1286,15 @@ class IsingModel:
         kernels = _PairKernels.empty(len(sectors))
         for a, j in enumerate(sectors.sectors):
             for b, k in enumerate(sectors.sectors):
-                for replica in (0, 1):
-                    kernels.put((a, b, replica), self._enumerated_kernel(j, k, replica))
+                for replica, values in enumerate(self._enumerated_kernels(j, k)):
+                    kernels.put((a, b, replica), values)
         return kernels
 
     def _kernel(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
         if self.kind.is_boundary_to_boundary:
-            return self._result(*self._enumerated_kernel(j, k, replica))
+            return self._result(*self._enumerated_kernels(j, k, (replica,))[0])
         return self._bulk_kernel(j, k, replica)
 
     def _result(self, z, e_min, degeneracy, gap, rep) -> Tuple[float, GroundState]:
@@ -1374,7 +1405,7 @@ class IsingModel:
         All pair kernels come from one `_pair_kernels` call: for the
         bulk-to-boundary kind, one energy matrix per replica reduced once per
         set of differing links; for the boundary-to-boundary kind, one
-        enumeration per (pair, replica).
+        enumeration per pair.
         """
         if not isinstance(sectors, SectorSet):
             sectors = self.sector_set(sectors)

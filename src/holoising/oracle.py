@@ -20,35 +20,39 @@ set R, each vertex-subset pattern U contributes
 
     T_U = Tr[(C (x) C) S_U (C^+ (x) C^+) S_R].
 
-The output rows of C are laid out on a dense (region x rest) grid: a row
-goes to the cell of its compressed labels inside and outside R, and cells
-without a row stay zero.  The components of a mixed bulk input are stacked
-along the rest axis as A = [sqrt(w_n) C_n].  Moving the input axes of the
-vertices in U next to the region axis turns A into a matrix A_U, and
-Q_U = A_U A_U^+ is a partial trace onto R and U, so
-
-    T_U = Tr(Q_U^2) = ||G_U||_F^2,
-
-where G_U is the smaller of A_U A_U^+ and A_U^+ A_U: one matrix product per
-pattern.  This is the swap-pattern form of the Haar average of random tensor
-networks (Hayden et al., arXiv:1601.01694).  The fine grades restrict each
-replica to sector columns, Tr(P_j P_k) = ||A_j^+ A_k||_F^2 with
-P_j = A_j A_j^+.  The grid tensor holds keep x rest x components x input
-entries of complex128 (16 bytes each), a pattern briefly adds a transposed
-and a conjugated copy of it, and GRID_LIMIT caps the entry count.  Monte Carlo shots use the same
-grid: each shot's output state is laid out on it and one batched product
-gives the reduced density on R of every shot.  The pattern sum with unit
-weights reproduces the Ising engine's unnormalized partition totals;
-normalized grades reweight the same traces.
+The components of a mixed bulk input are stacked as A = [sqrt(w_n) C_n],
+kept as its nonzero entries, built once per map (frozen maps included).  An
+output row sits in the (region x rest) cell of its compressed labels inside
+and outside R, so for each U the entries form a sparse X_U with rows (region
+cell, inputs of U) and columns (rest cell, component, other inputs); X_U X_U^+
+is a partial trace onto R and U, and T_U = ||X_U^+ X_U||_F^2 (the Haar
+average of random tensor networks, Hayden et al., arXiv:1601.01694).  Where
+each column (row) of X_U holds one entry, X_U X_U^+ (X_U^+ X_U) is diagonal
+and T_U sums squared grouped row (column) norms: for U = {} on every map
+without frozen vertices, which has at most one nonzero per input column and
+component, and for every pattern of a one-vertex pure map.  Other patterns
+take one sparse Gram product.  The fine grades restrict each replica to
+sector columns, Tr(P_j P_k) = ||X_j^+ X_k||_F^2.  Exact traces need O(nnz)
+memory plus one float per row or column of X_U.  Monte Carlo multiplies each
+batch of shots by one sparse stacked map and lays the shots out on a dense
+grid (batch x keep x rest x components entries), as `reduced_density` does
+for one state.  GRID_LIMIT caps keep x rest x components x inputs, and
+`CMap.pair_basis` checks it for every use, exact traces included.  The
+pattern sum with unit weights reproduces the Ising engine's unnormalized
+partition totals; normalized grades reweight the same traces.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import math
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 from numpy.random import Generator, Philox
 
 from .bulk import IntertwinerState
@@ -118,7 +122,7 @@ class VertexSpace:
         combos: List[VertexBlock] = []
         offset = 0
         options = [family.allowed[lid] for lid in self.port_links]
-        for spins in _lex_product(options):
+        for spins in itertools.product(*map(sorted, options)):
             di = intertwiner_dim(spins)
             if di == 0:
                 continue  # empty block: no invariant subspace
@@ -139,16 +143,9 @@ class VertexSpace:
         self.port_key = [np.zeros(self.dim, dtype=np.int64) for _ in range(nports)]
 
         # Per-port alphabet: all (spin, m) labels the port can carry.
-        self.port_alpha_offset: List[Dict[int, int]] = []
-        self.port_alpha_size: List[int] = []
-        for lid in self.port_links:
-            table: Dict[int, int] = {}
-            acc = 0
-            for s in family.allowed[lid]:
-                table[s.twice] = acc
-                acc += s.dim
-            self.port_alpha_offset.append(table)
-            self.port_alpha_size.append(acc)
+        alphabets = [_alphabet(family.allowed[lid]) for lid in self.port_links]
+        self.port_alpha_offset: List[Dict[int, int]] = [table for table, _ in alphabets]
+        self.port_alpha_size: List[int] = [size for _, size in alphabets]
         self.int_alpha_size = sum(b.intertwiner_dim for b in self.blocks)
 
         int_base = 0
@@ -175,21 +172,13 @@ class VertexSpace:
     def block_index(self, spins: Sequence[Spin]) -> Optional[int]:
         return self._block_of.get(tuple(spins))
 
-    def port_stride(self, block: VertexBlock, port: int) -> int:
-        stride = block.intertwiner_dim
-        for d in block.port_dims[port + 1 :]:
-            stride *= d
-        return stride
 
-
-def _lex_product(options: Sequence[Sequence[Spin]]) -> Iterable[Tuple[Spin, ...]]:
-    if not options:
-        yield ()
-        return
-    head, *tail = options
-    for s in sorted(head):
-        for rest in _lex_product(tail):
-            yield (s,) + rest
+def _alphabet(spins: Sequence[Spin]) -> Tuple[Dict[int, int], int]:
+    """Offset of each spin's labels in a port's (spin, m) alphabet, and its size."""
+    offsets, size = {}, 0
+    for s in spins:
+        offsets[s.twice], size = size, size + s.dim
+    return offsets, size
 
 
 Slot = Tuple  # ("I", vertex) or ("L", vertex, port_position)
@@ -350,11 +339,7 @@ def singlet_projector(index: HilbertIndex, link_id: str) -> np.ndarray:
     if link is None:
         raise OracleError(f"link {link_id!r} is not an internal link")
     allowed = index.family.allowed[link_id]
-    offsets: Dict[int, int] = {}
-    acc = 0
-    for s in allowed:
-        offsets[s.twice] = acc
-        acc += s.dim
+    offsets, acc = _alphabet(allowed)
     out = np.zeros((acc * acc, acc * acc), dtype=complex)
     for s in allowed:
         d = s.dim
@@ -390,9 +375,9 @@ class RegionGrid:
         width: int = 1,
     ):
         self.rid = _compress_rows(keys_r, dim)
-        bid = _compress_rows(keys_rest, dim)
+        self.bid = _compress_rows(keys_rest, dim)
         self.keep_dim = int(self.rid.max()) + 1 if dim else 0
-        self.rest_dim = int(bid.max()) + 1 if dim else 0
+        self.rest_dim = int(self.bid.max()) + 1 if dim else 0
         entries = self.keep_dim * self.rest_dim * width
         if entries > GRID_LIMIT:
             raise OracleError(
@@ -401,7 +386,7 @@ class RegionGrid:
                 f"{GRID_LIMIT}; raise holoising.oracle.GRID_LIMIT (16 bytes per "
                 f"entry) or tighten the spin lists"
             )
-        self.cell = self.rid * self.rest_dim + bid
+        self.cell = self.rid * self.rest_dim + self.bid
 
     def lay_out(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
         """Scatter `values`, whose `axis` runs over the rows, onto the grid;
@@ -480,9 +465,21 @@ class CMap:
             self._grid_cache[key] = RegionGrid(keys_r, keys_rest, self.out_dim, width)
         return self._grid_cache[key]
 
-    def stacked(self) -> np.ndarray:
-        """The components as A = [sqrt(w_n) C_n], shaped (out_dim, n, in_dim)."""
-        return np.stack([np.sqrt(w) * f for w, f in self.components], axis=1)
+    @functools.cached_property
+    def entries(self) -> Tuple[np.ndarray, ...]:
+        """Nonzero entries of A = [sqrt(w_n) C_n]: (output row, input column, component, value)."""
+        parts = []
+        for n, (w, f) in enumerate(self.components):
+            r, c = np.nonzero(f)
+            parts.append((r, c, np.full(r.size, n), np.sqrt(w) * f[r, c]))
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+    @functools.cached_property
+    def stacked(self) -> sp.csr_array:
+        """A as a sparse (out_dim * n, in_dim) matrix; row r * n + m is row r of C_m."""
+        row, col, comp, value = self.entries
+        n = len(self.components)
+        return sp.csr_array((value, (row * n + comp, col)), shape=(self.out_dim * n, self.in_dim))
 
 
 def _singlet_support(index: HilbertIndex) -> Tuple[np.ndarray, np.ndarray]:
@@ -588,6 +585,13 @@ def build_cmap(
     if fixed is not None:
         cmap = _freeze_vertices(cmap, fixed)
     return cmap
+
+
+def _given_or_built(index, cmap, kind, state=None, fixed=None) -> CMap:
+    """`cmap` if given, else the map of `kind` (default bulk-to-boundary)."""
+    if cmap is not None:
+        return cmap
+    return build_cmap(index, kind or ModelKind.bulk_to_boundary(), state=state, fixed=fixed)
 
 
 def _bulk_eigenstates(
@@ -697,36 +701,58 @@ def resolve_region(index: HilbertIndex, region) -> Tuple[Slot, ...]:
     return tuple(out)
 
 
-def _pattern_matrix(
-    a: np.ndarray, subset: Tuple[int, ...], colsel: Optional[List[np.ndarray]]
-) -> np.ndarray:
-    """A_U: the grid tensor (keep, rest, *inputs) as a matrix whose rows are
-    (region, inputs of U) and whose columns are (rest, other inputs).
-
-    `colsel` keeps, per averaged vertex, the listed input columns only."""
+def _pattern_matrix(cmap: CMap, grid: RegionGrid, colsel, subset: Tuple[int, ...]):
+    """X_U as (rows, columns, shape, values) of its entries.  `colsel` keeps,
+    per averaged vertex, the listed input columns only; an input's index at
+    a vertex becomes its position in that list."""
+    row, col, comp, value = cmap.entries
+    dims = cmap.col_dims
+    digits = list(np.unravel_index(col, dims)) if dims else []
     if colsel is not None:
-        a = a[(slice(None), slice(None)) + np.ix_(*colsel)]
-    row_axes = [0] + [2 + i for i in subset]
-    col_axes = [1] + [2 + i for i in range(a.ndim - 2) if i not in subset]
-    rows = int(np.prod([a.shape[k] for k in row_axes], dtype=np.int64))
-    cols = int(np.prod([a.shape[k] for k in col_axes], dtype=np.int64))
-    return np.transpose(a, row_axes + col_axes).reshape(rows, cols)
+        for i, cols in enumerate(colsel):
+            position = np.full(dims[i], -1)
+            position[cols] = np.arange(len(cols))
+            digits[i] = position[digits[i]]
+        keep = np.all([d >= 0 for d in digits], axis=0)
+        row, comp, value = row[keep], comp[keep], value[keep]
+        digits = [d[keep] for d in digits]
+        dims = tuple(len(cols) for cols in colsel)
+    x_row, x_col = grid.rid[row], grid.bid[row] * len(cmap.components) + comp
+    nrows, ncols = grid.keep_dim, grid.rest_dim * len(cmap.components)
+    for i, (digit, dim) in enumerate(zip(digits, dims)):
+        if i in subset:
+            x_row, nrows = x_row * dim + digit, nrows * dim
+        else:
+            x_col, ncols = x_col * dim + digit, ncols * dim
+    return x_row, x_col, (nrows, ncols), value
 
 
-def _sq_norm(g: np.ndarray) -> float:
-    return float(np.vdot(g, g).real)
+def _csr(x) -> sp.csr_array:
+    row, col, shape, value = x
+    return sp.csr_array((value, (row, col)), shape=shape)
 
 
-def _gram_trace(x1: np.ndarray, x2: np.ndarray) -> float:
-    """Tr(x1 x1^+ x2 x2^+) from the smaller Gram side."""
-    rows = x1.shape[0]
+def _pattern_trace(x1, x2) -> float:
+    """Tr(X1 X1^+ X2 X2^+): grouped squared moduli where X X^+ (one entry
+    per column) or X^+ X (one entry per row) is diagonal, else one sparse
+    Gram, for x2 is x1 the side whose product pairs fewer entries."""
+    (row, col, shape, value), (row2, col2, shape2, value2) = x1, x2
+    w = value.real**2 + value.imag**2
+    counts = [np.unique(keys, return_counts=True)[1] for keys in (col, row)]
     if x2 is x1:
-        if rows <= x1.shape[1]:
-            return _sq_norm(x1 @ x1.conj().T)
-        return _sq_norm(x1.conj().T @ x1)
-    if rows * rows <= x1.shape[1] * x2.shape[1]:
-        return float(np.vdot(x2 @ x2.conj().T, x1 @ x1.conj().T).real)
-    return _sq_norm(x1.conj().T @ x2)
+        for group, lines in zip((row, col), counts):
+            if lines.size == value.size:
+                d = np.bincount(group, w)
+                return float(d @ d)
+        x = _csr(x1)
+        g = x.conj().T @ x if counts[1] @ counts[1] <= counts[0] @ counts[0] else x @ x.conj().T
+    elif counts[0].size == value.size and np.unique(col2).size == value2.size:
+        w2 = value2.real**2 + value2.imag**2
+        d1 = np.bincount(row, w, minlength=shape[0])
+        return float(d1 @ np.bincount(row2, w2, minlength=shape2[0]))
+    else:
+        g = _csr(x1).conj().T @ _csr(x2)
+    return float(np.vdot(g.data, g.data).real)
 
 
 def _component_pattern_sum(
@@ -738,13 +764,11 @@ def _component_pattern_sum(
 ) -> float:
     """Sum over the subsets U of T_U, the first replica restricted to the
     input columns colsel1 and the second to colsel2 (None keeps all)."""
-    width = grid.rest_dim * len(cmap.components)
-    a = grid.lay_out(cmap.stacked()).reshape((grid.keep_dim, width) + cmap.col_dims)
     total = 0.0
     for subset in subsets:
-        x1 = _pattern_matrix(a, subset, colsel1)
-        x2 = x1 if colsel2 is colsel1 else _pattern_matrix(a, subset, colsel2)
-        total += _gram_trace(x1, x2)
+        x1 = _pattern_matrix(cmap, grid, colsel1, subset)
+        x2 = x1 if colsel2 is colsel1 else _pattern_matrix(cmap, grid, colsel2, subset)
+        total += _pattern_trace(x1, x2)
     return total
 
 
@@ -773,10 +797,7 @@ def exact_replica_average(
     swap: () for the denominator, "bulk" for the intertwiner slots, or an
     iterable of boundary link ids / slot tokens.
     """
-    if cmap is None:
-        if kind is None:
-            kind = ModelKind.bulk_to_boundary()
-        cmap = build_cmap(index, kind, state=state, fixed=fixed)
+    cmap = _given_or_built(index, cmap, kind, state, fixed)
     slots = resolve_region(index, region)
     grid = cmap.pair_basis(slots)
     nvert = len(cmap.in_vertices)
@@ -819,38 +840,24 @@ def _fine_pattern_sum(cmap: CMap, grid: RegionGrid, weights, grade: str) -> floa
         raise OracleError("fine averaging requires all vertices to be averaged")
     p = _fine_weights(index, weights)
     sectors = [s for s in index.family_sectors() if p.get(s.key(), 0.0) > 0.0]
-    ranges = {s.key(): index.sector_local_ranges(s) for s in sectors}
-    block_dims = {
-        s.key(): [r.size for r in ranges[s.key()]] for s in sectors
-    }
+    w = [p[s.key()] for s in sectors]
+    ranges = [index.sector_local_ranges(s) for s in sectors]
+    size = [math.prod(r.size for r in rng) for rng in ranges]
     total = 0.0
+    t_id = {}
     # Identity part: every ordered sector pair, no swap anywhere.
-    for sj in sectors:
-        for sk in sectors:
-            nj = int(np.prod(block_dims[sj.key()], dtype=np.int64))
-            nk = int(np.prod(block_dims[sk.key()], dtype=np.int64))
-            t = _component_pattern_sum(
-                cmap, grid, [()], colsel1=ranges[sj.key()], colsel2=ranges[sk.key()]
-            )
-            total += p[sj.key()] * p[sk.key()] * t / (nj * nk)
+    for a, b in itertools.product(range(len(sectors)), repeat=2):
+        t = t_id[a, b] = _component_pattern_sum(cmap, grid, [()], ranges[a], ranges[b])
+        total += w[a] * w[b] * t / (size[a] * size[b])
     # Diagonal correction: the full per-vertex average inside each sector.
     subsets = _all_subsets(len(index.graph.vertices))
-    for sj in sectors:
-        key = sj.key()
-        nj = int(np.prod(block_dims[key], dtype=np.int64))
-        t_all = _component_pattern_sum(
-            cmap, grid, subsets, colsel1=ranges[key], colsel2=ranges[key]
-        )
-        t_id = _component_pattern_sum(
-            cmap, grid, [()], colsel1=ranges[key], colsel2=ranges[key]
-        )
+    for a, rng in enumerate(ranges):
+        t_all = _component_pattern_sum(cmap, grid, subsets, rng, rng)
         if grade == "fine":
-            norm = 1.0
-            for nx in block_dims[key]:
-                norm *= nx * (nx + 1.0)
-            total += p[key] ** 2 * (t_all / norm - t_id / (nj * nj))
+            norm = math.prod(r.size * (r.size + 1.0) for r in rng)
+            total += w[a] ** 2 * (t_all / norm - t_id[a, a] / (size[a] * size[a]))
         else:  # fine-high: both corrections carry the squared sector dimension
-            total += p[key] ** 2 * (t_all - t_id) / (nj * nj)
+            total += w[a] ** 2 * (t_all - t_id[a, a]) / (size[a] * size[a])
     return total
 
 
@@ -865,10 +872,7 @@ def replica_purity(
     cmap: Optional[CMap] = None,
 ) -> float:
     """Averaged replica purity: the region trace over the empty-region trace."""
-    if cmap is None:
-        if kind is None:
-            kind = ModelKind.bulk_to_boundary()
-        cmap = build_cmap(index, kind, state=state, fixed=fixed)
+    cmap = _given_or_built(index, cmap, kind, state, fixed)
     z1 = exact_replica_average(index, region, grade=grade, weights=weights, cmap=cmap)
     z0 = exact_replica_average(index, (), grade=grade, weights=weights, cmap=cmap)
     if z0 <= 0:
@@ -887,8 +891,8 @@ def _unit_gaussians(
     """Normalized standard complex Gaussian vectors, one row per shot.
 
     Each row comes from its own Philox stream keyed by (seed, shot, vertex,
-    block).  One generator is re-keyed by resetting its state, which gives
-    the same stream as a fresh Philox(key=...) without building one.
+    block); re-keying one generator by resetting its state gives the stream
+    of a fresh Philox(key=...).  Norms use `np.linalg.norm`'s two dot calls.
     """
     # A seed, unlike key=..., draws no OS entropy; the key is replaced below.
     bitgen = Philox(0)
@@ -902,9 +906,9 @@ def _unit_gaussians(
         bitgen.state = state
         gen.standard_normal(out=raw[i])
     vecs = (raw[:, :n] + 1j * raw[:, n:]) / np.sqrt(2.0)
-    for v in vecs:
-        v /= np.linalg.norm(v)
-    return vecs
+    re, im = vecs.real, vecs.imag
+    sq = np.array([re[i].dot(re[i]) + im[i].dot(im[i]) for i in range(len(vecs))])
+    return vecs / np.sqrt(sq)[:, None]
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1070,22 +1074,18 @@ def mc_purity(
     batch: int = 256,
 ) -> MCEstimate:
     """Monte Carlo estimate of the averaged purity over random vertex states."""
-    if cmap is None:
-        if kind is None:
-            kind = ModelKind.bulk_to_boundary()
-        cmap = build_cmap(index, kind, state=state)
+    cmap = _given_or_built(index, cmap, kind, state)
     if cmap.in_vertices != index.graph.vertices:
         raise OracleError("Monte Carlo sampling requires all vertices averaged")
     grid = cmap.pair_basis(resolve_region(index, region))
-    # Every component's rows stacked as sqrt(w_n) C_n: one product per batch.
-    stacked = cmap.stacked().reshape(-1, cmap.in_dim)
     width = grid.rest_dim * len(cmap.components)
     z1 = np.empty(shots)
     z0 = np.empty(shots)
     for done in range(0, shots, batch):
         psi = _haar_rows(index, grade, seed, range(done, min(done + batch, shots)), weights)
         n = psi.shape[0]
-        phi = (psi @ stacked.T).reshape(n, cmap.out_dim, len(cmap.components))
+        # Every component's rows stacked as sqrt(w_n) C_n: one sparse product.
+        phi = (cmap.stacked @ psi.T).T.reshape(n, cmap.out_dim, len(cmap.components))
         # Each shot on the grid, components along the rest axis.
         big = grid.lay_out(phi, axis=1).reshape(n, grid.keep_dim, width)
         # Tr(rho_R^2) = ||G||_F^2 for the smaller Gram G of the shot's grid.
@@ -1217,14 +1217,13 @@ def localisation_probe(
         cmap = build_cmap(index, ModelKind.bulk_to_boundary())
     if len(cmap.components) != 1:
         raise OracleError("the localisation probe expects a single-component map")
-    f = cmap.components[0][1]
     rows, d_i = _out_sector_rows(cmap, sector)
     a_vals = np.empty(shots)
     b_vals = np.empty(shots)
     for done in range(0, shots, 256):
         psi = _haar_rows(index, "medium", seed, range(done, min(done + 256, shots)))
         n = psi.shape[0]
-        phi = psi @ f.T
+        phi = (cmap.stacked @ psi.T).T
         block = phi[:, rows].reshape(n, d_i, -1)
         wsec = _row_sq_norms(block)
         gram = block @ block.conj().transpose(0, 2, 1)

@@ -6,9 +6,11 @@ enumerate, for both map kinds, without sharing any code with the engine.
 """
 
 import itertools
+import types
 
 import numpy as np
 import pytest
+import scipy.sparse
 from numpy.random import Generator, Philox
 
 from conftest import random_instance
@@ -886,3 +888,116 @@ class TestFrozenVertices:
         full = cmap.components[0][1] @ np.kron(psi_x, core)
         part = frozen.components[0][1] @ psi_x
         assert np.allclose(full, part, atol=1e-12)
+
+
+# -- sparse averaged maps against dense references --------------------------
+
+
+class TestSparseMaps:
+    def test_frozen_vertex_patterns_match_explicit_operators(self, monkeypatch):
+        """A frozen vertex leaves many entries per input column, so some
+        patterns take the general sparse Gram product."""
+        sparse_matrices = []
+
+        def counted(*args, **kwargs):
+            sparse_matrices.append(kwargs["shape"])
+            return scipy.sparse.csr_array(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "sp", types.SimpleNamespace(csr_array=counted))
+        graph = glued_graph()
+        index = build_hilbert(graph, tiny_glued_family(graph))
+        s1, s2 = index.family_sectors()
+        state = IntertwinerState.from_blocks(
+            graph,
+            [s1, s2],
+            {
+                (s1, s1): np.array([[0.6]]),
+                (s1, s2): np.array([[0.2 - 0.3j]]),
+                (s2, s2): np.array([[0.4]]),
+            },
+        )
+        part = BoundaryPartition.from_input(graph, ["a1", "a2"])
+        rng = np.random.default_rng(31)
+        cases = []
+        for vertex in ("x", "y"):
+            dim = index.space(vertex).dim
+            core = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            fixed = FrozenVertices(vertices=(vertex,), amplitudes=core)
+            bulk = build_cmap(index, ModelKind.bulk_to_boundary(), fixed=fixed)
+            cases.append((bulk, [(), "bulk", ["a1"], ["b1"], ["a2", "b1"]]))
+            b2b = build_cmap(index, ModelKind.boundary_to_boundary(part), state=state, fixed=fixed)
+            assert len(b2b.components) == 2
+            cases.append((b2b, [(), ["a1", "a2"], ["b1"]]))
+        for cmap, regions in cases:
+            assert len(cmap.in_vertices) == 1
+            for region in regions:
+                slots = resolve_region(index, region)
+                grid = cmap.pair_basis(slots)
+                subsets = _all_subsets(1)
+                want = brute_patterns(cmap, slots, subsets)
+                for subset, expect in zip(subsets, want):
+                    got = _component_pattern_sum(cmap, grid, [subset])
+                    assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
+        assert sparse_matrices
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_mc_purity_matches_dense_products(self, mixed):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        s1, s2 = index.family_sectors()
+        if mixed:
+            state = IntertwinerState.from_blocks(
+                graph,
+                [s1, s2],
+                {
+                    (s1, s1): np.array([[0.55]]),
+                    (s1, s2): np.array([[0.1 + 0.2j]]),
+                    (s2, s2): np.array([[0.45]]),
+                },
+            )
+            part = BoundaryPartition.from_input(graph, ["a1", "a2"])
+            cmap = build_cmap(index, ModelKind.boundary_to_boundary(part), state=state)
+            region = ["a1", "a2"]
+            assert len(cmap.components) == 2
+        else:
+            cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+            region = ["a1", "b1"]
+        shots, seed = 300, 17
+        est = mc_purity(index, region, cmap=cmap, shots=shots, seed=seed, batch=128)
+
+        # Reference: the dense stacked map, each shot laid out on the grid.
+        grid = cmap.pair_basis(resolve_region(index, region))
+        ncomp = len(cmap.components)
+        stacked = np.stack([np.sqrt(w) * f for w, f in cmap.components], axis=1)
+        psi = _haar_rows(index, "medium", seed, range(shots))
+        phi = (psi @ stacked.reshape(-1, cmap.in_dim).T).reshape(shots, cmap.out_dim, ncomp)
+        big = np.zeros((shots, grid.keep_dim * grid.rest_dim, ncomp), dtype=complex)
+        big[:, grid.cell] = phi
+        big = big.reshape(shots, grid.keep_dim, grid.rest_dim * ncomp)
+        rho = big @ big.conj().transpose(0, 2, 1)
+        z1 = np.sum(np.abs(rho) ** 2, axis=(1, 2))
+        z0 = np.sum(np.abs(phi) ** 2, axis=(1, 2)) ** 2
+        m1, m0 = z1.mean(), z0.mean()
+        ratio = m1 / m0
+        cov = np.mean((z1 - m1) * (z0 - m0))
+        var = (z1.var() - 2 * ratio * cov + ratio**2 * z0.var()) / (shots * m0**2)
+        assert est.mean_numerator == pytest.approx(m1, rel=1e-13)
+        assert est.mean_denominator == pytest.approx(m0, rel=1e-13)
+        assert est.value == pytest.approx(ratio, rel=1e-13)
+        assert 0.0 < ratio < 1.0
+        assert est.sigma == pytest.approx(np.sqrt(var), rel=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 3, 4, 37, 576])
+    @pytest.mark.parametrize("batch", [1, 17, 256])
+    def test_unit_gaussians_match_fresh_philox_and_norm(self, n, batch):
+        seed, vertex, block = 23, 1, 2
+        start = 5 * batch
+        rows = oracle._unit_gaussians(seed, range(start, start + batch), vertex, block, n)
+        assert rows.shape == (batch, n)
+        for s, row in enumerate(rows):
+            shot = start + s
+            key = np.array([seed, (shot << 20) ^ (vertex << 10) ^ block], dtype=np.uint64)
+            raw = Generator(Philox(key=key)).standard_normal(2 * n)
+            v = (raw[:n] + 1j * raw[n:]) / np.sqrt(2.0)
+            v /= np.linalg.norm(v)
+            assert np.array_equal(row, v)
