@@ -585,26 +585,26 @@ def window_groups(
     A boundary sector is admissible when at least one bulk completion inside
     the family's box has nonzero intertwiner spaces and superposition
     weight.  Keys are D_O values; each value tuple lists the boundary spin
-    assignments, in enumeration order.  Intertwiner dimensions and boundary
-    keys come from one `SectorSet` of the family, and each internal link's
-    weights are looked up once per distinct spin.
+    assignments, in enumeration order.
     """
-    sectors = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
-    dims = np.array(sectors.vertex_dims, dtype=np.int64).reshape(len(sectors), -1)
-    admissible = (dims > 0).all(axis=1)
-    for i, lid in enumerate(graph.internal_ids()):
-        column = sectors.twice[:, i].tolist()
-        unweighted = {t for t in set(column) if not abs(family.g(lid, Spin(t))) > 0.0}
-        if unweighted:
-            admissible &= [t not in unweighted for t in column]
     seen = set()
     groups: Dict[int, List[Dict[str, Spin]]] = {}
-    for code in sectors.key[admissible].tolist():
-        if code in seen:
+    for sec in enumerate_sectors(family, graph):
+        key = sec.boundary_part()
+        if key in seen:
             continue
-        seen.add(code)
-        entry = {lid: Spin(t) for lid, t in zip(graph.boundary_ids(), sectors.keys[code])}
-        groups.setdefault(sectors.d_output(code), []).append(entry)
+        admissible = all(
+            intertwiner_dim(sec.vertex_spins(x)) > 0 for x in graph.vertices
+        ) and all(
+            abs(family.g(lid, sec.spin(lid))) > 0.0 for lid in graph.internal_ids()
+        )
+        if not admissible:
+            continue
+        seen.add(key)
+        d_out = 1
+        for lid, t in key:
+            d_out *= Spin(t).dim
+        groups.setdefault(d_out, []).append({lid: Spin(t) for lid, t in key})
     return {d: tuple(entries) for d, entries in groups.items()}
 
 

@@ -733,23 +733,20 @@ def _csr(x) -> sp.csr_array:
 
 
 def _pattern_trace(x1, x2) -> float:
-    """Tr(X1 X1^+ X2 X2^+): grouped squared moduli where X X^+ (one entry
-    per column) or X^+ X (one entry per row) is diagonal, else one sparse
-    Gram, for x2 is x1 the side whose product pairs fewer entries."""
-    (row, col, shape, value), (row2, col2, shape2, value2) = x1, x2
-    w = value.real**2 + value.imag**2
-    counts = [np.unique(keys, return_counts=True)[1] for keys in (col, row)]
+    """Tr(X1 X1^+ X2 X2^+).  For x2 is x1: grouped squared moduli where
+    X X^+ (one entry per column) or X^+ X (one entry per row) is diagonal,
+    else one sparse Gram on the side whose product pairs fewer entries.
+    Otherwise ||X1^+ X2||_F^2 from one sparse product."""
     if x2 is x1:
+        row, col, _, value = x1
+        w = value.real**2 + value.imag**2
+        counts = [np.unique(keys, return_counts=True)[1] for keys in (col, row)]
         for group, lines in zip((row, col), counts):
             if lines.size == value.size:
                 d = np.bincount(group, w)
                 return float(d @ d)
         x = _csr(x1)
         g = x.conj().T @ x if counts[1] @ counts[1] <= counts[0] @ counts[0] else x @ x.conj().T
-    elif counts[0].size == value.size and np.unique(col2).size == value2.size:
-        w2 = value2.real**2 + value2.imag**2
-        d1 = np.bincount(row, w, minlength=shape[0])
-        return float(d1 @ np.bincount(row2, w2, minlength=shape2[0]))
     else:
         g = _csr(x1).conj().T @ _csr(x2)
     return float(np.vdot(g.data, g.data).real)
