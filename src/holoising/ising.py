@@ -33,15 +33,27 @@ an enumeration of all 2^V configurations:
   the model accumulates one energy matrix per replica (sectors x
   configurations), link by link and vertex by vertex in the order
   `_evaluate` uses; the kept energies are therefore bit-identical to
-  scoring configurations one at a time.  Which configurations a pair allows
-  depends only on the set of links where j and k differ, so the S^2 ordered
-  pairs are grouped by that set (an S x S x L boolean array) and each group
-  reduces its rows of the matrix once: log-sum-exp for the kernel, then
-  minimum, ties, gap and representative.  Memory: the masks built once per
-  model (a cut mask, links x configurations, shared by both replicas, and
-  one active mask, vertices x configurations, per replica: 2^V (L + 2V)
-  bytes of booleans) plus, per call, S x 2^V float64 per replica and one
-  more for the shared link part.  A single kernel is the two-sector case.
+  scoring configurations one at a time.  Which configurations a pair
+  allows depends only on the links where j and k differ and on the
+  vertices where j has no intertwiners (an active one gives an infinite
+  energy, so it is excluded like a Delta violation).  Pairs with the same
+  such key share one column list of allowed configurations, and a row is
+  a (key, j) pair.  Rows are grouped by how many configurations they
+  allow, and each (count, replica) class is reduced by one call, as a
+  dense block with each row's entries in ascending configuration order:
+  log-sum-exp for the kernel, then minimum, ties, gap and representative.
+  Grouping by count keeps each row's sum over its own entries, so the bits
+  are those of reducing the row alone; a row padded with zeros to a common
+  width would be summed in other pairwise slots.  Memory: the masks built
+  once per model (a cut mask, links x configurations, shared by both
+  replicas, and one active mask, vertices x configurations, per replica:
+  2^V (L + 2V) bytes of booleans); per call, S x 2^V float64 per replica
+  and one more for the shared link part, one boolean mask of 2^V per
+  column list, and the column lists of one class (8 bytes per entry).  A
+  class is reduced in slices of at most S x max(S, 2^V) entries, the size
+  of one energy matrix or of one replica's kernel array, so no block is
+  larger than what the call holds anyway.  A single kernel is the
+  two-sector case.
 * boundary-to-boundary kernels are scored configuration by configuration,
   once per pair for both replicas, because their Delta depends on partial
   traces over the whole spin-down set.  The traced blocks, their norms and
@@ -417,7 +429,7 @@ class PartitionSumTable:
         self.labels = tuple(label for label, _ in self.k_factors)
         self.k = np.array([value for _, value in self.k_factors], dtype=float)
         count = len(self.labels)
-        kernels = _PairKernels.empty(count)
+        kernels = _PairKernels.empty((count, count, 2))
         self.z, self.e_min, self.degeneracy, self.gap = (
             kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap
         )
@@ -571,9 +583,10 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     The steps are those of `scipy.special.logsumexp` on one row, so the bits
     are too: the maxima are counted (m) and taken out of the sum, the other
     terms are shifted by the maximum and summed, and the result is
-    log1p(s / m) + log(m) + max.  Each row is summed as its own 1-D array,
-    because numpy's pairwise summation of a 2-D array along an axis can
-    round differently.
+    log1p(s / m) + log(m) + max.  The shifted terms are a fresh C-contiguous
+    array, and numpy sums each row of it along axis 1 with the same pairwise
+    summation as that row alone as a 1-D array, so the bits are scipy's
+    whatever the layout of `a`.
     """
     a_max = a.max(axis=1, keepdims=True)
     top = a == a_max
@@ -581,7 +594,7 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     shifted = a - a_max
     np.exp(shifted, out=shifted)
     shifted[top] = 0.0
-    s = np.array([row.sum() for row in shifted])[:, None]
+    s = shifted.sum(axis=1, keepdims=True)
     s = np.where(s == 0, s, s / m)
     return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
@@ -706,8 +719,7 @@ class _PairKernels:
     rep: np.ndarray
 
     @staticmethod
-    def empty(count: int) -> "_PairKernels":
-        shape = (count, count, 2)
+    def empty(shape) -> "_PairKernels":
         return _PairKernels(np.zeros(shape), *_infeasible(shape))
 
     def put(self, index, values) -> None:
@@ -1161,81 +1173,100 @@ class IsingModel:
         holds every pair's energies.  It accumulates in `_evaluate`'s order
         (cut links, then active vertices), and `np.add(..., where=)` leaves
         unaffected entries alone, so every kept energy has the bits of the
-        per-configuration path.  Which configurations are allowed depends
-        only on the set of links where j and k differ (a vertex's spin tuple
-        differs exactly when one of its links does), so the pairs are
-        grouped by that set and each group reduces its rows of the matrix
-        once.
+        per-configuration path.
+
+        A pair allows the configurations that cut no link where j and k
+        differ and leave inactive every vertex at such a link (a vertex's
+        spin tuple differs exactly when one of its links does) and every
+        vertex where j has no intertwiners (its energy would be infinite,
+        which carries no weight).  Pairs are grouped by that key of links
+        and vertices with one `np.unique`; each key has one column list of
+        allowed configurations, and its masks are built for all keys at
+        once, one numpy call per link and per vertex that some key holds.
+        A row is a (key, j) pair; it shares its key's column list.
+
+        Rows are then grouped by how many configurations they allow, and
+        each (count, replica) class is one dense block, each row's entries
+        in ascending column order, reduced by one `_reduce_rows` call.
+        Each row is thus summed over its own entries in its own order, with
+        the bits of summing it alone.  Padding rows with zeros to a common
+        width would not be: numpy's pairwise summation puts entries in
+        other slots once a row is 8 or more long.  A class is reduced in
+        slices of at most S x max(S, 2^V) entries, the larger of one energy
+        matrix and one replica's kernel array, so that no block outgrows
+        what the call holds anyway.
         """
         sectors = sectors if isinstance(sectors, SectorSet) else self.sector_set(sectors)
         cut, actives, incidence = self._bulk_masks()
-        links = self.graph.link_ids()
-        count = len(sectors)
+        count, size = len(sectors), cut.shape[1]
         twice = sectors.twice
-        link_part = np.zeros((count, cut.shape[1]))
+        link_part = np.zeros((count, size))
         for li, column in enumerate(twice.T.tolist()):
             lam = np.array([math.log(t + 1) for t in column])
             np.add(link_part, lam[:, None], out=link_part, where=cut[li])
-        vertex_lam = _log_table(sectors.vertex_dims, math.inf).reshape(
-            count, len(self.graph.vertices)
-        )
+        vertex_lam = _log_table(sectors.vertex_dims, math.inf).reshape(count, len(incidence))
         # Replica 1 takes over the link part's memory.
         energies = (link_part.copy(), link_part)
         for energy, active in zip(energies, actives):
             for p in range(vertex_lam.shape[1]):
                 np.add(energy, vertex_lam[:, p, None], out=energy, where=active[p])
 
-        kernels = _PairKernels.empty(count)
-        differs = (twice[:, None] != twice[None, :]).reshape(count * count, len(links))
-        sets, group = np.unique(differs, axis=0, return_inverse=True)
-        group = group.reshape(-1)
-        by_set = np.argsort(group, kind="stable")
-        starts = np.searchsorted(group[by_set], np.arange(len(sets) + 1))
-        for g, differ in enumerate(sets):
-            j_index, k_index = np.divmod(by_set[starts[g] : starts[g + 1]], count)
-            rows, row_of_pair = np.unique(j_index, return_inverse=True)
-            broken = cut[differ].any(axis=0)
-            flipped = incidence[:, differ].any(axis=1)
-            for replica, active in enumerate(actives):
-                cols = np.flatnonzero(~(broken | active[flipped].any(axis=0)))
-                values = self._bulk_rows(energies[replica][np.ix_(rows, cols)], cols)
-                kernels.put(
-                    (j_index, k_index, replica), [x[row_of_pair] for x in values]
-                )
+        pair_j, pair_k = np.divmod(np.arange(count * count), count)
+        nl = twice.shape[1]
+        # A pair's list key: the links where j and k differ, then the
+        # vertices where j has no intertwiners.
+        differs = (twice[:, None] != twice[None, :]).reshape(count * count, nl)
+        keys = np.concatenate([differs, np.isinf(vertex_lam)[pair_j]], axis=1)
+        lists, group = np.unique(keys, axis=0, return_inverse=True)
+        rows, row_of_pair = np.unique(group.reshape(-1) * count + pair_j, return_inverse=True)
+        row_list, row_j = np.divmod(rows, count)
+        # Vertices that must stay inactive: at a differing link, or empty.
+        idle = (lists[:, :nl] @ incidence.T) | lists[:, nl:]
+        broken = np.zeros((len(lists), size), dtype=bool)
+        for li in np.flatnonzero(lists[:, :nl].any(axis=0)):
+            np.logical_or(broken, cut[li], out=broken, where=lists[:, li, None])
+        kernels = _PairKernels.empty((count, count, 2))
+        for replica, (energy, active) in enumerate(zip(energies, actives)):
+            allowed = broken.copy()
+            for p in np.flatnonzero(idle.any(axis=0)):
+                np.logical_or(allowed, active[p], out=allowed, where=idle[:, p, None])
+            np.logical_not(allowed, out=allowed)
+            found = _PairKernels.empty(len(rows))
+            list_count = np.count_nonzero(allowed, axis=1)
+            for k in sorted(set(list_count.tolist())):
+                # The class's column lists, its rows, and the list of each row.
+                chosen = np.flatnonzero(list_count == k)
+                cols = np.flatnonzero(allowed[chosen]).reshape(len(chosen), k)
+                cols -= size * np.arange(len(chosen))[:, None]
+                members = np.flatnonzero(list_count[row_list] == k)
+                which = np.searchsorted(chosen, row_list[members])
+                step = count * max(count, size) // max(k, 1)
+                for start in range(0, len(members), step):
+                    part, of_row = members[start : start + step], which[start : start + step]
+                    block = energy[row_j[part, None], cols[of_row]]
+                    found.put(part, self._reduce_rows(block, cols, of_row))
+                    del block  # freed before the next slice is gathered
+            kernels.put((pair_j, pair_k, replica), found.at(row_of_pair))
         return kernels
 
-    def _bulk_rows(self, energy: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, ...]:
+    def _reduce_rows(
+        self, energy: np.ndarray, cols: np.ndarray, of_row: np.ndarray
+    ) -> Tuple[np.ndarray, ...]:
         """(z, E_min, degeneracy, gap, representative) of each row of
-        `energy`, the energies of the allowed configurations `cols`.  An
-        infinite energy (an empty intertwiner space on an active vertex)
-        carries no weight, so a block that has one is reduced row by row on
-        each row's finite entries alone."""
-        finite = np.isfinite(energy)
-        if not finite.all():
-            each = [
-                self._bulk_rows(energy[i, finite[i]][None, :], cols[finite[i]])
-                for i in range(len(energy))
-            ]
-            return tuple(np.concatenate(x) for x in zip(*each))
-        z = np.zeros(len(energy))
-        if energy.size:
-            z[:] = [math.exp(v) for v in _logsumexp_rows(0.0 - energy)]
-        return (z, *self._ground_rows(energy, cols))
-
-    def _ground_rows(self, energy: np.ndarray, cols: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """(E_min, degeneracy, gap, representative) of each row of `energy`,
-        the finite energies of the allowed configurations `cols` (ascending
-        indices into `_configurations`)."""
+        `energy` (rows x k, finite).  Row i holds the energies of the
+        configurations `cols[of_row[i]]`, ascending indices into
+        `_configurations`; z is the sum of e^-E over the row."""
         if energy.shape[1] == 0:
-            return _infeasible(len(energy))
+            return (np.zeros(len(energy)), *_infeasible(len(energy)))
+        z = np.array([math.exp(v) for v in _logsumexp_rows(0.0 - energy).tolist()])
         e_min = energy.min(axis=1)
         tied = energy - e_min[:, None] <= TIE_TOL
         degeneracy = np.count_nonzero(tied, axis=1)
         gap = np.where(tied, math.inf, energy).min(axis=1) - e_min
-        rep = cols[tied.argmax(axis=1)]
+        rep = cols[of_row, tied.argmax(axis=1)]
         for i in np.flatnonzero(degeneracy > 1):
-            rep[i] = self._first_by_down_set(cols[tied[i]])
-        return e_min, degeneracy, gap, rep
+            rep[i] = self._first_by_down_set(cols[of_row[i], tied[i]])
+        return z, e_min, degeneracy, gap, rep
 
     def _bulk_kernel(
         self, j: SpinSector, k: SpinSector, replica: int
@@ -1272,9 +1303,7 @@ class IsingModel:
                 rows.append(index)
         out = []
         for pos, neg, energies, rows in found:
-            ground = self._ground_rows(
-                np.array(energies, dtype=float)[None, :], np.array(rows, dtype=np.int64)
-            )
+            ground = self._reduce_rows(np.array([energies]), np.array([rows]), np.zeros(1, int))[1:]
             out.append((_signed_sum(pos, neg)[0], *(x[0] for x in ground)))
         return out
 
@@ -1283,7 +1312,7 @@ class IsingModel:
         both replicas."""
         if not self.kind.is_boundary_to_boundary:
             return self._bulk_kernels(sectors)
-        kernels = _PairKernels.empty(len(sectors))
+        kernels = _PairKernels.empty((len(sectors), len(sectors), 2))
         for a, j in enumerate(sectors.sectors):
             for b, k in enumerate(sectors.sectors):
                 for replica, values in enumerate(self._enumerated_kernels(j, k)):
@@ -1402,10 +1431,12 @@ class IsingModel:
         `default_sectors`); sectors of zero weight K are dropped.  Totals
         include every sector pair (also pairs with different boundary
         spins); the boundary rows are the boundary-diagonal restrictions.
-        All pair kernels come from one `_pair_kernels` call: for the
-        bulk-to-boundary kind, one energy matrix per replica reduced once per
-        set of differing links; for the boundary-to-boundary kind, one
-        enumeration per pair.
+        All pair kernels come from one `_pair_kernels` call.  For the
+        bulk-to-boundary kind that is one energy matrix per replica, whose
+        rows are grouped by how many configurations they allow and reduced
+        once per (count, replica) class, so that each row keeps the bits of
+        summing it alone (see `_bulk_kernels`).  For the
+        boundary-to-boundary kind it is one enumeration per pair.
         """
         if not isinstance(sectors, SectorSet):
             sectors = self.sector_set(sectors)

@@ -1095,13 +1095,13 @@ def mc_purity(
     m1 = float(np.mean(z1))
     m0 = float(np.mean(z0))
     ratio = m1 / m0
-    v11 = float(np.var(z1))
-    v00 = float(np.var(z0))
-    v10 = float(np.mean((z1 - m1) * (z0 - m0)))
-    var = (v11 - 2.0 * ratio * v10 + ratio * ratio * v00) / (shots * m0 * m0)
+    # Delta method: the variance of z1 - ratio z0, taken directly.  Expanding
+    # it into var(z1), cov(z1, z0) and var(z0) cancels catastrophically
+    # where every shot has the same ratio.
+    var = float(np.var(z1 - ratio * z0)) / (shots * m0 * m0)
     return MCEstimate(
         value=ratio,
-        sigma=float(np.sqrt(max(var, 0.0))),
+        sigma=float(np.sqrt(var)),
         mean_numerator=m1,
         mean_denominator=m0,
         shots=shots,

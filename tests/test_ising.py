@@ -744,6 +744,19 @@ class TestLogSumExp:
             seen["underflow"] += (~top).any() and not np.exp(a[~top] - a.max()).any()
         assert all(seen.values()), seen
 
+    def test_long_rows_and_strided_blocks(self):
+        """Rows whose lengths straddle numpy's 8-wide unrolled sums, its
+        128-entry pairwise blocks and 1024, reduced as C-contiguous blocks
+        and as row- and column-sliced views of a larger array."""
+        rng = np.random.default_rng(1024)
+        for n in (7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025):
+            wide = rng.normal(size=(7, n + 2)) * rng.choice([1.0, 40.0, 2000.0], size=(7, 1))
+            wide[3, 1 : n + 1 : 3] = wide[3, 1 : n + 1].max()
+            for block in (np.ascontiguousarray(wide[:, 1 : n + 1]), wide[::2, 1 : n + 1]):
+                assert [float(v).hex() for v in _logsumexp_rows(block)] == [
+                    float(logsumexp(row)).hex() for row in block
+                ], n
+
 
 def six_vertex_chain_model():
     """The spin-0-island chain of `TestCompiledKernel.test_six_vertex_chain`."""
@@ -762,6 +775,27 @@ def near_tie_chain_model():
     allowed.update({lid: ["1/2"] for lid in ("e2", "t2", "u0", "u2")})
     allowed.update({"e1": ["1", "2"], "r": ["1/2", "3/2"], "u1": ["3/2"]})
     family = SectorFamily.build(graph, "1/2", "2", allowed=allowed, normalize=False)
+    return IsingModel(graph, family, ModelKind.bulk_to_boundary())
+
+
+def allowed_count(model, j, k, replica):
+    """How many configurations of (j, k) in `replica` have Delta != 0 and a
+    finite energy, from `_evaluate` alone."""
+    found = (model._evaluate(j, k, cfg, replica) for cfg in model._configurations())
+    return sum(d != 0.0 and e is not None and not math.isinf(e) for d, e in found)
+
+
+def count_class_chain_model(extra=None):
+    """A 4-valent chain of five vertices with e2 over {1, 2} and t3 over
+    {1/2, 3/2}: the difference sets {}, {e2}, {t3} and {e2, t3} allow 32,
+    16, 8, 4 or no configurations.  The other spins vary from link to link,
+    so that kernel sums are sensitive to their order.  `extra` adds
+    allowed spins."""
+    graph = chain_graph(5, legs=2)
+    spins = "l=3/2 e1=5/2 e3=3/2 e4=1 r=2 t0=1/2 t1=1/2 t2=5/2 t4=5/2 u0=3/2 u1=1 u2=2 u3=1 u4=1/2"
+    allowed = {lid: [spin] for lid, spin in (item.split("=") for item in spins.split())}
+    allowed.update({"e2": ["1", "2"], "t3": ["1/2", "3/2"]}, **(extra or {}))
+    family = SectorFamily.build(graph, "1/2", "8", allowed=allowed, normalize=False)
     return IsingModel(graph, family, ModelKind.bulk_to_boundary())
 
 
@@ -840,6 +874,59 @@ class TestBatchedKernels:
         table = IsingModel(graph, family, ModelKind.bulk_to_boundary()).partition_table()
         assert table.rows == () and table.k_factors == () and table.boundary_rows == ()
         assert table.totals == (0.0, 0.0)
+
+    def test_count_classes(self):
+        """Rows of different difference sets share count classes, and
+        several classes hold rows of 8 or more entries.  There, summing a
+        row padded with zeros to the full 2^V width, or summing its entries
+        in sequence, would change the kernel's bits."""
+        model = count_class_chain_model()
+        sectors = model.default_sectors()
+        counts = {
+            allowed_count(model, j, k, replica)
+            for j, k in itertools.product(sectors, repeat=2)
+            for replica in (0, 1)
+        }
+        assert counts == {0, 4, 8, 16, 32}
+        assert self.assert_matches(model, sectors) == 4
+
+    def test_infeasible_rows_beside_feasible_ones(self):
+        """In replica 1 the set {t3} allows nothing: t3 stays uncut only
+        with v3 up, and its flip needs v3 inactive, that is down.  Those
+        rows reduce to no configuration while other rows of the same
+        replica, the diagonal ones among them, do not.  Spin 8 on u4 leaves
+        v4 without intertwiners, so that sector's rows also drop every
+        configuration with v4 active, and its list differs from its set's
+        other rows."""
+        model = count_class_chain_model({"u4": ["1/2", "8"]})
+        sectors = model.default_sectors()
+        v4 = model.graph.vertices.index("v4")
+        empty = [a for a, sec in enumerate(sectors) if intertwiner_dim(sec.vertex_spins("v4")) == 0]
+        assert 0 < len(empty) < len(sectors)
+        assert self.assert_matches(model, sectors) == 8
+        kernels = model._bulk_kernels(sectors)
+        infeasible = [
+            (a, b)
+            for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2)
+            if {j.spin("t3"), k.spin("t3")} == {Spin.parse("1/2"), Spin.parse("3/2")}
+        ]
+        assert infeasible
+        for a, b in infeasible:
+            assert kernels.at((a, b, 1)) == (0.0, math.inf, 0, math.inf, -1)
+            assert kernels.z[a, b, 0] > 0.0
+        assert (kernels.degeneracy[:, :, 1] > 0).any()
+        # Diagonal pairs share the empty set of differing links; a sector
+        # without intertwiners at v4 allows only the half with v4 inactive.
+        full = [a for a in range(len(sectors)) if a not in empty]
+        for replica in (0, 1):
+            assert allowed_count(model, sectors[empty[0]], sectors[empty[0]], replica) == 16
+            assert allowed_count(model, sectors[full[0]], sectors[full[0]], replica) == 32
+        assert kernels.rep[empty[0], empty[0], 0] >> (4 - v4) & 1 == 0
+
+    def test_empty_sector_list_kernels(self):
+        kernels = six_vertex_chain_model()._bulk_kernels([])
+        for field in (kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap, kernels.rep):
+            assert field.shape == (0, 0, 2)
 
     def test_single_kernel_is_the_two_sector_case(self):
         model = six_vertex_chain_model()

@@ -712,6 +712,26 @@ class TestMonteCarlo:
         assert a.value == b.value
         assert a.sigma == b.sigma
 
+    def test_sigma_where_every_shot_is_pure(self):
+        """Spin-0 legs leave a one-dimensional space: every shot has purity
+        exactly 1 and sigma is exactly 0.  On the glued family an empty
+        region also has purity 1 in every shot, up to the roundoff between
+        the Gram and the norm; sigma stays at that roundoff.  Expanding the
+        variance of z1 - ratio z0 into three moments read up to 4e-10
+        here."""
+        graph = four_leg_graph()
+        index = build_hilbert(graph, SectorFamily.build(graph, "0", "0"))
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        est = mc_purity(index, "bulk", cmap=cmap, shots=256, seed=0)
+        assert est.value == 1.0 and est.sigma == 0.0
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        for shots, seed in ((256, 0), (3000, 1), (3000, 2)):
+            est = mc_purity(index, None, cmap=cmap, shots=shots, seed=seed)
+            assert abs(est.value - 1.0) < 1e-15
+            assert est.sigma < 1e-15
+
 
 class TestReductions:
     def test_trace_and_purity_bounds(self):
