@@ -2,11 +2,13 @@
 
 Scenario ``c1``: a two-vertex bridge whose rightmost boundary link carries a
 superposition of two spins (3s-1 and 3s) while every other leg scales with s.
-The per-configuration coupling table is verified cell by cell against the
-engine, the six partition sums are assembled term by term, and the averaged
+Each allowed configuration's coupling combination is read from the engine
+(its cut links by dimension, plus the state functionals its Hamiltonian
+carries at one probe state) and checked against the engine at the start
+state, the six partition sums are assembled term by term, and the averaged
 purity is minimized over the positive-semidefinite bulk-block parameters
 (a, b, d, u, v, w) by a coarse grid over the parameter simplex followed by
-coordinate-descent refinement.
+coordinate-descent refinement, both through one array evaluator.
 
 Scenario ``c2``: a census of boundary sectors on a single vertex.  The
 dimension-only partition sums Z0 = sum(D^2 + D) and Z1 = sum D_I D_O (D_I +
@@ -63,13 +65,14 @@ def _config_label(config: Tuple[int, int]) -> str:
 
 # -- bridge scenario (c1) -------------------------------------------------
 #
-# Coupling combinations are stored as integer tuples
+# Coupling combinations are integer tuples
 # (n_L2, n_L6p, n_L6m, has_S2, has_Sigma) over the basis
 #   L2 = log(2s+1),  L6p = log(6s+1),  L6m = log(6s-1),
 #   S2 = second Renyi entropy of the normalized 2x2 low-sector block,
-#   Sigma = -log[(|u|^2+|v|^2) / (w (a+d))] on spin-down cross columns
-# (Sigma vanishes on spin-up cross columns, so a combination may carry the
-# Sigma token and still evaluate without it there).
+#   Sigma = -log[(|u|^2+|v|^2) / (w (a+d))] of the cross column.
+# The engine gives each allowed cell its combination: the counts are its cut
+# links by dimension, the flags the state functionals its Hamiltonian adds
+# to the cut energy.
 
 
 def _combo_label(combo: Tuple[int, int, int, int, int]) -> str:
@@ -87,19 +90,11 @@ def _combo_label(combo: Tuple[int, int, int, int, int]) -> str:
     return "+".join(parts) if parts else "0"
 
 
-def _sigma_free(
-    combo: Tuple[int, int, int, int, int], config: Tuple[int, int]
-) -> Tuple[int, int, int, int, int]:
-    """`combo` with its Sigma flag cleared where Sigma vanishes (R spin-up)."""
-    return combo[:4] + (0,) if config[1] > 0 else combo
-
-
 def _combo_value(
     combo: Tuple[int, int, int, int, int],
     couplings: Mapping[str, float],
     s2: float,
     sigma: float,
-    config: Tuple[int, int],
 ) -> float:
     n2, n6p, n6m, cs, cq = combo
     value = (
@@ -107,41 +102,10 @@ def _combo_value(
     )
     if cs:
         value += s2
-    if cq and config[1] < 0:
+    if cq:
         value += sigma
     return value
 
-
-# Reference table for the rightmost input region: one combination per allowed
-# (sector pair, replica, configuration) cell.  Three cells additionally carry
-# an `alt` combination: an internally inconsistent variant (one boundary-link
-# coupling dropped, or a sector coupling flipped) kept so reports can show
-# both; the engine value decides which one is consistent.
-_BRIDGE_TABLE: Dict[
-    Tuple[Tuple[str, str], int, Tuple[int, int]],
-    Tuple[Tuple[int, int, int, int, int], Optional[Tuple[int, int, int, int, int]]],
-] = {
-    (("low", "low"), 0, (1, 1)): ((0, 0, 0, 0, 0), None),
-    (("low", "low"), 0, (1, -1)): ((3, 0, 1, 1, 0), None),
-    (("low", "low"), 0, (-1, 1)): ((3, 1, 0, 0, 0), (3, 0, 1, 0, 0)),
-    (("low", "low"), 0, (-1, -1)): ((4, 1, 1, 1, 0), None),
-    (("low", "low"), 1, (1, 1)): ((0, 0, 1, 0, 0), None),
-    (("low", "low"), 1, (1, -1)): ((3, 0, 0, 1, 0), None),
-    (("low", "low"), 1, (-1, 1)): ((3, 1, 1, 0, 0), None),
-    (("low", "low"), 1, (-1, -1)): ((4, 1, 0, 1, 0), None),
-    (("high", "high"), 0, (1, 1)): ((0, 0, 0, 0, 0), None),
-    (("high", "high"), 0, (1, -1)): ((3, 1, 0, 0, 0), None),
-    (("high", "high"), 0, (-1, 1)): ((3, 1, 0, 0, 0), None),
-    (("high", "high"), 0, (-1, -1)): ((4, 2, 0, 0, 0), None),
-    (("high", "high"), 1, (1, 1)): ((0, 1, 0, 0, 0), None),
-    (("high", "high"), 1, (1, -1)): ((3, 0, 0, 0, 0), None),
-    (("high", "high"), 1, (-1, 1)): ((3, 2, 0, 0, 0), None),
-    (("high", "high"), 1, (-1, -1)): ((4, 1, 0, 0, 0), None),
-    (("low", "high"), 0, (1, 1)): ((0, 0, 0, 0, 0), None),
-    (("low", "high"), 0, (-1, 1)): ((3, 1, 0, 0, 1), (2, 1, 0, 0, 1)),
-    (("low", "high"), 1, (1, -1)): ((3, 0, 0, 0, 1), None),
-    (("low", "high"), 1, (-1, -1)): ((4, 1, 0, 0, 1), (3, 1, 0, 0, 1)),
-}
 
 _DEFAULT_START = {
     "a": 0.3,
@@ -278,91 +242,71 @@ def _params_from_x(x: Sequence[float]) -> Dict[str, complex]:
     }
 
 
-def _x_functionals(x: Sequence[float]) -> Tuple[float, float, float, float]:
-    """(w_low, w_high, t, q) of a simplex point; t = e^{-S2}, q = e^{-Sigma}."""
-    a, d, t_hat, q_hat = (float(c) for c in x)
+def _x_functionals(x) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(w_low, w_high, t, q) of simplex points, t = e^{-S2} and q = e^{-Sigma}.
+
+    `x` holds one point (a, d, t_hat, q_hat) or an (n, 4) array of them; the
+    low-sector functionals are 0 where a + d = 0.
+    """
+    a, d, t_hat, q_hat = np.asarray(x, dtype=float).T
     w = 1.0 - a - d
     wj = a + d
-    if wj <= 0.0:
-        return 0.0, w, 0.0, 0.0
     b_sq = t_hat * a * d
-    t = (a * a + d * d + 2.0 * b_sq) / (wj * wj)
-    lam_max = 0.5 * (wj + math.sqrt((a - d) ** 2 + 4.0 * b_sq))
-    q = q_hat * lam_max / wj
-    return wj, w, t, q
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (a * a + d * d + 2.0 * b_sq) / (wj * wj)
+        lam_max = 0.5 * (wj + np.sqrt((a - d) ** 2 + 4.0 * b_sq))
+        q = q_hat * lam_max / wj
+    empty = wj <= 0.0
+    return wj, w, np.where(empty, 0.0, t), np.where(empty, 0.0, q)
+
+
+#: Simplex point of the state the kernel structure is read at.
+_PROBE = (0.3, 0.25, 0.7, 0.5)
 
 
 @dataclass(frozen=True)
 class _BridgeStructure:
-    """Engine-extracted kernel structure of the bridge at one input region.
+    """Kernel structure of the bridge at one input region, read from the
+    engine's cut links and Hamiltonians at one probe state.
 
-    `entries[(pair, replica)]` lists (config, exp(-lambda_cut), has_t,
-    has_q): the kernel of an allowed configuration is the geometric factor
-    times t^has_t q^has_q, with t = e^{-S2} and q = e^{-Sigma}.  `k_geom`
-    holds the state-independent K factors (K_low / w_low, K_high / w_high).
+    `entries[(pair, replica)]` lists (config, exp(-lambda_cut), combo) of
+    the allowed configurations in `_CONFIGS` order: the kernel of one is the
+    geometric factor times t^has_S2 q^has_Sigma, with t = e^{-S2} and
+    q = e^{-Sigma}.  `k_geom` holds the state-independent K factors
+    (K_low / w_low, K_high / w_high).  `purity` is the one evaluator of the
+    averaged purity, for any array of states.
     """
 
-    entries: Dict[Tuple[Tuple[str, str], int], Tuple[Tuple[Tuple[int, int], float, int, int], ...]]
-    combos: Dict[Tuple[Tuple[str, str], int, Tuple[int, int]], Tuple[int, int, int, int, int]]
+    entries: Dict[
+        Tuple[Tuple[str, str], int],
+        Tuple[Tuple[Tuple[int, int], float, Tuple[int, int, int, int, int]], ...],
+    ]
     forbidden: Tuple[Tuple[Tuple[str, str], int, Tuple[int, int]], ...]
     k_geom: Tuple[float, float]
-    couplings: Dict[str, float]
 
-    def kernel(self, pair, replica, t: float, q: float) -> float:
-        total = 0.0
-        for _, weight, has_t, has_q in self.entries[(pair, replica)]:
-            term = weight
-            if has_t:
-                term *= t
-            if has_q:
-                term *= q
-            total += term
-        return total
-
-    def purity(self, wj: float, wk: float, t: float, q: float) -> float:
+    def purity(self, wj, wk, t, q) -> np.ndarray:
+        """Averaged purity Z_1 / Z_0 over arrays of (w_low, w_high, t, q),
+        +inf where Z_0 <= 0.  Every entry is computed elementwise, so it has
+        the bits of a call on that point alone."""
+        wj, wk, t, q = (np.asarray(v, dtype=float) for v in (wj, wk, t, q))
         kj = self.k_geom[0] * wj
         kk = self.k_geom[1] * wk
-        num = 0.0
-        den = 0.0
+        z = [0.0, 0.0]
         for weight, pair in (
             (kj * kj, ("low", "low")),
             (kk * kk, ("high", "high")),
             (2.0 * kj * kk, ("low", "high")),
         ):
-            if weight == 0.0:
-                continue
-            num += weight * self.kernel(pair, 1, t, q)
-            den += weight * self.kernel(pair, 0, t, q)
-        if den <= 0.0:
-            return math.inf
-        return num / den
-
-    def purity_at(self, x: Sequence[float]) -> float:
-        wj, wk, t, q = _x_functionals(x)
-        return self.purity(wj, wk, t, q)
-
-
-def _decompose_coupling(
-    value: float, couplings: Mapping[str, float]
-) -> Tuple[int, int, int]:
-    """Integer multiples (n_L2, n_L6p, n_L6m) reproducing `value`."""
-    matches = []
-    for n2 in range(9):
-        for n6p in range(5):
-            for n6m in range(5):
-                cand = (
-                    n2 * couplings["L2"]
-                    + n6p * couplings["L6p"]
-                    + n6m * couplings["L6m"]
-                )
-                if abs(cand - value) < 1e-9 * max(1.0, abs(value)):
-                    matches.append((n2, n6p, n6m))
-    if len(matches) != 1:
-        raise ExperimentError(
-            f"coupling value {value!r} does not decompose uniquely over the "
-            f"basis (found {len(matches)} candidates)"
-        )
-    return matches[0]
+            for replica in (0, 1):
+                kernel = 0.0
+                for _, factor, combo in self.entries[(pair, replica)]:
+                    term = factor * t if combo[3] else factor
+                    if combo[4]:
+                        term = term * q
+                    kernel = kernel + term
+                z[replica] = z[replica] + weight * kernel
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(z[0] > 0.0, z[1] / z[0], np.inf)
 
 
 def _extract_structure(
@@ -370,23 +314,21 @@ def _extract_structure(
     family: SectorFamily,
     sectors,
     kind: ModelKind,
-    couplings: Mapping[str, float],
+    s: int,
 ) -> _BridgeStructure:
-    """Read the kernel structure off the engine at three probe states."""
-    probes = [
-        (0.3, 0.25, 0.7, 0.5),
-        (0.3, 0.25, 0.2, 0.5),
-        (0.3, 0.25, 0.7, 0.9),
-    ]
-    params = [_params_from_x(x) for x in probes]
-    models = [
-        IsingModel(graph, family, kind, state=_bridge_state(graph, sectors, p))
-        for p in params
-    ]
-    funcs = [_state_functionals(p) for p in params]
+    """Read the kernel structure off the engine at the probe state.
+
+    An allowed cell's coupling counts are its cut links by dimension (2s+1,
+    6s+1, 6s-1), its geometric factor is exp(-lambda) with lambda the
+    engine's cut energy, and its state flags name the one member of
+    {0, S2, Sigma, S2 + Sigma} that the Hamiltonian exceeds lambda by.
+    """
+    params = _params_from_x(_PROBE)
+    model = IsingModel(graph, family, kind, state=_bridge_state(graph, sectors, params))
+    s2, sigma = _state_functionals(params)
+    dims = (2 * s + 1, 6 * s + 1, 6 * s - 1)
     sec = {"low": sectors[0], "high": sectors[1]}
     entries: Dict = {}
-    combos: Dict = {}
     forbidden: List = []
     for pair in _PAIR_KEYS:
         j, k = sec[pair[0]], sec[pair[1]]
@@ -394,90 +336,74 @@ def _extract_structure(
             cells = []
             for config in _CONFIGS:
                 cfg = IsingConfig.make(graph, {"L": config[0], "R": config[1]})
-                deltas = [m.delta_factor(j, k, cfg, replica) for m in models]
-                if all(dv == 0.0 for dv in deltas):
+                if model.delta_factor(j, k, cfg, replica) == 0.0:
                     forbidden.append((pair, replica, config))
                     continue
-                if any(dv == 0.0 for dv in deltas):
-                    raise ExperimentError(
-                        f"configuration {_config_label(config)} is allowed at "
-                        f"some probe states but not others"
-                    )
-                h = [m.hamiltonian(j, k, cfg, replica) for m in models]
-                d_sq = funcs[2][1] - funcs[0][1]
-                cq = (h[2] - h[0]) / d_sq
-                d_s2 = funcs[1][0] - funcs[0][0]
-                d_sq01 = funcs[1][1] - funcs[0][1]
-                cs = (h[1] - h[0] - round(cq) * d_sq01) / d_s2
-                cs, cq = round(cs), round(cq)
-                if cs not in (0, 1) or cq not in (0, 1):
+                h = model.hamiltonian(j, k, cfg, replica)
+                lam = model._cut_energy(j, k, cfg, replica)
+                cut = [j.spin(lid).dim for lid in model._cut_links(cfg, replica)]
+                counts = tuple(cut.count(dim) for dim in dims)
+                flags = [
+                    (cs, cq)
+                    for cs in (0, 1)
+                    for cq in (0, 1)
+                    if abs(h - lam - cs * s2 - cq * sigma)
+                    <= 1e-9 * max(1.0, abs(h))
+                ]
+                if sum(counts) != len(cut) or len(flags) != 1:
                     raise ExperimentError(
                         f"kernel cell {pair}/{replica}/{_config_label(config)} "
-                        f"does not separate into coupling and state parts"
+                        f"does not separate into cut links and state parts"
                     )
-                lam = h[0] - cs * funcs[0][0] - cq * funcs[0][1]
-                for idx in (1, 2):
-                    recon = lam + cs * funcs[idx][0] + cq * funcs[idx][1]
-                    if abs(recon - h[idx]) > 1e-9 * max(1.0, abs(h[idx])):
-                        raise ExperimentError(
-                            f"kernel cell {pair}/{replica}/"
-                            f"{_config_label(config)} is not reproduced at a "
-                            f"probe state"
-                        )
-                n2, n6p, n6m = _decompose_coupling(lam, couplings)
-                combos[(pair, replica, config)] = (n2, n6p, n6m, cs, cq)
-                cells.append((config, math.exp(-lam), cs, cq))
+                cells.append((config, math.exp(-lam), counts + flags[0]))
             entries[(pair, replica)] = tuple(cells)
     # the mirrored cross pair must carry the same kernels
     for replica in (0, 1):
-        mirrored = models[0].partition_sum_fixed(sec["high"], sec["low"], replica)
-        direct = models[0].partition_sum_fixed(sec["low"], sec["high"], replica)
+        mirrored = model.partition_sum_fixed(sec["high"], sec["low"], replica)
+        direct = model.partition_sum_fixed(sec["low"], sec["high"], replica)
         if not math.isclose(mirrored, direct, rel_tol=1e-12, abs_tol=1e-300):
             raise ExperimentError("cross-sector kernels are not symmetric")
-    table = models[0].partition_table()
-    k_map = dict(table.k_factors)
-    k_low = k_map[sectors[0].label()] / (params[0]["a"] + params[0]["d"])
-    k_high = k_map[sectors[1].label()] / params[0]["w"]
+    k_map = dict(model.partition_table().k_factors)
     return _BridgeStructure(
         entries=entries,
-        combos=combos,
         forbidden=tuple(forbidden),
-        k_geom=(k_low, k_high),
-        couplings=dict(couplings),
+        k_geom=(
+            k_map[sectors[0].label()] / (params["a"] + params["d"]),
+            k_map[sectors[1].label()] / params["w"],
+        ),
     )
 
 
 def _coarse_grid(fn, resolution: int):
+    """Minimum of `fn` over the simplex grid of step 1/resolution in (a, d)
+    and quarter steps in (t_hat, q_hat), all points in one call."""
     levels = (0.0, 0.25, 0.5, 0.75, 1.0)
-    points = []
-    for i in range(resolution + 1):
-        for j in range(resolution + 1 - i):
-            a = i / resolution
-            d = j / resolution
-            for t_hat in levels:
-                for q_hat in levels:
-                    points.append((a, d, t_hat, q_hat))
-    values = [fn(p) for p in points]
-    best = min(range(len(points)), key=lambda idx: (values[idx], idx))
-    return list(points[best]), values[best], len(points)
+    ad = np.array(
+        [
+            (i / resolution, j / resolution)
+            for i in range(resolution + 1)
+            for j in range(resolution + 1 - i)
+        ]
+    )
+    tq = np.array([(t_hat, q_hat) for t_hat in levels for q_hat in levels])
+    points = np.hstack(
+        [np.repeat(ad, len(tq), axis=0), np.tile(tq, (len(ad), 1))]
+    )
+    values = fn(points)
+    best = int(np.argmin(values))
+    return points[best].tolist(), float(values[best]), len(points)
 
 
 def _refine(fn, x0, step0: float, step_tol: float = 1e-7):
     x = list(x0)
-    best = fn(x)
+    best = float(fn(x))
     evals = 1
     step = step0
 
     def candidate(i: int, delta: float):
         cand = list(x)
-        cand[i] += delta
-        if i < 2:
-            cand[i] = min(max(cand[i], 0.0), 1.0)
-            if cand[0] + cand[1] > 1.0:
-                return None
-        else:
-            cand[i] = min(max(cand[i], 0.0), 1.0)
-        if cand == x:
+        cand[i] = min(max(cand[i] + delta, 0.0), 1.0)
+        if (i < 2 and cand[0] + cand[1] > 1.0) or cand == x:
             return None
         return cand
 
@@ -489,11 +415,13 @@ def _refine(fn, x0, step0: float, step_tol: float = 1e-7):
                 walking = True
                 while walking:
                     walking = False
-                    for sign in (1.0, -1.0):
-                        cand = candidate(i, sign * step)
-                        if cand is None:
-                            continue
-                        value = fn(cand)
+                    # both directions in one call; the second counts as an
+                    # evaluation only when the first does not improve
+                    cands = [candidate(i, step), candidate(i, -step)]
+                    cands = [cand for cand in cands if cand is not None]
+                    if not cands:
+                        continue
+                    for cand, value in zip(cands, fn(cands).tolist()):
                         evals += 1
                         if value < best:
                             x, best = cand, value
@@ -506,7 +434,8 @@ def _refine(fn, x0, step0: float, step_tol: float = 1e-7):
 
 @dataclass(frozen=True)
 class C1Cell:
-    """One allowed coupling cell, engine value against the reference combo."""
+    """One allowed coupling cell: its combination's value against the
+    engine Hamiltonian at the start state."""
 
     pair: Tuple[str, str]
     replica: int
@@ -515,9 +444,6 @@ class C1Cell:
     expected: float
     engine: float
     defect: float
-    alt_combo: Optional[str]
-    alt_value: Optional[float]
-    consistent: bool
 
     def to_json_dict(self) -> dict:
         return {
@@ -528,9 +454,6 @@ class C1Cell:
             "expected": self.expected,
             "engine": self.engine,
             "defect": self.defect,
-            "alt_combo": self.alt_combo,
-            "alt_value": _num(self.alt_value),
-            "consistent": self.consistent,
         }
 
 
@@ -542,7 +465,6 @@ class C1Sum:
     total: float
     engine: float
     defect: float
-    variant_total: Optional[float]
 
     def to_json_dict(self) -> dict:
         return {
@@ -552,7 +474,6 @@ class C1Sum:
             "total": self.total,
             "engine": self.engine,
             "defect": self.defect,
-            "variant_total": _num(self.variant_total),
         }
 
 
@@ -665,15 +586,19 @@ def reproduce_c1(
     start: Optional[Mapping[str, complex]] = None,
     grid: int = 20,
 ) -> C1Report:
-    """Verify the bridge coupling table, assemble its six partition sums,
-    and minimize the averaged purity over the bulk-block parameters.
+    """Read the bridge coupling structure off the engine, assemble its six
+    partition sums, and minimize the averaged purity over the bulk-block
+    parameters.
 
-    `region` selects the input leg: "rightmost" makes the two-spin
-    superposed link the input (purity target 1/(12 s)); "upper_right" makes
-    one of the plain spin-s legs the input (purity target 1/(2s+1)).
-    `start` optionally replaces the default generic bulk block (a, d, b, u,
-    v[, w]); it must be a unit-trace positive-semidefinite block with both
-    sector weights and the cross column nonzero.
+    Each allowed cell's combination comes from the engine's cut links and
+    its Hamiltonian at one probe state; one array evaluator of the purity
+    serves the coarse grid, the refinement and the closed-form check at the
+    start state.  `region` selects the input leg: "rightmost" makes the
+    two-spin superposed link the input (purity target 1/(12 s));
+    "upper_right" makes one of the plain spin-s legs the input (purity
+    target 1/(2s+1)).  `start` optionally replaces the default generic bulk
+    block (a, d, b, u, v[, w]); it must be a unit-trace positive-semidefinite
+    block with both sector weights and the cross column nonzero.
     """
     if s != int(s) or s < 1:
         raise ExperimentError(f"scale must be an integer >= 1, got {s!r}")
@@ -696,60 +621,38 @@ def reproduce_c1(
     partition = BoundaryPartition.from_input(graph, list(_REGION_INPUTS[region]))
     kind = ModelKind.boundary_to_boundary(partition)
 
-    structure = _extract_structure(graph, family, sectors, kind, couplings)
+    structure = _extract_structure(graph, family, sectors, kind, s)
 
     start_params = _resolve_start(start)
     start_state = _bridge_state(graph, sectors, start_params)
     model = IsingModel(graph, family, kind, state=start_state)
     s2, sigma = _state_functionals(start_params)
 
-    # cell-by-cell verification (reference table for the rightmost region,
-    # engine-extracted combinations otherwise) before any optimization
-    reference = (
-        _BRIDGE_TABLE
-        if region == "rightmost"
-        else {key: (combo, None) for key, combo in structure.combos.items()}
-    )
-    if set(reference) != set(structure.combos):
-        raise ExperimentError(
-            "allowed cells disagree with the reference table"
-        )
+    # cell-by-cell verification at the start state before any optimization
     cells = []
     sec = {"low": sectors[0], "high": sectors[1]}
-    for key in sorted(reference, key=lambda item: (item[0], item[1], _CONFIGS.index(item[2]))):
-        pair, replica, config = key
-        combo, alt = reference[key]
-        if _sigma_free(structure.combos[key], config) != _sigma_free(combo, config):
-            raise ExperimentError(
-                f"cell {pair}/{replica}/{_config_label(config)}: engine "
-                f"structure {structure.combos[key]} != reference {combo}"
+    for (pair, replica), entries in sorted(structure.entries.items()):
+        for config, _, combo in entries:
+            expected = _combo_value(combo, couplings, s2, sigma)
+            cfg = IsingConfig.make(graph, {"L": config[0], "R": config[1]})
+            engine = model.hamiltonian(sec[pair[0]], sec[pair[1]], cfg, replica)
+            cells.append(
+                C1Cell(
+                    pair=pair,
+                    replica=replica,
+                    config=config,
+                    combo=_combo_label(combo),
+                    expected=expected,
+                    engine=engine,
+                    defect=abs(engine - expected),
+                )
             )
-        expected = _combo_value(combo, couplings, s2, sigma, config)
-        cfg = IsingConfig.make(graph, {"L": config[0], "R": config[1]})
-        engine = model.hamiltonian(sec[pair[0]], sec[pair[1]], cfg, replica)
-        alt_value = (
-            _combo_value(alt, couplings, s2, sigma, config) if alt else None
-        )
-        cells.append(
-            C1Cell(
-                pair=pair,
-                replica=replica,
-                config=config,
-                combo=_combo_label(combo),
-                expected=expected,
-                engine=engine,
-                defect=abs(engine - expected),
-                alt_combo=_combo_label(alt) if alt else None,
-                alt_value=alt_value,
-                consistent=alt is None,
-            )
-        )
     for pair, replica, config in structure.forbidden:
         cfg = IsingConfig.make(graph, {"L": config[0], "R": config[1]})
         if model.delta_factor(sec[pair[0]], sec[pair[1]], cfg, replica) != 0.0:
             raise ExperimentError(
                 f"configuration {_config_label(config)} of {pair} is allowed "
-                f"at the start state but forbidden at the probe states"
+                f"at the start state but forbidden at the probe state"
             )
 
     # the six partition sums, term by term
@@ -760,24 +663,14 @@ def reproduce_c1(
         for replica in (0, 1):
             terms = []
             total = 0.0
-            variant = 0.0
-            has_variant = False
-            for config, weight, has_t, has_q in structure.entries[(pair, replica)]:
+            for config, weight, combo in structure.entries[(pair, replica)]:
                 value = weight
-                if has_t:
+                if combo[3]:
                     value *= t_start
-                if has_q:
+                if combo[4]:
                     value *= q_start
                 terms.append((_config_label(config), value))
                 total += value
-                alt = reference[(pair, replica, config)][1] if region == "rightmost" else None
-                if alt is not None:
-                    has_variant = True
-                    variant += math.exp(
-                        -_combo_value(alt, couplings, s2, sigma, config)
-                    )
-                else:
-                    variant += value
             engine = model.partition_sum_fixed(sec[pair[0]], sec[pair[1]], replica)
             sums.append(
                 C1Sum(
@@ -787,18 +680,17 @@ def reproduce_c1(
                     total=total,
                     engine=engine,
                     defect=abs(engine - total) / max(abs(total), 1e-300),
-                    variant_total=variant if has_variant else None,
                 )
             )
 
     # sector-diagonal purities and their leading large-s behaviour
+    totals = {(item.pair, item.replica): item.total for item in sums}
     diag = {}
     for name in ("low", "high"):
         pair = (name, name)
-        z1 = structure.kernel(pair, 1, t_start, q_start)
-        z0 = structure.kernel(pair, 0, t_start, q_start)
+        z1, z0 = totals[(pair, 1)], totals[(pair, 0)]
         lead = math.exp(
-            -min(-math.log(w) for _, w, _, _ in structure.entries[(pair, 1)])
+            -min(-math.log(w) for _, w, _ in structure.entries[(pair, 1)])
         )
         diag[name] = z1 / z0
         diag[f"{name}_leading"] = lead
@@ -806,18 +698,19 @@ def reproduce_c1(
     table = model.partition_table()
     engine_start = table.totals[1] / table.totals[0]
     wj_start = start_params["a"] + start_params["d"]
-    closed_start = structure.purity(wj_start, start_params["w"], t_start, q_start)
+    closed_start = float(
+        structure.purity(wj_start, start_params["w"], t_start, q_start)
+    )
     closed_defect = abs(closed_start - engine_start) / engine_start
 
     # minimize over the simplex box
-    coarse_pt, coarse_val, coarse_evals = _coarse_grid(
-        structure.purity_at, grid
-    )
-    x_min, best, evals = _refine(structure.purity_at, coarse_pt, 1.0 / grid)
-    coarse2_pt, coarse2_val, coarse2_evals = _coarse_grid(
-        structure.purity_at, 2 * grid
-    )
-    x2_min, best2, evals2 = _refine(structure.purity_at, coarse2_pt, 0.5 / grid)
+    def purity_at(x):
+        return structure.purity(*_x_functionals(x))
+
+    coarse_pt, coarse_val, coarse_evals = _coarse_grid(purity_at, grid)
+    x_min, best, evals = _refine(purity_at, coarse_pt, 1.0 / grid)
+    coarse2_pt, coarse2_val, coarse2_evals = _coarse_grid(purity_at, 2 * grid)
+    x2_min, best2, evals2 = _refine(purity_at, coarse2_pt, 0.5 / grid)
 
     def to_opt(resolution, c_pt, c_val, c_evals, x, value, n_evals):
         return C1Optimum(

@@ -942,10 +942,8 @@ class IsingModel:
             return -1
         return +1
 
-    def _cut_links(
-        self, config: IsingConfig, replica: int
-    ) -> Tuple[List[str], bool]:
-        """(antialigned link ids, all-deltas-satisfied placeholder)."""
+    def _cut_links(self, config: IsingConfig, replica: int) -> List[str]:
+        """Ids of the links whose two ends are antialigned."""
         sig = config.sigma
         cut = []
         for lid in self.graph.link_ids():
@@ -954,7 +952,7 @@ class IsingModel:
             t = sig[tgt] if tgt in sig else self.boundary_pin(lid, replica)
             if s * t < 0:
                 cut.append(lid)
-        return cut, True
+        return cut
 
     def k_factor(self, sector: SpinSector) -> KFactor:
         """Sector weight K for this model kind (zero-weight sectors give
@@ -1019,7 +1017,7 @@ class IsingModel:
     ) -> Optional[float]:
         """Sum of log d_e over the cut links, or None where a cut link has
         different spins in j and k (Delta = 0)."""
-        cut, _ = self._cut_links(config, replica)
+        cut = self._cut_links(config, replica)
         for lid in cut:
             if j.spin(lid) != k.spin(lid):
                 return None

@@ -1,7 +1,9 @@
 """Tests for the canned scenarios c1, c2 and c3."""
 
+import numpy as np
 import pytest
 
+from holoising import experiments
 from holoising.experiments import (
     REGIONS,
     ExperimentError,
@@ -13,6 +15,63 @@ from holoising.graph import build_graph
 from holoising.spins import SectorFamily
 
 TOL = 1e-12
+
+#: The paper's coupling table for the rightmost input region: one
+#: combination (n_L2, n_L6p, n_L6m, has_S2, has_Sigma) over L2 = log(2s+1),
+#: L6p = log(6s+1), L6m = log(6s-1), S2 and Sigma per allowed
+#: (sector pair, replica, configuration) cell, and for three cells the
+#: alternative combination the paper also prints (one boundary-link
+#: coupling dropped, or a sector coupling flipped).  Sigma vanishes on the
+#: cross cells with R spin-up, so a Sigma token there carries no value.
+PAPER_TABLE = {
+    (("low", "low"), 0, (1, 1)): ((0, 0, 0, 0, 0), None),
+    (("low", "low"), 0, (1, -1)): ((3, 0, 1, 1, 0), None),
+    (("low", "low"), 0, (-1, 1)): ((3, 1, 0, 0, 0), (3, 0, 1, 0, 0)),
+    (("low", "low"), 0, (-1, -1)): ((4, 1, 1, 1, 0), None),
+    (("low", "low"), 1, (1, 1)): ((0, 0, 1, 0, 0), None),
+    (("low", "low"), 1, (1, -1)): ((3, 0, 0, 1, 0), None),
+    (("low", "low"), 1, (-1, 1)): ((3, 1, 1, 0, 0), None),
+    (("low", "low"), 1, (-1, -1)): ((4, 1, 0, 1, 0), None),
+    (("high", "high"), 0, (1, 1)): ((0, 0, 0, 0, 0), None),
+    (("high", "high"), 0, (1, -1)): ((3, 1, 0, 0, 0), None),
+    (("high", "high"), 0, (-1, 1)): ((3, 1, 0, 0, 0), None),
+    (("high", "high"), 0, (-1, -1)): ((4, 2, 0, 0, 0), None),
+    (("high", "high"), 1, (1, 1)): ((0, 1, 0, 0, 0), None),
+    (("high", "high"), 1, (1, -1)): ((3, 0, 0, 0, 0), None),
+    (("high", "high"), 1, (-1, 1)): ((3, 2, 0, 0, 0), None),
+    (("high", "high"), 1, (-1, -1)): ((4, 1, 0, 0, 0), None),
+    (("low", "high"), 0, (1, 1)): ((0, 0, 0, 0, 0), None),
+    (("low", "high"), 0, (-1, 1)): ((3, 1, 0, 0, 1), (2, 1, 0, 0, 1)),
+    (("low", "high"), 1, (1, -1)): ((3, 0, 0, 0, 1), None),
+    (("low", "high"), 1, (-1, -1)): ((4, 1, 0, 0, 1), (3, 1, 0, 0, 1)),
+}
+
+
+def paper_value(combo, config, report):
+    """Value of a paper combination at the report's start state."""
+    n2, n6p, n6m, has_s2, has_sigma = combo
+    couplings = report.couplings
+    value = n2 * couplings["L2"] + n6p * couplings["L6p"] + n6m * couplings["L6m"]
+    if has_s2:
+        value += report.start_s2
+    if has_sigma and config[1] < 0:
+        value += report.start_sigma
+    return value
+
+
+def check_paper_table(report):
+    """Engine combinations equal the paper's, up to the Sigma token on
+    R-spin-up cross cells; every alternative misses the engine value."""
+    cells = {(cell.pair, cell.replica, cell.config): cell for cell in report.cells}
+    assert set(cells) == set(PAPER_TABLE)
+    for key, (combo, alt) in PAPER_TABLE.items():
+        pair, _, config = key
+        got, want = cells[key].combo, experiments._combo_label(combo)
+        if pair == ("low", "high") and config[1] > 0:
+            got, want = got.replace("+Sigma", ""), want.replace("+Sigma", "")
+        assert got == want, key
+        if alt is not None:
+            assert abs(paper_value(alt, config, report) - cells[key].engine) > 1e-6, key
 
 
 class TestC1:
@@ -31,9 +90,40 @@ class TestC1:
     def test_default_region_runs(self):
         report = reproduce_c1(1)
         assert report.region == "rightmost"
-        # The reference table's three alternative combinations disagree
-        # with the engine; every other cell is consistent.
-        assert sum(not cell.consistent for cell in report.cells) == 3
+        check_paper_table(report)
+
+    @pytest.mark.parametrize("s", [2, 5])
+    def test_engine_combos_match_paper_table(self, s):
+        check_paper_table(reproduce_c1(s, "rightmost"))
+
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_grid_values_match_point_calls(self, region, monkeypatch):
+        calls = []
+        coarse_grid = experiments._coarse_grid
+
+        def recording(fn, resolution):
+            def record(points):
+                values = fn(points)
+                calls.append((fn, resolution, points, values))
+                return values
+
+            return coarse_grid(record, resolution)
+
+        monkeypatch.setattr(experiments, "_coarse_grid", recording)
+        report = reproduce_c1(1, region)
+        fn, resolution, points, values = calls[0]
+        assert resolution == 20 and points.shape == (5775, 4)
+        assert not np.isnan(values).any()
+        assert [float(v).hex() for v in values] == [float(fn(p)).hex() for p in points]
+        first_min = min(range(len(values)), key=lambda idx: (values[idx], idx))
+        assert tuple(points[first_min]) == report.optimum.coarse_point
+
+    def test_custom_start(self):
+        start = {"a": 0.2, "d": 0.35, "b": 0.05 - 0.1j, "u": 0.1 + 0.02j, "v": -0.07 + 0.05j}
+        report = reproduce_c1(1, start=start)
+        assert report.start["w"] == pytest.approx(0.45)
+        assert report.closed_form_defect <= TOL
+        assert report.engine_defect <= TOL
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ExperimentError, match="scale"):

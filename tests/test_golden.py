@@ -1,8 +1,8 @@
 """Golden bytes: SHA-256 digests of the serialized engine outputs.
 
 Each digest pins the exact bytes of one output (a table's CSV file and
-JSON dict, a purity report in every mode, an isometry verdict, a c2
-report) on a fixed small instance.  The instances cover cross-boundary
+JSON dict, a purity report in every mode, an isometry verdict, a c1 or
+c2 report) on a fixed small instance.  The instances cover cross-boundary
 pairs whose swapped kernel is infeasible, sectors with zero weight K (a
 vanishing superposition amplitude, a vertex without intertwiners) and a
 boundary-to-boundary table with negative pair kernels.  Any change of a
@@ -18,7 +18,7 @@ import pytest
 from conftest import bridge_family, bridge_graph
 from holoising.bulk import IntertwinerState
 from holoising.entropy import MODES, average_purity
-from holoising.experiments import reproduce_c2
+from holoising.experiments import REGIONS, reproduce_c1, reproduce_c2
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import IsingModel, ModelKind
 from holoising.isometry import (
@@ -174,7 +174,11 @@ GOLDEN = {
         "ground_state": "7c951a2b68eeb4f55608d27b6390b56daaac5fdc17ad68732042db341e26ed5e"
     },
     "c2_4": "9859ebff2ae5addefc0bacc64ecb57efba975fb822890034b051fabfb1587a14",
-    "c2_5": "b665270410c0db5caa5908d0bf580ec6d32ecba50fcd947c0de7832f5d4e110d"
+    "c2_5": "b665270410c0db5caa5908d0bf580ec6d32ecba50fcd947c0de7832f5d4e110d",
+    "c1_1_rightmost": "24838199e2548998989c51dc857348369d19737296f1f1b0218a10806e78c50f",
+    "c1_1_upper_right": "c075a4c14ee57ea29c5f3880f512590633361004d2e44a6573b1520b9dba13f0",
+    "c1_2_rightmost": "ede28904f89aa1a416cc9863ff375913b4d38cc3f54feac53bc44261de410faf",
+    "c1_2_upper_right": "527f2783030a6a1ed81db573f70f0742fde703356298002ceb8a2e877821f1e6"
 }
 
 
@@ -241,3 +245,17 @@ def test_c2_report(legs):
     allowed.update({"b0": ["1/2", "1"], f"b{legs - 1}": ["1/2", "1", "3/2"]})
     family = SectorFamily.build(graph, "1/2", "3/2", allowed=allowed)
     assert json_sha(reproduce_c2(family, graph).to_json_dict()) == GOLDEN[f"c2_{legs}"]
+
+
+@pytest.mark.parametrize("region", REGIONS)
+@pytest.mark.parametrize("s", [1, 2])
+def test_c1_report(s, region):
+    """The c1 digests were made with the scenario code that fitted each cell
+    at three probe states and checked it against a hand-written table: its
+    `to_json_dict()` with the per-cell keys `alt_combo`, `alt_value` and
+    `consistent` and the per-sum key `variant_total` removed, and with the
+    rightmost cell (low, high), replica 0, config `-+` labelled `3L2+L6p`,
+    as the engine's cut links and Hamiltonian give it (the table wrote
+    `3L2+L6p+Sigma`, a Sigma that vanishes on R spin-up cross cells)."""
+    digest = json_sha(reproduce_c1(s, region).to_json_dict())
+    assert digest == GOLDEN[f"c1_{s}_{region}"]

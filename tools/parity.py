@@ -41,11 +41,16 @@ import workloads  # noqa: E402
 
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# Fields compared for these result types.  Their log-domain field
-# (`log_z_bar`) is left out, so that a tree without it compares equal.
+# Fields compared for these result types.  The boundary sums leave out
+# their log-domain field (`log_z_bar`), and the c1 cells and sums the
+# reference-table variants (`alt_combo`, `alt_value`, `consistent`,
+# `variant_total`) that only older trees report, so that trees with and
+# without them compare equal.
 FIELDS = {
     "BoundarySumRow": ("boundary_id", "z_bar", "y", "d_total"),
     "BoundaryFixedSums": ("z_bar", "y", "d_total", "sector_count"),
+    "C1Cell": ("pair", "replica", "config", "combo", "expected", "engine", "defect"),
+    "C1Sum": ("pair", "replica", "terms", "total", "engine", "defect"),
 }
 
 
