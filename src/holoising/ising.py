@@ -695,6 +695,28 @@ def _kernel_sums(sectors: "SectorSet", z: np.ndarray) -> _KernelSums:
     )
 
 
+def _unique_bool_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, axis=0, return_inverse=True) for a 2-D bool array.
+
+    Each row is left-padded with zeros to whole 64-bit words and packed
+    big-endian, so comparing its words in turn orders rows as np.unique
+    does (False before True, first column first); one `np.lexsort` over
+    the words then groups them.
+    """
+    n, width = keys.shape
+    nwords = max(1, -(-width // 64))
+    padded = np.zeros((n, 64 * nwords), dtype=bool)
+    padded[:, 64 * nwords - width :] = keys
+    words = np.packbits(padded, axis=1).view(">u8")
+    order = np.lexsort(words.T[::-1])
+    ordered = words[order]
+    first = np.ones(n, dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(n, dtype=np.int64)
+    inverse[order] = np.cumsum(first) - 1
+    return keys[order[first]], inverse
+
+
 def _infeasible(shape) -> Tuple[np.ndarray, ...]:
     """(E_min, degeneracy, gap, representative) where nothing is allowed."""
     return (
@@ -1178,9 +1200,10 @@ class IsingModel:
         spin tuple differs exactly when one of its links does) and every
         vertex where j has no intertwiners (its energy would be infinite,
         which carries no weight).  Pairs are grouped by that key of links
-        and vertices with one `np.unique`; each key has one column list of
-        allowed configurations, and its masks are built for all keys at
-        once, one numpy call per link and per vertex that some key holds.
+        and vertices with one `_unique_bool_rows` (keys packed into words);
+        each key has one column list of allowed configurations, and its
+        masks are built for all keys at once, one numpy call per link and
+        per vertex that some key holds.
         A row is a (key, j) pair; it shares its key's column list.
 
         Rows are then grouped by how many configurations they allow, and
@@ -1215,7 +1238,7 @@ class IsingModel:
         # vertices where j has no intertwiners.
         differs = (twice[:, None] != twice[None, :]).reshape(count * count, nl)
         keys = np.concatenate([differs, np.isinf(vertex_lam)[pair_j]], axis=1)
-        lists, group = np.unique(keys, axis=0, return_inverse=True)
+        lists, group = _unique_bool_rows(keys)
         rows, row_of_pair = np.unique(group.reshape(-1) * count + pair_j, return_inverse=True)
         row_list, row_j = np.divmod(rows, count)
         # Vertices that must stay inactive: at a differing link, or empty.

@@ -40,6 +40,14 @@ for one state.  GRID_LIMIT caps keep x rest x components x inputs, and
 `CMap.pair_basis` checks it for every use, exact traces included.  The
 pattern sum with unit weights reproduces the Ising engine's unnormalized
 partition totals; normalized grades reweight the same traces.
+
+Haar streams.  A Haar vector is a normalized standard complex Gaussian.
+The Gaussians of (vertex, block) for shot s come from chunk c = s //
+HAAR_CHUNK of a Philox stream with key (seed, vertex << 32 | block) and
+counter word 1 equal to c: one fill of 2 n HAAR_CHUNK normals per (chunk,
+vertex, block), read as interleaved (re, im) pairs, row s % HAAR_CHUNK.
+Rows therefore do not depend on how shots are batched, and the chunk size
+is part of the stream's definition.
 """
 
 from __future__ import annotations
@@ -62,6 +70,10 @@ from .spins import SectorFamily, Spin, SpinSector, enumerate_sectors, intertwine
 
 DEFAULT_DIM_CAP = 4096
 DIM_CAP_ENV = "HOLOISING_DIM_CAP"
+
+# Monte Carlo shots are drawn in aligned chunks of this many rows; the
+# chunk size is part of the definition of the Haar streams.
+HAAR_CHUNK = 64
 
 # Most complex entries one (region x rest) grid may hold: keep x rest cells
 # times the input columns of every component, 16 bytes each.
@@ -398,11 +410,15 @@ class RegionGrid:
 
 
 def _compress_rows(key_arrays: List[np.ndarray], dim: int) -> np.ndarray:
-    if not key_arrays:
-        return np.zeros(dim, dtype=np.int64)
-    stacked = np.stack(key_arrays, axis=1)
-    _, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    return inverse.astype(np.int64)
+    """Rank of each row's label tuple (one non-negative key per slot) among
+    the distinct tuples in lexicographic order, as np.unique(axis=0) numbers
+    them.  The tuple is a mixed-radix integer built slot by slot; re-ranking
+    it after each slot keeps it below dim x radix, so it cannot overflow."""
+    code = np.zeros(dim, dtype=np.int64)
+    for keys in key_arrays:
+        code = code * (int(keys.max(initial=0)) + 1) + keys
+        code = np.unique(code, return_inverse=True)[1]
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -887,25 +903,32 @@ def _unit_gaussians(
 ) -> np.ndarray:
     """Normalized standard complex Gaussian vectors, one row per shot.
 
-    Each row comes from its own Philox stream keyed by (seed, shot, vertex,
-    block); re-keying one generator by resetting its state gives the stream
-    of a fresh Philox(key=...).  Norms use `np.linalg.norm`'s two dot calls.
+    Shots come in aligned chunks of HAAR_CHUNK.  Chunk c of (vertex, block)
+    is the stream of a fresh Philox(key=(seed, vertex << 32 | block),
+    counter=(0, c, 0, 0)): its first 2 n HAAR_CHUNK standard normals, read
+    as interleaved (re, im) pairs, fill the chunk's rows in shot order.  A
+    row thus depends only on (seed, shot, vertex, block), however the shots
+    are batched; resetting one generator's state per chunk gives the fresh
+    stream.  Each row's re and im parts are divided by the square root of
+    its einsum sum of squares.
     """
+    chunks = range(shots.start // HAAR_CHUNK, -(-shots.stop // HAAR_CHUNK))
+    out = np.empty((len(chunks), HAAR_CHUNK, n), dtype=complex)
+    draws = out.view(np.float64)
     # A seed, unlike key=..., draws no OS entropy; the key is replaced below.
     bitgen = Philox(0)
     gen = Generator(bitgen)
     state = bitgen.state  # fresh: counter zero, buffer empty
-    key = state["state"]["key"]
-    key[0] = seed
-    raw = np.empty((len(shots), 2 * n))
-    for i, shot in enumerate(shots):
-        key[1] = (shot << 20) ^ (vertex << 10) ^ block
+    state["state"]["key"][:] = (seed, (vertex << 32) | block)
+    for i, chunk in enumerate(chunks):
+        state["state"]["counter"][1] = chunk
         bitgen.state = state
-        gen.standard_normal(out=raw[i])
-    vecs = (raw[:, :n] + 1j * raw[:, n:]) / np.sqrt(2.0)
-    re, im = vecs.real, vecs.imag
-    sq = np.array([re[i].dot(re[i]) + im[i].dot(im[i]) for i in range(len(vecs))])
-    return vecs / np.sqrt(sq)[:, None]
+        gen.standard_normal(out=draws[i])
+    first = chunks.start * HAAR_CHUNK
+    rows = out.reshape(-1, n)[shots.start - first : shots.stop - first]
+    flat = rows.view(np.float64)
+    flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+    return rows
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -954,9 +977,12 @@ def haar_sample(
 ) -> np.ndarray:
     """One random global state of the requested averaging grade.
 
-    Haar vectors are realized as normalized standard complex Gaussians; the
-    generator is keyed by (seed, shot, vertex, block) counters so results are
-    identical no matter how the shots are scheduled or batched.
+    Haar vectors are realized as normalized standard complex Gaussians from
+    Philox streams keyed by (seed, vertex << 32 | block), with the shot's
+    chunk shot // HAAR_CHUNK in counter word 1, so results are identical no
+    matter how the shots are scheduled or batched.  One sample still draws
+    the whole HAAR_CHUNK-row chunk of every (vertex, block) it uses; batch
+    shots through `_haar_rows` where many are needed.
     """
     return _haar_rows(index, grade, seed, range(shot, shot + 1), weights)[0]
 

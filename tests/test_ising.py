@@ -27,6 +27,7 @@ from holoising.ising import (
     TotalsOverflowError,
     _logsumexp_rows,
     _signed_sum,
+    _unique_bool_rows,
     couplings,
 )
 from holoising.spins import SectorFamily, Spin, SpinSector, intertwiner_dim
@@ -938,6 +939,20 @@ class TestBatchedKernels:
                 assert z == kernels.z[a, b, replica]
                 assert ground.energy == kernels.e_min[a, b, replica]
                 assert ground.degeneracy == kernels.degeneracy[a, b, replica]
+
+    @pytest.mark.parametrize("width", [0, 1, 5, 40, 64, 65, 130])
+    def test_packed_grouping_matches_unique(self, width):
+        # Keys wider than 64 bits span several words; repeated rows make
+        # groups with more than one member.
+        rng = np.random.default_rng(width)
+        for rows, density in [(0, 0.5), (1, 0.5), (300, 0.1), (625, 0.5)]:
+            keys = rng.random((rows, width)) < density
+            keys[rows // 2 :] = keys[: rows - rows // 2]
+            lists, group = _unique_bool_rows(keys)
+            ref_lists, ref_group = np.unique(keys, axis=0, return_inverse=True)
+            assert lists.dtype == bool
+            assert np.array_equal(lists, ref_lists)
+            assert np.array_equal(group, ref_group.reshape(-1))
 
 
 # -- totals in log domain ----------------------------------------------------

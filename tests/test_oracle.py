@@ -43,6 +43,19 @@ from holoising.oracle import (
 from holoising.spins import SectorFamily
 
 
+def fresh_philox_row(seed, shot, vertex, block, n):
+    """The Haar stream's row for `shot`, from a fresh generator: chunk
+    shot // 64 of (vertex, block) is the first 2 n 64 normals of
+    Philox(key=(seed, vertex << 32 | block), counter=(0, chunk, 0, 0)),
+    read as interleaved (re, im) pairs; each part is divided by the square
+    root of the row's einsum sum of squares."""
+    key = np.array([seed, (vertex << 32) | block], dtype=np.uint64)
+    counter = np.array([0, shot // 64, 0, 0], dtype=np.uint64)
+    raw = Generator(Philox(key=key, counter=counter)).standard_normal(2 * n * 64)
+    flat = raw.reshape(64, 2 * n)[shot % 64 : shot % 64 + 1]
+    return (flat / np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]).view(complex)[0]
+
+
 def four_leg_graph():
     return build_graph(
         {
@@ -249,32 +262,44 @@ class TestHaarSampling:
         assert np.all(np.abs(mean - 1.0 / index.dim) < 4 * sigma)
 
     def test_matches_fresh_philox_streams(self):
-        # Reference: a fresh Philox per (seed, shot, vertex, block) key and a
+        # Reference: a fresh Philox per (seed, chunk, vertex, block) and a
         # Kronecker product over the vertices.
-        def gaussian(seed, shot, vertex, block, n):
-            key = np.array([seed, (shot << 20) ^ (vertex << 10) ^ block], dtype=np.uint64)
-            raw = Generator(Philox(key=key)).standard_normal(2 * n)
-            v = (raw[:n] + 1j * raw[n:]) / np.sqrt(2.0)
-            return v / np.linalg.norm(v)
-
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
         s1, s2 = index.family_sectors()
         for shot in (0, 5, 300):
             vec = np.ones(1, dtype=complex)
             for vi, space in enumerate(index.spaces):
-                vec = np.kron(vec, gaussian(7, shot, vi, 0, space.dim))
+                vec = np.kron(vec, fresh_philox_row(7, shot, vi, 0, space.dim))
             assert np.array_equal(haar_sample(index, "medium", 7, shot), vec)
-            coarse = gaussian(7, shot, 0, 1, index.dim)
+            coarse = fresh_philox_row(7, shot, 0, 1, index.dim)
             assert np.array_equal(haar_sample(index, "coarse", 7, shot), coarse)
             fine = np.zeros(index.dim, dtype=complex)
             for si, (sec, w) in enumerate([(s1, 0.25), (s2, 0.75)]):
                 block = np.ones(1, dtype=complex)
                 for vi, rng in enumerate(index.sector_local_ranges(sec)):
-                    block = np.kron(block, gaussian(7, shot, vi, 2 + si, rng.size))
+                    block = np.kron(block, fresh_philox_row(7, shot, vi, 2 + si, rng.size))
                 fine[index.sector_columns(sec)] += np.sqrt(w) * block
             got = haar_sample(index, "fine", 7, shot, weights={s1: 1.0, s2: 3.0})
             assert np.array_equal(got, fine)
+
+    @pytest.mark.parametrize("grade", ["medium", "coarse", "fine"])
+    def test_chunk_boundary_shots_equal_one_batch(self, grade):
+        # Shots 63 and 64 fall in different chunks of the stream.
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        weights = {s: 1.0 + i for i, s in enumerate(index.family_sectors())}
+        rows = _haar_rows(index, grade, 3, range(63, 66), weights)
+        for s, row in enumerate(rows):
+            assert np.array_equal(row, haar_sample(index, grade, 3, 63 + s, weights))
+        assert not np.array_equal(rows[0], rows[1])
+
+    def test_vertex_and_block_keys_do_not_collide(self):
+        # (vertex 0, block 1024) and (vertex 1, block 0) are distinct
+        # streams; a key packed as vertex << 10 ^ block would merge them.
+        a = oracle._unit_gaussians(4, range(0, 3), 0, 1024, 6)
+        b = oracle._unit_gaussians(4, range(0, 3), 1, 0, 6)
+        assert not np.any(np.all(a == b, axis=1))
 
     @pytest.mark.parametrize("batch", [1, 17, 256])
     def test_batch_rows_equal_single_samples(self, batch):
@@ -1007,6 +1032,22 @@ class TestSparseMaps:
         assert 0.0 < ratio < 1.0
         assert est.sigma == pytest.approx(np.sqrt(var), rel=1e-13)
 
+    def test_compress_rows_matches_unique(self):
+        rng = np.random.default_rng(8)
+        cases = [
+            [rng.integers(0, 3, 200) for _ in range(4)],
+            # Radixes whose product is above 2**63.
+            [rng.integers(0, 1 << 21, 500) for _ in range(4)],
+            [np.array([5, 0, 5, 2], dtype=np.int64)],
+        ]
+        for keys in cases:
+            dim = len(keys[0])
+            for k in keys:  # repeat the first half's rows
+                k[dim // 2 :] = k[: dim - dim // 2]
+            ref = np.unique(np.stack(keys, axis=1), axis=0, return_inverse=True)[1]
+            assert np.array_equal(oracle._compress_rows(keys, dim), ref.reshape(-1))
+        assert np.array_equal(oracle._compress_rows([], 3), np.zeros(3, dtype=np.int64))
+
     @pytest.mark.parametrize("n", [1, 3, 4, 37, 576])
     @pytest.mark.parametrize("batch", [1, 17, 256])
     def test_unit_gaussians_match_fresh_philox_and_norm(self, n, batch):
@@ -1015,9 +1056,4 @@ class TestSparseMaps:
         rows = oracle._unit_gaussians(seed, range(start, start + batch), vertex, block, n)
         assert rows.shape == (batch, n)
         for s, row in enumerate(rows):
-            shot = start + s
-            key = np.array([seed, (shot << 20) ^ (vertex << 10) ^ block], dtype=np.uint64)
-            raw = Generator(Philox(key=key)).standard_normal(2 * n)
-            v = (raw[:n] + 1j * raw[n:]) / np.sqrt(2.0)
-            v /= np.linalg.norm(v)
-            assert np.array_equal(row, v)
+            assert np.array_equal(row, fresh_philox_row(seed, start + s, vertex, block, n))

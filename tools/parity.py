@@ -3,9 +3,12 @@
 Runs the op list of one benchmark workload (generated by
 `perfbench/workloads.py`, which is imported and not modified) and records
 each partition table, kernel, boundary-fixed sum, purity report, condition
-matrix, isometry verdict and c1/c2/c3 report that the ops build.  Each
-result is reduced to a canonical JSON form in which every float is written
-with `float.hex`, so two trees can be compared bit for bit:
+matrix, isometry verdict, c1/c2/c3 report and exact oracle replica
+average (`oracle.exact_replica_average`) that the ops build.  Monte Carlo
+estimates are left out: they follow the definition of the Haar streams,
+which can change while the engine and the oracle's grids keep their bits.
+Each result is reduced to a canonical JSON form in which every float is
+written with `float.hex`, so two trees can be compared bit for bit:
 
     python3 tools/parity.py --workload sector-wide --seed 5 --out a.txt
     (in the other checkout, same arguments)         --out b.txt
@@ -35,7 +38,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from holoising import entropy, experiments, ising, isometry  # noqa: E402
+from holoising import entropy, experiments, ising, isometry, oracle  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -117,7 +120,7 @@ class Recorder:
         original = getattr(module, name)
         wrapper = self._wrapper(f"{module.__name__.rsplit('.', 1)[1]}.{name}", original)
         # Modules import each other's functions by name: patch every alias.
-        for mod in (ising, entropy, isometry, experiments):
+        for mod in (ising, entropy, isometry, experiments, oracle):
             for attr, value in list(vars(mod).items()):
                 if value is original:
                     setattr(mod, attr, wrapper)
@@ -131,6 +134,7 @@ class Recorder:
             self.patch_function(isometry, name)
         for name in ("reproduce_c1", "reproduce_c2", "reproduce_c3"):
             self.patch_function(experiments, name)
+        self.patch_function(oracle, "exact_replica_average")
 
     def uninstall(self) -> None:
         while self._undo:
