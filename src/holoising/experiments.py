@@ -4,11 +4,14 @@ Scenario ``c1``: a two-vertex bridge whose rightmost boundary link carries a
 superposition of two spins (3s-1 and 3s) while every other leg scales with s.
 Each allowed configuration's coupling combination is read from the engine
 (its cut links by dimension, plus the state functionals its Hamiltonian
-carries at one probe state) and checked against the engine at the start
-state, the six partition sums are assembled term by term, and the averaged
-purity is minimized over the positive-semidefinite bulk-block parameters
-(a, b, d, u, v, w) by a coarse grid over the parameter simplex followed by
-coordinate-descent refinement, both through one array evaluator.
+carries at one probe state; one Hamiltonian call per cell, which raises
+`ContractViolation` on a forbidden one) and checked against the engine at
+the start state, the six partition sums are assembled term by term and
+checked against the kernels of the start model's partition table, and the
+averaged purity is minimized over the positive-semidefinite bulk-block
+parameters (a, b, d, u, v, w) by a coarse grid over the parameter simplex
+followed by coordinate-descent refinement, both through one array
+evaluator.
 
 Scenario ``c2``: a census of boundary sectors on a single vertex.  The
 dimension-only partition sums Z0 = sum(D^2 + D) and Z1 = sum D_I D_O (D_I +
@@ -21,7 +24,9 @@ boundary legs at spin (n-1)/2.  The averaged-purity sums split into a small-m
 branch (m = 2u+1 <= n), a large-m branch (m = n+2k), and a constant part;
 direct summation is compared against harmonic-number closed forms, and the
 superposition profile on the bulk link is varied (uniform, square-root of the
-dimension product, and proportional to the dimension product).
+dimension product, and proportional to the dimension product).  The engine
+cross-check reads its kernels from one partition table over the bulk spins
+and its log K and endpoint dimensions from that table's sector set.
 """
 
 import math
@@ -36,8 +41,8 @@ from scipy.special import digamma, polygamma
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph, build_graph
-from .ising import IsingConfig, IsingModel, ModelKind
-from .spins import SectorFamily, Spin, SpinSector, enumerate_sectors, intertwiner_dim
+from .ising import ContractViolation, IsingConfig, IsingModel, ModelKind
+from .spins import SectorFamily, Spin, SpinSector, enumerate_sectors
 
 
 class ExperimentError(RuntimeError):
@@ -318,10 +323,13 @@ def _extract_structure(
 ) -> _BridgeStructure:
     """Read the kernel structure off the engine at the probe state.
 
-    An allowed cell's coupling counts are its cut links by dimension (2s+1,
-    6s+1, 6s-1), its geometric factor is exp(-lambda) with lambda the
-    engine's cut energy, and its state flags name the one member of
-    {0, S2, Sigma, S2 + Sigma} that the Hamiltonian exceeds lambda by.
+    Each cell asks the engine once: a Hamiltonian, or a `ContractViolation`
+    where the cell is forbidden.  An allowed cell's coupling counts are its
+    cut links by dimension (2s+1, 6s+1, 6s-1), its geometric factor is
+    exp(-lambda) with lambda the sum of log d over those links, and its
+    state flags name the one member of {0, S2, Sigma, S2 + Sigma} that the
+    Hamiltonian exceeds lambda by.  The K factors and the check that the
+    mirrored cross pair has the same kernels read one `partition_table`.
     """
     params = _params_from_x(_PROBE)
     model = IsingModel(graph, family, kind, state=_bridge_state(graph, sectors, params))
@@ -336,12 +344,13 @@ def _extract_structure(
             cells = []
             for config in _CONFIGS:
                 cfg = IsingConfig.make(graph, {"L": config[0], "R": config[1]})
-                if model.delta_factor(j, k, cfg, replica) == 0.0:
+                try:
+                    h = model.hamiltonian(j, k, cfg, replica)
+                except ContractViolation:
                     forbidden.append((pair, replica, config))
                     continue
-                h = model.hamiltonian(j, k, cfg, replica)
-                lam = model._cut_energy(j, k, cfg, replica)
                 cut = [j.spin(lid).dim for lid in model._cut_links(cfg, replica)]
+                lam = sum(math.log(dim) for dim in cut)
                 counts = tuple(cut.count(dim) for dim in dims)
                 flags = [
                     (cs, cq)
@@ -358,19 +367,17 @@ def _extract_structure(
                 cells.append((config, math.exp(-lam), counts + flags[0]))
             entries[(pair, replica)] = tuple(cells)
     # the mirrored cross pair must carry the same kernels
+    table = model.partition_table()
+    low, high = (table.labels.index(sector.label()) for sector in sectors)
     for replica in (0, 1):
-        mirrored = model.partition_sum_fixed(sec["high"], sec["low"], replica)
-        direct = model.partition_sum_fixed(sec["low"], sec["high"], replica)
+        mirrored, direct = table.z[high, low, replica], table.z[low, high, replica]
         if not math.isclose(mirrored, direct, rel_tol=1e-12, abs_tol=1e-300):
             raise ExperimentError("cross-sector kernels are not symmetric")
-    k_map = dict(model.partition_table().k_factors)
+    k_low, k_high = table.k[[low, high]].tolist()
     return _BridgeStructure(
         entries=entries,
         forbidden=tuple(forbidden),
-        k_geom=(
-            k_map[sectors[0].label()] / (params["a"] + params["d"]),
-            k_map[sectors[1].label()] / params["w"],
-        ),
+        k_geom=(k_low / (params["a"] + params["d"]), k_high / params["w"]),
     )
 
 
@@ -649,13 +656,18 @@ def reproduce_c1(
             )
     for pair, replica, config in structure.forbidden:
         cfg = IsingConfig.make(graph, {"L": config[0], "R": config[1]})
-        if model.delta_factor(sec[pair[0]], sec[pair[1]], cfg, replica) != 0.0:
-            raise ExperimentError(
-                f"configuration {_config_label(config)} of {pair} is allowed "
-                f"at the start state but forbidden at the probe state"
-            )
+        try:
+            model.hamiltonian(sec[pair[0]], sec[pair[1]], cfg, replica)
+        except ContractViolation:
+            continue
+        raise ExperimentError(
+            f"configuration {_config_label(config)} of {pair} is allowed "
+            f"at the start state but forbidden at the probe state"
+        )
 
-    # the six partition sums, term by term
+    # the six partition sums, term by term, against the engine's kernels
+    table = model.partition_table()
+    row = {name: table.labels.index(sector.label()) for name, sector in sec.items()}
     t_start = math.exp(-s2)
     q_start = math.exp(-sigma)
     sums = []
@@ -671,7 +683,7 @@ def reproduce_c1(
                     value *= q_start
                 terms.append((_config_label(config), value))
                 total += value
-            engine = model.partition_sum_fixed(sec[pair[0]], sec[pair[1]], replica)
+            engine = float(table.z[row[pair[0]], row[pair[1]], replica])
             sums.append(
                 C1Sum(
                     pair=pair,
@@ -695,7 +707,6 @@ def reproduce_c1(
         diag[name] = z1 / z0
         diag[f"{name}_leading"] = lead
         diag[f"{name}_rel_dev"] = abs(z1 / z0 - lead) / lead
-    table = model.partition_table()
     engine_start = table.totals[1] / table.totals[0]
     wj_start = start_params["a"] + start_params["d"]
     closed_start = float(
@@ -1202,7 +1213,10 @@ class C3Report:
 
 def _c3_engine_check(n: int) -> C3EngineCheck:
     """Compare the uniform-dimension kernels against the engine on the
-    subfamily of bulk spins whose parity admits a nonzero intertwiner."""
+    subfamily of bulk spins whose parity admits a nonzero intertwiner.
+
+    One `partition_table` over the sectors sorted by bulk spin gives every
+    kernel; its `SectorSet` gives log K and the dimension at vertex x."""
     j_twice = n - 1
     graph = build_graph(
         {
@@ -1230,31 +1244,30 @@ def _c3_engine_check(n: int) -> C3EngineCheck:
         graph, lower=0, upper=Spin(3 * n - 3), allowed=allowed, normalize=False
     )
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-    sectors = sorted(
-        enumerate_sectors(family, graph),
-        key=lambda sector: sector.spin("e").twice,
+    sectors = model.sector_set(
+        sorted(enumerate_sectors(family, graph), key=lambda sector: sector.spin("e").twice)
     )
+    table = model.partition_table(sectors)
     b = 1.0 / n**3
-    dims_match = True
-    kernel_defect = 0.0
-    k_defect = 0.0
-    pairs = 0
     model_dim = {}
     for m in valid_m:
         model_dim[m] = m if m <= n else n - (m - n) // 2
-    for sector in sectors:
+    x = graph.vertices.index("x")
+    dims_match = True
+    k_defect = 0.0
+    for sector, dims, log_k in zip(sectors.sectors, sectors.vertex_dims, sectors.log_k.tolist()):
         m = sector.spin("e").twice + 1
-        dim = intertwiner_dim(sector.vertex_spins("x"))
-        if dim != model_dim[m]:
+        if dims[x] != model_dim[m]:
             dims_match = False
-        k = model.k_factor(sector)
         k_expected = math.log(float(n) ** 6) + 2.0 * math.log(model_dim[m])
-        k_defect = max(k_defect, abs(k.log_value - k_expected))
-    for i, si in enumerate(sectors):
-        mi = si.spin("e").twice + 1
-        for sj in sectors[i:]:
-            mj = sj.spin("e").twice + 1
-            if si is sj:
+        k_defect = max(k_defect, abs(log_k - k_expected))
+    kernel_defect = 0.0
+    pairs = 0
+    z = table.z.tolist()
+    m_of = [sector.spin("e").twice + 1 for sector in table.sectors.sectors]
+    for i, mi in enumerate(m_of):
+        for j in range(i, len(m_of)):
+            if i == j:
                 dim = model_dim[mi]
                 dlink = mi
                 z1_model = 1.0 / dim**2 + 2.0 * b / (dim * dlink) + b * b
@@ -1262,8 +1275,7 @@ def _c3_engine_check(n: int) -> C3EngineCheck:
             else:
                 z1_model = b * b
                 z0_model = 1.0
-            z1 = model.partition_sum_fixed(si, sj, 1)
-            z0 = model.partition_sum_fixed(si, sj, 0)
+            z0, z1 = z[i][j]
             kernel_defect = max(
                 kernel_defect,
                 abs(z1 - z1_model) / z1_model,

@@ -78,6 +78,11 @@ entries, indexed [j, k, replica] (8 bytes each, so 16 S^2 bytes per field),
 and the boundary-diagonal sums one entry per boundary key.  `rows`,
 `k_factors`, `boundary_rows` and the CSV/JSON writers are views over these
 arrays, built on first use; entropy and isometry read the arrays directly.
+`IsingModel.k_factor` and `boundary_fixed_sums` are views too: the first
+reads log K and D_O of a one-sector `SectorSet`, the second the one
+boundary row of the table of a boundary's sectors.  So log K has one sum,
+`SectorSet.log_k`, and the K-weighted kernel sums one, `_kernel_sums`,
+whose only caller is the table's assembly.
 
 Totals in log domain.  Z_b sums K_j K_k Z^{(j,k)}_b over all pairs; each
 nonzero term enters its sign bucket as log K_j + log K_k + log|Z^{(j,k)}_b|
@@ -853,9 +858,9 @@ class SectorSet:
 
     @functools.cached_property
     def log_k(self) -> np.ndarray:
-        """log K per sector, summed term by term in `IsingModel.k_factor`'s
-        order (boundary links, internal links, then the state weight or the
-        vertices), so that each entry has `k_factor`'s bits."""
+        """log K per sector, summed term by term: boundary links, internal
+        links, then the state weight or the vertices.  `IsingModel.k_factor`
+        is the one-sector case."""
         graph = self.graph
         column = {lid: i for i, lid in enumerate(graph.link_ids())}
         log_k = np.zeros(len(self))
@@ -978,25 +983,10 @@ class IsingModel:
 
     def k_factor(self, sector: SpinSector) -> KFactor:
         """Sector weight K for this model kind (zero-weight sectors give
-        log K = -inf, which drops them from every sum)."""
-        graph = self.graph
-        log_k = 0.0
-        d_output = 1
-        for lid in graph.boundary_ids():
-            log_k += math.log(sector.spin(lid).dim)
-            d_output *= sector.spin(lid).dim
-        for lid in graph.internal_ids():
-            g = self.family.g(lid, sector.spin(lid))
-            mag = abs(g) ** 2
-            log_k += math.log(mag) if mag > 0.0 else -math.inf
-        if self.kind.is_boundary_to_boundary:
-            w = self.state.weight(sector)
-            log_k += math.log(w) if w > 0.0 else -math.inf
-        else:
-            for x in graph.vertices:
-                dim = intertwiner_dim(sector.vertex_spins(x))
-                log_k += math.log(dim) if dim > 0 else -math.inf
-        return KFactor(log_value=log_k, d_output=d_output)
+        log K = -inf, which drops them from every sum): log K and D_O of
+        the one-sector `SectorSet`."""
+        sectors = self.sector_set([sector])
+        return KFactor(log_value=float(sectors.log_k[0]), d_output=sectors.d_output(0))
 
     # -- Delta and H -----------------------------------------------------
 
@@ -1297,18 +1287,14 @@ class IsingModel:
         self._check_pair(j, k, replica)
         return self._result(*self._bulk_kernels([j, k]).at((0, 1, replica)))
 
-    def _enumerated_kernels(
-        self, j: SpinSector, k: SpinSector, replicas: Sequence[int] = (0, 1)
-    ) -> List[Tuple]:
+    def _enumerated_kernels(self, j: SpinSector, k: SpinSector) -> List[Tuple]:
         """(z, E_min, degeneracy, gap, representative) of a
-        boundary-to-boundary pair in each of `replicas`, from one pass over
+        boundary-to-boundary pair in replicas 0 and 1, from one pass over
         all configurations.  A configuration's traced blocks are evaluated
         once, if some replica allows its cut, and shared."""
-        for replica in replicas:
-            self._check_pair(j, k, replica)
-        found = [([], [], [], []) for _ in replicas]  # pos, neg, energies, rows
+        found = [([], [], [], []) for _ in (0, 1)]  # pos, neg, energies, rows
         for index, config in enumerate(self._configurations()):
-            cuts = [self._cut_energy(j, k, config, replica) for replica in replicas]
+            cuts = [self._cut_energy(j, k, config, replica) for replica in (0, 1)]
             if all(lam_cut is None for lam_cut in cuts):
                 continue
             terms = self._boundary_terms(j, k, config)
@@ -1344,7 +1330,8 @@ class IsingModel:
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
         if self.kind.is_boundary_to_boundary:
-            return self._result(*self._enumerated_kernels(j, k, (replica,))[0])
+            self._check_pair(j, k, replica)
+            return self._result(*self._enumerated_kernels(j, k)[replica])
         return self._bulk_kernel(j, k, replica)
 
     def _result(self, z, e_min, degeneracy, gap, rep) -> Tuple[float, GroundState]:
@@ -1416,7 +1403,8 @@ class IsingModel:
     def boundary_fixed_sums(
         self, boundary: Mapping[str, object]
     ) -> BoundaryFixedSums:
-        """K-weighted pair sums over bulk spins at a fixed boundary."""
+        """K-weighted pair sums over bulk spins at a fixed boundary: the one
+        boundary row of the `partition_table` of the boundary's sectors."""
         fixed = {lid: Spin.parse(sp) for lid, sp in boundary.items()}
         if self.kind.is_boundary_to_boundary:
             pool = [
@@ -1433,14 +1421,13 @@ class IsingModel:
         weighted = self.sector_set(pool).weighted()
         if not len(weighted):
             raise EngineError("no admissible sector matches this boundary")
-        sums = _kernel_sums(weighted, self._pair_kernels(weighted).z)
-        d_total = weighted.d_input([0])[0] * weighted.d_output(0)
+        table = self.partition_table(weighted)
         return BoundaryFixedSums(
-            z_bar=tuple(total for total, _ in sums.totals),
-            y=tuple(_over_square(total, log, d_total) for total, log in sums.totals),
-            d_total=d_total,
+            z_bar=table.z_bar[0],
+            y=table.y[0],
+            d_total=table.d_total[0],
             sector_count=len(weighted),
-            log_z_bar=tuple(log for _, log in sums.totals),
+            log_z_bar=table.log_z_bar[0],
         )
 
     def partition_table(

@@ -36,10 +36,11 @@ sector columns, Tr(P_j P_k) = ||X_j^+ X_k||_F^2.  Exact traces need O(nnz)
 memory plus one float per row or column of X_U.  Monte Carlo multiplies each
 batch of shots by one sparse stacked map and lays the shots out on a dense
 grid (batch x keep x rest x components entries), as `reduced_density` does
-for one state.  GRID_LIMIT caps keep x rest x components x inputs, and
-`CMap.pair_basis` checks it for every use, exact traces included.  The
-pattern sum with unit weights reproduces the Ising engine's unnormalized
-partition totals; normalized grades reweight the same traces.
+for one state.  GRID_LIMIT caps each such dense array, checked by
+`RegionGrid.lay_out` on the size it allocates; exact traces never build the
+grid, so the limit does not apply to them.  The pattern sum with unit
+weights reproduces the Ising engine's unnormalized partition totals;
+normalized grades reweight the same traces.
 
 Haar streams.  A Haar vector is a normalized standard complex Gaussian.
 The Gaussians of (vertex, block) for shot s come from chunk c = s //
@@ -75,8 +76,8 @@ DIM_CAP_ENV = "HOLOISING_DIM_CAP"
 # chunk size is part of the definition of the Haar streams.
 HAAR_CHUNK = 64
 
-# Most complex entries one (region x rest) grid may hold: keep x rest cells
-# times the input columns of every component, 16 bytes each.
+# Most complex entries one dense (region x rest) grid array may hold, 16
+# bytes each: keep x rest cells times the shots and components laid out.
 GRID_LIMIT = 1 << 24
 
 
@@ -375,36 +376,32 @@ class RegionGrid:
     outside the swap region R.  Distinct rows have distinct cells, so an
     array over the rows becomes a (keep_dim, rest_dim) array that is zero
     where no row lands, and a partial trace onto R is one matrix product.
-    `width` is the number of entries each cell will carry (input columns
-    times components); GRID_LIMIT caps keep_dim x rest_dim x width.
+    Only `lay_out` allocates the dense grid; GRID_LIMIT caps that array.
     """
 
-    def __init__(
-        self,
-        keys_r: List[np.ndarray],
-        keys_rest: List[np.ndarray],
-        dim: int,
-        width: int = 1,
-    ):
+    def __init__(self, keys_r: List[np.ndarray], keys_rest: List[np.ndarray], dim: int):
         self.rid = _compress_rows(keys_r, dim)
         self.bid = _compress_rows(keys_rest, dim)
         self.keep_dim = int(self.rid.max()) + 1 if dim else 0
         self.rest_dim = int(self.bid.max()) + 1 if dim else 0
-        entries = self.keep_dim * self.rest_dim * width
-        if entries > GRID_LIMIT:
-            raise OracleError(
-                f"the (region x rest) grid needs {self.keep_dim} x {self.rest_dim} "
-                f"cells x {width} entries = {entries}, above GRID_LIMIT = "
-                f"{GRID_LIMIT}; raise holoising.oracle.GRID_LIMIT (16 bytes per "
-                f"entry) or tighten the spin lists"
-            )
         self.cell = self.rid * self.rest_dim + self.bid
 
     def lay_out(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
         """Scatter `values`, whose `axis` runs over the rows, onto the grid;
         that axis becomes the two axes (keep_dim, rest_dim)."""
         head, tail = values.shape[:axis], values.shape[axis + 1 :]
-        out = np.zeros(head + (self.keep_dim * self.rest_dim,) + tail, dtype=complex)
+        shape = head + (self.keep_dim * self.rest_dim,) + tail
+        entries = math.prod(shape)
+        if entries > GRID_LIMIT:
+            raise OracleError(
+                f"laying {values.shape[axis]} rows out on the {self.keep_dim} x "
+                f"{self.rest_dim} (region x rest) grid needs an array of "
+                f"{' x '.join(map(str, shape))} = {entries} entries, above "
+                f"GRID_LIMIT = {GRID_LIMIT}; raise holoising.oracle.GRID_LIMIT "
+                f"(16 bytes per entry), pass a smaller Monte Carlo batch, or "
+                f"tighten the spin lists"
+            )
+        out = np.zeros(shape, dtype=complex)
         out[(slice(None),) * axis + (self.cell,)] = values
         return out.reshape(head + (self.keep_dim, self.rest_dim) + tail)
 
@@ -477,8 +474,7 @@ class CMap:
             keys_rest = [
                 self.out_keys[s][0] for s in self.out_slots if s not in set(key)
             ]
-            width = len(self.components) * self.in_dim
-            self._grid_cache[key] = RegionGrid(keys_r, keys_rest, self.out_dim, width)
+            self._grid_cache[key] = RegionGrid(keys_r, keys_rest, self.out_dim)
         return self._grid_cache[key]
 
     @functools.cached_property

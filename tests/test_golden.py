@@ -1,11 +1,11 @@
 """Golden bytes: SHA-256 digests of the serialized engine outputs.
 
 Each digest pins the exact bytes of one output (a table's CSV file and
-JSON dict, a purity report in every mode, an isometry verdict, a c1 or
-c2 report) on a fixed small instance.  The instances cover cross-boundary
-pairs whose swapped kernel is infeasible, sectors with zero weight K (a
-vanishing superposition amplitude, a vertex without intertwiners) and a
-boundary-to-boundary table with negative pair kernels.  Any change of a
+JSON dict, a purity report in every mode, an isometry verdict, a c1, c2
+or c3 report) on a fixed small instance.  The instances cover
+cross-boundary pairs whose swapped kernel is infeasible, sectors with zero
+weight K (a vanishing superposition amplitude, a vertex without
+intertwiners) and a boundary-to-boundary table with negative pair kernels.  Any change of a
 printed digit, of row order or of a key changes a digest.
 """
 
@@ -18,7 +18,7 @@ import pytest
 from conftest import bridge_family, bridge_graph
 from holoising.bulk import IntertwinerState
 from holoising.entropy import MODES, average_purity
-from holoising.experiments import REGIONS, reproduce_c1, reproduce_c2
+from holoising.experiments import REGIONS, reproduce_c1, reproduce_c2, reproduce_c3
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import IsingModel, ModelKind
 from holoising.isometry import (
@@ -178,7 +178,15 @@ GOLDEN = {
     "c1_1_rightmost": "24838199e2548998989c51dc857348369d19737296f1f1b0218a10806e78c50f",
     "c1_1_upper_right": "c075a4c14ee57ea29c5f3880f512590633361004d2e44a6573b1520b9dba13f0",
     "c1_2_rightmost": "ede28904f89aa1a416cc9863ff375913b4d38cc3f54feac53bc44261de410faf",
-    "c1_2_upper_right": "527f2783030a6a1ed81db573f70f0742fde703356298002ceb8a2e877821f1e6"
+    "c1_2_upper_right": "527f2783030a6a1ed81db573f70f0742fde703356298002ceb8a2e877821f1e6",
+    "c3_2_unit": "388c900557d5d81a2b789e6351196942b8b9e00332ec74461a16b89237750eee",
+    "c3_2_isometric": "7a12d1b0c177b96946af6b675c1bae75ce6145a608ee25f1db495bc455499f5d",
+    "c3_3_unit": "94e57e02fe70cda28f168c59e6fd097a5d26f0a3e23f08ff4accb40259b6e129",
+    "c3_3_isometric": "ca342f24711a6e1b6fd393642d9eaf191dd5b4dc500445e706ad0350282723d7",
+    "c3_6_unit": "aac2df7cfb0ad8a8bf5889635a574da22a72e9c760178e39958f2585055f9009",
+    "c3_6_isometric": "b136c5a36b814b79c30d1718cc0e98f14f57537dee84ade9d2680898a62ed0a6",
+    "c3_10_unit": "280ac9967e839eacbed57a1c46e407c842daa4bd2b61295e356fad0fcc1f9562",
+    "c3_10_isometric": "bfc180a0cdbf973eee713079756bcf918ea6aa7db3f97b0eef4e1a4d68ead904"
 }
 
 
@@ -259,3 +267,14 @@ def test_c1_report(s, region):
     `3L2+L6p+Sigma`, a Sigma that vanishes on R spin-up cross cells)."""
     digest = json_sha(reproduce_c1(s, region).to_json_dict())
     assert digest == GOLDEN[f"c1_{s}_{region}"]
+
+
+@pytest.mark.parametrize("profile", ["unit", "isometric"])
+@pytest.mark.parametrize("n", [2, 3, 6, 10])
+def test_c3_report(n, profile):
+    """The c3 digests were made with the scenario code whose engine check
+    asked the engine pair by pair (two `partition_sum_fixed` calls per
+    sector pair, one `k_factor` call per sector), before it read one
+    partition table."""
+    digest = json_sha(reproduce_c3(n, profile).to_json_dict())
+    assert digest == GOLDEN[f"c3_{n}_{profile}"]

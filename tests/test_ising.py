@@ -1025,3 +1025,63 @@ class TestLogDomainTotals:
         total, (sign, log) = _signed_sum([800.0, 1.0], [799.0])
         assert total == math.inf and sign == 1
         assert log == pytest.approx(800.0 + math.log1p(-math.exp(-1.0)), rel=1e-15)
+
+
+# -- k_factor and boundary_fixed_sums as views ---------------------------------
+
+
+class TestTableViews:
+    """`k_factor` and `boundary_fixed_sums` answer from the same arrays as
+    the full `partition_table`, bit for bit, under both model kinds."""
+
+    @pytest.fixture(scope="class")
+    def models(self):
+        """24 random instances under both kinds, where each boundary holds
+        at most one sector, plus the six-vertex chain, whose superposed
+        middle link puts two weighted sectors and one of zero weight behind
+        each boundary."""
+        rng = np.random.default_rng(20221018)
+        found = []
+        while len(found) < 48:
+            graph, family, state, part = random_instance(rng, with_state=True)
+            if part is None:
+                continue
+            found.append(IsingModel(graph, family, ModelKind.bulk_to_boundary()))
+            found.append(
+                IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
+            )
+        graph = chain_graph(6)
+        allowed = {lid: ["1"] for lid in graph.link_ids()}
+        allowed.update({lid: ["0"] for lid in ("l", "t0", "e1", "e5", "r", "t5")})
+        allowed.update({"e3": ["1", "2", "3"], "t1": ["1/2", "1"]})
+        family = SectorFamily.build(graph, "0", "3", allowed=allowed, normalize=False)
+        found.append(IsingModel(graph, family, ModelKind.bulk_to_boundary()))
+        return [(model, model.partition_table()) for model in found]
+
+    def test_k_factor_is_the_table_log_k(self, models):
+        for model, table in models:
+            sectors = table.sectors
+            for sector, log, k in zip(sectors.sectors, sectors.log_k.tolist(), table.k.tolist()):
+                factor = model.k_factor(sector)
+                assert factor.log_value.hex() == log.hex(), sector.label()
+                assert factor.value == k
+
+    def test_boundary_fixed_sums_are_the_table_rows(self, models):
+        kinds, shared = set(), 0
+        for model, table in models:
+            boundary_ids = model.graph.boundary_ids()
+            for c in table.boundary_keys:
+                key = table.sectors.keys[c]
+                sums = model.boundary_fixed_sums(
+                    {lid: str(Spin(t)) for lid, t in zip(boundary_ids, key)}
+                )
+                assert [v.hex() for v in sums.z_bar] == [v.hex() for v in table.z_bar[c]]
+                assert [v.hex() for v in sums.y] == [v.hex() for v in table.y[c]]
+                assert sums.d_total == table.d_total[c]
+                assert [(s, v.hex()) for s, v in sums.log_z_bar] == [
+                    (s, v.hex()) for s, v in table.log_z_bar[c]
+                ]
+                assert sums.sector_count == int(np.count_nonzero(table.sectors.key == c))
+                kinds.add(model.kind.mode)
+                shared += sums.sector_count > 1
+        assert len(kinds) == 2 and shared

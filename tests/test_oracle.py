@@ -542,17 +542,21 @@ class TestGrades:
         assert a == b == c
 
     def test_grid_limit_names_itself_and_the_way_around(self, monkeypatch):
+        """GRID_LIMIT caps the dense grid Monte Carlo lays out (288 entries
+        for 4 shots here); exact traces never build that grid, so a limit
+        below it leaves them as they are."""
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
-        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
-        monkeypatch.setattr(oracle, "GRID_LIMIT", 1000)
+        kind = ModelKind.bulk_to_boundary()
+        unpatched = exact_replica_average(index, "bulk", cmap=build_cmap(index, kind))
+        monkeypatch.setattr(oracle, "GRID_LIMIT", 100)
+        cmap = build_cmap(index, kind)
+        assert exact_replica_average(index, "bulk", cmap=cmap).hex() == unpatched.hex()
         with pytest.raises(OracleError) as err:
-            exact_replica_average(index, "bulk", cmap=cmap)
-        message = str(err.value)
-        assert "GRID_LIMIT = 1000" in message
-        assert "raise holoising.oracle.GRID_LIMIT" in message
-        with pytest.raises(OracleError):
             mc_purity(index, "bulk", cmap=cmap, shots=4)
+        message = str(err.value)
+        assert "GRID_LIMIT = 100" in message
+        assert "raise holoising.oracle.GRID_LIMIT" in message
 
 
 def brute_patterns(cmap, region, subsets, cols1=None, cols2=None):
