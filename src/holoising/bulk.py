@@ -40,7 +40,7 @@ here are tiny.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -92,6 +92,11 @@ class IntertwinerState:
     sectors: Tuple[SpinSector, ...]
     blocks: Mapping[Tuple[SectorKey, SectorKey], np.ndarray]
     amplitudes: Optional[Mapping[SectorKey, np.ndarray]] = None
+    _dims: Dict[SectorKey, Tuple[int, ...]] = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # Eager, so the work of a call never depends on the calls before it.
+        self._dims.update((s.key(), vertex_block_dims(self.graph, s)) for s in self.sectors)
 
     # -- constructors ----------------------------------------------------
 
@@ -193,7 +198,12 @@ class IntertwinerState:
         raise KeyError(key)
 
     def dims(self, key: SectorKey) -> Tuple[int, ...]:
-        return vertex_block_dims(self.graph, self.sector_by_key(key))
+        return self._dims[key]
+
+    def _block_dims(self, sector: SpinSector) -> Tuple[int, ...]:
+        """`vertex_block_dims` of any sector, read where it is the state's."""
+        dims = self._dims.get(sector.key())
+        return dims if dims is not None else vertex_block_dims(self.graph, sector)
 
     def block(self, a: SectorKey, b: SectorKey) -> np.ndarray:
         blk = self.blocks.get((a, b))
@@ -277,8 +287,8 @@ class IntertwinerState:
                 raise BulkStateError(
                     f"cannot trace vertex {x!r}: sector spin tuples differ"
                 )
-        dims_k = vertex_block_dims(self.graph, ket)
-        dims_b = vertex_block_dims(self.graph, bra)
+        dims_k = self._block_dims(ket)
+        dims_b = self._block_dims(bra)
         kept_dims_k = [dims_k[i] for i in range(len(order)) if order[i] in keep]
         kept_dims_b = [dims_b[i] for i in range(len(order)) if order[i] in keep]
         out_rows = int(np.prod(kept_dims_k, dtype=np.int64)) if kept_dims_k else 1

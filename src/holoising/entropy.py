@@ -13,6 +13,10 @@ and replica totals.  This module turns them into reports:
   (per-sector Haar with manual weights) averaging grades, and
 * rescaled configuration energies used in high-spin isometry arguments.
 
+Z_0 and Z_1 are read, not summed here: the table's `totals` in exact mode,
+its reducer `kernel_sums` on the ground-state kernels otherwise.  P(j,k)
+divides by that Z_0.
+
 Pairs whose swapped-replica kernel vanishes (sectors with different boundary
 spins admit no configuration satisfying the deltas) have X = infinity.
 Cumulants are then taken over the distribution conditioned on the feasible
@@ -20,7 +24,8 @@ pairs, and the missing mass is reported separately; the identity
 
     purity = feasible_mass * <e^{-X}>_{P conditioned}
 
-holds exactly, so nothing is lost by the split.
+holds in exact arithmetic (in floats, to rounding), so nothing is lost by
+the split.
 
 All entropies are in nats.  Every function here is a pure aggregation over
 immutable inputs and is safe to call from multiple threads.
@@ -36,7 +41,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .graph import OpenGraph
-from .ising import ModelKind, PartitionSumTable, couplings, require_finite
+from .ising import ModelKind, PartitionSumTable, couplings, ground_kernel, require_finite
 from .spins import (
     SectorFamily,
     Spin,
@@ -109,8 +114,8 @@ def _pair_cells(table: PartitionSumTable) -> _PairCells:
 
 
 def _fsum(values, what: str) -> float:
-    """math.fsum, raising `TotalsOverflowError` where the sum of K-weighted
-    values leaves float64."""
+    """math.fsum, raising `TotalsOverflowError` where the sum leaves
+    float64."""
     try:
         total = math.fsum(values)
     except (OverflowError, ValueError):
@@ -260,13 +265,14 @@ def average_purity(
     Modes select the per-pair kernels and the pair measure:
 
     * "exact": kernels are the full replica sums; the measure is
-      K_j K_k Z_0^{(j,k)} / Z_0.  The assembled expectation then equals the
-      raw ratio of totals identically.
+      K_j K_k Z_0^{(j,k)} / Z_0.  The purity is the ratio of the table's
+      totals; the assembled expectation equals it up to rounding.
     * "ground_state": the swapped kernel is replaced by its leading
       Boltzmann weight e^{-E_min} and the normalization kernel by 1 (the
-      all-up configuration costs nothing), but the measure stays exact.
+      all-up configuration costs nothing), but the measure stays exact:
+      Z_0, Z_1 reduce the kernels (Z_0^{(j,k)}, Z_0^{(j,k)} e^{-E_min}).
     * "high_spin": ground-state kernels under the factorized measure
-      p_j p_k, i.e. Z_0 approximated by (sum K)^2.
+      p_j p_k: Z_0, Z_1 reduce the kernels (1, e^{-E_min}).
 
     Cumulants are computed up to `cumulant_order` on the distribution
     conditioned on finite X.  Tables with signed pair weights (possible for
@@ -288,22 +294,20 @@ def average_purity(
         if zero.size:
             raise EntropyError(f"pair {cells.ids[zero[0]]!r} has Z_0^(j,k) = 0")
         ratios = cells.z[:, 1] / z0
+        z0_rep, z1_rep = table.totals
     else:
-        ratios = np.array(
-            [math.exp(-e) if math.isfinite(e) else 0.0 for e in cells.e_min[:, 1].tolist()],
-            dtype=float,
-        )
-    # Overflowing weights are reported by _fsum, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        base = table.k[cells.j] * table.k[cells.k]
-        if mode != "high_spin":
-            base = base * z0
-        weighted = base * ratios
-    z0_rep = _fsum(base.tolist(), "pair weights K_j K_k Z_0^(j,k)")
+        ratios = ground_kernel(cells.e_min[:, 1])
+        pair = z0 if mode == "ground_state" else np.ones_like(z0)
+        kernel = np.zeros(table.z.shape)
+        kernel.reshape(-1, 2)[table.pairs] = np.stack([pair, pair * ratios], axis=1)
+        z0_rep, z1_rep = table.kernel_sums(kernel).totals
+    require_finite([z0_rep, z1_rep], "Z_0, Z_1")
     if z0_rep == 0.0:
         raise EntropyError("Z_0 = 0: purity undefined")
-    z1_rep = _fsum(weighted.tolist(), "pair weights K_j K_k Z_1^(j,k)")
 
+    base = table.k[cells.j] * table.k[cells.k]
+    if mode != "high_spin":
+        base = base * z0
     probs = (base / z0_rep).tolist()
     low = min(probs)
     if low < -_SIGN_TOL:

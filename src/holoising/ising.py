@@ -81,8 +81,9 @@ arrays, built on first use; entropy and isometry read the arrays directly.
 `IsingModel.k_factor` and `boundary_fixed_sums` are views too: the first
 reads log K and D_O of a one-sector `SectorSet`, the second the one
 boundary row of the table of a boundary's sectors.  So log K has one sum,
-`SectorSet.log_k`, and the K-weighted kernel sums one, `_kernel_sums`,
-whose only caller is the table's assembly.
+`SectorSet.log_k`, and every K-weighted pair sum one, `_kernel_sums`
+(`PartitionSumTable.kernel_sums`): the table's own `totals` and `z_bar`,
+and the ground-state sums (`ground_kernel`) of `entropy` and `isometry`.
 
 Totals in log domain.  Z_b sums K_j K_k Z^{(j,k)}_b over all pairs; each
 nonzero term enters its sign bucket as log K_j + log K_k + log|Z^{(j,k)}_b|
@@ -485,19 +486,26 @@ class PartitionSumTable:
         count = len(sectors)
         table.pairs = np.arange(count * count)
         table.stray = table.malformed = None
-        sums = _kernel_sums(sectors, kernels.z)
-        table.totals = tuple(total for total, _ in sums.totals)
-        table.log_totals = tuple(log for _, log in sums.totals)
+        sums = table.kernel_sums(kernels.z)
+        table.totals, table.log_totals = sums.totals, sums.log_totals
         table.boundary_keys = sums.keys_with_rows
-        table.z_bar = [tuple(t for t, _ in key) for key in sums.by_key]
-        table.log_z_bar = [tuple(log for _, log in key) for key in sums.by_key]
-        table.d_total = [0] * len(sums.by_key)
-        table.y = [(0.0, 0.0)] * len(sums.by_key)
+        table.z_bar, table.log_z_bar = sums.z_bar, sums.log_z_bar
+        table.d_total = [0] * len(sums.z_bar)
+        table.y = [(0.0, 0.0)] * len(sums.z_bar)
         d_input = sectors.d_input(sums.keys_with_rows)
         for c, d_in in zip(sums.keys_with_rows, d_input):
             table.d_total[c] = d = d_in * sectors.d_output(c)
-            table.y[c] = tuple(_over_square(t, log, d) for t, log in sums.by_key[c])
+            table.y[c] = tuple(_over_square(t, log, d) for t, log in zip(sums.z_bar[c], sums.log_z_bar[c]))
         return table
+
+    def kernel_sums(self, kernel: np.ndarray) -> _KernelSums:
+        """`_kernel_sums` of an (S, S, 2) kernel array under this table's K
+        and boundary keys; an engine table's sums are `kernel_sums(z)`.  A
+        table written by hand has one key and log K from its K factors."""
+        if self.sectors is not None:
+            return _kernel_sums(kernel, self.sectors.log_k, self.sectors.key, len(self.sectors.keys))
+        log_k = np.array([math.log(k) if k else -math.inf for k in self.k.tolist()])
+        return _kernel_sums(kernel, log_k, np.zeros(len(log_k), dtype=np.int64), 1)
 
     @functools.cached_property
     def pair_ids(self) -> List[str]:
@@ -653,30 +661,30 @@ def _log_table(rows, zero: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _KernelSums:
-    """K-weighted kernel sums of a table: `totals` per replica, and
-    `by_key[c]` per replica over the pairs whose two sectors share boundary
-    key c; each sum as (float, (sign, log|sum|)).  `keys_with_rows` lists
-    the keys with at least one nonzero kernel in their diagonal block."""
+    """K-weighted kernel sums, named as in `PartitionSumTable`: per
+    replica over all pairs (`totals`, `log_totals`) and over the pairs whose
+    two sectors share boundary key c (`z_bar[c]`, `log_z_bar[c]`).
+    `keys_with_rows` lists the keys with a nonzero kernel in their block."""
 
     totals: Tuple
-    by_key: List[Tuple]
+    log_totals: Tuple
+    z_bar: List[Tuple]
+    log_z_bar: List[Tuple]
     keys_with_rows: Tuple[int, ...]
 
 
-def _kernel_sums(sectors: "SectorSet", z: np.ndarray) -> _KernelSums:
-    """Sum K_j K_k Z^(j,k)_b over all pairs and over each boundary key's
-    diagonal block.  Each nonzero kernel enters the bucket of its sign as
-    the log term (log K_j + log K_k) + log|Z|, in row-major pair order; the
-    order fixes the bits of each bucket's log-sum-exp.  Logs come from
-    `math.log`, whose bits numpy's vectorized log need not share.
+def _kernel_sums(z: np.ndarray, log_k: np.ndarray, key: np.ndarray, nkeys: int) -> _KernelSums:
+    """Sum K_j K_k Z^(j,k)_b over all pairs of the (S, S, 2) kernel array
+    `z` and over each boundary key's diagonal block (`key[j]` is sector
+    j's code, below `nkeys`).  Each nonzero kernel enters the bucket of its
+    sign as the log term (log K_j + log K_k) + log|Z|, in row-major pair
+    order; the order fixes the bits of each bucket's log-sum-exp.  Logs
+    come from `math.log`, whose bits numpy's vectorized log need not share.
     """
-    count = len(sectors)
-    log_k = sectors.log_k
+    count = len(log_k)
     log_kk = (log_k[:, None] + log_k[None, :]).ravel()
-    key = sectors.key
     same = (key[:, None] == key[None, :]).ravel()
     key_of_pair = np.repeat(key, count)
-    nkeys = len(sectors.keys)
     by_key: List[List] = [[None, None] for _ in range(nkeys)]
     has_row = np.zeros(nkeys, dtype=bool)
     totals = []
@@ -694,10 +702,20 @@ def _kernel_sums(sectors: "SectorSet", z: np.ndarray) -> _KernelSums:
             has_row[c] |= block.any()
             by_key[c][replica] = _signed_sum(logs[block & pos], logs[block & ~pos])
     return _KernelSums(
-        totals=tuple(totals),
-        by_key=[tuple(sums) for sums in by_key],
+        totals=tuple(total for total, _ in totals),
+        log_totals=tuple(log for _, log in totals),
+        z_bar=[tuple(total for total, _ in sums) for sums in by_key],
+        log_z_bar=[tuple(log for _, log in sums) for sums in by_key],
         keys_with_rows=tuple(np.flatnonzero(has_row).tolist()),
     )
+
+
+def ground_kernel(e_min: np.ndarray) -> np.ndarray:
+    """e^{-E_min} entry by entry with `math.exp`, 0 where E_min is infinite."""
+    return np.array(
+        [math.exp(-e) if math.isfinite(e) else 0.0 for e in e_min.ravel().tolist()],
+        dtype=float,
+    ).reshape(e_min.shape)
 
 
 def _unique_bool_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -28,6 +28,9 @@ Verdicts are graded, never boolean: every condition reports a nonnegative
 numeric defect per sector plus a pass flag at a configurable tolerance
 (defaults: relative 1e-3 with exact kernels, 5% in the ground-state
 approximation, whose kernels keep only e^{-E_min} of each pair).
+
+Z_b and Zbar_b are read, not summed here: the table's `totals` and `z_bar`
+in the exact regime, its reducer `kernel_sums` on e^{-E_min} otherwise.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import numpy as np
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph
-from .ising import IsingConfig, IsingModel, ModelKind, PartitionSumTable, require_finite
+from .ising import IsingConfig, IsingModel, ModelKind, PartitionSumTable, ground_kernel, require_finite
 from .spins import (
     SectorFamily,
     Spin,
@@ -362,47 +365,11 @@ def _normalize_window(
     return out
 
 
-def _running_sum(values: np.ndarray) -> float:
-    """Left-to-right float sum, without pairwise or compensated summation."""
-    total = 0.0
-    for value in values.tolist():
-        total += value
-    return total
-
-
-def _assemble_sums(
-    table: PartitionSumTable,
-    regime: str,
-    groups: Optional[np.ndarray] = None,
-):
-    """K-weighted totals of both replicas, optionally grouped by sector.
-
-    Returns (totals, grouped) where grouped[g][b] sums only pairs whose two
-    sectors share the group code `g` in `groups` (one code per sector);
-    grouped is None when no grouping is requested.  Every sum runs over
-    the pairs in row order.
-    """
-    if regime == "exact":
-        kernel = table.z
-    else:
-        kernel = np.array(
-            [math.exp(-e) if math.isfinite(e) else 0.0 for e in table.e_min.ravel().tolist()],
-            dtype=float,
-        ).reshape(table.e_min.shape)
-    k = table.k
-    # Overflowing weights are reported by require_finite, not warned about.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = (k[:, None] * k[None, :])[:, :, None] * kernel
-    totals = [_running_sum(values[:, :, b].ravel()) for b in (0, 1)]
-    require_finite(totals, "K-weighted sums Z_0, Z_1")
-    grouped: Optional[Dict[int, List[float]]] = None
-    if groups is not None:
-        grouped = {}
-        for g in sorted(set(groups.tolist())):
-            members = np.flatnonzero(groups == g)
-            block = values[np.ix_(members, members)]
-            grouped[g] = [_running_sum(block[:, :, b].ravel()) for b in (0, 1)]
-    return totals, grouped
+def _sums(table: PartitionSumTable, regime: str):
+    """(Z_0, Z_1) and, per boundary key, (Zbar_0, Zbar_1) of `regime`."""
+    sums = table if regime == "exact" else table.kernel_sums(ground_kernel(table.e_min))
+    require_finite(sums.totals, "K-weighted sums Z_0, Z_1")
+    return sums.totals, sums.z_bar
 
 
 def check_bulk_to_boundary(
@@ -450,7 +417,7 @@ def check_bulk_to_boundary(
             )
         e_codes.append(code[twice])
     table = model.partition_table(pool)
-    totals, zbar = _assemble_sums(table, regime, groups=pool.key)
+    totals, zbar = _sums(table, regime)
     if totals[0] <= 0.0:
         raise IsometryError("window normalization sum Z_0 vanishes")
 
@@ -883,7 +850,7 @@ def check_boundary_to_boundary(
     table = model.partition_table()
     if not table.labels:
         raise IsometryError("the bulk state carries no weighted sector")
-    totals, _ = _assemble_sums(table, regime)
+    totals, _ = _sums(table, regime)
     if totals[0] <= 0.0:
         raise IsometryError("normalization sum Z_0 vanishes")
     purity = totals[1] / totals[0]

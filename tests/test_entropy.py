@@ -392,6 +392,119 @@ class TestAveragePurity:
 # -- cumulant expansion --------------------------------------------------
 
 
+class TestOneReduction:
+    """Every K-weighted total the reports read comes from the table's one
+    reducer: exact reports and verdicts read the table's own totals, bit
+    for bit, the ground-state and high-spin sums come from
+    `PartitionSumTable.kernel_sums`, and each agrees with a `math.fsum`
+    over the same cells."""
+
+    REL = 1e-13
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        """(model, window or None) on random instances of both kinds, the
+        golden star and the golden zero-weight bridge; the window is the
+        suggested one of a bulk-to-boundary model."""
+        from test_golden import star_table, zero_weight_bridge
+
+        from holoising.isometry import suggest_window
+
+        rng = np.random.default_rng(20221019)
+        found = []
+        while len(found) < 24:
+            graph, family, state, part = random_instance(rng, with_state=True)
+            if part is None:
+                continue
+            found.append(IsingModel(graph, family, ModelKind.bulk_to_boundary()))
+            found.append(
+                IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
+            )
+        for graph, family in (star_table(), zero_weight_bridge()):
+            found.append(IsingModel(graph, family, ModelKind.bulk_to_boundary()))
+        return [
+            (model, None if model.kind.is_boundary_to_boundary else suggest_window(model.family, model.graph))
+            for model in found
+        ]
+
+    @staticmethod
+    def reference(table, kernel, block=None):
+        """math.fsum of K_j K_k kernel[j, k, b] per replica b, over the
+        sector indices in `block` (all by default)."""
+        index = np.arange(len(table.labels)) if block is None else block
+        k = table.k
+        return tuple(
+            math.fsum(k[j] * k[i] * kernel[j, i, b] for j in index.tolist() for i in index.tolist())
+            for b in (0, 1)
+        )
+
+    def assert_close(self, got, want):
+        for g, w in zip(got, want):
+            assert g == pytest.approx(w, rel=self.REL, abs=0.0), (got, want)
+
+    def test_reports_read_the_reducer(self, instances):
+        from holoising.ising import ground_kernel
+
+        checked = set()
+        for model, _ in instances:
+            table = model.partition_table()
+            ground = ground_kernel(table.e_min[:, :, 1])
+            kernels = {
+                "exact": table.z,
+                "ground_state": np.stack([table.z[:, :, 0], table.z[:, :, 0] * ground], axis=2),
+                "high_spin": np.stack([np.ones_like(ground), ground], axis=2),
+            }
+            for mode, kernel in kernels.items():
+                try:
+                    report = average_purity(table, mode=mode)
+                except EntropyError as exc:
+                    assert "signed" in str(exc) or "Z_0^(j,k) = 0" in str(exc), exc
+                    continue
+                checked.add((model.kind.mode, mode))
+                self.assert_close((report.z0, report.z1), self.reference(table, kernel))
+                if mode == "exact":
+                    assert report.z0.hex() == table.totals[0].hex()
+                    assert report.z1.hex() == table.totals[1].hex()
+                if mode != "high_spin":
+                    assert report.pair_probs == report.distribution.pair_probs
+        assert len(checked) == 6
+
+    def test_verdicts_read_the_reducer(self, instances):
+        from holoising.ising import ground_kernel
+        from holoising.isometry import check_boundary_to_boundary, check_bulk_to_boundary
+
+        checked = set()
+        for model, window in instances:
+            graph, family = model.graph, model.family
+            if window is None:
+                if not model.state.is_pure():
+                    continue
+                table = model.partition_table()
+            else:
+                table = model.partition_table(
+                    [s for fixed in window for s in enumerate_sectors(family, graph, boundary_filter=fixed)]
+                )
+            ground = table.kernel_sums(ground_kernel(table.e_min))
+            for regime, sums, kernel in (
+                ("exact", table, table.z),
+                ("ground_state", ground, ground_kernel(table.e_min)),
+            ):
+                if window is None:
+                    verdict = check_boundary_to_boundary(
+                        family, graph, model.kind.partition, model.state, regime=regime
+                    )
+                else:
+                    verdict = check_bulk_to_boundary(family, graph, window, regime=regime)
+                purity = dict(verdict.extras)["purity"]
+                assert purity.hex() == (sums.totals[1] / sums.totals[0]).hex()
+                self.assert_close(sums.totals, self.reference(table, kernel))
+                for c in table.boundary_keys:
+                    block = np.flatnonzero(table.sectors.key == c)
+                    self.assert_close(sums.z_bar[c], self.reference(table, kernel, block))
+                checked.add((model.kind.mode, regime))
+        assert len(checked) == 4
+
+
 class TestCumulantExpansion:
     def test_constant_exponent(self):
         series = cumulant_expansion([1.7, 1.7, 1.7], [0.2, 0.5, 0.3], 5)

@@ -144,33 +144,41 @@ def purity_digests(table, graph=None, family=None):
     }
 
 
-#: Digests generated with the engine before its tables became arrays.
+#: Digests generated with the engine before its tables became arrays.  The
+#: purity reports (every mode) and the isometry verdicts except two were
+#: regenerated when their consumers started to read Z_b and Zbar_b from the
+#: table's log-domain reducer instead of summing the pairs again (an fsum in
+#: `average_purity`, a left-to-right loop in the verdicts): their totals,
+#: pair probabilities, purities and defects moved in the last bits.  The
+#: `signed_b2b` ground-state verdict and the `bridge_verdict` ground-state
+#: verdict kept their bytes.  Every table, condition matrix, c1, c2 and c3
+#: digest is unchanged.
 GOLDEN = {
     "star": {
         "csv": "1421be80d820478a75c1d6127c19c77d50aababc1fd472a1c83e850ae44bcae6",
         "json": "927f144260b5b8fdbcce3c8f674f82d67ec58bdf897e65823d8e63f23ad5909e",
-        "exact": "ec2372e0607b8cfb382d467a613ae480c3d50d843ed740131af1ec2e587487ec",
-        "ground_state": "f8a6dfcda3942b8a8a8a354d32de1a1eadab62eb0c44741ca24e5f044408797c",
-        "high_spin": "04101b62ce9ffd7ee27868d6a5f9cc6effd1e178d3312f8a3c09efa6a8f85f67"
+        "exact": "b6354ab6ecc046bdadc42fd4dbf1e99619b0d10ad3fef9cc86083f51a75a3696",
+        "ground_state": "a7971bc8664b97c131c4fd1dd8f517099033316a52f192d2806c63eee3d479a9",
+        "high_spin": "6d0fd728631a88547d71a0f3faa401df709878d02130d88555dfdd0f6f8ffa50"
     },
     "zero_weight_bridge": {
         "csv": "34a17e2f5e0b252e23f719cec643081380cfb2c811b0a9018bdea304d37d4a91",
         "json": "8cddd44c68cb45bfa5db2e7e7fc331a34b1421cecb3c33e6e3749abce369b6e3",
-        "exact": "e9b3971b341c6d801747c6ea736702bfc472d3c5110a2dc36da9ff322c161aa0",
-        "ground_state": "cddafe2784a1aa5e7c93da15399170ff815ed925bde6e3334cd077dd66d30837",
-        "high_spin": "3414ab49ffc99c5ce373e9dabae5ce00e86c00a84dca32ee04ba1e1563fc660f",
-        "verdict": "85308f2095785286449a66d3a4bc638a8d5dc97a9e3cb906068c12e601056111",
-        "verdict_gs": "cd169d1906fbc328fcd7a74e22a35803612fba01d96395db435b8c7a21fc11da",
+        "exact": "1e6efe2e52ead6a29bc1262c54ade276220c65a90a407e323013c4ddc25523e4",
+        "ground_state": "f21f679f6eeb79fd5c93f7a35a9c29da282a42f0d1a206fdc45fd1dd8ef508cb",
+        "high_spin": "7886e46c6bc228c26d84f4999d228ac8db456fc56d254888e67b433ebc253566",
+        "verdict": "f6c826f0c8f642ffc4baef88afacb158eb2214923b628bf7c55aa6e68e538f9a",
+        "verdict_gs": "21b6877b4936665f615f625eb9dc8dec07a7915e915fa74b4e9d6f3b9a0e9c94",
         "condition_matrix": "2156f97a527ccb56267b86c3e33b2f18ba5928ffe6f891d16d881e7eaf698867"
     },
     "signed_b2b": {
         "csv": "e7328ee30ccbf93216892e64a5444652067f09187cd219c597a6b18e78b59136",
         "json": "f366f3fc7f8a5e7d1a9d1a86bf9e0125e4e5dd4514accbdc577fa0249dad3220",
-        "verdict_exact": "f5e8369a7abebdcc82b51743722ebf9bf95b3d6dc1ab922a8225ca6fe2b2af97",
+        "verdict_exact": "3269c4d7926318b08c221998ecf984bf6ae44a01d4a33744f4dffd622ca4e111",
         "verdict_ground_state": "c322bfa561aee20636aa9f243cd4d3a336592f5846442327e12d69fd7320debd"
     },
     "bridge_verdict": {
-        "exact": "5124d02d71f3e414e789d3b7eb9bacc4b62a66ad3c10761c420447dbdb710828",
+        "exact": "1ea9f6ee0b100777d322ecda29a4d32e0da3b50c981d8386620426d41e2e278b",
         "ground_state": "7c951a2b68eeb4f55608d27b6390b56daaac5fdc17ad68732042db341e26ed5e"
     },
     "c2_4": "9859ebff2ae5addefc0bacc64ecb57efba975fb822890034b051fabfb1587a14",

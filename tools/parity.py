@@ -18,6 +18,18 @@ It imports `holoising` from the `src/` of the checkout it sits in, and
 re-executes itself with PYTHONHASHSEED=0 and one BLAS thread, as the
 benchmark does.  The first lines of the output list one digest per
 result in call order; the last line is a digest over all of them.
+
+Where two trees are meant to differ in the last bits, `--values PATH`
+also writes each result's canonical form, one JSON line per result, and
+`--compare A B` reads two such files and prints, per result kind, how
+many results differ, the largest relative difference of a float (with
+the path of the float that has it), the largest per field (the path with
+its indices dropped) and every difference that is not a float (a bool,
+int, string, label, key or length):
+
+    python3 tools/parity.py --workload sector-wide --seed 5 --out a.txt --values a.jsonl
+    (in the other checkout, same arguments)  --out b.txt --values b.jsonl
+    python3 tools/parity.py --compare a.jsonl b.jsonl
 """
 
 from __future__ import annotations
@@ -27,10 +39,12 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
+import re
 import sys
 from collections import Counter
-from typing import Any, Callable, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -88,17 +102,21 @@ def canon(obj: Any) -> Any:
 
 
 class Recorder:
-    def __init__(self):
+    def __init__(self, values=None):
         self.lines: List[str] = []
         self.kinds: Counter = Counter()
         self.op = -1
+        self.values = values
         self._undo: List[Tuple[Any, str, Any]] = []
 
     def record(self, kind: str, result: Any) -> None:
-        blob = json.dumps(canon(result), sort_keys=True, separators=(",", ":"))
+        value = canon(result)
+        blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(blob.encode()).hexdigest()[:32]
         self.kinds[kind] += 1
         self.lines.append(f"op {self.op} {kind} {digest}")
+        if self.values is not None:
+            self.values.write(json.dumps({"op": self.op, "kind": kind, "value": value}, sort_keys=True) + "\n")
 
     def _wrapper(self, kind: str, fn: Callable) -> Callable:
         recorder = self
@@ -142,20 +160,108 @@ class Recorder:
             setattr(owner, attr, original)
 
 
+# float.hex spellings; anything else in a canonical form is compared as is.
+_HEX_FLOAT = re.compile(r"-?(0x[0-9a-f]+(\.[0-9a-f]*)?p[+-]\d+|inf)|nan")
+
+
+def _float(value: Any) -> Optional[float]:
+    """The float a canonical string spells, None for any other value."""
+    if isinstance(value, str) and _HEX_FLOAT.fullmatch(value):
+        return float.fromhex(value) if "x" in value else float(value)
+    return None
+
+
+def _rel(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|); 0 for equal values (also equal infinities
+    and two NaNs), inf where only one is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _differences(a: Any, b: Any, path: str, floats: List[Tuple[float, str]], other: List[str]) -> None:
+    """Walk two canonical forms side by side: differing floats go to
+    `floats` as (relative difference, path), everything else to `other`."""
+    fa, fb = _float(a), _float(b)
+    if fa is not None and fb is not None:
+        rel = _rel(fa, fb)
+        if rel:
+            floats.append((rel, path))
+    elif isinstance(a, dict) and isinstance(b, dict):
+        if a.keys() != b.keys():
+            other.append(f"{path}: keys {sorted(a.keys() ^ b.keys())}")
+        for key in a.keys() & b.keys():
+            _differences(a[key], b[key], f"{path}/{key}", floats, other)
+    elif isinstance(a, list) and isinstance(b, list):
+        if len(a) != len(b):
+            other.append(f"{path}: length {len(a)} != {len(b)}")
+        for i, (x, y) in enumerate(zip(a, b)):
+            _differences(x, y, f"{path}[{i}]", floats, other)
+    elif a != b:
+        other.append(f"{path}: {a!r} != {b!r}")
+
+
+def compare(path_a: str, path_b: str) -> int:
+    """Print per result kind how two `--values` files differ; 1 where some
+    difference is not a float or the files list different results."""
+    records = []
+    for path in (path_a, path_b):
+        with open(path) as handle:
+            records.append([json.loads(line) for line in handle])
+    a, b = records
+    status = 0
+    if [(r["op"], r["kind"]) for r in a] != [(r["op"], r["kind"]) for r in b]:
+        print(f"the files list different results ({len(a)} and {len(b)} records)")
+        status = 1
+    report: Dict[str, Dict[str, Any]] = {}
+    for ra, rb in zip(a, b):
+        floats: List[Tuple[float, str]] = []
+        other: List[str] = []
+        _differences(ra["value"], rb["value"], "", floats, other)
+        entry = report.setdefault(ra["kind"], {"count": 0, "differ": 0, "max": (0.0, ""), "fields": {}, "other": []})
+        entry["count"] += 1
+        entry["differ"] += bool(floats or other)
+        entry["max"] = max([entry["max"], *floats])
+        for rel, where in floats:
+            field = re.sub(r"\[\d+\]", "", where)
+            entry["fields"][field] = max(entry["fields"].get(field, 0.0), rel)
+        entry["other"].extend(f"op {ra['op']} {line}" for line in other)
+    for kind, entry in sorted(report.items()):
+        rel, where = entry["max"]
+        print(f"{kind}: {entry['differ']} of {entry['count']} differ, largest relative float "
+              f"difference {rel:.3g}{f' at {where}' if rel else ''}, "
+              f"{len(entry['other'])} non-float differences")
+        for field, rel in sorted(entry["fields"].items()):
+            print(f"    {field or '/'}: {rel:.3g}")
+        for line in entry["other"][:20]:
+            print(f"    {line}")
+        status |= bool(entry["other"])
+    return status
+
+
 def main(argv=None) -> int:
     if os.environ.get("PYTHONHASHSEED") != "0":
         env = dict(os.environ, PYTHONHASHSEED="0")
         env.update((name, "1") for name in BLAS_THREADS)
         os.execve(sys.executable, [sys.executable, os.path.abspath(__file__), *sys.argv[1:]], env)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", required=True, choices=workloads.WORKLOADS)
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--workload", choices=workloads.WORKLOADS)
+    parser.add_argument("--seed", type=int)
     parser.add_argument("--seconds", type=float, default=25.0, help="run length the op count is drawn for")
-    parser.add_argument("--out", required=True)
+    parser.add_argument("--out")
+    parser.add_argument("--values", metavar="PATH", help="also write each result's canonical JSON, one line each")
+    parser.add_argument("--compare", nargs=2, metavar=("A", "B"), help="compare two --values files")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
+    if args.workload is None or args.seed is None or args.out is None:
+        parser.error("--workload, --seed and --out are required unless --compare is given")
 
     ops = workloads.build_ops(args.workload, args.seed, workloads.op_count(args.workload, args.seconds))
-    recorder = Recorder()
+    values = open(args.values, "w") if args.values else None
+    recorder = Recorder(values)
     recorder.install()
     failures = []
     try:
@@ -167,6 +273,8 @@ def main(argv=None) -> int:
                 failures.append(f"op {op.index} {op.kind} failed: {type(exc).__name__}: {exc}")
     finally:
         recorder.uninstall()
+        if values is not None:
+            values.close()
     total = hashlib.sha256("\n".join(recorder.lines).encode()).hexdigest()
     with open(args.out, "w") as handle:
         handle.write(f"# {args.workload} seed {args.seed}: {len(ops)} ops\n")
