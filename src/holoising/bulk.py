@@ -283,7 +283,7 @@ class IntertwinerState:
         if unknown:
             raise BulkStateError(f"unknown vertices {sorted(unknown)}")
         for x in order:
-            if x not in keep and ket.vertex_spins(x) != bra.vertex_spins(x):
+            if x not in keep and ket.vertex_twice(x) != bra.vertex_twice(x):
                 raise BulkStateError(
                     f"cannot trace vertex {x!r}: sector spin tuples differ"
                 )

@@ -988,13 +988,7 @@ def reproduce_c2(
             "the sector census needs boundary links only (no loops)"
         )
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-    if window is None:
-        candidates = list(enumerate_sectors(family, graph))
-    else:
-        candidates = []
-        for entry in window:
-            candidates.extend(enumerate_sectors(family, graph, boundary_filter=entry))
-    pool = model.sector_set(candidates).weighted()
+    pool = model.sector_set(boundaries=window).weighted()
     for entry in window or ():
         twice = tuple(Spin.parse(entry[lid]).twice for lid in graph.boundary_ids())
         if twice not in pool.keys:

@@ -66,11 +66,17 @@ so that sums keep scipy's bits.
 Both paths refuse graphs with more than `exhaustive_limit` vertices.
 
 Sector sets and the columnar table.  `IsingModel.sector_set` builds one
-`SectorSet` per sector list: the S x L matrix of doubled link spins (which
-the batched kernels read), boundary assignments as integer key codes,
-labels, intertwiner dimensions per sector and vertex, log K per sector, and
-D_I, D_O per boundary key.  Each distinct vertex spin tuple costs one
-`intertwiner_dim` call per model, and D_I comes from one enumeration of the
+`SectorSet` per sector pool from the pool's S x L matrix of doubled link
+spins, which the batched kernels read.  A bulk-to-boundary pool is the
+family's `spins.sector_matrix`, whole or for a list of boundary
+assignments; a boundary-to-boundary pool holds the state's sectors.  The
+set codes boundary assignments as integer keys.  Labels, intertwiner
+dimensions per sector and vertex, log K per sector, D_I and D_O per key,
+and the `SpinSector` objects are views built on first use, so a matrix
+pool makes `SpinSector`s only for the rows a consumer iterates after
+`weighted()` drops the zero-weight ones.  Intertwiner dimensions are read
+per row from one module-level cache keyed by the doubled-spin tuple
+(`spins.twice_intertwiner_dim`), and D_I comes from one enumeration of the
 family's bulk spin assignments, shared by every key.  `partition_table`
 drops the sectors of zero weight and stores the kernels as arrays:
 `PartitionSumTable.z`, `e_min`, `degeneracy` and `gap` each hold S^2 x 2
@@ -84,15 +90,21 @@ boundary row of the table of a boundary's sectors.  So log K has one sum,
 `SectorSet.log_k`, and every K-weighted pair sum one, `_kernel_sums`
 (`PartitionSumTable.kernel_sums`): the table's own `totals` and `z_bar`,
 and the ground-state sums (`ground_kernel`) of `entropy` and `isometry`.
+`_kernel_sums` is a bucketed reducer: every nonzero term gets the bucket
+id of its replica, slot (the total or one boundary key) and sign, one
+stable argsort of the ids keeps each bucket's terms in row-major pair
+order, and the buckets of one length share one log-sum-exp call (those of
+2 to 7 terms share one call, see `_bucket_logsumexp`).
 
 Totals in log domain.  Z_b sums K_j K_k Z^{(j,k)}_b over all pairs; each
 nonzero term enters its sign bucket as log K_j + log K_k + log|Z^{(j,k)}_b|
 and each bucket is reduced by log-sum-exp, so `PartitionSumTable.log_totals`
 holds every total as (sign, log|Z_b|) and never overflows.  The float
 `totals` are those bucket sums exponentiated, +/-inf where they leave
-float64; boundary rows carry `log_z_bar` the same way.  `entropy` and
-`isometry` raise `TotalsOverflowError`, which names `log_totals`, rather
-than dividing infinities.
+float64; boundary rows carry `log_z_bar` the same way.  The two sign
+buckets of each total also give `log_cancellation`, the log of the larger
+bucket over |Z_b|.  `entropy` and `isometry` raise `TotalsOverflowError`,
+which names `log_totals`, rather than dividing infinities.
 """
 
 from __future__ import annotations
@@ -116,8 +128,9 @@ from .spins import (
     SectorFamily,
     Spin,
     SpinSector,
-    enumerate_sectors,
     intertwiner_dim,
+    sector_matrix,
+    twice_intertwiner_dim,
 )
 
 #: Absolute tolerance for counting ground-state ties.
@@ -407,7 +420,10 @@ class PartitionSumTable:
     the complete pair cells in row order, with ids `pair_ids`; an engine
     table has every pair, in row-major order.  `totals` are Z_0 and Z_1 as
     floats (+/-inf where they overflow) and `log_totals` the same sums as
-    (sign, log|Z_b|).  Boundary-diagonal sums are indexed by boundary key:
+    (sign, log|Z_b|).  An engine table also has `log_cancellation`: per
+    replica, log of the larger sign bucket of Z_b over |Z_b|, 0 where no
+    term has the other sign (so for every bulk-to-boundary table).
+    Boundary-diagonal sums are indexed by boundary key:
     `z_bar`, `log_z_bar`, `y` and `d_total` hold one entry per key, and
     `boundary_keys` lists the keys that have a row.  `sectors` is the
     engine's `SectorSet` (None for a table written by hand).
@@ -488,6 +504,7 @@ class PartitionSumTable:
         table.stray = table.malformed = None
         sums = table.kernel_sums(kernels.z)
         table.totals, table.log_totals = sums.totals, sums.log_totals
+        table.log_cancellation = sums.log_cancellation
         table.boundary_keys = sums.keys_with_rows
         table.z_bar, table.log_z_bar = sums.z_bar, sums.log_z_bar
         table.d_total = [0] * len(sums.z_bar)
@@ -622,11 +639,42 @@ def _logsumexp(terms: Sequence[float]) -> float:
     return _logsumexp_rows(np.asarray(terms, dtype=float)[None, :])[0]
 
 
+def _bucket_logsumexp(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """`_logsumexp` of each bucket of `terms`, which holds the buckets one
+    after another with the given lengths, with the bits of reducing the
+    bucket alone (-inf for an empty bucket).
+
+    A lone term is its own log-sum-exp.  The buckets of each length of 8
+    or more share one `_logsumexp_rows` call.  The buckets of 2 to 7 terms
+    share one call too, padded with -inf to a common width: numpy sums
+    fewer than 8 entries left to right, so the zeros the padding adds at
+    the end of a row keep its bits.
+    """
+    starts = np.cumsum(lengths) - lengths
+    out = np.full(len(lengths), -math.inf)
+    single = np.flatnonzero(lengths == 1)
+    out[single] = terms[starts[single]]
+    short = np.flatnonzero((lengths > 1) & (lengths < 8))
+    if short.size:
+        width = np.arange(lengths[short].max())
+        index = np.where(width < lengths[short, None], starts[short, None] + width, len(terms))
+        out[short] = _logsumexp_rows(np.append(terms, -math.inf)[index])
+    for n in set(lengths[lengths >= 8].tolist()):
+        buckets = np.flatnonzero(lengths == n)
+        out[buckets] = _logsumexp_rows(terms[starts[buckets, None] + np.arange(n)])
+    return out
+
+
 def _signed_sum(pos: Sequence[float], neg: Sequence[float]) -> Tuple[float, Tuple[int, float]]:
     """Sum of +exp(pos) and -exp(neg) terms given by their logs, each
     bucket reduced by log-sum-exp: (the float, +/-inf where it overflows;
     (sign, log|sum|))."""
-    lp, ln = (_logsumexp(b) for b in (pos, neg))
+    return _signed_logs(_logsumexp(pos), _logsumexp(neg))
+
+
+def _signed_logs(lp: float, ln: float) -> Tuple[float, Tuple[int, float]]:
+    """exp(lp) - exp(ln) for the log-sum-exps of a positive and a negative
+    bucket (-inf for an empty one), as `_signed_sum` returns it."""
     if lp > ln:
         log_form = (1, float(lp + math.log1p(-math.exp(ln - lp))))
     elif ln > lp:
@@ -634,14 +682,19 @@ def _signed_sum(pos: Sequence[float], neg: Sequence[float]) -> Tuple[float, Tupl
     else:
         log_form = (0, -math.inf)
     try:
-        total = 0.0
-        if len(pos):
-            total += math.exp(lp)
-        if len(neg):
-            total -= math.exp(ln)
+        total = math.exp(lp) - math.exp(ln)
     except OverflowError:
         total = log_form[0] * _exp(log_form[1])
     return total, log_form
+
+
+def _log_cancellation(lp: float, ln: float, log_form: Tuple[int, float]) -> float:
+    """log of (larger sign bucket) / |sum|: 0 for a one-signed sum, +inf
+    where the buckets cancel exactly, 0 for an empty sum."""
+    top = max(lp, ln)
+    if log_form[0]:
+        return float(top - log_form[1])
+    return math.inf if top > -math.inf else 0.0
 
 
 def _log_table(rows, zero: float) -> np.ndarray:
@@ -664,49 +717,54 @@ class _KernelSums:
     """K-weighted kernel sums, named as in `PartitionSumTable`: per
     replica over all pairs (`totals`, `log_totals`) and over the pairs whose
     two sectors share boundary key c (`z_bar[c]`, `log_z_bar[c]`).
-    `keys_with_rows` lists the keys with a nonzero kernel in their block."""
+    `keys_with_rows` lists the keys with a nonzero kernel in their block.
+    `log_cancellation` is, per replica, log of the larger of the two sign
+    buckets of the total over |total| (`_log_cancellation`): 0 where every
+    term has one sign, large where the signed terms cancel."""
 
     totals: Tuple
     log_totals: Tuple
     z_bar: List[Tuple]
     log_z_bar: List[Tuple]
     keys_with_rows: Tuple[int, ...]
+    log_cancellation: Tuple[float, float]
 
 
 def _kernel_sums(z: np.ndarray, log_k: np.ndarray, key: np.ndarray, nkeys: int) -> _KernelSums:
     """Sum K_j K_k Z^(j,k)_b over all pairs of the (S, S, 2) kernel array
     `z` and over each boundary key's diagonal block (`key[j]` is sector
-    j's code, below `nkeys`).  Each nonzero kernel enters the bucket of its
-    sign as the log term (log K_j + log K_k) + log|Z|, in row-major pair
-    order; the order fixes the bits of each bucket's log-sum-exp.  Logs
-    come from `math.log`, whose bits numpy's vectorized log need not share.
+    j's code, below `nkeys`).  Each nonzero kernel is the log term
+    (log K_j + log K_k) + log|Z|, with logs from `math.log`, whose bits
+    numpy's vectorized log need not share.
+
+    Buckets are (replica, slot, sign), slot 0 for the total and c + 1 for
+    key c, so a term of a diagonal block lands in two buckets.  One stable
+    argsort of the bucket ids keeps each bucket's terms in row-major pair
+    order, which fixes the bits of its log-sum-exp, and the buckets of one
+    length are reduced by one `_logsumexp_rows` call.  The two signs of a
+    (replica, slot) are then combined by `_signed_logs`.
     """
-    count = len(log_k)
-    log_kk = (log_k[:, None] + log_k[None, :]).ravel()
-    same = (key[:, None] == key[None, :]).ravel()
-    key_of_pair = np.repeat(key, count)
-    by_key: List[List] = [[None, None] for _ in range(nkeys)]
-    has_row = np.zeros(nkeys, dtype=bool)
-    totals = []
-    for replica in (0, 1):
-        flat = z[:, :, replica].ravel()
-        nonzero = np.flatnonzero(flat)
-        values = flat[nonzero]
-        logs = log_kk[nonzero] + np.array(list(map(math.log, np.abs(values).tolist())), dtype=float)
-        pos = values > 0.0
-        totals.append(_signed_sum(logs[pos], logs[~pos]))
-        diagonal = same[nonzero]
-        owner = key_of_pair[nonzero]
-        for c in range(nkeys):
-            block = diagonal & (owner == c)
-            has_row[c] |= block.any()
-            by_key[c][replica] = _signed_sum(logs[block & pos], logs[block & ~pos])
+    count, slots = len(log_k), nkeys + 1
+    flat = z.reshape(count * count, 2)
+    pair, replica = np.nonzero(flat)
+    values = flat[pair, replica]
+    j, k = np.divmod(pair, count)
+    logs = (log_k[j] + log_k[k]) + np.array(list(map(math.log, np.abs(values).tolist())), dtype=float)
+    ids = replica * (2 * slots) + ~(values > 0.0)
+    diagonal = np.flatnonzero(key[j] == key[k])
+    ids = np.concatenate([ids, ids[diagonal] + 2 * (key[j[diagonal]] + 1)])
+    terms = np.concatenate([logs, logs[diagonal]])[np.argsort(ids, kind="stable")]
+    lengths = np.bincount(ids, minlength=4 * slots)
+    rows = _bucket_logsumexp(terms, lengths).reshape(2, slots, 2).tolist()  # [replica][slot]: (lp, ln)
+    signed = [[_signed_logs(lp, ln) for lp, ln in row] for row in rows]
+    has_row = lengths.reshape(2, slots, 2)[:, 1:].any(axis=(0, 2))
     return _KernelSums(
-        totals=tuple(total for total, _ in totals),
-        log_totals=tuple(log for _, log in totals),
-        z_bar=[tuple(total for total, _ in sums) for sums in by_key],
-        log_z_bar=[tuple(log for _, log in sums) for sums in by_key],
+        totals=(signed[0][0][0], signed[1][0][0]),
+        log_totals=(signed[0][0][1], signed[1][0][1]),
+        z_bar=[(a[0], b[0]) for a, b in zip(signed[0][1:], signed[1][1:])],
+        log_z_bar=[(a[1], b[1]) for a, b in zip(signed[0][1:], signed[1][1:])],
         keys_with_rows=tuple(np.flatnonzero(has_row).tolist()),
+        log_cancellation=tuple(_log_cancellation(*rows[r][0], signed[r][0][1]) for r in (0, 1)),
     )
 
 
@@ -782,26 +840,27 @@ class _PairKernels:
 class SectorSet:
     """Per-sector data of one sector list of a model, computed once.
 
-    `twice` is the S x L matrix of doubled link spins (columns in
-    `graph.link_ids()` order).  Boundary assignments are integer codes:
-    `key[a]` indexes `keys`, the list's distinct boundary spin tuples
-    (columns in `graph.boundary_ids()` order) in sorted order.  Labels, log
-    K per sector (-inf for zero weight), intertwiner dimensions per sector
-    and vertex, and D_I, D_O per boundary key are computed on first use.
-    The set keeps the model's graph, family, kind and state, not the model
-    and its configuration masks.
+    The set is built from `twice`, the S x L matrix of doubled link spins
+    (columns in `graph.link_ids()` order).  Boundary assignments are
+    integer codes: `key[a]` indexes `keys`, the list's distinct boundary
+    spin tuples (columns in `graph.boundary_ids()` order) in sorted order.
+    The `SpinSector` objects (`sectors`), labels, log K per sector (-inf
+    for zero weight), intertwiner dimensions per sector and vertex, and
+    D_I, D_O per boundary key are computed on first use.  The set keeps
+    the model's graph, family, kind and state, not the model and its
+    configuration masks.
     """
 
-    def __init__(self, model: "IsingModel", sectors: Sequence[SpinSector], twice: np.ndarray):
+    def __init__(self, model: "IsingModel", twice: np.ndarray, sectors: Optional[Sequence[SpinSector]] = None):
         self.graph, self.family, self.kind, self.state = (
             model.graph, model.family, model.kind, model.state
         )
-        self._dims: Dict[Tuple[int, ...], int] = {}      # spin tuple -> D
         self._d_input: Dict[Tuple[int, ...], int] = {}   # boundary key -> D_I
-        self._select(sectors, twice)
+        self._select(twice)
+        if sectors is not None:
+            self.__dict__["sectors"] = tuple(sectors)
 
-    def _select(self, sectors: Sequence[SpinSector], twice: np.ndarray) -> None:
-        self.sectors = tuple(sectors)
+    def _select(self, twice: np.ndarray) -> None:
         self.twice = twice
         boundary = [tuple(row) for row in twice[:, len(self.graph.internal_ids()):].tolist()]
         self.keys = sorted(set(boundary))
@@ -809,19 +868,19 @@ class SectorSet:
         self.key = np.array([code[k] for k in boundary], dtype=np.int64)
 
     def __len__(self) -> int:
-        return len(self.sectors)
+        return len(self.twice)
 
     def take(self, index: np.ndarray) -> "SectorSet":
         """The sectors at `index`, sharing the caches and keeping the
-        per-sector data already computed."""
-        index = np.asarray(index, dtype=np.int64).tolist()
+        per-sector views already built."""
+        index = np.asarray(index, dtype=np.int64)
         subset = copy.copy(self)
-        for name in ("labels", "boundary_ids", "vertex_dims", "log_k"):
-            subset.__dict__.pop(name, None)
-        subset._select([self.sectors[i] for i in index], self.twice[index])
-        for name in ("labels", "vertex_dims"):
+        subset.__dict__.pop("boundary_ids", None)
+        subset._select(self.twice[index])
+        rows = index.tolist()
+        for name in ("sectors", "labels", "vertex_dims"):
             if name in self.__dict__:
-                subset.__dict__[name] = tuple(self.__dict__[name][i] for i in index)
+                subset.__dict__[name] = tuple(map(self.__dict__[name].__getitem__, rows))
         if "log_k" in self.__dict__:
             subset.__dict__["log_k"] = self.log_k[index]
         return subset
@@ -830,6 +889,12 @@ class SectorSet:
         """The sectors with nonzero weight K, in order."""
         finite = np.isfinite(self.log_k)
         return self if finite.all() else self.take(np.flatnonzero(finite))
+
+    @functools.cached_property
+    def sectors(self) -> Tuple[SpinSector, ...]:
+        """The `SpinSector` of every row of `twice`."""
+        graph, links = self.graph, self.graph.link_ids()
+        return tuple(SpinSector(graph, tuple(zip(links, row))) for row in self.twice.tolist())
 
     @functools.cached_property
     def labels(self) -> Tuple[str, ...]:
@@ -859,19 +924,19 @@ class SectorSet:
         """D(j^x) of every sector (rows) and vertex (graph order)."""
         return self._vertex_dims(self.twice)
 
-    def _vertex_dims(self, twice: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-        """D(j^x) for every row of `twice` (a sector) and every vertex; each
-        distinct spin tuple costs one `intertwiner_dim` call."""
+    @functools.cached_property
+    def _vertex_columns(self) -> List[List[int]]:
+        """Per vertex, the columns of `twice` of its links in port order."""
         column = {lid: i for i, lid in enumerate(self.graph.link_ids())}
-        per_vertex = []
-        for x in self.graph.vertices:
-            dims = []
-            for spins in map(tuple, twice[:, [column[lid] for lid in self.graph.links_at(x)]].tolist()):
-                dim = self._dims.get(spins)
-                if dim is None:
-                    dim = self._dims[spins] = intertwiner_dim(tuple(map(Spin, spins)))
-                dims.append(dim)
-            per_vertex.append(dims)
+        return [[column[lid] for lid in self.graph.links_at(x)] for x in self.graph.vertices]
+
+    def _vertex_dims(self, twice: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+        """D(j^x) for every row of `twice` (a sector) and every vertex, each
+        read from the cache of `twice_intertwiner_dim` by its row's tuple."""
+        per_vertex = [
+            list(map(twice_intertwiner_dim, map(tuple, twice[:, columns].tolist())))
+            for columns in self._vertex_columns
+        ]
         return tuple(zip(*per_vertex)) if per_vertex else tuple(() for _ in range(len(twice)))
 
     @functools.cached_property
@@ -900,7 +965,7 @@ class SectorSet:
             weights = [self.state.weight(sec) for sec in self.sectors]
             log_k += [math.log(w) if w > 0.0 else -math.inf for w in weights]
         else:
-            vertex_logs = _log_table(self.vertex_dims, -math.inf)
+            vertex_logs = _log_table(self.vertex_dims, -math.inf).reshape(len(self), len(graph.vertices))
             for p in range(len(graph.vertices)):
                 log_k += vertex_logs[:, p]
         return log_k
@@ -1035,9 +1100,10 @@ class IsingModel:
             energy = lam_cut
             for x in self.graph.vertices:
                 if (1 - b * sig[x]) // 2 == 1:
-                    if j.vertex_spins(x) != k.vertex_spins(x):
+                    spins = j.vertex_twice(x)
+                    if spins != k.vertex_twice(x):
                         return 0.0, None
-                    dim = intertwiner_dim(j.vertex_spins(x))
+                    dim = twice_intertwiner_dim(spins)
                     energy += math.log(dim) if dim > 0 else math.inf
             return 1.0, energy
         return self._boundary_value(self._boundary_terms(j, k, config), lam_cut)
@@ -1404,39 +1470,50 @@ class IsingModel:
     # -- assembled sums --------------------------------------------------
 
     def default_sectors(self) -> List[SpinSector]:
-        if self.kind.is_boundary_to_boundary:
-            return list(self.state.sectors)
-        return list(enumerate_sectors(self.family, self.graph))
+        """The sectors of the default `sector_set`."""
+        return list(self.sector_set().sectors)
 
-    def sector_set(self, sectors: Optional[Iterable[SpinSector]] = None) -> SectorSet:
-        """The `SectorSet` of `sectors` (default: `default_sectors`)."""
-        pool = list(sectors) if sectors is not None else self.default_sectors()
+    def sector_set(
+        self,
+        sectors: Optional[Iterable[SpinSector]] = None,
+        boundaries: Optional[Iterable[Mapping[str, object]]] = None,
+    ) -> SectorSet:
+        """The `SectorSet` of `sectors`, or of the default pool: every sector
+        of the family (its `sector_matrix`) for the bulk-to-boundary kind,
+        the state's sectors for the boundary-to-boundary kind.
+        `boundaries` restricts the pool to the listed boundary assignments
+        ({boundary link id: spin}, each fixing every boundary link), one
+        after another in list order."""
+        links = self.graph.link_ids()
+        if sectors is None and not self.kind.is_boundary_to_boundary:
+            if boundaries is None:
+                return SectorSet(self, sector_matrix(self.family, self.graph))
+            parts = [sector_matrix(self.family, self.graph, boundary_filter=b) for b in boundaries]
+            return SectorSet(self, np.concatenate([np.empty((0, len(links)), dtype=np.int64), *parts]))
+        pool = list(sectors) if sectors is not None else list(self.state.sectors)
         for sec in pool:
             if sec.graph is not self.graph and sec.graph != self.graph:
                 raise EngineError("sector belongs to a different graph")
-        links = self.graph.link_ids()
         twice = np.array([sec.twice_of(links) for sec in pool], dtype=np.int64)
-        return SectorSet(self, pool, twice.reshape(len(pool), len(links)))
+        full = SectorSet(self, twice.reshape(len(pool), len(links)), pool)
+        if boundaries is None:
+            return full
+        bnd = self.graph.boundary_ids()
+        rows = []
+        for boundary in boundaries:
+            fixed = {lid: Spin.parse(sp).twice for lid, sp in boundary.items()}
+            if set(fixed) != set(bnd):
+                raise EngineError("boundary assignment must fix every boundary leg")
+            match = full.twice[:, len(links) - len(bnd):] == [fixed[lid] for lid in bnd]
+            rows.extend(np.flatnonzero(match.all(axis=1)).tolist())
+        return full.take(rows)
 
     def boundary_fixed_sums(
         self, boundary: Mapping[str, object]
     ) -> BoundaryFixedSums:
         """K-weighted pair sums over bulk spins at a fixed boundary: the one
         boundary row of the `partition_table` of the boundary's sectors."""
-        fixed = {lid: Spin.parse(sp) for lid, sp in boundary.items()}
-        if self.kind.is_boundary_to_boundary:
-            pool = [
-                s
-                for s in self.state.sectors
-                if all(s.spin(lid) == sp for lid, sp in fixed.items())
-            ]
-            if set(fixed) != set(self.graph.boundary_ids()):
-                raise EngineError("boundary assignment must fix every boundary leg")
-        else:
-            pool = list(
-                enumerate_sectors(self.family, self.graph, boundary_filter=fixed)
-            )
-        weighted = self.sector_set(pool).weighted()
+        weighted = self.sector_set(boundaries=[boundary]).weighted()
         if not len(weighted):
             raise EngineError("no admissible sector matches this boundary")
         table = self.partition_table(weighted)

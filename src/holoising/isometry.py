@@ -49,7 +49,6 @@ from .spins import (
     SectorFamily,
     Spin,
     SpinSector,
-    enumerate_sectors,
     intertwiner_dim,
 )
 
@@ -403,10 +402,7 @@ def check_bulk_to_boundary(
     regime, tol = _resolve_regime(regime, tolerance)
     entries = _normalize_window(graph, window)
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-    candidates: List[SpinSector] = []
-    for _, fixed in entries:
-        candidates.extend(enumerate_sectors(family, graph, boundary_filter=fixed))
-    pool = model.sector_set(candidates).weighted()
+    pool = model.sector_set(boundaries=[fixed for _, fixed in entries]).weighted()
     code = {key: c for c, key in enumerate(pool.keys)}
     e_codes = []
     for key, _ in entries:
@@ -551,27 +547,26 @@ def window_groups(
 
     A boundary sector is admissible when at least one bulk completion inside
     the family's box has nonzero intertwiner spaces and superposition
-    weight.  Keys are D_O values; each value tuple lists the boundary spin
-    assignments, in enumeration order.
+    weight (|g| > 0 on every internal link; |g|^2 may underflow to 0, so
+    log K does not decide it).  Keys are D_O values; each value tuple lists
+    the boundary spin assignments in enumeration order of their first
+    admissible sector.  The family's `SectorSet` holds its whole sector
+    matrix (8 bytes per link and sector).
     """
-    seen = set()
+    pool = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
+    admissible = (np.array(pool.vertex_dims) > 0).all(axis=1)
+    for i, lid in enumerate(graph.internal_ids()):
+        column = pool.twice[:, i]
+        for t in set(column.tolist()):
+            if abs(family.g(lid, Spin(t))) == 0.0:
+                admissible &= column != t
+    codes = pool.key[admissible]
+    _, first = np.unique(codes, return_index=True)
     groups: Dict[int, List[Dict[str, Spin]]] = {}
-    for sec in enumerate_sectors(family, graph):
-        key = sec.boundary_part()
-        if key in seen:
-            continue
-        admissible = all(
-            intertwiner_dim(sec.vertex_spins(x)) > 0 for x in graph.vertices
-        ) and all(
-            abs(family.g(lid, sec.spin(lid))) > 0.0 for lid in graph.internal_ids()
-        )
-        if not admissible:
-            continue
-        seen.add(key)
-        d_out = 1
-        for lid, t in key:
-            d_out *= Spin(t).dim
-        groups.setdefault(d_out, []).append({lid: Spin(t) for lid, t in key})
+    bnd = graph.boundary_ids()
+    for c in codes[np.sort(first)].tolist():
+        key = {lid: Spin(t) for lid, t in zip(bnd, pool.keys[c])}
+        groups.setdefault(pool.d_output(c), []).append(key)
     return {d: tuple(entries) for d, entries in groups.items()}
 
 

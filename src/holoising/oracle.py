@@ -928,8 +928,13 @@ def _unit_gaussians(
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise Kronecker product: row s is kron(a[s], b[s])."""
-    return (a[:, :, None] * b[:, None, :]).reshape(a.shape[0], -1)
+    """Row-wise Kronecker product: row s is kron(a[s], b[s]).  The result
+    is F-contiguous (shots vary fastest), so its transpose, which the
+    sparse products `cmap.stacked @ psi.T` read, is C-contiguous and is
+    not copied."""
+    out = np.empty((a.shape[1], b.shape[1], a.shape[0]), dtype=complex)
+    np.multiply(a.T[:, None, :], b.T[None, :, :], out=out)
+    return out.reshape(-1, a.shape[0]).T
 
 
 def _haar_rows(
@@ -949,7 +954,7 @@ def _haar_rows(
         return _unit_gaussians(seed, shots, 0, 1, index.dim)
     if grade == "fine":
         p = _fine_weights(index, weights)
-        rows = np.zeros((len(shots), index.dim), dtype=complex)
+        rows = np.zeros((index.dim, len(shots)), dtype=complex).T
         for si, sec in enumerate(index.family_sectors()):
             w = p.get(sec.key(), 0.0)
             if w == 0.0:
