@@ -93,8 +93,7 @@ and the ground-state sums (`ground_kernel`) of `entropy` and `isometry`.
 `_kernel_sums` is a bucketed reducer: every nonzero term gets the bucket
 id of its replica, slot (the total or one boundary key) and sign, one
 stable argsort of the ids keeps each bucket's terms in row-major pair
-order, and the buckets of one length share one log-sum-exp call (those of
-2 to 7 terms share one call, see `_bucket_logsumexp`).
+order, and the buckets of one length share one log-sum-exp call.
 
 Totals in log domain.  Z_b sums K_j K_k Z^{(j,k)}_b over all pairs; each
 nonzero term enters its sign bucket as log K_j + log K_k + log|Z^{(j,k)}_b|
@@ -123,8 +122,6 @@ import numpy as np
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph
 from .spins import (
-    SECTOR_LIMIT,
-    SectorEnumerationError,
     SectorFamily,
     Spin,
     SpinSector,
@@ -642,24 +639,12 @@ def _logsumexp(terms: Sequence[float]) -> float:
 def _bucket_logsumexp(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """`_logsumexp` of each bucket of `terms`, which holds the buckets one
     after another with the given lengths, with the bits of reducing the
-    bucket alone (-inf for an empty bucket).
-
-    A lone term is its own log-sum-exp.  The buckets of each length of 8
-    or more share one `_logsumexp_rows` call.  The buckets of 2 to 7 terms
-    share one call too, padded with -inf to a common width: numpy sums
-    fewer than 8 entries left to right, so the zeros the padding adds at
-    the end of a row keep its bits.
+    bucket alone (-inf for an empty bucket).  The buckets of one length
+    share one `_logsumexp_rows` call.
     """
     starts = np.cumsum(lengths) - lengths
     out = np.full(len(lengths), -math.inf)
-    single = np.flatnonzero(lengths == 1)
-    out[single] = terms[starts[single]]
-    short = np.flatnonzero((lengths > 1) & (lengths < 8))
-    if short.size:
-        width = np.arange(lengths[short].max())
-        index = np.where(width < lengths[short, None], starts[short, None] + width, len(terms))
-        out[short] = _logsumexp_rows(np.append(terms, -math.inf)[index])
-    for n in set(lengths[lengths >= 8].tolist()):
+    for n in set(lengths[lengths > 0].tolist()):
         buckets = np.flatnonzero(lengths == n)
         out[buckets] = _logsumexp_rows(terms[starts[buckets, None] + np.arange(n)])
     return out
@@ -973,26 +958,18 @@ class SectorSet:
     def d_input(self, codes: Sequence[int]) -> List[int]:
         """D_I(E) of the boundary keys `codes`: the sum over the family's
         bulk spins of prod_x D(j^x), as `spins.sector_dims` defines it.  The
-        bulk spin assignments are enumerated once for all keys."""
+        bulk spin assignments are enumerated once for all keys, as the bulk
+        columns of the `sector_matrix` of the first key."""
         keys = [self.keys[c] for c in codes]
         missing = [key for key in dict.fromkeys(keys) if key not in self._d_input]
         if missing:
-            internal = self.graph.internal_ids()
-            choices = [[s.twice for s in self.family.allowed[lid]] for lid in internal]
-            count = math.prod(len(c) for c in choices)
-            if count > SECTOR_LIMIT:
-                raise SectorEnumerationError(
-                    f"{count} sectors exceed the guard of {SECTOR_LIMIT}; tighten "
-                    f"cutoffs or restrict per-link spin lists"
-                )
-            bulk = np.array(list(itertools.product(*choices)), dtype=np.int64)
+            first = dict(zip(self.graph.boundary_ids(), map(Spin, missing[0])))
+            bulk = sector_matrix(self.family, self.graph, boundary_filter=first)
+            bulk = bulk[:, : len(self.graph.internal_ids())]
+            count = len(bulk)
             boundary = np.array(missing, dtype=np.int64).reshape(len(missing), -1)
             twice = np.concatenate(
-                [
-                    np.tile(bulk.reshape(count, len(internal)), (len(missing), 1)),
-                    np.repeat(boundary, count, axis=0),
-                ],
-                axis=1,
+                [np.tile(bulk, (len(missing), 1)), np.repeat(boundary, count, axis=0)], axis=1
             )
             products = [math.prod(dims) for dims in self._vertex_dims(twice)]
             for m, key in enumerate(missing):

@@ -551,7 +551,11 @@ def window_groups(
     log K does not decide it).  Keys are D_O values; each value tuple lists
     the boundary spin assignments in enumeration order of their first
     admissible sector.  The family's `SectorSet` holds its whole sector
-    matrix (8 bytes per link and sector).
+    matrix (8 bytes per link and sector) next to its per-sector boundary
+    tuples and vertex dimensions, so the peak is several times the matrix:
+    on a 7-link, 2-vertex family of 823,543 sectors the peak RSS grows by
+    219 MB for a 46 MB matrix; a loop streaming the sectors one by one
+    grows by only 74 MB but takes 14 s, against 4 s (2-CPU x86-64 host).
     """
     pool = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
     admissible = (np.array(pool.vertex_dims) > 0).all(axis=1)

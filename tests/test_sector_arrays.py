@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_instance
+from holoising import spins
 from holoising.bulk import IntertwinerState
 from holoising.experiments import ExperimentError, reproduce_c2
 from holoising.graph import BoundaryPartition, build_graph
@@ -238,17 +239,23 @@ class TestSectorMatrix:
             assert got.dtype == np.int64 and got.shape == (len(want), len(links))
             assert got.tolist() == [list(row) for row in want]
 
-    def test_guard_and_filter_errors_unchanged(self, family):
+    def test_guard_and_filter_errors_unchanged(self, family, monkeypatch):
         graph, fam = family
         total = len(sector_matrix(fam, graph))
         message = (
             f"{total} sectors exceed the guard of {total - 1}; tighten cutoffs "
             f"or restrict per-link spin lists"
         )
-        with pytest.raises(SectorEnumerationError) as matrix_error:
-            sector_matrix(fam, graph, limit=total - 1)
         with pytest.raises(SectorEnumerationError) as generator_error:
             next(enumerate_sectors(fam, graph, limit=total - 1))
+        pool = IsingModel(graph, fam, ModelKind.bulk_to_boundary()).sector_set()
+        bulk = math.prod(len(fam.allowed[lid]) for lid in graph.internal_ids())
+        monkeypatch.setattr(spins, "SECTOR_LIMIT", total - 1)
+        with pytest.raises(SectorEnumerationError) as matrix_error:
+            sector_matrix(fam, graph)
+        monkeypatch.setattr(spins, "SECTOR_LIMIT", bulk - 1)
+        with pytest.raises(SectorEnumerationError, match=f"^{bulk} sectors exceed the guard of {bulk - 1}; "):
+            pool.d_input([0])
         assert str(matrix_error.value) == str(generator_error.value) == message
         bad = [{"nowhere": "1"}, {graph.boundary_ids()[0]: "1"}]
         for boundary in bad:
