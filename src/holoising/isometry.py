@@ -554,8 +554,7 @@ def window_groups(
     matrix (8 bytes per link and sector) next to its per-sector boundary
     tuples and vertex dimensions, so the peak is several times the matrix:
     on a 7-link, 2-vertex family of 823,543 sectors the peak RSS grows by
-    219 MB for a 46 MB matrix; a loop streaming the sectors one by one
-    grows by only 74 MB but takes 14 s, against 4 s (2-CPU x86-64 host).
+    219 MB for a 46 MB matrix.
     """
     pool = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
     admissible = (np.array(pool.vertex_dims) > 0).all(axis=1)
