@@ -52,7 +52,7 @@ SectorKey = Tuple[Tuple[str, int], ...]
 
 
 class BulkStateError(ValueError):
-    """Raised for malformed bulk states or incompatible operator inputs."""
+    """Raised for ill-formed bulk states or incompatible operator inputs."""
 
 
 def vertex_block_dims(graph: OpenGraph, sector: SpinSector) -> Tuple[int, ...]:

@@ -41,7 +41,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .graph import OpenGraph
-from .ising import ModelKind, PartitionSumTable, couplings, ground_kernel, require_finite
+from .ising import IsingModel, ModelKind, PartitionSumTable, couplings, ground_kernel, require_finite
 from .spins import (
     SectorFamily,
     Spin,
@@ -83,36 +83,6 @@ class SectorDistribution:
     c: Optional[Mapping[str, float]]
 
 
-@dataclass(frozen=True)
-class _PairCells:
-    """The table's complete pair cells in row order: pair ids, the two
-    sector indices and the cells' kernels and ground-state energies, each
-    (N, 2) over the replicas."""
-
-    ids: List[str]
-    j: np.ndarray
-    k: np.ndarray
-    z: np.ndarray
-    e_min: np.ndarray
-
-
-def _pair_cells(table: PartitionSumTable) -> _PairCells:
-    """The table's pair cells, read from its arrays."""
-    if table.malformed is not None:
-        pair_id, what = table.malformed
-        if what == "replica":
-            raise EntropyError(f"pair {pair_id!r} misses a replica row")
-        raise EntropyError(f"pair id {pair_id!r} does not name two sectors")
-    j, k = np.divmod(table.pairs, len(table.labels))
-    return _PairCells(
-        ids=table.pair_ids,
-        j=j,
-        k=k,
-        z=table.z.reshape(-1, 2)[table.pairs],
-        e_min=table.e_min.reshape(-1, 2)[table.pairs],
-    )
-
-
 def _fsum(values, what: str) -> float:
     """math.fsum, raising `TotalsOverflowError` where the sum leaves
     float64."""
@@ -132,19 +102,9 @@ def sector_distribution(
     """Build the normalized distributions carried by `table`.
 
     The boundary-region weights c_E need dimension data, so they are filled
-    only when both `graph` and `family` are given.
+    only when both `graph` and `family` are given: D_I and D_O of every
+    boundary key of the family's `SectorSet`, keys with D_I = 0 left out.
     """
-    return _sector_distribution(table, None, graph, family)
-
-
-def _sector_distribution(
-    table: PartitionSumTable,
-    cells: Optional[_PairCells],
-    graph: Optional[OpenGraph],
-    family: Optional[SectorFamily],
-) -> SectorDistribution:
-    """sector_distribution on pair cells already read by the caller
-    (None reads them here, after the weight checks)."""
     k_total = _fsum(table.k.tolist(), "sector weights K")
     if k_total <= 0.0:
         raise EntropyError("table carries no sector weight")
@@ -155,25 +115,19 @@ def _sector_distribution(
     require_finite([z0_total], "Z_0")
     if z0_total == 0.0:
         raise EntropyError("Z_0 = 0: the pair distribution is undefined")
-    if cells is None:
-        cells = _pair_cells(table)
-    k = table.k
-    pair_probs = dict(zip(cells.ids, (k[cells.j] * k[cells.k] * cells.z[:, 0] / z0_total).tolist()))
-    factorized = dict(zip(cells.ids, (p_array[cells.j] * p_array[cells.k]).tolist()))
+    weights = np.outer(table.k, table.k).ravel() * table.z.reshape(-1, 2)[:, 0] / z0_total
+    pair_probs = dict(zip(table.pair_ids, weights.tolist()))
+    factorized = dict(zip(table.pair_ids, np.outer(p_array, p_array).ravel().tolist()))
 
     c_weights: Optional[Dict[str, float]] = None
     if graph is not None and family is not None:
-        totals: Dict[str, int] = {}
-        for sec in enumerate_sectors(family, graph):
-            boundary_id = ",".join(
-                f"{lid}={Spin(t)}" for lid, t in sec.boundary_part()
-            )
-            if boundary_id in totals:
-                continue
-            dims = sector_dims(sec, graph, family)
-            if dims.d_input == 0:
-                continue
-            totals[boundary_id] = dims.d_total
+        sectors = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
+        codes = list(range(len(sectors.keys)))
+        totals = {
+            sectors.boundary_ids[c]: d_in * sectors.d_output(c)
+            for c, d_in in zip(codes, sectors.d_input(codes))
+            if d_in
+        }
         grand = sum(totals.values())
         if grand == 0:
             raise EntropyError("family admits no sector with intertwiners")
@@ -283,29 +237,28 @@ def average_purity(
         raise EntropyError(f"unknown mode {mode!r}; expected one of {MODES}")
     if cumulant_order < 1:
         raise EntropyError("cumulant_order must be at least 1")
-    cells = _pair_cells(table)
     k_total = _fsum(table.k.tolist(), "sector weights K")
     if k_total <= 0.0:
         raise EntropyError("table carries no sector weight")
 
-    z0 = cells.z[:, 0]
+    ids, z = table.pair_ids, table.z.reshape(-1, 2)
+    z0 = z[:, 0]
     if mode == "exact":
         zero = np.flatnonzero(z0 == 0.0)
         if zero.size:
-            raise EntropyError(f"pair {cells.ids[zero[0]]!r} has Z_0^(j,k) = 0")
-        ratios = cells.z[:, 1] / z0
+            raise EntropyError(f"pair {ids[zero[0]]!r} has Z_0^(j,k) = 0")
+        ratios = z[:, 1] / z0
         z0_rep, z1_rep = table.totals
     else:
-        ratios = ground_kernel(cells.e_min[:, 1])
+        ratios = ground_kernel(table.e_min.reshape(-1, 2)[:, 1])
         pair = z0 if mode == "ground_state" else np.ones_like(z0)
-        kernel = np.zeros(table.z.shape)
-        kernel.reshape(-1, 2)[table.pairs] = np.stack([pair, pair * ratios], axis=1)
+        kernel = np.stack([pair, pair * ratios], axis=1).reshape(table.z.shape)
         z0_rep, z1_rep = table.kernel_sums(kernel).totals
     require_finite([z0_rep, z1_rep], "Z_0, Z_1")
     if z0_rep == 0.0:
         raise EntropyError("Z_0 = 0: purity undefined")
 
-    base = table.k[cells.j] * table.k[cells.k]
+    base = np.outer(table.k, table.k).ravel()
     if mode != "high_spin":
         base = base * z0
     probs = (base / z0_rep).tolist()
@@ -348,14 +301,14 @@ def average_purity(
         z1=z1_rep,
         purity=purity,
         s2=s2,
-        x=dict(zip(cells.ids, x_vals)),
-        pair_probs=dict(zip(cells.ids, probs)),
+        x=dict(zip(ids, x_vals)),
+        pair_probs=dict(zip(ids, probs)),
         cumulants=series.cumulants,
         cumulant_partial_sums=series.partial_sums,
         feasible_mass=mass,
         rt_area_estimate=rt_estimate,
         provenance=provenance,
-        distribution=_sector_distribution(table, cells, graph, family),
+        distribution=sector_distribution(table, graph, family),
     )
 
 

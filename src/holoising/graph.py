@@ -46,7 +46,7 @@ class Semilink:
 
 
 class GraphError(ValueError):
-    """Raised for malformed graph specifications."""
+    """Raised for ill-formed graph specifications."""
 
 
 def virtual_vertex(link_id: str) -> str:

@@ -78,18 +78,23 @@ pool makes `SpinSector`s only for the rows a consumer iterates after
 per row from one module-level cache keyed by the doubled-spin tuple
 (`spins.twice_intertwiner_dim`), and D_I comes from one enumeration of the
 family's bulk spin assignments, shared by every key.  `partition_table`
-drops the sectors of zero weight and stores the kernels as arrays:
-`PartitionSumTable.z`, `e_min`, `degeneracy` and `gap` each hold S^2 x 2
-entries, indexed [j, k, replica] (8 bytes each, so 16 S^2 bytes per field),
-and the boundary-diagonal sums one entry per boundary key.  `rows`,
+drops the sectors of zero weight and builds the table from the weighted
+set and its kernels, `PartitionSumTable(sectors, kernels)`, the table's
+one constructor.  The table keeps the set's `log_k` and stores the
+kernels as arrays: `PartitionSumTable.z`, `e_min`, `degeneracy` and `gap`
+each hold S^2 x 2 entries, indexed [j, k, replica] (8 bytes each, so
+16 S^2 bytes per field), so every table covers every sector pair, and
+the boundary-diagonal sums one entry per boundary key.  `rows`,
 `k_factors`, `boundary_rows` and the CSV/JSON writers are views over these
 arrays, built on first use; entropy and isometry read the arrays directly.
 `IsingModel.k_factor` and `boundary_fixed_sums` are views too: the first
 reads log K and D_O of a one-sector `SectorSet`, the second the one
 boundary row of the table of a boundary's sectors.  So log K has one sum,
 `SectorSet.log_k`, and every K-weighted pair sum one, `_kernel_sums`
-(`PartitionSumTable.kernel_sums`): the table's own `totals` and `z_bar`,
-and the ground-state sums (`ground_kernel`) of `entropy` and `isometry`.
+(`PartitionSumTable.kernel_sums`, which reads the table's `log_k` and the
+set's boundary keys): the table's own `totals`, `z_bar` and
+`log_cancellation`, computed when the table is built, and the
+ground-state sums (`ground_kernel`) of `entropy` and `isometry`.
 `_kernel_sums` is a bucketed reducer: every nonzero term gets the bucket
 id of its replica, slot (the total or one boundary key) and sign, one
 stable argsort of the ids keeps each bucket's terms in row-major pair
@@ -356,14 +361,13 @@ class PairRow:
 
 @dataclass(frozen=True)
 class BoundarySumRow:
-    """One boundary-diagonal sum; `log_z_bar` as in `BoundaryFixedSums`
-    (None on a row written by hand)."""
+    """One boundary-diagonal sum; `log_z_bar` as in `BoundaryFixedSums`."""
 
     boundary_id: str
     z_bar: Tuple[float, float]
     y: Tuple[float, float]
     d_total: int
-    log_z_bar: Optional[Tuple[Tuple[int, float], Tuple[int, float]]] = None
+    log_z_bar: Tuple[Tuple[int, float], Tuple[int, float]]
 
 
 class TotalsOverflowError(OverflowError):
@@ -378,13 +382,6 @@ def _exp(value: float) -> float:
         return math.exp(value)
     except OverflowError:
         return math.inf
-
-
-def _log_form(value: float) -> Tuple[int, float]:
-    """(sign, log|value|) of a float."""
-    if value == 0.0 or math.isnan(value):
-        return 0, -math.inf if value == 0.0 else math.nan
-    return (1 if value > 0.0 else -1), math.log(abs(value))
 
 
 def _over_square(total: float, log_form: Tuple[int, float], d: int) -> float:
@@ -409,117 +406,50 @@ def require_finite(values: Iterable[float], what: str) -> None:
 
 
 class PartitionSumTable:
-    """All per-pair kernels plus K factors, boundary sums, and totals.
+    """All per-pair kernels plus K factors, boundary sums, and totals of one
+    sector set.
 
-    The table is held as arrays over its S sectors (`labels`, weights `k`):
-    `z`, `e_min`, `degeneracy` and `gap` have shape (S, S, 2) and are
-    indexed [j, k, replica].  `pairs` lists the flat indices j * S + k of
-    the complete pair cells in row order, with ids `pair_ids`; an engine
-    table has every pair, in row-major order.  `totals` are Z_0 and Z_1 as
-    floats (+/-inf where they overflow) and `log_totals` the same sums as
-    (sign, log|Z_b|).  An engine table also has `log_cancellation`: per
-    replica, log of the larger sign bucket of Z_b over |Z_b|, 0 where no
-    term has the other sign (so for every bulk-to-boundary table).
-    Boundary-diagonal sums are indexed by boundary key:
-    `z_bar`, `log_z_bar`, `y` and `d_total` hold one entry per key, and
-    `boundary_keys` lists the keys that have a row.  `sectors` is the
-    engine's `SectorSet` (None for a table written by hand).
+    The table is held as arrays over the S sectors of `sectors` (`labels`,
+    `log_k` and its float view `k`): `z`, `e_min`, `degeneracy` and `gap`
+    have shape (S, S, 2) and are indexed [j, k, replica], so they hold
+    every pair; `pair_ids` names the pairs "j|k" in row-major order.
+    `totals` are Z_0 and Z_1 as floats (+/-inf where they overflow) and
+    `log_totals` the same sums as (sign, log|Z_b|).  `log_cancellation`
+    holds, per replica, log of the larger sign bucket of Z_b over |Z_b|, 0
+    where no term has the other sign (so for every bulk-to-boundary table).
+    Boundary-diagonal sums are indexed by the set's boundary keys: `z_bar`,
+    `log_z_bar`, `y` and `d_total` hold one entry per key, and
+    `boundary_keys` lists the keys that have a row.  Every sum comes from
+    `kernel_sums(z)`.
 
     `rows`, `k_factors` and `boundary_rows` are views built on first use;
     `to_csv` and `to_json_dict` serialize them.
-
-    A table can also be written by hand from rows, K factors, boundary rows
-    and totals; it is then parsed into the same arrays once.  A row naming
-    a sector outside `k_factors` is left out of the arrays and its pair id
-    kept in `stray`; the first pair (in row order) that lacks a replica row
-    or does not name two known sectors is kept in `malformed` as
-    (pair id, "replica" or "sectors").  Consumers decide which of these
-    they reject.
     """
 
-    def __init__(self, rows, k_factors, boundary_rows, totals):
-        # Instance attributes shadow the lazily built views.
-        self.rows = tuple(rows)
-        self.k_factors = tuple(k_factors)
-        self.boundary_rows = tuple(boundary_rows)
-        self.totals = tuple(totals)
-        self.log_totals = tuple(_log_form(t) for t in self.totals)
-        self.sectors = None
-        self.labels = tuple(label for label, _ in self.k_factors)
-        self.k = np.array([value for _, value in self.k_factors], dtype=float)
-        count = len(self.labels)
-        kernels = _PairKernels.empty((count, count, 2))
+    def __init__(self, sectors: "SectorSet", kernels: "_PairKernels"):
+        self.sectors = sectors
+        self.labels = sectors.labels
+        self.log_k = sectors.log_k
+        self.k = np.array([_exp(v) for v in self.log_k.tolist()])
         self.z, self.e_min, self.degeneracy, self.gap = (
             kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap
         )
-        position = {label: i for i, label in enumerate(self.labels)}
-        self.stray: Optional[str] = None
-        cells: Dict[str, Tuple[Optional[int], set]] = {}
-        for row in self.rows:
-            parts = row.pair_id.split("|")
-            cell = None
-            if len(parts) == 2 and all(p in position for p in parts):
-                a, b = position[parts[0]], position[parts[1]]
-                cell = a * count + b
-                if row.replica in (0, 1):
-                    at = (a, b, row.replica)
-                    self.z[at], self.e_min[at] = row.z, row.e_min
-                    self.degeneracy[at], self.gap[at] = row.degeneracy, row.gap
-            elif self.stray is None:
-                self.stray = row.pair_id
-            cells.setdefault(row.pair_id, (cell, set()))[1].add(row.replica)
-        problems = [
-            (pid, "replica" if replicas != {0, 1} else "sectors")
-            for pid, (cell, replicas) in cells.items()
-            if replicas != {0, 1} or cell is None
-        ]
-        self.malformed: Optional[Tuple[str, str]] = problems[0] if problems else None
-        complete = [(pid, cell) for pid, (cell, replicas) in cells.items() if replicas == {0, 1} and cell is not None]
-        self.pair_ids = [pid for pid, _ in complete]
-        self.pairs = np.array([cell for _, cell in complete], dtype=np.int64)
-        self.boundary_keys = tuple(range(len(self.boundary_rows)))
-        self.z_bar = [row.z_bar for row in self.boundary_rows]
-        self.log_z_bar = [
-            row.log_z_bar or tuple(_log_form(v) for v in row.z_bar)
-            for row in self.boundary_rows
-        ]
-        self.y = [row.y for row in self.boundary_rows]
-        self.d_total = [row.d_total for row in self.boundary_rows]
-
-    @classmethod
-    def _assemble(cls, sectors: "SectorSet", kernels: "_PairKernels") -> "PartitionSumTable":
-        """The engine's table of one weighted sector set and its kernels."""
-        table = cls.__new__(cls)
-        table.sectors = sectors
-        table.labels = sectors.labels
-        table.k = np.array([_exp(v) for v in sectors.log_k.tolist()])
-        table.z, table.e_min, table.degeneracy, table.gap = (
-            kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap
-        )
-        count = len(sectors)
-        table.pairs = np.arange(count * count)
-        table.stray = table.malformed = None
-        sums = table.kernel_sums(kernels.z)
-        table.totals, table.log_totals = sums.totals, sums.log_totals
-        table.log_cancellation = sums.log_cancellation
-        table.boundary_keys = sums.keys_with_rows
-        table.z_bar, table.log_z_bar = sums.z_bar, sums.log_z_bar
-        table.d_total = [0] * len(sums.z_bar)
-        table.y = [(0.0, 0.0)] * len(sums.z_bar)
+        sums = self.kernel_sums(kernels.z)
+        self.totals, self.log_totals = sums.totals, sums.log_totals
+        self.log_cancellation = sums.log_cancellation
+        self.boundary_keys = sums.keys_with_rows
+        self.z_bar, self.log_z_bar = sums.z_bar, sums.log_z_bar
+        self.d_total = [0] * len(sums.z_bar)
+        self.y = [(0.0, 0.0)] * len(sums.z_bar)
         d_input = sectors.d_input(sums.keys_with_rows)
         for c, d_in in zip(sums.keys_with_rows, d_input):
-            table.d_total[c] = d = d_in * sectors.d_output(c)
-            table.y[c] = tuple(_over_square(t, log, d) for t, log in zip(sums.z_bar[c], sums.log_z_bar[c]))
-        return table
+            self.d_total[c] = d = d_in * sectors.d_output(c)
+            self.y[c] = tuple(_over_square(t, log, d) for t, log in zip(sums.z_bar[c], sums.log_z_bar[c]))
 
     def kernel_sums(self, kernel: np.ndarray) -> _KernelSums:
-        """`_kernel_sums` of an (S, S, 2) kernel array under this table's K
-        and boundary keys; an engine table's sums are `kernel_sums(z)`.  A
-        table written by hand has one key and log K from its K factors."""
-        if self.sectors is not None:
-            return _kernel_sums(kernel, self.sectors.log_k, self.sectors.key, len(self.sectors.keys))
-        log_k = np.array([math.log(k) if k else -math.inf for k in self.k.tolist()])
-        return _kernel_sums(kernel, log_k, np.zeros(len(log_k), dtype=np.int64), 1)
+        """`_kernel_sums` of an (S, S, 2) kernel array under this table's
+        log K and boundary keys; the table's own sums are `kernel_sums(z)`."""
+        return _kernel_sums(kernel, self.log_k, self.sectors.key, len(self.sectors.keys))
 
     @functools.cached_property
     def pair_ids(self) -> List[str]:
@@ -528,10 +458,7 @@ class PartitionSumTable:
 
     @functools.cached_property
     def rows(self) -> Tuple[PairRow, ...]:
-        cells = [
-            x.reshape(-1, 2)[self.pairs].tolist()
-            for x in (self.z, self.e_min, self.degeneracy, self.gap)
-        ]
+        cells = [x.reshape(-1, 2).tolist() for x in (self.z, self.e_min, self.degeneracy, self.gap)]
         return tuple(
             PairRow(pid, r, z[r], e_min[r], degeneracy[r], gap[r])
             for pid, z, e_min, degeneracy, gap in zip(self.pair_ids, *cells)
@@ -1521,4 +1448,4 @@ class IsingModel:
         if not isinstance(sectors, SectorSet):
             sectors = self.sector_set(sectors)
         weighted = sectors.weighted()
-        return PartitionSumTable._assemble(weighted, self._pair_kernels(weighted))
+        return PartitionSumTable(weighted, self._pair_kernels(weighted))

@@ -174,10 +174,6 @@ def condition_matrix(table: PartitionSumTable, d_input: float) -> ConditionMatri
         raise IsometryError("partition table carries no weighted sector")
     if d_input <= 0.0:
         raise IsometryError(f"total input dimension must be positive, got {d_input!r}")
-    if table.stray is not None:
-        raise IsometryError(
-            f"pair {table.stray!r} names a sector outside the K-factor table"
-        )
     require_finite(table.totals, "Z_0, Z_1")
     n = len(labels)
     z = np.moveaxis(table.z, 2, 0).copy()

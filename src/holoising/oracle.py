@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -70,7 +69,6 @@ from .ising import ModelKind
 from .spins import SectorFamily, Spin, SpinSector, enumerate_sectors, intertwiner_dim
 
 DEFAULT_DIM_CAP = 4096
-DIM_CAP_ENV = "HOLOISING_DIM_CAP"
 
 # Monte Carlo shots are drawn in aligned chunks of this many rows; the
 # chunk size is part of the definition of the Haar streams.
@@ -83,22 +81,6 @@ GRID_LIMIT = 1 << 24
 
 class OracleError(RuntimeError):
     """Raised when an oracle computation cannot be carried out honestly."""
-
-
-def dim_cap(explicit: Optional[int] = None) -> int:
-    """Effective dimension limit: explicit argument, else environment, else default."""
-    if explicit is not None:
-        return int(explicit)
-    env = os.environ.get(DIM_CAP_ENV)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError as exc:
-            raise OracleError(f"{DIM_CAP_ENV} must be an integer, got {env!r}") from exc
-        if value <= 0:
-            raise OracleError(f"{DIM_CAP_ENV} must be positive, got {value}")
-        return value
-    return DEFAULT_DIM_CAP
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +191,11 @@ class HilbertIndex:
         dim = 1
         for space in self.spaces:
             dim *= space.dim
-        limit = dim_cap(cap)
+        limit = DEFAULT_DIM_CAP if cap is None else int(cap)
         if dim > limit:
             raise OracleError(
                 f"total dimension {dim} exceeds the cap of {limit}; tighten the "
-                f"spin lists or raise {DIM_CAP_ENV}"
+                f"spin lists or pass a larger cap"
             )
         self.dim = dim
         self.vstrides: Tuple[int, ...] = tuple(

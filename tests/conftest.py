@@ -8,10 +8,13 @@ is one-dimensional in both sectors; the right one has dimension 2 in the
 3s-1 sector and 1 in the 3s sector.
 """
 
+import math
+
 import numpy as np
 
 from holoising.bulk import IntertwinerState
 from holoising.graph import build_graph
+from holoising.ising import PartitionSumTable, _PairKernels
 from holoising.spins import SectorFamily, Spin, SpinSector
 
 
@@ -78,6 +81,48 @@ def bridge_state(graph, sectors, a, d, b, u, v, w=None):
             (sec_high, sec_high): np.array([[w]]),
         },
     )
+
+
+# -- tables from given kernels -------------------------------------------
+
+
+class StandInSectors:
+    """The parts of `ising.SectorSet` a `PartitionSumTable` reads, for
+    tables built from given kernels: labels, log K from the given weights
+    (-inf for K = 0), one boundary key shared by every sector, and
+    D_I = D_O = 1."""
+
+    def __init__(self, labels, k):
+        self.labels = tuple(labels)
+        self.log_k = np.array([math.log(v) if v else -math.inf for v in k], dtype=float)
+        self.key = np.zeros(len(self.labels), dtype=np.int64)
+        self.keys = [()]
+        self.boundary_ids = ("",)
+
+    def __len__(self):
+        return len(self.labels)
+
+    def d_input(self, codes):
+        return [1] * len(codes)
+
+    def d_output(self, code):
+        return 1
+
+
+def array_table(labels, k, z, e_min=None):
+    """The `PartitionSumTable` of the (S, S, 2) kernel array `z` over
+    sectors `labels` with weights `k`; totals and boundary sums come from
+    the table's own reducer.  `e_min` defaults to -log z (inf where z = 0);
+    the degeneracy is 1 where E_min is finite, and the gap infinite."""
+    z = np.asarray(z, dtype=float).reshape(len(labels), len(labels), 2)
+    if e_min is None:
+        with np.errstate(divide="ignore"):
+            e_min = -np.log(z)
+    e_min = np.asarray(e_min, dtype=float).reshape(z.shape)
+    kernels = _PairKernels(
+        z, e_min, np.isfinite(e_min).astype(np.int64), np.full(z.shape, math.inf), np.full(z.shape, -1)
+    )
+    return PartitionSumTable(StandInSectors(labels, k), kernels)
 
 
 # -- randomized small instances ------------------------------------------

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_instance
+from conftest import array_table, bridge_family, bridge_graph, random_instance
 
 from holoising.entropy import (
     EntropyError,
@@ -26,9 +26,10 @@ from holoising.entropy import (
     sector_distribution,
 )
 from holoising.graph import build_graph
-from holoising.ising import IsingModel, ModelKind, PairRow, PartitionSumTable
+from holoising.ising import IsingModel, ModelKind
 from holoising.spins import (
     SectorFamily,
+    Spin,
     enumerate_sectors,
     intertwiner_dim,
     sector_dims,
@@ -156,6 +157,48 @@ class TestSectorDistribution:
         total = sum(dims.values())
         for bid, weight in dist.c.items():
             assert weight == pytest.approx(dims[bid] / total, rel=1e-14)
+
+    def test_boundary_weights_match_the_sector_loop(self):
+        # c_E reads D_I and D_O from the family's SectorSet; the loop over
+        # enumerate_sectors and sector_dims it replaced is the reference,
+        # compared in keys, order and bits.
+        def by_sector_loop(graph, family):
+            totals = {}
+            for sec in enumerate_sectors(family, graph):
+                boundary_id = ",".join(f"{lid}={Spin(t)}" for lid, t in sec.boundary_part())
+                if boundary_id in totals:
+                    continue
+                dims = sector_dims(sec, graph, family)
+                if dims.d_input == 0:
+                    continue
+                totals[boundary_id] = dims.d_total
+            grand = sum(totals.values())
+            return {bid: d / grand for bid, d in totals.items()}
+
+        three = build_graph(
+            {
+                "vertices": [{"id": "v", "valence": 3}],
+                "links": [{"id": f"b{i}", "end": ["v", i]} for i in range(3)],
+            }
+        )
+        cases = [
+            (four_leg_graph(), two_sector_vertex_family(four_leg_graph())),
+            (glued_graph(), glued_family(glued_graph())),
+            (tadpole_graph(), tadpole_family(tadpole_graph())),
+            (bridge_graph(), bridge_family(bridge_graph(), 1)),
+            # the key (1/2, 1/2, 1/2) has D_I = 0 and is left out
+            (three, SectorFamily.build(three, "1/2", "1", allowed={"b0": ["1/2", "1"], "b1": ["1/2"], "b2": ["1/2"]})),
+        ]
+        rng = np.random.default_rng(23)
+        cases += [random_instance(rng, max_dim=400)[:2] for _ in range(25)]
+        skipped = 0
+        for graph, family in cases:
+            dist = sector_distribution(bulk_table(graph, family), graph, family)
+            reference = by_sector_loop(graph, family)
+            assert list(dist.c.items()) == list(reference.items())
+            keys = {sec.boundary_part() for sec in enumerate_sectors(family, graph)}
+            skipped += len(keys) - len(dist.c)
+        assert skipped > 0
 
     def test_factorized_form_is_product(self):
         graph = four_leg_graph()
@@ -332,44 +375,19 @@ class TestAveragePurity:
             average_purity(table, cumulant_order=0)
 
     def test_vanishing_normalization_rejected(self):
-        rows = (
-            PairRow("A|A", 0, 0.0, math.inf, 0, math.inf),
-            PairRow("A|A", 1, 0.0, math.inf, 0, math.inf),
-        )
-        table = PartitionSumTable(
-            rows=rows, k_factors=(("A", 1.0),), boundary_rows=(), totals=(0.0, 0.0)
-        )
+        table = array_table(("A",), k=(1.0,), z=np.zeros((1, 1, 2)))
+        assert table.totals == (0.0, 0.0)
         with pytest.raises(EntropyError):
             average_purity(table)  # per-pair Z_0 = 0
         with pytest.raises(EntropyError):
             average_purity(table, mode="ground_state")  # total Z_0 = 0
 
     def test_signed_pair_weights_rejected(self):
-        rows = (
-            PairRow("A|A", 0, 1.0, 0.0, 1, math.inf),
-            PairRow("A|A", 1, 0.5, 0.2, 1, math.inf),
-            PairRow("A|B", 0, -0.5, 0.0, 1, math.inf),
-            PairRow("A|B", 1, 0.1, 0.2, 1, math.inf),
-            PairRow("B|A", 0, -0.5, 0.0, 1, math.inf),
-            PairRow("B|A", 1, 0.1, 0.2, 1, math.inf),
-            PairRow("B|B", 0, 1.0, 0.0, 1, math.inf),
-            PairRow("B|B", 1, 0.5, 0.2, 1, math.inf),
-        )
-        table = PartitionSumTable(
-            rows=rows,
-            k_factors=(("A", 1.0), ("B", 1.0)),
-            boundary_rows=(),
-            totals=(1.0, 1.2),
-        )
+        z = [[(1.0, 0.5), (-0.5, 0.1)], [(-0.5, 0.1), (1.0, 0.5)]]
+        e_min = np.broadcast_to([0.0, 0.2], (2, 2, 2))
+        table = array_table(("A", "B"), k=(1.0, 1.0), z=z, e_min=e_min)
+        assert table.totals == pytest.approx((1.0, 1.2), rel=1e-15)
         with pytest.raises(EntropyError, match="signed"):
-            average_purity(table)
-
-    def test_incomplete_table_rejected(self):
-        rows = (PairRow("A|A", 0, 1.0, 0.0, 1, math.inf),)
-        table = PartitionSumTable(
-            rows=rows, k_factors=(("A", 1.0),), boundary_rows=(), totals=(1.0, 0.0)
-        )
-        with pytest.raises(EntropyError, match="replica"):
             average_purity(table)
 
     def test_json_round_trip(self, tmp_path):

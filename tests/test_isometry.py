@@ -14,14 +14,14 @@ import math
 import numpy as np
 import pytest
 
+from conftest import array_table
+
 from holoising.bulk import IntertwinerState
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import (
     IsingConfig,
     IsingModel,
     ModelKind,
-    PairRow,
-    PartitionSumTable,
 )
 from holoising.isometry import (
     IsometryError,
@@ -87,36 +87,7 @@ def bridge_graph():
 
 def synthetic_table(labels, k, z0, z1):
     """Assemble a PartitionSumTable directly from kernel matrices."""
-    rows = []
-    for i, lj in enumerate(labels):
-        for j, lk in enumerate(labels):
-            for replica, mat in ((0, z0), (1, z1)):
-                z = float(mat[i][j])
-                e_min = -math.log(z) if z > 0.0 else math.inf
-                rows.append(
-                    PairRow(
-                        pair_id=f"{lj}|{lk}",
-                        replica=replica,
-                        z=z,
-                        e_min=e_min,
-                        degeneracy=1,
-                        gap=math.inf,
-                    )
-                )
-    totals = tuple(
-        sum(
-            k[i] * k[j] * float(mat[i][j])
-            for i in range(len(labels))
-            for j in range(len(labels))
-        )
-        for mat in (z0, z1)
-    )
-    return PartitionSumTable(
-        rows=tuple(rows),
-        k_factors=tuple(zip(labels, (float(v) for v in k))),
-        boundary_rows=(),
-        totals=totals,
-    )
+    return array_table(labels, k, np.stack([z0, z1], axis=-1))
 
 
 def random_isometry_state(rng, d_i, d_o):
@@ -209,20 +180,9 @@ class TestConditionMatrix:
             condition_matrix(self.table, 0.0)
         with pytest.raises(IsometryError):
             self.cm.form_at([1.0, 2.0])
-        empty = PartitionSumTable(
-            rows=(), k_factors=(), boundary_rows=(), totals=(0.0, 0.0)
-        )
+        empty = array_table((), k=(), z=np.zeros((0, 0, 2)))
         with pytest.raises(IsometryError):
             condition_matrix(empty, 4.0)
-        stray = synthetic_table(("s0",), k=(1.0,), z0=((1.0,),), z1=((0.5,),))
-        broken = PartitionSumTable(
-            rows=stray.rows,
-            k_factors=(("other", 1.0),),
-            boundary_rows=(),
-            totals=stray.totals,
-        )
-        with pytest.raises(IsometryError):
-            condition_matrix(broken, 4.0)
 
     def test_json_dict(self):
         data = json.loads(json.dumps(self.cm.to_json_dict()))

@@ -28,7 +28,6 @@ from holoising.oracle import (
     build_cmap,
     build_hilbert,
     choi_map,
-    dim_cap,
     exact_replica_average,
     haar_sample,
     hs_isometry_defect,
@@ -161,22 +160,12 @@ class TestHilbertIndex:
             space.int_idx[: first.size], idx % first.intertwiner_dim
         )
 
-    def test_cap_and_env_override(self, monkeypatch):
+    def test_cap_and_env_override(self):
         graph = glued_graph()
         family = glued_family(graph)
-        with pytest.raises(OracleError):
+        with pytest.raises(OracleError, match="larger cap"):
             build_hilbert(graph, family, cap=100)
-        monkeypatch.setenv("HOLOISING_DIM_CAP", "50")
-        assert dim_cap() == 50
-        with pytest.raises(OracleError):
-            build_hilbert(graph, family)
-        monkeypatch.setenv("HOLOISING_DIM_CAP", "2000")
-        assert build_hilbert(graph, family).dim == 1296
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv("HOLOISING_DIM_CAP", "many")
-        with pytest.raises(OracleError):
-            dim_cap()
+        assert build_hilbert(graph, family, cap=2000).dim == 1296
 
 
 class TestSingletProjector:

@@ -4,7 +4,11 @@ Runs the op list of one benchmark workload (generated by
 `perfbench/workloads.py`, which is imported and not modified) and records
 each partition table, kernel, boundary-fixed sum, purity report, condition
 matrix, isometry verdict, c1/c2/c3 report and exact oracle replica
-average (`oracle.exact_replica_average`) that the ops build.  Monte Carlo
+average (`oracle.exact_replica_average`) that the ops build.  Each
+`average_purity` call is also recorded in its other modes and each
+`check_bulk_to_boundary` call in its other regime (the result, or the
+type of the exception the call raises), so that the ground-state
+consumers are compared though no op asks for them.  Monte Carlo
 estimates are left out: they follow the definition of the Haar streams,
 which can change while the engine and the oracle's grids keep their bits.
 Each result is reduced to a canonical JSON form in which every float is
@@ -38,6 +42,7 @@ import argparse
 import dataclasses
 import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -68,6 +73,13 @@ FIELDS = {
     "BoundaryFixedSums": ("z_bar", "y", "d_total", "sector_count"),
     "C1Cell": ("pair", "replica", "config", "combo", "expected", "engine", "defect"),
     "C1Sum": ("pair", "replica", "terms", "total", "engine", "defect"),
+}
+
+# Calls also recorded with every other value of one argument: function
+# name -> (argument, its values).
+VARIANTS = {
+    "average_purity": ("mode", entropy.MODES),
+    "check_bulk_to_boundary": ("regime", tuple(isometry.REGIME_TOLERANCES)),
 }
 
 
@@ -107,6 +119,7 @@ class Recorder:
         self.kinds: Counter = Counter()
         self.op = -1
         self.values = values
+        self.paused = 0
         self._undo: List[Tuple[Any, str, Any]] = []
 
     def record(self, kind: str, result: Any) -> None:
@@ -120,14 +133,40 @@ class Recorder:
 
     def _wrapper(self, kind: str, fn: Callable) -> Callable:
         recorder = self
+        variant = VARIANTS.get(fn.__name__)
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
-            recorder.record(kind, result)
+            if not recorder.paused:
+                recorder.record(kind, result)
+                if variant is not None:
+                    recorder.record_variants(kind, fn, args, kwargs, *variant)
             return result
 
         return wrapper
+
+    def record_variants(self, kind: str, fn: Callable, args, kwargs, name: str, values) -> None:
+        """Record `fn(*args, **kwargs)` once more for every other value of
+        argument `name`: its result, or the type of the exception it
+        raises.  The calls go to the unwrapped `fn`, and the wrapped calls
+        they make are not recorded."""
+        bound = inspect.signature(fn).bind(*args, **kwargs)
+        bound.apply_defaults()
+        used = bound.arguments[name]
+        self.paused += 1
+        try:
+            for value in values:
+                if value == used:
+                    continue
+                bound.arguments[name] = value
+                try:
+                    result = fn(*bound.args, **bound.kwargs)
+                except Exception as exc:  # recorded, as the call's outcome
+                    result = {"raises": type(exc).__name__}
+                self.record(f"{kind}[{name}={value}]", result)
+        finally:
+            self.paused -= 1
 
     def patch_method(self, cls, name: str) -> None:
         original = cls.__dict__[name]
