@@ -48,7 +48,10 @@ HAAR_CHUNK of a Philox stream with key (seed, vertex << 32 | block) and
 counter word 1 equal to c: one fill of 2 n HAAR_CHUNK normals per (chunk,
 vertex, block), read as interleaved (re, im) pairs, row s % HAAR_CHUNK.
 Rows therefore do not depend on how shots are batched, and the chunk size
-is part of the stream's definition.
+is part of the stream's definition.  Since a batch depends only on (index,
+grade, seed, shot range, fine weights), the index holds the last batch a
+Monte Carlo estimate drew on it, and the next estimate over the same shots
+reads it instead of drawing it again.
 """
 
 from __future__ import annotations
@@ -73,6 +76,11 @@ DEFAULT_DIM_CAP = 4096
 # Monte Carlo shots are drawn in aligned chunks of this many rows; the
 # chunk size is part of the definition of the Haar streams.
 HAAR_CHUNK = 64
+
+# Shots per Monte Carlo batch, for mc_purity (its default `batch`) and
+# localisation_probe: estimates with one seed cut the same shot ranges, so
+# they can share a batch held by the index.
+MC_BATCH = 256
 
 # Most complex entries one dense (region x rest) grid array may hold, 16
 # bytes each: keep x rest cells times the shots and components laid out.
@@ -180,7 +188,16 @@ Slot = Tuple  # ("I", vertex) or ("L", vertex, port_position)
 
 
 class HilbertIndex:
-    """Deterministic basis enumeration of the truncated product space."""
+    """Deterministic basis enumeration of the truncated product space.
+
+    Besides its basis caches (`_digits`, `_sectors`, `_sector_cols`) the
+    index holds, in `_haar`, the most recent Monte Carlo Haar batch that
+    `mc_purity` or `localisation_probe` drew on it, keyed by (grade, seed,
+    shot range, normalized fine weights), so that a second estimate over the
+    same shots reads it instead of drawing it again.  That is one batch of
+    batch x dim complex entries (16 B each: 2.4 MB at dim 600 and the
+    default batch), held while the index lives.
+    """
 
     def __init__(self, graph: OpenGraph, family: SectorFamily, cap: Optional[int] = None):
         self.graph = graph
@@ -205,6 +222,7 @@ class HilbertIndex:
         self._digits: Optional[List[np.ndarray]] = None
         self._sectors: Optional[Tuple[SpinSector, ...]] = None
         self._sector_cols: Dict[Tuple, np.ndarray] = {}
+        self._haar: Optional[Tuple[Tuple, np.ndarray]] = None
 
     # -- bookkeeping -----------------------------------------------------
 
@@ -951,6 +969,44 @@ def _haar_rows(
     raise OracleError(f"unknown averaging grade {grade!r}")
 
 
+def _held_haar_rows(
+    index: HilbertIndex,
+    grade: str,
+    seed: int,
+    shots: range,
+    weights: Optional[Mapping] = None,
+) -> np.ndarray:
+    """_haar_rows through the index's one-batch slot, read-only.
+
+    A call with the grade, seed, shot range and normalized fine weights of
+    the batch the index holds returns that batch; any other call replaces
+    it with a new draw.
+    """
+    fine = None
+    if grade == "fine":
+        p = _fine_weights(index, weights)
+        fine = tuple(p.get(sec.key(), 0.0) for sec in index.family_sectors())
+    key = (grade, seed, shots, fine)
+    if index._haar is None or index._haar[0] != key:
+        index._haar = None  # freed before the new batch is allocated
+        rows = _haar_rows(index, grade, seed, shots, weights)
+        rows.flags.writeable = False
+        index._haar = (key, rows)
+    return index._haar[1]
+
+
+def _check_at_least(name: str, value: int, low: int, why: str = "") -> None:
+    if value < low:
+        raise OracleError(f"{name}={value!r} is out of range: {name} must be at least {low}{why}")
+
+
+def _check_seed(seed: int) -> None:
+    if not 0 <= seed < 1 << 64:
+        raise OracleError(
+            f"seed={seed!r} is out of range: 0 <= seed < 2**64 (a Philox key word)"
+        )
+
+
 def haar_sample(
     index: HilbertIndex,
     grade: str = "medium",
@@ -965,8 +1021,13 @@ def haar_sample(
     chunk shot // HAAR_CHUNK in counter word 1, so results are identical no
     matter how the shots are scheduled or batched.  One sample still draws
     the whole HAAR_CHUNK-row chunk of every (vertex, block) it uses; batch
-    shots through `_haar_rows` where many are needed.
+    shots through `_haar_rows` where many are needed.  Every call draws
+    afresh and returns a writable array of its own: it neither reads nor
+    replaces the batch that `mc_purity` and `localisation_probe` share
+    through the index.  shot >= 0 and 0 <= seed < 2**64.
     """
+    _check_at_least("shot", shot, 0)
+    _check_seed(seed)
     return _haar_rows(index, grade, seed, range(shot, shot + 1), weights)[0]
 
 
@@ -1077,9 +1138,24 @@ def mc_purity(
     grade: str = "medium",
     weights: Optional[Mapping] = None,
     cmap: Optional[CMap] = None,
-    batch: int = 256,
+    batch: int = MC_BATCH,
 ) -> MCEstimate:
-    """Monte Carlo estimate of the averaged purity over random vertex states."""
+    """Monte Carlo estimate of the averaged purity over random vertex states.
+
+    Shots are drawn in the ranges [0, batch), [batch, 2 batch), ... through
+    the batch the index holds (see HilbertIndex).  An estimate whose shots
+    fit in one batch reads the draw of the estimate made just before it on
+    the same index, when that one also fit in one batch and had the same
+    grade, seed, shot count and fine weights: a second `mc_purity` under
+    the other model kind, state or region, or a medium-grade estimate
+    before or after a `localisation_probe` (MC_BATCH shots per batch).  A
+    longer estimate draws every batch.  Either way the estimate keeps every
+    bit.  shots >= 2 (a one-shot error bar is undefined), batch >= 1 and
+    0 <= seed < 2**64.
+    """
+    _check_at_least("shots", shots, 2, " (a one-shot error bar is undefined)")
+    _check_at_least("batch", batch, 1)
+    _check_seed(seed)
     cmap = _given_or_built(index, cmap, kind, state)
     if cmap.in_vertices != index.graph.vertices:
         raise OracleError("Monte Carlo sampling requires all vertices averaged")
@@ -1088,7 +1164,7 @@ def mc_purity(
     z1 = np.empty(shots)
     z0 = np.empty(shots)
     for done in range(0, shots, batch):
-        psi = _haar_rows(index, grade, seed, range(done, min(done + batch, shots)), weights)
+        psi = _held_haar_rows(index, grade, seed, range(done, min(done + batch, shots)), weights)
         n = psi.shape[0]
         # Every component's rows stacked as sqrt(w_n) C_n: one sparse product.
         phi = (cmap.stacked @ psi.T).T.reshape(n, cmap.out_dim, len(cmap.components))
@@ -1218,7 +1294,16 @@ def localisation_probe(
     seed: int = 0,
     cmap: Optional[CMap] = None,
 ) -> LocalisationReport:
-    """Covariance of (squared sector weight, bulk purity of the sector block)."""
+    """Covariance of (squared sector weight, bulk purity of the sector block).
+
+    Medium-grade shots are drawn in batches of MC_BATCH through the batch
+    the index holds, as `mc_purity` draws them: with shots <= MC_BATCH, a
+    probe made right after a medium-grade `mc_purity` or another probe on
+    the same index, with the same seed and shot count, reads that draw.
+    shots >= 2 and 0 <= seed < 2**64.
+    """
+    _check_at_least("shots", shots, 2, " (a one-shot error bar is undefined)")
+    _check_seed(seed)
     if cmap is None:
         cmap = build_cmap(index, ModelKind.bulk_to_boundary())
     if len(cmap.components) != 1:
@@ -1226,8 +1311,8 @@ def localisation_probe(
     rows, d_i = _out_sector_rows(cmap, sector)
     a_vals = np.empty(shots)
     b_vals = np.empty(shots)
-    for done in range(0, shots, 256):
-        psi = _haar_rows(index, "medium", seed, range(done, min(done + 256, shots)))
+    for done in range(0, shots, MC_BATCH):
+        psi = _held_haar_rows(index, "medium", seed, range(done, min(done + MC_BATCH, shots)))
         n = psi.shape[0]
         phi = (cmap.stacked @ psi.T).T
         block = phi[:, rows].reshape(n, d_i, -1)

@@ -751,6 +751,176 @@ class TestMonteCarlo:
             assert est.sigma < 1e-15
 
 
+def count_draws(monkeypatch):
+    """Count `_unit_gaussians` calls: one per (vertex, block) a batch draws."""
+    calls = []
+    draw = oracle._unit_gaussians
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(oracle, "_unit_gaussians", counted)
+    return calls
+
+
+def hex_fields(est):
+    return [x.hex() for x in (est.value, est.sigma, est.mean_numerator, est.mean_denominator)]
+
+
+def b2b_setup(index):
+    """The glued family's boundary-to-boundary map on a pure two-sector state."""
+    graph = index.graph
+    s1, s2 = index.family_sectors()
+    state = IntertwinerState.from_pure(graph, {s1: [0.6], s2: [0.8]})
+    part = BoundaryPartition.from_input(graph, ["a1", "a2"])
+    cmap = build_cmap(index, ModelKind.boundary_to_boundary(part), state=state)
+    return cmap, sorted(part.input_region)
+
+
+class TestHaarBatchReuse:
+    def test_second_estimate_reads_the_first_draw(self, monkeypatch):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        calls = count_draws(monkeypatch)
+        mc_purity(index, "bulk", ModelKind.bulk_to_boundary(), shots=256, seed=5)
+        assert calls
+        calls.clear()
+        cmap, region = b2b_setup(index)
+        est = mc_purity(index, region, cmap=cmap, shots=256, seed=5)
+        assert calls == []
+        fresh = build_hilbert(graph, glued_family(graph))
+        cmap, region = b2b_setup(fresh)
+        ref = mc_purity(fresh, region, cmap=cmap, shots=256, seed=5)
+        assert calls
+        assert hex_fields(est) == hex_fields(ref)
+
+    @pytest.mark.parametrize(
+        "change, draws",
+        [
+            ({}, False),
+            ({"weights": {0: 2.0, 1: 2.0}}, False),  # same normalized weights
+            ({"seed": 6}, True),
+            ({"shots": 200}, True),
+            ({"grade": "medium", "weights": None}, True),
+            ({"weights": {0: 1.0, 1: 3.0}}, True),
+        ],
+    )
+    def test_another_draw_only_where_the_batch_differs(self, monkeypatch, change, draws):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        sectors = index.family_sectors()
+        base = {"shots": 256, "seed": 5, "grade": "fine", "weights": {0: 1.0, 1: 1.0}}
+        calls = count_draws(monkeypatch)
+        for kw in (base, {**base, **change}):
+            if kw["weights"] is not None:
+                kw = {**kw, "weights": {sectors[i]: w for i, w in kw["weights"].items()}}
+            calls.clear()
+            est = mc_purity(index, "bulk", cmap=cmap, **kw)
+        assert bool(calls) == draws
+        fresh = build_hilbert(graph, glued_family(graph))
+        ref = mc_purity(fresh, "bulk", cmap=build_cmap(fresh, ModelKind.bulk_to_boundary()), **kw)
+        assert hex_fields(est) == hex_fields(ref)
+
+    def test_a_longer_estimate_draws_every_batch(self, monkeypatch):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        calls = count_draws(monkeypatch)
+        mc_purity(index, "bulk", cmap=cmap, shots=300, seed=5, batch=128)
+        first = len(calls)
+        calls.clear()
+        mc_purity(index, "bulk", cmap=cmap, shots=300, seed=5, batch=128)
+        assert len(calls) == first == 3 * len(index.spaces)
+
+    def test_probe_after_mc_purity_draws_nothing(self, monkeypatch):
+        graph = four_leg_graph()
+        index = build_hilbert(graph, two_sector_vertex_family(graph))
+        sec = index.family_sectors()[0]
+        calls = count_draws(monkeypatch)
+        mc_purity(index, "bulk", ModelKind.bulk_to_boundary(), shots=60, seed=4)
+        calls.clear()
+        report = localisation_probe(index, sec, shots=60, seed=4)
+        assert calls == []
+        fresh = build_hilbert(graph, two_sector_vertex_family(graph))
+        assert report == localisation_probe(fresh, fresh.family_sectors()[0], shots=60, seed=4)
+
+    def test_written_samples_change_no_estimate(self):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        first = mc_purity(index, "bulk", cmap=cmap, shots=256, seed=5)
+        rows = _haar_rows(index, "medium", 5, range(0, 256))
+        rows[:] = 0.0
+        sample = haar_sample(index, "medium", seed=5, shot=0)
+        sample[:] = 0.0
+        held = index._haar[1]
+        with pytest.raises(ValueError):
+            held[0, 0] = 0.0
+        again = mc_purity(index, "bulk", cmap=cmap, shots=256, seed=5)
+        assert index._haar[1] is held
+        assert hex_fields(again) == hex_fields(first)
+
+
+def refuses_without_drawing(monkeypatch, index, name, call):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew a Haar batch")
+
+    monkeypatch.setattr(oracle, "_unit_gaussians", no_draw)
+    with pytest.raises(OracleError, match=rf"^{name}=.* out of range"):
+        call()
+    assert index._haar is None
+
+
+BAD_SEEDS = [({"seed": -1}, "seed"), ({"seed": 2**64}, "seed")]
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize(
+        "kw, name",
+        [
+            ({"shots": 0}, "shots"),
+            ({"shots": 1}, "shots"),
+            ({"shots": -5}, "shots"),
+            ({"batch": 0}, "batch"),
+            ({"batch": -1}, "batch"),
+            *BAD_SEEDS,
+        ],
+    )
+    def test_mc_purity(self, monkeypatch, kw, name):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        args = {"shots": 256, "seed": 0, **kw}
+        refuses_without_drawing(monkeypatch, index, name, lambda: mc_purity(index, "bulk", cmap=cmap, **args))
+
+    @pytest.mark.parametrize("kw, name", [({"shot": -1}, "shot"), *BAD_SEEDS])
+    def test_haar_sample(self, monkeypatch, kw, name):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        refuses_without_drawing(monkeypatch, index, name, lambda: haar_sample(index, **kw))
+
+    @pytest.mark.parametrize(
+        "kw, name", [({"shots": 0}, "shots"), ({"shots": 1}, "shots"), *BAD_SEEDS]
+    )
+    def test_localisation_probe(self, monkeypatch, kw, name):
+        graph = four_leg_graph()
+        index = build_hilbert(graph, two_sector_vertex_family(graph))
+        sec = index.family_sectors()[0]
+        args = {"shots": 60, **kw}
+        refuses_without_drawing(monkeypatch, index, name, lambda: localisation_probe(index, sec, **args))
+
+    def test_edges_of_the_ranges_draw(self):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        v = haar_sample(index, seed=2**64 - 1, shot=0)
+        assert abs(np.linalg.norm(v) - 1.0) < 1e-12
+        est = mc_purity(index, "bulk", cmap=cmap, shots=2, seed=2**64 - 1, batch=1)
+        assert est.shots == 2 and np.isfinite(est.sigma)
+
+
 class TestReductions:
     def test_trace_and_purity_bounds(self):
         graph = glued_graph()

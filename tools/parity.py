@@ -5,14 +5,18 @@ Runs the op list of one benchmark workload (generated by
 each partition table, kernel, boundary-fixed sum, purity report, condition
 matrix, isometry verdict, c1/c2/c3 report and exact oracle replica
 average (`oracle.exact_replica_average`) that the ops build.  Each
-`average_purity` call is also recorded in its other modes and each
-`check_bulk_to_boundary` call in its other regime (the result, or the
-type of the exception the call raises), so that the ground-state
-consumers are compared though no op asks for them.  Monte Carlo
-estimates are left out: they follow the definition of the Haar streams,
-which can change while the engine and the oracle's grids keep their bits.
-Each result is reduced to a canonical JSON form in which every float is
-written with `float.hex`, so two trees can be compared bit for bit:
+`average_purity` call is also recorded in its other modes, each
+`check_bulk_to_boundary` call in its other regime, and each
+boundary-to-boundary `partition_table` as the
+`check_boundary_to_boundary` verdict of its model in every regime (the
+result, or the type of the exception the call raises: a mixed bulk state
+raises `IsometryError`), so that the ground-state consumers and the
+boundary-to-boundary verdict are compared though no op asks for them.
+Monte Carlo estimates are left out: they follow the definition of the
+Haar streams, which can change while the engine and the oracle's grids
+keep their bits.  Each result is reduced to a canonical JSON form in which
+every float is written with `float.hex`, so two trees can be compared bit
+for bit:
 
     python3 tools/parity.py --workload sector-wide --seed 5 --out a.txt
     (in the other checkout, same arguments)         --out b.txt
@@ -82,6 +86,10 @@ VARIANTS = {
     "check_bulk_to_boundary": ("regime", tuple(isometry.REGIME_TOLERANCES)),
 }
 
+# Taken before `Recorder.install` wraps it, so the verdicts recorded for
+# boundary-to-boundary tables call the unwrapped function.
+CHECK_B2B = isometry.check_boundary_to_boundary
+
 
 def canon(obj: Any) -> Any:
     """A JSON-ready form of `obj` with every float as `float.hex`."""
@@ -142,6 +150,8 @@ class Recorder:
                 recorder.record(kind, result)
                 if variant is not None:
                     recorder.record_variants(kind, fn, args, kwargs, *variant)
+                if fn.__name__ == "partition_table" and args[0].kind.is_boundary_to_boundary:
+                    recorder.record_verdicts(kind, args[0])
             return result
 
         return wrapper
@@ -160,13 +170,32 @@ class Recorder:
                 if value == used:
                     continue
                 bound.arguments[name] = value
-                try:
-                    result = fn(*bound.args, **bound.kwargs)
-                except Exception as exc:  # recorded, as the call's outcome
-                    result = {"raises": type(exc).__name__}
-                self.record(f"{kind}[{name}={value}]", result)
+                self.record_outcome(f"{kind}[{name}={value}]", fn, bound.args, bound.kwargs)
         finally:
             self.paused -= 1
+
+    def record_verdicts(self, kind: str, model) -> None:
+        """Record `check_boundary_to_boundary` on the graph, family,
+        partition and state of a boundary-to-boundary model in every
+        regime, through the unwrapped function, with recording paused."""
+        args = (model.family, model.graph, model.kind.partition, model.state)
+        self.paused += 1
+        try:
+            for regime in isometry.REGIME_TOLERANCES:
+                self.record_outcome(
+                    f"{kind}:check_boundary_to_boundary[regime={regime}]", CHECK_B2B, args, {"regime": regime}
+                )
+        finally:
+            self.paused -= 1
+
+    def record_outcome(self, kind: str, fn: Callable, args, kwargs) -> None:
+        """Record `fn(*args, **kwargs)`: its result, or the type of the
+        exception it raises."""
+        try:
+            result = fn(*args, **kwargs)
+        except Exception as exc:  # recorded, as the call's outcome
+            result = {"raises": type(exc).__name__}
+        self.record(kind, result)
 
     def patch_method(self, cls, name: str) -> None:
         original = cls.__dict__[name]
