@@ -42,14 +42,7 @@ import numpy as np
 
 from .graph import OpenGraph
 from .ising import IsingModel, ModelKind, PartitionSumTable, couplings, ground_kernel, require_finite
-from .spins import (
-    SectorFamily,
-    Spin,
-    SpinSector,
-    enumerate_sectors,
-    intertwiner_dim,
-    sector_dims,
-)
+from .spins import SectorFamily, Spin, SpinSector, sector_dims, vertex_dims
 
 #: Report modes: exact per-pair kernels, ground-state kernels under the
 #: exact pair measure, or ground-state kernels under the factorized measure.
@@ -598,73 +591,57 @@ def fine_average_purity(
     probabilities summing to one; None means uniform over the family's
     admissible sectors.  Sectors with empty intertwiner space are ignored.
     """
-    sectors = [
-        sec
-        for sec in enumerate_sectors(family, graph)
-        if all(
-            intertwiner_dim(sec.vertex_spins(x)) > 0 for x in graph.vertices
-        )
-    ]
-    if not sectors:
+    pool = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
+    pool = pool.take(np.flatnonzero((np.array(pool.vertex_dims) > 0).all(axis=1)))
+    if not len(pool):
         raise EntropyError("family admits no sector with intertwiners")
-    by_label = {sec.label(): sec for sec in sectors}
-    by_key = {sec.key(): sec for sec in sectors}
+    labels = pool.labels
+    by_label = {label: a for a, label in enumerate(labels)}
+    by_key = {sec.key(): a for a, sec in enumerate(pool.sectors)}
 
     if weights is None:
-        probs = {sec.label(): 1.0 / len(sectors) for sec in sectors}
+        probs = {a: 1.0 / len(pool) for a in range(len(pool))}
     else:
         probs = {}
         for key, value in weights.items():
             if isinstance(key, SpinSector):
-                sec = by_key.get(key.key())
+                a = by_key.get(key.key())
             elif isinstance(key, str):
-                sec = by_label.get(key)
+                a = by_label.get(key)
             else:
-                sec = by_key.get(key)
-            if sec is None:
+                a = by_key.get(key)
+            if a is None:
                 raise EntropyError(f"weight names unknown sector {key!r}")
             if value < 0.0:
-                raise EntropyError(f"negative weight for sector {sec.label()}")
-            label = sec.label()
-            if label in probs:
-                raise EntropyError(f"sector {label} weighted twice")
-            probs[label] = float(value)
+                raise EntropyError(f"negative weight for sector {labels[a]}")
+            if a in probs:
+                raise EntropyError(f"sector {labels[a]} weighted twice")
+            probs[a] = float(value)
         if abs(math.fsum(probs.values()) - 1.0) > 1e-9:
             raise EntropyError("sector weights must sum to one")
 
-    support = [by_label[label] for label in probs]
-    inter_dims = {}
-    for sec in support:
-        inter_dims[sec.label()] = math.prod(
-            intertwiner_dim(sec.vertex_spins(x)) for x in graph.vertices
-        )
+    inter_dims = {a: math.prod(pool.vertex_dims[a]) for a in probs}
     d_input = sum(inter_dims.values())
 
     raw = {}
-    for sec in support:
+    for a, p in probs.items():
         amp = math.prod(
-            abs(family.g(lid, sec.spin(lid))) ** 2
+            abs(family.g(lid, pool.sectors[a].spin(lid))) ** 2
             for lid in graph.internal_ids()
         )
-        raw[sec.label()] = probs[sec.label()] * amp
+        raw[a] = p * amp
     norm = math.fsum(raw.values())
     if norm <= 0.0:
         raise EntropyError("all weighted sectors have vanishing amplitude")
-    p_tilde = {label: v / norm for label, v in raw.items()}
+    p_tilde = {a: v / norm for a, v in raw.items()}
 
-    purity = math.fsum(
-        p_tilde[label] ** 2 / inter_dims[label] for label in p_tilde
-    )
-    solving = {
-        label: inter_dims[label] / d_input for label in inter_dims
-    }
-    boundaries = {sec.boundary_part() for sec in support}
+    purity = math.fsum(p_tilde[a] ** 2 / inter_dims[a] for a in p_tilde)
     return FineAverage(
         purity=purity,
-        p_tilde=p_tilde,
-        solving_weights=solving,
+        p_tilde={labels[a]: v for a, v in p_tilde.items()},
+        solving_weights={labels[a]: d / d_input for a, d in inter_dims.items()},
         d_input=d_input,
-        single_boundary=len(boundaries) == 1,
+        single_boundary=len({pool.key[a] for a in probs}) == 1,
     )
 
 
@@ -730,9 +707,8 @@ def high_spin_energies(
     if family is not None:
         r = sector_dims(j, graph, family).r
     else:
-        inter = math.prod(
-            intertwiner_dim(j.vertex_spins(x)) for x in graph.vertices
-        )
+        twice = np.array([j.twice_of(graph.link_ids())], dtype=np.int64)
+        inter = math.prod(vertex_dims(graph, twice)[0])
         d_out = math.prod(
             j.spin(lid).dim for lid in graph.boundary_ids()
         )

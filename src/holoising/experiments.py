@@ -42,7 +42,7 @@ from scipy.special import digamma, polygamma
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph, build_graph
 from .ising import ContractViolation, IsingConfig, IsingModel, ModelKind
-from .spins import SectorFamily, Spin, SpinSector, enumerate_sectors
+from .spins import SectorFamily, Spin, SpinSector
 
 
 class ExperimentError(RuntimeError):
@@ -1209,8 +1209,9 @@ def _c3_engine_check(n: int) -> C3EngineCheck:
     """Compare the uniform-dimension kernels against the engine on the
     subfamily of bulk spins whose parity admits a nonzero intertwiner.
 
-    One `partition_table` over the sectors sorted by bulk spin gives every
-    kernel; its `SectorSet` gives log K and the dimension at vertex x."""
+    One `partition_table` over the family's sectors, in order of bulk
+    spin, gives every kernel; its `SectorSet` gives log K and the dimension
+    at vertex x."""
     j_twice = n - 1
     graph = build_graph(
         {
@@ -1238,9 +1239,9 @@ def _c3_engine_check(n: int) -> C3EngineCheck:
         graph, lower=0, upper=Spin(3 * n - 3), allowed=allowed, normalize=False
     )
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-    sectors = model.sector_set(
-        sorted(enumerate_sectors(family, graph), key=lambda sector: sector.spin("e").twice)
-    )
+    # e is the first link and every boundary spin is fixed, so the family's
+    # own pool comes in order of e.
+    sectors = model.sector_set()
     table = model.partition_table(sectors)
     b = 1.0 / n**3
     model_dim = {}

@@ -74,17 +74,19 @@ set codes boundary assignments as integer keys.  Labels, intertwiner
 dimensions per sector and vertex, log K per sector, D_I and D_O per key,
 and the `SpinSector` objects are views built on first use, so a matrix
 pool makes `SpinSector`s only for the rows a consumer iterates after
-`weighted()` drops the zero-weight ones.  Intertwiner dimensions are read
-per row from one module-level cache keyed by the doubled-spin tuple
-(`spins.twice_intertwiner_dim`), and D_I comes from one enumeration of the
-family's bulk spin assignments, shared by every key.  `partition_table`
-drops the sectors of zero weight and builds the table from the weighted
-set and its kernels, `PartitionSumTable(sectors, kernels)`, the table's
-one constructor.  The table keeps the set's `log_k` and stores the
-kernels as arrays: `PartitionSumTable.z`, `e_min`, `degeneracy` and `gap`
-each hold S^2 x 2 entries, indexed [j, k, replica] (8 bytes each, so
-16 S^2 bytes per field), so every table covers every sector pair, and
-the boundary-diagonal sums one entry per boundary key.  `rows`,
+`weighted()` drops the zero-weight ones.  Dimensions come from the one
+dimension evaluator of `spins`: `vertex_dims` gives the intertwiner
+dimensions per row (read from the module-level cache of
+`spins.twice_intertwiner_dim` by doubled-spin tuple), and `input_dims`
+gives D_I per key from one enumeration of the family's bulk spin
+assignments, shared by every key; the set memoizes D_I per key.
+`partition_table` drops the sectors of zero weight and builds the table
+from the weighted set and its kernels, `PartitionSumTable(sectors,
+kernels)`, the table's one constructor.  The table keeps the set's
+`log_k` and stores the kernels as arrays: `PartitionSumTable.z`, `e_min`,
+`degeneracy` and `gap` each hold S^2 x 2 entries, indexed [j, k, replica]
+(8 bytes each, so 16 S^2 bytes per field), so every table covers every
+sector pair, and the boundary-diagonal sums one entry per boundary key.  `rows`,
 `k_factors`, `boundary_rows` and the CSV/JSON writers are views over these
 arrays, built on first use; entropy and isometry read the arrays directly.
 `IsingModel.k_factor` and `boundary_fixed_sums` are views too: the first
@@ -130,9 +132,11 @@ from .spins import (
     SectorFamily,
     Spin,
     SpinSector,
+    input_dims,
     intertwiner_dim,
     sector_matrix,
     twice_intertwiner_dim,
+    vertex_dims,
 )
 
 #: Absolute tolerance for counting ground-state ties.
@@ -834,22 +838,7 @@ class SectorSet:
     @functools.cached_property
     def vertex_dims(self) -> Tuple[Tuple[int, ...], ...]:
         """D(j^x) of every sector (rows) and vertex (graph order)."""
-        return self._vertex_dims(self.twice)
-
-    @functools.cached_property
-    def _vertex_columns(self) -> List[List[int]]:
-        """Per vertex, the columns of `twice` of its links in port order."""
-        column = {lid: i for i, lid in enumerate(self.graph.link_ids())}
-        return [[column[lid] for lid in self.graph.links_at(x)] for x in self.graph.vertices]
-
-    def _vertex_dims(self, twice: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-        """D(j^x) for every row of `twice` (a sector) and every vertex, each
-        read from the cache of `twice_intertwiner_dim` by its row's tuple."""
-        per_vertex = [
-            list(map(twice_intertwiner_dim, map(tuple, twice[:, columns].tolist())))
-            for columns in self._vertex_columns
-        ]
-        return tuple(zip(*per_vertex)) if per_vertex else tuple(() for _ in range(len(twice)))
+        return vertex_dims(self.graph, self.twice)
 
     @functools.cached_property
     def log_k(self) -> np.ndarray:
@@ -883,24 +872,11 @@ class SectorSet:
         return log_k
 
     def d_input(self, codes: Sequence[int]) -> List[int]:
-        """D_I(E) of the boundary keys `codes`: the sum over the family's
-        bulk spins of prod_x D(j^x), as `spins.sector_dims` defines it.  The
-        bulk spin assignments are enumerated once for all keys, as the bulk
-        columns of the `sector_matrix` of the first key."""
+        """D_I(E) of the boundary keys `codes` (`spins.input_dims`),
+        memoized per key."""
         keys = [self.keys[c] for c in codes]
         missing = [key for key in dict.fromkeys(keys) if key not in self._d_input]
-        if missing:
-            first = dict(zip(self.graph.boundary_ids(), map(Spin, missing[0])))
-            bulk = sector_matrix(self.family, self.graph, boundary_filter=first)
-            bulk = bulk[:, : len(self.graph.internal_ids())]
-            count = len(bulk)
-            boundary = np.array(missing, dtype=np.int64).reshape(len(missing), -1)
-            twice = np.concatenate(
-                [np.tile(bulk, (len(missing), 1)), np.repeat(boundary, count, axis=0)], axis=1
-            )
-            products = [math.prod(dims) for dims in self._vertex_dims(twice)]
-            for m, key in enumerate(missing):
-                self._d_input[key] = sum(products[m * count : (m + 1) * count])
+        self._d_input.update(zip(missing, input_dims(self.family, self.graph, missing)))
         return [self._d_input[key] for key in keys]
 
     def d_output(self, code: int) -> int:

@@ -752,9 +752,9 @@ def _pattern_trace(x1, x2) -> float:
     if x2 is x1:
         row, col, _, value = x1
         w = value.real**2 + value.imag**2
-        counts = [np.unique(keys, return_counts=True)[1] for keys in (col, row)]
+        counts = [np.bincount(keys) for keys in (col, row)]
         for group, lines in zip((row, col), counts):
-            if lines.size == value.size:
+            if not (lines > 1).any():
                 d = np.bincount(group, w)
                 return float(d @ d)
         x = _csr(x1)

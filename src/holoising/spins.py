@@ -21,6 +21,13 @@ order, so array code looks a spin tuple up without building `Spin` objects.
 Sector pools come in two forms: `enumerate_sectors` yields `SpinSector`
 objects lazily, and `sector_matrix` returns the same sectors, in the same
 order, as one int64 matrix of doubled spins.
+
+One evaluator decides every dimension, on such matrices: `vertex_dims`
+gives D(j^x) per row and vertex, and `input_dims` gives D_I(E) per
+boundary key from one bulk `sector_matrix` shared by all keys.
+`sector_dims`, the engine's `SectorSet` and the one-sector fallback of
+`entropy.high_spin_energies` call them; `entropy`, `isometry` and
+`experiments` otherwise read dimensions through the set.
 """
 
 from __future__ import annotations
@@ -374,41 +381,58 @@ def sector_matrix(
     return np.fromiter(flat, dtype=np.int64, count=count * len(choices)).reshape(count, len(choices))
 
 
+def vertex_dims(graph: OpenGraph, twice: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+    """D(j^x) for every row of `twice` (an (N, L) matrix of doubled spins,
+    columns in `graph.link_ids()` order) and every vertex (graph order),
+    each read from the cache of `twice_intertwiner_dim` by its row's tuple."""
+    column = {lid: i for i, lid in enumerate(graph.link_ids())}
+    per_vertex = []
+    for x in graph.vertices:
+        rows = twice[:, [column[lid] for lid in graph.links_at(x)]].tolist()
+        per_vertex.append(list(map(twice_intertwiner_dim, map(tuple, rows))))
+    return tuple(zip(*per_vertex)) if per_vertex else tuple(() for _ in range(len(twice)))
+
+
+def input_dims(
+    family: SectorFamily, graph: OpenGraph, keys: Sequence[Tuple[int, ...]]
+) -> List[int]:
+    """D_I(E) of each boundary key E (its doubled spins in
+    `graph.boundary_ids()` order): the sum over the family's bulk spins of
+    prod_x D(j^x).  The bulk spin assignments are enumerated once for all
+    keys, as the bulk columns of the `sector_matrix` of the first key."""
+    if not keys:
+        return []
+    first = dict(zip(graph.boundary_ids(), map(Spin, keys[0])))
+    bulk = sector_matrix(family, graph, boundary_filter=first)[:, : len(graph.internal_ids())]
+    count = len(bulk)
+    boundary = np.array(keys, dtype=np.int64).reshape(len(keys), -1)
+    twice = np.concatenate([np.tile(bulk, (len(keys), 1)), np.repeat(boundary, count, axis=0)], axis=1)
+    products = [math.prod(dims) for dims in vertex_dims(graph, twice)]
+    return [sum(products[m * count : (m + 1) * count]) for m in range(len(keys))]
+
+
 def sector_dims(
     sector: SpinSector, graph: OpenGraph, family: SectorFamily
 ) -> SectorDims:
     """Populate every dimension field for `sector` within `family`.
 
     D_I(E) sums prod_x D(j^x) over all bulk assignments of the family that
-    share this sector's boundary spins; for a graph without internal links it
-    reduces to the sector's own intertwiner-dimension product.
+    share this sector's boundary spins (`input_dims`); for a graph without
+    internal links it reduces to the sector's own intertwiner-dimension
+    product.
     """
     ldims = {lid: Spin(t).dim for lid, t in sector.assignment}
-    idims = {x: intertwiner_dim(sector.vertex_spins(x)) for x in graph.vertices}
-    bulk_prod = 1
-    for x in graph.vertices:
-        bulk_prod *= idims[x]
-    d_out = 1
-    for lid in graph.boundary_ids():
-        d_out *= ldims[lid]
-    boundary = {lid: Spin(t) for lid, t in sector.boundary_part()}
-    d_in = 0
-    for sec in enumerate_sectors(family, graph, boundary_filter=boundary):
-        prod = 1
-        for x in graph.vertices:
-            prod *= intertwiner_dim(sec.vertex_spins(x))
-        d_in += prod
+    twice = np.array([sector.twice_of(graph.link_ids())], dtype=np.int64)
+    idims = dict(zip(graph.vertices, vertex_dims(graph, twice)[0]))
     dim_sector = 1
     for x in graph.vertices:
-        dim_sector *= idims[x]
-        for lid in graph.links_at(x):
-            dim_sector *= ldims[lid]
+        dim_sector *= idims[x] * math.prod(ldims[lid] for lid in graph.links_at(x))
     return SectorDims(
         link_dims=ldims,
         intertwiner_dims=idims,
-        bulk_intertwiner_product=bulk_prod,
-        d_input=d_in,
-        d_output=d_out,
+        bulk_intertwiner_product=math.prod(idims.values()),
+        d_input=input_dims(family, graph, [sector.twice_of(graph.boundary_ids())])[0],
+        d_output=math.prod(ldims[lid] for lid in graph.boundary_ids()),
         dim_sector=dim_sector,
     )
 

@@ -1,24 +1,23 @@
-"""Tests for bulk intertwiner states and X-operator entropics."""
+"""Tests for bulk intertwiner states and, through the paper's operators
+(`paper_operators`), X-operator entropics."""
 
 import math
 
 import numpy as np
 import pytest
 
-from holoising.bulk import (
-    BulkStateError,
-    IntertwinerState,
+from holoising.bulk import BulkStateError, IntertwinerState, vertex_block_dims
+from holoising.graph import build_graph
+from holoising.spins import SpinSector
+from paper_operators import (
     XOperator,
     fidelity_angle,
     matrix_renyi2,
     psd_sqrt,
     reduced_entropies,
     sigma_b,
-    vertex_block_dims,
     x_operator,
 )
-from holoising.graph import build_graph
-from holoising.spins import SpinSector
 
 
 def two_vertex_graph():

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import array_table, bridge_family, bridge_graph, random_instance
+from test_sector_arrays import reference_sector_dims
 
 from holoising.entropy import (
     EntropyError,
@@ -160,15 +161,15 @@ class TestSectorDistribution:
 
     def test_boundary_weights_match_the_sector_loop(self):
         # c_E reads D_I and D_O from the family's SectorSet; the loop over
-        # enumerate_sectors and sector_dims it replaced is the reference,
-        # compared in keys, order and bits.
+        # enumerate_sectors and the per-sector dimension loop it replaced is
+        # the reference, compared in keys, order and bits.
         def by_sector_loop(graph, family):
             totals = {}
             for sec in enumerate_sectors(family, graph):
                 boundary_id = ",".join(f"{lid}={Spin(t)}" for lid, t in sec.boundary_part())
                 if boundary_id in totals:
                     continue
-                dims = sector_dims(sec, graph, family)
+                dims = reference_sector_dims(sec, graph, family)
                 if dims.d_input == 0:
                     continue
                 totals[boundary_id] = dims.d_total

@@ -1,9 +1,12 @@
-"""Sector pools as arrays and the bucketed kernel-sum reducer.
+"""Sector pools as arrays, the dimension evaluator and the bucketed
+kernel-sum reducer.
 
-Two references live here: the per-key `_signed_sum` loop that
-`ising._kernel_sums` replaced, and the per-sector loop that
-`isometry.window_groups` replaced.  The array versions must give their
-results bit for bit.
+The references live here: the per-key `_signed_sum` loop that
+`ising._kernel_sums` replaced, the per-sector loop that
+`isometry.window_groups` replaced, and the `enumerate_sectors` +
+`intertwiner_dim` loops that `spins.sector_dims` and
+`entropy.fine_average_purity` replaced.  The array versions must give
+their results bit for bit.
 """
 
 import math
@@ -14,17 +17,20 @@ import pytest
 from conftest import random_instance
 from holoising import spins
 from holoising.bulk import IntertwinerState
+from holoising.entropy import EntropyError, FineAverage, fine_average_purity, high_spin_energies
 from holoising.experiments import ExperimentError, reproduce_c2
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import EngineError, IsingModel, ModelKind, _kernel_sums, _logsumexp, _signed_sum
 from holoising.isometry import window_groups
 from holoising.spins import (
+    SectorDims,
     SectorEnumerationError,
     SectorFamily,
     Spin,
     SpinSector,
     enumerate_sectors,
     intertwiner_dim,
+    sector_dims,
     sector_matrix,
 )
 
@@ -87,6 +93,90 @@ def reference_window_groups(family, graph):
             d_out *= Spin(t).dim
         groups.setdefault(d_out, []).append({lid: Spin(t) for lid, t in key})
     return {d: tuple(entries) for d, entries in groups.items()}
+
+
+def reference_sector_dims(sector, graph, family):
+    """The per-sector loop: D_I(E) from one `enumerate_sectors` pass over
+    the bulk spins at the sector's boundary, one `intertwiner_dim` call per
+    sector and vertex."""
+    ldims = {lid: Spin(t).dim for lid, t in sector.assignment}
+    idims = {x: intertwiner_dim(sector.vertex_spins(x)) for x in graph.vertices}
+    bulk_prod = 1
+    for x in graph.vertices:
+        bulk_prod *= idims[x]
+    d_out = 1
+    for lid in graph.boundary_ids():
+        d_out *= ldims[lid]
+    boundary = {lid: Spin(t) for lid, t in sector.boundary_part()}
+    d_in = 0
+    for sec in enumerate_sectors(family, graph, boundary_filter=boundary):
+        prod = 1
+        for x in graph.vertices:
+            prod *= intertwiner_dim(sec.vertex_spins(x))
+        d_in += prod
+    dim_sector = 1
+    for x in graph.vertices:
+        dim_sector *= idims[x]
+        for lid in graph.links_at(x):
+            dim_sector *= ldims[lid]
+    return SectorDims(
+        link_dims=ldims,
+        intertwiner_dims=idims,
+        bulk_intertwiner_product=bulk_prod,
+        d_input=d_in,
+        d_output=d_out,
+        dim_sector=dim_sector,
+    )
+
+
+def reference_fine_average(weights, family, graph):
+    """The per-sector loop of the fine closed form: the sectors of
+    `enumerate_sectors` with every D(j^x) > 0, uniform weights or weights
+    given by label, D(j^x) from `intertwiner_dim`."""
+    sectors = [
+        sec
+        for sec in enumerate_sectors(family, graph)
+        if all(intertwiner_dim(sec.vertex_spins(x)) > 0 for x in graph.vertices)
+    ]
+    if not sectors:
+        raise EntropyError("family admits no sector with intertwiners")
+    by_label = {sec.label(): sec for sec in sectors}
+    if weights is None:
+        probs = {sec.label(): 1.0 / len(sectors) for sec in sectors}
+    else:
+        probs = {label: float(value) for label, value in weights.items()}
+    support = [by_label[label] for label in probs]
+    inter_dims = {}
+    for sec in support:
+        inter_dims[sec.label()] = math.prod(intertwiner_dim(sec.vertex_spins(x)) for x in graph.vertices)
+    d_input = sum(inter_dims.values())
+    raw = {}
+    for sec in support:
+        amp = math.prod(abs(family.g(lid, sec.spin(lid))) ** 2 for lid in graph.internal_ids())
+        raw[sec.label()] = probs[sec.label()] * amp
+    norm = math.fsum(raw.values())
+    if norm <= 0.0:
+        raise EntropyError("all weighted sectors have vanishing amplitude")
+    p_tilde = {label: v / norm for label, v in raw.items()}
+    return FineAverage(
+        purity=math.fsum(p_tilde[label] ** 2 / inter_dims[label] for label in p_tilde),
+        p_tilde=p_tilde,
+        solving_weights={label: inter_dims[label] / d_input for label in inter_dims},
+        d_input=d_input,
+        single_boundary=len({sec.boundary_part() for sec in support}) == 1,
+    )
+
+
+def hexed(value):
+    """`value` with every float written by `float.hex`, mappings as item
+    lists and dataclasses as field dicts, so that == compares bits."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, (FineAverage, SectorDims)):
+        return hexed(vars(value))
+    if isinstance(value, dict):
+        return [(k, hexed(v)) for k, v in value.items()]
+    return value
 
 
 def _hex(pair):
@@ -382,3 +472,41 @@ class TestWindowGroups:
         pool = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
         rows = [i for i, row in enumerate(pool.twice.tolist()) if row[2] == 1]
         assert not np.isfinite(pool.log_k[rows]).any()
+
+
+# -- the dimension evaluator -------------------------------------------------
+
+
+class TestDimensionEvaluator:
+    def test_matches_the_sector_loops_on_random_families(self):
+        rng = np.random.default_rng(3)
+        counts = {"sector_dims": 0, "fine": 0, "high_spin": 0, "single_boundary": 0}
+        for _ in range(60):
+            graph, family, _, _ = random_instance(rng)
+            sectors = list(enumerate_sectors(family, graph))
+            for sec in sectors[:: max(1, len(sectors) // 3)]:
+                assert hexed(sector_dims(sec, graph, family)) == hexed(reference_sector_dims(sec, graph, family))
+                counts["sector_dims"] += 1
+            uniform = fine_average_purity(None, family, graph)
+            reference = reference_fine_average(None, family, graph)
+            assert hexed(uniform) == hexed(reference)
+            solving = reference.solving_weights
+            assert hexed(fine_average_purity(solving, family, graph)) == hexed(
+                reference_fine_average(solving, family, graph)
+            )
+            counts["fine"] += 1
+            counts["single_boundary"] += reference.single_boundary
+            # high_spin_energies needs D(j^x) > 0 at every vertex and D_O > 1.
+            admissible = [
+                sec for sec in sectors
+                if all(intertwiner_dim(sec.vertex_spins(x)) > 0 for x in graph.vertices)
+                and math.prod(sec.spin(lid).dim for lid in graph.boundary_ids()) > 1
+            ]
+            for j, k in zip(admissible[:2], admissible[::-1]):
+                dims = reference_sector_dims(j, graph, family)
+                expected = dict(high_spin_energies(j, k))
+                assert expected["r_E"].hex() == (dims.bulk_intertwiner_product / dims.d_output).hex()
+                expected["r_E"] = dims.r
+                assert hexed(high_spin_energies(j, k, family=family)) == hexed(expected)
+                counts["high_spin"] += 1
+        assert counts == {"sector_dims": 140, "fine": 60, "high_spin": 87, "single_boundary": 33}

@@ -12,6 +12,9 @@ boundary-to-boundary `partition_table` as the
 result, or the type of the exception the call raises: a mixed bulk state
 raises `IsometryError`), so that the ground-state consumers and the
 boundary-to-boundary verdict are compared though no op asks for them.
+On the sector-wide workload each op's family is also recorded through
+`fine_average_purity` at uniform weights and the `sector_dims` of its
+weighted sectors, which no op calls either.
 Monte Carlo estimates are left out: they follow the definition of the
 Haar streams, which can change while the engine and the oracle's grids
 keep their bits.  Each result is reduced to a canonical JSON form in which
@@ -61,7 +64,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
-from holoising import entropy, experiments, ising, isometry, oracle  # noqa: E402
+from holoising import entropy, experiments, ising, isometry, oracle, spins  # noqa: E402
 
 import workloads  # noqa: E402
 
@@ -187,6 +190,16 @@ class Recorder:
                 )
         finally:
             self.paused -= 1
+
+    def record_family(self, family, graph) -> None:
+        """Record `fine_average_purity` of a family at uniform weights (or
+        the type of the exception it raises), and the `sector_dims` of its
+        weighted sectors as one list."""
+        self.record_outcome("entropy.fine_average_purity[weights=None]", entropy.fine_average_purity,
+                            (None, family, graph), {})
+        model = ising.IsingModel(graph, family, ising.ModelKind.bulk_to_boundary())
+        weighted = model.sector_set().weighted().sectors
+        self.record("spins.sector_dims", [spins.sector_dims(sec, graph, family) for sec in weighted])
 
     def record_outcome(self, kind: str, fn: Callable, args, kwargs) -> None:
         """Record `fn(*args, **kwargs)`: its result, or the type of the
@@ -339,6 +352,8 @@ def main(argv=None) -> int:
                 workloads.execute(op)
             except Exception as exc:  # recorded, like a failed benchmark op
                 failures.append(f"op {op.index} {op.kind} failed: {type(exc).__name__}: {exc}")
+            if args.workload == "sector-wide":
+                recorder.record_family(op.inst.family, op.inst.graph)
     finally:
         recorder.uninstall()
         if values is not None:
