@@ -254,14 +254,15 @@ def average_purity(
     base = np.outer(table.k, table.k).ravel()
     if mode != "high_spin":
         base = base * z0
-    probs = (base / z0_rep).tolist()
-    low = min(probs)
-    if low < -_SIGN_TOL:
+    probs = base / z0_rep
+    if (probs < -_SIGN_TOL).any():
         raise EntropyError(
             "pair weights are signed; no probability-average decomposition"
         )
-    probs = [max(v, 0.0) for v in probs]
+    # max(v, 0.0) entry by entry: -0.0 and nan stay as they are.
+    probs = np.where(probs < 0.0, 0.0, probs)
 
+    # math.log, whose bits numpy's vectorized log need not share.
     x_vals = [
         -math.log(r) if r > 0.0 else (math.inf if r == 0.0 else math.nan)
         for r in ratios.tolist()
@@ -272,12 +273,12 @@ def average_purity(
         raise EntropyError(f"nonpositive purity {purity!r}")
     s2 = -math.log(purity)
 
-    feasible = [i for i, x in enumerate(x_vals) if math.isfinite(x)]
-    mass = math.fsum(probs[i] for i in feasible)
+    feasible = np.isfinite(x_vals)
+    mass = math.fsum(probs[feasible].tolist())
     if mass <= 0.0:
         raise EntropyError("no pair carries both weight and a finite exponent")
-    xs = [x_vals[i] for i in feasible]
-    ps = [probs[i] / mass for i in feasible]
+    xs = np.array(x_vals)[feasible].tolist()
+    ps = (probs[feasible] / mass).tolist()
     series = _cumulant_series(xs, ps, cumulant_order)
 
     provenance = {
@@ -295,7 +296,7 @@ def average_purity(
         purity=purity,
         s2=s2,
         x=dict(zip(ids, x_vals)),
-        pair_probs=dict(zip(ids, probs)),
+        pair_probs=dict(zip(ids, probs.tolist())),
         cumulants=series.cumulants,
         cumulant_partial_sums=series.partial_sums,
         feasible_mass=mass,

@@ -82,7 +82,29 @@ gives D_I per key from one enumeration of the family's bulk spin
 assignments, shared by every key; the set memoizes D_I per key.
 `partition_table` drops the sectors of zero weight and builds the table
 from the weighted set and its kernels, `PartitionSumTable(sectors,
-kernels)`, the table's one constructor.  The table keeps the set's
+kernels)`, the table's one constructor.
+
+The module holds one family pool.  A kernel depends only on its pair's
+spins, not on the pool it is asked in, so the purity, the isometry
+verdict over a window, c2 and `boundary_fixed_sums` of one family can
+share the kernels of its default pool.  The bulk-to-boundary
+`partition_table()` on the default pool fills the slot with that pool's
+`SectorSet`, its weighted sectors and their kernels, keyed by the
+identity of the family and the graph, and memoizes D_I of every boundary
+key from the pool's own rows; the default table of another (family,
+graph), an equal one included, replaces it.  While the slot holds a
+model's family and graph, `sector_set()` returns the held set and
+`sector_set(boundaries=...)` its `take` of the listed boundaries' rows;
+the default table shares the held arrays, which are read-only, and a
+table whose weighted sectors are all held reads the held kernels' `take`
+of their rows as fresh arrays.  Without a matching slot nothing is read
+from it, and an explicit window or sector list never enumerates the
+whole family.  Memory: the last default pool plus 5 x 2S^2 kernel
+entries of its S weighted sectors, kept until another family's default
+table replaces them.  Boundary-to-boundary models neither read nor fill
+the slot.
+
+The table keeps the set's
 `log_k` and stores the kernels as arrays: `PartitionSumTable.z`, `e_min`,
 `degeneracy` and `gap` each hold S^2 x 2 entries, indexed [j, k, replica]
 (8 bytes each, so 16 S^2 bytes per field), so every table covers every
@@ -132,6 +154,7 @@ from .spins import (
     SectorFamily,
     Spin,
     SpinSector,
+    boundary_twice,
     input_dims,
     intertwiner_dim,
     sector_matrix,
@@ -749,6 +772,11 @@ class _PairKernels:
         """(z, e_min, degeneracy, gap, rep) at `index`."""
         return self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index], self.rep[index]
 
+    def take(self, index: np.ndarray) -> "_PairKernels":
+        """The kernels of the pairs of the sectors at `index`, as fresh
+        arrays."""
+        return _PairKernels(*self.at(np.ix_(index, index)))
+
 
 # -- sector sets -----------------------------------------------------------
 
@@ -882,6 +910,45 @@ class SectorSet:
     def d_output(self, code: int) -> int:
         """D_O(E) of boundary key `code`."""
         return math.prod(t + 1 for t in self.keys[code])
+
+
+# -- the held family pool -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _HeldPool:
+    """The default bulk-to-boundary pool of one (family, graph), its
+    weighted sectors and their kernels, all read-only; `row` maps the
+    doubled spins of each weighted sector to its row in `weighted`."""
+
+    family: SectorFamily
+    graph: OpenGraph
+    pool: SectorSet
+    weighted: SectorSet
+    kernels: _PairKernels
+    row: Dict[Tuple[int, ...], int]
+
+
+#: The pool of the (family, graph) whose default bulk-to-boundary table was
+#: built last (`IsingModel.partition_table`), or None.
+_held: Optional[_HeldPool] = None
+
+
+def _hold(model: "IsingModel", pool: SectorSet, weighted: SectorSet, kernels: _PairKernels) -> None:
+    """Make `pool` the held pool, replacing the one held before."""
+    global _held
+    arrays = (kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap, kernels.rep)
+    for array in (pool.twice, pool.log_k, weighted.twice, weighted.log_k, *arrays):
+        array.flags.writeable = False
+    row = {spins: a for a, spins in enumerate(map(tuple, weighted.twice.tolist()))}
+    # The pool holds every bulk completion of each of its boundary keys, so
+    # D_I of a key is the sum of prod_x D(j^x) over its rows, the integer
+    # `spins.input_dims` computes.
+    d_input = dict.fromkeys(range(len(pool.keys)), 0)
+    for c, dims in zip(pool.key.tolist(), pool.vertex_dims):
+        d_input[c] += math.prod(dims)
+    pool._d_input.update((pool.keys[c], d) for c, d in d_input.items())
+    _held = _HeldPool(model.family, model.graph, pool, weighted, kernels, row)
 
 
 # -- the model -----------------------------------------------------------
@@ -1363,11 +1430,24 @@ class IsingModel:
         the state's sectors for the boundary-to-boundary kind.
         `boundaries` restricts the pool to the listed boundary assignments
         ({boundary link id: spin}, each fixing every boundary link), one
-        after another in list order."""
+        after another in list order.
+
+        While the module holds this family and graph's pool (see
+        `partition_table`), the default pool is the held set, and a
+        restricted one is the held set's `take` of the rows of the listed
+        boundaries, unless some boundary has no row there (a spin outside
+        the family's box); the filter is checked as `sector_matrix` checks
+        it either way.  Otherwise each boundary's sectors are enumerated
+        alone, never the whole family."""
         links = self.graph.link_ids()
         if sectors is None and not self.kind.is_boundary_to_boundary:
+            held = self._held_pool()
             if boundaries is None:
-                return SectorSet(self, sector_matrix(self.family, self.graph))
+                return held.pool if held is not None else SectorSet(self, sector_matrix(self.family, self.graph))
+            boundaries = list(boundaries)
+            rows = self._held_rows(held, boundaries) if held is not None else None
+            if rows is not None:
+                return held.pool.take(rows)
             parts = [sector_matrix(self.family, self.graph, boundary_filter=b) for b in boundaries]
             return SectorSet(self, np.concatenate([np.empty((0, len(links)), dtype=np.int64), *parts]))
         pool = list(sectors) if sectors is not None else list(self.state.sectors)
@@ -1420,8 +1500,54 @@ class IsingModel:
         once per (count, replica) class, so that each row keeps the bits of
         summing it alone (see `_bulk_kernels`).  For the
         boundary-to-boundary kind it is one enumeration per pair.
+
+        A bulk-to-boundary `partition_table()` on the default pool fills
+        the module's one held family pool (see the module docstring): the
+        default `SectorSet`, its weighted sectors and their kernels, kept
+        until the default table of another (family, graph), an equal one
+        included, replaces them.  While it holds this model's family and
+        graph, the default table shares the held arrays, which are
+        read-only, and the table of a pool whose weighted sectors are all
+        held reads the held kernels' `take` of their rows, as fresh
+        arrays; a kernel depends only on its pair's spins, so the bits are
+        those of computing it.  `exhaustive_limit` is checked either way.
+        Memory: the last default pool plus 5 x 2S^2 kernel entries (8 bytes
+        each) of its S weighted sectors.
         """
+        held = self._held_pool()
+        if sectors is None and held is not None:
+            self._check_limit()
+            return PartitionSumTable(held.weighted, held.kernels)
+        default = sectors is None and not self.kind.is_boundary_to_boundary
         if not isinstance(sectors, SectorSet):
             sectors = self.sector_set(sectors)
         weighted = sectors.weighted()
-        return PartitionSumTable(weighted, self._pair_kernels(weighted))
+        if held is not None and len(weighted):
+            index = [held.row.get(spins) for spins in map(tuple, weighted.twice.tolist())]
+            if None not in index:
+                self._check_limit()
+                return PartitionSumTable(weighted, held.kernels.take(np.array(index)))
+        kernels = self._pair_kernels(weighted)
+        if default:
+            _hold(self, sectors, weighted, kernels)
+        return PartitionSumTable(weighted, kernels)
+
+    def _held_pool(self) -> Optional[_HeldPool]:
+        """The held family pool if it is this bulk-to-boundary model's."""
+        held = _held
+        if self.kind.is_boundary_to_boundary or held is None:
+            return None
+        return held if held.family is self.family and held.graph is self.graph else None
+
+    def _held_rows(self, held: _HeldPool, boundaries: Sequence[Mapping[str, object]]) -> Optional[np.ndarray]:
+        """The rows of the held pool with each of `boundaries` in turn, or
+        None where the pool has no row of some boundary."""
+        code = {key: c for c, key in enumerate(held.pool.keys)}
+        bnd = self.graph.boundary_ids()
+        codes = []
+        for boundary in boundaries:
+            fixed = boundary_twice(self.graph, boundary)
+            codes.append(code.get(tuple(fixed[lid] for lid in bnd)))
+        if None in codes:
+            return None
+        return np.concatenate([np.empty(0, dtype=np.int64), *(np.flatnonzero(held.pool.key == c) for c in codes)])

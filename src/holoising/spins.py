@@ -312,6 +312,21 @@ class SectorDims:
         return log(self.d_output)
 
 
+def boundary_twice(graph: OpenGraph, boundary_filter: Mapping[str, object]) -> Dict[str, int]:
+    """The doubled spin `boundary_filter` ({boundary link id: spin}) fixes
+    on each boundary link.  Raises `ValueError` where it names a
+    non-boundary link or leaves a boundary link free."""
+    fixed: Dict[str, int] = {}
+    bnd = set(graph.boundary_ids())
+    for lid, sp in boundary_filter.items():
+        if lid not in bnd:
+            raise ValueError(f"boundary filter names non-boundary link {lid!r}")
+        fixed[lid] = Spin.parse(sp).twice
+    if set(fixed) != bnd:
+        raise ValueError("boundary filter must fix every boundary link")
+    return fixed
+
+
 def _sector_choices(
     family: SectorFamily,
     graph: OpenGraph,
@@ -322,15 +337,7 @@ def _sector_choices(
     family's allowed spins, or the one spin `boundary_filter` fixes on a
     boundary link.  Checks the filter and refuses more than `limit`
     sectors."""
-    fixed: Dict[str, int] = {}
-    if boundary_filter is not None:
-        bnd = set(graph.boundary_ids())
-        for lid, sp in boundary_filter.items():
-            if lid not in bnd:
-                raise ValueError(f"boundary filter names non-boundary link {lid!r}")
-            fixed[lid] = Spin.parse(sp).twice
-        if set(fixed) != bnd:
-            raise ValueError("boundary filter must fix every boundary link")
+    fixed = boundary_twice(graph, boundary_filter) if boundary_filter is not None else {}
     choices = []
     total = 1
     for lid in graph.link_ids():

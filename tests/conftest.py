@@ -11,11 +11,20 @@ is one-dimensional in both sectors; the right one has dimension 2 in the
 import math
 
 import numpy as np
+import pytest
 
+from holoising import ising
 from holoising.bulk import IntertwinerState
 from holoising.graph import build_graph
 from holoising.ising import PartitionSumTable, _PairKernels
 from holoising.spins import SectorFamily, Spin, SpinSector
+
+
+@pytest.fixture(autouse=True)
+def empty_held_pool(monkeypatch):
+    """Each test starts without a held family pool, so no test reads the
+    pool of another test's family."""
+    monkeypatch.setattr(ising, "_held", None)
 
 
 def bridge_graph():
