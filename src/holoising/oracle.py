@@ -21,7 +21,10 @@ set R, each vertex-subset pattern U contributes
     T_U = Tr[(C (x) C) S_U (C^+ (x) C^+) S_R].
 
 The components of a mixed bulk input are stacked as A = [sqrt(w_n) C_n],
-kept as its nonzero entries, built once per map (frozen maps included).  An
+built straight from the singlet support as its nonzero entries: support
+label i is input column i of the output row of its labels, one entry per
+component.  A map takes O(nnz) memory, not out_dim x dim x 16 B per
+component, and frozen vertices are contracted on the entries.  An
 output row sits in the (region x rest) cell of its compressed labels inside
 and outside R, so for each U the entries form a sparse X_U with rows (region
 cell, inputs of U) and columns (rest cell, component, other inputs); X_U X_U^+
@@ -407,14 +410,19 @@ class RegionGrid:
 
 
 def _compress_rows(key_arrays: List[np.ndarray], dim: int) -> np.ndarray:
-    """Rank of each row's label tuple (one non-negative key per slot) among
-    the distinct tuples in lexicographic order, as np.unique(axis=0) numbers
-    them.  The tuple is a mixed-radix integer built slot by slot; re-ranking
-    it after each slot keeps it below dim x radix, so it cannot overflow."""
+    """Rank of each row's label tuple (one key per slot) among the distinct
+    tuples in lexicographic order, as np.unique(axis=0) numbers them: one
+    lexsort of the rows, then a running count of the places where some key
+    changes between neighbours."""
     code = np.zeros(dim, dtype=np.int64)
+    if not key_arrays:
+        return code
+    order = np.lexsort(key_arrays[::-1])
+    changed = np.zeros(dim, dtype=bool)
     for keys in key_arrays:
-        code = code * (int(keys.max(initial=0)) + 1) + keys
-        code = np.unique(code, return_inverse=True)[1]
+        ranked = keys[order]
+        changed[1:] |= ranked[1:] != ranked[:-1]
+    code[order] = np.cumsum(changed)
     return code
 
 
@@ -438,15 +446,22 @@ class FrozenVertices:
 class CMap:
     """A concrete linear map from averaged vertex states to an output space.
 
-    components holds (weight, matrix) pairs; a pure bulk input has a single
-    component, a mixed one carries its eigendecomposition.
+    A pure bulk input has a single component, a mixed one carries its
+    eigendecomposition: `weights` holds the eigenvalues w_n, and `entries`
+    the nonzero entries of A = [sqrt(w_n) C_n] as arrays (output row, input
+    column, component, value), ordered by component and then row-major, as
+    np.nonzero lists them.  Memory is O(nnz); no dense out_dim x in_dim
+    component is kept.  Input columns are row-major over `col_dims`, one
+    axis per vertex of `in_vertices`.
     """
 
     def __init__(
         self,
         index: HilbertIndex,
         kind: ModelKind,
-        components: Sequence[Tuple[float, np.ndarray]],
+        weights: Sequence[float],
+        entries: Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray],
+        out_dim: int,
         out_slots: Tuple[Slot, ...],
         out_keys: Mapping[Slot, Tuple[np.ndarray, int]],
         in_vertices: Tuple[str, ...],
@@ -454,13 +469,14 @@ class CMap:
     ):
         self.index = index
         self.kind = kind
-        self.components = tuple((float(w), np.ascontiguousarray(m)) for w, m in components)
+        self.weights = tuple(float(w) for w in weights)
+        self.entries = entries
         self.out_slots = out_slots
         self.out_keys = dict(out_keys)
         self.in_vertices = in_vertices
         self.col_dims = col_dims
-        self.out_dim = self.components[0][1].shape[0] if self.components else 0
-        self.in_dim = self.components[0][1].shape[1] if self.components else 0
+        self.out_dim = out_dim
+        self.in_dim = math.prod(col_dims)
         self._grid_cache: Dict[Tuple[Slot, ...], RegionGrid] = {}
 
     def pair_basis(self, region: Tuple[Slot, ...]) -> RegionGrid:
@@ -478,19 +494,10 @@ class CMap:
         return self._grid_cache[key]
 
     @functools.cached_property
-    def entries(self) -> Tuple[np.ndarray, ...]:
-        """Nonzero entries of A = [sqrt(w_n) C_n]: (output row, input column, component, value)."""
-        parts = []
-        for n, (w, f) in enumerate(self.components):
-            r, c = np.nonzero(f)
-            parts.append((r, c, np.full(r.size, n), np.sqrt(w) * f[r, c]))
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
-
-    @functools.cached_property
     def stacked(self) -> sp.csr_array:
         """A as a sparse (out_dim * n, in_dim) matrix; row r * n + m is row r of C_m."""
         row, col, comp, value = self.entries
-        n = len(self.components)
+        n = len(self.weights)
         return sp.csr_array((value, (row * n + comp, col)), shape=(self.out_dim * n, self.in_dim))
 
 
@@ -540,7 +547,7 @@ def build_cmap(
     state: Optional[IntertwinerState] = None,
     fixed: Optional[FrozenVertices] = None,
 ) -> CMap:
-    """Materialize the averaged map for either model kind.
+    """Build the averaged map for either model kind, as its nonzero entries.
 
     Internal links are contracted against their weighted singlet bras, so
     the output space carries only intertwiner and boundary-port labels (the
@@ -564,20 +571,26 @@ def build_cmap(
     inverse = _compress_rows(key_arrays, sup.size)
     out_dim = int(inverse.max()) + 1 if sup.size else 0
 
+    # Support label sup[i] is input column sup[i] of output row inverse[i];
+    # these (row, column) pairs are distinct, one per support label.  sup
+    # ascends, so a stable sort by row lists them row-major.
+    order = np.argsort(inverse, kind="stable")
+    row, col = inverse[order], sup[order]
     if kind.is_boundary_to_boundary:
         if state is None:
             raise OracleError("the boundary-to-boundary map needs a bulk input state")
         weights, vectors = _bulk_eigenstates(index, state)
         bulk_keys, _ = index.bulk_key()
-        comps = []
-        for w, vec in zip(weights, vectors):
-            f = np.zeros((out_dim, index.dim), dtype=complex)
-            np.add.at(f, (inverse, sup), vec.conj()[bulk_keys[sup]] * amp[sup])
-            comps.append((w, f))
+        # 0j + turns -0.0 parts into +0.0, as a sum into a zero matrix
+        # would, so that the entries equal the dense reference's bit for bit.
+        values = [0j + vec.conj()[bulk_keys[col]] * amp[col] for vec in vectors]
     else:
-        f = np.zeros((out_dim, index.dim), dtype=complex)
-        f[inverse, sup] = amp[sup]
-        comps = [(1.0, f)]
+        weights, values = [1.0], [amp[col]]
+    parts = []
+    for n, (w, value) in enumerate(zip(weights, values)):
+        keep = np.flatnonzero(value)  # zero-|g| spins and zero eigenvector entries
+        parts.append((row[keep], col[keep], np.full(keep.size, n), np.sqrt(w) * value[keep]))
+    entries = tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     out_keys: Dict[Slot, Tuple[np.ndarray, int]] = {}
     for slot, keys in zip(out_slots, key_arrays):
@@ -588,7 +601,9 @@ def build_cmap(
     cmap = CMap(
         index,
         kind,
-        comps,
+        weights,
+        entries,
+        out_dim,
         out_slots,
         out_keys,
         in_vertices=graph.vertices,
@@ -661,6 +676,9 @@ def _out_sector_rows(cmap: CMap, sector: SpinSector) -> Tuple[np.ndarray, int]:
 
 
 def _freeze_vertices(cmap: CMap, fixed: FrozenVertices) -> CMap:
+    """Contract the frozen vertices' input digits against their joint state,
+    entry by entry: each entry is multiplied by the state's amplitude at its
+    frozen digits and summed into its (component, row, remaining column)."""
     graph = cmap.index.graph
     order = [graph.vertices.index(x) for x in fixed.vertices]
     if len(set(order)) != len(order):
@@ -670,18 +688,29 @@ def _freeze_vertices(cmap: CMap, fixed: FrozenVertices) -> CMap:
     remaining = tuple(
         x for x in cmap.in_vertices if x not in set(fixed.vertices)
     )
-    comps = []
-    for w, f in cmap.components:
-        t = f.reshape((f.shape[0],) + cmap.col_dims)
-        t = np.tensordot(t, core, axes=(tuple(1 + i for i in order), tuple(range(len(order)))))
-        comps.append((w, t.reshape(f.shape[0], -1)))
     col_dims = tuple(
         d for i, d in enumerate(cmap.col_dims) if i not in set(order)
     )
+    row, col, comp, value = cmap.entries
+    digits = np.unravel_index(col, cmap.col_dims)
+    rest = np.zeros_like(col)  # the remaining digits, row-major over col_dims
+    for i, d in enumerate(cmap.col_dims):
+        if i not in order:
+            rest = rest * d + digits[i]
+    width = math.prod(col_dims)
+    key = (comp * cmap.out_dim + row) * width + rest
+    keys, slot = np.unique(key, return_inverse=True)
+    summed = np.zeros(keys.size, dtype=complex)
+    np.add.at(summed, slot, value * core[tuple(digits[i] for i in order)])
+    keep = np.flatnonzero(summed)
+    keys = keys[keep]
+    entries = (keys // width % cmap.out_dim, keys % width, keys // (width * cmap.out_dim), summed[keep])
     return CMap(
         cmap.index,
         cmap.kind,
-        comps,
+        cmap.weights,
+        entries,
+        cmap.out_dim,
         cmap.out_slots,
         cmap.out_keys,
         in_vertices=remaining,
@@ -729,8 +758,8 @@ def _pattern_matrix(cmap: CMap, grid: RegionGrid, colsel, subset: Tuple[int, ...
         row, comp, value = row[keep], comp[keep], value[keep]
         digits = [d[keep] for d in digits]
         dims = tuple(len(cols) for cols in colsel)
-    x_row, x_col = grid.rid[row], grid.bid[row] * len(cmap.components) + comp
-    nrows, ncols = grid.keep_dim, grid.rest_dim * len(cmap.components)
+    x_row, x_col = grid.rid[row], grid.bid[row] * len(cmap.weights) + comp
+    nrows, ncols = grid.keep_dim, grid.rest_dim * len(cmap.weights)
     for i, (digit, dim) in enumerate(zip(digits, dims)):
         if i in subset:
             x_row, nrows = x_row * dim + digit, nrows * dim
@@ -1160,14 +1189,14 @@ def mc_purity(
     if cmap.in_vertices != index.graph.vertices:
         raise OracleError("Monte Carlo sampling requires all vertices averaged")
     grid = cmap.pair_basis(resolve_region(index, region))
-    width = grid.rest_dim * len(cmap.components)
+    width = grid.rest_dim * len(cmap.weights)
     z1 = np.empty(shots)
     z0 = np.empty(shots)
     for done in range(0, shots, batch):
         psi = _held_haar_rows(index, grade, seed, range(done, min(done + batch, shots)), weights)
         n = psi.shape[0]
         # Every component's rows stacked as sqrt(w_n) C_n: one sparse product.
-        phi = (cmap.stacked @ psi.T).T.reshape(n, cmap.out_dim, len(cmap.components))
+        phi = (cmap.stacked @ psi.T).T.reshape(n, cmap.out_dim, len(cmap.weights))
         # Each shot on the grid, components along the rest axis.
         big = grid.lay_out(phi, axis=1).reshape(n, grid.keep_dim, width)
         # Tr(rho_R^2) = ||G||_F^2 for the smaller Gram G of the shot's grid.
@@ -1306,7 +1335,7 @@ def localisation_probe(
     _check_seed(seed)
     if cmap is None:
         cmap = build_cmap(index, ModelKind.bulk_to_boundary())
-    if len(cmap.components) != 1:
+    if len(cmap.weights) != 1:
         raise OracleError("the localisation probe expects a single-component map")
     rows, d_i = _out_sector_rows(cmap, sector)
     a_vals = np.empty(shots)

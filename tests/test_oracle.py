@@ -6,6 +6,7 @@ enumerate, for both map kinds, without sharing any code with the engine.
 """
 
 import itertools
+import tracemalloc
 import types
 
 import numpy as np
@@ -391,7 +392,7 @@ class TestEngineEquivalence:
         kind = ModelKind.boundary_to_boundary(part)
         totals = IsingModel(graph, family, kind, state=state).partition_table().totals
         cmap = build_cmap(index, kind, state=state)
-        assert len(cmap.components) == 2
+        assert len(cmap.weights) == 2
         z0 = exact_replica_average(index, (), cmap=cmap)
         z1 = exact_replica_average(index, sorted(part.input_region), cmap=cmap)
         assert z0 == pytest.approx(totals[0], rel=1e-10)
@@ -548,10 +549,78 @@ class TestGrades:
         assert "raise holoising.oracle.GRID_LIMIT" in message
 
 
-def brute_patterns(cmap, region, subsets, cols1=None, cols2=None):
+def dense_components(index, kind, state=None, fixed=None):
+    """[(w_n, C_n)]: the averaged map's components as dense out_dim x in_dim
+    matrices, the reference the sparse build is checked against.  Output
+    rows are the distinct label tuples of the singlet support in
+    lexicographic order (np.unique), and support label s is entry (its
+    row, s): amp[s] for the bulk-to-boundary kind, and the conjugate bulk
+    eigenvector's entry times amp[s], summed into a zero matrix with
+    np.add.at, for the boundary-to-boundary kind.  Frozen vertices are
+    contracted with tensordot."""
+    graph = index.graph
+    support, amp = oracle._singlet_support(index)
+    sup = np.flatnonzero(support)
+    slots = [index.boundary_slot(s.link_id) for s in graph.boundary_links]
+    if not kind.is_boundary_to_boundary:
+        slots = [("I", x) for x in graph.vertices] + slots
+    labels = np.stack([index.slot_key(s)[0][sup] for s in slots], axis=1)
+    inverse = np.unique(labels, axis=0, return_inverse=True)[1].reshape(-1)
+    out_dim = int(inverse.max()) + 1 if sup.size else 0
+    if kind.is_boundary_to_boundary:
+        weights, vectors = oracle._bulk_eigenstates(index, state)
+        bulk_keys, _ = index.bulk_key()
+        comps = []
+        for w, vec in zip(weights, vectors):
+            f = np.zeros((out_dim, index.dim), dtype=complex)
+            np.add.at(f, (inverse, sup), vec.conj()[bulk_keys[sup]] * amp[sup])
+            comps.append((w, f))
+    else:
+        f = np.zeros((out_dim, index.dim), dtype=complex)
+        f[inverse, sup] = amp[sup]
+        comps = [(1.0, f)]
+    if fixed is not None:
+        dims = index.vertex_dims
+        order = [graph.vertices.index(x) for x in fixed.vertices]
+        core = np.asarray(fixed.amplitudes, dtype=complex).reshape([dims[i] for i in order])
+        axes = ([1 + i for i in order], list(range(len(order))))
+        comps = [
+            (w, np.tensordot(f.reshape((out_dim,) + dims), core, axes=axes).reshape(out_dim, -1))
+            for w, f in comps
+        ]
+    return comps
+
+
+def nonzero_entries(components):
+    """(row, column, component, value) of A = [sqrt(w_n) C_n], read off
+    dense components with np.nonzero."""
+    parts = []
+    for n, (w, f) in enumerate(components):
+        r, c = np.nonzero(f)
+        parts.append((r, c, np.full(r.size, n), np.sqrt(w) * f[r, c]))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
+def assert_same_entries(got, want):
+    """Equal entry arrays, bit for bit (signed zeros included)."""
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+def with_reference(index, kind, state=None, fixed=None):
+    """The map build_cmap makes and its dense reference components."""
+    return (
+        build_cmap(index, kind, state=state, fixed=fixed),
+        dense_components(index, kind, state=state, fixed=fixed),
+    )
+
+
+def brute_patterns(cmap, components, region, subsets, cols1=None, cols2=None):
     """[sum_{n,m} w_n w_m Tr[(C_n (x) C_m) S_U (C_n^+ (x) C_m^+) S_R] for U
-    in subsets], with the operators built as explicit dense matrices.
-    cols1/cols2 keep only those global input columns of each replica."""
+    in subsets], with the operators built as explicit dense matrices from
+    the reference `components` of `cmap`.  cols1/cols2 keep only those
+    global input columns of each replica."""
     out, n_in = cmap.out_dim, cmap.in_dim
     # S_R on (out x out): swap the region labels of the two rows, where
     # both swapped rows exist.
@@ -593,7 +662,7 @@ def brute_patterns(cmap, region, subsets, cols1=None, cols2=None):
 
     perms = [swap_in(u) for u in subsets]
     totals = np.zeros(len(subsets), dtype=complex)
-    for (wn, fn), (wm, fm) in itertools.product(cmap.components, repeat=2):
+    for (wn, fn), (wm, fm) in itertools.product(components, repeat=2):
         cc = np.kron(restrict(fn, cols1), restrict(fm, cols2))
         cc_dag = cc.conj().T
         for i, perm in enumerate(perms):
@@ -604,23 +673,24 @@ def brute_patterns(cmap, region, subsets, cols1=None, cols2=None):
 
 
 def pattern_cases(rng, draws):
-    """(cmap, regions) for the tiny named instances and random draws."""
+    """(cmap, reference components, regions) for the tiny named instances
+    and random draws."""
     cases = []
     graph = four_leg_graph()
     index = build_hilbert(graph, SectorFamily.build(graph, "1/2", "1/2"))
-    cases.append((build_cmap(index, ModelKind.bulk_to_boundary()), [(), "bulk", ["p2", "p4"]]))
+    cases.append((*with_reference(index, ModelKind.bulk_to_boundary()), [(), "bulk", ["p2", "p4"]]))
     sec = index.family_sectors()[0]
     state = IntertwinerState.from_blocks(
         graph, [sec], {(sec, sec): np.array([[0.7, 0.1j], [-0.1j, 0.3]])}
     )
     part = BoundaryPartition.from_input(graph, ["p1", "p3"])
     kind = ModelKind.boundary_to_boundary(part)
-    cases.append((build_cmap(index, kind, state=state), [(), ["p1", "p3"], ["p2"]]))
+    cases.append((*with_reference(index, kind, state=state), [(), ["p1", "p3"], ["p2"]]))
 
     graph = glued_graph()
     index = build_hilbert(graph, tiny_glued_family(graph))
     s1, s2 = index.family_sectors()
-    cases.append((build_cmap(index, ModelKind.bulk_to_boundary()), [(), "bulk", ["a2", "b1"]]))
+    cases.append((*with_reference(index, ModelKind.bulk_to_boundary()), [(), "bulk", ["a2", "b1"]]))
     state = IntertwinerState.from_blocks(
         graph,
         [s1, s2],
@@ -628,7 +698,7 @@ def pattern_cases(rng, draws):
     )
     part = BoundaryPartition.from_input(graph, ["a1", "a2"])
     kind = ModelKind.boundary_to_boundary(part)
-    cases.append((build_cmap(index, kind, state=state), [["a1", "a2"]]))
+    cases.append((*with_reference(index, kind, state=state), [["a1", "a2"]]))
 
     found = 0
     while found < draws:
@@ -639,12 +709,13 @@ def pattern_cases(rng, draws):
         if cmap.out_dim * cmap.in_dim > 1024:
             continue  # the explicit (out^2 x in^2) matrices stay small
         found += 1
-        cases.append((cmap, [(), "bulk", bnd[:1]]))
+        cases.append((cmap, dense_components(index, cmap.kind), [(), "bulk", bnd[:1]]))
         if part is not None:
             kind = ModelKind.boundary_to_boundary(part)
             cmap = build_cmap(index, kind, state=state)
             if cmap.out_dim * cmap.in_dim <= 1024:
-                cases.append((cmap, [(), sorted(part.input_region), bnd[-1:]]))
+                comps = dense_components(index, kind, state=state)
+                cases.append((cmap, comps, [(), sorted(part.input_region), bnd[-1:]]))
     return cases
 
 
@@ -654,17 +725,17 @@ class TestPatternBruteForce:
 
     def test_every_pattern_matches_explicit_operators(self):
         seen = set()
-        for cmap, regions in pattern_cases(np.random.default_rng(20261018), draws=6):
+        for cmap, comps, regions in pattern_cases(np.random.default_rng(20261018), draws=6):
             index = cmap.index
             kind = "b2b" if cmap.kind.is_boundary_to_boundary else "bulk"
-            if len(cmap.components) > 1:
+            if len(cmap.weights) > 1:
                 seen.add("mixed")
             for region in regions:
                 slots = resolve_region(index, region)
                 grid = cmap.pair_basis(slots)
                 seen.add((kind, "bulk" if region == "bulk" else bool(slots)))
                 subsets = _all_subsets(len(cmap.in_vertices))
-                want = brute_patterns(cmap, slots, subsets)
+                want = brute_patterns(cmap, comps, slots, subsets)
                 for subset, expect in zip(subsets, want):
                     got = _component_pattern_sum(cmap, grid, [subset])
                     assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
@@ -680,10 +751,10 @@ class TestPatternBruteForce:
         state = IntertwinerState.from_pure(graph, {s1: [0.6], s2: [0.8j]})
         part = BoundaryPartition.from_input(graph, ["a2"])
         cmaps = [
-            (build_cmap(index, ModelKind.bulk_to_boundary()), [(), "bulk"]),
-            (build_cmap(index, ModelKind.boundary_to_boundary(part), state=state), [["a2"]]),
+            (*with_reference(index, ModelKind.bulk_to_boundary()), [(), "bulk"]),
+            (*with_reference(index, ModelKind.boundary_to_boundary(part), state=state), [["a2"]]),
         ]
-        for cmap, regions in cmaps:
+        for cmap, comps, regions in cmaps:
             for region in regions:
                 slots = resolve_region(index, region)
                 grid = cmap.pair_basis(slots)
@@ -691,7 +762,7 @@ class TestPatternBruteForce:
                     rj, rk = index.sector_local_ranges(sj), index.sector_local_ranges(sk)
                     cj, ck = index.sector_columns(sj), index.sector_columns(sk)
                     subsets = _all_subsets(2) if sj == sk else [()]
-                    want = brute_patterns(cmap, slots, subsets, cj, ck)
+                    want = brute_patterns(cmap, comps, slots, subsets, cj, ck)
                     for subset, expect in zip(subsets, want):
                         got = _component_pattern_sum(cmap, grid, [subset], colsel1=rj, colsel2=rk)
                         assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
@@ -925,9 +996,9 @@ class TestReductions:
     def test_trace_and_purity_bounds(self):
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
-        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        cmap, ((_, f),) = with_reference(index, ModelKind.bulk_to_boundary())
         psi = haar_sample(index, "medium", seed=21, shot=0)
-        phi = cmap.components[0][1] @ psi
+        phi = f @ psi
         phi /= np.linalg.norm(phi)
         rho = reduced_density(cmap, phi, "bulk")
         assert abs(np.trace(rho).real - 1.0) < 1e-12
@@ -960,9 +1031,9 @@ class TestReductions:
     def test_sector_states_weights_sum_to_one(self):
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
-        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        cmap, ((_, f),) = with_reference(index, ModelKind.bulk_to_boundary())
         psi = haar_sample(index, "medium", seed=2, shot=7)
-        phi = cmap.components[0][1] @ psi
+        phi = f @ psi
         split = sector_states(cmap, phi)
         assert sum(w for w, _ in split.values()) == pytest.approx(1.0, abs=1e-12)
         for sec, (w, block) in split.items():
@@ -1084,7 +1155,7 @@ class TestFrozenVertices:
         family = glued_family(graph)
         index = build_hilbert(graph, family)
         kind = ModelKind.bulk_to_boundary()
-        cmap = build_cmap(index, kind)
+        ((_, f),) = dense_components(index, kind)
         rng = np.random.default_rng(8)
         dx, dy = index.vertex_dims
         core = rng.normal(size=dy) + 1j * rng.normal(size=dy)
@@ -1093,9 +1164,127 @@ class TestFrozenVertices:
         )
         assert frozen.in_vertices == ("x",)
         psi_x = rng.normal(size=dx) + 1j * rng.normal(size=dx)
-        full = cmap.components[0][1] @ np.kron(psi_x, core)
-        part = frozen.components[0][1] @ psi_x
+        full = f @ np.kron(psi_x, core)
+        part = frozen.stacked @ psi_x
         assert np.allclose(full, part, atol=1e-12)
+
+
+class TestMapEntries:
+    """build_cmap's entries against np.nonzero of the dense reference, bit
+    for bit."""
+
+    def test_random_instances_match_dense_reference(self):
+        rng = np.random.default_rng(20261019)
+        seen = set()
+        for _ in range(32):
+            graph, family, state, part = random_instance(rng, max_dim=256, with_state=True)
+            index = build_hilbert(graph, family, cap=256)
+            cases = [(ModelKind.bulk_to_boundary(), None)]
+            if part is not None:
+                cases.append((ModelKind.boundary_to_boundary(part), state))
+            for kind, st in cases:
+                cmap, comps = with_reference(index, kind, state=st)
+                assert cmap.weights == tuple(w for w, _ in comps)
+                assert (cmap.out_dim, cmap.in_dim) == comps[0][1].shape
+                assert_same_entries(cmap.entries, nonzero_entries(comps))
+                seen.add(("b2b" if kind.is_boundary_to_boundary else "bulk", len(comps)))
+        assert {("bulk", 1), ("b2b", 1), ("b2b", 2)} <= seen
+
+    def test_zero_weight_spin_entries_are_dropped(self):
+        graph = glued_graph()
+        family = SectorFamily.build(
+            graph,
+            "1/2",
+            "3/2",
+            allowed={"e": ["1/2", "3/2"], "a1": ["1/2", "1"], "a2": ["1/2"], "b1": ["1"], "b2": ["1/2"]},
+            weights={"e": {"1/2": 0.8, "3/2": 0.0}},
+        )
+        index = build_hilbert(graph, family)
+        s1, s2 = index.family_sectors()
+        state = IntertwinerState.from_blocks(
+            graph,
+            [s1, s2],
+            {(s1, s1): np.array([[0.6]]), (s1, s2): np.array([[0.2 - 0.3j]]), (s2, s2): np.array([[0.4]])},
+        )
+        part = BoundaryPartition.from_input(graph, ["a1", "a2"])
+        support = oracle._singlet_support(index)[0]
+        for kind, st in [
+            (ModelKind.bulk_to_boundary(), None),
+            (ModelKind.boundary_to_boundary(part), state),
+        ]:
+            cmap, comps = with_reference(index, kind, state=st)
+            assert_same_entries(cmap.entries, nonzero_entries(comps))
+            row, col, comp, value = cmap.entries
+            assert np.all(value != 0)
+            # Every support label with e = 3/2 carries amplitude zero.
+            assert np.sum(comp == 0) < np.count_nonzero(support)
+        assert len(cmap.weights) == 2
+
+    def test_empty_support(self):
+        """The port spins of e never match: x admits only e = 1, y only
+        e = 1/2, so no label survives the singlet."""
+        graph = glued_graph()
+        family = SectorFamily.build(
+            graph,
+            "1/2",
+            "1",
+            allowed={"e": ["1/2", "1"], "a1": ["1/2"], "a2": ["1/2"], "b1": ["1/2"], "b2": ["1"]},
+        )
+        index = build_hilbert(graph, family)
+        assert index.dim > 0 and not oracle._singlet_support(index)[0].any()
+        cmap, comps = with_reference(index, ModelKind.bulk_to_boundary())
+        assert (cmap.out_dim, cmap.in_dim) == comps[0][1].shape == (0, index.dim)
+        assert_same_entries(cmap.entries, nonzero_entries(comps))
+        assert cmap.stacked.shape == (0, index.dim)
+
+    def test_one_vertex_map_stays_sparse_in_memory(self):
+        """A one-vertex map on 2976 labels has 2976 output rows, so one dense
+        component takes 2976^2 x 16 B = 142 MB; the build stays below 20 MB."""
+        graph = four_leg_graph()
+        family = SectorFamily.build(graph, "1/2", "3/2", allowed={f"p{i}": ["1/2", "3/2"] for i in range(1, 5)})
+        index = build_hilbert(graph, family)
+        assert index.dim == 2976
+        kind = ModelKind.bulk_to_boundary()
+        tracemalloc.start()
+        try:
+            cmap = build_cmap(index, kind)
+            entries = cmap.entries
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cmap.out_dim == cmap.in_dim == index.dim
+        assert peak < 20 * 2**20
+        got = exact_replica_average(index, ["p1", "p2"], cmap=cmap)
+        comps = dense_components(index, kind)
+        assert_same_entries(entries, nonzero_entries(comps))
+        ref = oracle.CMap(
+            index, kind, [1.0], nonzero_entries(comps), cmap.out_dim,
+            cmap.out_slots, cmap.out_keys, cmap.in_vertices, cmap.col_dims,
+        )
+        del comps
+        assert exact_replica_average(index, ["p1", "p2"], cmap=ref).hex() == got.hex()
+
+    def test_frozen_map_stays_sparse_in_memory(self):
+        """71,824 labels and 2,320 output rows: one dense component would
+        take 2.7 GB, the frozen map (y fixed) stays below 20 MB."""
+        graph = glued_graph()
+        half = ["1/2", "3/2"]
+        family = SectorFamily.build(
+            graph, "1/2", "2", allowed={"e": ["1", "2"], "a1": half, "a2": half, "b1": half, "b2": half}
+        )
+        index = build_hilbert(graph, family, cap=80_000)
+        dy = index.space("y").dim
+        core = np.random.default_rng(5).normal(size=dy) + 0j
+        tracemalloc.start()
+        try:
+            cmap = build_cmap(index, ModelKind.bulk_to_boundary(), fixed=FrozenVertices(("y",), core))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert index.dim == 71_824 and cmap.out_dim == 2_320
+        assert cmap.in_dim == index.space("x").dim
+        assert cmap.entries[0].size > 0
+        assert peak < 20 * 2**20
 
 
 # -- sparse averaged maps against dense references --------------------------
@@ -1131,18 +1320,18 @@ class TestSparseMaps:
             dim = index.space(vertex).dim
             core = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             fixed = FrozenVertices(vertices=(vertex,), amplitudes=core)
-            bulk = build_cmap(index, ModelKind.bulk_to_boundary(), fixed=fixed)
-            cases.append((bulk, [(), "bulk", ["a1"], ["b1"], ["a2", "b1"]]))
-            b2b = build_cmap(index, ModelKind.boundary_to_boundary(part), state=state, fixed=fixed)
-            assert len(b2b.components) == 2
-            cases.append((b2b, [(), ["a1", "a2"], ["b1"]]))
-        for cmap, regions in cases:
+            bulk = with_reference(index, ModelKind.bulk_to_boundary(), fixed=fixed)
+            cases.append((*bulk, [(), "bulk", ["a1"], ["b1"], ["a2", "b1"]]))
+            b2b = with_reference(index, ModelKind.boundary_to_boundary(part), state=state, fixed=fixed)
+            assert len(b2b[0].weights) == 2
+            cases.append((*b2b, [(), ["a1", "a2"], ["b1"]]))
+        for cmap, comps, regions in cases:
             assert len(cmap.in_vertices) == 1
             for region in regions:
                 slots = resolve_region(index, region)
                 grid = cmap.pair_basis(slots)
                 subsets = _all_subsets(1)
-                want = brute_patterns(cmap, slots, subsets)
+                want = brute_patterns(cmap, comps, slots, subsets)
                 for subset, expect in zip(subsets, want):
                     got = _component_pattern_sum(cmap, grid, [subset])
                     assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
@@ -1164,19 +1353,19 @@ class TestSparseMaps:
                 },
             )
             part = BoundaryPartition.from_input(graph, ["a1", "a2"])
-            cmap = build_cmap(index, ModelKind.boundary_to_boundary(part), state=state)
+            cmap, comps = with_reference(index, ModelKind.boundary_to_boundary(part), state=state)
             region = ["a1", "a2"]
-            assert len(cmap.components) == 2
+            assert len(cmap.weights) == 2
         else:
-            cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+            cmap, comps = with_reference(index, ModelKind.bulk_to_boundary())
             region = ["a1", "b1"]
         shots, seed = 300, 17
         est = mc_purity(index, region, cmap=cmap, shots=shots, seed=seed, batch=128)
 
         # Reference: the dense stacked map, each shot laid out on the grid.
         grid = cmap.pair_basis(resolve_region(index, region))
-        ncomp = len(cmap.components)
-        stacked = np.stack([np.sqrt(w) * f for w, f in cmap.components], axis=1)
+        ncomp = len(cmap.weights)
+        stacked = np.stack([np.sqrt(w) * f for w, f in comps], axis=1)
         psi = _haar_rows(index, "medium", seed, range(shots))
         phi = (psi @ stacked.reshape(-1, cmap.in_dim).T).reshape(shots, cmap.out_dim, ncomp)
         big = np.zeros((shots, grid.keep_dim * grid.rest_dim, ncomp), dtype=complex)
@@ -1202,6 +1391,9 @@ class TestSparseMaps:
             # Radixes whose product is above 2**63.
             [rng.integers(0, 1 << 21, 500) for _ in range(4)],
             [np.array([5, 0, 5, 2], dtype=np.int64)],
+            [np.array([7], dtype=np.int64), np.array([1], dtype=np.int64)],
+            [np.zeros(0, dtype=np.int64)],
+            [np.zeros(0, dtype=np.int64) for _ in range(3)],
         ]
         for keys in cases:
             dim = len(keys[0])
@@ -1210,6 +1402,7 @@ class TestSparseMaps:
             ref = np.unique(np.stack(keys, axis=1), axis=0, return_inverse=True)[1]
             assert np.array_equal(oracle._compress_rows(keys, dim), ref.reshape(-1))
         assert np.array_equal(oracle._compress_rows([], 3), np.zeros(3, dtype=np.int64))
+        assert np.array_equal(oracle._compress_rows([], 0), np.zeros(0, dtype=np.int64))
 
     @pytest.mark.parametrize("n", [1, 3, 4, 37, 576])
     @pytest.mark.parametrize("batch", [1, 17, 256])

@@ -3,8 +3,10 @@
 Runs the op list of one benchmark workload (generated by
 `perfbench/workloads.py`, which is imported and not modified) and records
 each partition table, kernel, boundary-fixed sum, purity report, condition
-matrix, isometry verdict, c1/c2/c3 report and exact oracle replica
-average (`oracle.exact_replica_average`) that the ops build.  Each
+matrix, isometry verdict, c1/c2/c3 report, exact oracle replica average
+(`oracle.exact_replica_average`) and oracle map (`oracle.build_cmap`, as
+its entry arrays: output rows, input columns, components and values) that
+the ops build.  Each
 `average_purity` call is also recorded in its other modes, each
 `check_bulk_to_boundary` call in its other regime, and each
 boundary-to-boundary `partition_table` as the
@@ -106,6 +108,8 @@ def canon(obj: Any) -> Any:
         return [obj.real.hex(), obj.imag.hex()]
     if isinstance(obj, np.ndarray):
         return {"shape": list(obj.shape), "dtype": str(obj.dtype), "data": canon(obj.tolist())}
+    if isinstance(obj, oracle.CMap):
+        return {"out_dim": obj.out_dim, "in_dim": obj.in_dim, "entries": canon(obj.entries)}
     if isinstance(obj, ising.PartitionSumTable):
         return {
             "rows": canon(obj.rows),
@@ -233,7 +237,8 @@ class Recorder:
             self.patch_function(isometry, name)
         for name in ("reproduce_c1", "reproduce_c2", "reproduce_c3"):
             self.patch_function(experiments, name)
-        self.patch_function(oracle, "exact_replica_average")
+        for name in ("build_cmap", "exact_replica_average"):
+            self.patch_function(oracle, name)
 
     def uninstall(self) -> None:
         while self._undo:
