@@ -175,12 +175,6 @@ class IntertwinerState:
     def sector_keys(self) -> Tuple[SectorKey, ...]:
         return tuple(s.key() for s in self.sectors)
 
-    def sector_by_key(self, key: SectorKey) -> SpinSector:
-        for s in self.sectors:
-            if s.key() == key:
-                return s
-        raise KeyError(key)
-
     def dims(self, key: SectorKey) -> Tuple[int, ...]:
         return self._dims[key]
 

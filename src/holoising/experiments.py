@@ -988,7 +988,8 @@ def reproduce_c2(
             "the sector census needs boundary links only (no loops)"
         )
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-    pool = model.sector_set(boundaries=window).weighted()
+    table = model.partition_table() if window is None else model.window_table(window)
+    pool = table.sectors
     for entry in window or ():
         twice = tuple(Spin.parse(entry[lid]).twice for lid in graph.boundary_ids())
         if twice not in pool.keys:
@@ -999,7 +1000,6 @@ def reproduce_c2(
     if not len(pool):
         raise ExperimentError("the census window is empty")
 
-    table = model.partition_table(pool)
     sectors = []
     dims = []
     for a, label in enumerate(pool.labels):

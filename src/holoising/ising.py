@@ -68,13 +68,12 @@ Both paths refuse graphs with more than `exhaustive_limit` vertices.
 Sector sets and the columnar table.  `IsingModel.sector_set` builds one
 `SectorSet` per sector pool from the pool's S x L matrix of doubled link
 spins, which the batched kernels read.  A bulk-to-boundary pool is the
-family's `spins.sector_matrix`, whole or for a list of boundary
-assignments; a boundary-to-boundary pool holds the state's sectors.  The
-set codes boundary assignments as integer keys.  Labels, intertwiner
-dimensions per sector and vertex, log K per sector, D_I and D_O per key,
-and the `SpinSector` objects are views built on first use, so a matrix
-pool makes `SpinSector`s only for the rows a consumer iterates after
-`weighted()` drops the zero-weight ones.  Dimensions come from the one
+family's `spins.sector_matrix`; a boundary-to-boundary pool holds the
+state's sectors.  The set codes boundary assignments as integer keys.
+Labels, intertwiner dimensions per sector and vertex, log K per sector,
+D_I and D_O per key, and the `SpinSector` objects are views built on
+first use, so a matrix pool makes `SpinSector`s only for the rows a
+consumer iterates after `weighted()` drops the zero-weight ones.  Dimensions come from the one
 dimension evaluator of `spins`: `vertex_dims` gives the intertwiner
 dimensions per row (read from the module-level cache of
 `spins.twice_intertwiner_dim` by doubled-spin tuple), and `input_dims`
@@ -89,20 +88,22 @@ spins, not on the pool it is asked in, so the purity, the isometry
 verdict over a window, c2 and `boundary_fixed_sums` of one family can
 share the kernels of its default pool.  The bulk-to-boundary
 `partition_table()` on the default pool fills the slot with that pool's
-`SectorSet`, its weighted sectors and their kernels, keyed by the
-identity of the family and the graph, and memoizes D_I of every boundary
-key from the pool's own rows; the default table of another (family,
-graph), an equal one included, replaces it.  While the slot holds a
-model's family and graph, `sector_set()` returns the held set and
-`sector_set(boundaries=...)` its `take` of the listed boundaries' rows;
-the default table shares the held arrays, which are read-only, and a
-table whose weighted sectors are all held reads the held kernels' `take`
-of their rows as fresh arrays.  Without a matching slot nothing is read
-from it, and an explicit window or sector list never enumerates the
-whole family.  Memory: the last default pool plus 5 x 2S^2 kernel
-entries of its S weighted sectors, kept until another family's default
-table replaces them.  Boundary-to-boundary models neither read nor fill
-the slot.
+`SectorSet` and its table, keyed by the identity of the family and the
+graph, and memoizes D_I of every boundary key from the pool's own rows;
+the default table of another (family, graph), an equal one included,
+replaces it.  While the slot holds a model's family and graph,
+`sector_set()` returns the held set and `partition_table()` the held
+table itself, whose arrays are read-only.  A window of boundary
+assignments reaches the engine one way, `IsingModel.window_table`: it
+parses the window once (`spins.boundary_twice`) and, where the slot
+holds the family and every boundary lies in the held pool's box, returns
+the held table's `take` of each boundary's rows in turn, as fresh arrays
+with the held labels.  Otherwise it enumerates the window boundary by
+boundary, never the whole family.  Memory: the last default pool plus
+5 x 2S^2 kernel entries of its S weighted sectors, kept until another
+family's default table replaces them.  Boundary-to-boundary models
+neither read nor fill the slot; their windows slice the table of the
+state's sectors.
 
 The table keeps the set's
 `log_k` and stores the kernels as arrays: `PartitionSumTable.z`, `e_min`,
@@ -450,11 +451,13 @@ class PartitionSumTable:
     `kernel_sums(z)`.
 
     `rows`, `k_factors` and `boundary_rows` are views built on first use;
-    `to_csv` and `to_json_dict` serialize them.
+    `to_csv` and `to_json_dict` serialize them.  `take` gives the table of
+    a sub-list of the sectors.
     """
 
     def __init__(self, sectors: "SectorSet", kernels: "_PairKernels"):
         self.sectors = sectors
+        self._kernels = kernels
         self.labels = sectors.labels
         self.log_k = sectors.log_k
         self.k = np.array([_exp(v) for v in self.log_k.tolist()])
@@ -472,6 +475,17 @@ class PartitionSumTable:
         for c, d_in in zip(sums.keys_with_rows, d_input):
             self.d_total[c] = d = d_in * sectors.d_output(c)
             self.y[c] = tuple(_over_square(t, log, d) for t, log in zip(sums.z_bar[c], sums.log_z_bar[c]))
+
+    def take(self, index: np.ndarray) -> "PartitionSumTable":
+        """The table of the sectors at `index`: this table where `index`
+        lists every sector in order, else one built from the `take` of the
+        sector set (which keeps its labels) and of the kernels, as fresh
+        arrays.  A kernel depends only on its pair's spins, so the bits
+        are those of computing it."""
+        index = np.asarray(index, dtype=np.int64)
+        if np.array_equal(index, np.arange(len(self.labels))):
+            return self
+        return PartitionSumTable(self.sectors.take(index), self._kernels.take(index))
 
     def kernel_sums(self, kernel: np.ndarray) -> _KernelSums:
         """`_kernel_sums` of an (S, S, 2) kernel array under this table's
@@ -917,16 +931,13 @@ class SectorSet:
 
 @dataclass(frozen=True)
 class _HeldPool:
-    """The default bulk-to-boundary pool of one (family, graph), its
-    weighted sectors and their kernels, all read-only; `row` maps the
-    doubled spins of each weighted sector to its row in `weighted`."""
+    """The default bulk-to-boundary pool of one (family, graph) and its
+    table, both read-only."""
 
     family: SectorFamily
     graph: OpenGraph
     pool: SectorSet
-    weighted: SectorSet
-    kernels: _PairKernels
-    row: Dict[Tuple[int, ...], int]
+    table: PartitionSumTable
 
 
 #: The pool of the (family, graph) whose default bulk-to-boundary table was
@@ -934,13 +945,13 @@ class _HeldPool:
 _held: Optional[_HeldPool] = None
 
 
-def _hold(model: "IsingModel", pool: SectorSet, weighted: SectorSet, kernels: _PairKernels) -> None:
-    """Make `pool` the held pool, replacing the one held before."""
+def _hold(model: "IsingModel", pool: SectorSet, weighted: SectorSet, kernels: _PairKernels) -> PartitionSumTable:
+    """Make `pool` and the table of its weighted sectors the held pool,
+    replacing the one held before; returns the table."""
     global _held
     arrays = (kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap, kernels.rep)
     for array in (pool.twice, pool.log_k, weighted.twice, weighted.log_k, *arrays):
         array.flags.writeable = False
-    row = {spins: a for a, spins in enumerate(map(tuple, weighted.twice.tolist()))}
     # The pool holds every bulk completion of each of its boundary keys, so
     # D_I of a key is the sum of prod_x D(j^x) over its rows, the integer
     # `spins.input_dims` computes.
@@ -948,7 +959,9 @@ def _hold(model: "IsingModel", pool: SectorSet, weighted: SectorSet, kernels: _P
     for c, dims in zip(pool.key.tolist(), pool.vertex_dims):
         d_input[c] += math.prod(dims)
     pool._d_input.update((pool.keys[c], d) for c, d in d_input.items())
-    _held = _HeldPool(model.family, model.graph, pool, weighted, kernels, row)
+    table = PartitionSumTable(weighted, kernels)
+    _held = _HeldPool(model.family, model.graph, pool, table)
+    return table
 
 
 # -- the model -----------------------------------------------------------
@@ -1420,68 +1433,61 @@ class IsingModel:
         """The sectors of the default `sector_set`."""
         return list(self.sector_set().sectors)
 
-    def sector_set(
-        self,
-        sectors: Optional[Iterable[SpinSector]] = None,
-        boundaries: Optional[Iterable[Mapping[str, object]]] = None,
-    ) -> SectorSet:
+    def sector_set(self, sectors: Optional[Iterable[SpinSector]] = None) -> SectorSet:
         """The `SectorSet` of `sectors`, or of the default pool: every sector
         of the family (its `sector_matrix`) for the bulk-to-boundary kind,
-        the state's sectors for the boundary-to-boundary kind.
-        `boundaries` restricts the pool to the listed boundary assignments
-        ({boundary link id: spin}, each fixing every boundary link), one
-        after another in list order.
-
-        While the module holds this family and graph's pool (see
-        `partition_table`), the default pool is the held set, and a
-        restricted one is the held set's `take` of the rows of the listed
-        boundaries, unless some boundary has no row there (a spin outside
-        the family's box); the filter is checked as `sector_matrix` checks
-        it either way.  Otherwise each boundary's sectors are enumerated
-        alone, never the whole family."""
-        links = self.graph.link_ids()
+        the state's sectors for the boundary-to-boundary kind.  While the
+        module holds this family and graph's pool (see `partition_table`),
+        the bulk-to-boundary default pool is the held set."""
         if sectors is None and not self.kind.is_boundary_to_boundary:
             held = self._held_pool()
-            if boundaries is None:
-                return held.pool if held is not None else SectorSet(self, sector_matrix(self.family, self.graph))
-            boundaries = list(boundaries)
-            rows = self._held_rows(held, boundaries) if held is not None else None
-            if rows is not None:
-                return held.pool.take(rows)
-            parts = [sector_matrix(self.family, self.graph, boundary_filter=b) for b in boundaries]
-            return SectorSet(self, np.concatenate([np.empty((0, len(links)), dtype=np.int64), *parts]))
+            return held.pool if held is not None else SectorSet(self, sector_matrix(self.family, self.graph))
+        links = self.graph.link_ids()
         pool = list(sectors) if sectors is not None else list(self.state.sectors)
         for sec in pool:
             if sec.graph is not self.graph and sec.graph != self.graph:
                 raise EngineError("sector belongs to a different graph")
         twice = np.array([sec.twice_of(links) for sec in pool], dtype=np.int64)
-        full = SectorSet(self, twice.reshape(len(pool), len(links)), pool)
-        if boundaries is None:
-            return full
+        return SectorSet(self, twice.reshape(len(pool), len(links)), pool)
+
+    def window_table(self, boundaries: Iterable[Mapping[str, object]]) -> PartitionSumTable:
+        """The `partition_table` of a window: the weighted sectors with each
+        of `boundaries` ({boundary link id: spin}, each fixing every
+        boundary link, checked by `spins.boundary_twice`) in turn, in list
+        order.
+
+        Where the module holds this family and graph's pool and every
+        boundary lies in its box, and for the boundary-to-boundary kind,
+        the window is the `PartitionSumTable.take` of the default table's
+        rows of each boundary.  Otherwise each boundary's sectors are
+        enumerated alone (a spin outside the family's allowed list included),
+        never the whole family.  `exhaustive_limit` is checked either way."""
+        boundaries = list(boundaries)
         bnd = self.graph.boundary_ids()
-        rows = []
-        for boundary in boundaries:
-            fixed = {lid: Spin.parse(sp).twice for lid, sp in boundary.items()}
-            if set(fixed) != set(bnd):
-                raise EngineError("boundary assignment must fix every boundary leg")
-            match = full.twice[:, len(links) - len(bnd):] == [fixed[lid] for lid in bnd]
-            rows.extend(np.flatnonzero(match.all(axis=1)).tolist())
-        return full.take(rows)
+        keys = [tuple(map(boundary_twice(self.graph, b).__getitem__, bnd)) for b in boundaries]
+        held = self._held_pool()
+        if self.kind.is_boundary_to_boundary or held is not None and set(keys) <= set(held.pool.keys):
+            table = self.partition_table()
+            code = {key: c for c, key in enumerate(table.sectors.keys)}
+            rows = [np.flatnonzero(table.sectors.key == code[key]) for key in keys if key in code]
+            return table.take(np.concatenate([np.empty(0, dtype=np.int64), *rows]))
+        parts = [sector_matrix(self.family, self.graph, boundary_filter=b) for b in boundaries]
+        empty = np.empty((0, len(self.graph.link_ids())), dtype=np.int64)
+        return self.partition_table(SectorSet(self, np.concatenate([empty, *parts])))
 
     def boundary_fixed_sums(
         self, boundary: Mapping[str, object]
     ) -> BoundaryFixedSums:
         """K-weighted pair sums over bulk spins at a fixed boundary: the one
-        boundary row of the `partition_table` of the boundary's sectors."""
-        weighted = self.sector_set(boundaries=[boundary]).weighted()
-        if not len(weighted):
+        boundary row of the `window_table` of the boundary."""
+        table = self.window_table([boundary])
+        if not len(table.labels):
             raise EngineError("no admissible sector matches this boundary")
-        table = self.partition_table(weighted)
         return BoundaryFixedSums(
             z_bar=table.z_bar[0],
             y=table.y[0],
             d_total=table.d_total[0],
-            sector_count=len(weighted),
+            sector_count=len(table.labels),
             log_z_bar=table.log_z_bar[0],
         )
 
@@ -1503,33 +1509,25 @@ class IsingModel:
 
         A bulk-to-boundary `partition_table()` on the default pool fills
         the module's one held family pool (see the module docstring): the
-        default `SectorSet`, its weighted sectors and their kernels, kept
-        until the default table of another (family, graph), an equal one
-        included, replaces them.  While it holds this model's family and
-        graph, the default table shares the held arrays, which are
-        read-only, and the table of a pool whose weighted sectors are all
-        held reads the held kernels' `take` of their rows, as fresh
-        arrays; a kernel depends only on its pair's spins, so the bits are
-        those of computing it.  `exhaustive_limit` is checked either way.
-        Memory: the last default pool plus 5 x 2S^2 kernel entries (8 bytes
-        each) of its S weighted sectors.
+        default `SectorSet` and this table, kept until the default table of
+        another (family, graph), an equal one included, replaces them.
+        While it holds this model's family and graph, `partition_table()`
+        returns the held table itself, whose arrays are read-only, and
+        `window_table` slices it.  `exhaustive_limit` is checked either
+        way.  Memory: the last default pool plus 5 x 2S^2 kernel entries
+        (8 bytes each) of its S weighted sectors.
         """
         held = self._held_pool()
         if sectors is None and held is not None:
             self._check_limit()
-            return PartitionSumTable(held.weighted, held.kernels)
+            return held.table
         default = sectors is None and not self.kind.is_boundary_to_boundary
         if not isinstance(sectors, SectorSet):
             sectors = self.sector_set(sectors)
         weighted = sectors.weighted()
-        if held is not None and len(weighted):
-            index = [held.row.get(spins) for spins in map(tuple, weighted.twice.tolist())]
-            if None not in index:
-                self._check_limit()
-                return PartitionSumTable(weighted, held.kernels.take(np.array(index)))
         kernels = self._pair_kernels(weighted)
         if default:
-            _hold(self, sectors, weighted, kernels)
+            return _hold(self, sectors, weighted, kernels)
         return PartitionSumTable(weighted, kernels)
 
     def _held_pool(self) -> Optional[_HeldPool]:
@@ -1538,16 +1536,3 @@ class IsingModel:
         if self.kind.is_boundary_to_boundary or held is None:
             return None
         return held if held.family is self.family and held.graph is self.graph else None
-
-    def _held_rows(self, held: _HeldPool, boundaries: Sequence[Mapping[str, object]]) -> Optional[np.ndarray]:
-        """The rows of the held pool with each of `boundaries` in turn, or
-        None where the pool has no row of some boundary."""
-        code = {key: c for c, key in enumerate(held.pool.keys)}
-        bnd = self.graph.boundary_ids()
-        codes = []
-        for boundary in boundaries:
-            fixed = boundary_twice(self.graph, boundary)
-            codes.append(code.get(tuple(fixed[lid] for lid in bnd)))
-        if None in codes:
-            return None
-        return np.concatenate([np.empty(0, dtype=np.int64), *(np.flatnonzero(held.pool.key == c) for c in codes)])

@@ -398,7 +398,8 @@ def check_bulk_to_boundary(
     regime, tol = _resolve_regime(regime, tolerance)
     entries = _normalize_window(graph, window)
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-    pool = model.sector_set(boundaries=[fixed for _, fixed in entries]).weighted()
+    table = model.window_table([fixed for _, fixed in entries])
+    pool = table.sectors
     code = {key: c for c, key in enumerate(pool.keys)}
     e_codes = []
     for key, _ in entries:
@@ -408,7 +409,6 @@ def check_bulk_to_boundary(
                 f"no admissible sector matches boundary {_boundary_label(key)}"
             )
         e_codes.append(code[twice])
-    table = model.partition_table(pool)
     totals, zbar = _sums(table, regime)
     if totals[0] <= 0.0:
         raise IsometryError("window normalization sum Z_0 vanishes")

@@ -139,11 +139,10 @@ class VertexSpace:
         self.dim = offset
         self._block_of = {b.port_spins: i for i, b in enumerate(self.blocks)}
 
-        # Decode tables over the local index: block id, intertwiner index,
-        # magnetic digit per port, and per-slot alphabet keys.
+        # Decode tables over the local index: block id, magnetic digit per
+        # port, and per-slot alphabet keys.
         nports = len(self.port_links)
         self.block_id = np.zeros(self.dim, dtype=np.int64)
-        self.int_idx = np.zeros(self.dim, dtype=np.int64)
         self.port_digit = [np.zeros(self.dim, dtype=np.int64) for _ in range(nports)]
         self.int_key = np.zeros(self.dim, dtype=np.int64)
         self.port_key = [np.zeros(self.dim, dtype=np.int64) for _ in range(nports)]
@@ -167,7 +166,6 @@ class VertexSpace:
             digits.reverse()
             sl = slice(blk.offset, blk.offset + blk.size)
             self.block_id[sl] = bid
-            self.int_idx[sl] = a
             self.int_key[sl] = int_base + a
             for p, dig in enumerate(digits):
                 self.port_digit[p][sl] = dig

@@ -15,7 +15,7 @@ from holoising.experiments import reproduce_c2
 from holoising.graph import build_graph
 from holoising.ising import EngineError, IsingModel, ModelKind, PartitionSumTable
 from holoising.isometry import IsometryError, check_bulk_to_boundary, suggest_window
-from holoising.spins import SectorEnumerationError, SectorFamily
+from holoising.spins import SectorEnumerationError, SectorFamily, Spin
 
 BULK = ModelKind.bulk_to_boundary()
 
@@ -99,6 +99,11 @@ def consumers(graph, family, table):
     return out
 
 
+def empty_slot(model, pool, weighted, kernels):
+    """`ising._hold` that leaves the slot empty and returns the table."""
+    return PartitionSumTable(weighted, kernels)
+
+
 def count_draws(monkeypatch):
     """Record each kernel batch and each sector enumeration from now on."""
     calls = []
@@ -139,7 +144,7 @@ class TestHeldFamilyPool:
             graph, family, _, _ = random_instance(rng)
             with monkeypatch.context() as m:
                 m.setattr(ising, "_held", None)
-                m.setattr(ising, "_hold", lambda *args: None)
+                m.setattr(ising, "_hold", empty_slot)
                 ref_table = IsingModel(graph, family, BULK).partition_table()
                 reference = consumers(graph, family, ref_table)
                 assert ising._held is None
@@ -192,7 +197,7 @@ class TestHeldFamilyPool:
             low.partition_table()
         window = suggest_window(family, graph)
         with pytest.raises(EngineError, match="exhaustive limit of 1"):
-            low.partition_table(low.sector_set(boundaries=window))
+            low.window_table(window)
         with pytest.raises(EngineError, match="exhaustive limit of 1"):
             low.boundary_fixed_sums(window[0])
 
@@ -202,17 +207,18 @@ class TestHeldFamilyPool:
         model = IsingModel(graph, family, BULK)
         table = model.partition_table()
         held = ising._held
+        assert table is held.table
         for array in (table.z, table.e_min, table.degeneracy, table.gap, table.log_k,
-                      held.kernels.rep, held.pool.twice, held.pool.log_k, held.weighted.twice):
+                      table._kernels.rep, held.pool.twice, held.pool.log_k, table.sectors.twice):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0
         before = canon(table)
         window = suggest_window(family, graph)
-        sub = model.partition_table(model.sector_set(boundaries=window[:1]))
+        sub = model.window_table(window[:1])
         assert 0 < len(sub.labels) < len(table.labels)
         for array in (sub.z, sub.e_min, sub.degeneracy, sub.gap):
-            assert array.flags.writeable and not np.shares_memory(array, held.kernels.z)
+            assert array.flags.writeable and not np.shares_memory(array, table.z)
             array += 1
         assert canon(model.partition_table()) == before
 
@@ -255,7 +261,90 @@ class TestWindowWithoutWholeFamily:
                 model.boundary_fixed_sums(boundary)
             assert str(err.value) == message
             with pytest.raises(ValueError) as err:
-                model.sector_set(boundaries=[boundary])
+                model.window_table([boundary])
             assert str(err.value) == message
             model.partition_table()
             assert ising._held is not None
+
+
+class TestWindowTable:
+    """`IsingModel.window_table` slices the default table, keeps the bits
+    of the table of the window's sectors and reuses the held labels."""
+
+    def test_random_windows_keep_their_bits(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        for _ in range(60):
+            graph, family, state, part = random_instance(rng, with_state=True)
+            kinds = [BULK] if part is None else [BULK, ModelKind.boundary_to_boundary(part)]
+            for kind in kinds:
+                model = IsingModel(graph, family, kind, state=state)
+                pool = model.sector_set()
+                keys = [dict(zip(graph.boundary_ids(), map(Spin, key))) for key in pool.keys]
+                window = [keys[i] for i in rng.permutation(len(keys))[:3]]
+                for entries in (window, window[::-1], window[:1]):
+                    codes = [pool.keys.index(tuple(b[lid].twice for lid in graph.boundary_ids())) for b in entries]
+                    sectors = [pool.sectors[a] for c in codes for a in np.flatnonzero(pool.key == c)]
+                    with monkeypatch.context() as m:
+                        m.setattr(ising, "_held", None)
+                        m.setattr(ising, "_hold", empty_slot)
+                        expected = canon(model.partition_table(sectors))
+                        assert canon(model.window_table(entries)) == expected
+                    model.partition_table()
+                    assert canon(model.window_table(entries)) == expected
+
+    def test_window_outside_the_allowed_spins(self):
+        graph = bridge_graph()
+        family = bridge_box_family(graph)
+        first = suggest_window(family, graph)[0]
+        window = [first, {**first, "c": "3"}]
+        model = IsingModel(graph, family, BULK)
+        table = model.window_table(window)
+        assert 6 in table.sectors.twice[:, graph.link_ids().index("c")]
+        expected = [canon(table), outcome(check_bulk_to_boundary, family, graph, window)]
+        assert ising._held is None
+        model.partition_table()
+        assert ising._held is not None
+        assert [canon(model.window_table(window)), outcome(check_bulk_to_boundary, family, graph, window)] == expected
+
+    def test_c2_reads_the_held_table(self, monkeypatch):
+        graph = star_graph()
+        family = star_family(graph)
+        held = IsingModel(graph, family, BULK).partition_table()
+        tables, sums = [], []
+        read, kernel_sums = IsingModel.partition_table, ising._kernel_sums
+
+        def spied(self, *args, **kwargs):
+            tables.append(read(self, *args, **kwargs))
+            return tables[-1]
+
+        def counted(*args):
+            sums.append(args)
+            return kernel_sums(*args)
+
+        monkeypatch.setattr(IsingModel, "partition_table", spied)
+        monkeypatch.setattr(ising, "_kernel_sums", counted)
+        reproduce_c2(family, graph)
+        assert tables == [held] and tables[0] is held
+        assert sums == []
+
+    @pytest.mark.parametrize("build_graph_, build_family", INSTANCES)
+    def test_window_consumers_build_no_labels(self, monkeypatch, build_graph_, build_family):
+        graph = build_graph_()
+        family = build_family(graph)
+        IsingModel(graph, family, BULK).partition_table()
+        window = suggest_window(family, graph)
+        parts, build = [], ising.SectorSet._parts
+
+        def counted(*args):
+            parts.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(ising.SectorSet, "_parts", staticmethod(counted))
+        for regime in ("exact", "ground_state"):
+            check_bulk_to_boundary(family, graph, window, regime)
+        for boundary in window:
+            IsingModel(graph, family, BULK).boundary_fixed_sums(boundary)
+        if len(graph.vertices) == 1:
+            reproduce_c2(family, graph)
+            reproduce_c2(family, graph, window[1::-1])
+        assert parts == []

@@ -155,10 +155,11 @@ class TestHilbertIndex:
         spins = [b.port_spins[0].twice for b in space.blocks]
         assert spins == sorted(spins)
         first = space.blocks[0]
-        # Within a block the intertwiner index cycles fastest.
+        # Within a block the intertwiner index cycles fastest; block 0's
+        # intertwiner keys start at 0, so they are its intertwiner indices.
         idx = np.arange(first.size)
         assert np.array_equal(
-            space.int_idx[: first.size], idx % first.intertwiner_dim
+            space.int_key[: first.size], idx % first.intertwiner_dim
         )
 
     def test_cap_and_env_override(self):

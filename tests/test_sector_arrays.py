@@ -400,18 +400,20 @@ class TestSectorSet:
             for boundary in boundaries
             for sec in enumerate_sectors(model.family, model.graph, boundary_filter=boundary)
         ]
-        assert bulk.sector_set(boundaries=boundaries).twice.tolist() == [list(row) for row in want]
-        state_pool = model.sector_set(boundaries=boundaries)
-        assert list(state_pool.sectors) == [
+        assert bulk.window_table(boundaries).sectors.twice.tolist() == [list(row) for row in want]
+        state_table = model.window_table(boundaries)
+        state_sectors = [
             sec
             for boundary in boundaries
             for sec in model.state.sectors
             if all(sec.spin(lid) == Spin.parse(sp) for lid, sp in boundary.items())
         ]
-        with pytest.raises(EngineError, match="fix every boundary leg"):
-            model.sector_set(boundaries=[{"a": "1"}])
+        assert list(state_table.sectors.sectors) == state_sectors
+        assert state_table.z.tolist() == model.partition_table(state_sectors).z.tolist()
         with pytest.raises(ValueError, match="fix every boundary link"):
-            bulk.sector_set(boundaries=[{"a": "1"}])
+            model.window_table([{"a": "1"}])
+        with pytest.raises(ValueError, match="fix every boundary link"):
+            bulk.window_table([{"a": "1"}])
 
     def test_empty_census_window(self):
         graph = star_graph()

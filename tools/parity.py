@@ -2,15 +2,14 @@
 
 Runs the op list of one benchmark workload (generated by
 `perfbench/workloads.py`, which is imported and not modified) and records
-each partition table, kernel, boundary-fixed sum, purity report, condition
-matrix, isometry verdict, c1/c2/c3 report, exact oracle replica average
-(`oracle.exact_replica_average`) and oracle map (`oracle.build_cmap`, as
-its entry arrays: output rows, input columns, components and values) that
-the ops build.  Each
-`average_purity` call is also recorded in its other modes, each
-`check_bulk_to_boundary` call in its other regime, and each
-boundary-to-boundary `partition_table` as the
-`check_boundary_to_boundary` verdict of its model in every regime (the
+each partition table, window table, kernel, boundary-fixed sum, purity
+report, condition matrix, isometry verdict, c1/c2/c3 report, exact oracle
+replica average (`oracle.exact_replica_average`) and oracle map
+(`oracle.build_cmap`, as its entry arrays: output rows, input columns,
+components and values) that the ops build.  Each `average_purity` call
+is also recorded in its other modes, each `check_bulk_to_boundary` call
+in its other regime, and each boundary-to-boundary `partition_table` as
+the `check_boundary_to_boundary` verdict of its model in every regime (the
 result, or the type of the exception the call raises: a mixed bulk state
 raises `IsometryError`), so that the ground-state consumers and the
 boundary-to-boundary verdict are compared though no op asks for them.
@@ -34,11 +33,12 @@ result in call order; the last line is a digest over all of them.
 
 Where two trees are meant to differ in the last bits, `--values PATH`
 also writes each result's canonical form, one JSON line per result, and
-`--compare A B` reads two such files and prints, per result kind, how
-many results differ, the largest relative difference of a float (with
-the path of the float that has it), the largest per field (the path with
-its indices dropped) and every difference that is not a float (a bool,
-int, string, label, key or length):
+`--compare A B` reads two such files, matches their results by op, kind
+and order (listing the results only one file holds) and prints, per
+result kind, how many results differ, the largest relative difference
+of a float (with the path of the float that has it), the largest per
+field (the path with its indices dropped) and every difference that is
+not a float (a bool, int, string, label, key or length):
 
     python3 tools/parity.py --workload sector-wide --seed 5 --out a.txt --values a.jsonl
     (in the other checkout, same arguments)  --out b.txt --values b.jsonl
@@ -73,15 +73,11 @@ import workloads  # noqa: E402
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 # Fields compared for these result types.  The boundary sums leave out
-# their log-domain field (`log_z_bar`), and the c1 cells and sums the
-# reference-table variants (`alt_combo`, `alt_value`, `consistent`,
-# `variant_total`) that only older trees report, so that trees with and
-# without them compare equal.
+# their log-domain field (`log_z_bar`), so that trees with and without it
+# compare equal.
 FIELDS = {
     "BoundarySumRow": ("boundary_id", "z_bar", "y", "d_total"),
     "BoundaryFixedSums": ("z_bar", "y", "d_total", "sector_count"),
-    "C1Cell": ("pair", "replica", "config", "combo", "expected", "engine", "defect"),
-    "C1Sum": ("pair", "replica", "terms", "total", "engine", "defect"),
 }
 
 # Calls also recorded with every other value of one argument: function
@@ -230,7 +226,7 @@ class Recorder:
                     self._undo.append((mod, attr, original))
 
     def install(self) -> None:
-        for name in ("partition_table", "partition_sum_fixed", "ground_state", "boundary_fixed_sums"):
+        for name in ("partition_table", "window_table", "partition_sum_fixed", "ground_state", "boundary_fixed_sums"):
             self.patch_method(ising.IsingModel, name)
         self.patch_function(entropy, "average_purity")
         for name in ("condition_matrix", "check_bulk_to_boundary", "check_boundary_to_boundary"):
@@ -289,20 +285,37 @@ def _differences(a: Any, b: Any, path: str, floats: List[Tuple[float, str]], oth
         other.append(f"{path}: {a!r} != {b!r}")
 
 
+def _by_call(records: List[Dict[str, Any]]) -> Dict[Tuple[int, str, int], Dict[str, Any]]:
+    """Records keyed by (op, kind, n): the n-th result of that kind in
+    that op."""
+    seen: Counter = Counter()
+    out = {}
+    for record in records:
+        call = (record["op"], record["kind"])
+        out[(*call, seen[call])] = record
+        seen[call] += 1
+    return out
+
+
 def compare(path_a: str, path_b: str) -> int:
     """Print per result kind how two `--values` files differ; 1 where some
-    difference is not a float or the files list different results."""
+    difference is not a float or the files list different results.
+    Results are matched by op, kind and their order within both, so a
+    kind that only one tree records is listed, not misaligned."""
     records = []
     for path in (path_a, path_b):
         with open(path) as handle:
-            records.append([json.loads(line) for line in handle])
+            records.append(_by_call([json.loads(line) for line in handle]))
     a, b = records
     status = 0
-    if [(r["op"], r["kind"]) for r in a] != [(r["op"], r["kind"]) for r in b]:
+    if a.keys() != b.keys():
         print(f"the files list different results ({len(a)} and {len(b)} records)")
+        for name, only in (("A", a.keys() - b.keys()), ("B", b.keys() - a.keys())):
+            for kind, n in sorted(Counter(kind for _, kind, _ in only).items()):
+                print(f"    only in {name}: {n} {kind}")
         status = 1
     report: Dict[str, Dict[str, Any]] = {}
-    for ra, rb in zip(a, b):
+    for ra, rb in ((a[key], b[key]) for key in a if key in b):
         floats: List[Tuple[float, str]] = []
         other: List[str] = []
         _differences(ra["value"], rb["value"], "", floats, other)
