@@ -37,7 +37,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import json
 
 import numpy as np
-from scipy.special import digamma, polygamma
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph, build_graph
@@ -1286,6 +1285,21 @@ def _c3_engine_check(n: int) -> C3EngineCheck:
     )
 
 
+def _harmonic(x: int, power: int = 1) -> float:
+    """H^(power)_x = sum_{k=1}^{x} 1 / k^power, the float terms summed
+    exactly (`math.fsum`): psi(x + 1) + gamma for power 1 and
+    pi^2/6 - psi_1(x + 1) for power 2, without the cancellation of the
+    latter."""
+    return math.fsum(1.0 / k**power for k in range(1, x + 1))
+
+
+def _digamma_gap(start: float, count: int) -> float:
+    """psi(start + count) - psi(start) = sum_{k=0}^{count-1} 1 / (start + k),
+    summed exactly from the float terms; `start` is an integer or a
+    half-integer, so every start + k is exact."""
+    return math.fsum(1.0 / (start + k) for k in range(count))
+
+
 def reproduce_c3(
     n: int,
     profile: str = "unit",
@@ -1335,12 +1349,14 @@ def reproduce_c3(
     pi2 = math.pi**2
 
     def h1(x: int) -> float:
-        return float(digamma(x + 1)) + gamma
+        return _harmonic(x)
 
     def h2(x: int) -> float:
-        return pi2 / 6.0 - float(polygamma(1, x + 1))
+        return _harmonic(x, 2)
 
-    mid = h1(n - 1) + float(digamma(1.5 * n)) - float(digamma(0.5 * n + 1.0))
+    # psi(1.5 n) - psi(0.5 n + 1) and psi(1.5 n + 1) - psi(0.5 n + 1).
+    gap, gap_high = _digamma_gap(0.5 * n + 1.0, n - 1), _digamma_gap(0.5 * n + 1.0, n)
+    mid = h1(n - 1) + gap
 
     y1_small_direct = float(np.sum(z1_small))
     y1_small_closed = h2(n) * (1.0 + 2.0 / n**3) + 1.0 / n**5
@@ -1351,22 +1367,22 @@ def reproduce_c3(
     y0_large_direct = float(np.sum(z0_large))
     y0_large_closed = (n - 1.0) + (2.0 / (3.0 * n**4)) * mid + h2(n - 1) / n**6
 
-    psi1_formal = pi2 - float(polygamma(1, n))
-    psi0_formal = float(digamma(n))
+    # pi^2 - psi_1(n) and psi(n), with psi_1(n) = pi^2/6 - H^(2)_{n-1} and
+    # psi(n) = H_{n-1} - gamma.
+    psi1_formal = pi2 - (pi2 / 6.0 - h2(n - 1))
+    psi0_formal = h1(n - 1) - gamma
     y1_large_formal = (
         -pi2 * n**5
         + 6.0 * n**5 * psi1_formal
         + 4.0 * gamma * n
-        - 4.0 * n * float(digamma(0.5 * n + 1.0))
-        + 4.0 * n * float(digamma(1.5 * n + 1.0))
+        + 4.0 * n * gap_high
         + 4.0 * n * psi0_formal
         + 6.0
     ) / (6.0 * n**5)
     y0_large_formal = (
         6.0 * n**7
         + 4.0 * gamma * n**2
-        - 4.0 * n**2 * float(digamma(0.5 * n + 1.0))
-        + 4.0 * n**2 * float(digamma(1.5 * n + 1.0))
+        + 4.0 * n**2 * gap_high
         + 4.0 * n**2 * psi0_formal
         + 6.0 * psi1_formal
         - pi2

@@ -34,16 +34,22 @@ each column (row) of X_U holds one entry, X_U X_U^+ (X_U^+ X_U) is diagonal
 and T_U sums squared grouped row (column) norms: for U = {} on every map
 without frozen vertices, which has at most one nonzero per input column and
 component, and for every pattern of a one-vertex pure map.  Other patterns
-take one sparse Gram product.  The fine grades restrict each replica to
-sector columns, Tr(P_j P_k) = ||X_j^+ X_k||_F^2.  Exact traces need O(nnz)
-memory plus one float per row or column of X_U.  Monte Carlo multiplies each
-batch of shots by one sparse stacked map and lays the shots out on a dense
-grid (batch x keep x rest x components entries), as `reduced_density` does
-for one state.  GRID_LIMIT caps each such dense array, checked by
-`RegionGrid.lay_out` on the size it allocates; exact traces never build the
-grid, so the limit does not apply to them.  The pattern sum with unit
-weights reproduces the Ising engine's unnormalized partition totals;
-normalized grades reweight the same traces.
+take one Gram of entry pairs (`_pair_gram`): the entries that share a row
+(or, where that pairs fewer, a column) are paired, and each Gram cell sums
+its pairs' products with `bincount`.  The fine grades restrict each replica
+to sector columns, Tr(P_j P_k) = ||X_j^+ X_k||_F^2, the same pair Gram
+across the two restrictions.  Exact traces need memory linear in the
+entries and in the entry pairs of one Gram.
+
+Monte Carlo multiplies each block of SHOT_BLOCK shots by A through a
+`ShotProduct`: the map's entries sorted by their grid cell and split by
+their rank within it, so one block is a few gathers of Haar amplitudes
+written straight into the dense (block x keep x rest x components) grid, as
+`reduced_density` lays out one state.  GRID_LIMIT caps each such dense
+array, checked by `RegionGrid.zeros` on the size it allocates; exact traces
+never build the grid, so the limit does not apply to them.  The pattern sum
+with unit weights reproduces the Ising engine's unnormalized partition
+totals; normalized grades reweight the same traces.
 
 Haar streams.  A Haar vector is a normalized standard complex Gaussian.
 The Gaussians of (vertex, block) for shot s come from chunk c = s //
@@ -66,7 +72,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.random import Generator, Philox
 
 from .bulk import IntertwinerState
@@ -84,6 +89,10 @@ HAAR_CHUNK = 64
 # localisation_probe: estimates with one seed cut the same shot ranges, so
 # they can share a batch held by the index.
 MC_BATCH = 256
+
+# Shots per Monte Carlo product and grid block: a block's gathers and its
+# dense grid stay small next to the batch.
+SHOT_BLOCK = 64
 
 # Most complex entries one dense (region x rest) grid array may hold, 16
 # bytes each: keep x rest cells times the shots and components laid out.
@@ -377,7 +386,7 @@ class RegionGrid:
     outside the swap region R.  Distinct rows have distinct cells, so an
     array over the rows becomes a (keep_dim, rest_dim) array that is zero
     where no row lands, and a partial trace onto R is one matrix product.
-    Only `lay_out` allocates the dense grid; GRID_LIMIT caps that array.
+    Only `zeros` allocates a dense grid; GRID_LIMIT caps that array.
     """
 
     def __init__(self, keys_r: List[np.ndarray], keys_rest: List[np.ndarray], dim: int):
@@ -387,24 +396,26 @@ class RegionGrid:
         self.rest_dim = int(self.bid.max()) + 1 if dim else 0
         self.cell = self.rid * self.rest_dim + self.bid
 
-    def lay_out(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Scatter `values`, whose `axis` runs over the rows, onto the grid;
-        that axis becomes the two axes (keep_dim, rest_dim)."""
-        head, tail = values.shape[:axis], values.shape[axis + 1 :]
-        shape = head + (self.keep_dim * self.rest_dim,) + tail
+    def zeros(self, shape: Tuple[int, ...]) -> np.ndarray:
+        """A complex zero array of `shape`, one of whose axes runs over the
+        keep_dim x rest_dim cells, refused above GRID_LIMIT entries."""
         entries = math.prod(shape)
         if entries > GRID_LIMIT:
             raise OracleError(
-                f"laying {values.shape[axis]} rows out on the {self.keep_dim} x "
-                f"{self.rest_dim} (region x rest) grid needs an array of "
+                f"laying rows out on the {self.keep_dim} x {self.rest_dim} "
+                f"(region x rest) grid needs an array of "
                 f"{' x '.join(map(str, shape))} = {entries} entries, above "
                 f"GRID_LIMIT = {GRID_LIMIT}; raise holoising.oracle.GRID_LIMIT "
                 f"(16 bytes per entry), pass a smaller Monte Carlo batch, or "
                 f"tighten the spin lists"
             )
-        out = np.zeros(shape, dtype=complex)
-        out[(slice(None),) * axis + (self.cell,)] = values
-        return out.reshape(head + (self.keep_dim, self.rest_dim) + tail)
+        return np.zeros(shape, dtype=complex)
+
+    def lay_out(self, values: np.ndarray) -> np.ndarray:
+        """Scatter `values`, one per row, onto the (keep_dim, rest_dim) grid."""
+        out = self.zeros((self.keep_dim * self.rest_dim,))
+        out[self.cell] = values
+        return out.reshape(self.keep_dim, self.rest_dim)
 
 
 def _compress_rows(key_arrays: List[np.ndarray], dim: int) -> np.ndarray:
@@ -450,7 +461,11 @@ class CMap:
     column, component, value), ordered by component and then row-major, as
     np.nonzero lists them.  Memory is O(nnz); no dense out_dim x in_dim
     component is kept.  Input columns are row-major over `col_dims`, one
-    axis per vertex of `in_vertices`.
+    axis per vertex of `in_vertices`.  Exact traces read the entries
+    directly; Monte Carlo applies A to blocks of shots through a
+    `ShotProduct`, one per swap region (`grid_product`, onto that region's
+    grid) plus one onto the stacked output rows (`row_product`), each built
+    on first use and kept with the map.
     """
 
     def __init__(
@@ -476,6 +491,7 @@ class CMap:
         self.out_dim = out_dim
         self.in_dim = math.prod(col_dims)
         self._grid_cache: Dict[Tuple[Slot, ...], RegionGrid] = {}
+        self._product_cache: Dict[Tuple[Slot, ...], ShotProduct] = {}
 
     def pair_basis(self, region: Tuple[Slot, ...]) -> RegionGrid:
         """The (region x rest) grid of the output rows for swap region R."""
@@ -491,12 +507,71 @@ class CMap:
             self._grid_cache[key] = RegionGrid(keys_r, keys_rest, self.out_dim)
         return self._grid_cache[key]
 
+    def grid_product(self, region: Tuple[Slot, ...]) -> ShotProduct:
+        """A onto the grid of swap region R: target cell * n + m is the row
+        of C_m in grid cell keep * rest_dim + rest, so a block of shots
+        becomes (shots, keep_dim, rest_dim * n), the components along the
+        rest axis."""
+        key = tuple(sorted(region))
+        if key not in self._product_cache:
+            grid = self.pair_basis(key)
+            row, _, comp, _ = self.entries
+            n = len(self.weights)
+            self._product_cache[key] = ShotProduct(self.entries, grid.cell[row] * n + comp)
+        return self._product_cache[key]
+
     @functools.cached_property
-    def stacked(self) -> sp.csr_array:
-        """A as a sparse (out_dim * n, in_dim) matrix; row r * n + m is row r of C_m."""
-        row, col, comp, value = self.entries
+    def row_product(self) -> ShotProduct:
+        """A onto its stacked output rows: target r * n + m is row r of C_m."""
+        row, _, comp, _ = self.entries
         n = len(self.weights)
-        return sp.csr_array((value, (row * n + comp, col)), shape=(self.out_dim * n, self.in_dim))
+        return ShotProduct(self.entries, row * n + comp)
+
+
+class ShotProduct:
+    """A map's entries routed onto dense targets, for blocks of shots.
+
+    Entries are sorted by target, the targets by how many entries they
+    hold (most first), and the entries split by their rank within their
+    target: rank k holds one entry of each of the first `len(cols[k])`
+    targets, in that order, and within a target the ranks follow the input
+    columns in ascending order.  A block (shots, in_dim) is then one gather
+    per rank, accumulated into a (shots, targets) array, and one scatter
+    onto the target axis of `out`.  Memory is O(nnz).
+    """
+
+    def __init__(self, entries, target: np.ndarray):
+        _, col, _, value = entries
+        order = np.argsort(target, kind="stable")  # columns ascend in a target
+        target, col, value = target[order], col[order], value[order]
+        first = np.flatnonzero(np.diff(target, prepend=-1))
+        counts = np.diff(first, append=target.size)
+        rank = np.arange(target.size) - np.repeat(first, counts)
+        by_count = np.argsort(-counts, kind="stable")
+        place = np.empty_like(by_count)
+        place[by_count] = np.arange(by_count.size)
+        place = np.repeat(place, counts)  # each entry's target position
+        self.cells = target[first[by_count]]
+        self.cols: List[np.ndarray] = []
+        self.values: List[np.ndarray] = []
+        for k in range(int(counts.max(initial=0))):
+            at = np.flatnonzero(rank == k)
+            at = at[np.argsort(place[at])]
+            self.cols.append(col[at])
+            self.values.append(value[at])
+
+    def __call__(self, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write (A psi[s])[t] into out[s, t] for every shot s and covered
+        target t, and return `out`.  Targets no entry reaches keep what
+        `out` held: pass zeros (once; later blocks overwrite the same
+        cells)."""
+        if not self.cols:
+            return out
+        acc = psi[:, self.cols[0]] * self.values[0]
+        for cols, values in zip(self.cols[1:], self.values[1:]):
+            acc[:, : cols.size] += psi[:, cols] * values
+        out[:, self.cells] = acc
+        return out
 
 
 def _singlet_support(index: HilbertIndex) -> Tuple[np.ndarray, np.ndarray]:
@@ -741,9 +816,9 @@ def resolve_region(index: HilbertIndex, region) -> Tuple[Slot, ...]:
 
 
 def _pattern_matrix(cmap: CMap, grid: RegionGrid, colsel, subset: Tuple[int, ...]):
-    """X_U as (rows, columns, shape, values) of its entries.  `colsel` keeps,
-    per averaged vertex, the listed input columns only; an input's index at
-    a vertex becomes its position in that list."""
+    """X_U as (rows, columns, values) of its entries.  `colsel` keeps, per
+    averaged vertex, the listed input columns only; an input's index at a
+    vertex becomes its position in that list."""
     row, col, comp, value = cmap.entries
     dims = cmap.col_dims
     digits = list(np.unravel_index(col, dims)) if dims else []
@@ -757,38 +832,59 @@ def _pattern_matrix(cmap: CMap, grid: RegionGrid, colsel, subset: Tuple[int, ...
         digits = [d[keep] for d in digits]
         dims = tuple(len(cols) for cols in colsel)
     x_row, x_col = grid.rid[row], grid.bid[row] * len(cmap.weights) + comp
-    nrows, ncols = grid.keep_dim, grid.rest_dim * len(cmap.weights)
     for i, (digit, dim) in enumerate(zip(digits, dims)):
         if i in subset:
-            x_row, nrows = x_row * dim + digit, nrows * dim
+            x_row = x_row * dim + digit
         else:
-            x_col, ncols = x_col * dim + digit, ncols * dim
-    return x_row, x_col, (nrows, ncols), value
-
-
-def _csr(x) -> sp.csr_array:
-    row, col, shape, value = x
-    return sp.csr_array((value, (row, col)), shape=shape)
+            x_col = x_col * dim + digit
+    return x_row, x_col, value
 
 
 def _pattern_trace(x1, x2) -> float:
-    """Tr(X1 X1^+ X2 X2^+).  For x2 is x1: grouped squared moduli where
-    X X^+ (one entry per column) or X^+ X (one entry per row) is diagonal,
-    else one sparse Gram on the side whose product pairs fewer entries.
-    Otherwise ||X1^+ X2||_F^2 from one sparse product."""
+    """Tr(X1 X1^+ X2 X2^+) = ||X1^+ X2||_F^2.  For x2 is x1: grouped squared
+    moduli where X X^+ (one entry per column) or X^+ X (one entry per row)
+    is diagonal, else the pair Gram on the side whose product pairs fewer
+    entries (X^+ X pairs the entries of a row, X X^+ those of a column)."""
+    row, col, value = x1
     if x2 is x1:
-        row, col, _, value = x1
         w = value.real**2 + value.imag**2
         counts = [np.bincount(keys) for keys in (col, row)]
         for group, lines in zip((row, col), counts):
             if not (lines > 1).any():
                 d = np.bincount(group, w)
                 return float(d @ d)
-        x = _csr(x1)
-        g = x.conj().T @ x if counts[1] @ counts[1] <= counts[0] @ counts[0] else x @ x.conj().T
-    else:
-        g = _csr(x1).conj().T @ _csr(x2)
-    return float(np.vdot(g.data, g.data).real)
+        if counts[1] @ counts[1] > counts[0] @ counts[0]:
+            row, col = col, row
+        return _pair_gram(row, col, value, row, col, value)
+    return _pair_gram(row, col, value, *x2)
+
+
+def _pair_gram(shared1, other1, value1, shared2, other2, value2) -> float:
+    """||G||_F^2 for G[a, b] = sum of conj(value1[i]) value2[j] over the
+    entry pairs with shared1[i] == shared2[j], other1[i] == a and
+    other2[j] == b.  Each entry of the first set meets the run of second
+    entries with its shared index, so the pairs are listed with `repeat`.
+    A pair's cell is (a, b) on the ranks of the distinct other indices,
+    renumbered densely where those ranks span more than four cells per
+    pair, and each cell sums its products with one `bincount` per real
+    part, in the order of the first set."""
+    order = np.argsort(shared2, kind="stable")
+    counts = np.bincount(shared2, minlength=int(shared1.max(initial=-1)) + 1)
+    starts = np.cumsum(counts) - counts
+    reach = counts[shared1]
+    offsets = np.cumsum(reach) - reach
+    left = np.repeat(np.arange(shared1.size), reach)
+    right = order[np.arange(left.size) + np.repeat(starts[shared1] - offsets, reach)]
+    product = value1[left].conj() * value2[right]
+    a = np.unique(other1, return_inverse=True)[1]
+    b = a if other2 is other1 else np.unique(other2, return_inverse=True)[1]
+    width = int(b.max(initial=-1)) + 1
+    cell = a[left] * width + b[right]
+    if (int(a.max(initial=-1)) + 1) * width > 4 * cell.size:
+        cell = np.unique(cell, return_inverse=True)[1]
+    re = np.bincount(cell, product.real)
+    im = np.bincount(cell, product.imag)
+    return float(re @ re + im @ im)
 
 
 def _component_pattern_sum(
@@ -956,9 +1052,8 @@ def _unit_gaussians(
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise Kronecker product: row s is kron(a[s], b[s]).  The result
-    is F-contiguous (shots vary fastest), so its transpose, which the
-    sparse products `cmap.stacked @ psi.T` read, is C-contiguous and is
-    not copied."""
+    is F-contiguous (shots vary fastest), so each input column a
+    `ShotProduct` gathers for a block of shots is one contiguous run."""
     out = np.empty((a.shape[1], b.shape[1], a.shape[0]), dtype=complex)
     np.multiply(a.T[:, None, :], b.T[None, :, :], out=out)
     return out.reshape(-1, a.shape[0]).T
@@ -1155,6 +1250,16 @@ def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
+def _shot_blocks(index, grade, seed, shots, batch, weights=None):
+    """(first shot, Haar rows) for blocks of at most SHOT_BLOCK shots that
+    tile [0, shots), read from batches [0, batch), [batch, 2 batch), ...
+    drawn through the batch the index holds."""
+    for done in range(0, shots, batch):
+        psi = _held_haar_rows(index, grade, seed, range(done, min(done + batch, shots)), weights)
+        for lo in range(0, psi.shape[0], SHOT_BLOCK):
+            yield done + lo, psi[lo : lo + SHOT_BLOCK]
+
+
 def mc_purity(
     index: HilbertIndex,
     region,
@@ -1177,8 +1282,11 @@ def mc_purity(
     the other model kind, state or region, or a medium-grade estimate
     before or after a `localisation_probe` (MC_BATCH shots per batch).  A
     longer estimate draws every batch.  Either way the estimate keeps every
-    bit.  shots >= 2 (a one-shot error bar is undefined), batch >= 1 and
-    0 <= seed < 2**64.
+    bit.  Each batch is applied in blocks of at most SHOT_BLOCK shots: the
+    map's `grid_product` writes a block straight into the dense (block x
+    keep x rest x components) grid, and each shot's purity and trace come
+    from the smaller Gram of its grid.  shots >= 2 (a one-shot error bar is
+    undefined), batch >= 1 and 0 <= seed < 2**64.
     """
     _check_at_least("shots", shots, 2, " (a one-shot error bar is undefined)")
     _check_at_least("batch", batch, 1)
@@ -1186,24 +1294,26 @@ def mc_purity(
     cmap = _given_or_built(index, cmap, kind, state)
     if cmap.in_vertices != index.graph.vertices:
         raise OracleError("Monte Carlo sampling requires all vertices averaged")
-    grid = cmap.pair_basis(resolve_region(index, region))
+    slots = resolve_region(index, region)
+    grid = cmap.pair_basis(slots)
+    product = cmap.grid_product(slots)
     width = grid.rest_dim * len(cmap.weights)
+    # One grid array for every block: a block rewrites the same cells.
+    layout = grid.zeros((min(SHOT_BLOCK, batch, shots), grid.keep_dim * width))
     z1 = np.empty(shots)
     z0 = np.empty(shots)
-    for done in range(0, shots, batch):
-        psi = _held_haar_rows(index, grade, seed, range(done, min(done + batch, shots)), weights)
+    for start, psi in _shot_blocks(index, grade, seed, shots, batch, weights):
         n = psi.shape[0]
-        # Every component's rows stacked as sqrt(w_n) C_n: one sparse product.
-        phi = (cmap.stacked @ psi.T).T.reshape(n, cmap.out_dim, len(cmap.weights))
         # Each shot on the grid, components along the rest axis.
-        big = grid.lay_out(phi, axis=1).reshape(n, grid.keep_dim, width)
-        # Tr(rho_R^2) = ||G||_F^2 for the smaller Gram G of the shot's grid.
+        big = product(psi, layout[:n]).reshape(n, grid.keep_dim, width)
+        # Tr(rho_R^2) = ||G||_F^2 and Tr(rho) = Tr(G) for the smaller Gram G
+        # of the shot's grid.
         if grid.keep_dim <= width:
             gram = big @ big.conj().transpose(0, 2, 1)
         else:
             gram = big.conj().transpose(0, 2, 1) @ big
-        z1[done : done + n] = _row_sq_norms(gram)
-        z0[done : done + n] = _row_sq_norms(phi) ** 2
+        z1[start : start + n] = _row_sq_norms(gram)
+        z0[start : start + n] = np.einsum("sii->s", gram).real ** 2
     m1 = float(np.mean(z1))
     m0 = float(np.mean(z0))
     ratio = m1 / m0
@@ -1338,15 +1448,15 @@ def localisation_probe(
     rows, d_i = _out_sector_rows(cmap, sector)
     a_vals = np.empty(shots)
     b_vals = np.empty(shots)
-    for done in range(0, shots, MC_BATCH):
-        psi = _held_haar_rows(index, "medium", seed, range(done, min(done + MC_BATCH, shots)))
+    out = np.zeros((min(SHOT_BLOCK, shots), cmap.out_dim), dtype=complex)
+    for start, psi in _shot_blocks(index, "medium", seed, shots, MC_BATCH):
         n = psi.shape[0]
-        phi = (cmap.stacked @ psi.T).T
+        phi = cmap.row_product(psi, out[:n])
         block = phi[:, rows].reshape(n, d_i, -1)
         wsec = _row_sq_norms(block)
         gram = block @ block.conj().transpose(0, 2, 1)
-        a_vals[done : done + n] = (wsec / _row_sq_norms(phi)) ** 2
-        b_vals[done : done + n] = _row_sq_norms(gram) / np.maximum(wsec, 1e-300) ** 2
+        a_vals[start : start + n] = (wsec / _row_sq_norms(phi)) ** 2
+        b_vals[start : start + n] = _row_sq_norms(gram) / np.maximum(wsec, 1e-300) ** 2
     cov = float(np.mean((a_vals - a_vals.mean()) * (b_vals - b_vals.mean())))
     spread = (a_vals - a_vals.mean()) * (b_vals - b_vals.mean()) - cov
     sigma = float(np.std(spread) / np.sqrt(shots))

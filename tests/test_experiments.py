@@ -1,7 +1,11 @@
 """Tests for the canned scenarios c1, c2 and c3."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+import scipy.special
 
 from holoising import experiments
 from holoising.experiments import (
@@ -167,3 +171,40 @@ class TestC3:
         engine = report.engine
         assert engine is not None and engine.dims_match
         assert max(engine.kernel_defect, engine.k_defect) <= TOL
+
+
+class TestC3HarmonicSums:
+    """c3's closed forms as finite sums, for n = 2..60: against exact
+    rational sums and against scipy.special's digamma and trigamma."""
+
+    @staticmethod
+    def rel(value, exact):
+        return abs(Fraction(value) - exact) / abs(exact)
+
+    def test_match_exact_fractions(self):
+        for n in range(2, 61):
+            for x in (n - 1, n):
+                for power in (1, 2):
+                    exact = sum(Fraction(1, k**power) for k in range(1, x + 1))
+                    assert self.rel(experiments._harmonic(x, power), exact) <= 4e-16
+            start = Fraction(n, 2) + 1
+            for count in (n - 1, n):
+                exact = sum(1 / (start + k) for k in range(count))
+                assert self.rel(experiments._digamma_gap(0.5 * n + 1.0, count), exact) <= 4e-16
+
+    def test_match_scipy_special(self):
+        digamma, polygamma = scipy.special.digamma, scipy.special.polygamma
+        harmonic, gap = experiments._harmonic, experiments._digamma_gap
+        gamma, zeta2 = float(np.euler_gamma), math.pi**2 / 6.0
+        for n in range(2, 61):
+            pairs = [
+                (harmonic(n - 1) - gamma, digamma(n)),
+                (zeta2 - harmonic(n - 1, 2), polygamma(1, n)),
+                (gap(0.5 * n + 1.0, n - 1), digamma(1.5 * n) - digamma(0.5 * n + 1.0)),
+                (gap(0.5 * n + 1.0, n), digamma(1.5 * n + 1.0) - digamma(0.5 * n + 1.0)),
+            ]
+            for x in (n - 1, n):
+                pairs.append((harmonic(x), digamma(x + 1) + gamma))
+                pairs.append((harmonic(x, 2), zeta2 - polygamma(1, x + 1)))
+            for got, want in pairs:
+                assert abs(got - want) <= 1e-13 * abs(want)

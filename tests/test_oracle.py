@@ -7,7 +7,6 @@ enumerate, for both map kinds, without sharing any code with the engine.
 
 import itertools
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -1166,7 +1165,7 @@ class TestFrozenVertices:
         assert frozen.in_vertices == ("x",)
         psi_x = rng.normal(size=dx) + 1j * rng.normal(size=dx)
         full = f @ np.kron(psi_x, core)
-        part = frozen.stacked @ psi_x
+        part = frozen.row_product(psi_x[None, :], np.zeros((1, frozen.out_dim), dtype=complex))[0]
         assert np.allclose(full, part, atol=1e-12)
 
 
@@ -1236,7 +1235,9 @@ class TestMapEntries:
         cmap, comps = with_reference(index, ModelKind.bulk_to_boundary())
         assert (cmap.out_dim, cmap.in_dim) == comps[0][1].shape == (0, index.dim)
         assert_same_entries(cmap.entries, nonzero_entries(comps))
-        assert cmap.stacked.shape == (0, index.dim)
+        shots = np.ones((3, index.dim), dtype=complex)
+        assert cmap.row_product(shots, np.zeros((3, 0), dtype=complex)).shape == (3, 0)
+        assert exact_replica_average(index, (), cmap=cmap) == 0.0
 
     def test_one_vertex_map_stays_sparse_in_memory(self):
         """A one-vertex map on 2976 labels has 2976 output rows, so one dense
@@ -1255,7 +1256,8 @@ class TestMapEntries:
             tracemalloc.stop()
         assert cmap.out_dim == cmap.in_dim == index.dim
         assert peak < 20 * 2**20
-        got = exact_replica_average(index, ["p1", "p2"], cmap=cmap)
+        got, peak = traced_peak(lambda: exact_replica_average(index, ["p1", "p2"], cmap=cmap))
+        assert peak < 20 * 2**20
         comps = dense_components(index, kind)
         assert_same_entries(entries, nonzero_entries(comps))
         ref = oracle.CMap(
@@ -1286,6 +1288,43 @@ class TestMapEntries:
         assert cmap.in_dim == index.space("x").dim
         assert cmap.entries[0].size > 0
         assert peak < 20 * 2**20
+        # Pattern (x) pairs 303,808 entries that share a row: the pair Gram.
+        region = ["a1", "a2"]
+        got, peak = traced_peak(lambda: exact_replica_average(index, region, cmap=cmap))
+        assert peak < 20 * 2**20
+        grid = cmap.pair_basis(resolve_region(index, region))
+        want = sum(scipy_gram_sq(oracle._pattern_matrix(cmap, grid, None, u)) for u in [(), (0,)])
+        assert got == pytest.approx(want, rel=1e-12)
+
+
+def traced_peak(compute):
+    """compute() and the peak of the memory tracemalloc saw it allocate."""
+    tracemalloc.start()
+    try:
+        result = compute()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def scipy_matrix(rows, cols, values, nrows=None):
+    """The entries as a scipy CSR matrix, `nrows` rows (default: the last
+    row with an entry)."""
+    nrows = rows.max(initial=-1) + 1 if nrows is None else nrows
+    return scipy.sparse.csr_array((values, (rows, cols)), shape=(nrows, cols.max(initial=-1) + 1))
+
+
+def scipy_gram_sq(x1, x2=None, side="rows"):
+    """||X1^+ X2||_F^2 (side "rows") or ||X1 X1^+||_F^2 (side "columns",
+    x2 None) from scipy.sparse products of the entries."""
+    if x2 is None and side == "columns":
+        a = scipy_matrix(*x1)
+        g = a @ a.conj().T
+    else:
+        x2 = x1 if x2 is None else x2
+        nrows = max(x1[0].max(initial=-1), x2[0].max(initial=-1)) + 1
+        g = scipy_matrix(*x1, nrows).conj().T @ scipy_matrix(*x2, nrows)
+    return float(np.vdot(g.data, g.data).real)
 
 
 # -- sparse averaged maps against dense references --------------------------
@@ -1294,14 +1333,15 @@ class TestMapEntries:
 class TestSparseMaps:
     def test_frozen_vertex_patterns_match_explicit_operators(self, monkeypatch):
         """A frozen vertex leaves many entries per input column, so some
-        patterns take the general sparse Gram product."""
-        sparse_matrices = []
+        patterns take the general pair Gram."""
+        grams = []
+        pair_gram = oracle._pair_gram
 
-        def counted(*args, **kwargs):
-            sparse_matrices.append(kwargs["shape"])
-            return scipy.sparse.csr_array(*args, **kwargs)
+        def counted(*args):
+            grams.append(args[0].size)
+            return pair_gram(*args)
 
-        monkeypatch.setattr(oracle, "sp", types.SimpleNamespace(csr_array=counted))
+        monkeypatch.setattr(oracle, "_pair_gram", counted)
         graph = glued_graph()
         index = build_hilbert(graph, tiny_glued_family(graph))
         s1, s2 = index.family_sectors()
@@ -1336,7 +1376,7 @@ class TestSparseMaps:
                 for subset, expect in zip(subsets, want):
                     got = _component_pattern_sum(cmap, grid, [subset])
                     assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
-        assert sparse_matrices
+        assert grams
 
     @pytest.mark.parametrize("mixed", [False, True])
     def test_mc_purity_matches_dense_products(self, mixed):
@@ -1414,3 +1454,137 @@ class TestSparseMaps:
         assert rows.shape == (batch, n)
         for s, row in enumerate(rows):
             assert np.array_equal(row, fresh_philox_row(seed, start + s, vertex, block, n))
+
+
+# -- numpy kernels against scipy.sparse references ---------------------------
+
+
+def kernel_maps():
+    """(index, map) pairs: both kinds on random instances, mixed bulk states
+    (two or more components) among them, and maps of the glued graph with
+    x or y frozen, which take the general pair Gram."""
+    rng = np.random.default_rng(20261018)
+    maps = []
+    for _ in range(24):
+        graph, family, state, part = random_instance(rng, max_dim=256, with_state=True)
+        index = build_hilbert(graph, family, cap=256)
+        maps.append((index, build_cmap(index, ModelKind.bulk_to_boundary())))
+        if part is not None:
+            kind = ModelKind.boundary_to_boundary(part)
+            maps.append((index, build_cmap(index, kind, state=state)))
+    graph = glued_graph()
+    index = build_hilbert(graph, glued_family(graph))
+    s1, s2 = index.family_sectors()
+    state = IntertwinerState.from_blocks(
+        graph,
+        [s1, s2],
+        {(s1, s1): np.array([[0.55]]), (s1, s2): np.array([[0.1 + 0.2j]]), (s2, s2): np.array([[0.45]])},
+    )
+    b2b = ModelKind.boundary_to_boundary(BoundaryPartition.from_input(graph, ["a1", "a2"]))
+    for vertex in ("x", "y"):
+        dim = index.space(vertex).dim
+        core = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        fixed = FrozenVertices(vertices=(vertex,), amplitudes=core)
+        maps.append((index, build_cmap(index, ModelKind.bulk_to_boundary(), fixed=fixed)))
+        maps.append((index, build_cmap(index, b2b, state=state, fixed=fixed)))
+    return maps
+
+
+def kernel_regions(cmap):
+    """No swap, the first output slot, and every other output slot."""
+    return [(), cmap.out_slots[:1], cmap.out_slots[::2]]
+
+
+class TestNumpyKernels:
+    """The pair Gram and the shot products against scipy.sparse."""
+
+    @pytest.fixture(scope="class")
+    def maps(self):
+        maps = kernel_maps()
+        assert any(len(cmap.weights) >= 2 for _, cmap in maps)
+        assert any(len(cmap.in_vertices) < len(index.graph.vertices) for index, cmap in maps)
+        return maps
+
+    def test_gram_on_both_sides_matches_scipy(self, maps):
+        general = 0
+        for _, cmap in maps:
+            for region in kernel_regions(cmap):
+                grid = cmap.pair_basis(region)
+                for subset in _all_subsets(len(cmap.in_vertices)):
+                    x = oracle._pattern_matrix(cmap, grid, None, subset)
+                    row, col, value = x
+                    by_rows, by_cols = scipy_gram_sq(x), scipy_gram_sq(x, side="columns")
+                    assert by_rows == pytest.approx(by_cols, rel=1e-12, abs=1e-300)
+                    assert oracle._pair_gram(row, col, value, row, col, value) == pytest.approx(
+                        by_rows, rel=1e-12, abs=1e-300
+                    )
+                    assert oracle._pair_gram(col, row, value, col, row, value) == pytest.approx(
+                        by_cols, rel=1e-12, abs=1e-300
+                    )
+                    assert oracle._pattern_trace(x, x) == pytest.approx(by_rows, rel=1e-12, abs=1e-300)
+                    general += (np.bincount(row) > 1).any() and (np.bincount(col) > 1).any()
+        assert general > 0
+
+    def test_cross_traces_match_scipy(self, maps):
+        crossed = 0
+        for index, cmap in maps:
+            if cmap.in_vertices != index.graph.vertices:
+                continue
+            ranges = [index.sector_local_ranges(sec) for sec in index.family_sectors()]
+            for region in kernel_regions(cmap):
+                grid = cmap.pair_basis(region)
+                xs = [oracle._pattern_matrix(cmap, grid, rng, ()) for rng in ranges]
+                for x1, x2 in itertools.product(xs, repeat=2):
+                    want = scipy_gram_sq(x1, x2)
+                    assert oracle._pattern_trace(x1, x2) == pytest.approx(want, rel=1e-12, abs=1e-300)
+                    crossed += x1 is not x2 and want > 0
+        assert crossed > 0
+
+    def test_pair_gram_on_random_sparse_matrices(self):
+        """Both ways a cell is numbered: on the ranks directly where they
+        span few cells per pair, renumbered where they span many."""
+        rng = np.random.default_rng(11)
+
+        def entries(nrows, ncols, nnz):
+            flat = rng.choice(nrows * ncols, size=nnz, replace=False)
+            value = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
+            return flat // ncols, flat % ncols, value
+
+        for nrows, ncols, nnz in [(6, 5, 24), (3, 10**6, 40), (10**6, 3, 40), (40, 40, 90)]:
+            x1, x2 = entries(nrows, ncols, nnz), entries(nrows, 2 * ncols, nnz)
+            for a, b in [(x1, x1), (x1, x2), (x2, x1)]:
+                got = oracle._pair_gram(a[0], a[1], a[2], b[0], b[1], b[2])
+                assert got == pytest.approx(scipy_gram_sq(a, b), rel=1e-12)
+            got = oracle._pair_gram(x1[1], x1[0], x1[2], x1[1], x1[0], x1[2])
+            assert got == pytest.approx(scipy_gram_sq(x1, side="columns"), rel=1e-12)
+        empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
+        assert oracle._pair_gram(*empty, *empty) == 0.0
+        assert oracle._pattern_trace(empty, empty) == 0.0
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_shot_products_match_stacked_product_and_lay_out(self, maps, order):
+        rng = np.random.default_rng(3)
+        for _, cmap in maps:
+            row, col, comp, value = cmap.entries
+            n = len(cmap.weights)
+            stacked = scipy.sparse.csr_array(
+                (value, (row * n + comp, col)), shape=(cmap.out_dim * n, cmap.in_dim)
+            )
+            shots = 5
+            psi = np.asarray(rng.normal(size=(shots, cmap.in_dim)) + 1j * rng.normal(size=(shots, cmap.in_dim)), order=order)
+            phi = (stacked @ psi.T).T
+            tol = 1e-14 * max(1.0, np.abs(phi).max(initial=0.0))
+            out = np.zeros((shots, cmap.out_dim * n), dtype=complex)
+            np.testing.assert_allclose(cmap.row_product(psi, out), phi, rtol=0, atol=tol)
+            phi = phi.reshape(shots, cmap.out_dim, n)
+            for region in kernel_regions(cmap):
+                grid = cmap.pair_basis(region)
+                want = np.stack(
+                    [np.stack([grid.lay_out(phi[s, :, m]) for m in range(n)], axis=-1) for s in range(shots)]
+                ).reshape(shots, -1)
+                product = cmap.grid_product(region)
+                out = grid.zeros((shots, grid.keep_dim * grid.rest_dim * n))
+                # A second block over the same array rewrites every cell it reaches.
+                product(np.ones_like(psi), out)
+                np.testing.assert_allclose(product(psi, out), want, rtol=0, atol=tol)
+                assert cmap.grid_product(region) is product
