@@ -1288,10 +1288,12 @@ class TestMapEntries:
         assert cmap.in_dim == index.space("x").dim
         assert cmap.entries[0].size > 0
         assert peak < 20 * 2**20
-        # Pattern (x) pairs 303,808 entries that share a row: the pair Gram.
+        # Pattern (x) pairs 303,808 entries that share a row: the pair Gram
+        # lists them in chunks of PAIR_BLOCK, so the trace peaks near the
+        # 1.3 MB of a sparse matrix product, not at the 15 MB of every pair.
         region = ["a1", "a2"]
         got, peak = traced_peak(lambda: exact_replica_average(index, region, cmap=cmap))
-        assert peak < 20 * 2**20
+        assert peak < 4 * 2**20
         grid = cmap.pair_basis(resolve_region(index, region))
         want = sum(scipy_gram_sq(oracle._pattern_matrix(cmap, grid, None, u)) for u in [(), (0,)])
         assert got == pytest.approx(want, rel=1e-12)
@@ -1540,9 +1542,10 @@ class TestNumpyKernels:
                     crossed += x1 is not x2 and want > 0
         assert crossed > 0
 
-    def test_pair_gram_on_random_sparse_matrices(self):
-        """Both ways a cell is numbered: on the ranks directly where they
-        span few cells per pair, renumbered where they span many."""
+    def test_pair_gram_on_random_sparse_matrices(self, monkeypatch):
+        """Sparse and dense Grams, with keys far apart and close together,
+        summed in one chunk, in chunks of several rows of G, and one row
+        per chunk (each row lists more pairs than a chunk holds)."""
         rng = np.random.default_rng(11)
 
         def entries(nrows, ncols, nnz):
@@ -1550,13 +1553,16 @@ class TestNumpyKernels:
             value = rng.normal(size=nnz) + 1j * rng.normal(size=nnz)
             return flat // ncols, flat % ncols, value
 
-        for nrows, ncols, nnz in [(6, 5, 24), (3, 10**6, 40), (10**6, 3, 40), (40, 40, 90)]:
-            x1, x2 = entries(nrows, ncols, nnz), entries(nrows, 2 * ncols, nnz)
-            for a, b in [(x1, x1), (x1, x2), (x2, x1)]:
-                got = oracle._pair_gram(a[0], a[1], a[2], b[0], b[1], b[2])
-                assert got == pytest.approx(scipy_gram_sq(a, b), rel=1e-12)
-            got = oracle._pair_gram(x1[1], x1[0], x1[2], x1[1], x1[0], x1[2])
-            assert got == pytest.approx(scipy_gram_sq(x1, side="columns"), rel=1e-12)
+        shapes = [(6, 5, 24), (3, 10**6, 40), (10**6, 3, 40), (40, 40, 90)]
+        cases = [(entries(r, c, nnz), entries(r, 2 * c, nnz)) for r, c, nnz in shapes]
+        for block in (oracle.PAIR_BLOCK, 7, 1):
+            monkeypatch.setattr(oracle, "PAIR_BLOCK", block)
+            for x1, x2 in cases:
+                for a, b in [(x1, x1), (x1, x2), (x2, x1)]:
+                    got = oracle._pair_gram(a[0], a[1], a[2], b[0], b[1], b[2])
+                    assert got == pytest.approx(scipy_gram_sq(a, b), rel=1e-12)
+                got = oracle._pair_gram(x1[1], x1[0], x1[2], x1[1], x1[0], x1[2])
+                assert got == pytest.approx(scipy_gram_sq(x1, side="columns"), rel=1e-12)
         empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0, dtype=complex))
         assert oracle._pair_gram(*empty, *empty) == 0.0
         assert oracle._pattern_trace(empty, empty) == 0.0
