@@ -12,7 +12,9 @@ configuration it stitches two mixed sectors (j on the links at spin-up
 vertices and k elsewhere, and the reverse), takes the two blocks
 (j, mixed_1) and (k, mixed_2) traced over the spin-up vertices' factors,
 and uses their squared Hilbert-Schmidt norms (relative to the sector
-weights Tr rho_jj, Tr rho_kk) and their Hilbert-Schmidt cosine.
+weights Tr rho_jj, Tr rho_kk) and their Hilbert-Schmidt cosine.  Its
+batched pass asks for each (configuration, ket, bra) block once and
+shares it among the pairs that read it.
 
 The paper states the same construction through X operators, Sigma_B and a
 fidelity angle.  Nothing in the package calls them, so they live with the
@@ -24,6 +26,7 @@ here are tiny.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -269,8 +272,8 @@ class IntertwinerState:
         dims_b = self._block_dims(bra)
         kept_dims_k = [dims_k[i] for i in range(len(order)) if order[i] in keep]
         kept_dims_b = [dims_b[i] for i in range(len(order)) if order[i] in keep]
-        out_rows = int(np.prod(kept_dims_k, dtype=np.int64)) if kept_dims_k else 1
-        out_cols = int(np.prod(kept_dims_b, dtype=np.int64)) if kept_dims_b else 1
+        out_rows = math.prod(kept_dims_k)
+        out_cols = math.prod(kept_dims_b)
         blk = self.blocks.get((ket.key(), bra.key()))
         if blk is None:
             # Blocks the state never populated (e.g. sectors stitched together

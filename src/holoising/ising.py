@@ -47,18 +47,41 @@ an enumeration of all 2^V configurations:
   width would be summed in other pairwise slots.  Memory: the masks built
   once per model (a cut mask, links x configurations, shared by both
   replicas, and one active mask, vertices x configurations, per replica:
-  2^V (L + 2V) bytes of booleans); per call, S x 2^V float64 per replica
+  2^V (L + 2V) bytes of booleans, and where ties occur the rank, 8 bytes
+  per configuration); per call, S x 2^V float64 per replica
   and one more for the shared link part, one boolean mask of 2^V per
   column list, and the column lists of one class (8 bytes per entry).  A
   class is reduced in slices of at most S x max(S, 2^V) entries, the size
   of one energy matrix or of one replica's kernel array, so no block is
-  larger than what the call holds anyway.  A single kernel is the
-  two-sector case.
-* boundary-to-boundary kernels are scored configuration by configuration,
-  once per pair for both replicas, because their Delta depends on partial
-  traces over the whole spin-down set.  The traced blocks, their norms and
-  cosine do not depend on the replica, so each configuration computes them
-  once; only the cut links and their log d_e differ between replicas.
+  larger than what the call holds anyway.
+* boundary-to-boundary kernels are batched over a whole sector list too,
+  in one pass over the configurations.  A pair's cut energy is again j's
+  alone, so one energy matrix per replica (sectors x configurations) holds
+  every pair's, accumulated link by link in `_cut_energy`'s order.  Its
+  Delta and the rest of its energy depend on two traced blocks of the bulk
+  state over the spin-down set, whose ket is j or k and whose bra is a
+  mixed sector stitched from both.  The mixed sectors of all pairs are
+  coded at once, for a slice of configurations, and looked up among the
+  state's sectors; then, one configuration at a time, each traced block
+  (configuration, ket, bra) is taken once, with its norm and log term, and
+  each contributing pair costs one overlap.  Neither depends on the
+  replica.  The allowed entries are kept as compact arrays (row = (pair,
+  replica), configuration, sign, log term, energy): z is the log-sum-exp
+  of each (row, sign) bucket in configuration order, and E_min, ties, gap
+  and representative are order-independent reductions, so every kernel
+  has the bits of scoring its configurations one at a time.  Memory: the
+  masks built once per model (a cut mask per replica, the up mask and its
+  complement: 4 L 2^V bytes of booleans); per call, 2 S x 2^V float64 cut
+  energies, the entries (at most 2 S^2 2^V, 33 bytes each), one slice of
+  coded mixed sectors (`MIX_BLOCK` cells of S^2 T, for T state sectors,
+  or one configuration's S^2 T where that is more), and one
+  configuration's traced blocks.
+
+A single kernel, `_kernel`, is the two-sector case of either.  Both kinds
+break ground-state ties by a rank of the configurations, built once per
+model where a ground state first ties (`IsingModel._rank`).  `_evaluate`
+and `hamiltonian` score one configuration at a time and stay as the
+reference.
 
 Log-sum-exp follows the steps of `scipy.special.logsumexp` in plain numpy,
 so that sums keep scipy's bits.
@@ -165,6 +188,10 @@ from .spins import (
 
 #: Absolute tolerance for counting ground-state ties.
 TIE_TOL = 1e-12
+
+#: Most (sector pair, state sector, configuration) cells whose mixed sectors
+#: the boundary-to-boundary pass codes at once (`_boundary_kernels`).
+MIX_BLOCK = 1 << 16
 
 
 class EngineError(RuntimeError):
@@ -585,12 +612,13 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """
     a_max = a.max(axis=1, keepdims=True)
     top = a == a_max
-    m = np.count_nonzero(top, axis=1, keepdims=True).astype(float)
+    m = top.sum(axis=1, keepdims=True, dtype=float)
     shifted = a - a_max
     np.exp(shifted, out=shifted)
     shifted[top] = 0.0
-    s = shifted.sum(axis=1, keepdims=True)
-    s = np.where(s == 0, s, s / m)
+    # scipy's where(s == 0, s, s / m): s is never negative and m >= 1, so
+    # s / m is 0.0 exactly where s is.
+    s = shifted.sum(axis=1, keepdims=True) / m
     return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
@@ -608,11 +636,20 @@ def _bucket_logsumexp(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """`_logsumexp` of each bucket of `terms`, which holds the buckets one
     after another with the given lengths, with the bits of reducing the
     bucket alone (-inf for an empty bucket).  The buckets of one length
-    share one `_logsumexp_rows` call.
+    share one `_logsumexp_rows` call, and so do all buckets shorter than 8,
+    padded at the end with -inf to the longest of them: numpy sums a row of
+    fewer than 8 entries one entry after another, and each pad adds
+    exp(-inf) = 0 to a sum of nonnegative terms, so the padding changes no
+    bit.
     """
     starts = np.cumsum(lengths) - lengths
     out = np.full(len(lengths), -math.inf)
-    for n in set(lengths[lengths > 0].tolist()):
+    short = np.flatnonzero((lengths > 0) & (lengths < 8))
+    if short.size:
+        offsets = np.arange(lengths[short].max())
+        index = np.where(offsets < lengths[short, None], starts[short, None] + offsets, len(terms))
+        out[short] = _logsumexp_rows(np.append(terms, -math.inf)[index])
+    for n in set(lengths[lengths >= 8].tolist()):
         buckets = np.flatnonzero(lengths == n)
         out[buckets] = _logsumexp_rows(terms[starts[buckets, None] + np.arange(n)])
     return out
@@ -987,7 +1024,6 @@ class IsingModel:
         self.kind = kind
         self.state = state
         self.exhaustive_limit = int(exhaustive_limit)
-        self._masks: Optional[Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray]]] = None
         if kind.is_boundary_to_boundary:
             if kind.partition is None:
                 raise EngineError("boundary-to-boundary kind lost its partition")
@@ -1187,26 +1223,50 @@ class IsingModel:
             )
         )
 
-    def _bulk_masks(
-        self,
-    ) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
+    @functools.cached_property
+    def _down(self) -> np.ndarray:
+        """Boolean mask over all configurations in `_configurations` order,
+        built once: down[p, i] is True where configuration i has spin -1 on
+        vertex p."""
+        nv = self._check_limit()
+        return ((np.arange(2**nv) >> np.arange(nv - 1, -1, -1)[:, None]) & 1).astype(bool)
+
+    @functools.cached_property
+    def _rank(self) -> np.ndarray:
+        """rank[i] is configuration i's position when configurations are
+        ordered by their sorted tuple of spin-down vertex ids, a prefix
+        sorting first: the ground-state tie-break, built on first use, when
+        some ground state ties.
+
+        Let q_1 < ... < q_m be the positions (in id order, of nv) of i's
+        spin-down vertices, and q_0 = -1.  The configurations before i are
+        its m proper prefixes and, for each t, those that agree with it up
+        to q_{t-1}, take next some r with q_{t-1} < r < q_t, and any of the
+        2^(nv-1-r) sets above r.  So rank = sum over t of
+        1 + 2^(nv-1-q_{t-1}) - 2^(nv-q_t)."""
+        down = self._down
+        nv, size = down.shape
+        rank = np.zeros(size, dtype=np.int64)
+        last = np.full(size, -1, dtype=np.int64)  # q of the last spin-down vertex so far
+        for q, p in enumerate(sorted(range(nv), key=self.graph.vertices.__getitem__)):
+            at = down[p]
+            rank[at] += 1 + np.left_shift(1, nv - 1 - last[at]) - (1 << (nv - q))
+            last[at] = q
+        return rank
+
+    @functools.cached_property
+    def _bulk_masks(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
         """(cut, active per replica, incidence), built once.  `cut` and
         `active` are boolean masks over all configurations: rows are links in
         `link_ids` order (`cut`) or vertices (`active`), columns are
         configurations in `_configurations` order, so that each row is
         contiguous.  `incidence` (vertices x links) marks the links at each
         vertex."""
-        if self._masks is not None:
-            return self._masks
-        nv = self._check_limit()
-        index = np.arange(2**nv)
-        down = np.empty((nv, index.size), dtype=bool)
-        for p in range(nv):
-            down[p] = (index >> (nv - 1 - p)) & 1
+        down = self._down
         row = {x: p for p, x in enumerate(self.graph.vertices)}
         links = self.graph.link_ids()
-        cut = np.empty((len(links), index.size), dtype=bool)
-        incidence = np.zeros((nv, len(links)), dtype=bool)
+        cut = np.empty((len(links), down.shape[1]), dtype=bool)
+        incidence = np.zeros((len(row), len(links)), dtype=bool)
         for li, lid in enumerate(links):
             src, tgt = self.graph.endpoints(lid)
             incidence[row[src], li] = True
@@ -1215,8 +1275,34 @@ class IsingModel:
             # Boundary legs end on virtual vertices pinned to +1 in this kind.
             cut[li] = down[row[src]] != down[row[tgt]] if tgt in row else down[row[src]]
         # A vertex is active where its spin opposes the replica field b.
-        self._masks = (cut, (down, ~down), incidence)
-        return self._masks
+        return cut, (down, ~down), incidence
+
+    @functools.cached_property
+    def _boundary_masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(cut, sides), built once: boolean masks (2, links, configurations)
+        with links in `link_ids` order and configurations in
+        `_configurations` order.  cut[b, l] marks where link l is cut in
+        replica b, its boundary leg ending on a virtual vertex pinned as
+        `boundary_pin` says (to -1 for the input legs in replica 1).
+        sides[0, l] marks where l has a spin-up end among the graph's
+        vertices, and sides[1] is its complement."""
+        down = self._down
+        row = {x: p for p, x in enumerate(self.graph.vertices)}
+        links = self.graph.link_ids()
+        cut = np.empty((2, len(links), down.shape[1]), dtype=bool)
+        sides = np.empty_like(cut)
+        for li, lid in enumerate(links):
+            src, tgt = self.graph.endpoints(lid)
+            s = down[row[src]]
+            if tgt in row:
+                cut[:, li] = s != down[row[tgt]]
+                sides[1, li] = s & down[row[tgt]]
+            else:
+                for replica in (0, 1):
+                    cut[replica, li] = s if self.boundary_pin(lid, replica) > 0 else ~s
+                sides[1, li] = s
+        sides[0] = ~sides[1]
+        return cut, sides
 
     def _bulk_kernels(self, sectors: Union[Sequence[SpinSector], SectorSet]) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
@@ -1252,7 +1338,7 @@ class IsingModel:
         what the call holds anyway.
         """
         sectors = sectors if isinstance(sectors, SectorSet) else self.sector_set(sectors)
-        cut, actives, incidence = self._bulk_masks()
+        cut, actives, incidence = self._bulk_masks
         count, size = len(sectors), cut.shape[1]
         twice = sectors.twice
         link_part = np.zeros((count, size))
@@ -1310,7 +1396,9 @@ class IsingModel:
         """(z, E_min, degeneracy, gap, representative) of each row of
         `energy` (rows x k, finite).  Row i holds the energies of the
         configurations `cols[of_row[i]]`, ascending indices into
-        `_configurations`; z is the sum of e^-E over the row."""
+        `_configurations`; z is the sum of e^-E over the row.  Where several
+        configurations tie, the representative is the one of least rank
+        (`_rank`)."""
         if energy.shape[1] == 0:
             return (np.zeros(len(energy)), *_infeasible(len(energy)))
         z = np.array([math.exp(v) for v in _logsumexp_rows(0.0 - energy).tolist()])
@@ -1319,64 +1407,173 @@ class IsingModel:
         degeneracy = np.count_nonzero(tied, axis=1)
         gap = np.where(tied, math.inf, energy).min(axis=1) - e_min
         rep = cols[of_row, tied.argmax(axis=1)]
-        for i in np.flatnonzero(degeneracy > 1):
-            rep[i] = self._first_by_down_set(cols[of_row[i], tied[i]])
+        ties = np.flatnonzero(degeneracy > 1)
+        if ties.size:
+            tied_cols = cols[of_row[ties]]
+            ranks = np.where(tied[ties], self._rank[tied_cols], np.iinfo(np.int64).max)
+            rep[ties] = tied_cols[np.arange(ties.size), ranks.argmin(axis=1)]
         return z, e_min, degeneracy, gap, rep
 
-    def _bulk_kernel(
-        self, j: SpinSector, k: SpinSector, replica: int
-    ) -> Tuple[float, GroundState]:
-        """Kernel and ground state of one bulk-to-boundary (pair, replica):
-        the two-sector case of `_bulk_kernels`."""
-        self._check_pair(j, k, replica)
-        return self._result(*self._bulk_kernels([j, k]).at((0, 1, replica)))
+    def _boundary_kernels(self, sectors: SectorSet) -> _PairKernels:
+        """Kernels and ground states of every ordered pair of `sectors`, in
+        both boundary-to-boundary replicas, from one pass over the
+        configurations.
 
-    def _enumerated_kernels(self, j: SpinSector, k: SpinSector) -> List[Tuple]:
-        """(z, E_min, degeneracy, gap, representative) of a
-        boundary-to-boundary pair in replicas 0 and 1, from one pass over
-        all configurations.  A configuration's traced blocks are evaluated
-        once, if some replica allows its cut, and shared."""
-        found = [([], [], [], []) for _ in (0, 1)]  # pos, neg, energies, rows
-        for index, config in enumerate(self._configurations()):
-            cuts = [self._cut_energy(j, k, config, replica) for replica in (0, 1)]
-            if all(lam_cut is None for lam_cut in cuts):
+        On a configuration, pair (j, k) is allowed in replica b where no
+        link cut in b has different spins in j and k; its cut energy is
+        then j's alone, so one matrix per replica (sectors x
+        configurations), accumulated link by link as `_cut_energy` sums,
+        holds every pair's.  Its Delta and the rest of its energy come from
+        two traced blocks over the spin-down vertices (`_boundary_terms`):
+        (j, mixed_1) and (k, mixed_2), where mixed_1 carries j's spins on
+        the links at spin-up vertices and k's elsewhere, and mixed_2 is
+        mixed_1 of (k, j).  The mixed sectors of all pairs are coded at
+        once, for a slice of configurations of at most `MIX_BLOCK`
+        (pair, state sector, configuration) cells, and looked up among the
+        state's sectors: a sector the state does not hold has no block, so
+        Delta = 0 there.  Then, one configuration at a time, each traced
+        block (ket, bra) is taken once, with its squared norm and log term,
+        and kept only while that configuration is processed; each
+        contributing pair needs one overlap.
+
+        The allowed entries are kept as compact arrays (row = (pair,
+        replica), configuration, sign, log term, energy) and reduced by
+        `_reduce_entries`.  Every step computes what `_evaluate` computes,
+        with the same operations in the same order, so each kernel keeps
+        its bits.  Memory as the module docstring states: the masks, the
+        cut energies, the entries, one coded slice, and one
+        configuration's traced blocks."""
+        state = self.state
+        (cut, sides), down = self._boundary_masks, self._down
+        twice, links = sectors.twice, self.graph.link_ids()
+        (count, nl), size = twice.shape, cut.shape[2]
+        energy = np.zeros((2, count, size))  # [replica, sector, configuration]
+        lam = _log_table((twice + 1).tolist(), 0.0).reshape(count, nl)
+        for li in range(nl):
+            np.add(energy, lam[None, :, li, None], out=energy, where=cut[:, li, None])
+        kets, bras = sectors.sectors, state.sectors
+        nb, vertices = len(bras), self.graph.vertices
+        held = np.array([sec.twice_of(links) for sec in bras], dtype=np.int64).reshape(nb, nl)
+        # Pairs (a, b), and pairs (a, state sector), by the links where they differ.
+        differs = (twice[:, None] != twice[None, :]).reshape(count * count, nl)
+        foreign = (twice[:, None] != held[None, :]).reshape(count * nb, nl)
+        weights = [state.weight(sec) for sec in kets]
+        weighted = np.array(weights) > 0.0
+        weighted = (weighted[:, None] & weighted[None, :])[:, :, None]
+        step = max(1, MIX_BLOCK // max(1, count * count * nb))
+        found = []  # per slice: (row, configuration, negative, log term, energy)
+        for start in range(0, size, step):
+            width = min(step, size - start)
+            part = slice(start, start + width)
+            allowed = ~(differs @ cut[:, :, part]).reshape(2, count, count, width)
+            # mixed_1 of (a, b) is the state sector with which a agrees on
+            # the links at spin-up vertices and b on the others, if any.
+            up, rest = ~(foreign @ sides[:, :, part]).reshape(2, count, nb, width)
+            match = up[:, None] & rest[None, :]
+            mixed = np.where(match.any(axis=2), match.argmax(axis=2), -1)
+            live = (allowed[0] | allowed[1]) & (mixed >= 0) & (mixed.transpose(1, 0, 2) >= 0) & weighted
+            c, a, b = np.nonzero(live.transpose(2, 0, 1))
+            if not c.size:
                 continue
-            terms = self._boundary_terms(j, k, config)
-            for lam_cut, (pos, neg, energies, rows) in zip(cuts, found):
-                if lam_cut is None:
+            # Number the blocks (configuration, ket, bra) that the live
+            # pairs read: (a, mixed_1) and (b, mixed_2), the first block of
+            # (b, a), which is live too.
+            code = (c * count + a) * nb + mixed[a, b, c]
+            held_blocks = np.zeros(width * count * nb, dtype=bool)
+            held_blocks[code] = True
+            number = np.cumsum(held_blocks) - 1
+            first, second = number[code], number[(c * count + b) * nb + mixed[b, a, c]]
+            blocks_at = np.cumsum(held_blocks.reshape(width, -1).sum(axis=1)).tolist()
+            pairs_at = np.searchsorted(c, np.arange(1, width + 1)).tolist()
+            kets_bras = np.divmod(np.flatnonzero(held_blocks) % (count * nb), nb)
+            kets_bras = list(zip(*(x.tolist() for x in kets_bras)))
+            pairs = list(zip(first.tolist(), second.tolist()))
+            norms, halves, overlap = [], [], []
+            block_lo = pair_lo = 0
+            for i, (block_hi, pair_hi) in enumerate(zip(blocks_at, pairs_at)):
+                if pair_hi == pair_lo:
                     continue
-                delta, energy = self._boundary_value(terms, lam_cut)
-                if delta == 0.0 or energy is None or math.isinf(energy):
-                    continue
-                log_mag = math.log(abs(delta)) - energy
-                (pos if delta > 0 else neg).append(log_mag)
-                energies.append(energy)
-                rows.append(index)
-        out = []
-        for pos, neg, energies, rows in found:
-            ground = self._reduce_rows(np.array([energies]), np.array([rows]), np.zeros(1, int))[1:]
-            out.append((_signed_sum(pos, neg)[0], *(x[0] for x in ground)))
-        return out
+                keep = [x for p, x in enumerate(vertices) if down[p, start + i]]
+                blocks = [state.traced_block(kets[ket], bras[bra], keep) for ket, bra in kets_bras[block_lo:block_hi]]
+                for block, (ket, _) in zip(blocks, kets_bras[block_lo:block_hi]):
+                    norms.append(float((np.abs(block) ** 2).sum()))
+                    halves.append(0.5 * math.log(norms[-1] / weights[ket] ** 2) if norms[-1] else 0.0)
+                overlap += [
+                    (blocks[p - block_lo] @ blocks[q - block_lo]).trace().real if norms[p] and norms[q] else 0.0
+                    for p, q in pairs[pair_lo:pair_hi]
+                ]
+                block_lo, pair_lo = block_hi, pair_hi
+            norms, halves, overlap = np.array(norms), np.array(halves), np.array(overlap)
+            # Delta is the cosine: zero where a norm or the overlap is.
+            on = np.flatnonzero(overlap)
+            cos = overlap[on] / np.sqrt(norms[first[on]] * norms[second[on]])
+            on, cos = on[cos != 0.0], cos[cos != 0.0]
+            log_cos = np.array(list(map(math.log, np.abs(cos).tolist())), dtype=float)
+            replica, n = np.nonzero(allowed[:, a[on], b[on], c[on]])
+            on = on[n]
+            e = (energy[replica, a[on], start + c[on]] - halves[first[on]]) - halves[second[on]]
+            finite = ~np.isinf(e)
+            on, n, replica, e = on[finite], n[finite], replica[finite], e[finite]
+            found.append(((a[on] * count + b[on]) * 2 + replica, start + c[on], cos[n] < 0.0, log_cos[n] - e, e))
+        if not found:
+            return _PairKernels.empty((count, count, 2))
+        entries = [np.concatenate(x) for x in zip(*found)]
+        return _PairKernels(*(x.reshape(count, count, 2) for x in self._reduce_entries(count * count * 2, *entries)))
+
+    def _reduce_entries(
+        self, nrows: int, row: np.ndarray, config: np.ndarray, negative: np.ndarray, log: np.ndarray, energy: np.ndarray
+    ) -> Tuple[np.ndarray, ...]:
+        """(z, E_min, degeneracy, gap, representative) of each of `nrows`
+        rows from compact entries: entry i of row `row[i]` is configuration
+        `config[i]` with energy `energy[i]` and weight
+        (-1)^negative[i] exp(log[i]); a row holds a configuration at most
+        once, and the entries are listed in ascending configuration order.
+
+        z sums each (row, sign) bucket by `_bucket_logsumexp`, its terms in
+        configuration order (one stable argsort of the bucket ids), and
+        joins the two signs by `_signed_logs`.  E_min, the ties within
+        `TIE_TOL`, the gap and the representative (the tie of least rank,
+        `_rank`) are order-independent reductions.  So each row has
+        the bits of reducing it alone."""
+        ids = row * 2 + negative
+        lengths = np.bincount(ids, minlength=2 * nrows)
+        sums = _bucket_logsumexp(log[np.argsort(ids, kind="stable")], lengths).reshape(nrows, 2).tolist()
+        z = np.zeros(nrows)
+        for r in np.flatnonzero(lengths.reshape(nrows, 2).any(axis=1)).tolist():
+            z[r] = _signed_logs(*sums[r])[0]
+        e_min, _, gap, rep = _infeasible(nrows)
+        np.minimum.at(e_min, row, energy)
+        tied = energy - e_min[row] <= TIE_TOL
+        degeneracy = np.bincount(row[tied], minlength=nrows)
+        np.minimum.at(gap, row[~tied], energy[~tied])
+        feasible = degeneracy > 0
+        gap[feasible] -= e_min[feasible]
+        # The least (rank, configuration) key of each row's ties; the
+        # configuration alone where no row ties.
+        size = self._down.shape[1]
+        key = config[tied]
+        if (degeneracy > 1).any():
+            key = self._rank[key] * size + key
+        least = np.full(nrows, np.iinfo(np.int64).max)
+        np.minimum.at(least, row[tied], key)
+        rep[feasible] = least[feasible] % size
+        return z, e_min, degeneracy, gap, rep
 
     def _pair_kernels(self, sectors: SectorSet) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
-        both replicas."""
-        if not self.kind.is_boundary_to_boundary:
-            return self._bulk_kernels(sectors)
-        kernels = _PairKernels.empty((len(sectors), len(sectors), 2))
-        for a, j in enumerate(sectors.sectors):
-            for b, k in enumerate(sectors.sectors):
-                for replica, values in enumerate(self._enumerated_kernels(j, k)):
-                    kernels.put((a, b, replica), values)
-        return kernels
+        both replicas: `_bulk_kernels` or `_boundary_kernels`, each one
+        batched pass over the sector list."""
+        if self.kind.is_boundary_to_boundary:
+            return self._boundary_kernels(sectors)
+        return self._bulk_kernels(sectors)
 
     def _kernel(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
-        if self.kind.is_boundary_to_boundary:
-            self._check_pair(j, k, replica)
-            return self._result(*self._enumerated_kernels(j, k)[replica])
-        return self._bulk_kernel(j, k, replica)
+        """Kernel and ground state of one (pair, replica): the two-sector
+        case of `_pair_kernels`."""
+        self._check_pair(j, k, replica)
+        return self._result(*self._pair_kernels(self.sector_set([j, k])).at((0, 1, replica)))
 
     def _result(self, z, e_min, degeneracy, gap, rep) -> Tuple[float, GroundState]:
         """(z, GroundState) from one pair's kernel values."""
@@ -1386,29 +1583,6 @@ class IsingModel:
             degeneracy=int(degeneracy),
             gap=float(gap),
         )
-
-    def _first_by_down_set(self, rows: np.ndarray) -> int:
-        """The configuration index whose sorted tuple of spin-down vertex
-        ids is lexicographically smallest (a prefix sorts first)."""
-        if rows.size == 1:
-            return int(rows[0])
-        vertices = self.graph.vertices
-        nv = len(vertices)
-        by_id = sorted(range(nv), key=vertices.__getitem__)
-        # Row r: ranks (in id order) of r's spin-down vertices, ascending,
-        # padded with -1 so that comparing fixed-length rows gives tuple order.
-        keys = np.empty((rows.size, nv), dtype=np.int16)
-        for rank, p in enumerate(by_id):
-            keys[:, rank] = np.where((rows >> (nv - 1 - p)) & 1, rank, nv)
-        keys.sort(axis=1)
-        keys[keys == nv] = -1
-        best = np.arange(rows.size)
-        for column in keys.T:
-            values = column[best]
-            best = best[values == values.min()]
-            if best.size == 1:
-                break
-        return int(rows[best[0]])
 
     def partition_sum_fixed(
         self, j: SpinSector, k: SpinSector, replica: int
@@ -1505,7 +1679,10 @@ class IsingModel:
         rows are grouped by how many configurations they allow and reduced
         once per (count, replica) class, so that each row keeps the bits of
         summing it alone (see `_bulk_kernels`).  For the
-        boundary-to-boundary kind it is one enumeration per pair.
+        boundary-to-boundary kind it is one pass over the configurations
+        for all pairs, which takes each traced block once per
+        configuration and reduces compact entries (see
+        `_boundary_kernels`).
 
         A bulk-to-boundary `partition_table()` on the default pool fills
         the module's one held family pool (see the module docstring): the

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 from conftest import (
@@ -16,20 +18,25 @@ from conftest import (
     bridge_state,
     random_instance,
 )
+from holoising import ising
+from holoising.bulk import IntertwinerState, vertex_block_dims
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import (
     TIE_TOL,
     ContractViolation,
     EngineError,
+    GroundState,
     IsingConfig,
     IsingModel,
     ModelKind,
     TotalsOverflowError,
+    _bucket_logsumexp,
     _logsumexp_rows,
     _signed_sum,
     _unique_bool_rows,
     couplings,
 )
+from holoising.oracle import OracleError, build_cmap, build_hilbert, exact_replica_average
 from holoising.spins import SectorFamily, Spin, SpinSector, intertwiner_dim
 
 
@@ -656,7 +663,7 @@ class TestCompiledKernel:
             graph, family, _, _ = random_instance(rng, nv_choices=nv_choices)
             model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
             sectors = model.default_sectors()[:6]
-            found = self.assert_matches(model, sectors, model._bulk_kernel)
+            found = self.assert_matches(model, sectors, model._kernel)
             for key in seen:
                 seen[key] += found[key]
         assert all(seen.values()), seen
@@ -671,7 +678,7 @@ class TestCompiledKernel:
         allowed.update({"e3": ["1", "2", "3"], "t1": ["1/2", "1"]})
         family = SectorFamily.build(graph, "0", "3", allowed=allowed, normalize=False)
         model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-        seen = self.assert_matches(model, model.default_sectors(), model._bulk_kernel)
+        seen = self.assert_matches(model, model.default_sectors(), model._kernel)
         assert all(seen.values()), seen
 
     def test_near_ties_and_summation_order(self):
@@ -684,7 +691,7 @@ class TestCompiledKernel:
         allowed.update({"e1": ["1", "2"], "r": ["1/2", "3/2"], "u1": ["3/2"]})
         family = SectorFamily.build(graph, "1/2", "2", allowed=allowed, normalize=False)
         model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-        self.assert_matches(model, model.default_sectors(), model._bulk_kernel)
+        self.assert_matches(model, model.default_sectors(), model._kernel)
 
     def test_boundary_to_boundary_single_pass(self):
         rng = np.random.default_rng(7)
@@ -705,7 +712,7 @@ class TestCompiledKernel:
         low, high = bridge_sectors(graph, 1)
         model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
         for replica in (0, 1):
-            z, ground = model._bulk_kernel(low, high, replica)
+            z, ground = model._kernel(low, high, replica)
             assert model.partition_sum_fixed(low, high, replica) == z
             assert model.ground_state(low, high, replica) == ground
 
@@ -744,6 +751,21 @@ class TestLogSumExp:
             seen["repeated_max"] += np.count_nonzero(top) > 1
             seen["underflow"] += (~top).any() and not np.exp(a[~top] - a.max()).any()
         assert all(seen.values()), seen
+
+    def test_buckets(self):
+        """Fifty buckets of each length 0-20, shuffled into one array, each
+        with the bits of scipy on the bucket alone: the buckets below 8
+        share one block padded to the longest of them, the others one
+        block per length.  Padding a bucket of 4-7 terms to 8 would change
+        bits."""
+        rng = np.random.default_rng(8)
+        lengths = rng.permutation(np.repeat(np.arange(21), 50))
+        terms = rng.normal(size=lengths.sum()) * rng.choice([0.5, 1.0, 40.0], size=lengths.sum())
+        starts = np.cumsum(lengths) - lengths
+        terms[starts[lengths == 5][0] : starts[lengths == 5][0] + 5] = 1.5  # tied maxima
+        got = _bucket_logsumexp(terms, lengths)
+        want = [float(logsumexp(terms[a : a + n])) if n else -math.inf for a, n in zip(starts, lengths)]
+        assert [float(v).hex() for v in got] == [v.hex() for v in want]
 
     def test_long_rows_and_strided_blocks(self):
         """Rows whose lengths straddle numpy's 8-wide unrolled sums, its
@@ -800,27 +822,30 @@ def count_class_chain_model(extra=None):
     return IsingModel(graph, family, ModelKind.bulk_to_boundary())
 
 
+def assert_kernels_match(model, sectors, kernels):
+    """Every ordered pair of `sectors` and replica of `kernels` (a
+    `_PairKernels`) has the bits of `brute_force`."""
+    for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
+        for replica in (0, 1):
+            z, e_min, degeneracy, gap, rep = brute_force(model, j, k, replica)
+            at = (a, b, replica)
+            assert float(kernels.z[at]).hex() == float(z).hex()
+            assert float(kernels.e_min[at]).hex() == float(e_min).hex()
+            assert kernels.degeneracy[at] == degeneracy
+            assert float(kernels.gap[at]).hex() == float(gap).hex()
+            got = None if kernels.rep[at] < 0 else model._config(int(kernels.rep[at]))
+            assert got == rep
+
+
 class TestBatchedKernels:
     """`_bulk_kernels` on whole sector lists, pair by pair, against the
     per-configuration `brute_force`."""
 
     def assert_matches(self, model, sectors):
         """Returns the number of distinct sets of differing links."""
-        kernels = model._bulk_kernels(sectors)
+        assert_kernels_match(model, sectors, model._bulk_kernels(sectors))
         links = model.graph.link_ids()
-        differing = set()
-        for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
-            differing.add(tuple(j.spin(lid) != k.spin(lid) for lid in links))
-            for replica in (0, 1):
-                z, e_min, degeneracy, gap, rep = brute_force(model, j, k, replica)
-                at = (a, b, replica)
-                assert float(kernels.z[at]).hex() == float(z).hex()
-                assert float(kernels.e_min[at]).hex() == float(e_min).hex()
-                assert kernels.degeneracy[at] == degeneracy
-                assert float(kernels.gap[at]).hex() == float(gap).hex()
-                got = None if kernels.rep[at] < 0 else model._config(int(kernels.rep[at]))
-                assert got == rep
-        return len(differing)
+        return len({tuple(j.spin(lid) != k.spin(lid) for lid in links) for j in sectors for k in sectors})
 
     def test_random_instances(self):
         """The draws of `TestCompiledKernel.test_random_instances` (two
@@ -935,10 +960,27 @@ class TestBatchedKernels:
         kernels = model._bulk_kernels(sectors)
         for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
             for replica in (0, 1):
-                z, ground = model._bulk_kernel(j, k, replica)
+                z, ground = model._kernel(j, k, replica)
                 assert z == kernels.z[a, b, replica]
                 assert ground.energy == kernels.e_min[a, b, replica]
                 assert ground.degeneracy == kernels.degeneracy[a, b, replica]
+
+    def test_rank_orders_by_sorted_down_set(self):
+        """`_rank` orders configurations by their sorted tuple of
+        spin-down vertex ids, a prefix first, where the id order is not
+        the graph's vertex order."""
+        ids = ["d", "b", "e", "a", "c"]
+        graph = build_graph(
+            {
+                "vertices": [{"id": x, "valence": 3} for x in ids],
+                "links": [{"id": f"l{p}", "ends": [[ids[p], 0], [ids[p + 1], 1]]} for p in range(4)]
+                + [{"id": f"t{p}", "end": [x, 2]} for p, x in enumerate(ids)]
+                + [{"id": "u0", "end": ["d", 1]}, {"id": "u4", "end": ["c", 0]}],
+            }
+        )
+        model = IsingModel(graph, SectorFamily.build(graph, "1", "1"), ModelKind.bulk_to_boundary())
+        order = sorted(range(32), key=lambda i: tuple(sorted(model._config(i).down_set())))
+        assert model._rank[order].tolist() == list(range(32))
 
     @pytest.mark.parametrize("width", [0, 1, 5, 40, 64, 65, 130])
     def test_packed_grouping_matches_unique(self, width):
@@ -953,6 +995,198 @@ class TestBatchedKernels:
             assert lists.dtype == bool
             assert np.array_equal(lists, ref_lists)
             assert np.array_equal(group, ref_group.reshape(-1))
+
+
+# -- boundary-to-boundary kernels against brute force and the oracle --------
+
+
+@st.composite
+def boundary_instances(draw, vertex_counts=st.integers(1, 3)):
+    """(graph, family, state, partition, Hilbert index) of a
+    boundary-to-boundary model: a tree of 1-3 vertices (as many as
+    `vertex_counts` draws), each 3- or 4-valent with a boundary leg; spins
+    0-3/2 per link, the last leg of each vertex fitted to the others so
+    that the vertex has intertwiners; at most two superposed links alone
+    and one otherwise; complex link weights; a pure or rank-2 mixed bulk
+    state on 1-3 admissible sectors; and a proper, nonempty input region.
+    Draws without admissible sectors or with a Hilbert space above 2000
+    are rejected."""
+    nv = draw(vertex_counts)
+    valences = [draw(st.integers(3, 4)) for _ in range(nv)]
+    free = {i: list(range(valences[i])) for i in range(nv)}
+    links = []
+    for i in range(1, nv):
+        j = draw(st.integers(0, i - 1))
+        links.append({"id": f"e{i}", "ends": [[f"v{j}", free[j].pop(0)], [f"v{i}", free[i].pop(0)]]})
+    legs = [(i, p) for i in range(nv) for p in free[i]]
+    links += [{"id": f"b{n}", "end": [f"v{i}", p]} for n, (i, p) in enumerate(legs)]
+    graph = build_graph({"vertices": [{"id": f"v{i}", "valence": valences[i]} for i in range(nv)], "links": links})
+    last_legs = {f"v{i}": f"b{n}" for n, (i, _) in enumerate(legs)}
+    superposed = draw(st.sets(st.sampled_from(graph.link_ids()), max_size=2 if nv == 1 else 1))
+    spins = st.sampled_from([["0"], ["1/2"], ["1"], ["3/2"]])
+    superposed_spins = st.sampled_from([["0", "1"], ["1/2", "3/2"], ["1/2", "1"]])
+    allowed = {
+        lid: draw(superposed_spins if lid in superposed else spins)
+        for lid in graph.link_ids()
+        if lid not in last_legs.values()
+    }
+    # The last leg of each vertex takes spins admissible with the first
+    # spin of each of the vertex's other links.
+    for x, lid in last_legs.items():
+        others = [Spin.parse(allowed[other][0]) for other in graph.links_at(x) if other != lid]
+        fits = [t for t in ("0", "1/2", "1", "3/2", "2") if intertwiner_dim((*others, Spin.parse(t))) > 0]
+        allowed[lid] = draw(st.lists(st.sampled_from(fits), min_size=1, max_size=1 + (lid in superposed), unique=True))
+    weight = st.complex_numbers(min_magnitude=0.2, max_magnitude=1.0)
+    weights = {lid: {spin: draw(weight) for spin in allowed[lid]} for lid in graph.internal_ids()}
+    family = SectorFamily.build(graph, "0", "2", allowed=allowed, weights=weights, normalize=True)
+    try:
+        index = build_hilbert(graph, family, cap=2000)
+    except OracleError:
+        assume(False)
+    sectors = index.family_sectors()
+    assume(sectors)
+    picks = draw(st.lists(st.sampled_from(sectors), min_size=1, max_size=3, unique=True))
+    sizes = [math.prod(vertex_block_dims(graph, sec)) for sec in picks]
+    amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
+    if draw(st.booleans()):
+        vectors = [np.array(draw(st.lists(amplitude, min_size=n, max_size=n))) for n in sizes]
+        norm = math.sqrt(sum(float(np.vdot(v, v).real) for v in vectors))
+        state = IntertwinerState.from_pure(graph, {sec: v / norm for sec, v in zip(picks, vectors)})
+    else:
+        total = sum(sizes)
+        r = np.array(draw(st.lists(amplitude, min_size=2 * total, max_size=2 * total))).reshape(total, 2)
+        rho = r @ r.conj().T
+        rho /= np.trace(rho).real
+        at = np.cumsum([0] + sizes)
+        blocks = {
+            (x, y): rho[at[a] : at[a + 1], at[b] : at[b + 1]]
+            for a, x in enumerate(picks)
+            for b, y in enumerate(picks)
+            if a <= b
+        }
+        state = IntertwinerState.from_blocks(graph, picks, blocks)
+    bnd = sorted(graph.boundary_ids())
+    inputs = draw(st.lists(st.sampled_from(bnd), min_size=1, max_size=len(bnd) - 1, unique=True))
+    return graph, family, state, BoundaryPartition.from_input(graph, inputs), index
+
+
+def sequential_logsumexp(terms):
+    """The scipy log-sum-exp steps with the shifted terms added one after
+    another, where numpy sums 8 or more in pairwise blocks."""
+    top = terms.max()
+    total = 0.0
+    for value in np.exp(terms - top)[terms != top].tolist():
+        total += value
+    m = float(np.count_nonzero(terms == top))
+    return float(np.log1p(total / m) + np.log(m) + top)
+
+
+class TestBoundaryKernels:
+    """`_boundary_kernels` on whole tables against the per-configuration
+    `brute_force` and the exact oracle."""
+
+    def test_drawn_instances(self, monkeypatch):
+        """On every draw: each kernel has the bits of `brute_force`; the
+        pass takes each traced block at most once per (configuration, ket,
+        bra); coding one configuration per slice changes no bit; and the
+        totals equal the oracle's exact replica averages.  A second series
+        draws three vertices only.  The draws cover pure and mixed states
+        and three-vertex diagonal pairs that allow all 8 configurations,
+        some of whose kernels a sequential sum of their terms would
+        change."""
+        seen = dict.fromkeys(("pure", "mixed", "three_vertex_rows_of_8", "order_sensitive"), 0)
+        traced_block = IntertwinerState.traced_block
+
+        def check(drawn):
+            graph, family, state, part, index = drawn
+            kind = ModelKind.boundary_to_boundary(part)
+            model = IsingModel(graph, family, kind, state=state)
+            calls = []
+
+            def record(self, ket, bra, keep):
+                calls.append((frozenset(keep), ket.key(), bra.key()))
+                return traced_block(self, ket, bra, keep)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(IntertwinerState, "traced_block", record)
+                table = model.partition_table()
+            assert len(calls) == len(set(calls))
+            sectors = table.sectors.sectors
+            assert_kernels_match(model, sectors, table._kernels)
+            with monkeypatch.context() as patch:
+                patch.setattr(ising, "MIX_BLOCK", 1)
+                sliced = model._pair_kernels(table.sectors)
+            assert [x.tobytes() for x in sliced.at(...)] == [x.tobytes() for x in table._kernels.at(...)]
+            cmap = build_cmap(index, kind, state=state)
+            assert table.totals[0] == pytest.approx(exact_replica_average(index, (), cmap=cmap), rel=1e-9)
+            region = sorted(part.input_region)
+            assert table.totals[1] == pytest.approx(exact_replica_average(index, region, cmap=cmap), rel=1e-9)
+            seen["pure" if state.amplitudes is not None else "mixed"] += 1
+            if len(graph.vertices) < 3:
+                return
+            for j, replica in itertools.product(sectors, (0, 1)):
+                found = (model._evaluate(j, j, cfg, replica) for cfg in model._configurations())
+                logs = np.array([math.log(abs(delta)) - energy for delta, energy in found if delta])
+                if len(logs) == 8:
+                    seen["three_vertex_rows_of_8"] += 1
+                    seen["order_sensitive"] += float(logsumexp(logs)).hex() != sequential_logsumexp(logs).hex()
+
+        for vertex_counts, examples in ((st.integers(1, 3), 60), (st.just(3), 40)):
+            run = given(boundary_instances(vertex_counts))(check)
+            settings(
+                max_examples=examples,
+                derandomize=True,
+                database=None,
+                deadline=None,
+                suppress_health_check=[HealthCheck.too_slow],
+            )(run)()
+        assert all(seen.values()), seen
+
+    def test_empty_lists(self):
+        """No sector, or a pair the state does not hold."""
+        graph = bridge_graph()
+        low, high = bridge_sectors(graph, 1)
+        state = bridge_state(graph, (low, high), 0.3, 0.2, 0.1, 0.1j, 0.05)
+        part = BoundaryPartition.from_input(graph, ["c"])
+        model = IsingModel(graph, bridge_family(graph, 1), ModelKind.boundary_to_boundary(part), state=state)
+        table = model.partition_table([])
+        assert table.z.shape == (0, 0, 2) and table.totals == (0.0, 0.0)
+        other = SpinSector.make(graph, {**{lid: low.spin(lid) for lid in graph.link_ids()}, "a3": "1"})
+        for replica in (0, 1):
+            assert model._kernel(low, other, replica) == (0.0, GroundState(None, math.inf, 0, math.inf))
+
+    def test_zero_trace_sector_reached_as_mixed_sector(self):
+        """A state that is no density matrix: sector m has a traceless
+        diagonal block but nonzero blocks with the others, so `weighted()`
+        drops m from the table.  Pair (j, k) differs on leg a3 at L and on
+        leg c at R; where L is up and R down its first mixed sector is m,
+        and replica 1 allows it (input region {b1, b2, c}).  So the kernels
+        must look mixed sectors up among the state's sectors, not the
+        table's."""
+        graph = bridge_graph()
+        allowed = {"e": ["1"], "a1": ["1"], "a2": ["1"], "a3": ["2", "3"], "b1": ["1"], "b2": ["1"], "c": ["2", "3"]}
+        family = SectorFamily.build(graph, "1", "3", allowed=allowed, normalize=False)
+        spins = {lid: spin[0] for lid, spin in allowed.items()}
+        j, k, m, n = (SpinSector.make(graph, {**spins, "a3": a3, "c": c}) for a3, c in ("22", "33", "23", "32"))
+        rng = np.random.default_rng(5)
+        sizes = {sec: math.prod(vertex_block_dims(graph, sec)) for sec in (j, k, m, n)}
+        blocks = {
+            (x, y): rng.normal(size=(sizes[x], sizes[y])) + 1j * rng.normal(size=(sizes[x], sizes[y]))
+            for x, y in itertools.combinations([j, k, m, n], 2)
+        }
+        for sec in (j, k, n):
+            r = rng.normal(size=(sizes[sec], 2))
+            blocks[(sec, sec)] = r @ r.T
+        assert sizes[m] == 2
+        blocks[(m, m)] = np.array([[0.5, 0.25j], [-0.25j, -0.5]])
+        state = IntertwinerState.from_blocks(graph, [j, k, m, n], blocks, require_density=False)
+        part = BoundaryPartition.from_input(graph, ["b1", "b2", "c"])
+        model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
+        table = model.partition_table()
+        assert table.sectors.sectors == (j, k, n)
+        delta, _ = model._evaluate(j, k, IsingConfig.make(graph, {"L": 1, "R": -1}), 1)
+        assert delta != 0.0
+        assert_kernels_match(model, table.sectors.sectors, table._kernels)
 
 
 # -- totals in log domain ----------------------------------------------------
