@@ -26,7 +26,6 @@ here are tiny.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
@@ -272,8 +271,8 @@ class IntertwinerState:
         dims_b = self._block_dims(bra)
         kept_dims_k = [dims_k[i] for i in range(len(order)) if order[i] in keep]
         kept_dims_b = [dims_b[i] for i in range(len(order)) if order[i] in keep]
-        out_rows = math.prod(kept_dims_k)
-        out_cols = math.prod(kept_dims_b)
+        out_rows = int(np.prod(kept_dims_k, dtype=np.int64)) if kept_dims_k else 1
+        out_cols = int(np.prod(kept_dims_b, dtype=np.int64)) if kept_dims_b else 1
         blk = self.blocks.get((ket.key(), bra.key()))
         if blk is None:
             # Blocks the state never populated (e.g. sectors stitched together

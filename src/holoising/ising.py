@@ -45,10 +45,10 @@ an enumeration of all 2^V configurations:
   Grouping by count keeps each row's sum over its own entries, so the bits
   are those of reducing the row alone; a row padded with zeros to a common
   width would be summed in other pairwise slots.  Memory: the masks built
-  once per model (a cut mask, links x configurations, shared by both
-  replicas, and one active mask, vertices x configurations, per replica:
-  2^V (L + 2V) bytes of booleans, and where ties occur the rank, 8 bytes
-  per configuration); per call, S x 2^V float64 per replica
+  once per model (a cut mask per replica, links x configurations, built
+  for both kinds and equal in this one, and one active mask, vertices x
+  configurations, per replica: 2^V (2L + 2V) bytes of booleans, and where
+  ties occur the rank, 8 bytes per configuration); per call, S x 2^V float64 per replica
   and one more for the shared link part, one boolean mask of 2^V per
   column list, and the column lists of one class (8 bytes per entry).  A
   class is reduced in slices of at most S x max(S, 2^V) entries, the size
@@ -61,8 +61,8 @@ an enumeration of all 2^V configurations:
   Delta and the rest of its energy depend on two traced blocks of the bulk
   state over the spin-down set, whose ket is j or k and whose bra is a
   mixed sector stitched from both.  The mixed sectors of all pairs are
-  coded at once, for a slice of configurations, and looked up among the
-  state's sectors; then, one configuration at a time, each traced block
+  coded at once, over all configurations, and looked up among the state's
+  sectors; then, one configuration at a time, each traced block
   (configuration, ket, bra) is taken once, with its norm and log term, and
   each contributing pair costs one overlap.  Neither depends on the
   replica.  The allowed entries are kept as compact arrays (row = (pair,
@@ -70,16 +70,17 @@ an enumeration of all 2^V configurations:
   of each (row, sign) bucket in configuration order, and E_min, ties, gap
   and representative are order-independent reductions, so every kernel
   has the bits of scoring its configurations one at a time.  Memory: the
-  masks built once per model (a cut mask per replica, the up mask and its
-  complement: 4 L 2^V bytes of booleans); per call, 2 S x 2^V float64 cut
-  energies, the entries (at most 2 S^2 2^V, 33 bytes each), one slice of
-  coded mixed sectors (`MIX_BLOCK` cells of S^2 T, for T state sectors,
-  or one configuration's S^2 T where that is more), and one
-  configuration's traced blocks.
+  masks built once per model (the cut per replica and the up mask and
+  its complement, 4 L 2^V bytes of booleans, and the rank, 8 bytes per
+  configuration); per call, 2 S x 2^V float64 cut energies, the entries
+  (at most 2 S^2 2^V, 33 bytes each), the coded mixed sectors (S^2 T 2^V
+  bytes of booleans, for T state sectors, which is no more than the
+  entries' bound while T <= 66), and one configuration's traced blocks.
 
 A single kernel, `_kernel`, is the two-sector case of either.  Both kinds
 break ground-state ties by a rank of the configurations, built once per
-model where a ground state first ties (`IsingModel._rank`).  `_evaluate`
+model (`IsingModel._rank`): by the bulk kind where a ground state first
+ties, by the boundary-to-boundary kind on its first table.  `_evaluate`
 and `hamiltonian` score one configuration at a time and stay as the
 reference.
 
@@ -188,10 +189,6 @@ from .spins import (
 
 #: Absolute tolerance for counting ground-state ties.
 TIE_TOL = 1e-12
-
-#: Most (sector pair, state sector, configuration) cells whose mixed sectors
-#: the boundary-to-boundary pass codes at once (`_boundary_kernels`).
-MIX_BLOCK = 1 << 16
 
 
 class EngineError(RuntimeError):
@@ -612,13 +609,12 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     """
     a_max = a.max(axis=1, keepdims=True)
     top = a == a_max
-    m = top.sum(axis=1, keepdims=True, dtype=float)
+    m = np.count_nonzero(top, axis=1, keepdims=True).astype(float)
     shifted = a - a_max
     np.exp(shifted, out=shifted)
     shifted[top] = 0.0
-    # scipy's where(s == 0, s, s / m): s is never negative and m >= 1, so
-    # s / m is 0.0 exactly where s is.
-    s = shifted.sum(axis=1, keepdims=True) / m
+    s = shifted.sum(axis=1, keepdims=True)
+    s = np.where(s == 0, s, s / m)
     return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
@@ -636,20 +632,11 @@ def _bucket_logsumexp(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """`_logsumexp` of each bucket of `terms`, which holds the buckets one
     after another with the given lengths, with the bits of reducing the
     bucket alone (-inf for an empty bucket).  The buckets of one length
-    share one `_logsumexp_rows` call, and so do all buckets shorter than 8,
-    padded at the end with -inf to the longest of them: numpy sums a row of
-    fewer than 8 entries one entry after another, and each pad adds
-    exp(-inf) = 0 to a sum of nonnegative terms, so the padding changes no
-    bit.
+    share one `_logsumexp_rows` call.
     """
     starts = np.cumsum(lengths) - lengths
     out = np.full(len(lengths), -math.inf)
-    short = np.flatnonzero((lengths > 0) & (lengths < 8))
-    if short.size:
-        offsets = np.arange(lengths[short].max())
-        index = np.where(offsets < lengths[short, None], starts[short, None] + offsets, len(terms))
-        out[short] = _logsumexp_rows(np.append(terms, -math.inf)[index])
-    for n in set(lengths[lengths >= 8].tolist()):
+    for n in set(lengths[lengths > 0].tolist()):
         buckets = np.flatnonzero(lengths == n)
         out[buckets] = _logsumexp_rows(terms[starts[buckets, None] + np.arange(n)])
     return out
@@ -1235,8 +1222,7 @@ class IsingModel:
     def _rank(self) -> np.ndarray:
         """rank[i] is configuration i's position when configurations are
         ordered by their sorted tuple of spin-down vertex ids, a prefix
-        sorting first: the ground-state tie-break, built on first use, when
-        some ground state ties.
+        sorting first: the ground-state tie-break, built on first use.
 
         Let q_1 < ... < q_m be the positions (in id order, of nv) of i's
         spin-down vertices, and q_0 = -1.  The configurations before i are
@@ -1255,54 +1241,49 @@ class IsingModel:
         return rank
 
     @functools.cached_property
-    def _bulk_masks(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """(cut, active per replica, incidence), built once.  `cut` and
-        `active` are boolean masks over all configurations: rows are links in
-        `link_ids` order (`cut`) or vertices (`active`), columns are
-        configurations in `_configurations` order, so that each row is
-        contiguous.  `incidence` (vertices x links) marks the links at each
-        vertex."""
+    def _link_masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(cut, incidence), built once.  `cut` (2, links, configurations)
+        is boolean, links in `link_ids` order and configurations in
+        `_configurations` order, so that each row is contiguous: cut[b, l]
+        marks where link l is cut in replica b, a boundary leg ending on a
+        virtual vertex pinned as `boundary_pin` says.  `incidence` (vertices
+        x links) marks the links at each vertex."""
         down = self._down
         row = {x: p for p, x in enumerate(self.graph.vertices)}
         links = self.graph.link_ids()
-        cut = np.empty((len(links), down.shape[1]), dtype=bool)
+        cut = np.empty((2, len(links), down.shape[1]), dtype=bool)
         incidence = np.zeros((len(row), len(links)), dtype=bool)
         for li, lid in enumerate(links):
             src, tgt = self.graph.endpoints(lid)
             incidence[row[src], li] = True
             if tgt in row:
                 incidence[row[tgt], li] = True
-            # Boundary legs end on virtual vertices pinned to +1 in this kind.
-            cut[li] = down[row[src]] != down[row[tgt]] if tgt in row else down[row[src]]
-        # A vertex is active where its spin opposes the replica field b.
-        return cut, (down, ~down), incidence
+                cut[:, li] = down[row[src]] != down[row[tgt]]
+            else:
+                for replica in (0, 1):
+                    pin_down = self.boundary_pin(lid, replica) < 0
+                    cut[replica, li] = down[row[src]] != pin_down
+        return cut, incidence
+
+    @functools.cached_property
+    def _bulk_masks(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """(cut, active per replica, incidence), built once: `_link_masks`
+        with the cut of replica 0, which is that of both replicas in this
+        kind, and active[p] (vertices x configurations) marking where vertex
+        p's spin opposes the replica field b."""
+        cut, incidence = self._link_masks
+        down = self._down
+        return cut[0], (down, ~down), incidence
 
     @functools.cached_property
     def _boundary_masks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(cut, sides), built once: boolean masks (2, links, configurations)
-        with links in `link_ids` order and configurations in
-        `_configurations` order.  cut[b, l] marks where link l is cut in
-        replica b, its boundary leg ending on a virtual vertex pinned as
-        `boundary_pin` says (to -1 for the input legs in replica 1).
-        sides[0, l] marks where l has a spin-up end among the graph's
-        vertices, and sides[1] is its complement."""
-        down = self._down
-        row = {x: p for p, x in enumerate(self.graph.vertices)}
-        links = self.graph.link_ids()
-        cut = np.empty((2, len(links), down.shape[1]), dtype=bool)
-        sides = np.empty_like(cut)
-        for li, lid in enumerate(links):
-            src, tgt = self.graph.endpoints(lid)
-            s = down[row[src]]
-            if tgt in row:
-                cut[:, li] = s != down[row[tgt]]
-                sides[1, li] = s & down[row[tgt]]
-            else:
-                for replica in (0, 1):
-                    cut[replica, li] = s if self.boundary_pin(lid, replica) > 0 else ~s
-                sides[1, li] = s
-        sides[0] = ~sides[1]
-        return cut, sides
+        """(cut, sides), built once: `_link_masks`'s cut, and sides (2,
+        links, configurations) where sides[0, l] marks where link l has a
+        spin-up end among the graph's vertices, and sides[1] is its
+        complement."""
+        cut, incidence = self._link_masks
+        up = incidence.T @ ~self._down
+        return cut, np.stack([up, ~up])
 
     def _bulk_kernels(self, sectors: Union[Sequence[SpinSector], SectorSet]) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
@@ -1428,10 +1409,9 @@ class IsingModel:
         (j, mixed_1) and (k, mixed_2), where mixed_1 carries j's spins on
         the links at spin-up vertices and k's elsewhere, and mixed_2 is
         mixed_1 of (k, j).  The mixed sectors of all pairs are coded at
-        once, for a slice of configurations of at most `MIX_BLOCK`
-        (pair, state sector, configuration) cells, and looked up among the
-        state's sectors: a sector the state does not hold has no block, so
-        Delta = 0 there.  Then, one configuration at a time, each traced
+        once, over all configurations, and looked up among the state's
+        sectors: a sector the state does not hold has no block, so Delta = 0
+        there.  Then, one configuration at a time, each traced
         block (ket, bra) is taken once, with its squared norm and log term,
         and kept only while that configuration is processed; each
         contributing pair needs one overlap.
@@ -1441,7 +1421,7 @@ class IsingModel:
         `_reduce_entries`.  Every step computes what `_evaluate` computes,
         with the same operations in the same order, so each kernel keeps
         its bits.  Memory as the module docstring states: the masks, the
-        cut energies, the entries, one coded slice, and one
+        cut energies, the coded mixed sectors, the entries, and one
         configuration's traced blocks."""
         state = self.state
         (cut, sides), down = self._boundary_masks, self._down
@@ -1460,64 +1440,56 @@ class IsingModel:
         weights = [state.weight(sec) for sec in kets]
         weighted = np.array(weights) > 0.0
         weighted = (weighted[:, None] & weighted[None, :])[:, :, None]
-        step = max(1, MIX_BLOCK // max(1, count * count * nb))
-        found = []  # per slice: (row, configuration, negative, log term, energy)
-        for start in range(0, size, step):
-            width = min(step, size - start)
-            part = slice(start, start + width)
-            allowed = ~(differs @ cut[:, :, part]).reshape(2, count, count, width)
-            # mixed_1 of (a, b) is the state sector with which a agrees on
-            # the links at spin-up vertices and b on the others, if any.
-            up, rest = ~(foreign @ sides[:, :, part]).reshape(2, count, nb, width)
-            match = up[:, None] & rest[None, :]
-            mixed = np.where(match.any(axis=2), match.argmax(axis=2), -1)
-            live = (allowed[0] | allowed[1]) & (mixed >= 0) & (mixed.transpose(1, 0, 2) >= 0) & weighted
-            c, a, b = np.nonzero(live.transpose(2, 0, 1))
-            if not c.size:
-                continue
-            # Number the blocks (configuration, ket, bra) that the live
-            # pairs read: (a, mixed_1) and (b, mixed_2), the first block of
-            # (b, a), which is live too.
-            code = (c * count + a) * nb + mixed[a, b, c]
-            held_blocks = np.zeros(width * count * nb, dtype=bool)
-            held_blocks[code] = True
-            number = np.cumsum(held_blocks) - 1
-            first, second = number[code], number[(c * count + b) * nb + mixed[b, a, c]]
-            blocks_at = np.cumsum(held_blocks.reshape(width, -1).sum(axis=1)).tolist()
-            pairs_at = np.searchsorted(c, np.arange(1, width + 1)).tolist()
-            kets_bras = np.divmod(np.flatnonzero(held_blocks) % (count * nb), nb)
-            kets_bras = list(zip(*(x.tolist() for x in kets_bras)))
-            pairs = list(zip(first.tolist(), second.tolist()))
-            norms, halves, overlap = [], [], []
-            block_lo = pair_lo = 0
-            for i, (block_hi, pair_hi) in enumerate(zip(blocks_at, pairs_at)):
-                if pair_hi == pair_lo:
-                    continue
-                keep = [x for p, x in enumerate(vertices) if down[p, start + i]]
-                blocks = [state.traced_block(kets[ket], bras[bra], keep) for ket, bra in kets_bras[block_lo:block_hi]]
-                for block, (ket, _) in zip(blocks, kets_bras[block_lo:block_hi]):
-                    norms.append(float((np.abs(block) ** 2).sum()))
-                    halves.append(0.5 * math.log(norms[-1] / weights[ket] ** 2) if norms[-1] else 0.0)
-                overlap += [
-                    (blocks[p - block_lo] @ blocks[q - block_lo]).trace().real if norms[p] and norms[q] else 0.0
-                    for p, q in pairs[pair_lo:pair_hi]
-                ]
-                block_lo, pair_lo = block_hi, pair_hi
-            norms, halves, overlap = np.array(norms), np.array(halves), np.array(overlap)
-            # Delta is the cosine: zero where a norm or the overlap is.
-            on = np.flatnonzero(overlap)
-            cos = overlap[on] / np.sqrt(norms[first[on]] * norms[second[on]])
-            on, cos = on[cos != 0.0], cos[cos != 0.0]
-            log_cos = np.array(list(map(math.log, np.abs(cos).tolist())), dtype=float)
-            replica, n = np.nonzero(allowed[:, a[on], b[on], c[on]])
-            on = on[n]
-            e = (energy[replica, a[on], start + c[on]] - halves[first[on]]) - halves[second[on]]
-            finite = ~np.isinf(e)
-            on, n, replica, e = on[finite], n[finite], replica[finite], e[finite]
-            found.append(((a[on] * count + b[on]) * 2 + replica, start + c[on], cos[n] < 0.0, log_cos[n] - e, e))
-        if not found:
+        allowed = ~(differs @ cut).reshape(2, count, count, size)
+        # mixed_1 of (a, b) is the state sector with which a agrees on the
+        # links at spin-up vertices and b on the others, if any.
+        up, rest = ~(foreign @ sides).reshape(2, count, nb, size)
+        match = up[:, None] & rest[None, :]
+        mixed = np.where(match.any(axis=2), match.argmax(axis=2), -1)
+        live = (allowed[0] | allowed[1]) & (mixed >= 0) & (mixed.transpose(1, 0, 2) >= 0) & weighted
+        c, a, b = np.nonzero(live.transpose(2, 0, 1))
+        if not c.size:
             return _PairKernels.empty((count, count, 2))
-        entries = [np.concatenate(x) for x in zip(*found)]
+        # Number the blocks (configuration, ket, bra) that the live pairs
+        # read: (a, mixed_1) and (b, mixed_2), the first block of (b, a),
+        # which is live too.
+        code = (c * count + a) * nb + mixed[a, b, c]
+        held_blocks = np.zeros(size * count * nb, dtype=bool)
+        held_blocks[code] = True
+        number = np.cumsum(held_blocks) - 1
+        first, second = number[code], number[(c * count + b) * nb + mixed[b, a, c]]
+        blocks_at = np.cumsum(held_blocks.reshape(size, -1).sum(axis=1)).tolist()
+        pairs_at = np.searchsorted(c, np.arange(1, size + 1)).tolist()
+        kets_bras = np.divmod(np.flatnonzero(held_blocks) % (count * nb), nb)
+        kets_bras = list(zip(*(x.tolist() for x in kets_bras)))
+        pairs = list(zip(first.tolist(), second.tolist()))
+        norms, halves, overlap = [], [], []
+        block_lo = pair_lo = 0
+        for i, (block_hi, pair_hi) in enumerate(zip(blocks_at, pairs_at)):
+            if pair_hi == pair_lo:
+                continue
+            keep = [x for p, x in enumerate(vertices) if down[p, i]]
+            blocks = [state.traced_block(kets[ket], bras[bra], keep) for ket, bra in kets_bras[block_lo:block_hi]]
+            for block, (ket, _) in zip(blocks, kets_bras[block_lo:block_hi]):
+                norms.append(float((np.abs(block) ** 2).sum()))
+                halves.append(0.5 * math.log(norms[-1] / weights[ket] ** 2) if norms[-1] else 0.0)
+            overlap += [
+                (blocks[p - block_lo] @ blocks[q - block_lo]).trace().real if norms[p] and norms[q] else 0.0
+                for p, q in pairs[pair_lo:pair_hi]
+            ]
+            block_lo, pair_lo = block_hi, pair_hi
+        norms, halves, overlap = np.array(norms), np.array(halves), np.array(overlap)
+        # Delta is the cosine: zero where a norm or the overlap is.
+        on = np.flatnonzero(overlap)
+        cos = overlap[on] / np.sqrt(norms[first[on]] * norms[second[on]])
+        on, cos = on[cos != 0.0], cos[cos != 0.0]
+        log_cos = np.array(list(map(math.log, np.abs(cos).tolist())), dtype=float)
+        replica, n = np.nonzero(allowed[:, a[on], b[on], c[on]])
+        on = on[n]
+        e = (energy[replica, a[on], c[on]] - halves[first[on]]) - halves[second[on]]
+        finite = ~np.isinf(e)
+        on, n, replica, e = on[finite], n[finite], replica[finite], e[finite]
+        entries = ((a[on] * count + b[on]) * 2 + replica, c[on], cos[n] < 0.0, log_cos[n] - e, e)
         return _PairKernels(*(x.reshape(count, count, 2) for x in self._reduce_entries(count * count * 2, *entries)))
 
     def _reduce_entries(
@@ -1548,12 +1520,9 @@ class IsingModel:
         np.minimum.at(gap, row[~tied], energy[~tied])
         feasible = degeneracy > 0
         gap[feasible] -= e_min[feasible]
-        # The least (rank, configuration) key of each row's ties; the
-        # configuration alone where no row ties.
+        # The least (rank, configuration) key of each row's ties.
         size = self._down.shape[1]
-        key = config[tied]
-        if (degeneracy > 1).any():
-            key = self._rank[key] * size + key
+        key = self._rank[config[tied]] * size + config[tied]
         least = np.full(nrows, np.iinfo(np.int64).max)
         np.minimum.at(least, row[tied], key)
         rep[feasible] = least[feasible] % size

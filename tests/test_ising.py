@@ -18,7 +18,6 @@ from conftest import (
     bridge_state,
     random_instance,
 )
-from holoising import ising
 from holoising.bulk import IntertwinerState, vertex_block_dims
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import (
@@ -754,10 +753,7 @@ class TestLogSumExp:
 
     def test_buckets(self):
         """Fifty buckets of each length 0-20, shuffled into one array, each
-        with the bits of scipy on the bucket alone: the buckets below 8
-        share one block padded to the longest of them, the others one
-        block per length.  Padding a bucket of 4-7 terms to 8 would change
-        bits."""
+        with the bits of scipy on the bucket alone."""
         rng = np.random.default_rng(8)
         lengths = rng.permutation(np.repeat(np.arange(21), 50))
         terms = rng.normal(size=lengths.sum()) * rng.choice([0.5, 1.0, 40.0], size=lengths.sum())
@@ -1088,8 +1084,7 @@ class TestBoundaryKernels:
     def test_drawn_instances(self, monkeypatch):
         """On every draw: each kernel has the bits of `brute_force`; the
         pass takes each traced block at most once per (configuration, ket,
-        bra); coding one configuration per slice changes no bit; and the
-        totals equal the oracle's exact replica averages.  A second series
+        bra); and the totals equal the oracle's exact replica averages.  A second series
         draws three vertices only.  The draws cover pure and mixed states
         and three-vertex diagonal pairs that allow all 8 configurations,
         some of whose kernels a sequential sum of their terms would
@@ -1113,10 +1108,6 @@ class TestBoundaryKernels:
             assert len(calls) == len(set(calls))
             sectors = table.sectors.sectors
             assert_kernels_match(model, sectors, table._kernels)
-            with monkeypatch.context() as patch:
-                patch.setattr(ising, "MIX_BLOCK", 1)
-                sliced = model._pair_kernels(table.sectors)
-            assert [x.tobytes() for x in sliced.at(...)] == [x.tobytes() for x in table._kernels.at(...)]
             cmap = build_cmap(index, kind, state=state)
             assert table.totals[0] == pytest.approx(exact_replica_average(index, (), cmap=cmap), rel=1e-9)
             region = sorted(part.input_region)
