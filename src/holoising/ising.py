@@ -62,20 +62,22 @@ an enumeration of all 2^V configurations:
   state over the spin-down set, whose ket is j or k and whose bra is a
   mixed sector stitched from both.  The mixed sectors of all pairs are
   coded at once, over all configurations, and looked up among the state's
-  sectors; then, one configuration at a time, each traced block
-  (configuration, ket, bra) is taken once, with its norm and log term, and
-  each contributing pair costs one overlap.  Neither depends on the
-  replica.  The allowed entries are kept as compact arrays (row = (pair,
-  replica), configuration, sign, log term, energy): z is the log-sum-exp
-  of each (row, sign) bucket in configuration order, and E_min, ties, gap
-  and representative are order-independent reductions, so every kernel
-  has the bits of scoring its configurations one at a time.  Memory: the
-  masks built once per model (the cut per replica and the up mask and
-  its complement, 4 L 2^V bytes of booleans, and the rank, 8 bytes per
-  configuration); per call, 2 S x 2^V float64 cut energies, the entries
-  (at most 2 S^2 2^V, 33 bytes each), the coded mixed sectors (S^2 T 2^V
-  bytes of booleans, for T state sectors, which is no more than the
-  entries' bound while T <= 66), and one configuration's traced blocks.
+  sectors; then the pairs are walked in configuration order: each traced
+  block (configuration, ket, bra) is taken once, with its norm and log
+  term, and each pair costs one overlap, which gives its cosine, Delta.
+  Neither depends on the replica.  The allowed entries are kept as
+  compact arrays (row = (pair, replica), configuration, sign, log term,
+  energy): z is the log-sum-exp of each (row, sign) bucket in
+  configuration order, and E_min, ties, gap and representative are
+  order-independent reductions, so every kernel has the bits of scoring
+  its configurations one at a time.  Memory: the masks built once per
+  model (the cut per replica and the up mask and its complement, 4 L 2^V
+  bytes of booleans, and the rank, 8 bytes per configuration); per call,
+  2 S x 2^V float64 cut energies, the coded mixed sectors (S^2 T 2^V
+  bytes of booleans, for T state sectors), the pairs with a nonzero
+  cosine (at most S^2 2^V, a Python tuple of about 200 bytes each), the
+  entries (at most 2 S^2 2^V, 33 bytes each), and one configuration's
+  traced blocks.
 
 A single kernel, `_kernel`, is the two-sector case of either.  Both kinds
 break ground-state ties by a rank of the configurations, built once per
@@ -1411,18 +1413,18 @@ class IsingModel:
         mixed_1 of (k, j).  The mixed sectors of all pairs are coded at
         once, over all configurations, and looked up among the state's
         sectors: a sector the state does not hold has no block, so Delta = 0
-        there.  Then, one configuration at a time, each traced
-        block (ket, bra) is taken once, with its squared norm and log term,
-        and kept only while that configuration is processed; each
-        contributing pair needs one overlap.
+        there.  Then the live pairs are walked in configuration order:
+        each traced block (ket, bra) is taken once, with its squared norm
+        and log term, and kept only while its configuration is processed;
+        each pair needs one overlap, which gives its cosine.
 
         The allowed entries are kept as compact arrays (row = (pair,
         replica), configuration, sign, log term, energy) and reduced by
         `_reduce_entries`.  Every step computes what `_evaluate` computes,
         with the same operations in the same order, so each kernel keeps
         its bits.  Memory as the module docstring states: the masks, the
-        cut energies, the coded mixed sectors, the entries, and one
-        configuration's traced blocks."""
+        cut energies, the coded mixed sectors, the pairs with a nonzero
+        cosine, the entries, and one configuration's traced blocks."""
         state = self.state
         (cut, sides), down = self._boundary_masks, self._down
         twice, links = sectors.twice, self.graph.link_ids()
@@ -1448,48 +1450,33 @@ class IsingModel:
         mixed = np.where(match.any(axis=2), match.argmax(axis=2), -1)
         live = (allowed[0] | allowed[1]) & (mixed >= 0) & (mixed.transpose(1, 0, 2) >= 0) & weighted
         c, a, b = np.nonzero(live.transpose(2, 0, 1))
-        if not c.size:
+        # Per live pair, in configuration order: its two traced blocks,
+        # (j, mixed_1) and (k, mixed_2), each taken once per configuration
+        # with its squared norm and log term and kept while that
+        # configuration is processed, and their cosine, which is Delta.
+        found, blocks, config = [], {}, None
+        for i, j, k, mixed_1, mixed_2 in zip(*(x.tolist() for x in (c, a, b, mixed[a, b, c], mixed[b, a, c]))):
+            if i != config:
+                blocks, config = {}, i
+                keep = [x for p, x in enumerate(vertices) if down[p, i]]
+            for ket, bra in ((j, mixed_1), (k, mixed_2)):
+                if (ket, bra) not in blocks:
+                    block = state.traced_block(kets[ket], bras[bra], keep)
+                    norm = float((np.abs(block) ** 2).sum())
+                    blocks[ket, bra] = block, norm, 0.5 * math.log(norm / weights[ket] ** 2) if norm else 0.0
+            (b1, n1, h1), (b2, n2, h2) = blocks[j, mixed_1], blocks[k, mixed_2]
+            overlap = float((b1 @ b2).trace().real) if n1 and n2 else 0.0
+            cos = overlap / math.sqrt(n1 * n2) if overlap else 0.0
+            if cos:
+                found.append((i, j, k, cos, math.log(abs(cos)), h1, h2))
+        if not found:
             return _PairKernels.empty((count, count, 2))
-        # Number the blocks (configuration, ket, bra) that the live pairs
-        # read: (a, mixed_1) and (b, mixed_2), the first block of (b, a),
-        # which is live too.
-        code = (c * count + a) * nb + mixed[a, b, c]
-        held_blocks = np.zeros(size * count * nb, dtype=bool)
-        held_blocks[code] = True
-        number = np.cumsum(held_blocks) - 1
-        first, second = number[code], number[(c * count + b) * nb + mixed[b, a, c]]
-        blocks_at = np.cumsum(held_blocks.reshape(size, -1).sum(axis=1)).tolist()
-        pairs_at = np.searchsorted(c, np.arange(1, size + 1)).tolist()
-        kets_bras = np.divmod(np.flatnonzero(held_blocks) % (count * nb), nb)
-        kets_bras = list(zip(*(x.tolist() for x in kets_bras)))
-        pairs = list(zip(first.tolist(), second.tolist()))
-        norms, halves, overlap = [], [], []
-        block_lo = pair_lo = 0
-        for i, (block_hi, pair_hi) in enumerate(zip(blocks_at, pairs_at)):
-            if pair_hi == pair_lo:
-                continue
-            keep = [x for p, x in enumerate(vertices) if down[p, i]]
-            blocks = [state.traced_block(kets[ket], bras[bra], keep) for ket, bra in kets_bras[block_lo:block_hi]]
-            for block, (ket, _) in zip(blocks, kets_bras[block_lo:block_hi]):
-                norms.append(float((np.abs(block) ** 2).sum()))
-                halves.append(0.5 * math.log(norms[-1] / weights[ket] ** 2) if norms[-1] else 0.0)
-            overlap += [
-                (blocks[p - block_lo] @ blocks[q - block_lo]).trace().real if norms[p] and norms[q] else 0.0
-                for p, q in pairs[pair_lo:pair_hi]
-            ]
-            block_lo, pair_lo = block_hi, pair_hi
-        norms, halves, overlap = np.array(norms), np.array(halves), np.array(overlap)
-        # Delta is the cosine: zero where a norm or the overlap is.
-        on = np.flatnonzero(overlap)
-        cos = overlap[on] / np.sqrt(norms[first[on]] * norms[second[on]])
-        on, cos = on[cos != 0.0], cos[cos != 0.0]
-        log_cos = np.array(list(map(math.log, np.abs(cos).tolist())), dtype=float)
-        replica, n = np.nonzero(allowed[:, a[on], b[on], c[on]])
-        on = on[n]
-        e = (energy[replica, a[on], c[on]] - halves[first[on]]) - halves[second[on]]
+        c, a, b, cos, log_cos, h1, h2 = (np.array(x) for x in zip(*found))
+        replica, n = np.nonzero(allowed[:, a, b, c])
+        e = (energy[replica, a[n], c[n]] - h1[n]) - h2[n]
         finite = ~np.isinf(e)
-        on, n, replica, e = on[finite], n[finite], replica[finite], e[finite]
-        entries = ((a[on] * count + b[on]) * 2 + replica, c[on], cos[n] < 0.0, log_cos[n] - e, e)
+        n, replica, e = n[finite], replica[finite], e[finite]
+        entries = ((a[n] * count + b[n]) * 2 + replica, c[n], cos[n] < 0.0, log_cos[n] - e, e)
         return _PairKernels(*(x.reshape(count, count, 2) for x in self._reduce_entries(count * count * 2, *entries)))
 
     def _reduce_entries(
