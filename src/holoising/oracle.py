@@ -39,18 +39,22 @@ take one Gram of entry pairs (`_pair_gram`): the entries that share a row
 its pairs' products with `bincount`, in chunks of whole Gram rows of at
 most PAIR_BLOCK pairs.  The fine grades restrict each replica to sector
 columns, Tr(P_j P_k) = ||X_j^+ X_k||_F^2, the same pair Gram across the two
-restrictions.  Exact traces need memory linear in the entries, plus one
-chunk of pairs (more only where one Gram row pairs more).
+restrictions.  Row and column keys whose range exceeds RANK_SPAN times the
+entries are ranked before any `bincount` (`_ranked`), so exact traces need
+memory linear in the entries, whatever their key ranges, plus one chunk of
+pairs (more only where one Gram row pairs more).
 
-Monte Carlo multiplies each block of SHOT_BLOCK shots by A through a
-`ShotProduct`: the map's entries sorted by their grid cell and split by
-their rank within it, so one block is a few gathers of Haar amplitudes
-written straight into the dense (block x keep x rest x components) grid, as
-`reduced_density` lays out one state.  GRID_LIMIT caps each such dense
-array, checked by `RegionGrid.zeros` on the size it allocates; exact traces
-never build the grid, so the limit does not apply to them.  The pattern sum
-with unit weights reproduces the Ising engine's unnormalized partition
-totals; normalized grades reweight the same traces.
+Monte Carlo multiplies each block of shots by A through a `ShotProduct`:
+the map's entries sorted by their grid cell and split by their rank within
+it, so one block is a few gathers of Haar amplitudes written straight into
+the dense (block x keep x rest x components) grid, as `reduced_density`
+lays out one state.  A block takes at most SHOT_BLOCK shots and only as
+many as fit in GRID_BLOCK grid entries, at least one, so its grid stays
+within 4 MB unless one shot's grid is larger.  GRID_LIMIT caps each dense
+grid array, checked by `RegionGrid.zeros` on the size it allocates; exact
+traces never build the grid, so the limit does not apply to them.  The
+pattern sum with unit weights reproduces the Ising engine's unnormalized
+partition totals; normalized grades reweight the same traces.
 
 Haar streams.  A Haar vector is a normalized standard complex Gaussian.
 The Gaussians of (vertex, block) for shot s come from chunk c = s //
@@ -58,10 +62,13 @@ HAAR_CHUNK of a Philox stream with key (seed, vertex << 32 | block) and
 counter word 1 equal to c: one fill of 2 n HAAR_CHUNK normals per (chunk,
 vertex, block), read as interleaved (re, im) pairs, row s % HAAR_CHUNK.
 Rows therefore do not depend on how shots are batched, and the chunk size
-is part of the stream's definition.  Since a batch depends only on (index,
-grade, seed, shot range, fine weights), the index holds the last batch a
-Monte Carlo estimate drew on it, and the next estimate over the same shots
-reads it instead of drawing it again.
+is part of the stream's definition.  A batch is one array of its rows,
+shots varying fastest, drawn one chunk at a time: the medium grade of a
+one-vertex index holds that array and one chunk while it draws, and more
+vertices add their row-wise Kronecker products.  Since a batch depends only
+on (index, grade, seed, shot range, fine weights), the index holds the last
+batch a Monte Carlo estimate drew on it, and the next estimate over the
+same shots reads it instead of drawing it again.
 """
 
 from __future__ import annotations
@@ -91,9 +98,14 @@ HAAR_CHUNK = 64
 # they can share a batch held by the index.
 MC_BATCH = 256
 
-# Shots per Monte Carlo product and grid block: a block's gathers and its
-# dense grid stay small next to the batch.
+# Most shots per Monte Carlo product and grid block: a block's gathers and
+# its dense grid stay small next to the batch.
 SHOT_BLOCK = 64
+
+# Most complex entries (4 MB) the dense grid of one Monte Carlo block
+# holds: a block takes SHOT_BLOCK shots where their grids fit in it, else as
+# many as fit, at least one.
+GRID_BLOCK = 1 << 18
 
 # Most complex entries one dense (region x rest) grid array may hold, 16
 # bytes each: keep x rest cells times the shots and components laid out.
@@ -102,6 +114,11 @@ GRID_LIMIT = 1 << 24
 # Most entry pairs one chunk of a pair Gram lists at once (about 100 bytes
 # each while it is summed).
 PAIR_BLOCK = 1 << 14
+
+# Widest key range, in multiples of the entries, that an exact trace
+# counts with `bincount` as it is (8 bytes a key); wider keys are ranked
+# first, a sort that costs more than such a count.
+RANK_SPAN = 16
 
 
 class OracleError(RuntimeError):
@@ -412,8 +429,9 @@ class RegionGrid:
                 f"{' x '.join(map(str, shape))} = {entries} entries, above "
                 f"GRID_LIMIT = {GRID_LIMIT}; raise holoising.oracle.GRID_LIMIT "
                 f"(16 bytes per entry) or tighten the spin lists.  Monte Carlo "
-                f"lays out one block of at most SHOT_BLOCK = {SHOT_BLOCK} shots "
-                f"at a time, so only a batch below that makes the array smaller"
+                f"lays out one block of shots at a time, at most SHOT_BLOCK = "
+                f"{SHOT_BLOCK} and only as many as fit in GRID_BLOCK = "
+                f"{GRID_BLOCK} entries, at least one"
             )
         return np.zeros(shape, dtype=complex)
 
@@ -468,10 +486,11 @@ class CMap:
     np.nonzero lists them.  Memory is O(nnz); no dense out_dim x in_dim
     component is kept.  Input columns are row-major over `col_dims`, one
     axis per vertex of `in_vertices`.  Exact traces read the entries
-    directly; Monte Carlo applies A to blocks of shots through a
-    `ShotProduct`, one per swap region (`grid_product`, onto that region's
-    grid) plus one onto the stacked output rows (`row_product`), each built
-    on first use and kept with the map.
+    directly, in memory linear in them; Monte Carlo applies A to blocks of
+    shots through a `ShotProduct`, one per swap region (`grid_product`,
+    onto that region's grid, at most GRID_BLOCK entries a block unless one
+    shot's grid is larger) plus one onto the stacked output rows
+    (`row_product`), each built on first use and kept with the map.
     """
 
     def __init__(
@@ -844,13 +863,27 @@ def _pattern_matrix(cmap: CMap, grid: RegionGrid, colsel, subset: Tuple[int, ...
     return x_row, x_col, value
 
 
+def _ranked(keys: np.ndarray, size: int) -> np.ndarray:
+    """`keys` where they lie below RANK_SPAN x `size`, else their ranks
+    among the distinct keys: ranking keeps their order, so a `bincount`
+    over them takes O(size) memory and keeps its bins' sums."""
+    if keys.max(initial=-1) < RANK_SPAN * size:
+        return keys
+    return np.unique(keys, return_inverse=True)[1]
+
+
 def _pattern_trace(x1, x2) -> float:
     """Tr(X1 X1^+ X2 X2^+) = ||X1^+ X2||_F^2.  For x2 is x1: grouped squared
     moduli where X X^+ (one entry per column) or X^+ X (one entry per row)
     is diagonal, else the pair Gram on the side whose product pairs fewer
-    entries (X^+ X pairs the entries of a row, X X^+ those of a column)."""
+    entries (X^+ X pairs the entries of a row, X X^+ those of a column).
+    Row and column keys whose range exceeds RANK_SPAN x the entries are
+    ranked first.  Ranks keep the keys' order, so every grouped sum and
+    every pair Gram keeps its bits; only the dot of ranked group sums, which
+    skips the empty bins of the keys' range, may round in another order."""
     row, col, value = x1
     if x2 is x1:
+        row, col = _ranked(row, row.size), _ranked(col, col.size)
         w = value.real**2 + value.imag**2
         counts = [np.bincount(keys) for keys in (col, row)]
         for group, lines in zip((row, col), counts):
@@ -860,14 +893,19 @@ def _pattern_trace(x1, x2) -> float:
         if counts[1] @ counts[1] > counts[0] @ counts[0]:
             row, col = col, row
         return _pair_gram(row, col, value, row, col, value)
-    return _pair_gram(row, col, value, *x2)
+    row2, col2, value2 = x2
+    # One ranking of both replicas' rows keeps which entries share a row.
+    rows = _ranked(np.concatenate((row, row2)), row.size + row2.size)
+    return _pair_gram(rows[: row.size], col, value, rows[row.size :], _ranked(col2, col2.size), value2)
 
 
 def _pair_gram(shared1, other1, value1, shared2, other2, value2) -> float:
     """||G||_F^2 for G[a, b] = sum of conj(value1[i]) value2[j] over the
     entry pairs with shared1[i] == shared2[j], other1[i] == a and
-    other2[j] == b.  Each entry of the first set meets the run of second
-    entries with its shared index, so its pairs are listed with `repeat`.
+    other2[j] == b.  The shared keys and other2 size its arrays, so callers
+    rank them where their range is wide (`_ranked`).  Each entry of the
+    first set meets the run of second entries with its shared index, so its
+    pairs are listed with `repeat`.
     The first set is taken in order of a, in chunks of whole rows of G that
     list at most PAIR_BLOCK pairs (a row with more is a chunk of its own):
     chunks fill disjoint rows of G, so ||G||_F^2 is the sum over chunks.  In
@@ -1046,25 +1084,29 @@ def _unit_gaussians(
     row thus depends only on (seed, shot, vertex, block), however the shots
     are batched; resetting one generator's state per chunk gives the fresh
     stream.  Each row's re and im parts are divided by the square root of
-    its einsum sum of squares.
+    its einsum sum of squares.  Chunks are drawn into one HAAR_CHUNK-row
+    buffer and their rows written into one F-contiguous array (shots vary
+    fastest), the layout a `ShotProduct` gathers from: the rows plus one
+    chunk of memory.
     """
-    chunks = range(shots.start // HAAR_CHUNK, -(-shots.stop // HAAR_CHUNK))
-    out = np.empty((len(chunks), HAAR_CHUNK, n), dtype=complex)
-    draws = out.view(np.float64)
+    out = np.empty((n, len(shots)), dtype=complex)
+    chunk = np.empty((HAAR_CHUNK, n), dtype=complex)
+    draws = chunk.view(np.float64)
     # A seed, unlike key=..., draws no OS entropy; the key is replaced below.
     bitgen = Philox(0)
     gen = Generator(bitgen)
     state = bitgen.state  # fresh: counter zero, buffer empty
     state["state"]["key"][:] = (seed, (vertex << 32) | block)
-    for i, chunk in enumerate(chunks):
-        state["state"]["counter"][1] = chunk
+    for c in range(shots.start // HAAR_CHUNK, -(-shots.stop // HAAR_CHUNK)):
+        state["state"]["counter"][1] = c
         bitgen.state = state
-        gen.standard_normal(out=draws[i])
-    first = chunks.start * HAAR_CHUNK
-    rows = out.reshape(-1, n)[shots.start - first : shots.stop - first]
-    flat = rows.view(np.float64)
-    flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
-    return rows
+        gen.standard_normal(out=draws)
+        first = c * HAAR_CHUNK
+        lo, hi = max(shots.start, first), min(shots.stop, first + HAAR_CHUNK)
+        flat = draws[lo - first : hi - first]
+        flat /= np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]
+        out[:, lo - shots.start : hi - shots.start] = chunk[lo - first : hi - first].T
+    return out.T
 
 
 def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -1076,6 +1118,18 @@ def _outer_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(-1, a.shape[0]).T
 
 
+def _vertex_product(seed: int, shots: range, block: int, dims: Sequence[int]) -> np.ndarray:
+    """Row-wise Kronecker product over the vertices of their unit Gaussians
+    of `block`, one factor of dims[v] columns per vertex v, F-contiguous.
+    The first vertex's draw is taken as is: with a row of ones before it,
+    the first product would be 1.0 x, which equals x bit for bit."""
+    rows = None
+    for vi, n in enumerate(dims):
+        draw = _unit_gaussians(seed, shots, vi, block, n)
+        rows = draw if rows is None else _outer_rows(rows, draw)
+    return np.ones((len(shots), 1), dtype=complex) if rows is None else rows
+
+
 def _haar_rows(
     index: HilbertIndex,
     grade: str,
@@ -1083,12 +1137,11 @@ def _haar_rows(
     shots: range,
     weights: Optional[Mapping] = None,
 ) -> np.ndarray:
-    """haar_sample for every shot in `shots`, one row per shot, bit for bit."""
+    """haar_sample for every shot in `shots`, one row per shot, bit for bit,
+    F-contiguous.  The medium grade of a one-vertex index is that vertex's
+    draw itself, so the batch is the one array `_unit_gaussians` fills."""
     if grade == "medium":
-        rows = np.ones((len(shots), 1), dtype=complex)
-        for vi, space in enumerate(index.spaces):
-            rows = _outer_rows(rows, _unit_gaussians(seed, shots, vi, 0, space.dim))
-        return rows
+        return _vertex_product(seed, shots, 0, index.vertex_dims)
     if grade == "coarse":
         return _unit_gaussians(seed, shots, 0, 1, index.dim)
     if grade == "fine":
@@ -1098,12 +1151,8 @@ def _haar_rows(
             w = p.get(sec.key(), 0.0)
             if w == 0.0:
                 continue
-            block = np.ones((len(shots), 1), dtype=complex)
-            for vi, rng in enumerate(index.sector_local_ranges(sec)):
-                block = _outer_rows(
-                    block, _unit_gaussians(seed, shots, vi, 2 + si, rng.size)
-                )
-            rows[:, index.sector_columns(sec)] += np.sqrt(w) * block
+            dims = [rng.size for rng in index.sector_local_ranges(sec)]
+            rows[:, index.sector_columns(sec)] += np.sqrt(w) * _vertex_product(seed, shots, 2 + si, dims)
         return rows
     raise OracleError(f"unknown averaging grade {grade!r}")
 
@@ -1267,14 +1316,14 @@ def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _shot_blocks(index, grade, seed, shots, batch, weights=None):
-    """(first shot, Haar rows) for blocks of at most SHOT_BLOCK shots that
-    tile [0, shots), read from batches [0, batch), [batch, 2 batch), ...
-    drawn through the batch the index holds."""
+def _shot_blocks(index, grade, seed, shots, batch, block, weights=None):
+    """(first shot, Haar rows) for blocks of at most `block` shots that tile
+    [0, shots), read from batches [0, batch), [batch, 2 batch), ... drawn
+    through the batch the index holds."""
     for done in range(0, shots, batch):
         psi = _held_haar_rows(index, grade, seed, range(done, min(done + batch, shots)), weights)
-        for lo in range(0, psi.shape[0], SHOT_BLOCK):
-            yield done + lo, psi[lo : lo + SHOT_BLOCK]
+        for lo in range(0, psi.shape[0], block):
+            yield done + lo, psi[lo : lo + block]
 
 
 def mc_purity(
@@ -1299,11 +1348,13 @@ def mc_purity(
     the other model kind, state or region, or a medium-grade estimate
     before or after a `localisation_probe` (MC_BATCH shots per batch).  A
     longer estimate draws every batch.  Either way the estimate keeps every
-    bit.  Each batch is applied in blocks of at most SHOT_BLOCK shots: the
+    bit.  Each batch is applied in blocks of at most SHOT_BLOCK shots, and
+    of only as many as fit in GRID_BLOCK grid entries (at least one): the
     map's `grid_product` writes a block straight into the dense (block x
     keep x rest x components) grid, and each shot's purity and trace come
-    from the smaller Gram of its grid.  shots >= 2 (a one-shot error bar is
-    undefined), batch >= 1 and 0 <= seed < 2**64.
+    from the smaller Gram of its grid.  Memory is the held batch plus one
+    block's grid, which no shot's value depends on.  shots >= 2 (a one-shot
+    error bar is undefined), batch >= 1 and 0 <= seed < 2**64.
     """
     _check_at_least("shots", shots, 2, " (a one-shot error bar is undefined)")
     _check_at_least("batch", batch, 1)
@@ -1315,11 +1366,13 @@ def mc_purity(
     grid = cmap.pair_basis(slots)
     product = cmap.grid_product(slots)
     width = grid.rest_dim * len(cmap.weights)
+    cells = grid.keep_dim * width
+    block = min(SHOT_BLOCK, batch, shots, max(1, GRID_BLOCK // max(cells, 1)))
     # One grid array for every block: a block rewrites the same cells.
-    layout = grid.zeros((min(SHOT_BLOCK, batch, shots), grid.keep_dim * width))
+    layout = grid.zeros((block, cells))
     z1 = np.empty(shots)
     z0 = np.empty(shots)
-    for start, psi in _shot_blocks(index, grade, seed, shots, batch, weights):
+    for start, psi in _shot_blocks(index, grade, seed, shots, batch, block, weights):
         n = psi.shape[0]
         # Each shot on the grid, components along the rest axis.
         big = product(psi, layout[:n]).reshape(n, grid.keep_dim, width)
@@ -1466,7 +1519,7 @@ def localisation_probe(
     a_vals = np.empty(shots)
     b_vals = np.empty(shots)
     out = np.zeros((min(SHOT_BLOCK, shots), cmap.out_dim), dtype=complex)
-    for start, psi in _shot_blocks(index, "medium", seed, shots, MC_BATCH):
+    for start, psi in _shot_blocks(index, "medium", seed, shots, MC_BATCH, SHOT_BLOCK):
         n = psi.shape[0]
         phi = cmap.row_product(psi, out[:n])
         block = phi[:, rows].reshape(n, d_i, -1)

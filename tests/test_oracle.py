@@ -11,6 +11,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
 from conftest import random_instance
@@ -1298,6 +1300,36 @@ class TestMapEntries:
         want = sum(scipy_gram_sq(oracle._pattern_matrix(cmap, grid, None, u)) for u in [(), (0,)])
         assert got == pytest.approx(want, rel=1e-12)
 
+    def test_one_vertex_traces_take_memory_of_their_entries(self):
+        """Pattern {} of region () keys its 2,976 columns by (rest cell,
+        input column), a range of 2976^2: a bincount over that range takes
+        71 MB, over the ranked keys 24 KB."""
+        index, cmap = four_leg_map()
+        for region in [(), ["p1", "p2"]]:
+            _, peak = traced_peak(lambda: exact_replica_average(index, region, cmap=cmap))
+            assert peak < 2 * 2**20, region
+
+    def test_one_vertex_estimate_stays_near_its_batch(self):
+        """The held 256-shot batch is 256 x 2976 x 16 B = 12 MB.  64 shots
+        on the 30 x 1296 bulk grid would take 40 MB; a block takes as many
+        shots as fit in GRID_BLOCK entries (6 here), and the estimate keeps
+        the bits of 16-shot batches, whose blocks are 6, 6 and 4 shots."""
+        index, cmap = four_leg_map()
+        grid = cmap.pair_basis(resolve_region(index, "bulk"))
+        assert (grid.keep_dim, grid.rest_dim) == (30, 1296)
+        est, peak = traced_peak(lambda: mc_purity(index, "bulk", cmap=cmap, shots=256, seed=3))
+        assert peak < 24 * 2**20
+        small = mc_purity(index, "bulk", cmap=cmap, shots=256, seed=3, batch=16)
+        assert hex_fields(small) == hex_fields(est)
+
+
+def four_leg_map():
+    """The 2,976-label one-vertex index and its bulk-to-boundary map."""
+    graph = four_leg_graph()
+    family = SectorFamily.build(graph, "1/2", "3/2", allowed={f"p{i}": ["1/2", "3/2"] for i in range(1, 5)})
+    index = build_hilbert(graph, family)
+    return index, build_cmap(index, ModelKind.bulk_to_boundary())
+
 
 def traced_peak(compute):
     """compute() and the peak of the memory tracemalloc saw it allocate."""
@@ -1495,6 +1527,122 @@ def kernel_maps():
 def kernel_regions(cmap):
     """No swap, the first output slot, and every other output slot."""
     return [(), cmap.out_slots[:1], cmap.out_slots[::2]]
+
+
+def ranks(keys):
+    return np.unique(keys, return_inverse=True)[1]
+
+
+@st.composite
+def trace_entries(draw, nrows, ncols, one_per_column=False):
+    """(row, column, value) arrays of a sparse X, keys below nrows and
+    ncols, in a drawn entry order: one entry per column, or else row 0 and
+    column 0 hold two entries each (nrows, ncols >= 2), so that neither
+    X X^+ nor X^+ X is diagonal."""
+    if one_per_column:
+        cols = np.arange(ncols)
+        rows = np.array(draw(st.lists(st.integers(0, nrows - 1), min_size=ncols, max_size=ncols)))
+    else:
+        cells = st.tuples(st.integers(0, nrows - 1), st.integers(0, ncols - 1))
+        cells = draw(st.sets(cells, max_size=96)) | {(0, 0), (0, 1), (1, 0)}
+        rows, cols = np.array(sorted(cells)).T
+    order = np.array(draw(st.permutations(range(rows.size))))
+    part = st.floats(-4.0, 4.0, allow_subnormal=False)
+    pairs = draw(st.lists(st.tuples(part, part), min_size=rows.size, max_size=rows.size))
+    value = np.array([complex(re, im) for re, im in pairs])
+    return rows[order], cols[order], value
+
+
+@st.composite
+def increasing_map(draw, keys, floor=0):
+    """`keys` (ranks) through a strictly increasing map with drawn gaps,
+    whose smallest value is at least `floor`.  Values stay below about
+    2^21, so that a trace that failed to rank them would count them in a
+    few MB."""
+    size = int(keys.max()) + 1
+    gaps = np.array(draw(st.lists(st.integers(0, 1 << 10), min_size=size, max_size=size)), dtype=np.int64)
+    start = draw(st.integers(floor, floor + (1 << 20)))
+    return (start + np.arange(size) + np.cumsum(gaps))[keys]
+
+
+@st.composite
+def grouped_traces(draw):
+    """X with one entry per column, so that X X^+ is diagonal, and X
+    relabelled.  Its row keys are the groups whose sums of squared moduli
+    are squared and summed; they are relabelled past RANK_SPAN times the
+    entries, so that the relabelled trace groups by ranks.  Narrower keys
+    keep their zero-padded `bincount`: its BLAS dot then depends on where
+    the empty bins fall, and a relabelling can move the trace's last
+    bits."""
+    row, col, value = draw(trace_entries(draw(st.integers(1, 40)), draw(st.integers(1, 40)), one_per_column=True))
+    row = ranks(row)
+    rows = draw(increasing_map(row, floor=oracle.RANK_SPAN * row.size))
+    return (row, col, value), (rows, draw(increasing_map(col)), value)
+
+
+@st.composite
+def gram_traces(draw):
+    """X1, X2 on the same rows and X1, X2 relabelled with any gaps: rows by
+    one map, each replica's columns by its own.  Self traces of X1 take
+    the pair Gram; the grouped path is `grouped_traces`'."""
+    nrows, ncols = draw(st.integers(2, 30)), draw(st.integers(2, 30))
+    x1, x2 = draw(trace_entries(nrows, ncols)), draw(trace_entries(nrows, ncols))
+    row = ranks(np.concatenate((x1[0], x2[0])))
+    x1 = (row[: x1[0].size], ranks(x1[1]), x1[2])
+    x2 = (row[x1[0].size :], ranks(x2[1]), x2[2])
+    rows = draw(increasing_map(row))
+    y1 = (rows[: x1[0].size], draw(increasing_map(x1[1])), x1[2])
+    y2 = (rows[x1[0].size :], draw(increasing_map(x2[1])), x2[2])
+    return (x1, x2), (y1, y2)
+
+
+def relabelling(strategy, check):
+    """Run check on every draw of strategy: 150 derandomized examples."""
+    settings(max_examples=150, derandomize=True, database=None, deadline=None)(given(strategy)(check))()
+
+
+class TestRankedKeys:
+    """_pattern_trace ranks row and column keys whose range exceeds
+    RANK_SPAN times the entries; ranking keeps the keys' order, so the
+    trace keeps its bits."""
+
+    def test_grouped_sums_keep_their_bits(self):
+        seen = {"16+ groups": 0, "other key ranked": 0, "other key kept": 0}
+
+        def check(case):
+            (row, col, value), (rows, cols, _) = case
+            for x, y in [((row, col, value), (rows, cols, value)), ((col, row, value), (cols, rows, value))]:
+                assert oracle._pattern_trace(y, y).hex() == oracle._pattern_trace(x, x).hex()
+            seen["16+ groups"] += row.max() >= 15
+            ranked = cols.max() >= oracle.RANK_SPAN * cols.size
+            seen["other key ranked" if ranked else "other key kept"] += 1
+
+        relabelling(grouped_traces(), check)
+        assert all(seen.values()), seen
+
+    def test_pair_grams_keep_their_bits(self, monkeypatch):
+        grams = []
+        pair_gram = oracle._pair_gram
+
+        def counted(*args):
+            grams.append(args[0] is args[3])
+            return pair_gram(*args)
+
+        monkeypatch.setattr(oracle, "_pair_gram", counted)
+        seen = {"rows ranked": 0, "rows kept": 0}
+
+        def check(case):
+            (x1, x2), (y1, y2) = case
+            grams.clear()
+            assert oracle._pattern_trace(y1, y1).hex() == oracle._pattern_trace(x1, x1).hex()
+            assert grams == [True, True]
+            assert oracle._pattern_trace(y1, y2).hex() == oracle._pattern_trace(x1, x2).hex()
+            assert oracle._pattern_trace(y2, y1).hex() == oracle._pattern_trace(x2, x1).hex()
+            ranked = max(y1[0].max(), y2[0].max()) >= oracle.RANK_SPAN * (y1[0].size + y2[0].size)
+            seen["rows ranked" if ranked else "rows kept"] += 1
+
+        relabelling(gram_traces(), check)
+        assert all(seen.values()), seen
 
 
 class TestNumpyKernels:
