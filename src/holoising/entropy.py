@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .graph import OpenGraph
+from .graph import OpenGraph, agreement_region, boundary_of_region
 from .ising import IsingModel, ModelKind, PartitionSumTable, couplings, ground_kernel, require_finite
 from .spins import SectorFamily, Spin, SpinSector, sector_dims, vertex_dims
 
@@ -689,18 +689,13 @@ def high_spin_energies(
     lam_tilde = cs.lam_tilde
     big_tilde = cs.big_lam_tilde
 
-    agree = {
-        x for x in graph.vertices if j.vertex_spins(x) == k.vertex_spins(x)
-    }
+    agree = agreement_region(j, k)
     if agree:
-        cut = 0.0
-        for link in graph.internal_links:
-            inside = (link.source.vertex in agree) + (
-                link.target.vertex in agree
-            )
-            if inside == 1:
-                cut += lam_tilde[link.link_id]
-        h1_up = cut + math.fsum(big_tilde[x] for x in agree)
+        # Summed in `internal_links` order: a frozenset's order could change
+        # the bits.
+        cut = boundary_of_region(graph, agree).cut_links
+        h1_up = sum(lam_tilde[e.link_id] for e in graph.internal_links if e.link_id in cut)
+        h1_up += math.fsum(big_tilde[x] for x in agree)
     else:
         h1_up = math.inf
     s_j = math.fsum(big_tilde.values())

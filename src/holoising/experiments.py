@@ -4,14 +4,14 @@ Scenario ``c1``: a two-vertex bridge whose rightmost boundary link carries a
 superposition of two spins (3s-1 and 3s) while every other leg scales with s.
 Each allowed configuration's coupling combination is read from the engine
 (its cut links by dimension, plus the state functionals its Hamiltonian
-carries at one probe state; one Hamiltonian call per cell, which raises
-`ContractViolation` on a forbidden one) and checked against the engine at
-the start state, the six partition sums are assembled term by term and
-checked against the kernels of the start model's partition table, and the
-averaged purity is minimized over the positive-semidefinite bulk-block
-parameters (a, b, d, u, v, w) by a coarse grid over the parameter simplex
-followed by coordinate-descent refinement, both through one array
-evaluator.
+carries at one probe state; one batched boundary-to-boundary pass per state
+lists the allowed cells with their Hamiltonians) and checked against the
+engine at the start state, the six partition sums are assembled term by
+term and checked against the kernels of the start model's partition table,
+and the averaged purity is minimized over the positive-semidefinite
+bulk-block parameters (a, b, d, u, v, w) by a coarse grid over the
+parameter simplex followed by coordinate-descent refinement, both through
+one array evaluator.
 
 Scenario ``c2``: a census of boundary sectors on a single vertex.  The
 dimension-only partition sums Z0 = sum(D^2 + D) and Z1 = sum D_I D_O (D_I +
@@ -40,7 +40,7 @@ import numpy as np
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph, build_graph
-from .ising import ContractViolation, IsingConfig, IsingModel, ModelKind
+from .ising import ContractViolation, IsingModel, ModelKind
 from .spins import SectorFamily, Spin, SpinSector
 
 
@@ -313,6 +313,19 @@ class _BridgeStructure:
             return np.where(z[0] > 0.0, z[1] / z[0], np.inf)
 
 
+def _bridge_cells(model: IsingModel, sectors) -> Dict[Tuple[Tuple[str, str], int, Tuple[int, int]], float]:
+    """H of every allowed (pair, replica, config) cell of the bridge at the
+    model's state: the entries of one `_boundary_entries` pass over
+    `sectors` (low, high), whose configuration order `_CONFIGS` follows."""
+    row, config, _, _, energy = model._boundary_entries(model.sector_set(sectors))
+    names = ("low", "high")
+    cells = {}
+    for r, i, h in zip(row.tolist(), config.tolist(), energy.tolist()):
+        (a, b), replica = divmod(r // 2, 2), r % 2
+        cells[(names[a], names[b]), replica, _CONFIGS[i]] = h
+    return cells
+
+
 def _extract_structure(
     graph: OpenGraph,
     family: SectorFamily,
@@ -322,33 +335,33 @@ def _extract_structure(
 ) -> _BridgeStructure:
     """Read the kernel structure off the engine at the probe state.
 
-    Each cell asks the engine once: a Hamiltonian, or a `ContractViolation`
-    where the cell is forbidden.  An allowed cell's coupling counts are its
-    cut links by dimension (2s+1, 6s+1, 6s-1), its geometric factor is
-    exp(-lambda) with lambda the sum of log d over those links, and its
-    state flags name the one member of {0, S2, Sigma, S2 + Sigma} that the
-    Hamiltonian exceeds lambda by.  The K factors and the check that the
-    mirrored cross pair has the same kernels read one `partition_table`.
+    Every cell comes from one `_bridge_cells` pass; a cell without an entry
+    is forbidden.  An allowed cell's coupling counts are its cut links (the
+    model's cut mask) by dimension (2s+1, 6s+1, 6s-1), its geometric factor
+    is exp(-lambda) with lambda the sum of log d over those links, and its
+    state flags name the one member of {0, S2, Sigma, S2 + Sigma} that its H
+    exceeds lambda by.  The K factors and the check that the mirrored cross
+    pair has the same kernels read one `partition_table`.
     """
     params = _params_from_x(_PROBE)
     model = IsingModel(graph, family, kind, state=_bridge_state(graph, sectors, params))
     s2, sigma = _state_functionals(params)
     dims = (2 * s + 1, 6 * s + 1, 6 * s - 1)
     sec = {"low": sectors[0], "high": sectors[1]}
+    allowed = _bridge_cells(model, sectors)
+    cut_mask, links = model._link_masks[0], graph.link_ids()
     entries: Dict = {}
     forbidden: List = []
     for pair in _PAIR_KEYS:
-        j, k = sec[pair[0]], sec[pair[1]]
+        j = sec[pair[0]]
         for replica in (0, 1):
             cells = []
-            for config in _CONFIGS:
-                cfg = IsingConfig.make(graph, {"L": config[0], "R": config[1]})
-                try:
-                    h = model.hamiltonian(j, k, cfg, replica)
-                except ContractViolation:
+            for i, config in enumerate(_CONFIGS):
+                h = allowed.get((pair, replica, config))
+                if h is None:
                     forbidden.append((pair, replica, config))
                     continue
-                cut = [j.spin(lid).dim for lid in model._cut_links(cfg, replica)]
+                cut = [j.spin(lid).dim for lid, is_cut in zip(links, cut_mask[replica, :, i].tolist()) if is_cut]
                 lam = sum(math.log(dim) for dim in cut)
                 counts = tuple(cut.count(dim) for dim in dims)
                 flags = [
@@ -597,14 +610,16 @@ def reproduce_c1(
     parameters.
 
     Each allowed cell's combination comes from the engine's cut links and
-    its Hamiltonian at one probe state; one array evaluator of the purity
-    serves the coarse grid, the refinement and the closed-form check at the
-    start state.  `region` selects the input leg: "rightmost" makes the
-    two-spin superposed link the input (purity target 1/(12 s));
-    "upper_right" makes one of the plain spin-s legs the input (purity
-    target 1/(2s+1)).  `start` optionally replaces the default generic bulk
-    block (a, d, b, u, v[, w]); it must be a unit-trace positive-semidefinite
-    block with both sector weights and the cross column nonzero.
+    its Hamiltonian at one probe state (`_bridge_cells`, as at the start
+    state, where a cell without a Hamiltonian raises `ContractViolation`);
+    one array evaluator of the purity serves the coarse grid, the
+    refinement and the closed-form check at the start state.  `region`
+    selects the input leg: "rightmost" makes the two-spin superposed link
+    the input (purity target 1/(12 s)); "upper_right" makes one of the
+    plain spin-s legs the input (purity target 1/(2s+1)).  `start`
+    optionally replaces the default generic bulk block (a, d, b, u, v[,
+    w]); it must be a unit-trace positive-semidefinite block with both
+    sector weights and the cross column nonzero.
     """
     if s != int(s) or s < 1:
         raise ExperimentError(f"scale must be an integer >= 1, got {s!r}")
@@ -637,11 +652,16 @@ def reproduce_c1(
     # cell-by-cell verification at the start state before any optimization
     cells = []
     sec = {"low": sectors[0], "high": sectors[1]}
+    allowed = _bridge_cells(model, sectors)
     for (pair, replica), entries in sorted(structure.entries.items()):
         for config, _, combo in entries:
             expected = _combo_value(combo, couplings, s2, sigma)
-            cfg = IsingConfig.make(graph, {"L": config[0], "R": config[1]})
-            engine = model.hamiltonian(sec[pair[0]], sec[pair[1]], cfg, replica)
+            engine = allowed.get((pair, replica, config))
+            if engine is None:
+                raise ContractViolation(
+                    f"Hamiltonian undefined on the forbidden configuration "
+                    f"{_config_label(config)} of {pair} (replica {replica}) at the start state"
+                )
             cells.append(
                 C1Cell(
                     pair=pair,
@@ -654,15 +674,11 @@ def reproduce_c1(
                 )
             )
     for pair, replica, config in structure.forbidden:
-        cfg = IsingConfig.make(graph, {"L": config[0], "R": config[1]})
-        try:
-            model.hamiltonian(sec[pair[0]], sec[pair[1]], cfg, replica)
-        except ContractViolation:
-            continue
-        raise ExperimentError(
-            f"configuration {_config_label(config)} of {pair} is allowed "
-            f"at the start state but forbidden at the probe state"
-        )
+        if (pair, replica, config) in allowed:
+            raise ExperimentError(
+                f"configuration {_config_label(config)} of {pair} is allowed "
+                f"at the start state but forbidden at the probe state"
+            )
 
     # the six partition sums, term by term, against the engine's kernels
     table = model.partition_table()

@@ -65,31 +65,33 @@ an enumeration of all 2^V configurations:
   sectors; then the pairs are walked in configuration order: each traced
   block (configuration, ket, bra) is taken once, with its norm and log
   term, and each pair costs one overlap, which gives its cosine, Delta.
-  Neither depends on the replica.  The allowed entries are kept as
-  compact arrays (row = (pair, replica), configuration, sign, log term,
-  energy): z is the log-sum-exp of each (row, sign) bucket in
-  configuration order, and E_min, ties, gap and representative are
-  order-independent reductions, so every kernel has the bits of scoring
-  its configurations one at a time.  Memory: the masks built once per
-  model (the cut per replica and the up mask and its complement, 4 L 2^V
-  bytes of booleans, and the rank, 8 bytes per configuration); per call,
-  2 S x 2^V float64 cut energies, the coded mixed sectors (S^2 T 2^V
-  bytes of booleans, for T state sectors), the pairs with a nonzero
-  cosine (at most S^2 2^V, a Python tuple of about 200 bytes each), the
-  entries (at most 2 S^2 2^V, 33 bytes each), and one configuration's
-  traced blocks.
+  Neither depends on the replica.  The pass (`_boundary_entries`) lists
+  the allowed entries as compact arrays (row = (pair, replica),
+  configuration, sign, log term, energy), which the bridge scenario c1
+  also reads, and `_reduce_entries` reduces them: z is the log-sum-exp of
+  each (row, sign) bucket in configuration order, and E_min, ties, gap
+  and representative are order-independent reductions, so every kernel
+  has the bits of scoring its configurations one at a time.  Memory: the
+  masks built once per model (the cut per replica and the up mask and its
+  complement, 4 L 2^V bytes of booleans, and the rank, 8 bytes per
+  configuration); per call, 2 S x 2^V float64 cut energies, the coded
+  mixed sectors (S^2 T 2^V bytes of booleans, for T state sectors), the
+  pairs with a nonzero cosine (at most S^2 2^V, a Python tuple of about
+  200 bytes each), the entries (at most 2 S^2 2^V, 33 bytes each), and
+  one configuration's traced blocks.
 
 A single kernel, `_kernel`, is the two-sector case of either.  Both kinds
 break ground-state ties by a rank of the configurations, built once per
 model (`IsingModel._rank`): by the bulk kind where a ground state first
 ties, by the boundary-to-boundary kind on its first table.  `_evaluate`
-and `hamiltonian` score one configuration at a time and stay as the
-reference.
+scores one configuration at a time; no path of the package calls it, and
+it stays behind the public `delta_factor` and `hamiltonian` and as the
+tests' reference.
 
 Log-sum-exp follows the steps of `scipy.special.logsumexp` in plain numpy,
 so that sums keep scipy's bits.
 
-Both paths refuse graphs with more than `exhaustive_limit` vertices.
+Both paths refuse graphs with more than `EXHAUSTIVE_LIMIT` vertices.
 
 Sector sets and the columnar table.  `IsingModel.sector_set` builds one
 `SectorSet` per sector pool from the pool's S x L matrix of doubled link
@@ -192,6 +194,9 @@ from .spins import (
 #: Absolute tolerance for counting ground-state ties.
 TIE_TOL = 1e-12
 
+#: Most vertices a model enumerates the 2^V configurations of.
+EXHAUSTIVE_LIMIT = 20
+
 
 class EngineError(RuntimeError):
     """Raised for structurally invalid engine inputs."""
@@ -229,12 +234,6 @@ class IsingConfig:
     @property
     def sigma(self) -> Dict[str, int]:
         return dict(self.values)
-
-    def value(self, vertex: str) -> int:
-        for x, s in self.values:
-            if x == vertex:
-                return s
-        raise KeyError(vertex)
 
     def down_set(self) -> Tuple[str, ...]:
         return tuple(x for x, s in self.values if s < 0)
@@ -1006,13 +1005,11 @@ class IsingModel:
         family: SectorFamily,
         kind: ModelKind,
         state: Optional[IntertwinerState] = None,
-        exhaustive_limit: int = 20,
     ):
         self.graph = graph
         self.family = family
         self.kind = kind
         self.state = state
-        self.exhaustive_limit = int(exhaustive_limit)
         if kind.is_boundary_to_boundary:
             if kind.partition is None:
                 raise EngineError("boundary-to-boundary kind lost its partition")
@@ -1023,9 +1020,6 @@ class IsingModel:
                 )
 
     # -- pieces ----------------------------------------------------------
-
-    def couplings(self, sector: SpinSector, replica: int) -> CouplingSet:
-        return couplings(sector, self.kind, replica)
 
     def boundary_pin(self, link_id: str, replica: int) -> int:
         """Pinned Ising value of the virtual vertex behind a boundary leg."""
@@ -1091,7 +1085,11 @@ class IsingModel:
                     dim = twice_intertwiner_dim(spins)
                     energy += math.log(dim) if dim > 0 else math.inf
             return 1.0, energy
-        return self._boundary_value(self._boundary_terms(j, k, config), lam_cut)
+        terms = self._boundary_terms(j, k, config)
+        if terms is None:
+            return 0.0, None
+        cos, half_log_1, half_log_2 = terms
+        return cos, lam_cut - half_log_1 - half_log_2
 
     def _cut_energy(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
@@ -1103,17 +1101,6 @@ class IsingModel:
             if j.spin(lid) != k.spin(lid):
                 return None
         return sum(math.log(j.spin(lid).dim) for lid in cut)
-
-    @staticmethod
-    def _boundary_value(
-        terms: Optional[Tuple[float, float, float]], lam_cut: float
-    ) -> Tuple[float, Optional[float]]:
-        """(Delta, H) of a boundary-to-boundary configuration from its
-        replica-independent `_boundary_terms` and its cut energy."""
-        if terms is None:
-            return 0.0, None
-        cos, half_log_1, half_log_2 = terms
-        return cos, lam_cut - half_log_1 - half_log_2
 
     def _boundary_terms(
         self, j: SpinSector, k: SpinSector, config: IsingConfig
@@ -1184,12 +1171,12 @@ class IsingModel:
 
     def _check_limit(self) -> int:
         nv = len(self.graph.vertices)
-        if nv > self.exhaustive_limit:
+        if nv > EXHAUSTIVE_LIMIT:
             raise EngineError(
-                f"{nv} vertices exceed the exhaustive limit of "
-                f"{self.exhaustive_limit}; kernels and ground states both "
-                f"enumerate all 2^V configurations.  Raise exhaustive_limit "
-                f"to go further, at 2^{nv} time and memory"
+                f"{nv} vertices exceed EXHAUSTIVE_LIMIT = {EXHAUSTIVE_LIMIT}; "
+                f"kernels and ground states both enumerate all 2^V "
+                f"configurations.  Raise holoising.ising.EXHAUSTIVE_LIMIT to "
+                f"go further, at 2^{nv} time and memory"
             )
         return nv
 
@@ -1397,10 +1384,13 @@ class IsingModel:
             rep[ties] = tied_cols[np.arange(ties.size), ranks.argmin(axis=1)]
         return z, e_min, degeneracy, gap, rep
 
-    def _boundary_kernels(self, sectors: SectorSet) -> _PairKernels:
-        """Kernels and ground states of every ordered pair of `sectors`, in
-        both boundary-to-boundary replicas, from one pass over the
-        configurations.
+    def _boundary_entries(self, sectors: SectorSet) -> Tuple[np.ndarray, ...]:
+        """The allowed entries (row, configuration, negative, log, energy)
+        of every ordered pair (a, b) of `sectors` in both replicas, from one
+        pass over the configurations: row = (a S + b) 2 + replica, the
+        configuration indexes `_configurations`, Delta e^-H = (-1)^negative
+        exp(log) and energy = H.  A cell is allowed exactly when it has an
+        entry; a row lists its entries in ascending configuration order.
 
         On a configuration, pair (j, k) is allowed in replica b where no
         link cut in b has different spins in j and k; its cut energy is
@@ -1418,13 +1408,13 @@ class IsingModel:
         and log term, and kept only while its configuration is processed;
         each pair needs one overlap, which gives its cosine.
 
-        The allowed entries are kept as compact arrays (row = (pair,
-        replica), configuration, sign, log term, energy) and reduced by
-        `_reduce_entries`.  Every step computes what `_evaluate` computes,
-        with the same operations in the same order, so each kernel keeps
-        its bits.  Memory as the module docstring states: the masks, the
-        cut energies, the coded mixed sectors, the pairs with a nonzero
-        cosine, the entries, and one configuration's traced blocks."""
+        Every step computes what `_evaluate` computes, with the same
+        operations in the same order, so each entry's energy has the bits
+        of `hamiltonian`, and each kernel `_reduce_entries` makes of the
+        entries keeps its bits.  Memory as the module docstring states:
+        the masks, the cut energies, the coded mixed sectors, the pairs
+        with a nonzero cosine, the entries, and one configuration's traced
+        blocks."""
         state = self.state
         (cut, sides), down = self._boundary_masks, self._down
         twice, links = sectors.twice, self.graph.link_ids()
@@ -1469,15 +1459,14 @@ class IsingModel:
             cos = overlap / math.sqrt(n1 * n2) if overlap else 0.0
             if cos:
                 found.append((i, j, k, cos, math.log(abs(cos)), h1, h2))
-        if not found:
-            return _PairKernels.empty((count, count, 2))
-        c, a, b, cos, log_cos, h1, h2 = (np.array(x) for x in zip(*found))
+        columns = list(zip(*found)) or [()] * 7
+        c, a, b = (np.array(x, dtype=np.int64) for x in columns[:3])
+        cos, log_cos, h1, h2 = (np.array(x, dtype=float) for x in columns[3:])
         replica, n = np.nonzero(allowed[:, a, b, c])
         e = (energy[replica, a[n], c[n]] - h1[n]) - h2[n]
         finite = ~np.isinf(e)
         n, replica, e = n[finite], replica[finite], e[finite]
-        entries = ((a[n] * count + b[n]) * 2 + replica, c[n], cos[n] < 0.0, log_cos[n] - e, e)
-        return _PairKernels(*(x.reshape(count, count, 2) for x in self._reduce_entries(count * count * 2, *entries)))
+        return (a[n] * count + b[n]) * 2 + replica, c[n], cos[n] < 0.0, log_cos[n] - e, e
 
     def _reduce_entries(
         self, nrows: int, row: np.ndarray, config: np.ndarray, negative: np.ndarray, log: np.ndarray, energy: np.ndarray
@@ -1517,11 +1506,13 @@ class IsingModel:
 
     def _pair_kernels(self, sectors: SectorSet) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
-        both replicas: `_bulk_kernels` or `_boundary_kernels`, each one
-        batched pass over the sector list."""
-        if self.kind.is_boundary_to_boundary:
-            return self._boundary_kernels(sectors)
-        return self._bulk_kernels(sectors)
+        both replicas, each from one batched pass over the sector list:
+        `_bulk_kernels`, or the `_reduce_entries` of `_boundary_entries`."""
+        if not self.kind.is_boundary_to_boundary:
+            return self._bulk_kernels(sectors)
+        count = len(sectors)
+        reduced = self._reduce_entries(count * count * 2, *self._boundary_entries(sectors))
+        return _PairKernels(*(x.reshape(count, count, 2) for x in reduced))
 
     def _kernel(
         self, j: SpinSector, k: SpinSector, replica: int
@@ -1591,7 +1582,7 @@ class IsingModel:
         the window is the `PartitionSumTable.take` of the default table's
         rows of each boundary.  Otherwise each boundary's sectors are
         enumerated alone (a spin outside the family's allowed list included),
-        never the whole family.  `exhaustive_limit` is checked either way."""
+        never the whole family.  `EXHAUSTIVE_LIMIT` is checked either way."""
         boundaries = list(boundaries)
         bnd = self.graph.boundary_ids()
         keys = [tuple(map(boundary_twice(self.graph, b).__getitem__, bnd)) for b in boundaries]
@@ -1637,8 +1628,8 @@ class IsingModel:
         summing it alone (see `_bulk_kernels`).  For the
         boundary-to-boundary kind it is one pass over the configurations
         for all pairs, which takes each traced block once per
-        configuration and reduces compact entries (see
-        `_boundary_kernels`).
+        configuration and lists compact entries (`_boundary_entries`),
+        then one reduction of them (`_reduce_entries`).
 
         A bulk-to-boundary `partition_table()` on the default pool fills
         the module's one held family pool (see the module docstring): the
@@ -1646,7 +1637,7 @@ class IsingModel:
         another (family, graph), an equal one included, replaces them.
         While it holds this model's family and graph, `partition_table()`
         returns the held table itself, whose arrays are read-only, and
-        `window_table` slices it.  `exhaustive_limit` is checked either
+        `window_table` slices it.  `EXHAUSTIVE_LIMIT` is checked either
         way.  Memory: the last default pool plus 5 x 2S^2 kernel entries
         (8 bytes each) of its S weighted sectors.
         """

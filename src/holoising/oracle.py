@@ -93,9 +93,9 @@ DEFAULT_DIM_CAP = 4096
 # chunk size is part of the definition of the Haar streams.
 HAAR_CHUNK = 64
 
-# Shots per Monte Carlo batch, for mc_purity (its default `batch`) and
-# localisation_probe: estimates with one seed cut the same shot ranges, so
-# they can share a batch held by the index.
+# Shots per Monte Carlo batch, for mc_purity and localisation_probe:
+# estimates with one seed cut the same shot ranges, so they can share a
+# batch held by the index.
 MC_BATCH = 256
 
 # Most shots per Monte Carlo product and grid block: a block's gathers and
@@ -227,8 +227,8 @@ class HilbertIndex:
     `mc_purity` or `localisation_probe` drew on it, keyed by (grade, seed,
     shot range, normalized fine weights), so that a second estimate over the
     same shots reads it instead of drawing it again.  That is one batch of
-    batch x dim complex entries (16 B each: 2.4 MB at dim 600 and the
-    default batch), held while the index lives.
+    at most MC_BATCH x dim complex entries (16 B each: 2.4 MB at dim 600),
+    held while the index lives.
     """
 
     def __init__(self, graph: OpenGraph, family: SectorFamily, cap: Optional[int] = None):
@@ -1316,12 +1316,12 @@ def _row_sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _shot_blocks(index, grade, seed, shots, batch, block, weights=None):
+def _shot_blocks(index, grade, seed, shots, block, weights=None):
     """(first shot, Haar rows) for blocks of at most `block` shots that tile
-    [0, shots), read from batches [0, batch), [batch, 2 batch), ... drawn
-    through the batch the index holds."""
-    for done in range(0, shots, batch):
-        psi = _held_haar_rows(index, grade, seed, range(done, min(done + batch, shots)), weights)
+    [0, shots), read from batches of MC_BATCH shots drawn through the batch
+    the index holds."""
+    for done in range(0, shots, MC_BATCH):
+        psi = _held_haar_rows(index, grade, seed, range(done, min(done + MC_BATCH, shots)), weights)
         for lo in range(0, psi.shape[0], block):
             yield done + lo, psi[lo : lo + block]
 
@@ -1336,28 +1336,26 @@ def mc_purity(
     grade: str = "medium",
     weights: Optional[Mapping] = None,
     cmap: Optional[CMap] = None,
-    batch: int = MC_BATCH,
 ) -> MCEstimate:
     """Monte Carlo estimate of the averaged purity over random vertex states.
 
-    Shots are drawn in the ranges [0, batch), [batch, 2 batch), ... through
-    the batch the index holds (see HilbertIndex).  An estimate whose shots
-    fit in one batch reads the draw of the estimate made just before it on
-    the same index, when that one also fit in one batch and had the same
-    grade, seed, shot count and fine weights: a second `mc_purity` under
-    the other model kind, state or region, or a medium-grade estimate
-    before or after a `localisation_probe` (MC_BATCH shots per batch).  A
-    longer estimate draws every batch.  Either way the estimate keeps every
+    Shots are drawn in the ranges [0, MC_BATCH), [MC_BATCH, 2 MC_BATCH),
+    ... through the batch the index holds (see HilbertIndex).  An estimate
+    whose shots fit in one batch reads the draw of the estimate made just
+    before it on the same index, when that one also fit in one batch and
+    had the same grade, seed, shot count and fine weights: a second
+    `mc_purity` under the other model kind, state or region, or a
+    medium-grade estimate before or after a `localisation_probe`.  A longer
+    estimate draws every batch.  Either way the estimate keeps every
     bit.  Each batch is applied in blocks of at most SHOT_BLOCK shots, and
     of only as many as fit in GRID_BLOCK grid entries (at least one): the
     map's `grid_product` writes a block straight into the dense (block x
     keep x rest x components) grid, and each shot's purity and trace come
     from the smaller Gram of its grid.  Memory is the held batch plus one
     block's grid, which no shot's value depends on.  shots >= 2 (a one-shot
-    error bar is undefined), batch >= 1 and 0 <= seed < 2**64.
+    error bar is undefined) and 0 <= seed < 2**64.
     """
     _check_at_least("shots", shots, 2, " (a one-shot error bar is undefined)")
-    _check_at_least("batch", batch, 1)
     _check_seed(seed)
     cmap = _given_or_built(index, cmap, kind, state)
     if cmap.in_vertices != index.graph.vertices:
@@ -1367,12 +1365,12 @@ def mc_purity(
     product = cmap.grid_product(slots)
     width = grid.rest_dim * len(cmap.weights)
     cells = grid.keep_dim * width
-    block = min(SHOT_BLOCK, batch, shots, max(1, GRID_BLOCK // max(cells, 1)))
+    block = min(SHOT_BLOCK, MC_BATCH, shots, max(1, GRID_BLOCK // max(cells, 1)))
     # One grid array for every block: a block rewrites the same cells.
     layout = grid.zeros((block, cells))
     z1 = np.empty(shots)
     z0 = np.empty(shots)
-    for start, psi in _shot_blocks(index, grade, seed, shots, batch, block, weights):
+    for start, psi in _shot_blocks(index, grade, seed, shots, block, weights):
         n = psi.shape[0]
         # Each shot on the grid, components along the rest axis.
         big = product(psi, layout[:n]).reshape(n, grid.keep_dim, width)
@@ -1519,7 +1517,7 @@ def localisation_probe(
     a_vals = np.empty(shots)
     b_vals = np.empty(shots)
     out = np.zeros((min(SHOT_BLOCK, shots), cmap.out_dim), dtype=complex)
-    for start, psi in _shot_blocks(index, "medium", seed, shots, MC_BATCH, SHOT_BLOCK):
+    for start, psi in _shot_blocks(index, "medium", seed, shots, SHOT_BLOCK):
         n = psi.shape[0]
         phi = cmap.row_product(psi, out[:n])
         block = phi[:, rows].reshape(n, d_i, -1)

@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import log
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -307,10 +306,6 @@ class SectorDims:
             raise ZeroDivisionError("r undefined: D_O = 0")
         return self.d_input / self.d_output
 
-    @property
-    def beta(self) -> float:
-        return log(self.d_output)
-
 
 def boundary_twice(graph: OpenGraph, boundary_filter: Mapping[str, object]) -> Dict[str, int]:
     """The doubled spin `boundary_filter` ({boundary link id: spin}) fixes
@@ -331,11 +326,10 @@ def _sector_choices(
     family: SectorFamily,
     graph: OpenGraph,
     boundary_filter: Optional[Mapping[str, object]],
-    limit: int,
 ) -> List[Tuple[int, ...]]:
     """Doubled spins each link may take, in `graph.link_ids()` order: the
     family's allowed spins, or the one spin `boundary_filter` fixes on a
-    boundary link.  Checks the filter and refuses more than `limit`
+    boundary link.  Checks the filter and refuses more than `SECTOR_LIMIT`
     sectors."""
     fixed = boundary_twice(graph, boundary_filter) if boundary_filter is not None else {}
     choices = []
@@ -344,9 +338,9 @@ def _sector_choices(
         opts = (fixed[lid],) if lid in fixed else tuple(s.twice for s in family.allowed[lid])
         choices.append(opts)
         total *= len(opts)
-    if total > limit:
+    if total > SECTOR_LIMIT:
         raise SectorEnumerationError(
-            f"{total} sectors exceed the guard of {limit}; tighten cutoffs "
+            f"{total} sectors exceed the guard of {SECTOR_LIMIT}; tighten cutoffs "
             f"or restrict per-link spin lists"
         )
     return choices
@@ -356,15 +350,14 @@ def enumerate_sectors(
     family: SectorFamily,
     graph: OpenGraph,
     boundary_filter: Optional[Mapping[str, object]] = None,
-    limit: int = SECTOR_LIMIT,
 ) -> Iterator[SpinSector]:
     """Yield all sectors in lexicographic order of the canonical link order.
 
     With `boundary_filter` (a {boundary link id: spin} mapping) only the bulk
-    spins vary.  Refuses enumerations larger than `limit`.
+    spins vary.  Refuses enumerations larger than `SECTOR_LIMIT`.
     """
     order = graph.link_ids()
-    for combo in itertools.product(*_sector_choices(family, graph, boundary_filter, limit)):
+    for combo in itertools.product(*_sector_choices(family, graph, boundary_filter)):
         yield SpinSector(graph=graph, assignment=tuple(zip(order, combo)))
 
 
@@ -382,7 +375,7 @@ def sector_matrix(
     building it needs no more than the result: on a 7-link family of
     823,543 sectors, 46 MB and a peak RSS growth of 44 MB.
     """
-    choices = _sector_choices(family, graph, boundary_filter, SECTOR_LIMIT)
+    choices = _sector_choices(family, graph, boundary_filter)
     count = math.prod(len(opts) for opts in choices)
     flat = itertools.chain.from_iterable(itertools.product(*choices))
     return np.fromiter(flat, dtype=np.int64, count=count * len(choices)).reshape(count, len(choices))

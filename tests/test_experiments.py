@@ -16,6 +16,7 @@ from holoising.experiments import (
     reproduce_c3,
 )
 from holoising.graph import build_graph
+from holoising.ising import ContractViolation
 from holoising.spins import SectorFamily
 
 TOL = 1e-12
@@ -132,6 +133,30 @@ class TestC1:
     def test_rejects_bad_scale(self):
         with pytest.raises(ExperimentError, match="scale"):
             reproduce_c1(0)
+
+    @pytest.mark.parametrize(
+        "dropped_at, error, message",
+        [
+            (0, ExperimentError, "allowed at the start state but forbidden at the probe state"),
+            (1, ContractViolation, "Hamiltonian undefined on the forbidden configuration"),
+        ],
+    )
+    def test_cells_must_agree_between_probe_and_start(self, monkeypatch, dropped_at, error, message):
+        """The probe state (first bridge state built) or the start state
+        (second) loses its cross block, so the cross cells whose traced
+        blocks it feeds are forbidden there and allowed at the other."""
+        bridge_state = experiments._bridge_state
+        built = []
+
+        def dropping_cross_block(graph, sectors, params):
+            if len(built) == dropped_at:
+                params = {**params, "u": 0j, "v": 0j}
+            built.append(params)
+            return bridge_state(graph, sectors, params)
+
+        monkeypatch.setattr(experiments, "_bridge_state", dropping_cross_block)
+        with pytest.raises(error, match=message):
+            reproduce_c1(1)
 
 
 class TestC2:

@@ -188,17 +188,18 @@ class TestHeldFamilyPool:
         assert canon(model.partition_table()) == canon(table)
         assert ising._held is held
 
-    def test_exhaustive_limit_still_applies(self):
+    def test_exhaustive_limit_still_applies(self, monkeypatch):
         graph = bridge_graph()
         family = bridge_box_family(graph)
         IsingModel(graph, family, BULK).partition_table()
-        low = IsingModel(graph, family, BULK, exhaustive_limit=1)
-        with pytest.raises(EngineError, match="exhaustive limit of 1"):
-            low.partition_table()
+        low = IsingModel(graph, family, BULK)
         window = suggest_window(family, graph)
-        with pytest.raises(EngineError, match="exhaustive limit of 1"):
+        monkeypatch.setattr(ising, "EXHAUSTIVE_LIMIT", 1)
+        with pytest.raises(EngineError, match="EXHAUSTIVE_LIMIT = 1"):
+            low.partition_table()
+        with pytest.raises(EngineError, match="EXHAUSTIVE_LIMIT = 1"):
             low.window_table(window)
-        with pytest.raises(EngineError, match="exhaustive limit of 1"):
+        with pytest.raises(EngineError, match="EXHAUSTIVE_LIMIT = 1"):
             low.boundary_fixed_sums(window[0])
 
     def test_held_arrays_are_read_only_and_sub_tables_their_own(self):

@@ -18,6 +18,7 @@ from conftest import (
     bridge_state,
     random_instance,
 )
+from holoising import ising
 from holoising.bulk import IntertwinerState, vertex_block_dims
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import (
@@ -580,14 +581,13 @@ class TestTableSerialization:
         assert first.totals == second.totals == fresh.totals
         assert first.rows == second.rows == fresh.rows
 
-    def test_exhaustive_limit(self):
+    def test_exhaustive_limit(self, monkeypatch):
         graph = bridge_graph()
         family = bridge_family(graph, 1)
         sec_low, _ = bridge_sectors(graph, 1)
-        model = IsingModel(
-            graph, family, ModelKind.bulk_to_boundary(), exhaustive_limit=1
-        )
-        with pytest.raises(EngineError, match="exceed"):
+        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+        monkeypatch.setattr(ising, "EXHAUSTIVE_LIMIT", 1)
+        with pytest.raises(EngineError, match="2 vertices exceed EXHAUSTIVE_LIMIT = 1; "):
             model.partition_sum_fixed(sec_low, sec_low, 0)
 
 
@@ -1077,9 +1077,31 @@ def sequential_logsumexp(terms):
     return float(np.log1p(total / m) + np.log(m) + top)
 
 
+def assert_entries_match(model, sectors):
+    """`_boundary_entries` of `sectors` lists exactly the (pair, replica,
+    configuration) cells that `_evaluate` allows, each with the bits of
+    its energy and of its weight's sign and log."""
+    row, config, negative, log, energy = model._boundary_entries(model.sector_set(sectors))
+    got = {
+        (r, i): (neg, lg.hex(), h.hex())
+        for r, i, neg, lg, h in zip(row.tolist(), config.tolist(), negative.tolist(), log.tolist(), energy.tolist())
+    }
+    assert len(got) == len(row)
+    want = {}
+    for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
+        for replica in (0, 1):
+            r = (a * len(sectors) + b) * 2 + replica
+            for i, cfg in enumerate(model._configurations()):
+                delta, h = model._evaluate(j, k, cfg, replica)
+                if delta:
+                    want[r, i] = (delta < 0, (math.log(abs(delta)) - h).hex(), h.hex())
+    assert got == want
+
+
 class TestBoundaryKernels:
-    """`_boundary_kernels` on whole tables against the per-configuration
-    `brute_force` and the exact oracle."""
+    """`_boundary_entries` and the kernels reduced from them on whole
+    tables against the per-configuration `_evaluate` and `brute_force`
+    and the exact oracle."""
 
     def test_drawn_instances(self, monkeypatch):
         """On every draw: each kernel has the bits of `brute_force`; the
@@ -1108,6 +1130,7 @@ class TestBoundaryKernels:
             assert len(calls) == len(set(calls))
             sectors = table.sectors.sectors
             assert_kernels_match(model, sectors, table._kernels)
+            assert_entries_match(model, sectors)
             cmap = build_cmap(index, kind, state=state)
             assert table.totals[0] == pytest.approx(exact_replica_average(index, (), cmap=cmap), rel=1e-9)
             region = sorted(part.input_region)
@@ -1132,6 +1155,37 @@ class TestBoundaryKernels:
                 suppress_health_check=[HealthCheck.too_slow],
             )(run)()
         assert all(seen.values()), seen
+
+    def test_entries_where_a_block_vanishes_or_the_cosine_is_zero(self):
+        """Sectors j and k differ on leg a3 at L only.  The state holds no
+        (j, k) block, so where every vertex is down, replica 1 (input a3)
+        allows the cut but the traced block (j, k) vanishes.  Their reduced
+        states at R are orthogonal, so where L is up and R down, replica 0
+        allows the cut but the two nonzero blocks have zero overlap.  The
+        pass must drop both cells, as `_evaluate` does."""
+        graph = bridge_graph()
+        allowed = {"e": ["1"], "a1": ["1"], "a2": ["1"], "a3": ["2", "3"], "b1": ["1"], "b2": ["1"], "c": ["2"]}
+        family = SectorFamily.build(graph, "1", "3", allowed=allowed, normalize=False)
+        spins = {lid: spin[0] for lid, spin in allowed.items()}
+        j, k = (SpinSector.make(graph, {**spins, "a3": a3}) for a3 in "23")
+        assert (vertex_block_dims(graph, j), vertex_block_dims(graph, k)) == ((2, 2), (1, 2))
+        state = IntertwinerState.from_blocks(
+            graph,
+            [j, k],
+            {(j, j): np.kron(np.eye(2) / 4, np.diag([1.0, 0.0])), (k, k): np.diag([0.0, 0.5])},
+        )
+        part = BoundaryPartition.from_input(graph, ["a3"])
+        model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
+        all_down = IsingConfig.make(graph, {"L": -1, "R": -1})
+        assert model._cut_energy(j, k, all_down, 1) is not None
+        assert not state.traced_block(j, k, ["L", "R"]).any()
+        assert model._evaluate(j, k, all_down, 1) == (0.0, None)
+        up_down = IsingConfig.make(graph, {"L": 1, "R": -1})
+        assert model._cut_energy(j, k, up_down, 0) is not None
+        b1, b2 = state.traced_block(j, j, ["R"]), state.traced_block(k, k, ["R"])
+        assert b1.any() and b2.any() and np.trace(b1 @ b2) == 0.0
+        assert model._evaluate(j, k, up_down, 0) == (0.0, None)
+        assert_entries_match(model, [j, k])
 
     def test_empty_lists(self):
         """No sector, or a pair the state does not hold."""

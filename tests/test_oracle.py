@@ -794,12 +794,14 @@ class TestMonteCarlo:
         est = mc_purity(index, region, cmap=cmap, shots=3000, seed=5)
         assert abs(est.value - exact) < 3 * est.sigma
 
-    def test_batching_does_not_change_the_estimate(self):
+    def test_batching_does_not_change_the_estimate(self, monkeypatch):
         graph = four_leg_graph()
         index = build_hilbert(graph, SectorFamily.build(graph, "1/2", "1/2"))
         cmap = build_cmap(index, ModelKind.bulk_to_boundary())
-        a = mc_purity(index, "bulk", cmap=cmap, shots=300, seed=3, batch=17)
-        b = mc_purity(index, "bulk", cmap=cmap, shots=300, seed=3, batch=256)
+        monkeypatch.setattr(oracle, "MC_BATCH", 17)
+        a = mc_purity(index, "bulk", cmap=cmap, shots=300, seed=3)
+        monkeypatch.setattr(oracle, "MC_BATCH", 256)
+        b = mc_purity(index, "bulk", cmap=cmap, shots=300, seed=3)
         assert a.value == b.value
         assert a.sigma == b.sigma
 
@@ -901,10 +903,11 @@ class TestHaarBatchReuse:
         index = build_hilbert(graph, glued_family(graph))
         cmap = build_cmap(index, ModelKind.bulk_to_boundary())
         calls = count_draws(monkeypatch)
-        mc_purity(index, "bulk", cmap=cmap, shots=300, seed=5, batch=128)
+        monkeypatch.setattr(oracle, "MC_BATCH", 128)
+        mc_purity(index, "bulk", cmap=cmap, shots=300, seed=5)
         first = len(calls)
         calls.clear()
-        mc_purity(index, "bulk", cmap=cmap, shots=300, seed=5, batch=128)
+        mc_purity(index, "bulk", cmap=cmap, shots=300, seed=5)
         assert len(calls) == first == 3 * len(index.spaces)
 
     def test_probe_after_mc_purity_draws_nothing(self, monkeypatch):
@@ -956,8 +959,6 @@ class TestArgumentRanges:
             ({"shots": 0}, "shots"),
             ({"shots": 1}, "shots"),
             ({"shots": -5}, "shots"),
-            ({"batch": 0}, "batch"),
-            ({"batch": -1}, "batch"),
             *BAD_SEEDS,
         ],
     )
@@ -984,13 +985,14 @@ class TestArgumentRanges:
         args = {"shots": 60, **kw}
         refuses_without_drawing(monkeypatch, index, name, lambda: localisation_probe(index, sec, **args))
 
-    def test_edges_of_the_ranges_draw(self):
+    def test_edges_of_the_ranges_draw(self, monkeypatch):
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
         cmap = build_cmap(index, ModelKind.bulk_to_boundary())
         v = haar_sample(index, seed=2**64 - 1, shot=0)
         assert abs(np.linalg.norm(v) - 1.0) < 1e-12
-        est = mc_purity(index, "bulk", cmap=cmap, shots=2, seed=2**64 - 1, batch=1)
+        monkeypatch.setattr(oracle, "MC_BATCH", 1)
+        est = mc_purity(index, "bulk", cmap=cmap, shots=2, seed=2**64 - 1)
         assert est.shots == 2 and np.isfinite(est.sigma)
 
 
@@ -1309,7 +1311,7 @@ class TestMapEntries:
             _, peak = traced_peak(lambda: exact_replica_average(index, region, cmap=cmap))
             assert peak < 2 * 2**20, region
 
-    def test_one_vertex_estimate_stays_near_its_batch(self):
+    def test_one_vertex_estimate_stays_near_its_batch(self, monkeypatch):
         """The held 256-shot batch is 256 x 2976 x 16 B = 12 MB.  64 shots
         on the 30 x 1296 bulk grid would take 40 MB; a block takes as many
         shots as fit in GRID_BLOCK entries (6 here), and the estimate keeps
@@ -1319,7 +1321,8 @@ class TestMapEntries:
         assert (grid.keep_dim, grid.rest_dim) == (30, 1296)
         est, peak = traced_peak(lambda: mc_purity(index, "bulk", cmap=cmap, shots=256, seed=3))
         assert peak < 24 * 2**20
-        small = mc_purity(index, "bulk", cmap=cmap, shots=256, seed=3, batch=16)
+        monkeypatch.setattr(oracle, "MC_BATCH", 16)
+        small = mc_purity(index, "bulk", cmap=cmap, shots=256, seed=3)
         assert hex_fields(small) == hex_fields(est)
 
 
@@ -1413,7 +1416,7 @@ class TestSparseMaps:
         assert grams
 
     @pytest.mark.parametrize("mixed", [False, True])
-    def test_mc_purity_matches_dense_products(self, mixed):
+    def test_mc_purity_matches_dense_products(self, mixed, monkeypatch):
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
         s1, s2 = index.family_sectors()
@@ -1435,7 +1438,8 @@ class TestSparseMaps:
             cmap, comps = with_reference(index, ModelKind.bulk_to_boundary())
             region = ["a1", "b1"]
         shots, seed = 300, 17
-        est = mc_purity(index, region, cmap=cmap, shots=shots, seed=seed, batch=128)
+        monkeypatch.setattr(oracle, "MC_BATCH", 128)
+        est = mc_purity(index, region, cmap=cmap, shots=shots, seed=seed)
 
         # Reference: the dense stacked map, each shot laid out on the grid.
         grid = cmap.pair_basis(resolve_region(index, region))

@@ -336,11 +336,11 @@ class TestSectorMatrix:
             f"{total} sectors exceed the guard of {total - 1}; tighten cutoffs "
             f"or restrict per-link spin lists"
         )
-        with pytest.raises(SectorEnumerationError) as generator_error:
-            next(enumerate_sectors(fam, graph, limit=total - 1))
         pool = IsingModel(graph, fam, ModelKind.bulk_to_boundary()).sector_set()
         bulk = math.prod(len(fam.allowed[lid]) for lid in graph.internal_ids())
         monkeypatch.setattr(spins, "SECTOR_LIMIT", total - 1)
+        with pytest.raises(SectorEnumerationError) as generator_error:
+            next(enumerate_sectors(fam, graph))
         with pytest.raises(SectorEnumerationError) as matrix_error:
             sector_matrix(fam, graph)
         monkeypatch.setattr(spins, "SECTOR_LIMIT", bulk - 1)

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from holoising import spins
 from holoising.graph import build_graph
 from holoising.spins import (
     SectorEnumerationError,
@@ -149,11 +150,12 @@ def test_enumerate_sectors_lexicographic():
     assert len(set(s.key() for s in sectors)) == 8
 
 
-def test_enumerate_sectors_guard():
+def test_enumerate_sectors_guard(monkeypatch):
     g = _family_graph()
     fam = SectorFamily.build(g, 0, 10)
+    monkeypatch.setattr(spins, "SECTOR_LIMIT", 100)
     with pytest.raises(SectorEnumerationError):
-        list(enumerate_sectors(fam, g, limit=100))
+        list(enumerate_sectors(fam, g))
 
 
 def test_enumerate_with_boundary_filter():
