@@ -33,7 +33,6 @@ immutable inputs and is safe to call from multiple threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
@@ -41,7 +40,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .graph import OpenGraph, agreement_region, boundary_of_region
-from .ising import IsingModel, ModelKind, PartitionSumTable, couplings, ground_kernel, require_finite
+from .ising import IsingModel, JsonReport, ModelKind, PartitionSumTable, couplings, ground_kernel, json_value, require_finite
 from .spins import SectorFamily, Spin, SpinSector, sector_dims, vertex_dims
 
 #: Report modes: exact per-pair kernels, ground-state kernels under the
@@ -138,7 +137,7 @@ def sector_distribution(
 
 
 @dataclass(frozen=True)
-class PurityReport:
+class PurityReport(JsonReport):
     """Average purity with its distributional decomposition.
 
     `x` maps each pair to the exponent X_{jk} = -log of the per-pair ratio
@@ -164,40 +163,26 @@ class PurityReport:
     distribution: SectorDistribution
 
     def to_json_dict(self) -> dict:
-        def num(v: Optional[float]):
-            if v is None or not math.isfinite(v):
-                return None
-            return v
-
-        dist = {
-            "p": dict(self.distribution.p),
-            "pair_probs": dict(self.distribution.pair_probs),
-            "pair_probs_factorized": dict(
-                self.distribution.pair_probs_factorized
-            ),
-        }
-        if self.distribution.c is not None:
-            dist["c"] = dict(self.distribution.c)
-        return {
-            "Z_0": num(self.z0),
-            "Z_1": num(self.z1),
-            "purity": num(self.purity),
-            "S_2": num(self.s2),
-            "X": {pid: num(v) for pid, v in self.x.items()},
-            "pair_probs": dict(self.pair_probs),
-            "cumulants": [num(v) for v in self.cumulants],
-            "cumulant_partial_sums": [
-                num(v) for v in self.cumulant_partial_sums
-            ],
-            "feasible_mass": num(self.feasible_mass),
-            "rt_area_estimate": num(self.rt_area_estimate),
+        dist = self.distribution
+        return json_value({
+            "Z_0": self.z0,
+            "Z_1": self.z1,
+            "purity": self.purity,
+            "S_2": self.s2,
+            "X": self.x,
+            "pair_probs": self.pair_probs,
+            "cumulants": self.cumulants,
+            "cumulant_partial_sums": self.cumulant_partial_sums,
+            "feasible_mass": self.feasible_mass,
+            "rt_area_estimate": self.rt_area_estimate,
             "provenance": self.provenance,
-            "distribution": dist,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2)
+            "distribution": {
+                "p": dist.p,
+                "pair_probs": dist.pair_probs,
+                "pair_probs_factorized": dist.pair_probs_factorized,
+                **({} if dist.c is None else {"c": dist.c}),
+            },
+        })
 
 
 def average_purity(

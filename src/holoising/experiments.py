@@ -4,14 +4,16 @@ Scenario ``c1``: a two-vertex bridge whose rightmost boundary link carries a
 superposition of two spins (3s-1 and 3s) while every other leg scales with s.
 Each allowed configuration's coupling combination is read from the engine
 (its cut links by dimension, plus the state functionals its Hamiltonian
-carries at one probe state; one batched boundary-to-boundary pass per state
-lists the allowed cells with their Hamiltonians) and checked against the
-engine at the start state, the six partition sums are assembled term by
-term and checked against the kernels of the start model's partition table,
-and the averaged purity is minimized over the positive-semidefinite
-bulk-block parameters (a, b, d, u, v, w) by a coarse grid over the
-parameter simplex followed by coordinate-descent refinement, both through
-one array evaluator.
+carries at one probe state) and checked against the engine at the start
+state, the six partition sums are assembled term by term and checked
+against the kernels of the start state's table, and the averaged purity is
+minimized over the positive-semidefinite bulk-block parameters (a, b, d,
+u, v, w) by a coarse grid over the parameter simplex followed by
+coordinate-descent refinement, both through one array evaluator.  Each
+state makes one batched boundary-to-boundary pass: the probe and start
+states' passes list the allowed cells with their Hamiltonians and give the
+state's table from the same entries, and the minimizer's is its
+`partition_table`.
 
 Scenario ``c2``: a census of boundary sectors on a single vertex.  The
 dimension-only partition sums Z0 = sum(D^2 + D) and Z1 = sum D_I D_O (D_I +
@@ -34,13 +36,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import json
-
 import numpy as np
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph, build_graph
-from .ising import ContractViolation, IsingModel, ModelKind
+from .ising import ContractViolation, IsingModel, JsonReport, ModelKind, PartitionSumTable, json_value
 from .spins import SectorFamily, Spin, SpinSector
 
 
@@ -55,12 +55,6 @@ _REGION_INPUTS = {"rightmost": ("c",), "upper_right": ("b2",)}
 _CONFIGS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _PAIR_KEYS = (("low", "low"), ("high", "high"), ("low", "high"))
-
-
-def _num(value: Optional[float]):
-    if value is None:
-        return None
-    return value if math.isfinite(value) else None
 
 
 def _config_label(config: Tuple[int, int]) -> str:
@@ -313,17 +307,25 @@ class _BridgeStructure:
             return np.where(z[0] > 0.0, z[1] / z[0], np.inf)
 
 
-def _bridge_cells(model: IsingModel, sectors) -> Dict[Tuple[Tuple[str, str], int, Tuple[int, int]], float]:
+def _bridge_cells(
+    model: IsingModel, sectors
+) -> Tuple[Dict[Tuple[Tuple[str, str], int, Tuple[int, int]], float], PartitionSumTable]:
     """H of every allowed (pair, replica, config) cell of the bridge at the
-    model's state: the entries of one `_boundary_entries` pass over
-    `sectors` (low, high), whose configuration order `_CONFIGS` follows."""
-    row, config, _, _, energy = model._boundary_entries(model.sector_set(sectors))
+    model's state, and the state's table over `sectors` (low, high, at rows
+    0 and 1), both from one `_boundary_entries` pass, whose configuration
+    order `_CONFIGS` follows.  Both sectors carry weight (`_resolve_start`
+    refuses a zero weight, and the probe point has a + d = 0.55 and
+    w = 0.45), so the set equals its `weighted()` and the table is the one
+    `partition_table` builds."""
+    pool = model.sector_set(sectors)
+    entries = model._boundary_entries(pool)
+    row, config, _, _, energy = entries
     names = ("low", "high")
     cells = {}
     for r, i, h in zip(row.tolist(), config.tolist(), energy.tolist()):
         (a, b), replica = divmod(r // 2, 2), r % 2
         cells[(names[a], names[b]), replica, _CONFIGS[i]] = h
-    return cells
+    return cells, PartitionSumTable(pool, model._reduce_entries(len(pool), *entries))
 
 
 def _extract_structure(
@@ -335,20 +337,21 @@ def _extract_structure(
 ) -> _BridgeStructure:
     """Read the kernel structure off the engine at the probe state.
 
-    Every cell comes from one `_bridge_cells` pass; a cell without an entry
-    is forbidden.  An allowed cell's coupling counts are its cut links (the
-    model's cut mask) by dimension (2s+1, 6s+1, 6s-1), its geometric factor
-    is exp(-lambda) with lambda the sum of log d over those links, and its
-    state flags name the one member of {0, S2, Sigma, S2 + Sigma} that its H
-    exceeds lambda by.  The K factors and the check that the mirrored cross
-    pair has the same kernels read one `partition_table`.
+    Every cell, and the probe state's table, come from one `_bridge_cells`
+    pass; a cell without an entry is forbidden.  An allowed cell's coupling
+    counts are its cut links (the model's cut mask) by dimension (2s+1,
+    6s+1, 6s-1), its geometric factor is exp(-lambda) with lambda the sum
+    of log d over those links, and its state flags name the one member of
+    {0, S2, Sigma, S2 + Sigma} that its H exceeds lambda by.  The K factors
+    and the check that the mirrored cross pair has the same kernels read
+    that table, low at row 0 and high at row 1.
     """
     params = _params_from_x(_PROBE)
     model = IsingModel(graph, family, kind, state=_bridge_state(graph, sectors, params))
     s2, sigma = _state_functionals(params)
     dims = (2 * s + 1, 6 * s + 1, 6 * s - 1)
     sec = {"low": sectors[0], "high": sectors[1]}
-    allowed = _bridge_cells(model, sectors)
+    allowed, table = _bridge_cells(model, sectors)
     cut_mask, links = model._link_masks[0], graph.link_ids()
     entries: Dict = {}
     forbidden: List = []
@@ -379,13 +382,11 @@ def _extract_structure(
                 cells.append((config, math.exp(-lam), counts + flags[0]))
             entries[(pair, replica)] = tuple(cells)
     # the mirrored cross pair must carry the same kernels
-    table = model.partition_table()
-    low, high = (table.labels.index(sector.label()) for sector in sectors)
     for replica in (0, 1):
-        mirrored, direct = table.z[high, low, replica], table.z[low, high, replica]
+        mirrored, direct = table.z[1, 0, replica], table.z[0, 1, replica]
         if not math.isclose(mirrored, direct, rel_tol=1e-12, abs_tol=1e-300):
             raise ExperimentError("cross-sector kernels are not symmetric")
-    k_low, k_high = table.k[[low, high]].tolist()
+    k_low, k_high = table.k.tolist()
     return _BridgeStructure(
         entries=entries,
         forbidden=tuple(forbidden),
@@ -465,15 +466,15 @@ class C1Cell:
     defect: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
+        return json_value({
+            "pair": self.pair,
             "replica": self.replica,
             "config": _config_label(self.config),
             "combo": self.combo,
             "expected": self.expected,
             "engine": self.engine,
             "defect": self.defect,
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -486,14 +487,14 @@ class C1Sum:
     defect: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
+        return json_value({
+            "pair": self.pair,
             "replica": self.replica,
             "terms": [{"config": label, "value": value} for label, value in self.terms],
             "total": self.total,
             "engine": self.engine,
             "defect": self.defect,
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -510,9 +511,9 @@ class C1Optimum:
     evaluations: int
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "resolution": self.resolution,
-            "coarse_point": list(self.coarse_point),
+            "coarse_point": self.coarse_point,
             "coarse_value": self.coarse_value,
             "a": self.a,
             "d": self.d,
@@ -521,11 +522,11 @@ class C1Optimum:
             "q_hat": self.q_hat,
             "purity": self.purity,
             "evaluations": self.evaluations,
-        }
+        })
 
 
 @dataclass(frozen=True)
-class C1Report:
+class C1Report(JsonReport):
     """Bridge scenario: table verification, six sums, minimized purity."""
 
     s: int
@@ -559,14 +560,14 @@ class C1Report:
         return (self.optimum.a, self.optimum.d, self.optimum.w)
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "s": self.s,
             "region": self.region,
             "mode": self.mode,
-            "input_links": list(self.input_links),
-            "couplings": dict(self.couplings),
+            "input_links": self.input_links,
+            "couplings": self.couplings,
             "D_I": self.d_input,
-            "sector_dims": {k: dict(v) for k, v in self.sector_dims.items()},
+            "sector_dims": self.sector_dims,
             "start": {
                 key: ([value.real, value.imag] if isinstance(value, complex) else value)
                 for key, value in self.start.items()
@@ -575,11 +576,11 @@ class C1Report:
             "start_Sigma": self.start_sigma,
             "cells": [cell.to_json_dict() for cell in self.cells],
             "forbidden": [
-                {"pair": list(pair), "replica": replica, "config": _config_label(config)}
+                {"pair": pair, "replica": replica, "config": _config_label(config)}
                 for pair, replica, config in self.forbidden
             ],
             "sums": [item.to_json_dict() for item in self.sums],
-            "diag_purity": dict(self.diag_purity),
+            "diag_purity": self.diag_purity,
             "closed_form_defect": self.closed_form_defect,
             "optimum": self.optimum.to_json_dict(),
             "doubled": self.doubled.to_json_dict(),
@@ -589,13 +590,9 @@ class C1Report:
             "target_formula": self.target_formula,
             "target_value": self.target_value,
             "target_rel_dev": self.target_rel_dev,
-            "reference_minimizer": list(self.reference_minimizer),
+            "reference_minimizer": self.reference_minimizer,
             "minimizer_distance": self.minimizer_distance,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2)
+        })
 
 
 def reproduce_c1(
@@ -611,14 +608,17 @@ def reproduce_c1(
 
     Each allowed cell's combination comes from the engine's cut links and
     its Hamiltonian at one probe state (`_bridge_cells`, as at the start
-    state, where a cell without a Hamiltonian raises `ContractViolation`);
-    one array evaluator of the purity serves the coarse grid, the
-    refinement and the closed-form check at the start state.  `region`
-    selects the input leg: "rightmost" makes the two-spin superposed link
-    the input (purity target 1/(12 s)); "upper_right" makes one of the
-    plain spin-s legs the input (purity target 1/(2s+1)).  `start`
-    optionally replaces the default generic bulk block (a, d, b, u, v[,
-    w]); it must be a unit-trace positive-semidefinite block with both
+    state, where a cell without a Hamiltonian raises `ContractViolation`).
+    Each state makes one boundary-to-boundary pass: the probe and start
+    states' give their cells and their tables (low at row 0, high at row
+    1), and the start table checks the six sums; the minimizer's is its
+    `partition_table`.  One array evaluator of the purity serves the coarse
+    grid, the refinement and the closed-form check at the start state.
+    `region` selects the input leg: "rightmost" makes the two-spin
+    superposed link the input (purity target 1/(12 s)); "upper_right" makes
+    one of the plain spin-s legs the input (purity target 1/(2s+1)).
+    `start` optionally replaces the default generic bulk block (a, d, b, u,
+    v[, w]); it must be a unit-trace positive-semidefinite block with both
     sector weights and the cross column nonzero.
     """
     if s != int(s) or s < 1:
@@ -651,8 +651,7 @@ def reproduce_c1(
 
     # cell-by-cell verification at the start state before any optimization
     cells = []
-    sec = {"low": sectors[0], "high": sectors[1]}
-    allowed = _bridge_cells(model, sectors)
+    allowed, table = _bridge_cells(model, sectors)
     for (pair, replica), entries in sorted(structure.entries.items()):
         for config, _, combo in entries:
             expected = _combo_value(combo, couplings, s2, sigma)
@@ -681,8 +680,7 @@ def reproduce_c1(
             )
 
     # the six partition sums, term by term, against the engine's kernels
-    table = model.partition_table()
-    row = {name: table.labels.index(sector.label()) for name, sector in sec.items()}
+    row = {"low": 0, "high": 1}
     t_start = math.exp(-s2)
     q_start = math.exp(-sigma)
     sums = []
@@ -851,7 +849,7 @@ class C2Sector:
     remainder_bounded: bool
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "label": self.label,
             "D_I": self.d_input,
             "D_O": self.d_output,
@@ -871,7 +869,7 @@ class C2Sector:
             "expansion_first_order": self.expansion_first_order,
             "expansion_remainder": self.expansion_remainder,
             "remainder_bounded": self.remainder_bounded,
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -892,22 +890,22 @@ class C2Solution:
     failures: Tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "feasible": self.feasible,
             "q": self.q,
             "D_I": self.d_input,
             "D_O": self.d_output,
-            "r_values": list(self.r_values),
+            "r_values": self.r_values,
             "sector_q": [
                 {"label": label, "q_weight": qw, "q_norm": qn}
                 for label, qw, qn in self.sector_q
             ],
-            "failures": list(self.failures),
-        }
+            "failures": self.failures,
+        })
 
 
 @dataclass(frozen=True)
-class C2Report:
+class C2Report(JsonReport):
     mode: str
     sectors: Tuple[C2Sector, ...]
     z0_diagonal_formula: int
@@ -922,7 +920,7 @@ class C2Report:
     high_beta_monotone: bool
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "mode": self.mode,
             "sectors": [sector.to_json_dict() for sector in self.sectors],
             "Z_0_diagonal_formula": self.z0_diagonal_formula,
@@ -938,11 +936,7 @@ class C2Report:
                 for scale, pd, yd in self.high_beta
             ],
             "high_beta_monotone": self.high_beta_monotone,
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2)
+        })
 
 
 def _solve_cross_sector(dims: Sequence[Tuple[str, int, int]]) -> C2Solution:
@@ -1120,16 +1114,16 @@ class C3Branch:
     formal_defect: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "direct": self.direct,
             "closed": self.closed,
             "defect": self.defect,
-            "expansion_target": _num(self.expansion_target),
-            "expansion_defect": _num(self.expansion_defect),
-            "formal": _num(self.formal),
-            "formal_target": _num(self.formal_target),
-            "formal_defect": _num(self.formal_defect),
-        }
+            "expansion_target": self.expansion_target,
+            "expansion_defect": self.expansion_defect,
+            "formal": self.formal,
+            "formal_target": self.formal_target,
+            "formal_defect": self.formal_defect,
+        })
 
 
 @dataclass(frozen=True)
@@ -1142,14 +1136,14 @@ class C3Profile:
     pair_defect: float
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "name": self.name,
             "Y_1": self.y1,
             "Y_0": self.y0,
             "ratio": self.ratio,
             "ratio_times_pair_dim": self.ratio_times_pair_dim,
             "pair_defect": self.pair_defect,
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -1161,17 +1155,17 @@ class C3EngineCheck:
     pairs_checked: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "spins": list(self.spins),
+        return json_value({
+            "spins": self.spins,
             "dims_match": self.dims_match,
             "kernel_defect": self.kernel_defect,
             "k_defect": self.k_defect,
             "pairs_checked": self.pairs_checked,
-        }
+        })
 
 
 @dataclass(frozen=True)
-class C3Report:
+class C3Report(JsonReport):
     n: int
     profile: str
     mode: str
@@ -1193,7 +1187,7 @@ class C3Report:
     notes: Tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "n": self.n,
             "profile": self.profile,
             "mode": self.mode,
@@ -1212,12 +1206,18 @@ class C3Report:
             "formal_ratio_window": self.formal_ratio_window,
             "evaluations": [item.to_json_dict() for item in self.evaluations],
             "engine": self.engine.to_json_dict() if self.engine else None,
-            "notes": list(self.notes),
-        }
+            "notes": self.notes,
+        })
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2)
+
+def _c3_z1(dim, dlink, b):
+    """Swapped kernel of bulk spin u (dlink = 2u + 1, endpoint dimension dim)."""
+    return 1.0 / dim**2 + 2.0 * b / (dim * dlink) + b * b
+
+
+def _c3_z0(dim, dlink, b):
+    """Normalization kernel of bulk spin u, as in `_c3_z1`."""
+    return 1.0 + 2.0 * b / (dim * dlink) + (b / dim) ** 2
 
 
 def _c3_engine_check(n: int) -> C3EngineCheck:
@@ -1278,10 +1278,8 @@ def _c3_engine_check(n: int) -> C3EngineCheck:
     for i, mi in enumerate(m_of):
         for j in range(i, len(m_of)):
             if i == j:
-                dim = model_dim[mi]
-                dlink = mi
-                z1_model = 1.0 / dim**2 + 2.0 * b / (dim * dlink) + b * b
-                z0_model = 1.0 + 2.0 * b / (dim * dlink) + (b / dim) ** 2
+                z1_model = _c3_z1(model_dim[mi], mi, b)
+                z0_model = _c3_z0(model_dim[mi], mi, b)
             else:
                 z1_model = b * b
                 z0_model = 1.0
@@ -1350,16 +1348,10 @@ def reproduce_c3(
     m_large = n + 2.0 * k_vals
     dims_large = n - k_vals
 
-    def z1(dim, dlink):
-        return 1.0 / dim**2 + 2.0 * b / (dim * dlink) + b * b
-
-    def z0(dim, dlink):
-        return 1.0 + 2.0 * b / (dim * dlink) + (b / dim) ** 2
-
-    z1_small = z1(dims_small, m_small)
-    z1_large = z1(dims_large, m_large)
-    z0_small = z0(dims_small, m_small)
-    z0_large = z0(dims_large, m_large)
+    z1_small = _c3_z1(dims_small, m_small, b)
+    z1_large = _c3_z1(dims_large, m_large, b)
+    z0_small = _c3_z0(dims_small, m_small, b)
+    z0_large = _c3_z0(dims_large, m_large, b)
 
     gamma = float(np.euler_gamma)
     pi2 = math.pi**2

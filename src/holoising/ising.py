@@ -67,11 +67,12 @@ an enumeration of all 2^V configurations:
   term, and each pair costs one overlap, which gives its cosine, Delta.
   Neither depends on the replica.  The pass (`_boundary_entries`) lists
   the allowed entries as compact arrays (row = (pair, replica),
-  configuration, sign, log term, energy), which the bridge scenario c1
-  also reads, and `_reduce_entries` reduces them: z is the log-sum-exp of
-  each (row, sign) bucket in configuration order, and E_min, ties, gap
-  and representative are order-independent reductions, so every kernel
-  has the bits of scoring its configurations one at a time.  Memory: the
+  configuration, sign, log term, energy), from which the bridge scenario
+  c1 also reads its cells, and `_reduce_entries` reduces them: z is the
+  log-sum-exp of each (row, sign) bucket in configuration order, and
+  E_min, ties, gap and representative are order-independent reductions,
+  so every kernel has the bits of scoring its configurations one at a
+  time.  Memory: the
   masks built once per model (the cut per replica and the up mask and its
   complement, 4 L 2^V bytes of booleans, and the rank, 8 bytes per
   configuration); per call, 2 S x 2^V float64 cut energies, the coded
@@ -138,8 +139,10 @@ The table keeps the set's
 `degeneracy` and `gap` each hold S^2 x 2 entries, indexed [j, k, replica]
 (8 bytes each, so 16 S^2 bytes per field), so every table covers every
 sector pair, and the boundary-diagonal sums one entry per boundary key.  `rows`,
-`k_factors`, `boundary_rows` and the CSV/JSON writers are views over these
-arrays, built on first use; entropy and isometry read the arrays directly.
+`k_factors`, `boundary_rows`, `d_total`, `y` and the CSV/JSON writers are
+views over these arrays, built on first use (so D_I, which enumerates the
+family's bulk box, is not asked for until a dimension is read); entropy and
+isometry read the arrays directly.
 `IsingModel.k_factor` and `boundary_fixed_sums` are views too: the first
 reads log K and D_O of a one-sector `SectorSet`, the second the one
 boundary row of the table of a boundary's sectors.  So log K has one sum,
@@ -162,6 +165,10 @@ float64; boundary rows carry `log_z_bar` the same way.  The two sign
 buckets of each total also give `log_cancellation`, the log of the larger
 bucket over |Z_b|.  `entropy` and `isometry` raise `TotalsOverflowError`,
 which names `log_totals`, rather than dividing infinities.
+
+Reports as JSON.  Every `to_json_dict` of the package returns the
+`json_value` of its fields, which maps each float that is not finite to
+None, and `JsonReport.to_json` writes strict JSON (`allow_nan=False`).
 """
 
 from __future__ import annotations
@@ -458,7 +465,30 @@ def require_finite(values: Iterable[float], what: str) -> None:
         )
 
 
-class PartitionSumTable:
+def json_value(value):
+    """`value` as strict JSON data: a float that is not finite becomes None;
+    mappings, lists, tuples and numpy arrays are converted entry by entry."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, Mapping):
+        return {key: json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_value(item) for item in value]
+    if isinstance(value, np.ndarray):
+        return json_value(value.tolist())
+    return value
+
+
+class JsonReport:
+    """Base of the reports that write files: `to_json` writes the report's
+    `to_json_dict` as strict JSON, so no NaN or Infinity token is written."""
+
+    def to_json(self, path) -> None:
+        with open(path, "w") as handle:
+            json.dump(self.to_json_dict(), handle, indent=2, allow_nan=False)
+
+
+class PartitionSumTable(JsonReport):
     """All per-pair kernels plus K factors, boundary sums, and totals of one
     sector set.
 
@@ -475,9 +505,11 @@ class PartitionSumTable:
     `boundary_keys` lists the keys that have a row.  Every sum comes from
     `kernel_sums(z)`.
 
-    `rows`, `k_factors` and `boundary_rows` are views built on first use;
-    `to_csv` and `to_json_dict` serialize them.  `take` gives the table of
-    a sub-list of the sectors.
+    `rows`, `k_factors`, `boundary_rows`, `d_total` and `y` are views built
+    on first use, so the family's bulk box (`SectorSet.d_input`) is not
+    enumerated until a dimension is read.  `to_csv` and `to_json_dict`
+    (`json_value`) serialize them.  `take` gives the table of a sub-list
+    of the sectors.
     """
 
     def __init__(self, sectors: "SectorSet", kernels: "_PairKernels"):
@@ -494,12 +526,6 @@ class PartitionSumTable:
         self.log_cancellation = sums.log_cancellation
         self.boundary_keys = sums.keys_with_rows
         self.z_bar, self.log_z_bar = sums.z_bar, sums.log_z_bar
-        self.d_total = [0] * len(sums.z_bar)
-        self.y = [(0.0, 0.0)] * len(sums.z_bar)
-        d_input = sectors.d_input(sums.keys_with_rows)
-        for c, d_in in zip(sums.keys_with_rows, d_input):
-            self.d_total[c] = d = d_in * sectors.d_output(c)
-            self.y[c] = tuple(_over_square(t, log, d) for t, log in zip(sums.z_bar[c], sums.log_z_bar[c]))
 
     def take(self, index: np.ndarray) -> "PartitionSumTable":
         """The table of the sectors at `index`: this table where `index`
@@ -516,6 +542,22 @@ class PartitionSumTable:
         """`_kernel_sums` of an (S, S, 2) kernel array under this table's
         log K and boundary keys; the table's own sums are `kernel_sums(z)`."""
         return _kernel_sums(kernel, self.log_k, self.sectors.key, len(self.sectors.keys))
+
+    @functools.cached_property
+    def d_total(self) -> List[int]:
+        """D_E = D_I D_O per boundary key, 0 for a key without a row."""
+        d_total = [0] * len(self.z_bar)
+        for c, d_in in zip(self.boundary_keys, self.sectors.d_input(self.boundary_keys)):
+            d_total[c] = d_in * self.sectors.d_output(c)
+        return d_total
+
+    @functools.cached_property
+    def y(self) -> List[Tuple[float, float]]:
+        """Zbar_b / D_E^2 per boundary key, (0, 0) for a key without a row."""
+        y = [(0.0, 0.0)] * len(self.z_bar)
+        for c in self.boundary_keys:
+            y[c] = tuple(_over_square(t, log, self.d_total[c]) for t, log in zip(self.z_bar[c], self.log_z_bar[c]))
+        return y
 
     @functools.cached_property
     def pair_ids(self) -> List[str]:
@@ -562,39 +604,32 @@ class PartitionSumTable:
                 )
 
     def to_json_dict(self) -> dict:
-        def num(v: float):
-            return v if math.isfinite(v) else None
-
-        return {
+        return json_value({
             "rows": [
                 {
                     "sector_pair_id": r.pair_id,
                     "replica": r.replica,
-                    "Z": num(r.z),
-                    "E_min": num(r.e_min),
+                    "Z": r.z,
+                    "E_min": r.e_min,
                     "degeneracy": r.degeneracy,
-                    "gap": num(r.gap),
+                    "gap": r.gap,
                 }
                 for r in self.rows
             ],
-            "k_factors": {label: k for label, k in self.k_factors},
+            "k_factors": dict(self.k_factors),
             "boundary_sums": [
                 {
                     "boundary_id": b.boundary_id,
-                    "Z_bar_0": num(b.z_bar[0]),
-                    "Z_bar_1": num(b.z_bar[1]),
-                    "Y_0": num(b.y[0]),
-                    "Y_1": num(b.y[1]),
+                    "Z_bar_0": b.z_bar[0],
+                    "Z_bar_1": b.z_bar[1],
+                    "Y_0": b.y[0],
+                    "Y_1": b.y[1],
                     "D_total": b.d_total,
                 }
                 for b in self.boundary_rows
             ],
             "totals": {"Z_0": self.totals[0], "Z_1": self.totals[1]},
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2)
+        })
 
 
 def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
@@ -1469,13 +1504,14 @@ class IsingModel:
         return (a[n] * count + b[n]) * 2 + replica, c[n], cos[n] < 0.0, log_cos[n] - e, e
 
     def _reduce_entries(
-        self, nrows: int, row: np.ndarray, config: np.ndarray, negative: np.ndarray, log: np.ndarray, energy: np.ndarray
-    ) -> Tuple[np.ndarray, ...]:
-        """(z, E_min, degeneracy, gap, representative) of each of `nrows`
-        rows from compact entries: entry i of row `row[i]` is configuration
-        `config[i]` with energy `energy[i]` and weight
-        (-1)^negative[i] exp(log[i]); a row holds a configuration at most
-        once, and the entries are listed in ascending configuration order.
+        self, count: int, row: np.ndarray, config: np.ndarray, negative: np.ndarray, log: np.ndarray, energy: np.ndarray
+    ) -> _PairKernels:
+        """The kernels of `count` sectors from the compact entries of their
+        2 count^2 rows (pair, replica), as `_boundary_entries` lists them:
+        entry i of row `row[i]` is configuration `config[i]` with energy
+        `energy[i]` and weight (-1)^negative[i] exp(log[i]); a row holds a
+        configuration at most once, and the entries are listed in ascending
+        configuration order.
 
         z sums each (row, sign) bucket by `_bucket_logsumexp`, its terms in
         configuration order (one stable argsort of the bucket ids), and
@@ -1483,6 +1519,7 @@ class IsingModel:
         `TIE_TOL`, the gap and the representative (the tie of least rank,
         `_rank`) are order-independent reductions.  So each row has
         the bits of reducing it alone."""
+        nrows = count * count * 2
         ids = row * 2 + negative
         lengths = np.bincount(ids, minlength=2 * nrows)
         sums = _bucket_logsumexp(log[np.argsort(ids, kind="stable")], lengths).reshape(nrows, 2).tolist()
@@ -1502,7 +1539,7 @@ class IsingModel:
         least = np.full(nrows, np.iinfo(np.int64).max)
         np.minimum.at(least, row[tied], key)
         rep[feasible] = least[feasible] % size
-        return z, e_min, degeneracy, gap, rep
+        return _PairKernels(*(x.reshape(count, count, 2) for x in (z, e_min, degeneracy, gap, rep)))
 
     def _pair_kernels(self, sectors: SectorSet) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
@@ -1510,9 +1547,7 @@ class IsingModel:
         `_bulk_kernels`, or the `_reduce_entries` of `_boundary_entries`."""
         if not self.kind.is_boundary_to_boundary:
             return self._bulk_kernels(sectors)
-        count = len(sectors)
-        reduced = self._reduce_entries(count * count * 2, *self._boundary_entries(sectors))
-        return _PairKernels(*(x.reshape(count, count, 2) for x in reduced))
+        return self._reduce_entries(len(sectors), *self._boundary_entries(sectors))
 
     def _kernel(
         self, j: SpinSector, k: SpinSector, replica: int

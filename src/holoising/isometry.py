@@ -35,7 +35,6 @@ in the exact regime, its reducer `kernel_sums` on e^{-E_min} otherwise.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
@@ -44,7 +43,7 @@ import numpy as np
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph
-from .ising import IsingModel, ModelKind, PartitionSumTable, ground_kernel, require_finite
+from .ising import IsingModel, JsonReport, ModelKind, PartitionSumTable, ground_kernel, json_value, require_finite
 from .spins import (
     SectorFamily,
     Spin,
@@ -74,12 +73,6 @@ def _resolve_regime(regime: str, tolerance: Optional[float]) -> Tuple[str, float
     if tol <= 0.0:
         raise IsometryError(f"tolerance must be positive, got {tol!r}")
     return regime, tol
-
-
-def _num(value: Optional[float]):
-    if value is None:
-        return None
-    return value if math.isfinite(value) else None
 
 
 # -- condition matrix ----------------------------------------------------
@@ -138,27 +131,25 @@ class ConditionMatrix:
         return float(q @ self.m @ q)
 
     def to_json_dict(self) -> dict:
-        return {
-            "labels": list(self.labels),
-            "Z_1": self.z1.tolist(),
-            "Z_0": self.z0.tolist(),
-            "M": self.m.tolist(),
-            "W": self.w.tolist(),
-            "alpha": None if self.alpha is None else self.alpha.tolist(),
-            "p": self.p.tolist(),
-            "candidate_p": (
-                None if self.candidate_p is None else self.candidate_p.tolist()
-            ),
+        return json_value({
+            "labels": self.labels,
+            "Z_1": self.z1,
+            "Z_0": self.z0,
+            "M": self.m,
+            "W": self.w,
+            "alpha": self.alpha,
+            "p": self.p,
+            "candidate_p": self.candidate_p,
             "D_I": self.d_input,
-            "quadratic_form": _num(self.quadratic_form),
-            "quadratic_form_factorized": _num(self.quadratic_form_factorized),
-            "zeroth_order_sum": _num(self.zeroth_order_sum),
-            "zeroth_order_defect": _num(self.zeroth_order_defect),
-            "det_Z_1": _num(self.det_z1),
-            "det_M": _num(self.det_m),
-            "rank_one_factor": _num(self.rank_one_factor),
+            "quadratic_form": self.quadratic_form,
+            "quadratic_form_factorized": self.quadratic_form_factorized,
+            "zeroth_order_sum": self.zeroth_order_sum,
+            "zeroth_order_defect": self.zeroth_order_defect,
+            "det_Z_1": self.det_z1,
+            "det_M": self.det_m,
+            "rank_one_factor": self.rank_one_factor,
             "singular": self.singular,
-        }
+        })
 
 
 def condition_matrix(table: PartitionSumTable, d_input: float) -> ConditionMatrix:
@@ -243,19 +234,19 @@ class ConditionRecord:
     extras: Tuple[Tuple[str, float], ...] = ()
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "name": self.name,
             "target": self.target,
-            "defect": _num(self.defect),
+            "defect": self.defect,
             "passed": self.passed,
             "sectors": [
-                {"label": label, "defect": _num(d), "passed": ok}
+                {"label": label, "defect": d, "passed": ok}
                 for label, d, ok in zip(
                     self.sector_labels, self.sector_defects, self.sector_passed
                 )
             ],
-            "extras": {key: _num(value) for key, value in self.extras},
-        }
+            "extras": dict(self.extras),
+        })
 
 
 def _record(
@@ -282,7 +273,7 @@ def _record(
 
 
 @dataclass(frozen=True)
-class IsometryVerdict:
+class IsometryVerdict(JsonReport):
     """Graded outcome of an isometry check.
 
     `classification` is "holographic" for a passing bulk-to-boundary map,
@@ -309,19 +300,15 @@ class IsometryVerdict:
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "kind": self.kind,
             "classification": self.classification,
             "regime": self.regime,
             "tolerance": self.tolerance,
             "passed": self.passed,
-            "extras": {key: _num(value) for key, value in self.extras},
+            "extras": dict(self.extras),
             "conditions": [cond.to_json_dict() for cond in self.conditions],
-        }
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2)
+        })
 
 
 # -- bulk-to-boundary ----------------------------------------------------
@@ -604,13 +591,13 @@ class TracePreservationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "sectors": [
                 {
                     "label": label,
                     "D_I": d,
-                    "reduction_defect": _num(r),
-                    "trace_distance": _num(t),
+                    "reduction_defect": r,
+                    "trace_distance": t,
                 }
                 for label, d, r, t in zip(
                     self.sector_labels,
@@ -619,14 +606,12 @@ class TracePreservationReport:
                     self.trace_distances,
                 )
             ],
-            "c_defects": (
-                None if self.c_defects is None else [_num(c) for c in self.c_defects]
-            ),
-            "k_defect": _num(self.k_defect),
-            "defect": _num(self.defect),
+            "c_defects": self.c_defects,
+            "k_defect": self.k_defect,
+            "defect": self.defect,
             "tolerance": self.tolerance,
             "passed": self.passed,
-        }
+        })
 
 
 def _state_key(sector):
@@ -765,8 +750,8 @@ class ClosedFormPurity:
     purity_paired: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": list(self.a),
+        return json_value({
+            "a": self.a,
             "renyi_half": self.renyi_half,
             "renyi_two": self.renyi_two,
             "D_I": self.d_input,
@@ -774,7 +759,7 @@ class ClosedFormPurity:
             "bracket": self.bracket,
             "purity": self.purity,
             "purity_paired": self.purity_paired,
-        }
+        })
 
 
 def single_vertex_closed_form(
@@ -978,19 +963,19 @@ class ScalingProfile:
         )
 
     def to_json_dict(self) -> dict:
-        return {
+        return json_value({
             "link_id": self.link_id,
             "spins": [str(s) for s in self.spins],
-            "profile": list(self.profile),
-            "achieving_profile": list(self.achieving_profile),
+            "profile": self.profile,
+            "achieving_profile": self.achieving_profile,
             "boundary_sectors": [
-                {"label": label, "products": list(prod), "shares": list(share)}
+                {"label": label, "products": prod, "shares": share}
                 for label, prod, share in zip(
                     self.boundary_labels, self.products, self.shares
                 )
             ],
             "independence_defect": self.independence_defect,
-        }
+        })
 
 
 def scaling_constraint_g(

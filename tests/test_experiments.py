@@ -16,7 +16,7 @@ from holoising.experiments import (
     reproduce_c3,
 )
 from holoising.graph import build_graph
-from holoising.ising import ContractViolation
+from holoising.ising import ContractViolation, IsingModel
 from holoising.spins import SectorFamily
 
 TOL = 1e-12
@@ -122,6 +122,37 @@ class TestC1:
         assert [float(v).hex() for v in values] == [float(fn(p)).hex() for p in points]
         first_min = min(range(len(values)), key=lambda idx: (values[idx], idx))
         assert tuple(points[first_min]) == report.optimum.coarse_point
+
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_one_boundary_pass_per_state(self, region, monkeypatch):
+        """The probe, start and minimizer states make one boundary-to-boundary
+        pass each, and the probe and start tables, built from the entries
+        their cells come from, have the bits of the state's
+        `partition_table`."""
+        passes, built = [], []
+        boundary_entries, bridge_cells = IsingModel._boundary_entries, experiments._bridge_cells
+
+        def counting(model, sectors):
+            passes.append(len(sectors))
+            return boundary_entries(model, sectors)
+
+        def recording(model, sectors):
+            cells, table = bridge_cells(model, sectors)
+            built.append((model, table))
+            return cells, table
+
+        monkeypatch.setattr(IsingModel, "_boundary_entries", counting)
+        monkeypatch.setattr(experiments, "_bridge_cells", recording)
+        reproduce_c1(1, region)
+        assert passes == [2, 2, 2] and len(built) == 2
+        monkeypatch.undo()
+        for model, table in built:
+            reference = model.partition_table()
+            assert table.labels == reference.labels
+            for name in ("z", "e_min", "degeneracy", "gap", "k"):
+                assert getattr(table, name).tobytes() == getattr(reference, name).tobytes()
+            assert [float(v).hex() for v in table.totals] == [float(v).hex() for v in reference.totals]
+            assert table.to_json_dict() == reference.to_json_dict()
 
     def test_custom_start(self):
         start = {"a": 0.2, "d": 0.35, "b": 0.05 - 0.1j, "u": 0.1 + 0.02j, "v": -0.07 + 0.05j}

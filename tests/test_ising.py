@@ -18,7 +18,7 @@ from conftest import (
     bridge_state,
     random_instance,
 )
-from holoising import ising
+from holoising import ising, spins
 from holoising.bulk import IntertwinerState, vertex_block_dims
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import (
@@ -37,7 +37,7 @@ from holoising.ising import (
     couplings,
 )
 from holoising.oracle import OracleError, build_cmap, build_hilbert, exact_replica_average
-from holoising.spins import SectorFamily, Spin, SpinSector, intertwiner_dim
+from holoising.spins import SectorEnumerationError, SectorFamily, Spin, SpinSector, intertwiner_dim
 
 
 def single_vertex_graph():
@@ -525,6 +525,47 @@ class TestBoundaryToBoundary:
         assert not gs.feasible
         assert gs.degeneracy == 0
         assert model.partition_sum_fixed(sec_low, sec_high, 1) == 0.0
+
+    def test_boundary_dimensions_are_read_on_demand(self, monkeypatch):
+        """A boundary-to-boundary table over a one-sector state needs only
+        that sector for its kernels and totals; D_I of its boundary key
+        enumerates the family's bulk box (four spins of e), which the guard
+        refuses, and is first asked for when a dimension view is read."""
+        graph = build_graph(
+            {
+                "vertices": [{"id": "x", "valence": 3}, {"id": "y", "valence": 3}],
+                "links": [
+                    {"id": "e", "ends": [["x", 0], ["y", 0]]},
+                    {"id": "a1", "end": ["x", 1]},
+                    {"id": "a2", "end": ["x", 2]},
+                    {"id": "c1", "end": ["y", 1]},
+                    {"id": "c2", "end": ["y", 2]},
+                ],
+            }
+        )
+        legs = {lid: ["1/2"] for lid in ("a1", "a2", "c1", "c2")}
+        family = SectorFamily.build(graph, "1/2", "2", allowed={**legs, "e": ["1/2", "1", "3/2", "2"]})
+        sector = SpinSector.make(graph, {"e": "1", **{lid: "1/2" for lid in legs}})
+        state = IntertwinerState.from_pure(graph, {sector: np.ones(1)})
+        kind = ModelKind.boundary_to_boundary(BoundaryPartition.from_input(graph, ["a1"]))
+        model = IsingModel(graph, family, kind, state=state)
+        reference = model.partition_table()
+        assert reference.d_total == [16]
+        monkeypatch.setattr(spins, "SECTOR_LIMIT", 3)
+        table = model.partition_table()
+        assert table.z.tobytes() == reference.z.tobytes()
+        assert [float(v).hex() for v in table.totals] == [float(v).hex() for v in reference.totals]
+        assert table.log_totals == reference.log_totals
+        assert table.z_bar == reference.z_bar
+        for read in (
+            lambda: table.d_total,
+            lambda: table.y,
+            lambda: table.boundary_rows,
+            lambda: table.to_json_dict(),
+            lambda: model.boundary_fixed_sums({lid: "1/2" for lid in legs}),
+        ):
+            with pytest.raises(SectorEnumerationError, match="4 sectors exceed the guard of 3"):
+                read()
 
 
 class TestTableSerialization:

@@ -1,17 +1,19 @@
-"""Packaging metadata points at code that exists, and the package runs on
-its declared dependencies alone."""
+"""Packaging metadata and the benchmark's tracer point at code that exists,
+and the package runs on its declared dependencies alone."""
 
 import importlib
 import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
@@ -61,3 +63,33 @@ def test_scipy_is_a_test_dependency_only():
         project = tomllib.load(handle)["project"]
     assert not any(dep.startswith("scipy") for dep in project["dependencies"])
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_benchmark_tracer_wraps_existing_names_and_restores_them():
+    """The benchmark's traced run wraps named functions and methods of the
+    package (`perfbench/tracing.py`, loaded from its source without writing
+    anything): installing its tracer finds every one of them, and
+    uninstalling it puts back each attribute it replaced."""
+    tracing = types.ModuleType("tracing")
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), tracing.__dict__)
+    modules = list(tracing.MODULES.values())
+    owners = modules + [
+        value for mod in modules for value in vars(mod).values()
+        if isinstance(value, type) and value.__module__ == mod.__name__
+    ]
+
+    def snapshot():
+        return {(id(owner), name): value for owner in owners for name, value in vars(owner).items()}
+
+    before = snapshot()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        patched = {key for key, value in snapshot().items() if before.get(key) is not value}
+    finally:
+        tracer.uninstall()
+    wrapped = {name.split(".", 1)[1] for name in tracer.stats if not name.startswith("trace.")}
+    assert wrapped and wrapped <= {name for _, name in patched}
+    after = snapshot()
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
