@@ -45,16 +45,22 @@ memory linear in the entries, whatever their key ranges, plus one chunk of
 pairs (more only where one Gram row pairs more).
 
 Monte Carlo multiplies each block of shots by A through a `ShotProduct`:
-the map's entries sorted by their grid cell and split by their rank within
+the map's entries sorted by their target and split by their rank within
 it, so one block is a few gathers of Haar amplitudes written straight into
-the dense (block x keep x rest x components) grid, as `reduced_density`
-lays out one state.  A block takes at most SHOT_BLOCK shots and only as
-many as fit in GRID_BLOCK grid entries, at least one, so its grid stays
-within 4 MB unless one shot's grid is larger.  GRID_LIMIT caps each dense
-grid array, checked by `RegionGrid.zeros` on the size it allocates; exact
-traces never build the grid, so the limit does not apply to them.  The
-pattern sum with unit weights reproduces the Ising engine's unnormalized
-partition totals; normalized grades reweight the same traces.
+its layout.  The (keep x rest x components) grid of a region is
+block-diagonal by spin sector: its occupied cells split into connected
+blocks whose keep labels share no column, so each shot's Gram is block
+diagonal.  `GridBlocks` lays a shot out on those blocks only, each a
+dense sub-grid, the blocks of one shape side by side so that each shape
+is one batched Gram per block of shots; memory and Gram work follow the
+occupied blocks, not keep x rest.  A block of shots takes at most
+SHOT_BLOCK shots and only as many as fit in GRID_BLOCK layout entries, at
+least one, so its layout stays within 4 MB unless one shot's is larger.
+GRID_LIMIT caps each such array, and the dense grid `reduced_density`
+lays one state out on; exact traces never build either, so the limit does
+not apply to them.  The pattern sum with unit weights reproduces the
+Ising engine's unnormalized partition totals; normalized grades reweight
+the same traces.
 
 Haar streams.  A Haar vector is a normalized standard complex Gaussian.
 The Gaussians of (vertex, block) for shot s come from chunk c = s //
@@ -98,17 +104,19 @@ HAAR_CHUNK = 64
 # batch held by the index.
 MC_BATCH = 256
 
-# Most shots per Monte Carlo product and grid block: a block's gathers and
-# its dense grid stay small next to the batch.
+# Most shots per Monte Carlo product and layout block: a block's gathers
+# and its layout stay small next to the batch.
 SHOT_BLOCK = 64
 
-# Most complex entries (4 MB) the dense grid of one Monte Carlo block
-# holds: a block takes SHOT_BLOCK shots where their grids fit in it, else as
-# many as fit, at least one.
+# Most complex entries (4 MB) the layout of one Monte Carlo block holds,
+# one shot's occupied grid blocks (`GridBlocks.size` cells) per shot: a
+# block takes SHOT_BLOCK shots where their layouts fit in it, else as many
+# as fit, at least one.
 GRID_BLOCK = 1 << 18
 
-# Most complex entries one dense (region x rest) grid array may hold, 16
-# bytes each: keep x rest cells times the shots and components laid out.
+# Most complex entries, 16 bytes each, one grid array may hold: a Monte
+# Carlo layout (shots times the occupied blocks' cells), or the dense
+# keep x rest grid `reduced_density` lays a state out on.
 GRID_LIMIT = 1 << 24
 
 # Most entry pairs one chunk of a pair Gram lists at once (about 100 bytes
@@ -408,7 +416,9 @@ class RegionGrid:
     outside the swap region R.  Distinct rows have distinct cells, so an
     array over the rows becomes a (keep_dim, rest_dim) array that is zero
     where no row lands, and a partial trace onto R is one matrix product.
-    Only `zeros` allocates a dense grid; GRID_LIMIT caps that array.
+    Only `lay_out` (for `reduced_density`) allocates the dense grid, which
+    GRID_LIMIT caps; Monte Carlo lays shots out on its occupied blocks
+    (`GridBlocks`), and exact traces read the entries.
     """
 
     def __init__(self, keys_r: List[np.ndarray], keys_rest: List[np.ndarray], dim: int):
@@ -418,28 +428,26 @@ class RegionGrid:
         self.rest_dim = int(self.bid.max()) + 1 if dim else 0
         self.cell = self.rid * self.rest_dim + self.bid
 
-    def zeros(self, shape: Tuple[int, ...]) -> np.ndarray:
-        """A complex zero array of `shape`, one of whose axes runs over the
-        keep_dim x rest_dim cells, refused above GRID_LIMIT entries."""
-        entries = math.prod(shape)
-        if entries > GRID_LIMIT:
-            raise OracleError(
-                f"laying rows out on the {self.keep_dim} x {self.rest_dim} "
-                f"(region x rest) grid needs an array of "
-                f"{' x '.join(map(str, shape))} = {entries} entries, above "
-                f"GRID_LIMIT = {GRID_LIMIT}; raise holoising.oracle.GRID_LIMIT "
-                f"(16 bytes per entry) or tighten the spin lists.  Monte Carlo "
-                f"lays out one block of shots at a time, at most SHOT_BLOCK = "
-                f"{SHOT_BLOCK} and only as many as fit in GRID_BLOCK = "
-                f"{GRID_BLOCK} entries, at least one"
-            )
-        return np.zeros(shape, dtype=complex)
-
     def lay_out(self, values: np.ndarray) -> np.ndarray:
         """Scatter `values`, one per row, onto the (keep_dim, rest_dim) grid."""
-        out = self.zeros((self.keep_dim * self.rest_dim,))
+        what = f"laying rows out on the {self.keep_dim} x {self.rest_dim} (region x rest) grid"
+        out = _limited_zeros((self.keep_dim * self.rest_dim,), what)
         out[self.cell] = values
         return out.reshape(self.keep_dim, self.rest_dim)
+
+
+def _limited_zeros(shape: Tuple[int, ...], what: str, hint: str = "") -> np.ndarray:
+    """A complex zero array of `shape`, refused above GRID_LIMIT entries
+    with an error that says `what` the array is for, then `hint`."""
+    entries = math.prod(shape)
+    if entries > GRID_LIMIT:
+        raise OracleError(
+            f"{what} needs an array of {' x '.join(map(str, shape))} = {entries} "
+            f"entries, above GRID_LIMIT = {GRID_LIMIT}; raise "
+            f"holoising.oracle.GRID_LIMIT (16 bytes per entry) or tighten the "
+            f"spin lists{hint}"
+        )
+    return np.zeros(shape, dtype=complex)
 
 
 def _compress_rows(key_arrays: List[np.ndarray], dim: int) -> np.ndarray:
@@ -488,9 +496,9 @@ class CMap:
     axis per vertex of `in_vertices`.  Exact traces read the entries
     directly, in memory linear in them; Monte Carlo applies A to blocks of
     shots through a `ShotProduct`, one per swap region (`grid_product`,
-    onto that region's grid, at most GRID_BLOCK entries a block unless one
-    shot's grid is larger) plus one onto the stacked output rows
-    (`row_product`), each built on first use and kept with the map.
+    onto the occupied blocks of that region's grid) plus one onto the
+    stacked output rows (`row_product`), each built on first use and kept
+    with the map.
     """
 
     def __init__(
@@ -516,7 +524,7 @@ class CMap:
         self.out_dim = out_dim
         self.in_dim = math.prod(col_dims)
         self._grid_cache: Dict[Tuple[Slot, ...], RegionGrid] = {}
-        self._product_cache: Dict[Tuple[Slot, ...], ShotProduct] = {}
+        self._product_cache: Dict[Tuple[Slot, ...], GridBlocks] = {}
 
     def pair_basis(self, region: Tuple[Slot, ...]) -> RegionGrid:
         """The (region x rest) grid of the output rows for swap region R."""
@@ -532,17 +540,13 @@ class CMap:
             self._grid_cache[key] = RegionGrid(keys_r, keys_rest, self.out_dim)
         return self._grid_cache[key]
 
-    def grid_product(self, region: Tuple[Slot, ...]) -> ShotProduct:
-        """A onto the grid of swap region R: target cell * n + m is the row
-        of C_m in grid cell keep * rest_dim + rest, so a block of shots
-        becomes (shots, keep_dim, rest_dim * n), the components along the
-        rest axis."""
+    def grid_product(self, region: Tuple[Slot, ...]) -> GridBlocks:
+        """A onto the occupied blocks of the grid of swap region R, the
+        components along the rest axis: a block of shots becomes (shots,
+        `size`), each shape's blocks one dense run (see GridBlocks)."""
         key = tuple(sorted(region))
         if key not in self._product_cache:
-            grid = self.pair_basis(key)
-            row, _, comp, _ = self.entries
-            n = len(self.weights)
-            self._product_cache[key] = ShotProduct(self.entries, grid.cell[row] * n + comp)
+            self._product_cache[key] = GridBlocks(self.entries, self.pair_basis(key), len(self.weights))
         return self._product_cache[key]
 
     @functools.cached_property
@@ -556,16 +560,19 @@ class CMap:
 class ShotProduct:
     """A map's entries routed onto dense targets, for blocks of shots.
 
-    Entries are sorted by target, the targets by how many entries they
-    hold (most first), and the entries split by their rank within their
-    target: rank k holds one entry of each of the first `len(cols[k])`
-    targets, in that order, and within a target the ranks follow the input
-    columns in ascending order.  A block (shots, in_dim) is then one gather
-    per rank, accumulated into a (shots, targets) array, and one scatter
-    onto the target axis of `out`.  Memory is O(nnz).  One gather of every
-    entry and one `np.add.reduceat` over the targets does the same with
-    less code, but on the 268 maps of an oracle-xcheck run (seed 5, at most
-    4 ranks) it took 193-205 us per 64-shot block against 94-109 us here.
+    The targets are the stacked output rows (`CMap.row_product`) or the
+    positions of a region grid's block layout (`GridBlocks`, which builds
+    on this class).  Entries are sorted by target, the targets by how many
+    entries they hold (most first), and the entries split by their rank
+    within their target: rank k holds one entry of each of the first
+    `len(cols[k])` targets, in that order, and within a target the ranks
+    follow the input columns in ascending order.  A block (shots, in_dim)
+    is then one gather per rank, accumulated into a (shots, targets) array,
+    and one scatter onto the target axis of `out`.  Memory is O(nnz).  One
+    gather of every entry and one `np.add.reduceat` over the targets does
+    the same with less code, but on the 268 maps of an oracle-xcheck run
+    (seed 5, at most 4 ranks) it took 193-205 us per 64-shot block against
+    94-109 us here.
     """
 
     def __init__(self, entries, target: np.ndarray):
@@ -595,6 +602,102 @@ class ShotProduct:
             acc[:, : cols.size] += psi[:, cols] * values
         out[:, self.cells] = acc
         return out
+
+
+class GridBlocks(ShotProduct):
+    """A onto the occupied blocks of a region grid, the layout on which
+    Monte Carlo takes each shot's Gram.
+
+    Entry (row, m) occupies cell (rid[row], bid[row] * n + m) of the
+    (keep_dim, rest_dim * n) grid, the components along the rest axis.  The
+    occupied cells split into connected blocks, a keep label and a width
+    column joined where their cell is occupied, so keep labels of
+    different blocks share no column: a shot's Gram G = X X^+ is block
+    diagonal, ||G||_F^2 sums ||X_b X_b^+||_F^2 over the blocks and Tr G
+    their traces.  Each block is laid out as a dense k x w sub-grid of its
+    keep labels and width columns, both ascending, zero where no entry
+    lands; blocks of one shape are adjacent, shapes ordered by (k, w) and
+    the blocks of a shape by their least keep label.  `runs` lists
+    (start, count, k, w) per shape and `size` the cells of one shot, so
+    memory follows the occupied blocks, not keep_dim x rest_dim.  A grid
+    whose occupied cells form one block keeps the dense order, less any
+    label or column no entry reaches.
+    """
+
+    def __init__(self, entries, grid: RegionGrid, n: int):
+        row, _, comp, _ = entries
+        self.grid, self.n = grid, n
+        # Nodes: the keep labels, then the width columns, that hold an entry.
+        edge_k = grid.rid[row]
+        edge_w = grid.keep_dim + grid.bid[row] * n + comp
+        used = np.zeros(grid.keep_dim + grid.rest_dim * n, dtype=bool)
+        used[edge_k] = used[edge_w] = True
+        node = np.cumsum(used) - 1
+        knode, wnode = node[edge_k], node[edge_w]
+        label = _components(knode, wnode, int(np.count_nonzero(used)))
+        # Blocks numbered by their least node, a keep label.
+        block = (np.cumsum(label == np.arange(label.size)) - 1)[label]
+        nk = int(np.count_nonzero(used[: grid.keep_dim]))
+        k_of = np.bincount(block[:nk])
+        w_of = np.bincount(block[nk:], minlength=k_of.size)
+        # Each node's rank in its block: keep labels first, both ascending.
+        by_block = np.argsort(block, kind="stable")
+        counts = k_of + w_of
+        rank = np.empty_like(by_block)
+        rank[by_block] = np.arange(by_block.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        # Blocks by shape, then by number; each shape's blocks one run.
+        shapes = list(zip(k_of.tolist(), w_of.tolist()))
+        start = np.empty(len(shapes), dtype=np.int64)
+        runs: List[List[int]] = []
+        at = 0
+        for i in sorted(range(len(shapes)), key=shapes.__getitem__):
+            k, w = shapes[i]
+            if runs and runs[-1][2:] == [k, w]:
+                runs[-1][1] += 1
+            else:
+                runs.append([at, 1, k, w])
+            start[i] = at
+            at += k * w
+        self.size = at
+        self.runs: List[Tuple[int, int, int, int]] = [tuple(r) for r in runs]
+        b = block[knode]
+        super().__init__(entries, start[b] + rank[knode] * w_of[b] + rank[wnode] - k_of[b])
+
+    def zeros(self, shots: int) -> np.ndarray:
+        """A complex zero layout for `shots` shots, refused above GRID_LIMIT
+        entries."""
+        grid = self.grid
+        return _limited_zeros(
+            (shots, self.size),
+            f"laying {shots} shots out on the occupied blocks of the {grid.keep_dim} x "
+            f"{grid.rest_dim * self.n} (region x rest) grid ({sum(c for _, c, _, _ in self.runs)} "
+            f"blocks, {self.size} cells a shot)",
+            f".  Monte Carlo lays out one block of shots at a time: at most SHOT_BLOCK = "
+            f"{SHOT_BLOCK}, and only as many as fit in GRID_BLOCK = {GRID_BLOCK} layout "
+            f"entries, at least one",
+        )
+
+
+def _components(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """The least node of the connected component of each of `size` nodes,
+    for the graph with edges (a[i], b[i]): every root hooks onto the least
+    root across its edges, and labels jump to their roots, until no edge
+    joins two roots."""
+    label = np.arange(size)
+    while True:
+        la, lb = label[a], label[b]
+        low = np.minimum(la, lb)
+        hooked = label.copy()
+        np.minimum.at(hooked, la, low)
+        np.minimum.at(hooked, lb, low)
+        while True:
+            jumped = hooked[hooked]
+            if np.array_equal(jumped, hooked):
+                break
+            hooked = jumped
+        if np.array_equal(hooked, label):
+            return label
+        label = hooked
 
 
 def _singlet_support(index: HilbertIndex) -> Tuple[np.ndarray, np.ndarray]:
@@ -1348,40 +1451,39 @@ def mc_purity(
     medium-grade estimate before or after a `localisation_probe`.  A longer
     estimate draws every batch.  Either way the estimate keeps every
     bit.  Each batch is applied in blocks of at most SHOT_BLOCK shots, and
-    of only as many as fit in GRID_BLOCK grid entries (at least one): the
-    map's `grid_product` writes a block straight into the dense (block x
-    keep x rest x components) grid, and each shot's purity and trace come
-    from the smaller Gram of its grid.  Memory is the held batch plus one
-    block's grid, which no shot's value depends on.  shots >= 2 (a one-shot
-    error bar is undefined) and 0 <= seed < 2**64.
+    of only as many as fit in GRID_BLOCK layout entries (at least one): the
+    map's `grid_product` writes a block straight onto the occupied blocks
+    of the region grid (`GridBlocks`), and each shot's purity and trace
+    sum over those blocks, each shape's blocks one batched Gram on its
+    smaller side.  Memory is the held batch plus one block's layout, which
+    no shot's value depends on.  shots >= 2 (a one-shot error bar is
+    undefined) and 0 <= seed < 2**64.
     """
     _check_at_least("shots", shots, 2, " (a one-shot error bar is undefined)")
     _check_seed(seed)
     cmap = _given_or_built(index, cmap, kind, state)
     if cmap.in_vertices != index.graph.vertices:
         raise OracleError("Monte Carlo sampling requires all vertices averaged")
-    slots = resolve_region(index, region)
-    grid = cmap.pair_basis(slots)
-    product = cmap.grid_product(slots)
-    width = grid.rest_dim * len(cmap.weights)
-    cells = grid.keep_dim * width
-    block = min(SHOT_BLOCK, MC_BATCH, shots, max(1, GRID_BLOCK // max(cells, 1)))
-    # One grid array for every block: a block rewrites the same cells.
-    layout = grid.zeros((block, cells))
-    z1 = np.empty(shots)
-    z0 = np.empty(shots)
+    product = cmap.grid_product(resolve_region(index, region))
+    block = min(SHOT_BLOCK, MC_BATCH, shots, max(1, GRID_BLOCK // max(product.size, 1)))
+    # One layout array for every block: a block rewrites the same cells.
+    layout = product.zeros(block)
+    z1 = np.zeros(shots)
+    trace = np.zeros(shots)
     for start, psi in _shot_blocks(index, grade, seed, shots, block, weights):
         n = psi.shape[0]
-        # Each shot on the grid, components along the rest axis.
-        big = product(psi, layout[:n]).reshape(n, grid.keep_dim, width)
-        # Tr(rho_R^2) = ||G||_F^2 and Tr(rho) = Tr(G) for the smaller Gram G
-        # of the shot's grid.
-        if grid.keep_dim <= width:
-            gram = big @ big.conj().transpose(0, 2, 1)
-        else:
-            gram = big.conj().transpose(0, 2, 1) @ big
-        z1[start : start + n] = _row_sq_norms(gram)
-        z0[start : start + n] = np.einsum("sii->s", gram).real ** 2
+        laid = product(psi, layout[:n])
+        # Tr(rho_R^2) = ||G||_F^2 and Tr(rho) = Tr(G), summed over the grid
+        # blocks, for the smaller Gram G of each block of each shot.
+        for at, count, k, w in product.runs:
+            x = laid[:, at : at + count * k * w].reshape(n, count, k, w)
+            if k <= w:
+                gram = x @ x.conj().transpose(0, 1, 3, 2)
+            else:
+                gram = x.conj().transpose(0, 1, 3, 2) @ x
+            z1[start : start + n] += _row_sq_norms(gram)
+            trace[start : start + n] += np.einsum("scii->s", gram).real
+    z0 = trace**2
     m1 = float(np.mean(z1))
     m0 = float(np.mean(z0))
     ratio = m1 / m0

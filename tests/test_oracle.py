@@ -11,6 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
@@ -1312,18 +1313,93 @@ class TestMapEntries:
             assert peak < 2 * 2**20, region
 
     def test_one_vertex_estimate_stays_near_its_batch(self, monkeypatch):
-        """The held 256-shot batch is 256 x 2976 x 16 B = 12 MB.  64 shots
-        on the 30 x 1296 bulk grid would take 40 MB; a block takes as many
-        shots as fit in GRID_BLOCK entries (6 here), and the estimate keeps
-        the bits of 16-shot batches, whose blocks are 6, 6 and 4 shots."""
+        """The held 256-shot batch is 256 x 2976 x 16 B = 12 MB.  The 2,976
+        rows fill 16 blocks of the 30 x 1296 bulk grid, so a shot's layout
+        is 2,976 cells, not 38,880, and a block takes all 64 shots
+        (64 x 2976 x 16 B = 3 MB; the dense grid would take 40 MB).  The
+        estimate keeps the bits of 16-shot batches, whose blocks are 16
+        shots."""
         index, cmap = four_leg_map()
         grid = cmap.pair_basis(resolve_region(index, "bulk"))
         assert (grid.keep_dim, grid.rest_dim) == (30, 1296)
+        assert cmap.grid_product(resolve_region(index, "bulk")).size == 2976
         est, peak = traced_peak(lambda: mc_purity(index, "bulk", cmap=cmap, shots=256, seed=3))
         assert peak < 24 * 2**20
         monkeypatch.setattr(oracle, "MC_BATCH", 16)
         small = mc_purity(index, "bulk", cmap=cmap, shots=256, seed=3)
         assert hex_fields(small) == hex_fields(est)
+
+
+def block_layout(cmap, grid):
+    """(targets, blocks): the grid target (cell * n + m) of each position
+    of the region's Monte Carlo layout as `GridBlocks` documents it, and the
+    number of blocks.  The occupied cells' connected blocks come from
+    scipy; each is a dense sub-grid of its keep labels and width columns,
+    both ascending, the blocks ordered by shape (k, w) and then by least
+    keep label."""
+    row, _, comp, _ = cmap.entries
+    width_dim = grid.rest_dim * len(cmap.weights)
+    keep, width = grid.rid[row], grid.bid[row] * len(cmap.weights) + comp
+    nodes = grid.keep_dim + width_dim
+    graph = scipy.sparse.coo_array((np.ones(keep.size), (keep, grid.keep_dim + width)), shape=(nodes, nodes))
+    label = scipy.sparse.csgraph.connected_components(graph, directed=False)[1][keep]
+    blocks = []
+    for b in np.unique(label):
+        ks, ws = np.unique(keep[label == b]), np.unique(width[label == b])
+        blocks.append(((ks.size, ws.size, ks[0]), np.add.outer(ks * width_dim, ws).ravel()))
+    blocks.sort(key=lambda block: block[0])
+    return np.concatenate([cells for _, cells in blocks] or [np.zeros(0, dtype=np.int64)]), len(blocks)
+
+
+def assert_matches_dense_grid(est, grid, phi):
+    """Check a Monte Carlo estimate against its shots laid out on the dense
+    (keep x rest) grid, one Gram per shot, within rel 1e-13; `phi` holds A
+    psi as (shots, out_dim, components).  Returns the reference value."""
+    shots, _, ncomp = phi.shape
+    big = np.zeros((shots, grid.keep_dim * grid.rest_dim, ncomp), dtype=complex)
+    big[:, grid.cell] = phi
+    big = big.reshape(shots, grid.keep_dim, grid.rest_dim * ncomp)
+    rho = big @ big.conj().transpose(0, 2, 1)
+    z1 = np.sum(np.abs(rho) ** 2, axis=(1, 2))
+    z0 = np.sum(np.abs(phi) ** 2, axis=(1, 2)) ** 2
+    m1, m0 = z1.mean(), z0.mean()
+    ratio = m1 / m0
+    cov = np.mean((z1 - m1) * (z0 - m0))
+    var = (z1.var() - 2 * ratio * cov + ratio**2 * z0.var()) / (shots * m0**2)
+    assert est.mean_numerator == pytest.approx(m1, rel=1e-13)
+    assert est.mean_denominator == pytest.approx(m0, rel=1e-13)
+    assert est.value == pytest.approx(ratio, rel=1e-13)
+    assert est.sigma == pytest.approx(np.sqrt(var), rel=1e-13)
+    return ratio
+
+
+def partial_block_map():
+    """A one-vertex boundary-to-boundary map of a rank-2 bulk state whose
+    input region's grid is one 16 x 36 block with 336 occupied cells."""
+    graph = build_graph(
+        {
+            "vertices": [{"id": "x", "valence": 4}],
+            "links": [{"id": f"b{i}", "end": ["x", i]} for i in range(4)],
+        }
+    )
+    allowed = {"b0": ["1", "2"], "b1": ["1/2", "3/2"], "b2": ["1/2"], "b3": ["1"]}
+    index = build_hilbert(graph, SectorFamily.build(graph, "1/2", "2", allowed=allowed))
+    # The state leaves out the fourth sector, (2, 3/2, 1/2, 1).
+    sectors = list(index.family_sectors())[:3]
+    sizes = [index.space("x").blocks[index.sector_block_ids(s)[0]].intertwiner_dim for s in sectors]
+    assert sizes == [2, 2, 1]
+    rng = np.random.default_rng(7)
+    r = rng.normal(size=(5, 2)) + 1j * rng.normal(size=(5, 2))
+    rho = r @ r.conj().T / np.linalg.norm(r) ** 2
+    offs = np.cumsum([0, *sizes])
+    blocks = {
+        (si, sj): rho[offs[i] : offs[i + 1], offs[j] : offs[j + 1]]
+        for i, si in enumerate(sectors)
+        for j, sj in enumerate(sectors)
+    }
+    state = IntertwinerState.from_blocks(graph, sectors, blocks)
+    kind = ModelKind.boundary_to_boundary(BoundaryPartition.from_input(graph, ["b0", "b2"]))
+    return index, build_cmap(index, kind, state=state)
 
 
 def four_leg_map():
@@ -1442,26 +1518,48 @@ class TestSparseMaps:
         est = mc_purity(index, region, cmap=cmap, shots=shots, seed=seed)
 
         # Reference: the dense stacked map, each shot laid out on the grid.
-        grid = cmap.pair_basis(resolve_region(index, region))
         ncomp = len(cmap.weights)
         stacked = np.stack([np.sqrt(w) * f for w, f in comps], axis=1)
         psi = _haar_rows(index, "medium", seed, range(shots))
         phi = (psi @ stacked.reshape(-1, cmap.in_dim).T).reshape(shots, cmap.out_dim, ncomp)
-        big = np.zeros((shots, grid.keep_dim * grid.rest_dim, ncomp), dtype=complex)
-        big[:, grid.cell] = phi
-        big = big.reshape(shots, grid.keep_dim, grid.rest_dim * ncomp)
-        rho = big @ big.conj().transpose(0, 2, 1)
-        z1 = np.sum(np.abs(rho) ** 2, axis=(1, 2))
-        z0 = np.sum(np.abs(phi) ** 2, axis=(1, 2)) ** 2
-        m1, m0 = z1.mean(), z0.mean()
-        ratio = m1 / m0
-        cov = np.mean((z1 - m1) * (z0 - m0))
-        var = (z1.var() - 2 * ratio * cov + ratio**2 * z0.var()) / (shots * m0**2)
-        assert est.mean_numerator == pytest.approx(m1, rel=1e-13)
-        assert est.mean_denominator == pytest.approx(m0, rel=1e-13)
-        assert est.value == pytest.approx(ratio, rel=1e-13)
+        ratio = assert_matches_dense_grid(est, cmap.pair_basis(resolve_region(index, region)), phi)
         assert 0.0 < ratio < 1.0
-        assert est.sigma == pytest.approx(np.sqrt(var), rel=1e-13)
+
+    @pytest.mark.parametrize("case", ["one-vertex bulk", "partial block"])
+    def test_mc_purity_on_several_and_partial_blocks(self, case):
+        """The block layout against the dense grid: on the four-leg map's
+        bulk region, 2,976 rows on a 30 x 1,296 grid (38,880 cells) in 16
+        full blocks; on a boundary-to-boundary map of a mixed state, 336
+        occupied cells in one 16 x 36 block.  The layout holds exactly the
+        cells of the occupied cells' connected blocks."""
+        if case == "one-vertex bulk":
+            index, cmap = four_leg_map()
+            region, shots = "bulk", 16
+        else:
+            index, cmap = partial_block_map()
+            region, shots = ["b0", "b2"], 64
+        slots = resolve_region(index, region)
+        grid = cmap.pair_basis(slots)
+        product = cmap.grid_product(slots)
+        row, col, comp, value = cmap.entries
+        ncomp = len(cmap.weights)
+        occupied = np.unique(grid.cell[row] * ncomp + comp).size
+        cells, nblocks = block_layout(cmap, grid)
+        assert product.size == cells.size and sum(count for _, count, _, _ in product.runs) == nblocks
+        if case == "one-vertex bulk":
+            assert (grid.keep_dim * grid.rest_dim, cmap.out_dim, nblocks) == (38_880, 2_976, 16)
+            assert product.size == occupied == 2_976
+        else:
+            assert (grid.keep_dim, grid.rest_dim * ncomp, ncomp) == (16, 36, 2)
+            assert product.runs == [(0, 1, 16, 36)] and occupied == 336
+
+        seed = 23
+        est = mc_purity(index, region, cmap=cmap, shots=shots, seed=seed)
+        stacked = scipy.sparse.csr_array((value, (row * ncomp + comp, col)), shape=(cmap.out_dim * ncomp, cmap.in_dim))
+        psi = _haar_rows(index, "medium", seed, range(shots))
+        phi = (stacked @ psi.T).T.reshape(shots, cmap.out_dim, ncomp)
+        ratio = assert_matches_dense_grid(est, grid, phi)
+        assert 0.0 < ratio < 1.0
 
     def test_compress_rows_matches_unique(self):
         rng = np.random.default_rng(8)
@@ -1719,6 +1817,20 @@ class TestNumpyKernels:
         assert oracle._pair_gram(*empty, *empty) == 0.0
         assert oracle._pattern_trace(empty, empty) == 0.0
 
+    def test_components_match_scipy(self):
+        """Each node's label is the least node of its connected component,
+        on random multigraphs and on a path listed in shuffled order."""
+        rng = np.random.default_rng(5)
+        cases = [(rng.integers(0, n, m), rng.integers(0, n, m), n) for n, m in rng.integers(1, 60, (200, 2))]
+        path = rng.permutation(2000)
+        cases += [(path[:-1], path[1:], 2000), (np.zeros(0, dtype=np.int64),) * 2 + (0,)]
+        for a, b, n in cases:
+            graph = scipy.sparse.coo_array((np.ones(a.size), (a, b)), shape=(n, n))
+            ref = scipy.sparse.csgraph.connected_components(graph, directed=False)[1]
+            least = np.full(n, n)
+            np.minimum.at(least, ref, np.arange(n))
+            assert np.array_equal(oracle._components(a, b, n), least[ref])
+
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_shot_products_match_stacked_product_and_lay_out(self, maps, order):
         rng = np.random.default_rng(3)
@@ -1741,8 +1853,11 @@ class TestNumpyKernels:
                     [np.stack([grid.lay_out(phi[s, :, m]) for m in range(n)], axis=-1) for s in range(shots)]
                 ).reshape(shots, -1)
                 product = cmap.grid_product(region)
-                out = grid.zeros((shots, grid.keep_dim * grid.rest_dim * n))
+                cells, nblocks = block_layout(cmap, grid)
+                assert product.size == cells.size and sum(count for _, count, _, _ in product.runs) == nblocks
+                assert not np.delete(want, cells, axis=1).any()
+                out = product.zeros(shots)
                 # A second block over the same array rewrites every cell it reaches.
                 product(np.ones_like(psi), out)
-                np.testing.assert_allclose(product(psi, out), want, rtol=0, atol=tol)
+                np.testing.assert_allclose(product(psi, out), want[:, cells], rtol=0, atol=tol)
                 assert cmap.grid_product(region) is product

@@ -1,5 +1,6 @@
 """Packaging metadata and the benchmark's tracer point at code that exists,
-and the package runs on its declared dependencies alone."""
+the package runs on its declared dependencies alone, and the parity tool
+compares result files as it documents."""
 
 import importlib
 import json
@@ -14,6 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 PYPROJECT = ROOT / "pyproject.toml"
 TRACING = ROOT / "perfbench" / "tracing.py"
+PARITY = ROOT / "tools" / "parity.py"
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
@@ -93,3 +95,61 @@ def test_benchmark_tracer_wraps_existing_names_and_restores_them():
     after = snapshot()
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())
+
+
+def load_parity(monkeypatch):
+    """`tools/parity.py` loaded from its source without writing anything
+    (no bytecode either, for the benchmark modules it imports); the
+    `sys.path` entries and benchmark modules its import adds are removed
+    again when the test ends."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    before = set(sys.modules)
+    parity = types.ModuleType("parity")
+    parity.__file__ = str(PARITY)
+    exec(compile(PARITY.read_text(), str(PARITY), "exec"), parity.__dict__)
+    for name in set(sys.modules) - before:
+        if str(getattr(sys.modules[name], "__file__", "")).startswith(str(ROOT / "perfbench")):
+            monkeypatch.setitem(sys.modules, name, sys.modules[name])
+    return parity
+
+
+def write_values(path, values):
+    """A `--values` file: one record per (op, kind, value)."""
+    with open(path, "w") as handle:
+        for op, kind, value in values:
+            handle.write(json.dumps({"op": op, "kind": kind, "value": value}, sort_keys=True) + "\n")
+    return str(path)
+
+
+def test_parity_compare_matches_results_by_content(monkeypatch, tmp_path, capsys):
+    """`parity.py --compare` on small `--values` files: identical files
+    agree; a float off by 1e-15 is reported with its path; and a repeated
+    result that B drops is listed as only in A, with the results after it
+    matched to their equals rather than shifted onto other values."""
+    parity = load_parity(monkeypatch)
+    table = "IsingModel.partition_table"
+
+    def result(*totals):
+        return {"type": "Table", "totals": [x.hex() for x in totals], "labels": ["j=1/2", "j=1"]}
+
+    first, second = result(0.25, 1.5), result(0.75, 2.5)
+    records = [(0, table, first), (0, table, second), (1, "oracle.mc_purity", result(0.5))]
+    a = write_values(tmp_path / "a.jsonl", records)
+
+    assert parity.compare(a, write_values(tmp_path / "same.jsonl", records)) == 0
+    out = capsys.readouterr().out
+    assert f"{table}: 0 of 2 differ" in out and "only in" not in out
+
+    off = [*records[:2], (1, "oracle.mc_purity", result(0.5 * (1 + 1e-15)))]
+    assert parity.compare(a, write_values(tmp_path / "off.jsonl", off)) == 0
+    out = capsys.readouterr().out
+    assert "oracle.mc_purity: 1 of 1 differ, largest relative float difference 1.11e-15 at /totals[0]" in out
+    assert f"{table}: 0 of 2 differ" in out
+
+    repeated = [(0, table, first), (0, table, first), (0, table, second)]
+    a = write_values(tmp_path / "repeated.jsonl", repeated)
+    assert parity.compare(a, write_values(tmp_path / "dropped.jsonl", [repeated[0], repeated[2]])) == 1
+    out = capsys.readouterr().out
+    assert f"only in A: 1 {table} (ops 0)" in out and "only in B" not in out
+    assert f"{table}: 0 of 2 differ, largest relative float difference 0, 0 non-float differences" in out

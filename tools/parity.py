@@ -16,9 +16,10 @@ boundary-to-boundary verdict are compared though no op asks for them.
 On the sector-wide workload each op's family is also recorded through
 `fine_average_purity` at uniform weights and the `sector_dims` of its
 weighted sectors, which no op calls either.
-Monte Carlo estimates are left out: they follow the definition of the
-Haar streams, which can change while the engine and the oracle's grids
-keep their bits.  Each result is reduced to a canonical JSON form in which
+Monte Carlo estimates (`oracle.mc_purity`) are left out of the digests:
+they follow the definition of the Haar streams and the order of their
+sums, which can change while the engine and the oracle's exact traces keep
+their bits.  Each result is reduced to a canonical JSON form in which
 every float is written with `float.hex`, so two trees can be compared bit
 for bit:
 
@@ -33,12 +34,17 @@ result in call order; the last line is a digest over all of them.
 
 Where two trees are meant to differ in the last bits, `--values PATH`
 also writes each result's canonical form, one JSON line per result, and
-`--compare A B` reads two such files, matches their results by op, kind
-and order (listing the results only one file holds) and prints, per
-result kind, how many results differ, the largest relative difference
-of a float (with the path of the float that has it), the largest per
-field (the path with its indices dropped) and every difference that is
-not a float (a bool, int, string, label, key or length):
+each Monte Carlo estimate's value, sigma and numerator and denominator
+means as results of their own kind, `oracle.mc_purity`.  `--compare A B`
+reads two such files and matches their results within each op and kind:
+first the results whose canonical forms are equal, then the rest in
+order, listing those that only one file holds, so a tree that drops a
+repeated call reads as that call, not as every later result shifted.  It
+prints, per result kind, how many results differ, the largest relative
+difference of a float (with the path of the float that has it), the
+largest per field (the path with its indices dropped) and every
+difference that is not a float (a bool, int, string, label, key or
+length):
 
     python3 tools/parity.py --workload sector-wide --seed 5 --out a.txt --values a.jsonl
     (in the other checkout, same arguments)  --out b.txt --values b.jsonl
@@ -78,7 +84,12 @@ BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "N
 FIELDS = {
     "BoundarySumRow": ("boundary_id", "z_bar", "y", "d_total"),
     "BoundaryFixedSums": ("z_bar", "y", "d_total", "sector_count"),
+    "MCEstimate": ("value", "sigma", "mean_numerator", "mean_denominator"),
 }
+
+# Calls recorded in the --values file only, not in the digests (see the
+# module docstring).
+VALUES_ONLY = {"mc_purity"}
 
 # Calls also recorded with every other value of one argument: function
 # name -> (argument, its values).
@@ -133,24 +144,25 @@ class Recorder:
         self.paused = 0
         self._undo: List[Tuple[Any, str, Any]] = []
 
-    def record(self, kind: str, result: Any) -> None:
+    def record(self, kind: str, result: Any, digest: bool = True) -> None:
         value = canon(result)
-        blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(blob.encode()).hexdigest()[:32]
-        self.kinds[kind] += 1
-        self.lines.append(f"op {self.op} {kind} {digest}")
+        if digest:
+            blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
+            self.kinds[kind] += 1
+            self.lines.append(f"op {self.op} {kind} {hashlib.sha256(blob.encode()).hexdigest()[:32]}")
         if self.values is not None:
             self.values.write(json.dumps({"op": self.op, "kind": kind, "value": value}, sort_keys=True) + "\n")
 
     def _wrapper(self, kind: str, fn: Callable) -> Callable:
         recorder = self
         variant = VARIANTS.get(fn.__name__)
+        digest = fn.__name__ not in VALUES_ONLY
 
         @functools.wraps(fn)
         def wrapper(*args, **kwargs):
             result = fn(*args, **kwargs)
             if not recorder.paused:
-                recorder.record(kind, result)
+                recorder.record(kind, result, digest)
                 if variant is not None:
                     recorder.record_variants(kind, fn, args, kwargs, *variant)
                 if fn.__name__ == "partition_table" and args[0].kind.is_boundary_to_boundary:
@@ -233,7 +245,7 @@ class Recorder:
             self.patch_function(isometry, name)
         for name in ("reproduce_c1", "reproduce_c2", "reproduce_c3"):
             self.patch_function(experiments, name)
-        for name in ("build_cmap", "exact_replica_average"):
+        for name in ("build_cmap", "exact_replica_average", "mc_purity"):
             self.patch_function(oracle, name)
 
     def uninstall(self) -> None:
@@ -285,37 +297,60 @@ def _differences(a: Any, b: Any, path: str, floats: List[Tuple[float, str]], oth
         other.append(f"{path}: {a!r} != {b!r}")
 
 
-def _by_call(records: List[Dict[str, Any]]) -> Dict[Tuple[int, str, int], Dict[str, Any]]:
-    """Records keyed by (op, kind, n): the n-th result of that kind in
-    that op."""
-    seen: Counter = Counter()
-    out = {}
-    for record in records:
-        call = (record["op"], record["kind"])
-        out[(*call, seen[call])] = record
-        seen[call] += 1
-    return out
+def _matched(a: List[Dict[str, Any]], b: List[Dict[str, Any]]):
+    """Pair the records of two files within each (op, kind): first those
+    whose canonical values are equal, in order, then the rest in order.
+    Returns the pairs and the records of A and of B left unmatched."""
+    groups: Dict[Tuple[int, str], Tuple[list, list]] = {}
+    for side, records in enumerate((a, b)):
+        for record in records:
+            groups.setdefault((record["op"], record["kind"]), ([], []))[side].append(record)
+    pairs, only_a, only_b = [], [], []
+    for ra, rb in groups.values():
+        waiting: Dict[str, List[int]] = {}
+        for j in reversed(range(len(rb))):
+            waiting.setdefault(json.dumps(rb[j]["value"], sort_keys=True), []).append(j)
+        rest_a, taken = [], set()
+        for record in ra:
+            same = waiting.get(json.dumps(record["value"], sort_keys=True))
+            if same:
+                j = same.pop()
+                taken.add(j)
+                pairs.append((record, rb[j]))
+            else:
+                rest_a.append(record)
+        rest_b = [record for j, record in enumerate(rb) if j not in taken]
+        pairs.extend(zip(rest_a, rest_b))
+        only_a.extend(rest_a[len(rest_b):])
+        only_b.extend(rest_b[len(rest_a):])
+    return pairs, only_a, only_b
 
 
 def compare(path_a: str, path_b: str) -> int:
     """Print per result kind how two `--values` files differ; 1 where some
-    difference is not a float or the files list different results.
-    Results are matched by op, kind and their order within both, so a
-    kind that only one tree records is listed, not misaligned."""
+    difference is not a float or some result has no match in the other
+    file.  Results are matched within each op and kind, equal ones first
+    and the rest by order (`_matched`), so a kind that only one tree
+    records, or a repeated result that only one tree makes, is listed as
+    such, not misaligned."""
     records = []
     for path in (path_a, path_b):
         with open(path) as handle:
-            records.append(_by_call([json.loads(line) for line in handle]))
-    a, b = records
+            records.append([json.loads(line) for line in handle])
+    pairs, only_a, only_b = _matched(*records)
     status = 0
-    if a.keys() != b.keys():
-        print(f"the files list different results ({len(a)} and {len(b)} records)")
-        for name, only in (("A", a.keys() - b.keys()), ("B", b.keys() - a.keys())):
-            for kind, n in sorted(Counter(kind for _, kind, _ in only).items()):
-                print(f"    only in {name}: {n} {kind}")
+    if only_a or only_b:
+        print(f"the files list different results ({len(records[0])} and {len(records[1])} records)")
+        for name, only in (("A", only_a), ("B", only_b)):
+            ops: Dict[str, List[int]] = {}
+            for record in only:
+                ops.setdefault(record["kind"], []).append(record["op"])
+            for kind, listed in sorted(ops.items()):
+                print(f"    only in {name}: {len(listed)} {kind} (ops {', '.join(map(str, listed[:10]))}"
+                      f"{', ...' if len(listed) > 10 else ''})")
         status = 1
     report: Dict[str, Dict[str, Any]] = {}
-    for ra, rb in ((a[key], b[key]) for key in a if key in b):
+    for ra, rb in pairs:
         floats: List[Tuple[float, str]] = []
         other: List[str] = []
         _differences(ra["value"], rb["value"], "", floats, other)
