@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .graph import OpenGraph, agreement_region, boundary_of_region
-from .ising import IsingModel, JsonReport, ModelKind, PartitionSumTable, couplings, ground_kernel, json_value, require_finite
+from .ising import EngineError, IsingModel, JsonReport, ModelKind, PartitionSumTable, ground_kernel, json_value, require_finite
 from .spins import SectorFamily, Spin, SpinSector, sector_dims, vertex_dims
 
 #: Report modes: exact per-pair kernels, ground-state kernels under the
@@ -642,9 +642,10 @@ def high_spin_energies(
 ) -> Dict[str, float]:
     """Rescaled energies of the competing configurations of the pair (j, k).
 
-    All couplings are divided by beta = log D_O of sector j, so the
-    boundary cut has unit cost.  With G the set of vertices on which j and
-    k agree, the reported entries are
+    All couplings of sector j, lambda_e = log d_e per link and
+    Lambda_x = log D_x per vertex, are divided by beta = log D_O of
+    sector j, so the boundary cut has unit cost.  With G the set of
+    vertices on which j and k agree, the reported entries are
 
         H1_up   = sum of Lambda~ over G plus lambda~ over the internal
                   links cut by G ("up" means up on G, down elsewhere),
@@ -658,21 +659,24 @@ def high_spin_energies(
     up-on-G entry does not price boundary legs at vertices outside G, and
     for pairs with different boundary spins some configurations admit no
     delta-allowed realization at all.  H1_up is infinite when G is empty.
+    A vertex of j without intertwiners raises `EngineError`, and D_O = 1
+    raises `EntropyError`.  The model kind is checked but changes no entry.
     """
     if j.graph != k.graph:
         raise EntropyError("sectors live on different graphs")
-    if isinstance(kind, ModelKind):
-        kind_obj = kind
-    elif kind in (ModelKind.BULK_TO_BOUNDARY, ModelKind.BOUNDARY_TO_BOUNDARY):
-        kind_obj = ModelKind(mode=kind)
-    else:
+    if not isinstance(kind, ModelKind) and kind not in (ModelKind.BULK_TO_BOUNDARY, ModelKind.BOUNDARY_TO_BOUNDARY):
         raise EntropyError(f"unknown model kind {kind!r}")
     graph = j.graph
-    cs = couplings(j, kind_obj, 1)
-    if cs.beta <= 0.0:
+    twice = np.array([j.twice_of(graph.link_ids())], dtype=np.int64)
+    dims = vertex_dims(graph, twice)[0]
+    for x, dim in zip(graph.vertices, dims):
+        if dim == 0:
+            raise EngineError(f"vertex {x!r} has an empty intertwiner space in this sector")
+    beta = sum(math.log(j.spin(lid).dim) for lid in graph.boundary_ids())
+    if beta <= 0.0:
         raise EntropyError("D_O = 1: the rescaled couplings are undefined")
-    lam_tilde = cs.lam_tilde
-    big_tilde = cs.big_lam_tilde
+    lam_tilde = {lid: math.log(j.spin(lid).dim) / beta for lid in graph.link_ids()}
+    big_tilde = {x: math.log(dim) / beta for x, dim in zip(graph.vertices, dims)}
 
     agree = agreement_region(j, k)
     if agree:
@@ -688,12 +692,10 @@ def high_spin_energies(
     if family is not None:
         r = sector_dims(j, graph, family).r
     else:
-        twice = np.array([j.twice_of(graph.link_ids())], dtype=np.int64)
-        inter = math.prod(vertex_dims(graph, twice)[0])
         d_out = math.prod(
             j.spin(lid).dim for lid in graph.boundary_ids()
         )
-        r = inter / d_out
+        r = math.prod(dims) / d_out
     return {
         "H1_up": h1_up,
         "H1_down": 1.0,

@@ -352,7 +352,7 @@ def _extract_structure(
     dims = (2 * s + 1, 6 * s + 1, 6 * s - 1)
     sec = {"low": sectors[0], "high": sectors[1]}
     allowed, table = _bridge_cells(model, sectors)
-    cut_mask, links = model._link_masks[0], graph.link_ids()
+    cut_mask, links = model._boundary_masks[0], graph.link_ids()
     entries: Dict = {}
     forbidden: List = []
     for pair in _PAIR_KEYS:

@@ -31,9 +31,9 @@ an enumeration of all 2^V configurations:
 * bulk-to-boundary kernels are batched over a whole sector list.  On an
   allowed configuration the energy of pair (j, k) depends on j alone, so
   the model accumulates one energy matrix per replica (sectors x
-  configurations), link by link and vertex by vertex in the order
-  `_evaluate` uses; the kept energies are therefore bit-identical to
-  scoring configurations one at a time.  Which configurations a pair
+  configurations, `_bulk_energies`), link by link and then vertex by
+  vertex; the kept energies are therefore bit-identical to scoring
+  configurations one at a time.  Which configurations a pair
   allows depends only on the links where j and k differ and on the
   vertices where j has no intertwiners (an active one gives an infinite
   energy, so it is excluded like a Delta violation).  Pairs with the same
@@ -57,7 +57,7 @@ an enumeration of all 2^V configurations:
 * boundary-to-boundary kernels are batched over a whole sector list too,
   in one pass over the configurations.  A pair's cut energy is again j's
   alone, so one energy matrix per replica (sectors x configurations) holds
-  every pair's, accumulated link by link in `_cut_energy`'s order.  Its
+  every pair's, accumulated link by link.  Its
   Delta and the rest of its energy depend on two traced blocks of the bulk
   state over the spin-down set, whose ket is j or k and whose bra is a
   mixed sector stitched from both.  The mixed sectors of all pairs are
@@ -84,15 +84,20 @@ an enumeration of all 2^V configurations:
 A single kernel, `_kernel`, is the two-sector case of either.  Both kinds
 break ground-state ties by a rank of the configurations, built once per
 model (`IsingModel._rank`): by the bulk kind where a ground state first
-ties, by the boundary-to-boundary kind on its first table.  `_evaluate`
-scores one configuration at a time; no path of the package calls it, and
-it stays behind the public `delta_factor` and `hamiltonian` and as the
-tests' reference.
+ties, by the boundary-to-boundary kind on its first table.  The public
+`delta_factor` and `hamiltonian` are one-configuration views of the same
+passes (`IsingModel._cell`): the model's masks are built on that one
+configuration instead of all 2^V, and the bulk kind's Delta skips the
+kernels' exclusion of vertices without intertwiners (such a vertex,
+active, gives Delta = 1 and H = +inf).  So each kind has one evaluator of
+Delta and H; the configuration-by-configuration scorer they are checked
+against lives in `tests/ising_reference.py`.
 
 Log-sum-exp follows the steps of `scipy.special.logsumexp` in plain numpy,
 so that sums keep scipy's bits.
 
-Both paths refuse graphs with more than `EXHAUSTIVE_LIMIT` vertices.
+Both paths refuse graphs with more than `EXHAUSTIVE_LIMIT` vertices; the
+one-configuration views do not enumerate and take any graph.
 
 Sector sets and the columnar table.  `IsingModel.sector_set` builds one
 `SectorSet` per sector pool from the pool's S x L matrix of doubled link
@@ -169,6 +174,9 @@ which names `log_totals`, rather than dividing infinities.
 Reports as JSON.  Every `to_json_dict` of the package returns the
 `json_value` of its fields, which maps each float that is not finite to
 None, and `JsonReport.to_json` writes strict JSON (`allow_nan=False`).
+A table's JSON keeps its totals and boundary sums in log domain too
+(`log_totals`, `log_Z_bar_0/1`), so a total that overflows reads null as
+a float but stays a finite log.
 """
 
 from __future__ import annotations
@@ -176,11 +184,10 @@ from __future__ import annotations
 import copy
 import csv
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -192,9 +199,8 @@ from .spins import (
     SpinSector,
     boundary_twice,
     input_dims,
-    intertwiner_dim,
+    intertwiner_dim,  # noqa: F401  (read as ising.intertwiner_dim by perfbench/test_perfbench.py)
     sector_matrix,
-    twice_intertwiner_dim,
     vertex_dims,
 )
 
@@ -282,78 +288,6 @@ class ModelKind:
     @property
     def is_boundary_to_boundary(self) -> bool:
         return self.mode == ModelKind.BOUNDARY_TO_BOUNDARY
-
-
-# -- couplings -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CouplingSet:
-    """Couplings of one sector: lambda_e = log d, Lambda_x = log D.
-
-    `beta` is log D_O of the sector; dividing every coupling by it gives the
-    rescaled (tilde) couplings used in high-spin arguments.  `b` is the
-    replica field sign: +1 for the normalization copy, -1 for the swapped
-    copy.  For the boundary-to-boundary kind the Lambda values are reported
-    for completeness but do not enter the Hamiltonian.
-    """
-
-    lam: Tuple[Tuple[str, float], ...]
-    big_lam: Tuple[Tuple[str, float], ...]
-    beta: float
-    replica: int
-    b: int
-    mode: str
-
-    @property
-    def lam_map(self) -> Dict[str, float]:
-        return dict(self.lam)
-
-    @property
-    def big_lam_map(self) -> Dict[str, float]:
-        return dict(self.big_lam)
-
-    def _rescale(self, value: float) -> float:
-        if self.beta > 0.0:
-            return value / self.beta
-        return 0.0 if value == 0.0 else math.inf
-
-    @property
-    def lam_tilde(self) -> Dict[str, float]:
-        return {lid: self._rescale(v) for lid, v in self.lam}
-
-    @property
-    def big_lam_tilde(self) -> Dict[str, float]:
-        return {x: self._rescale(v) for x, v in self.big_lam}
-
-
-def couplings(sector: SpinSector, kind: ModelKind, replica: int) -> CouplingSet:
-    """Link and vertex couplings of `sector` for the given replica."""
-    if replica not in (0, 1):
-        raise EngineError(f"replica must be 0 or 1, got {replica!r}")
-    graph = sector.graph
-    lam = tuple(
-        (lid, math.log(sector.spin(lid).dim)) for lid in graph.link_ids()
-    )
-    big = []
-    for x in graph.vertices:
-        dim = intertwiner_dim(sector.vertex_spins(x))
-        if dim == 0:
-            raise EngineError(
-                f"vertex {x!r} has an empty intertwiner space in this sector"
-            )
-        big.append((x, math.log(dim)))
-    beta = sum(
-        math.log(sector.spin(lid).dim) for lid in graph.boundary_ids()
-    )
-    return CouplingSet(
-        lam=lam,
-        big_lam=tuple(big),
-        beta=beta,
-        replica=replica,
-        b=-1 if replica == 1 else +1,
-        mode=kind.mode,
-    )
 
 
 # -- K factors -----------------------------------------------------------
@@ -508,8 +442,10 @@ class PartitionSumTable(JsonReport):
     `rows`, `k_factors`, `boundary_rows`, `d_total` and `y` are views built
     on first use, so the family's bulk box (`SectorSet.d_input`) is not
     enumerated until a dimension is read.  `to_csv` and `to_json_dict`
-    (`json_value`) serialize them.  `take` gives the table of a sub-list
-    of the sectors.
+    (`json_value`) serialize them; the JSON also holds `log_totals` and
+    each boundary row's `log_z_bar` (`log_Z_bar_0`, `log_Z_bar_1`) as
+    [sign, log|.|], which stay finite where a float total is null.  `take`
+    gives the table of a sub-list of the sectors.
     """
 
     def __init__(self, sectors: "SectorSet", kernels: "_PairKernels"):
@@ -625,10 +561,13 @@ class PartitionSumTable(JsonReport):
                     "Y_0": b.y[0],
                     "Y_1": b.y[1],
                     "D_total": b.d_total,
+                    "log_Z_bar_0": b.log_z_bar[0],
+                    "log_Z_bar_1": b.log_z_bar[1],
                 }
                 for b in self.boundary_rows
             ],
             "totals": {"Z_0": self.totals[0], "Z_1": self.totals[1]},
+            "log_totals": {"Z_0": self.log_totals[0], "Z_1": self.log_totals[1]},
         })
 
 
@@ -821,12 +760,29 @@ def _infeasible(shape) -> Tuple[np.ndarray, ...]:
     )
 
 
+def _agreement(links: np.ndarray, idle: np.ndarray, cut: np.ndarray, actives) -> Iterator[np.ndarray]:
+    """Per replica, allowed (keys x configurations): True where a
+    configuration cuts no link of the key (`links`, keys x links, against
+    `cut`, links x configurations) and leaves inactive every vertex of the
+    key (`idle`, keys x vertices, against that replica's entry of
+    `actives`, vertices x configurations).  One numpy call per link and
+    per vertex that some key holds."""
+    broken = np.zeros((len(links), cut.shape[1]), dtype=bool)
+    for li in np.flatnonzero(links.any(axis=0)):
+        np.logical_or(broken, cut[li], out=broken, where=links[:, li, None])
+    for active in actives:
+        allowed = broken.copy()
+        for p in np.flatnonzero(idle.any(axis=0)):
+            np.logical_or(allowed, active[p], out=allowed, where=idle[:, p, None])
+        yield np.logical_not(allowed, out=allowed)
+
+
 @dataclass(frozen=True)
 class _PairKernels:
     """Kernels and ground-state data of every ordered pair of a sector list,
     each an (S, S, 2) array indexed [j, k, replica].  `rep` is the
-    representative's index in `_configurations`, -1 where no configuration
-    is allowed."""
+    representative's configuration index (`IsingModel._config`, a column
+    of `_down`), -1 where no configuration is allowed."""
 
     z: np.ndarray
     e_min: np.ndarray
@@ -1066,18 +1022,6 @@ class IsingModel:
             return -1
         return +1
 
-    def _cut_links(self, config: IsingConfig, replica: int) -> List[str]:
-        """Ids of the links whose two ends are antialigned."""
-        sig = config.sigma
-        cut = []
-        for lid in self.graph.link_ids():
-            src, tgt = self.graph.endpoints(lid)
-            s = sig[src]
-            t = sig[tgt] if tgt in sig else self.boundary_pin(lid, replica)
-            if s * t < 0:
-                cut.append(lid)
-        return cut
-
     def k_factor(self, sector: SpinSector) -> KFactor:
         """Sector weight K for this model kind (zero-weight sectors give
         log K = -inf, which drops them from every sum): log K and D_O of
@@ -1095,107 +1039,57 @@ class IsingModel:
         if k.graph is not self.graph and k.graph != self.graph:
             raise EngineError("sector k belongs to a different graph")
 
-    def _evaluate(
+    def _cell(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
     ) -> Tuple[float, Optional[float]]:
-        """(Delta value, Hamiltonian) of one configuration.
+        """(Delta, H) of one configuration, H None where Delta = 0: the
+        batched pass of this model's kind over the sectors [j, k] and this
+        configuration alone, so `EXHAUSTIVE_LIMIT` does not apply.  The
+        configuration must name every vertex of the graph and no other, as
+        `IsingConfig.make` checks.
 
-        Delta == 0 means the configuration is forbidden; the Hamiltonian is
-        then None.  A +inf Hamiltonian (empty intertwiner space on an active
-        vertex) contributes zero weight but is reported as allowed.
-        """
+        Bulk-to-boundary: Delta is 1 where the configuration cuts no link
+        on which j and k differ and leaves inactive every vertex at such a
+        link (`_agreement`), else 0, and H is j's entry of `_bulk_energies`.
+        Unlike the kernels, a vertex where j has no intertwiners is not
+        excluded: active, it gives Delta = 1 and H = +inf, which carries no
+        weight.  Boundary-to-boundary: Delta and H are the cosine and the
+        energy of the pair's entry in `_boundary_entries`; without an entry,
+        Delta = 0."""
         self._check_pair(j, k, replica)
-        lam_cut = self._cut_energy(j, k, config, replica)
-        if lam_cut is None:
+        config = IsingConfig.make(self.graph, config.sigma)
+        down = np.array([s < 0 for _, s in config.values], dtype=bool)[:, None]
+        sectors = self.sector_set([j, k])
+        if self.kind.is_boundary_to_boundary:
+            row, _, cos, _, energy = self._boundary_entries(sectors, down)
+            at = np.flatnonzero(row == 2 + replica)  # row of pair (0, 1)
+            return (float(cos[at[0]]), float(energy[at[0]])) if at.size else (0.0, None)
+        masks = cut, actives, incidence = self._bulk_masks_of(down)
+        differs = sectors.twice[:1] != sectors.twice[1:]
+        allowed = list(_agreement(differs, differs @ incidence.T, cut, actives))[replica]
+        if not allowed[0, 0]:
             return 0.0, None
-        if not self.kind.is_boundary_to_boundary:
-            b = -1 if replica == 1 else +1
-            sig = config.sigma
-            energy = lam_cut
-            for x in self.graph.vertices:
-                if (1 - b * sig[x]) // 2 == 1:
-                    spins = j.vertex_twice(x)
-                    if spins != k.vertex_twice(x):
-                        return 0.0, None
-                    dim = twice_intertwiner_dim(spins)
-                    energy += math.log(dim) if dim > 0 else math.inf
-            return 1.0, energy
-        terms = self._boundary_terms(j, k, config)
-        if terms is None:
-            return 0.0, None
-        cos, half_log_1, half_log_2 = terms
-        return cos, lam_cut - half_log_1 - half_log_2
-
-    def _cut_energy(
-        self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
-    ) -> Optional[float]:
-        """Sum of log d_e over the cut links, or None where a cut link has
-        different spins in j and k (Delta = 0)."""
-        cut = self._cut_links(config, replica)
-        for lid in cut:
-            if j.spin(lid) != k.spin(lid):
-                return None
-        return sum(math.log(j.spin(lid).dim) for lid in cut)
-
-    def _boundary_terms(
-        self, j: SpinSector, k: SpinSector, config: IsingConfig
-    ) -> Optional[Tuple[float, float, float]]:
-        """(cosine, 0.5 log(n1^2 / w_j^2), 0.5 log(n2^2 / w_k^2)) of the two
-        traced blocks of a configuration, or None where Delta = 0.  Neither
-        depends on the replica; only the cut energy does."""
-        state = self.state
-        sig = config.sigma
-        up = {x for x, s in config.values if s > 0}
-        down = [x for x in self.graph.vertices if x not in up]
-        up_links = set()
-        for lid in self.graph.link_ids():
-            if any(v in up for v in self.graph.endpoints(lid)):
-                up_links.add(lid)
-        j_spins, k_spins = j.spins(), k.spins()
-        mixed_1 = SpinSector.make(
-            self.graph,
-            {
-                lid: (j_spins[lid] if lid in up_links else k_spins[lid])
-                for lid in self.graph.link_ids()
-            },
-        )
-        mixed_2 = SpinSector.make(
-            self.graph,
-            {
-                lid: (k_spins[lid] if lid in up_links else j_spins[lid])
-                for lid in self.graph.link_ids()
-            },
-        )
-        b1 = state.traced_block(j, mixed_1, down)
-        b2 = state.traced_block(k, mixed_2, down)
-        n1_sq = float(np.sum(np.abs(b1) ** 2))
-        n2_sq = float(np.sum(np.abs(b2) ** 2))
-        w_j, w_k = state.weight(j), state.weight(k)
-        if n1_sq == 0.0 or n2_sq == 0.0 or w_j <= 0.0 or w_k <= 0.0:
-            return None
-        overlap = float(np.trace(b1 @ b2).real)
-        cos = overlap / math.sqrt(n1_sq * n2_sq)
-        if cos == 0.0:
-            return None
-        return cos, 0.5 * math.log(n1_sq / w_j**2), 0.5 * math.log(n2_sq / w_k**2)
+        energies, _ = self._bulk_energies(sectors, masks)
+        return 1.0, float(energies[replica][0, 0])
 
     def delta_factor(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
     ) -> float:
-        """Constraint factor of one configuration.
+        """Constraint factor of one configuration (`_cell`).
 
         Kronecker deltas give 0 or 1; the boundary-to-boundary kind folds in
         the Hilbert-Schmidt cosine of the traced blocks, which carries its
         sign if an overlap happens to be negative.
         """
-        delta, _ = self._evaluate(j, k, config, replica)
-        return delta
+        return self._cell(j, k, config, replica)[0]
 
     def hamiltonian(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
     ) -> float:
-        delta, energy = self._evaluate(j, k, config, replica)
-        if delta == 0.0 or energy is None:
+        """H of one allowed configuration (`_cell`); `ContractViolation`
+        where Delta = 0."""
+        _, energy = self._cell(j, k, config, replica)
+        if energy is None:
             raise ContractViolation(
                 f"Hamiltonian undefined on the forbidden configuration "
                 f"{config.label()} (replica {replica})"
@@ -1215,16 +1109,10 @@ class IsingModel:
             )
         return nv
 
-    def _configurations(self) -> Iterable[IsingConfig]:
-        """All configurations; the i-th has spin -1 on vertex p exactly when
-        bit V-1-p of i is set (the first vertex varies slowest)."""
-        vertices = self.graph.vertices
-        self._check_limit()
-        for bits in itertools.product((1, -1), repeat=len(vertices)):
-            yield IsingConfig(tuple(zip(vertices, bits)))
-
     def _config(self, index: int) -> IsingConfig:
-        """The `index`-th configuration of `_configurations`."""
+        """Configuration `index`, column `index` of `_down`: spin -1 on
+        vertex p exactly when bit V-1-p of `index` is set (the first vertex
+        varies slowest)."""
         vertices = self.graph.vertices
         last = len(vertices) - 1
         return IsingConfig(
@@ -1236,8 +1124,8 @@ class IsingModel:
 
     @functools.cached_property
     def _down(self) -> np.ndarray:
-        """Boolean mask over all configurations in `_configurations` order,
-        built once: down[p, i] is True where configuration i has spin -1 on
+        """Boolean mask over all configurations in `_config` order, built
+        once: down[p, i] is True where configuration i has spin -1 on
         vertex p."""
         nv = self._check_limit()
         return ((np.arange(2**nv) >> np.arange(nv - 1, -1, -1)[:, None]) & 1).astype(bool)
@@ -1264,15 +1152,14 @@ class IsingModel:
             last[at] = q
         return rank
 
-    @functools.cached_property
-    def _link_masks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(cut, incidence), built once.  `cut` (2, links, configurations)
-        is boolean, links in `link_ids` order and configurations in
-        `_configurations` order, so that each row is contiguous: cut[b, l]
-        marks where link l is cut in replica b, a boundary leg ending on a
-        virtual vertex pinned as `boundary_pin` says.  `incidence` (vertices
-        x links) marks the links at each vertex."""
-        down = self._down
+    def _link_masks_of(self, down: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(cut, incidence) of the configurations of `down` (vertices x
+        configurations, True where a vertex has spin -1).  `cut` (2, links,
+        configurations) is boolean, links in `link_ids` order, so that each
+        row is contiguous: cut[b, l] marks where link l is cut in replica
+        b, a boundary leg ending on a virtual vertex pinned as
+        `boundary_pin` says.  `incidence` (vertices x links) marks the
+        links at each vertex."""
         row = {x: p for p, x in enumerate(self.graph.vertices)}
         links = self.graph.link_ids()
         cut = np.empty((2, len(links), down.shape[1]), dtype=bool)
@@ -1289,36 +1176,67 @@ class IsingModel:
                     cut[replica, li] = down[row[src]] != pin_down
         return cut, incidence
 
-    @functools.cached_property
-    def _bulk_masks(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """(cut, active per replica, incidence), built once: `_link_masks`
-        with the cut of replica 0, which is that of both replicas in this
-        kind, and active[p] (vertices x configurations) marking where vertex
-        p's spin opposes the replica field b."""
-        cut, incidence = self._link_masks
-        down = self._down
+    def _bulk_masks_of(self, down: np.ndarray) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """(cut, active per replica, incidence) of the configurations of
+        `down`: `_link_masks_of` with the cut of replica 0, which is that of
+        both replicas in this kind, and active[p] (vertices x
+        configurations) marking where vertex p's spin opposes the replica
+        field b."""
+        cut, incidence = self._link_masks_of(down)
         return cut[0], (down, ~down), incidence
 
     @functools.cached_property
-    def _boundary_masks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(cut, sides), built once: `_link_masks`'s cut, and sides (2,
-        links, configurations) where sides[0, l] marks where link l has a
-        spin-up end among the graph's vertices, and sides[1] is its
-        complement."""
-        cut, incidence = self._link_masks
-        up = incidence.T @ ~self._down
+    def _bulk_masks(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """`_bulk_masks_of` every configuration (`_down`), built once."""
+        return self._bulk_masks_of(self._down)
+
+    def _boundary_masks_of(self, down: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """(cut, sides) of the configurations of `down`: `_link_masks_of`'s
+        cut, and sides (2, links, configurations) where sides[0, l] marks
+        where link l has a spin-up end among the graph's vertices, and
+        sides[1] is its complement."""
+        cut, incidence = self._link_masks_of(down)
+        up = incidence.T @ ~down
         return cut, np.stack([up, ~up])
+
+    @functools.cached_property
+    def _boundary_masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """`_boundary_masks_of` every configuration (`_down`), built once."""
+        return self._boundary_masks_of(self._down)
+
+    @staticmethod
+    def _bulk_energies(sectors: SectorSet, masks) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]:
+        """(energy per replica, vertex_lam) of every sector of `sectors` on
+        the configurations of `masks` (`_bulk_masks_of`).  energy[b]
+        (sectors x configurations) adds log d over the cut links in
+        `link_ids` order, then log D over the vertices active in replica b
+        in graph order, each with `np.add(..., where=)`, which leaves the
+        other entries alone; vertex_lam (sectors x vertices) holds log D,
+        +inf where a vertex has no intertwiners."""
+        cut, actives, incidence = masks
+        count, size = len(sectors), cut.shape[1]
+        link_part = np.zeros((count, size))
+        for li, column in enumerate(sectors.twice.T.tolist()):
+            lam = np.array([math.log(t + 1) for t in column])
+            np.add(link_part, lam[:, None], out=link_part, where=cut[li])
+        vertex_lam = _log_table(sectors.vertex_dims, math.inf).reshape(count, len(incidence))
+        # Replica 1 takes over the link part's memory.
+        energies = (link_part.copy(), link_part)
+        for energy, active in zip(energies, actives):
+            for p in range(vertex_lam.shape[1]):
+                np.add(energy, vertex_lam[:, p, None], out=energy, where=active[p])
+        return energies, vertex_lam
 
     def _bulk_kernels(self, sectors: Union[Sequence[SpinSector], SectorSet]) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
         both bulk-to-boundary replicas.
 
         On an allowed configuration the energy of pair (j, k) is the energy
-        of j alone, so one matrix per replica (sectors x configurations)
-        holds every pair's energies.  It accumulates in `_evaluate`'s order
-        (cut links, then active vertices), and `np.add(..., where=)` leaves
-        unaffected entries alone, so every kept energy has the bits of the
-        per-configuration path.
+        of j alone, so one matrix per replica (sectors x configurations,
+        `_bulk_energies`) holds every pair's energies: cut links, then
+        active vertices, in the order of the one-configuration view
+        `hamiltonian` and of the reference in `tests/ising_reference.py`,
+        so every kept energy has their bits.
 
         A pair allows the configurations that cut no link where j and k
         differ and leave inactive every vertex at such a link (a vertex's
@@ -1327,8 +1245,7 @@ class IsingModel:
         which carries no weight).  Pairs are grouped by that key of links
         and vertices with one `_unique_bool_rows` (keys packed into words);
         each key has one column list of allowed configurations, and its
-        masks are built for all keys at once, one numpy call per link and
-        per vertex that some key holds.
+        masks are built for all keys at once (`_agreement`).
         A row is a (key, j) pair; it shares its key's column list.
 
         Rows are then grouped by how many configurations they allow, and
@@ -1343,19 +1260,10 @@ class IsingModel:
         what the call holds anyway.
         """
         sectors = sectors if isinstance(sectors, SectorSet) else self.sector_set(sectors)
-        cut, actives, incidence = self._bulk_masks
+        masks = cut, actives, incidence = self._bulk_masks
         count, size = len(sectors), cut.shape[1]
         twice = sectors.twice
-        link_part = np.zeros((count, size))
-        for li, column in enumerate(twice.T.tolist()):
-            lam = np.array([math.log(t + 1) for t in column])
-            np.add(link_part, lam[:, None], out=link_part, where=cut[li])
-        vertex_lam = _log_table(sectors.vertex_dims, math.inf).reshape(count, len(incidence))
-        # Replica 1 takes over the link part's memory.
-        energies = (link_part.copy(), link_part)
-        for energy, active in zip(energies, actives):
-            for p in range(vertex_lam.shape[1]):
-                np.add(energy, vertex_lam[:, p, None], out=energy, where=active[p])
+        energies, vertex_lam = self._bulk_energies(sectors, masks)
 
         pair_j, pair_k = np.divmod(np.arange(count * count), count)
         nl = twice.shape[1]
@@ -1368,15 +1276,9 @@ class IsingModel:
         row_list, row_j = np.divmod(rows, count)
         # Vertices that must stay inactive: at a differing link, or empty.
         idle = (lists[:, :nl] @ incidence.T) | lists[:, nl:]
-        broken = np.zeros((len(lists), size), dtype=bool)
-        for li in np.flatnonzero(lists[:, :nl].any(axis=0)):
-            np.logical_or(broken, cut[li], out=broken, where=lists[:, li, None])
         kernels = _PairKernels.empty((count, count, 2))
-        for replica, (energy, active) in enumerate(zip(energies, actives)):
-            allowed = broken.copy()
-            for p in np.flatnonzero(idle.any(axis=0)):
-                np.logical_or(allowed, active[p], out=allowed, where=idle[:, p, None])
-            np.logical_not(allowed, out=allowed)
+        allowed_per_replica = _agreement(lists[:, :nl], idle, cut, actives)
+        for replica, (energy, allowed) in enumerate(zip(energies, allowed_per_replica)):
             found = _PairKernels.empty(len(rows))
             list_count = np.count_nonzero(allowed, axis=1)
             for k in sorted(set(list_count.tolist())):
@@ -1400,8 +1302,8 @@ class IsingModel:
     ) -> Tuple[np.ndarray, ...]:
         """(z, E_min, degeneracy, gap, representative) of each row of
         `energy` (rows x k, finite).  Row i holds the energies of the
-        configurations `cols[of_row[i]]`, ascending indices into
-        `_configurations`; z is the sum of e^-E over the row.  Where several
+        configurations `cols[of_row[i]]`, ascending columns of `_down`; z
+        is the sum of e^-E over the row.  Where several
         configurations tie, the representative is the one of least rank
         (`_rank`)."""
         if energy.shape[1] == 0:
@@ -1419,39 +1321,47 @@ class IsingModel:
             rep[ties] = tied_cols[np.arange(ties.size), ranks.argmin(axis=1)]
         return z, e_min, degeneracy, gap, rep
 
-    def _boundary_entries(self, sectors: SectorSet) -> Tuple[np.ndarray, ...]:
-        """The allowed entries (row, configuration, negative, log, energy)
-        of every ordered pair (a, b) of `sectors` in both replicas, from one
-        pass over the configurations: row = (a S + b) 2 + replica, the
-        configuration indexes `_configurations`, Delta e^-H = (-1)^negative
+    def _boundary_entries(self, sectors: SectorSet, down: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
+        """The allowed entries (row, configuration, cosine, log, energy) of
+        every ordered pair (a, b) of `sectors` in both replicas, from one
+        pass over the configurations of `down` (vertices x configurations,
+        True where a vertex has spin -1; default every configuration,
+        `_down`): row = (a S + b) 2 + replica, the configuration indexes
+        the columns of `down`, Delta = cosine, Delta e^-H = sign(cosine)
         exp(log) and energy = H.  A cell is allowed exactly when it has an
         entry; a row lists its entries in ascending configuration order.
 
         On a configuration, pair (j, k) is allowed in replica b where no
         link cut in b has different spins in j and k; its cut energy is
-        then j's alone, so one matrix per replica (sectors x
-        configurations), accumulated link by link as `_cut_energy` sums,
-        holds every pair's.  Its Delta and the rest of its energy come from
-        two traced blocks over the spin-down vertices (`_boundary_terms`):
-        (j, mixed_1) and (k, mixed_2), where mixed_1 carries j's spins on
-        the links at spin-up vertices and k's elsewhere, and mixed_2 is
-        mixed_1 of (k, j).  The mixed sectors of all pairs are coded at
-        once, over all configurations, and looked up among the state's
-        sectors: a sector the state does not hold has no block, so Delta = 0
-        there.  Then the live pairs are walked in configuration order:
-        each traced block (ket, bra) is taken once, with its squared norm
-        and log term, and kept only while its configuration is processed;
-        each pair needs one overlap, which gives its cosine.
+        then j's alone (log d summed over the cut links in `link_ids`
+        order), so one matrix per replica (sectors x configurations) holds
+        every pair's.  Its Delta and the rest of its energy come from two
+        traced blocks over the spin-down vertices: (j, mixed_1) and
+        (k, mixed_2), where mixed_1 carries j's spins on the links at
+        spin-up vertices and k's elsewhere, and mixed_2 is mixed_1 of
+        (k, j).  The mixed sectors of all pairs are coded at once, over all
+        configurations, and looked up among the state's sectors: a sector
+        the state does not hold has no block, so Delta = 0 there, as where
+        a block vanishes, a weight is zero or the cosine is 0.  Then the
+        live pairs are walked in configuration order: each traced block
+        (ket, bra) is taken once, with its squared norm and its log term
+        0.5 log(norm / w^2), and kept only while its configuration is
+        processed; each pair needs one overlap, which gives its cosine
+        overlap / sqrt(n1 n2), and H = (cut energy - log term 1) - log
+        term 2.
 
-        Every step computes what `_evaluate` computes, with the same
-        operations in the same order, so each entry's energy has the bits
-        of `hamiltonian`, and each kernel `_reduce_entries` makes of the
-        entries keeps its bits.  Memory as the module docstring states:
-        the masks, the cut energies, the coded mixed sectors, the pairs
-        with a nonzero cosine, the entries, and one configuration's traced
-        blocks."""
+        `hamiltonian` and `delta_factor` read one configuration's entry,
+        and the reference in `tests/ising_reference.py` takes the same
+        steps one configuration at a time, so every entry has its bits,
+        and each kernel `_reduce_entries` makes of the entries keeps them.
+        Memory as the module docstring states: the masks, the cut
+        energies, the coded mixed sectors, the pairs with a nonzero cosine,
+        the entries, and one configuration's traced blocks."""
         state = self.state
-        (cut, sides), down = self._boundary_masks, self._down
+        if down is None:
+            (cut, sides), down = self._boundary_masks, self._down
+        else:
+            cut, sides = self._boundary_masks_of(down)
         twice, links = sectors.twice, self.graph.link_ids()
         (count, nl), size = twice.shape, cut.shape[2]
         energy = np.zeros((2, count, size))  # [replica, sector, configuration]
@@ -1501,15 +1411,15 @@ class IsingModel:
         e = (energy[replica, a[n], c[n]] - h1[n]) - h2[n]
         finite = ~np.isinf(e)
         n, replica, e = n[finite], replica[finite], e[finite]
-        return (a[n] * count + b[n]) * 2 + replica, c[n], cos[n] < 0.0, log_cos[n] - e, e
+        return (a[n] * count + b[n]) * 2 + replica, c[n], cos[n], log_cos[n] - e, e
 
     def _reduce_entries(
-        self, count: int, row: np.ndarray, config: np.ndarray, negative: np.ndarray, log: np.ndarray, energy: np.ndarray
+        self, count: int, row: np.ndarray, config: np.ndarray, cos: np.ndarray, log: np.ndarray, energy: np.ndarray
     ) -> _PairKernels:
         """The kernels of `count` sectors from the compact entries of their
         2 count^2 rows (pair, replica), as `_boundary_entries` lists them:
         entry i of row `row[i]` is configuration `config[i]` with energy
-        `energy[i]` and weight (-1)^negative[i] exp(log[i]); a row holds a
+        `energy[i]` and weight sign(cos[i]) exp(log[i]); a row holds a
         configuration at most once, and the entries are listed in ascending
         configuration order.
 
@@ -1520,7 +1430,7 @@ class IsingModel:
         `_rank`) are order-independent reductions.  So each row has
         the bits of reducing it alone."""
         nrows = count * count * 2
-        ids = row * 2 + negative
+        ids = row * 2 + (cos < 0.0)
         lengths = np.bincount(ids, minlength=2 * nrows)
         sums = _bucket_logsumexp(log[np.argsort(ids, kind="stable")], lengths).reshape(nrows, 2).tolist()
         z = np.zeros(nrows)

@@ -25,8 +25,8 @@ order, as one int64 matrix of doubled spins.
 One evaluator decides every dimension, on such matrices: `vertex_dims`
 gives D(j^x) per row and vertex, and `input_dims` gives D_I(E) per
 boundary key from one bulk `sector_matrix` shared by all keys.
-`sector_dims`, the engine's `SectorSet` and the one-sector fallback of
-`entropy.high_spin_energies` call them; `entropy`, `isometry` and
+`sector_dims`, the engine's `SectorSet` and `entropy.high_spin_energies`
+(for sector j's vertex couplings) call them; `entropy`, `isometry` and
 `experiments` otherwise read dimensions through the set.
 """
 

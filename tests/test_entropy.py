@@ -27,10 +27,11 @@ from holoising.entropy import (
     sector_distribution,
 )
 from holoising.graph import build_graph
-from holoising.ising import IsingModel, ModelKind
+from holoising.ising import EngineError, IsingModel, ModelKind
 from holoising.spins import (
     SectorFamily,
     Spin,
+    SpinSector,
     enumerate_sectors,
     intertwiner_dim,
     sector_dims,
@@ -925,6 +926,14 @@ class TestHighSpinEnergies:
         assert a["s_j"] == b["s_j"]
         with pytest.raises(EntropyError):
             high_spin_energies(sec, sec, kind="sideways")
+
+    def test_empty_intertwiner_space_raises(self):
+        """Spins (0, 0, 1, 0) at one vertex have no intertwiner, so Lambda
+        = log D has no value there."""
+        graph = four_leg_graph()
+        sec = SpinSector.make(graph, {"p1": 0, "p2": 0, "p3": 1, "p4": 0})
+        with pytest.raises(EngineError, match="vertex 'x' has an empty intertwiner space"):
+            high_spin_energies(sec, sec)
 
     def test_trivial_output_rejected(self):
         graph = build_graph(

@@ -4,6 +4,7 @@ import csv
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+import ising_reference as reference
 from conftest import (
     bridge_family,
     bridge_graph,
@@ -18,6 +20,7 @@ from conftest import (
     bridge_state,
     random_instance,
 )
+from test_golden import signed_b2b_model
 from holoising import ising, spins
 from holoising.bulk import IntertwinerState, vertex_block_dims
 from holoising.graph import BoundaryPartition, build_graph
@@ -34,7 +37,6 @@ from holoising.ising import (
     _logsumexp_rows,
     _signed_sum,
     _unique_bool_rows,
-    couplings,
 )
 from holoising.oracle import OracleError, build_cmap, build_hilbert, exact_replica_average
 from holoising.spins import SectorEnumerationError, SectorFamily, Spin, SpinSector, intertwiner_dim
@@ -66,47 +68,6 @@ def single_vertex_family(graph, spin_lists):
 
 def config(graph, **sigma):
     return IsingConfig.make(graph, sigma)
-
-
-class TestCouplings:
-    def test_half_spin_four_valent(self):
-        graph = single_vertex_graph()
-        sec = SpinSector.make(graph, {f"p{i}": "1/2" for i in range(1, 5)})
-        cs = couplings(sec, ModelKind.bulk_to_boundary(), 1)
-        assert all(v == pytest.approx(math.log(2)) for v in cs.lam_map.values())
-        assert cs.big_lam_map["x"] == pytest.approx(math.log(2))
-        assert cs.b == -1
-        assert cs.beta == pytest.approx(4 * math.log(2))
-
-    def test_zero_spin_link(self):
-        graph = single_vertex_graph()
-        sec = SpinSector.make(graph, {"p1": 0, "p2": 1, "p3": 1, "p4": 0})
-        cs = couplings(sec, ModelKind.bulk_to_boundary(), 0)
-        assert cs.lam_map["p1"] == 0.0
-        assert cs.b == +1
-
-    def test_bridge_couplings(self):
-        graph = bridge_graph()
-        s = 2
-        low, _ = bridge_sectors(graph, s)
-        cs = couplings(low, ModelKind.bulk_to_boundary(), 0)
-        l2 = math.log(2 * s + 1)
-        assert cs.lam_map["e"] == pytest.approx(l2)
-        assert cs.lam_map["a3"] == pytest.approx(math.log(6 * s + 1))
-        assert cs.lam_map["c"] == pytest.approx(math.log(6 * s - 1))
-
-    def test_rescaled_finite(self):
-        graph = bridge_graph()
-        low, _ = bridge_sectors(graph, 1)
-        cs = couplings(low, ModelKind.bulk_to_boundary(), 1)
-        assert all(math.isfinite(v) for v in cs.lam_tilde.values())
-        assert all(math.isfinite(v) for v in cs.big_lam_tilde.values())
-
-    def test_empty_intertwiner_raises(self):
-        graph = single_vertex_graph()
-        sec = SpinSector.make(graph, {"p1": 0, "p2": 0, "p3": 1, "p4": 0})
-        with pytest.raises(EngineError, match="intertwiner"):
-            couplings(sec, ModelKind.bulk_to_boundary(), 0)
 
 
 class TestSingleVertexKernels:
@@ -636,10 +597,11 @@ class TestTableSerialization:
 
 
 def brute_force(model, j, k, replica):
-    """(z, E_min, degeneracy, gap, representative) from `_evaluate` alone."""
+    """(z, E_min, degeneracy, gap, representative) from the reference
+    scorer alone."""
     pos, neg, found = [], [], []
-    for cfg in model._configurations():
-        delta, energy = model._evaluate(j, k, cfg, replica)
+    for cfg in reference.configurations(model):
+        delta, energy = reference.evaluate(model, j, k, cfg, replica)
         if delta == 0.0 or energy is None or math.isinf(energy):
             continue
         (pos if delta > 0 else neg).append(math.log(abs(delta)) - energy)
@@ -840,8 +802,8 @@ def near_tie_chain_model():
 
 def allowed_count(model, j, k, replica):
     """How many configurations of (j, k) in `replica` have Delta != 0 and a
-    finite energy, from `_evaluate` alone."""
-    found = (model._evaluate(j, k, cfg, replica) for cfg in model._configurations())
+    finite energy, from the reference scorer alone."""
+    found = (reference.evaluate(model, j, k, cfg, replica) for cfg in reference.configurations(model))
     return sum(d != 0.0 and e is not None and not math.isinf(e) for d, e in found)
 
 
@@ -1037,6 +999,40 @@ class TestBatchedKernels:
 # -- boundary-to-boundary kernels against brute force and the oracle --------
 
 
+LINK_SPINS = st.sampled_from([["0"], ["1/2"], ["1"], ["3/2"]])
+SUPERPOSED_SPINS = st.sampled_from([["0", "1"], ["1/2", "3/2"], ["1/2", "1"]])
+
+
+def draw_tree(draw, nv):
+    """A tree of `nv` 3- or 4-valent vertices v0, v1, ..., each joined to
+    an earlier one by link e_i, with a boundary leg b_n on every free
+    port.  Returns the graph and the (vertex, port) of each leg."""
+    valences = [draw(st.integers(3, 4)) for _ in range(nv)]
+    free = {i: list(range(valences[i])) for i in range(nv)}
+    links = []
+    for i in range(1, nv):
+        j = draw(st.integers(0, i - 1))
+        links.append({"id": f"e{i}", "ends": [[f"v{j}", free[j].pop(0)], [f"v{i}", free[i].pop(0)]]})
+    legs = [(i, p) for i in range(nv) for p in free[i]]
+    links += [{"id": f"b{n}", "end": [f"v{i}", p]} for n, (i, p) in enumerate(legs)]
+    graph = build_graph({"vertices": [{"id": f"v{i}", "valence": valences[i]} for i in range(nv)], "links": links})
+    return graph, legs
+
+
+@st.composite
+def bulk_instances(draw):
+    """(graph, family) of a bulk-to-boundary model, drawn like
+    `conftest.random_instance`: a tree of 1-3 vertices (`draw_tree`),
+    spins 0-3/2 per link, at most two superposed links alone and one
+    otherwise.  No leg is fitted to the others, so some sectors leave a
+    vertex without intertwiners."""
+    nv = draw(st.integers(1, 3))
+    graph, _ = draw_tree(draw, nv)
+    superposed = draw(st.sets(st.sampled_from(graph.link_ids()), max_size=2 if nv == 1 else 1))
+    allowed = {lid: draw(SUPERPOSED_SPINS if lid in superposed else LINK_SPINS) for lid in graph.link_ids()}
+    return graph, SectorFamily.build(graph, "0", "3/2", allowed=allowed, normalize=False)
+
+
 @st.composite
 def boundary_instances(draw, vertex_counts=st.integers(1, 3)):
     """(graph, family, state, partition, Hilbert index) of a
@@ -1049,21 +1045,11 @@ def boundary_instances(draw, vertex_counts=st.integers(1, 3)):
     Draws without admissible sectors or with a Hilbert space above 2000
     are rejected."""
     nv = draw(vertex_counts)
-    valences = [draw(st.integers(3, 4)) for _ in range(nv)]
-    free = {i: list(range(valences[i])) for i in range(nv)}
-    links = []
-    for i in range(1, nv):
-        j = draw(st.integers(0, i - 1))
-        links.append({"id": f"e{i}", "ends": [[f"v{j}", free[j].pop(0)], [f"v{i}", free[i].pop(0)]]})
-    legs = [(i, p) for i in range(nv) for p in free[i]]
-    links += [{"id": f"b{n}", "end": [f"v{i}", p]} for n, (i, p) in enumerate(legs)]
-    graph = build_graph({"vertices": [{"id": f"v{i}", "valence": valences[i]} for i in range(nv)], "links": links})
+    graph, legs = draw_tree(draw, nv)
     last_legs = {f"v{i}": f"b{n}" for n, (i, _) in enumerate(legs)}
     superposed = draw(st.sets(st.sampled_from(graph.link_ids()), max_size=2 if nv == 1 else 1))
-    spins = st.sampled_from([["0"], ["1/2"], ["1"], ["3/2"]])
-    superposed_spins = st.sampled_from([["0", "1"], ["1/2", "3/2"], ["1/2", "1"]])
     allowed = {
-        lid: draw(superposed_spins if lid in superposed else spins)
+        lid: draw(SUPERPOSED_SPINS if lid in superposed else LINK_SPINS)
         for lid in graph.link_ids()
         if lid not in last_legs.values()
     }
@@ -1120,28 +1106,28 @@ def sequential_logsumexp(terms):
 
 def assert_entries_match(model, sectors):
     """`_boundary_entries` of `sectors` lists exactly the (pair, replica,
-    configuration) cells that `_evaluate` allows, each with the bits of
-    its energy and of its weight's sign and log."""
-    row, config, negative, log, energy = model._boundary_entries(model.sector_set(sectors))
+    configuration) cells that the reference scorer allows, each with the
+    bits of its cosine (Delta), of its weight's log and of its energy."""
+    row, config, cos, log, energy = model._boundary_entries(model.sector_set(sectors))
     got = {
-        (r, i): (neg, lg.hex(), h.hex())
-        for r, i, neg, lg, h in zip(row.tolist(), config.tolist(), negative.tolist(), log.tolist(), energy.tolist())
+        (r, i): (cos.hex(), lg.hex(), h.hex())
+        for r, i, cos, lg, h in zip(row.tolist(), config.tolist(), cos.tolist(), log.tolist(), energy.tolist())
     }
     assert len(got) == len(row)
     want = {}
     for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
         for replica in (0, 1):
             r = (a * len(sectors) + b) * 2 + replica
-            for i, cfg in enumerate(model._configurations()):
-                delta, h = model._evaluate(j, k, cfg, replica)
+            for i, cfg in enumerate(reference.configurations(model)):
+                delta, h = reference.evaluate(model, j, k, cfg, replica)
                 if delta:
-                    want[r, i] = (delta < 0, (math.log(abs(delta)) - h).hex(), h.hex())
+                    want[r, i] = (delta.hex(), (math.log(abs(delta)) - h).hex(), h.hex())
     assert got == want
 
 
 class TestBoundaryKernels:
     """`_boundary_entries` and the kernels reduced from them on whole
-    tables against the per-configuration `_evaluate` and `brute_force`
+    tables against the per-configuration reference scorer, `brute_force`
     and the exact oracle."""
 
     def test_drawn_instances(self, monkeypatch):
@@ -1180,7 +1166,7 @@ class TestBoundaryKernels:
             if len(graph.vertices) < 3:
                 return
             for j, replica in itertools.product(sectors, (0, 1)):
-                found = (model._evaluate(j, j, cfg, replica) for cfg in model._configurations())
+                found = (reference.evaluate(model, j, j, cfg, replica) for cfg in reference.configurations(model))
                 logs = np.array([math.log(abs(delta)) - energy for delta, energy in found if delta])
                 if len(logs) == 8:
                     seen["three_vertex_rows_of_8"] += 1
@@ -1203,7 +1189,7 @@ class TestBoundaryKernels:
         allows the cut but the traced block (j, k) vanishes.  Their reduced
         states at R are orthogonal, so where L is up and R down, replica 0
         allows the cut but the two nonzero blocks have zero overlap.  The
-        pass must drop both cells, as `_evaluate` does."""
+        pass must drop both cells, as the reference scorer does."""
         graph = bridge_graph()
         allowed = {"e": ["1"], "a1": ["1"], "a2": ["1"], "a3": ["2", "3"], "b1": ["1"], "b2": ["1"], "c": ["2"]}
         family = SectorFamily.build(graph, "1", "3", allowed=allowed, normalize=False)
@@ -1218,14 +1204,14 @@ class TestBoundaryKernels:
         part = BoundaryPartition.from_input(graph, ["a3"])
         model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
         all_down = IsingConfig.make(graph, {"L": -1, "R": -1})
-        assert model._cut_energy(j, k, all_down, 1) is not None
+        assert reference.cut_energy(model, j, k, all_down, 1) is not None
         assert not state.traced_block(j, k, ["L", "R"]).any()
-        assert model._evaluate(j, k, all_down, 1) == (0.0, None)
+        assert reference.evaluate(model, j, k, all_down, 1) == (0.0, None)
         up_down = IsingConfig.make(graph, {"L": 1, "R": -1})
-        assert model._cut_energy(j, k, up_down, 0) is not None
+        assert reference.cut_energy(model, j, k, up_down, 0) is not None
         b1, b2 = state.traced_block(j, j, ["R"]), state.traced_block(k, k, ["R"])
         assert b1.any() and b2.any() and np.trace(b1 @ b2) == 0.0
-        assert model._evaluate(j, k, up_down, 0) == (0.0, None)
+        assert reference.evaluate(model, j, k, up_down, 0) == (0.0, None)
         assert_entries_match(model, [j, k])
 
     def test_empty_lists(self):
@@ -1270,9 +1256,131 @@ class TestBoundaryKernels:
         model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
         table = model.partition_table()
         assert table.sectors.sectors == (j, k, n)
-        delta, _ = model._evaluate(j, k, IsingConfig.make(graph, {"L": 1, "R": -1}), 1)
+        delta, _ = reference.evaluate(model, j, k, IsingConfig.make(graph, {"L": 1, "R": -1}), 1)
         assert delta != 0.0
         assert_kernels_match(model, table.sectors.sectors, table._kernels)
+
+
+# -- the one-configuration views against the reference scorer ---------------
+
+
+def assert_views_match(model, sectors, seen):
+    """`delta_factor` and `hamiltonian` of every (pair, replica,
+    configuration) of `sectors` have the bits of the reference scorer, and
+    `hamiltonian` raises `ContractViolation` exactly where Delta = 0.
+    Counts the forbidden cells, the cells with H = +inf and those with a
+    negative Delta in `seen`."""
+    for j, k in itertools.product(sectors, repeat=2):
+        for replica, cfg in itertools.product((0, 1), reference.configurations(model)):
+            delta, energy = reference.evaluate(model, j, k, cfg, replica)
+            assert model.delta_factor(j, k, cfg, replica).hex() == float(delta).hex()
+            if delta == 0.0:
+                with pytest.raises(ContractViolation, match=re.escape(f"forbidden configuration {cfg.label()} (replica {replica})")):
+                    model.hamiltonian(j, k, cfg, replica)
+                seen["forbidden"] += 1
+                continue
+            assert model.hamiltonian(j, k, cfg, replica).hex() == float(energy).hex()
+            seen["infinite"] += math.isinf(energy)
+            seen["negative"] += delta < 0.0
+
+
+class TestViews:
+    """`delta_factor` and `hamiltonian` read one configuration of the
+    batched passes; the reference scorer of `ising_reference` checks them
+    cell by cell."""
+
+    SETTINGS = settings(
+        max_examples=40,
+        derandomize=True,
+        database=None,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+
+    def test_drawn_bulk_instances(self):
+        """Every default sector of each draw, those without intertwiners at
+        some vertex included: active there, they give Delta = 1 and
+        H = +inf."""
+        seen = dict.fromkeys(("forbidden", "infinite", "negative"), 0)
+
+        @self.SETTINGS
+        @given(bulk_instances())
+        def check(drawn):
+            graph, family = drawn
+            model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+            assert_views_match(model, model.default_sectors(), seen)
+
+        check()
+        assert seen["forbidden"] and seen["infinite"], seen
+        assert not seen["negative"]
+
+    def test_drawn_boundary_instances(self):
+        """Up to three admissible sectors of each draw's family (of two or
+        three vertices), sectors the state does not hold among them."""
+        seen = dict.fromkeys(("forbidden", "infinite", "negative", "unheld"), 0)
+
+        @settings(self.SETTINGS, max_examples=60)
+        @given(boundary_instances(st.integers(2, 3)), st.data())
+        def check(drawn, data):
+            graph, family, state, part, index = drawn
+            model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
+            sectors = data.draw(st.lists(st.sampled_from(index.family_sectors()), min_size=1, max_size=3, unique=True))
+            seen["unheld"] += sum(sec not in state.sectors for sec in sectors)
+            assert_views_match(model, sectors, seen)
+
+        check()
+        assert seen["forbidden"] and seen["unheld"], seen
+
+    def test_signed_cosines(self):
+        """The signed instance of `test_golden` has cells whose cosine is
+        negative; both views give them with their sign."""
+        model = signed_b2b_model()
+        seen = dict.fromkeys(("forbidden", "infinite", "negative"), 0)
+        assert_views_match(model, model.default_sectors(), seen)
+        assert seen["negative"] and seen["forbidden"], seen
+
+    def bridge_models(self):
+        graph = bridge_graph()
+        family = bridge_family(graph, 1)
+        low, high = bridge_sectors(graph, 1)
+        state = bridge_state(graph, (low, high), A, D, B, U, V, W)
+        part = BoundaryPartition.from_input(graph, ["c"])
+        kinds = ((ModelKind.bulk_to_boundary(), None), (ModelKind.boundary_to_boundary(part), state))
+        return graph, (low, high), [IsingModel(graph, family, kind, state=held) for kind, held in kinds]
+
+    def test_views_take_any_vertex_count(self, monkeypatch):
+        """Past `EXHAUSTIVE_LIMIT` the kernels refuse the bridge, but both
+        views still answer on each configuration, under both kinds, with
+        the bits of the reference scorer."""
+        graph, (low, high), models = self.bridge_models()
+        monkeypatch.setattr(ising, "EXHAUSTIVE_LIMIT", 1)
+        for model in models:
+            with pytest.raises(EngineError, match="2 vertices exceed EXHAUSTIVE_LIMIT = 1"):
+                model.partition_sum_fixed(low, high, 0)
+            answered = 0
+            for (j, k), replica, bits in itertools.product(
+                ((low, low), (low, high), (high, low)), (0, 1), itertools.product((1, -1), repeat=2)
+            ):
+                cfg = config(graph, L=bits[0], R=bits[1])
+                delta, energy = reference.evaluate(model, j, k, cfg, replica)
+                assert model.delta_factor(j, k, cfg, replica).hex() == float(delta).hex()
+                if delta:
+                    assert model.hamiltonian(j, k, cfg, replica).hex() == float(energy).hex()
+                    answered += 1
+            assert answered
+
+    def test_views_check_the_configuration(self):
+        """A configuration without vertex R, or with an unknown vertex Q,
+        is refused by name under both kinds."""
+        _, (low, high), models = self.bridge_models()
+        missing = IsingConfig((("L", 1),))
+        unknown = IsingConfig((("L", 1), ("R", -1), ("Q", 1)))
+        for model in models:
+            for view in (model.delta_factor, model.hamiltonian):
+                with pytest.raises(EngineError, match=r"configuration misses vertices \['R'\]"):
+                    view(low, high, missing, 1)
+                with pytest.raises(EngineError, match=r"configuration names unknown vertices \['Q'\]"):
+                    view(low, high, unknown, 1)
 
 
 # -- totals in log domain ----------------------------------------------------
@@ -1316,6 +1424,27 @@ class TestLogDomainTotals:
             assert row.y[replica] == pytest.approx(
                 math.exp(table.log_totals[replica][1] - 2 * log_d), rel=1e-12
             )
+
+    def test_json_keeps_the_log_totals(self, big, tmp_path):
+        """Z_0 leaves float64, so its float reads null in the JSON, but
+        `log_totals.Z_0` and the boundary row's `log_Z_bar_0` hold it as a
+        finite [sign, log], in a file that is strict JSON."""
+        _, table = big
+        path = tmp_path / "table.json"
+        table.to_json(path)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        data = json.loads(path.read_text(), parse_constant=refuse)
+        assert data["totals"]["Z_0"] is None
+        sign, log = data["log_totals"]["Z_0"]
+        assert sign == 1 and 760.0 < log < 760.3
+        assert [sign, log] == list(table.log_totals[0])
+        assert data["log_totals"]["Z_1"] == list(table.log_totals[1])
+        (row,) = data["boundary_sums"]
+        assert row["Z_bar_0"] is None
+        assert row["log_Z_bar_0"] == [sign, log] and row["log_Z_bar_1"] == data["log_totals"]["Z_1"]
 
     def test_consumers_name_the_log_totals(self, big):
         from holoising.entropy import average_purity

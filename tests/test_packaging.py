@@ -98,19 +98,18 @@ def test_benchmark_tracer_wraps_existing_names_and_restores_them():
 
 
 def load_parity(monkeypatch):
-    """`tools/parity.py` loaded from its source without writing anything
-    (no bytecode either, for the benchmark modules it imports); the
-    `sys.path` entries and benchmark modules its import adds are removed
-    again when the test ends."""
+    """`tools/parity.py` loaded from its source without writing anything;
+    the `src/` entry it puts on `sys.path` is removed again when the test
+    ends.  Loading it imports no benchmark module: `main` imports the
+    benchmark's `workloads`."""
     monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
     before = set(sys.modules)
     parity = types.ModuleType("parity")
     parity.__file__ = str(PARITY)
     exec(compile(PARITY.read_text(), str(PARITY), "exec"), parity.__dict__)
-    for name in set(sys.modules) - before:
-        if str(getattr(sys.modules[name], "__file__", "")).startswith(str(ROOT / "perfbench")):
-            monkeypatch.setitem(sys.modules, name, sys.modules[name])
+    perfbench = str(ROOT / "perfbench")
+    assert not [name for name in set(sys.modules) - before
+                if str(getattr(sys.modules[name], "__file__", "")).startswith(perfbench)]
     return parity
 
 

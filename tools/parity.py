@@ -15,7 +15,13 @@ raises `IsometryError`), so that the ground-state consumers and the
 boundary-to-boundary verdict are compared though no op asks for them.
 On the sector-wide workload each op's family is also recorded through
 `fine_average_purity` at uniform weights and the `sector_dims` of its
-weighted sectors, which no op calls either.
+weighted sectors, which no op calls either.  The one-configuration views
+`IsingModel.delta_factor` and `hamiltonian`, which no op calls, are
+recorded on the first sector pair of each op's bulk-to-boundary model and
+of each boundary-to-boundary table's model: every configuration in both
+replicas, each cell's value or the type of the exception it raises.  On
+sector-wide, `entropy.high_spin_energies` of that bulk pair is recorded
+too.
 Monte Carlo estimates (`oracle.mc_purity`) are left out of the digests:
 they follow the definition of the Haar streams and the order of their
 sums, which can change while the engine and the oracle's exact traces keep
@@ -58,6 +64,7 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import os
@@ -70,11 +77,8 @@ import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 
 from holoising import entropy, experiments, ising, isometry, oracle, spins  # noqa: E402
-
-import workloads  # noqa: E402
 
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
@@ -135,6 +139,15 @@ def canon(obj: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
+def outcome(fn: Callable, *args, **kwargs) -> Any:
+    """`fn(*args, **kwargs)`, or {"raises": the type name of the exception
+    it raises}."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # recorded, as the call's outcome
+        return {"raises": type(exc).__name__}
+
+
 class Recorder:
     def __init__(self, values=None):
         self.lines: List[str] = []
@@ -167,6 +180,7 @@ class Recorder:
                     recorder.record_variants(kind, fn, args, kwargs, *variant)
                 if fn.__name__ == "partition_table" and args[0].kind.is_boundary_to_boundary:
                     recorder.record_verdicts(kind, args[0])
+                    recorder.record_views(f"{kind}:", args[0])
             return result
 
         return wrapper
@@ -213,14 +227,38 @@ class Recorder:
         weighted = model.sector_set().weighted().sectors
         self.record("spins.sector_dims", [spins.sector_dims(sec, graph, family) for sec in weighted])
 
+    def record_views(self, prefix: str, model) -> Optional[Tuple[Any, Any]]:
+        """Record `delta_factor` and `hamiltonian` of the model's first
+        sector pair, the first two weighted sectors of its default set (the
+        first twice where it has one), over every configuration in both
+        replicas: one result per view, listing each cell's outcome, replica
+        by replica, configurations in `itertools.product((1, -1), ...)`
+        order over the graph's vertices.  A value is recorded as a float,
+        so that an H summed over no term compares equal whether it comes
+        back as the int 0 or as 0.0.  Recording is paused meanwhile.
+        Returns the pair, or None (recording nothing) where the set is
+        empty."""
+        self.paused += 1
+        try:
+            sectors = model.sector_set().weighted().sectors
+            if not sectors:
+                return None
+            pair = sectors[0], sectors[min(1, len(sectors) - 1)]
+            vertices = model.graph.vertices
+            configs = [ising.IsingConfig.make(model.graph, dict(zip(vertices, bits)))
+                       for bits in itertools.product((1, -1), repeat=len(vertices))]
+            for name in ("delta_factor", "hamiltonian"):
+                view = getattr(model, name)
+                cells = [outcome(lambda: float(view(*pair, config, replica))) for replica in (0, 1) for config in configs]
+                self.record(f"{prefix}IsingModel.{name}", cells)
+            return pair
+        finally:
+            self.paused -= 1
+
     def record_outcome(self, kind: str, fn: Callable, args, kwargs) -> None:
         """Record `fn(*args, **kwargs)`: its result, or the type of the
         exception it raises."""
-        try:
-            result = fn(*args, **kwargs)
-        except Exception as exc:  # recorded, as the call's outcome
-            result = {"raises": type(exc).__name__}
-        self.record(kind, result)
+        self.record(kind, outcome(fn, *args, **kwargs))
 
     def patch_method(self, cls, name: str) -> None:
         original = cls.__dict__[name]
@@ -380,6 +418,9 @@ def main(argv=None) -> int:
         env = dict(os.environ, PYTHONHASHSEED="0")
         env.update((name, "1") for name in BLAS_THREADS)
         os.execve(sys.executable, [sys.executable, os.path.abspath(__file__), *sys.argv[1:]], env)
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import workloads
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=workloads.WORKLOADS)
     parser.add_argument("--seed", type=int)
@@ -405,8 +446,15 @@ def main(argv=None) -> int:
                 workloads.execute(op)
             except Exception as exc:  # recorded, like a failed benchmark op
                 failures.append(f"op {op.index} {op.kind} failed: {type(exc).__name__}: {exc}")
+            pair = None
+            if hasattr(op.inst, "family"):  # an Instance; canned scenarios take an int
+                bulk = ising.IsingModel(op.inst.graph, op.inst.family, ising.ModelKind.bulk_to_boundary())
+                pair = recorder.record_views("", bulk)
             if args.workload == "sector-wide":
                 recorder.record_family(op.inst.family, op.inst.graph)
+                if pair is not None:
+                    recorder.record_outcome("entropy.high_spin_energies", entropy.high_spin_energies,
+                                            pair, {"family": op.inst.family})
     finally:
         recorder.uninstall()
         if values is not None:
