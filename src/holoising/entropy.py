@@ -40,7 +40,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .graph import OpenGraph, agreement_region, boundary_of_region
-from .ising import EngineError, IsingModel, JsonReport, ModelKind, PartitionSumTable, ground_kernel, json_value, require_finite
+from .ising import EngineError, IsingModel, JsonReport, ModelKind, PartitionSumTable, ground_kernel, json_field, json_value, require_finite
 from .spins import SectorFamily, Spin, SpinSector, sector_dims, vertex_dims
 
 #: Report modes: exact per-pair kernels, ground-state kernels under the
@@ -149,40 +149,27 @@ class PurityReport(JsonReport):
     and None in exact mode.
     """
 
-    z0: float
-    z1: float
+    z0: float = json_field("Z_0")
+    z1: float = json_field("Z_1")
     purity: float
-    s2: float
-    x: Mapping[str, float]
+    s2: float = json_field("S_2")
+    x: Mapping[str, float] = json_field("X")
     pair_probs: Mapping[str, float]
     cumulants: Tuple[float, ...]
     cumulant_partial_sums: Tuple[float, ...]
     feasible_mass: float
     rt_area_estimate: Optional[float]
     provenance: str
-    distribution: SectorDistribution
+    distribution: SectorDistribution = json_field(None)
 
     def to_json_dict(self) -> dict:
         dist = self.distribution
-        return json_value({
-            "Z_0": self.z0,
-            "Z_1": self.z1,
-            "purity": self.purity,
-            "S_2": self.s2,
-            "X": self.x,
-            "pair_probs": self.pair_probs,
-            "cumulants": self.cumulants,
-            "cumulant_partial_sums": self.cumulant_partial_sums,
-            "feasible_mass": self.feasible_mass,
-            "rt_area_estimate": self.rt_area_estimate,
-            "provenance": self.provenance,
-            "distribution": {
-                "p": dist.p,
-                "pair_probs": dist.pair_probs,
-                "pair_probs_factorized": dist.pair_probs_factorized,
-                **({} if dist.c is None else {"c": dist.c}),
-            },
-        })
+        return {**super().to_json_dict(), "distribution": json_value({
+            "p": dist.p,
+            "pair_probs": dist.pair_probs,
+            "pair_probs_factorized": dist.pair_probs_factorized,
+            **({} if dist.c is None else {"c": dist.c}),
+        })}
 
 
 def average_purity(

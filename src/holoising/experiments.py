@@ -40,7 +40,7 @@ import numpy as np
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph, build_graph
-from .ising import ContractViolation, IsingModel, JsonReport, ModelKind, PartitionSumTable, json_value
+from .ising import ContractViolation, IsingModel, JsonReport, ModelKind, PartitionSumTable, json_field, json_value
 from .spins import SectorFamily, Spin, SpinSector
 
 
@@ -453,52 +453,38 @@ def _refine(fn, x0, step0: float, step_tol: float = 1e-7):
 
 
 @dataclass(frozen=True)
-class C1Cell:
+class C1Cell(JsonReport):
     """One allowed coupling cell: its combination's value against the
     engine Hamiltonian at the start state."""
 
     pair: Tuple[str, str]
     replica: int
-    config: Tuple[int, int]
+    config: Tuple[int, int] = json_field(None)
     combo: str
     expected: float
     engine: float
     defect: float
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "pair": self.pair,
-            "replica": self.replica,
-            "config": _config_label(self.config),
-            "combo": self.combo,
-            "expected": self.expected,
-            "engine": self.engine,
-            "defect": self.defect,
-        })
+        return {**super().to_json_dict(), "config": _config_label(self.config)}
 
 
 @dataclass(frozen=True)
-class C1Sum:
+class C1Sum(JsonReport):
     pair: Tuple[str, str]
     replica: int
-    terms: Tuple[Tuple[str, float], ...]
+    terms: Tuple[Tuple[str, float], ...] = json_field(None)
     total: float
     engine: float
     defect: float
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "pair": self.pair,
-            "replica": self.replica,
-            "terms": [{"config": label, "value": value} for label, value in self.terms],
-            "total": self.total,
-            "engine": self.engine,
-            "defect": self.defect,
-        })
+        terms = [{"config": label, "value": value} for label, value in self.terms]
+        return {**super().to_json_dict(), "terms": json_value(terms)}
 
 
 @dataclass(frozen=True)
-class C1Optimum:
+class C1Optimum(JsonReport):
     resolution: int
     coarse_point: Tuple[float, float, float, float]
     coarse_value: float
@@ -510,20 +496,6 @@ class C1Optimum:
     purity: float
     evaluations: int
 
-    def to_json_dict(self) -> dict:
-        return json_value({
-            "resolution": self.resolution,
-            "coarse_point": self.coarse_point,
-            "coarse_value": self.coarse_value,
-            "a": self.a,
-            "d": self.d,
-            "w": self.w,
-            "t_hat": self.t_hat,
-            "q_hat": self.q_hat,
-            "purity": self.purity,
-            "evaluations": self.evaluations,
-        })
-
 
 @dataclass(frozen=True)
 class C1Report(JsonReport):
@@ -534,13 +506,13 @@ class C1Report(JsonReport):
     mode: str
     input_links: Tuple[str, ...]
     couplings: Dict[str, float]
-    d_input: int
+    d_input: int = json_field("D_I")
     sector_dims: Dict[str, Dict[str, float]]
-    start: Dict[str, complex]
-    start_s2: float
-    start_sigma: float
+    start: Dict[str, complex] = json_field(None)
+    start_s2: float = json_field("start_S2")
+    start_sigma: float = json_field("start_Sigma")
     cells: Tuple[C1Cell, ...]
-    forbidden: Tuple[Tuple[Tuple[str, str], int, Tuple[int, int]], ...]
+    forbidden: Tuple[Tuple[Tuple[str, str], int, Tuple[int, int]], ...] = json_field(None)
     sums: Tuple[C1Sum, ...]
     diag_purity: Dict[str, float]
     closed_form_defect: float
@@ -560,39 +532,16 @@ class C1Report(JsonReport):
         return (self.optimum.a, self.optimum.d, self.optimum.w)
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "s": self.s,
-            "region": self.region,
-            "mode": self.mode,
-            "input_links": self.input_links,
-            "couplings": self.couplings,
-            "D_I": self.d_input,
-            "sector_dims": self.sector_dims,
+        return {**super().to_json_dict(), **json_value({
             "start": {
                 key: ([value.real, value.imag] if isinstance(value, complex) else value)
                 for key, value in self.start.items()
             },
-            "start_S2": self.start_s2,
-            "start_Sigma": self.start_sigma,
-            "cells": [cell.to_json_dict() for cell in self.cells],
             "forbidden": [
                 {"pair": pair, "replica": replica, "config": _config_label(config)}
                 for pair, replica, config in self.forbidden
             ],
-            "sums": [item.to_json_dict() for item in self.sums],
-            "diag_purity": self.diag_purity,
-            "closed_form_defect": self.closed_form_defect,
-            "optimum": self.optimum.to_json_dict(),
-            "doubled": self.doubled.to_json_dict(),
-            "stability_distance": self.stability_distance,
-            "engine_purity": self.engine_purity,
-            "engine_defect": self.engine_defect,
-            "target_formula": self.target_formula,
-            "target_value": self.target_value,
-            "target_rel_dev": self.target_rel_dev,
-            "reference_minimizer": self.reference_minimizer,
-            "minimizer_distance": self.minimizer_distance,
-        })
+        })}
 
 
 def reproduce_c1(
@@ -827,53 +776,30 @@ def reproduce_c1(
 
 
 @dataclass(frozen=True)
-class C2Sector:
+class C2Sector(JsonReport):
     label: str
-    d_input: int
-    d_output: int
-    d_total: int
-    ratio: float
-    z0_formula: int
-    z1_formula: int
-    z0_engine: float
-    z1_engine: float
-    z0_defect: float
-    z1_defect: float
+    d_input: int = json_field("D_I")
+    d_output: int = json_field("D_O")
+    d_total: int = json_field("D")
+    ratio: float = json_field("r")
+    z0_formula: int = json_field("Z_0_formula")
+    z1_formula: int = json_field("Z_1_formula")
+    z0_engine: float = json_field("Z_0_engine")
+    z1_engine: float = json_field("Z_1_engine")
+    z0_defect: float = json_field("Z_0_defect")
+    z1_defect: float = json_field("Z_1_defect")
     purity_engine: float
     purity_formula: float
     purity_defect: float
-    y0: float
-    y1: float
+    y0: float = json_field("Y_0")
+    y1: float = json_field("Y_1")
     expansion_first_order: float
     expansion_remainder: float
     remainder_bounded: bool
 
-    def to_json_dict(self) -> dict:
-        return json_value({
-            "label": self.label,
-            "D_I": self.d_input,
-            "D_O": self.d_output,
-            "D": self.d_total,
-            "r": self.ratio,
-            "Z_0_formula": self.z0_formula,
-            "Z_1_formula": self.z1_formula,
-            "Z_0_engine": self.z0_engine,
-            "Z_1_engine": self.z1_engine,
-            "Z_0_defect": self.z0_defect,
-            "Z_1_defect": self.z1_defect,
-            "purity_engine": self.purity_engine,
-            "purity_formula": self.purity_formula,
-            "purity_defect": self.purity_defect,
-            "Y_0": self.y0,
-            "Y_1": self.y1,
-            "expansion_first_order": self.expansion_first_order,
-            "expansion_remainder": self.expansion_remainder,
-            "remainder_bounded": self.remainder_bounded,
-        })
-
 
 @dataclass(frozen=True)
-class C2Solution:
+class C2Solution(JsonReport):
     """Joint solution of the cross-sector compatibility conditions.
 
     Per sector, D (D_I + D_O) = q D_I and D (D + 1) = q D_I^2 must hold for
@@ -883,60 +809,35 @@ class C2Solution:
 
     feasible: bool
     q: Optional[int]
-    d_input: Optional[int]
-    d_output: Optional[int]
+    d_input: Optional[int] = json_field("D_I")
+    d_output: Optional[int] = json_field("D_O")
     r_values: Tuple[float, ...]
-    sector_q: Tuple[Tuple[str, float, float], ...]
+    sector_q: Tuple[Tuple[str, float, float], ...] = json_field(None)
     failures: Tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "feasible": self.feasible,
-            "q": self.q,
-            "D_I": self.d_input,
-            "D_O": self.d_output,
-            "r_values": self.r_values,
-            "sector_q": [
-                {"label": label, "q_weight": qw, "q_norm": qn}
-                for label, qw, qn in self.sector_q
-            ],
-            "failures": self.failures,
-        })
+        sector_q = [{"label": label, "q_weight": qw, "q_norm": qn} for label, qw, qn in self.sector_q]
+        return {**super().to_json_dict(), "sector_q": json_value(sector_q)}
 
 
 @dataclass(frozen=True)
 class C2Report(JsonReport):
     mode: str
     sectors: Tuple[C2Sector, ...]
-    z0_diagonal_formula: int
-    z1_formula: int
-    z0_diagonal_engine: float
-    z1_diagonal_engine: float
-    z0_full_formula: int
-    z0_full_engine: float
-    z1_full_engine: float
+    z0_diagonal_formula: int = json_field("Z_0_diagonal_formula")
+    z1_formula: int = json_field("Z_1_formula")
+    z0_diagonal_engine: float = json_field("Z_0_diagonal_engine")
+    z1_diagonal_engine: float = json_field("Z_1_diagonal_engine")
+    z0_full_formula: int = json_field("Z_0_full_formula")
+    z0_full_engine: float = json_field("Z_0_full_engine")
+    z1_full_engine: float = json_field("Z_1_full_engine")
     solution: C2Solution
-    high_beta: Tuple[Tuple[int, float, float], ...]
+    high_beta: Tuple[Tuple[int, float, float], ...] = json_field(None)
     high_beta_monotone: bool
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "mode": self.mode,
-            "sectors": [sector.to_json_dict() for sector in self.sectors],
-            "Z_0_diagonal_formula": self.z0_diagonal_formula,
-            "Z_1_formula": self.z1_formula,
-            "Z_0_diagonal_engine": self.z0_diagonal_engine,
-            "Z_1_diagonal_engine": self.z1_diagonal_engine,
-            "Z_0_full_formula": self.z0_full_formula,
-            "Z_0_full_engine": self.z0_full_engine,
-            "Z_1_full_engine": self.z1_full_engine,
-            "solution": self.solution.to_json_dict(),
-            "high_beta": [
-                {"scale": scale, "purity_defect": pd, "Y_0_defect": yd}
-                for scale, pd, yd in self.high_beta
-            ],
-            "high_beta_monotone": self.high_beta_monotone,
-        })
+        high_beta = [{"scale": scale, "purity_defect": pd, "Y_0_defect": yd} for scale, pd, yd in self.high_beta]
+        return {**super().to_json_dict(), "high_beta": json_value(high_beta)}
 
 
 def _solve_cross_sector(dims: Sequence[Tuple[str, int, int]]) -> C2Solution:
@@ -1094,7 +995,7 @@ def reproduce_c2(
 
 
 @dataclass(frozen=True)
-class C3Branch:
+class C3Branch(JsonReport):
     """One branch of a purity sum: direct value vs closed form.
 
     `closed` is the regular harmonic-number form (sums running to the last
@@ -1113,55 +1014,24 @@ class C3Branch:
     formal_target: Optional[float] = None
     formal_defect: Optional[float] = None
 
-    def to_json_dict(self) -> dict:
-        return json_value({
-            "direct": self.direct,
-            "closed": self.closed,
-            "defect": self.defect,
-            "expansion_target": self.expansion_target,
-            "expansion_defect": self.expansion_defect,
-            "formal": self.formal,
-            "formal_target": self.formal_target,
-            "formal_defect": self.formal_defect,
-        })
-
 
 @dataclass(frozen=True)
-class C3Profile:
+class C3Profile(JsonReport):
     name: str
-    y1: float
-    y0: float
+    y1: float = json_field("Y_1")
+    y0: float = json_field("Y_0")
     ratio: float
     ratio_times_pair_dim: float
     pair_defect: float
 
-    def to_json_dict(self) -> dict:
-        return json_value({
-            "name": self.name,
-            "Y_1": self.y1,
-            "Y_0": self.y0,
-            "ratio": self.ratio,
-            "ratio_times_pair_dim": self.ratio_times_pair_dim,
-            "pair_defect": self.pair_defect,
-        })
-
 
 @dataclass(frozen=True)
-class C3EngineCheck:
+class C3EngineCheck(JsonReport):
     spins: Tuple[str, ...]
     dims_match: bool
     kernel_defect: float
     k_defect: float
     pairs_checked: int
-
-    def to_json_dict(self) -> dict:
-        return json_value({
-            "spins": self.spins,
-            "dims_match": self.dims_match,
-            "kernel_defect": self.kernel_defect,
-            "k_defect": self.k_defect,
-            "pairs_checked": self.pairs_checked,
-        })
 
 
 @dataclass(frozen=True)
@@ -1169,45 +1039,22 @@ class C3Report(JsonReport):
     n: int
     profile: str
     mode: str
-    d_output: int
-    d_input_schematic: int
-    d_input_pair: int
+    d_output: int = json_field("D_O")
+    d_input_schematic: int = json_field("D_I_schematic")
+    d_input_pair: int = json_field("D_I_pair")
     spin_count: int
-    y1_small: C3Branch
-    y1_large: C3Branch
-    y0_small: C3Branch
-    y0_large: C3Branch
-    constant_y1: float
-    constant_y0: float
+    y1_small: C3Branch = json_field("Y_1_small_m")
+    y1_large: C3Branch = json_field("Y_1_large_m")
+    y0_small: C3Branch = json_field("Y_0_small_m")
+    y0_large: C3Branch = json_field("Y_0_large_m")
+    constant_y1: float = json_field("constant_Y_1")
+    constant_y0: float = json_field("constant_Y_0")
     parts_ratio_direct: float
     parts_ratio_formal: float
     formal_ratio_window: float
     evaluations: Tuple[C3Profile, ...]
     engine: Optional[C3EngineCheck]
     notes: Tuple[str, ...]
-
-    def to_json_dict(self) -> dict:
-        return json_value({
-            "n": self.n,
-            "profile": self.profile,
-            "mode": self.mode,
-            "D_O": self.d_output,
-            "D_I_schematic": self.d_input_schematic,
-            "D_I_pair": self.d_input_pair,
-            "spin_count": self.spin_count,
-            "Y_1_small_m": self.y1_small.to_json_dict(),
-            "Y_1_large_m": self.y1_large.to_json_dict(),
-            "Y_0_small_m": self.y0_small.to_json_dict(),
-            "Y_0_large_m": self.y0_large.to_json_dict(),
-            "constant_Y_1": self.constant_y1,
-            "constant_Y_0": self.constant_y0,
-            "parts_ratio_direct": self.parts_ratio_direct,
-            "parts_ratio_formal": self.parts_ratio_formal,
-            "formal_ratio_window": self.formal_ratio_window,
-            "evaluations": [item.to_json_dict() for item in self.evaluations],
-            "engine": self.engine.to_json_dict() if self.engine else None,
-            "notes": self.notes,
-        })
 
 
 def _c3_z1(dim, dlink, b):

@@ -171,12 +171,21 @@ buckets of each total also give `log_cancellation`, the log of the larger
 bucket over |Z_b|.  `entropy` and `isometry` raise `TotalsOverflowError`,
 which names `log_totals`, rather than dividing infinities.
 
-Reports as JSON.  Every `to_json_dict` of the package returns the
-`json_value` of its fields, which maps each float that is not finite to
-None, and `JsonReport.to_json` writes strict JSON (`allow_nan=False`).
-A table's JSON keeps its totals and boundary sums in log domain too
-(`log_totals`, `log_Z_bar_0/1`), so a total that overflows reads null as
-a float but stays a finite log.
+Reports as JSON.  One rule writes every report: a report is a dataclass
+on `JsonReport`, whose `to_json_dict` is the `json_value` of each field
+under its JSON name.  The name lives at the field, as
+`json_field("Z_0")`, where it differs from the field's own.  A key that is
+not one field each (a label made from a field, fields zipped into rows, a
+property) is written by a short override of the class, and the fields it
+reshapes are left out of the derived dict by `json_field(None)`.  A
+nested report, alone or in a tuple, is written by its own
+`to_json_dict`.  `json_value` maps each float that is not finite to None
+and each int beyond 2^53 in magnitude to its decimal string, which a
+reader that parses numbers as float64 would round; `JsonReport.to_json`
+writes strict JSON (`allow_nan=False`).  `PartitionSumTable` is not a
+dataclass and keeps its own writers.  A table's JSON keeps its totals and
+boundary sums in log domain too (`log_totals`, `log_Z_bar_0/1`), so a
+total that overflows reads null as a float but stays a finite log.
 """
 
 from __future__ import annotations
@@ -186,7 +195,7 @@ import csv
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -400,10 +409,17 @@ def require_finite(values: Iterable[float], what: str) -> None:
 
 
 def json_value(value):
-    """`value` as strict JSON data: a float that is not finite becomes None;
-    mappings, lists, tuples and numpy arrays are converted entry by entry."""
+    """`value` as strict JSON data: a float that is not finite becomes None,
+    and an int beyond 2^53 in magnitude its decimal string, so a reader
+    that parses numbers as float64 does not round it; a report becomes its
+    own `to_json_dict`; mappings, lists, tuples and numpy arrays are
+    converted entry by entry."""
     if isinstance(value, float):
         return value if math.isfinite(value) else None
+    if isinstance(value, int) and not isinstance(value, bool):
+        return str(value) if abs(value) > 2**53 else value
+    if isinstance(value, JsonReport):
+        return value.to_json_dict()
     if isinstance(value, Mapping):
         return {key: json_value(item) for key, item in value.items()}
     if isinstance(value, (list, tuple)):
@@ -413,9 +429,21 @@ def json_value(value):
     return value
 
 
+def json_field(name: Optional[str], **kwargs):
+    """A report field written under the JSON key `name`, or left out of the
+    derived dict where `name` is None (its class's override writes it)."""
+    return field(metadata={"json": name}, **kwargs)
+
+
 class JsonReport:
-    """Base of the reports that write files: `to_json` writes the report's
-    `to_json_dict` as strict JSON, so no NaN or Infinity token is written."""
+    """Base of the reports: `to_json_dict` is the `json_value` of every
+    dataclass field under its JSON name (`json_field`, else the field's own
+    name), and `to_json` writes it as strict JSON, so no NaN or Infinity
+    token is written."""
+
+    def to_json_dict(self) -> dict:
+        keys = ((f.metadata.get("json", f.name), f.name) for f in fields(self))
+        return {key: json_value(getattr(self, name)) for key, name in keys if key is not None}
 
     def to_json(self, path) -> None:
         with open(path, "w") as handle:
@@ -593,18 +621,8 @@ def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
     return (np.log1p(s) + np.log(m) + a_max)[:, 0]
 
 
-def _logsumexp(terms: Sequence[float]) -> float:
-    """`_logsumexp_rows` of one row (-inf for no terms).  A single term is
-    its own log-sum-exp: the scipy steps give log1p(0) + log(1) + x = x."""
-    if len(terms) == 1:
-        return terms[0]
-    if len(terms) == 0:
-        return -math.inf
-    return _logsumexp_rows(np.asarray(terms, dtype=float)[None, :])[0]
-
-
 def _bucket_logsumexp(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """`_logsumexp` of each bucket of `terms`, which holds the buckets one
+    """Log-sum-exp of each bucket of `terms`, which holds the buckets one
     after another with the given lengths, with the bits of reducing the
     bucket alone (-inf for an empty bucket).  The buckets of one length
     share one `_logsumexp_rows` call.
@@ -617,16 +635,10 @@ def _bucket_logsumexp(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     return out
 
 
-def _signed_sum(pos: Sequence[float], neg: Sequence[float]) -> Tuple[float, Tuple[int, float]]:
-    """Sum of +exp(pos) and -exp(neg) terms given by their logs, each
-    bucket reduced by log-sum-exp: (the float, +/-inf where it overflows;
-    (sign, log|sum|))."""
-    return _signed_logs(_logsumexp(pos), _logsumexp(neg))
-
-
 def _signed_logs(lp: float, ln: float) -> Tuple[float, Tuple[int, float]]:
     """exp(lp) - exp(ln) for the log-sum-exps of a positive and a negative
-    bucket (-inf for an empty one), as `_signed_sum` returns it."""
+    bucket (-inf for an empty one): (the float, +/-inf where it overflows;
+    (sign, log|sum|))."""
     if lp > ln:
         log_form = (1, float(lp + math.log1p(-math.exp(ln - lp))))
     elif ln > lp:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph
-from .ising import IsingModel, JsonReport, ModelKind, PartitionSumTable, ground_kernel, json_value, require_finite
+from .ising import IsingModel, JsonReport, ModelKind, PartitionSumTable, ground_kernel, json_field, json_value, require_finite
 from .spins import (
     SectorFamily,
     Spin,
@@ -79,7 +79,7 @@ def _resolve_regime(regime: str, tolerance: Optional[float]) -> Tuple[str, float
 
 
 @dataclass(frozen=True, eq=False)
-class ConditionMatrix:
+class ConditionMatrix(JsonReport):
     """Purity condition in matrix form, M = Z_1 - 1/D_I, plus diagnostics.
 
     `quadratic_form` is the defect purity - 1/D_I evaluated with the table's
@@ -98,19 +98,19 @@ class ConditionMatrix:
     """
 
     labels: Tuple[str, ...]
-    z1: np.ndarray
-    z0: np.ndarray
-    m: np.ndarray
-    w: np.ndarray
+    z1: np.ndarray = json_field("Z_1")
+    z0: np.ndarray = json_field("Z_0")
+    m: np.ndarray = json_field("M")
+    w: np.ndarray = json_field("W")
     alpha: Optional[np.ndarray]
     p: np.ndarray
     candidate_p: Optional[np.ndarray]
-    d_input: float
+    d_input: float = json_field("D_I")
     quadratic_form: float
     quadratic_form_factorized: float
     zeroth_order_sum: float
-    det_z1: Optional[float]
-    det_m: Optional[float]
+    det_z1: Optional[float] = json_field("det_Z_1")
+    det_m: Optional[float] = json_field("det_M")
     rank_one_factor: Optional[float]
     singular: bool
 
@@ -131,25 +131,7 @@ class ConditionMatrix:
         return float(q @ self.m @ q)
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "labels": self.labels,
-            "Z_1": self.z1,
-            "Z_0": self.z0,
-            "M": self.m,
-            "W": self.w,
-            "alpha": self.alpha,
-            "p": self.p,
-            "candidate_p": self.candidate_p,
-            "D_I": self.d_input,
-            "quadratic_form": self.quadratic_form,
-            "quadratic_form_factorized": self.quadratic_form_factorized,
-            "zeroth_order_sum": self.zeroth_order_sum,
-            "zeroth_order_defect": self.zeroth_order_defect,
-            "det_Z_1": self.det_z1,
-            "det_M": self.det_m,
-            "rank_one_factor": self.rank_one_factor,
-            "singular": self.singular,
-        })
+        return {**super().to_json_dict(), "zeroth_order_defect": json_value(self.zeroth_order_defect)}
 
 
 def condition_matrix(table: PartitionSumTable, d_input: float) -> ConditionMatrix:
@@ -221,32 +203,24 @@ def condition_matrix(table: PartitionSumTable, d_input: float) -> ConditionMatri
 
 
 @dataclass(frozen=True)
-class ConditionRecord:
+class ConditionRecord(JsonReport):
     """One graded condition: per-sector defects, flags, and extras."""
 
     name: str
     target: str
-    sector_labels: Tuple[str, ...]
-    sector_defects: Tuple[float, ...]
-    sector_passed: Tuple[bool, ...]
+    sector_labels: Tuple[str, ...] = json_field(None)
+    sector_defects: Tuple[float, ...] = json_field(None)
+    sector_passed: Tuple[bool, ...] = json_field(None)
     defect: float
     passed: bool
-    extras: Tuple[Tuple[str, float], ...] = ()
+    extras: Tuple[Tuple[str, float], ...] = json_field(None, default=())
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "name": self.name,
-            "target": self.target,
-            "defect": self.defect,
-            "passed": self.passed,
-            "sectors": [
-                {"label": label, "defect": d, "passed": ok}
-                for label, d, ok in zip(
-                    self.sector_labels, self.sector_defects, self.sector_passed
-                )
-            ],
+        sectors = zip(self.sector_labels, self.sector_defects, self.sector_passed)
+        return {**super().to_json_dict(), **json_value({
+            "sectors": [{"label": label, "defect": d, "passed": ok} for label, d, ok in sectors],
             "extras": dict(self.extras),
-        })
+        })}
 
 
 def _record(
@@ -287,7 +261,7 @@ class IsometryVerdict(JsonReport):
     regime: str
     tolerance: float
     conditions: Tuple[ConditionRecord, ...]
-    extras: Tuple[Tuple[str, float], ...] = ()
+    extras: Tuple[Tuple[str, float], ...] = json_field(None, default=())
 
     @property
     def passed(self) -> bool:
@@ -300,15 +274,7 @@ class IsometryVerdict(JsonReport):
         raise KeyError(name)
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "kind": self.kind,
-            "classification": self.classification,
-            "regime": self.regime,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "extras": dict(self.extras),
-            "conditions": [cond.to_json_dict() for cond in self.conditions],
-        })
+        return {**super().to_json_dict(), "passed": self.passed, "extras": json_value(dict(self.extras))}
 
 
 # -- bulk-to-boundary ----------------------------------------------------
@@ -571,7 +537,7 @@ def suggest_window(family: SectorFamily, graph: OpenGraph) -> List[Dict[str, Spi
 
 
 @dataclass(frozen=True)
-class TracePreservationReport:
+class TracePreservationReport(JsonReport):
     """Deviation of pure sector states from the trace-preserving form.
 
     `reduction_defects` is the entrywise max-norm of (rho_{E,E})_I - I/D_I;
@@ -580,10 +546,10 @@ class TracePreservationReport:
     when sector weights and the channel constant were supplied.
     """
 
-    sector_labels: Tuple[str, ...]
-    d_inputs: Tuple[int, ...]
-    reduction_defects: Tuple[float, ...]
-    trace_distances: Tuple[float, ...]
+    sector_labels: Tuple[str, ...] = json_field(None)
+    d_inputs: Tuple[int, ...] = json_field(None)
+    reduction_defects: Tuple[float, ...] = json_field(None)
+    trace_distances: Tuple[float, ...] = json_field(None)
     c_defects: Optional[Tuple[float, ...]]
     k_defect: Optional[float]
     defect: float
@@ -591,27 +557,10 @@ class TracePreservationReport:
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "sectors": [
-                {
-                    "label": label,
-                    "D_I": d,
-                    "reduction_defect": r,
-                    "trace_distance": t,
-                }
-                for label, d, r, t in zip(
-                    self.sector_labels,
-                    self.d_inputs,
-                    self.reduction_defects,
-                    self.trace_distances,
-                )
-            ],
-            "c_defects": self.c_defects,
-            "k_defect": self.k_defect,
-            "defect": self.defect,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        })
+        sectors = zip(self.sector_labels, self.d_inputs, self.reduction_defects, self.trace_distances)
+        return {**super().to_json_dict(), "sectors": json_value([
+            {"label": label, "D_I": d, "reduction_defect": r, "trace_distance": t} for label, d, r, t in sectors
+        ])}
 
 
 def _state_key(sector):
@@ -721,7 +670,7 @@ def check_trace_preservation(
 
 
 @dataclass(frozen=True)
-class ClosedFormPurity:
+class ClosedFormPurity(JsonReport):
     """Single-vertex boundary-to-boundary purity from dimension data.
 
     With the normalized input-dimension sequence a_E = D_{I_E}/D_I, the two
@@ -743,23 +692,11 @@ class ClosedFormPurity:
     a: Tuple[float, ...]
     renyi_half: float
     renyi_two: float
-    d_input: int
-    d_output: int
+    d_input: int = json_field("D_I")
+    d_output: int = json_field("D_O")
     bracket: float
     purity: float
     purity_paired: float
-
-    def to_json_dict(self) -> dict:
-        return json_value({
-            "a": self.a,
-            "renyi_half": self.renyi_half,
-            "renyi_two": self.renyi_two,
-            "D_I": self.d_input,
-            "D_O": self.d_output,
-            "bracket": self.bracket,
-            "purity": self.purity,
-            "purity_paired": self.purity_paired,
-        })
 
 
 def single_vertex_closed_form(
@@ -896,7 +833,7 @@ def check_boundary_to_boundary(
 
 
 @dataclass(frozen=True, eq=False)
-class ScalingProfile:
+class ScalingProfile(JsonReport):
     """Superposition profile a single internal link needs for isometry.
 
     `profile` is the normalized |g_u|^2 proportional to
@@ -914,12 +851,12 @@ class ScalingProfile:
     """
 
     link_id: str
-    spins: Tuple[Spin, ...]
+    spins: Tuple[Spin, ...] = json_field(None)
     profile: Tuple[float, ...]
     achieving_profile: Tuple[float, ...]
-    boundary_labels: Tuple[str, ...]
-    products: Tuple[Tuple[float, ...], ...]
-    shares: Tuple[Tuple[float, ...], ...]
+    boundary_labels: Tuple[str, ...] = json_field(None)
+    products: Tuple[Tuple[float, ...], ...] = json_field(None)
+    shares: Tuple[Tuple[float, ...], ...] = json_field(None)
     independence_defect: float
 
     def r_weights(
@@ -963,19 +900,11 @@ class ScalingProfile:
         )
 
     def to_json_dict(self) -> dict:
-        return json_value({
-            "link_id": self.link_id,
+        sectors = zip(self.boundary_labels, self.products, self.shares)
+        return {**super().to_json_dict(), **json_value({
             "spins": [str(s) for s in self.spins],
-            "profile": self.profile,
-            "achieving_profile": self.achieving_profile,
-            "boundary_sectors": [
-                {"label": label, "products": prod, "shares": share}
-                for label, prod, share in zip(
-                    self.boundary_labels, self.products, self.shares
-                )
-            ],
-            "independence_defect": self.independence_defect,
-        })
+            "boundary_sectors": [{"label": label, "products": prod, "shares": share} for label, prod, share in sectors],
+        })}
 
 
 def scaling_constraint_g(

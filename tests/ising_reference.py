@@ -16,17 +16,23 @@ against them bit for bit:
                     has different spins in j and k
     boundary_terms  cosine and log terms of the two traced blocks of the
                     boundary-to-boundary kind
+
+and the one-bucket log-sum-exp and signed sum that the package's bucketed
+reducers (`ising._bucket_logsumexp`, `ising._kernel_sums`) replaced:
+
+    logsumexp       log-sum-exp of one list of terms
+    signed_sum      sum of +exp(pos) and -exp(neg) terms given by their logs
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from holoising.ising import IsingConfig, IsingModel
+from holoising.ising import IsingConfig, IsingModel, _logsumexp_rows, _signed_logs
 from holoising.spins import SpinSector, twice_intertwiner_dim
 
 
@@ -136,3 +142,21 @@ def configurations(model: IsingModel) -> Iterable[IsingConfig]:
     model._check_limit()
     for bits in itertools.product((1, -1), repeat=len(vertices)):
         yield IsingConfig(tuple(zip(vertices, bits)))
+
+
+def logsumexp(terms: Sequence[float]) -> float:
+    """`ising._logsumexp_rows` of one row (-inf for no terms).  A single
+    term is its own log-sum-exp: the scipy steps give log1p(0) + log(1) +
+    x = x."""
+    if len(terms) == 1:
+        return terms[0]
+    if len(terms) == 0:
+        return -math.inf
+    return _logsumexp_rows(np.asarray(terms, dtype=float)[None, :])[0]
+
+
+def signed_sum(pos: Sequence[float], neg: Sequence[float]) -> Tuple[float, Tuple[int, float]]:
+    """Sum of +exp(pos) and -exp(neg) terms given by their logs, each
+    bucket reduced by log-sum-exp: (the float, +/-inf where it overflows;
+    (sign, log|sum|))."""
+    return _signed_logs(logsumexp(pos), logsumexp(neg))

@@ -35,7 +35,6 @@ from holoising.ising import (
     TotalsOverflowError,
     _bucket_logsumexp,
     _logsumexp_rows,
-    _signed_sum,
     _unique_bool_rows,
 )
 from holoising.oracle import OracleError, build_cmap, build_hilbert, exact_replica_average
@@ -1033,6 +1032,16 @@ def bulk_instances(draw):
     return graph, SectorFamily.build(graph, "0", "3/2", allowed=allowed, normalize=False)
 
 
+def leg_products(sectors, legs):
+    """The groups of four `sectors` that agree off the two `legs` (two
+    spins each) and so take every pair of their spins there; none where
+    `legs` is empty."""
+    groups = {}
+    for sec in sectors:
+        groups.setdefault(tuple(item for item in sec.key() if item[0] not in legs), []).append(sec)
+    return [group for group in groups.values() if len(group) == 4]
+
+
 @st.composite
 def boundary_instances(draw, vertex_counts=st.integers(1, 3)):
     """(graph, family, state, partition, Hilbert index) of a
@@ -1042,8 +1051,13 @@ def boundary_instances(draw, vertex_counts=st.integers(1, 3)):
     that the vertex has intertwiners; at most two superposed links alone
     and one otherwise; complex link weights; a pure or rank-2 mixed bulk
     state on 1-3 admissible sectors; and a proper, nonempty input region.
-    Draws without admissible sectors or with a Hilbert space above 2000
-    are rejected."""
+    Some draws of two or three vertices give two spins to the fitted legs
+    of two vertices, make the first of these product legs input and the
+    other output, and may put the state on four sectors that agree off
+    them and take every pair of their spins there (`leg_products`), as
+    `test_golden.signed_b2b_model` does: a pair that differs on both legs
+    can have a negative Hilbert-Schmidt cosine.  Draws without admissible
+    sectors or with a Hilbert space above 2000 are rejected."""
     nv = draw(vertex_counts)
     graph, legs = draw_tree(draw, nv)
     last_legs = {f"v{i}": f"b{n}" for n, (i, _) in enumerate(legs)}
@@ -1054,11 +1068,19 @@ def boundary_instances(draw, vertex_counts=st.integers(1, 3)):
         if lid not in last_legs.values()
     }
     # The last leg of each vertex takes spins admissible with the first
-    # spin of each of the vertex's other links.
+    # spin of each of the vertex's other links, two where it is a product
+    # leg.  Product legs are two last legs with two such spins or more.
+    fits = {}
     for x, lid in last_legs.items():
         others = [Spin.parse(allowed[other][0]) for other in graph.links_at(x) if other != lid]
-        fits = [t for t in ("0", "1/2", "1", "3/2", "2") if intertwiner_dim((*others, Spin.parse(t))) > 0]
-        allowed[lid] = draw(st.lists(st.sampled_from(fits), min_size=1, max_size=1 + (lid in superposed), unique=True))
+        fits[lid] = [t for t in ("0", "1/2", "1", "3/2", "2") if intertwiner_dim((*others, Spin.parse(t))) > 0]
+    pairs = list(itertools.combinations(sorted(lid for lid, fit in fits.items() if len(fit) > 1), 2))
+    product_legs = draw(st.sampled_from(pairs)) if pairs and draw(st.booleans()) else ()
+    for lid, fit in fits.items():
+        pair = lid in product_legs
+        allowed[lid] = draw(
+            st.lists(st.sampled_from(fit), min_size=1 + pair, max_size=1 + (pair or lid in superposed), unique=True)
+        )
     weight = st.complex_numbers(min_magnitude=0.2, max_magnitude=1.0)
     weights = {lid: {spin: draw(weight) for spin in allowed[lid]} for lid in graph.internal_ids()}
     family = SectorFamily.build(graph, "0", "2", allowed=allowed, weights=weights, normalize=True)
@@ -1068,7 +1090,11 @@ def boundary_instances(draw, vertex_counts=st.integers(1, 3)):
         assume(False)
     sectors = index.family_sectors()
     assume(sectors)
-    picks = draw(st.lists(st.sampled_from(sectors), min_size=1, max_size=3, unique=True))
+    products = leg_products(sectors, product_legs)
+    if products and draw(st.booleans()):
+        picks = draw(st.sampled_from(products))
+    else:
+        picks = draw(st.lists(st.sampled_from(sectors), min_size=1, max_size=3, unique=True))
     sizes = [math.prod(vertex_block_dims(graph, sec)) for sec in picks]
     amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
     if draw(st.booleans()):
@@ -1090,6 +1116,8 @@ def boundary_instances(draw, vertex_counts=st.integers(1, 3)):
         state = IntertwinerState.from_blocks(graph, picks, blocks)
     bnd = sorted(graph.boundary_ids())
     inputs = draw(st.lists(st.sampled_from(bnd), min_size=1, max_size=len(bnd) - 1, unique=True))
+    if product_legs:
+        inputs = [lid for lid in inputs if lid not in product_legs] + [product_legs[0]]
     return graph, family, state, BoundaryPartition.from_input(graph, inputs), index
 
 
@@ -1107,7 +1135,8 @@ def sequential_logsumexp(terms):
 def assert_entries_match(model, sectors):
     """`_boundary_entries` of `sectors` lists exactly the (pair, replica,
     configuration) cells that the reference scorer allows, each with the
-    bits of its cosine (Delta), of its weight's log and of its energy."""
+    bits of its cosine (Delta), of its weight's log and of its energy.
+    Returns the cosines."""
     row, config, cos, log, energy = model._boundary_entries(model.sector_set(sectors))
     got = {
         (r, i): (cos.hex(), lg.hex(), h.hex())
@@ -1123,6 +1152,7 @@ def assert_entries_match(model, sectors):
                 if delta:
                     want[r, i] = (delta.hex(), (math.log(abs(delta)) - h).hex(), h.hex())
     assert got == want
+    return cos
 
 
 class TestBoundaryKernels:
@@ -1134,11 +1164,11 @@ class TestBoundaryKernels:
         """On every draw: each kernel has the bits of `brute_force`; the
         pass takes each traced block at most once per (configuration, ket,
         bra); and the totals equal the oracle's exact replica averages.  A second series
-        draws three vertices only.  The draws cover pure and mixed states
-        and three-vertex diagonal pairs that allow all 8 configurations,
-        some of whose kernels a sequential sum of their terms would
-        change."""
-        seen = dict.fromkeys(("pure", "mixed", "three_vertex_rows_of_8", "order_sensitive"), 0)
+        draws three vertices only.  The draws cover pure and mixed states,
+        cells with a negative cosine, and three-vertex diagonal pairs that
+        allow all 8 configurations, some of whose kernels a sequential sum
+        of their terms would change."""
+        seen = dict.fromkeys(("pure", "mixed", "negative_cosine", "three_vertex_rows_of_8", "order_sensitive"), 0)
         traced_block = IntertwinerState.traced_block
 
         def check(drawn):
@@ -1157,7 +1187,7 @@ class TestBoundaryKernels:
             assert len(calls) == len(set(calls))
             sectors = table.sectors.sectors
             assert_kernels_match(model, sectors, table._kernels)
-            assert_entries_match(model, sectors)
+            seen["negative_cosine"] += int(np.count_nonzero(assert_entries_match(model, sectors) < 0))
             cmap = build_cmap(index, kind, state=state)
             assert table.totals[0] == pytest.approx(exact_replica_average(index, (), cmap=cmap), rel=1e-9)
             region = sorted(part.input_region)
@@ -1465,13 +1495,13 @@ class TestLogDomainTotals:
         for _ in range(200):
             pos = rng.normal(scale=3.0, size=int(rng.integers(0, 5))).tolist()
             neg = rng.normal(scale=3.0, size=int(rng.integers(0, 5))).tolist()
-            total, (sign, log) = _signed_sum(pos, neg)
+            total, (sign, log) = reference.signed_sum(pos, neg)
             if total == 0.0:
                 assert sign == 0 and log == -math.inf
                 continue
             assert sign == (1 if total > 0 else -1)
             assert math.exp(log) == pytest.approx(abs(total), rel=1e-9, abs=1e-12)
-        total, (sign, log) = _signed_sum([800.0, 1.0], [799.0])
+        total, (sign, log) = reference.signed_sum([800.0, 1.0], [799.0])
         assert total == math.inf and sign == 1
         assert log == pytest.approx(800.0 + math.log1p(-math.exp(-1.0)), rel=1e-15)
 

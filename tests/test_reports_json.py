@@ -1,6 +1,6 @@
 """Every report is strict JSON: `to_json_dict` maps each float that is not
 finite to None (`ising.json_value`), and `to_json` writes no NaN or
-Infinity token."""
+Infinity token.  Every report's JSON is pinned by its digest."""
 
 import json
 import math
@@ -22,7 +22,7 @@ from holoising.isometry import (
     suggest_window,
 )
 from holoising.spins import SectorFamily
-from test_golden import signed_b2b_model, star_table, zero_weight_bridge
+from test_golden import json_sha, signed_b2b_model, star_table, zero_weight_bridge
 from test_ising import chain_graph
 
 
@@ -99,6 +99,27 @@ REPORTS = {
     "c3": lambda: reproduce_c3(3, "isometric"),
 }
 
+# `test_golden.json_sha` of each report's `to_json_dict()`.  The
+# overflowing table's digest moved once, when integers beyond 2^53 (its
+# 166-digit D_total) began to be written as decimal strings.
+DIGESTS = {
+    "overflowing_table": "737b19248a16e82176a0dc1c6659a270395bf48f053f58f35c4722ae8b5e69ba",
+    "zero_weight_table": "fcff64e8d19db25cedd7b43b264e26f85cd432b01ceec34afa6fdac7508a77ff",
+    "b2b_table": "27b89c428662c92c4be6ee1a17bf367425593f60ae843f0e6eb7d1bd930a45b6",
+    "purity_exact": "1e6efe2e52ead6a29bc1262c54ade276220c65a90a407e323013c4ddc25523e4",
+    "purity_ground_state": "f21f679f6eeb79fd5c93f7a35a9c29da282a42f0d1a206fdc45fd1dd8ef508cb",
+    "purity_high_spin": "7886e46c6bc228c26d84f4999d228ac8db456fc56d254888e67b433ebc253566",
+    "bulk_verdict": "f6c826f0c8f642ffc4baef88afacb158eb2214923b628bf7c55aa6e68e538f9a",
+    "b2b_verdict": "3269c4d7926318b08c221998ecf984bf6ae44a01d4a33744f4dffd622ca4e111",
+    "condition_matrix": "2156f97a527ccb56267b86c3e33b2f18ba5928ffe6f891d16d881e7eaf698867",
+    "trace_preservation": "7784ce7b2d6dff6cbaa8c27db383dcc192282ccceba49dc0560bb4b8a4eda878",
+    "closed_form": "698cf30a5167ea425a54af600aa7ad112e5a9783d779f3f644d7c411f2f56605",
+    "scaling_profile": "d165d0f2e426bd9f850af8e5b986c4d42ef5c73fbf110a3d848eb4477756d5d2",
+    "c1": "24838199e2548998989c51dc857348369d19737296f1f1b0218a10806e78c50f",
+    "c2": "0a0f85c4c0e5577869bc15efff825f186727c1f023f40ab504befe1b2beccfd1",
+    "c3": "f8e27260eb899b567660065b4aedfa636e2d254358eeaab840c948a4a0ab661a",
+}
+
 
 def test_json_value_maps_non_finite_floats_to_none():
     value = {
@@ -115,6 +136,12 @@ def test_json_value_maps_non_finite_floats_to_none():
     }
 
 
+def test_json_value_writes_ints_beyond_float64_as_strings():
+    big = 2**53
+    assert json_value([big, -big, big + 1, -big - 1, True]) == [big, -big, str(big + 1), str(-big - 1), True]
+    assert json_value(np.array([big + 1])) == [str(big + 1)]
+
+
 @pytest.mark.parametrize("name", REPORTS)
 def test_every_report_is_strict_json(name, tmp_path):
     report = REPORTS[name]()
@@ -129,6 +156,11 @@ def test_every_report_is_strict_json(name, tmp_path):
         assert json.loads(written) == blob
 
 
+@pytest.mark.parametrize("name", REPORTS)
+def test_report_json_digest(name):
+    assert json_sha(REPORTS[name]().to_json_dict()) == DIGESTS[name]
+
+
 def test_overflowing_totals_read_null():
     table = overflowing_table()
     assert table.totals[0] == math.inf
@@ -137,3 +169,4 @@ def test_overflowing_totals_read_null():
     assert blob["totals"]["Z_1"] == table.totals[1]
     (row,) = blob["boundary_sums"]
     assert row["Z_bar_0"] is None and row["Z_bar_1"] == table.totals[1]
+    assert row["D_total"] == str(table.d_total[0])

@@ -1,7 +1,7 @@
 """Sector pools as arrays, the dimension evaluator and the bucketed
 kernel-sum reducer.
 
-The references live here: the per-key `_signed_sum` loop that
+The references live here: the per-key `signed_sum` loop that
 `ising._kernel_sums` replaced, the per-sector loop that
 `isometry.window_groups` replaced, and the `enumerate_sectors` +
 `intertwiner_dim` loops that `spins.sector_dims` and
@@ -14,13 +14,14 @@ import math
 import numpy as np
 import pytest
 
+import ising_reference as reference
 from conftest import random_instance
 from holoising import spins
 from holoising.bulk import IntertwinerState
 from holoising.entropy import EntropyError, FineAverage, fine_average_purity, high_spin_energies
 from holoising.experiments import ExperimentError, reproduce_c2
 from holoising.graph import BoundaryPartition, build_graph
-from holoising.ising import EngineError, IsingModel, ModelKind, _kernel_sums, _logsumexp, _signed_sum
+from holoising.ising import EngineError, IsingModel, ModelKind, _kernel_sums
 from holoising.isometry import window_groups
 from holoising.spins import (
     SectorDims,
@@ -39,7 +40,7 @@ from holoising.spins import (
 
 
 def reference_kernel_sums(z, log_k, key, nkeys):
-    """One `_signed_sum` per replica over all pairs and per (replica,
+    """One `reference.signed_sum` per replica over all pairs and per (replica,
     boundary key) over the key's diagonal block, each bucket in row-major
     pair order; plus log(larger bucket / |total|) per replica."""
     count = len(log_k)
@@ -55,9 +56,9 @@ def reference_kernel_sums(z, log_k, key, nkeys):
         values = flat[nonzero]
         logs = log_kk[nonzero] + np.array(list(map(math.log, np.abs(values).tolist())), dtype=float)
         pos = values > 0.0
-        total = _signed_sum(logs[pos], logs[~pos])
+        total = reference.signed_sum(logs[pos], logs[~pos])
         totals.append(total)
-        top = max(_logsumexp(logs[pos]), _logsumexp(logs[~pos]))
+        top = max(reference.logsumexp(logs[pos]), reference.logsumexp(logs[~pos]))
         if total[1][0]:
             cancellation.append(float(top - total[1][1]))
         else:
@@ -67,7 +68,7 @@ def reference_kernel_sums(z, log_k, key, nkeys):
         for c in range(nkeys):
             block = diagonal & (owner == c)
             has_row[c] |= block.any()
-            by_key[c][replica] = _signed_sum(logs[block & pos], logs[block & ~pos])
+            by_key[c][replica] = reference.signed_sum(logs[block & pos], logs[block & ~pos])
     return totals, by_key, tuple(np.flatnonzero(has_row).tolist()), cancellation
 
 

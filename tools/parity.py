@@ -19,9 +19,18 @@ weighted sectors, which no op calls either.  The one-configuration views
 `IsingModel.delta_factor` and `hamiltonian`, which no op calls, are
 recorded on the first sector pair of each op's bulk-to-boundary model and
 of each boundary-to-boundary table's model: every configuration in both
-replicas, each cell's value or the type of the exception it raises.  On
+replicas, each cell's value or the type of the exception it raises.  No op
+builds a condition matrix, so `isometry.condition_matrix` of that bulk
+model's default table is recorded too, at the total input dimension of
+the table's boundary rows.  On
 sector-wide, `entropy.high_spin_energies` of that bulk pair is recorded
-too.
+too.  Each report among the results (a purity report, condition matrix,
+isometry verdict or c1/c2/c3 report, in every mode and regime recorded)
+is also recorded by its `to_json_dict()`, as a result of its own kind,
+the call's kind with `:to_json_dict` appended; that form keeps JSON
+objects as objects, so its digest ignores the order of their keys, as
+`json.dumps(..., sort_keys=True)` does.  Partition tables are left out of
+that kind: their JSON lists the rows their own digests cover.
 Monte Carlo estimates (`oracle.mc_purity`) are left out of the digests:
 they follow the definition of the Haar streams and the order of their
 sums, which can change while the engine and the oracle's exact traces keep
@@ -139,6 +148,17 @@ def canon(obj: Any) -> Any:
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
 
+def canon_json(obj: Any) -> Any:
+    """A `to_json_dict` result with every float as `float.hex`."""
+    if isinstance(obj, float):
+        return obj.hex()
+    if isinstance(obj, dict):
+        return {key: canon_json(value) for key, value in obj.items()}
+    if isinstance(obj, list):
+        return [canon_json(item) for item in obj]
+    return obj
+
+
 def outcome(fn: Callable, *args, **kwargs) -> Any:
     """`fn(*args, **kwargs)`, or {"raises": the type name of the exception
     it raises}."""
@@ -158,7 +178,11 @@ class Recorder:
         self._undo: List[Tuple[Any, str, Any]] = []
 
     def record(self, kind: str, result: Any, digest: bool = True) -> None:
-        value = canon(result)
+        self._write(kind, canon(result), digest)
+        if hasattr(result, "to_json_dict") and not isinstance(result, ising.PartitionSumTable):
+            self._write(f"{kind}:to_json_dict", canon_json(result.to_json_dict()), digest)
+
+    def _write(self, kind: str, value: Any, digest: bool) -> None:
         if digest:
             blob = json.dumps(value, sort_keys=True, separators=(",", ":"))
             self.kinds[kind] += 1
@@ -252,6 +276,20 @@ class Recorder:
                 cells = [outcome(lambda: float(view(*pair, config, replica))) for replica in (0, 1) for config in configs]
                 self.record(f"{prefix}IsingModel.{name}", cells)
             return pair
+        finally:
+            self.paused -= 1
+
+    def record_condition_matrix(self, model) -> None:
+        """Record `condition_matrix` of the model's default table at the
+        summed D_I of its boundary rows (or the type of the exception it
+        raises), with recording paused."""
+        def matrix():
+            table = model.partition_table()
+            return isometry.condition_matrix(table, sum(table.sectors.d_input(table.boundary_keys)))
+
+        self.paused += 1
+        try:
+            self.record_outcome("isometry.condition_matrix", matrix, (), {})
         finally:
             self.paused -= 1
 
@@ -450,6 +488,7 @@ def main(argv=None) -> int:
             if hasattr(op.inst, "family"):  # an Instance; canned scenarios take an int
                 bulk = ising.IsingModel(op.inst.graph, op.inst.family, ising.ModelKind.bulk_to_boundary())
                 pair = recorder.record_views("", bulk)
+                recorder.record_condition_matrix(bulk)
             if args.workload == "sector-wide":
                 recorder.record_family(op.inst.family, op.inst.graph)
                 if pair is not None:
