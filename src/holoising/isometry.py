@@ -486,16 +486,15 @@ def check_bulk_to_boundary(
     )
 
 
-def window_groups(
-    family: SectorFamily, graph: OpenGraph
-) -> Dict[int, Tuple[Dict[str, Spin], ...]]:
+def window_groups(family: SectorFamily, graph: OpenGraph) -> Dict[int, Tuple[Tuple[int, ...], ...]]:
     """Admissible boundary sectors grouped by their output dimension.
 
     A boundary sector is admissible when at least one bulk completion inside
     the family's box has nonzero intertwiner spaces and superposition
     weight (|g| > 0 on every internal link; |g|^2 may underflow to 0, so
     log K does not decide it).  Keys are D_O values; each value tuple lists
-    the boundary spin assignments in enumeration order of their first
+    the boundary keys, doubled spins in `graph.boundary_ids()` order as
+    `SectorSet.keys` holds them, in enumeration order of their first
     admissible sector.  The family's `SectorSet` holds its whole sector
     matrix (8 bytes per link and sector) next to its per-sector boundary
     tuples and vertex dimensions, so the peak is several times the matrix:
@@ -511,11 +510,9 @@ def window_groups(
                 admissible &= column != t
     codes = pool.key[admissible]
     _, first = np.unique(codes, return_index=True)
-    groups: Dict[int, List[Dict[str, Spin]]] = {}
-    bnd = graph.boundary_ids()
+    groups: Dict[int, List[Tuple[int, ...]]] = {}
     for c in codes[np.sort(first)].tolist():
-        key = {lid: Spin(t) for lid, t in zip(bnd, pool.keys[c])}
-        groups.setdefault(pool.d_output(c), []).append(key)
+        groups.setdefault(pool.d_output(c), []).append(pool.keys[c])
     return {d: tuple(entries) for d, entries in groups.items()}
 
 
@@ -530,7 +527,8 @@ def suggest_window(family: SectorFamily, graph: OpenGraph) -> List[Dict[str, Spi
     if not groups:
         raise IsometryError("no admissible boundary sector exists in this family")
     best = max(groups, key=lambda d: (len(groups[d]), d))
-    return list(groups[best])
+    bnd = graph.boundary_ids()
+    return [{lid: Spin(t) for lid, t in zip(bnd, key)} for key in groups[best]]
 
 
 # -- trace preservation --------------------------------------------------

@@ -1,23 +1,48 @@
-"""Shared builders for the two-vertex bridge instance used across suites.
+"""The suite's `hypothesis` profile and its shared fixed builders.
 
-Two 4-valent vertices joined by one internal link of spin s.  The left
-vertex carries boundary legs of spins (s, s, 3s); the right vertex carries
-(s, s) plus a leg `c` whose spin switches between 3s-1 and 3s, giving two
-sectors that differ only in one boundary spin.  The left intertwiner space
-is one-dimensional in both sectors; the right one has dimension 2 in the
-3s-1 sector and 1 in the 3s sector.
+Every `@given` test runs under one registered profile, derandomized and
+without an example database, so that tier-1 draws the same examples on
+every run; tests set only `max_examples`.  Drawn instances come from
+`strategies.py`.
+
+The bridge instance: two 4-valent vertices joined by one internal link of
+spin s.  The left vertex carries boundary legs of spins (s, s, 3s); the
+right vertex carries (s, s) plus a leg `c` whose spin switches between
+3s-1 and 3s, giving two sectors that differ only in one boundary spin.  The
+left intertwiner space is one-dimensional in both sectors; the right one
+has dimension 2 in the 3s-1 sector and 1 in the 3s sector.
 """
 
+import importlib
 import math
+import pkgutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
 
+import holoising
 from holoising import ising
 from holoising.bulk import IntertwinerState
 from holoising.graph import build_graph
 from holoising.ising import PartitionSumTable, _PairKernels
 from holoising.spins import SectorFamily, Spin, SpinSector
+
+
+settings.register_profile(
+    "derandomized",
+    derandomize=True,
+    database=None,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+settings.load_profile("derandomized")
+
+# Hypothesis mixes constants from every loaded module of the package into
+# its draws, so every module is loaded here: a test then draws the same
+# examples whether it runs alone or in the whole suite.
+for module in pkgutil.iter_modules(holoising.__path__):
+    importlib.import_module(f"holoising.{module.name}")
 
 
 @pytest.fixture(autouse=True)
@@ -42,6 +67,48 @@ def bridge_graph():
                 {"id": "b1", "end": ["R", 0]},
                 {"id": "b2", "end": ["R", 1]},
                 {"id": "c", "end": ["R", 2]},
+            ],
+        }
+    )
+
+
+def four_leg_graph():
+    return build_graph(
+        {
+            "vertices": [{"id": "x", "valence": 4}],
+            "links": [{"id": f"p{i}", "end": ["x", i - 1]} for i in range(1, 5)],
+        }
+    )
+
+
+def two_sector_vertex_family(graph):
+    """One free leg over {1/2, 3/2}, the rest pinned to 1/2: two sectors
+    with different boundary spins (the cross pairs are swap-infeasible)."""
+    return SectorFamily.build(
+        graph,
+        "1/2",
+        "3/2",
+        allowed={
+            "p1": ["1/2", "3/2"],
+            "p2": ["1/2"],
+            "p3": ["1/2"],
+            "p4": ["1/2"],
+        },
+    )
+
+
+def glued_graph():
+    """Two 3-valent vertices x, y joined by link e, with legs a1, a2 at x
+    and b1, b2 at y."""
+    return build_graph(
+        {
+            "vertices": [{"id": "x", "valence": 3}, {"id": "y", "valence": 3}],
+            "links": [
+                {"id": "e", "ends": [["x", 0], ["y", 0]]},
+                {"id": "a1", "end": ["x", 1]},
+                {"id": "a2", "end": ["x", 2]},
+                {"id": "b1", "end": ["y", 1]},
+                {"id": "b2", "end": ["y", 2]},
             ],
         }
     )
@@ -132,137 +199,3 @@ def array_table(labels, k, z, e_min=None):
         z, e_min, np.isfinite(e_min).astype(np.int64), np.full(z.shape, math.inf), np.full(z.shape, -1)
     )
     return PartitionSumTable(StandInSectors(labels, k), kernels)
-
-
-# -- randomized small instances ------------------------------------------
-
-_SPIN_POOLS = (
-    ["1/2"],
-    ["1"],
-    ["3/2"],
-    ["1/2", "1"],
-    ["1/2", "3/2"],
-    ["1", "2"],
-)
-
-
-def random_instance(rng, max_dim=600, with_state=False, max_tries=400,
-                    nv_choices=(1, 2, 3)):
-    """A random 1-3 vertex instance small enough for exact treatment.
-
-    Returns (graph, family, state, partition); `state` is a random bulk
-    density matrix over the admissible sectors (None unless `with_state`),
-    `partition` a random input/output split of the boundary (None when the
-    boundary has fewer than two legs).  Instances are rejected until the
-    truncated product space is non-empty and below `max_dim`.
-    """
-    from holoising.graph import BoundaryPartition
-    from holoising.oracle import build_hilbert, OracleError
-
-    for _ in range(max_tries):
-        nv = int(rng.choice(nv_choices))
-        valences = [int(rng.integers(3, 5)) for _ in range(nv)]
-        free = {i: list(range(valences[i])) for i in range(nv)}
-        links = []
-        for i in range(1, nv):
-            j = int(rng.integers(0, i))
-            if not free[j]:
-                break
-            links.append(
-                {
-                    "id": f"e{i}",
-                    "ends": [[f"v{j}", free[j].pop(0)], [f"v{i}", free[i].pop(0)]],
-                }
-            )
-        else:
-            if nv > 1 and rng.random() < 0.3:
-                cands = [i for i in range(nv) if len(free[i]) >= 1]
-                if len(cands) >= 2:
-                    a, b = rng.choice(cands, size=2, replace=False)
-                    links.append(
-                        {
-                            "id": "x0",
-                            "ends": [
-                                [f"v{a}", free[int(a)].pop(0)],
-                                [f"v{b}", free[int(b)].pop(0)],
-                            ],
-                        }
-                    )
-            bnd = 0
-            for i in range(nv):
-                for p in free[i]:
-                    links.append({"id": f"b{bnd}", "end": [f"v{i}", p]})
-                    bnd += 1
-            graph = build_graph(
-                {
-                    "vertices": [
-                        {"id": f"v{i}", "valence": valences[i]} for i in range(nv)
-                    ],
-                    "links": links,
-                }
-            )
-            allowed = {}
-            weights = {}
-            multi_budget = 2 if nv == 1 else 1
-            single_probs = [0.5, 0.35, 0.15] if nv == 1 else [0.6, 0.35, 0.05]
-            for lid in graph.link_ids():
-                if multi_budget > 0 and rng.random() < 0.3:
-                    pool = _SPIN_POOLS[3 + int(rng.integers(0, 3))]
-                    multi_budget -= 1
-                else:
-                    pool = _SPIN_POOLS[int(rng.choice(3, p=single_probs))]
-                allowed[lid] = list(pool)
-            for lid in graph.internal_ids():
-                weights[lid] = {
-                    s: complex(rng.normal(), rng.normal()) for s in allowed[lid]
-                }
-            family = SectorFamily.build(
-                graph, "1/2", "2", allowed=allowed, weights=weights, normalize=True
-            )
-            try:
-                index = build_hilbert(graph, family, cap=max_dim)
-            except OracleError:
-                continue
-            if index.dim == 0 or not index.family_sectors():
-                continue
-            state = _random_bulk_state(rng, graph, index) if with_state else None
-            bnd_ids = sorted(graph.boundary_ids())
-            partition = None
-            if len(bnd_ids) >= 2:
-                k = int(rng.integers(1, len(bnd_ids)))
-                picks = sorted(rng.choice(bnd_ids, size=k, replace=False))
-                partition = BoundaryPartition.from_input(graph, picks)
-            return graph, family, state, partition
-    raise RuntimeError("could not draw a random instance within the try budget")
-
-
-def _random_bulk_state(rng, graph, index):
-    from holoising.bulk import vertex_block_dims
-
-    sectors = list(index.family_sectors())
-    if len(sectors) > 3:
-        sectors = [sectors[int(i)] for i in rng.choice(len(sectors), 3, replace=False)]
-    sizes = [
-        int(np.prod(vertex_block_dims(graph, s), dtype=np.int64)) for s in sectors
-    ]
-    total = sum(sizes)
-    if rng.random() < 0.5:
-        amps = {
-            s: rng.normal(size=n) + 1j * rng.normal(size=n)
-            for s, n in zip(sectors, sizes)
-        }
-        norm = np.sqrt(sum(float(np.vdot(v, v).real) for v in amps.values()))
-        return IntertwinerState.from_pure(
-            graph, {s: v / norm for s, v in amps.items()}
-        )
-    r = rng.normal(size=(total, 2)) + 1j * rng.normal(size=(total, 2))
-    rho = r @ r.conj().T
-    rho /= np.trace(rho).real
-    blocks = {}
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    for i, si in enumerate(sectors):
-        for j, sj in enumerate(sectors):
-            if j < i:
-                continue
-            blocks[(si, sj)] = rho[offs[i]:offs[i] + sizes[i], offs[j]:offs[j] + sizes[j]]
-    return IntertwinerState.from_blocks(graph, sectors, blocks)

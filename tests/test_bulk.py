@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from conftest import bridge_graph
 from holoising.bulk import BulkStateError, IntertwinerState, vertex_block_dims
-from holoising.graph import build_graph
 from holoising.spins import SpinSector
 from paper_operators import (
     XOperator,
@@ -18,27 +18,6 @@ from paper_operators import (
     sigma_b,
     x_operator,
 )
-
-
-def two_vertex_graph():
-    """Two 4-valent vertices, one internal link, six boundary legs."""
-    return build_graph(
-        {
-            "vertices": [
-                {"id": "L", "valence": 4},
-                {"id": "R", "valence": 4},
-            ],
-            "links": [
-                {"id": "e", "ends": [["L", 3], ["R", 3]]},
-                {"id": "a1", "end": ["L", 0]},
-                {"id": "a2", "end": ["L", 1]},
-                {"id": "a3", "end": ["L", 2]},
-                {"id": "b1", "end": ["R", 0]},
-                {"id": "b2", "end": ["R", 1]},
-                {"id": "c", "end": ["R", 2]},
-            ],
-        }
-    )
 
 
 def two_vertex_sectors(graph):
@@ -69,13 +48,13 @@ def cross_sector_state(graph, sec_j, sec_k):
 
 class TestConstruction:
     def test_block_dims(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         assert vertex_block_dims(graph, sec_j) == (1, 2)
         assert vertex_block_dims(graph, sec_k) == (1, 1)
 
     def test_from_pure_single_sector(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         _, sec_k = two_vertex_sectors(graph)
         amp = np.array([0.6 + 0.8j])
         state = IntertwinerState.from_pure(graph, {sec_k: amp})
@@ -88,13 +67,13 @@ class TestConstruction:
         assert total[0, 0] == pytest.approx(1.0)
 
     def test_from_pure_rejects_wrong_size(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, _ = two_vertex_sectors(graph)
         with pytest.raises(BulkStateError):
             IntertwinerState.from_pure(graph, {sec_j: np.ones(3)})
 
     def test_from_blocks_fills_conjugate(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         kj = state.block(sec_k.key(), sec_j.key())
@@ -104,7 +83,7 @@ class TestConstruction:
         assert np.allclose(full, full.conj().T)
 
     def test_rejects_non_psd(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         with pytest.raises(BulkStateError, match="semidefinite"):
             IntertwinerState.from_blocks(
@@ -117,7 +96,7 @@ class TestConstruction:
             )
 
     def test_rejects_bad_trace(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         with pytest.raises(BulkStateError, match="trace"):
             IntertwinerState.from_blocks(
@@ -130,7 +109,7 @@ class TestConstruction:
             )
 
     def test_rejects_shape_mismatch(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         with pytest.raises(BulkStateError, match="shape"):
             IntertwinerState.from_blocks(
@@ -145,7 +124,7 @@ class TestConstruction:
 
 class TestPartialTrace:
     def test_trace_needs_matching_spins(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         # R carries different spin tuples in the two sectors.
@@ -153,7 +132,7 @@ class TestPartialTrace:
             state.traced_block(sec_j, sec_k, ["L"])
 
     def test_cross_block_traced_over_matching_vertex(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         blk = state.traced_block(sec_j, sec_k, ["R"])
@@ -161,7 +140,7 @@ class TestPartialTrace:
         assert np.allclose(blk, np.array([[U], [V]]))
 
     def test_two_site_partial_trace_matches_reshape(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, _ = two_vertex_sectors(graph)
         rng = np.random.default_rng(7)
         vec = rng.normal(size=2) + 1j * rng.normal(size=2)
@@ -177,7 +156,7 @@ class TestPartialTrace:
 
 class TestXOperator:
     def test_all_down_recovers_full_density(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         x = x_operator(state, {}, {"L": -1, "R": -1})
@@ -186,7 +165,7 @@ class TestXOperator:
         assert x.trace() == pytest.approx(1.0)
 
     def test_all_up_is_sector_weight(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         x = x_operator(state, sec_j, {"L": 1, "R": 1})
@@ -196,7 +175,7 @@ class TestXOperator:
         assert y.trace() == pytest.approx(W)
 
     def test_mixed_configuration_bundles_cross_blocks(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         # With L up the sectors agree on every spin-up link, so both
@@ -206,14 +185,14 @@ class TestXOperator:
         assert np.allclose(x.matrix, state.assemble())
 
     def test_missing_up_assignment_raises(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         with pytest.raises(BulkStateError, match="misses links"):
             x_operator(state, {"e": 1}, {"L": 1, "R": -1})
 
     def test_incompatible_up_assignment_gives_empty_operator(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         other = {"e": 2, "a1": 1, "a2": 1, "a3": 3, "b1": 1, "b2": 1, "c": 2}
@@ -287,7 +266,7 @@ class TestCrossSectorValues:
     """Hand-computed values for the two-vertex, two-sector state."""
 
     def test_reduced_entropies(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         ents = reduced_entropies(state, ["R"])
@@ -296,7 +275,7 @@ class TestCrossSectorValues:
         assert ents[sec_k.key()] == pytest.approx(0.0, abs=1e-12)
 
     def test_cross_term_overlap(self):
-        graph = two_vertex_graph()
+        graph = bridge_graph()
         sec_j, sec_k = two_vertex_sectors(graph)
         state = cross_sector_state(graph, sec_j, sec_k)
         b1 = state.traced_block(sec_j, sec_k, ["R"])

@@ -11,8 +11,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import array_table, bridge_family, bridge_graph, random_instance
+from conftest import array_table, bridge_family, bridge_graph, four_leg_graph, glued_graph, two_sector_vertex_family
+from strategies import boundary_instances, bulk_instances, examples
 from test_sector_arrays import reference_sector_dims
 
 from holoising.entropy import (
@@ -36,46 +38,6 @@ from holoising.spins import (
     intertwiner_dim,
     sector_dims,
 )
-
-
-def four_leg_graph():
-    return build_graph(
-        {
-            "vertices": [{"id": "x", "valence": 4}],
-            "links": [{"id": f"p{i}", "end": ["x", i - 1]} for i in range(1, 5)],
-        }
-    )
-
-
-def two_sector_vertex_family(graph):
-    """One free leg over {1/2, 3/2}, the rest pinned to 1/2: two sectors
-    with different boundary spins (the cross pairs are swap-infeasible)."""
-    return SectorFamily.build(
-        graph,
-        "1/2",
-        "3/2",
-        allowed={
-            "p1": ["1/2", "3/2"],
-            "p2": ["1/2"],
-            "p3": ["1/2"],
-            "p4": ["1/2"],
-        },
-    )
-
-
-def glued_graph():
-    return build_graph(
-        {
-            "vertices": [{"id": "x", "valence": 3}, {"id": "y", "valence": 3}],
-            "links": [
-                {"id": "e", "ends": [["x", 0], ["y", 0]]},
-                {"id": "a1", "end": ["x", 1]},
-                {"id": "a2", "end": ["x", 2]},
-                {"id": "b1", "end": ["y", 1]},
-                {"id": "b2", "end": ["y", 2]},
-            ],
-        }
-    )
 
 
 def glued_family(graph):
@@ -191,16 +153,21 @@ class TestSectorDistribution:
             # the key (1/2, 1/2, 1/2) has D_I = 0 and is left out
             (three, SectorFamily.build(three, "1/2", "1", allowed={"b0": ["1/2", "1"], "b1": ["1/2"], "b2": ["1/2"]})),
         ]
-        rng = np.random.default_rng(23)
-        cases += [random_instance(rng, max_dim=400)[:2] for _ in range(25)]
-        skipped = 0
-        for graph, family in cases:
+        skipped = []
+
+        def check(drawn):
+            graph, family = drawn
             dist = sector_distribution(bulk_table(graph, family), graph, family)
             reference = by_sector_loop(graph, family)
             assert list(dist.c.items()) == list(reference.items())
             keys = {sec.boundary_part() for sec in enumerate_sectors(family, graph)}
-            skipped += len(keys) - len(dist.c)
-        assert skipped > 0
+            skipped.append(len(keys) - len(dist.c))
+
+        for case in cases:
+            check(case)
+        assert skipped[-1] > 0
+        settings(max_examples=25)(given(bulk_instances(max_dim=400))(check))()
+        assert sum(skipped[len(cases) :]) > 0, skipped
 
     def test_factorized_form_is_product(self):
         graph = four_leg_graph()
@@ -357,15 +324,17 @@ class TestAveragePurity:
         assert report.rt_area_estimate is None
 
     def test_random_instances_stay_in_range(self):
-        rng = np.random.default_rng(20260823)
-        for _ in range(5):
-            graph, family, _, _ = random_instance(rng, max_dim=400)
-            table = bulk_table(graph, family)
+        @settings(max_examples=5)
+        @given(bulk_instances(max_dim=400))
+        def check(drawn):
+            table = bulk_table(*drawn)
             report = average_purity(table)
             assert 0.0 < report.purity <= 1.0 + 1e-12
             assert report.s2 >= -1e-12
             raw = table.totals[1] / table.totals[0]
             assert report.purity == pytest.approx(raw, rel=1e-12)
+
+        check()
 
     def test_unknown_mode_rejected(self):
         graph = four_leg_graph()
@@ -430,16 +399,10 @@ class TestOneReduction:
 
         from holoising.isometry import suggest_window
 
-        rng = np.random.default_rng(20221019)
         found = []
-        while len(found) < 24:
-            graph, family, state, part = random_instance(rng, with_state=True)
-            if part is None:
-                continue
+        for graph, family, state, part, _ in examples(boundary_instances(), 12):
             found.append(IsingModel(graph, family, ModelKind.bulk_to_boundary()))
-            found.append(
-                IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
-            )
+            found.append(IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state))
         for graph, family in (star_table(), zero_weight_bridge()):
             found.append(IsingModel(graph, family, ModelKind.bulk_to_boundary()))
         return [
@@ -737,15 +700,6 @@ class TestCoarseAverage:
 # -- fine averaging ------------------------------------------------------
 
 
-def fine_graph():
-    return build_graph(
-        {
-            "vertices": [{"id": "x", "valence": 4}],
-            "links": [{"id": f"p{i}", "end": ["x", i - 1]} for i in range(1, 5)],
-        }
-    )
-
-
 def fine_family(graph):
     """Sectors (0,0,1,1) and (1,1,1,1): intertwiner dimensions 1 and 3."""
     return SectorFamily.build(
@@ -763,7 +717,7 @@ def fine_family(graph):
 
 class TestFineAverage:
     def test_single_sector(self):
-        graph = fine_graph()
+        graph = four_leg_graph()
         family = SectorFamily.build(graph, "1/2", "1/2")
         report = fine_average_purity(None, family, graph)
         sec = next(enumerate_sectors(family, graph))
@@ -772,7 +726,7 @@ class TestFineAverage:
         assert report.d_input == dim
 
     def test_two_sector_arithmetic(self):
-        graph = fine_graph()
+        graph = four_leg_graph()
         family = fine_family(graph)
         labels = {
             intertwiner_dim(s.vertex_spins("x")): s.label()
@@ -787,14 +741,14 @@ class TestFineAverage:
         assert report.solving_weights[labels[3]] == pytest.approx(0.75)
 
     def test_solving_weights_attain_the_bound(self):
-        graph = fine_graph()
+        graph = four_leg_graph()
         family = fine_family(graph)
         probe = fine_average_purity(None, family, graph)
         report = fine_average_purity(probe.solving_weights, family, graph)
         assert report.purity == pytest.approx(1.0 / report.d_input, rel=1e-14)
 
     def test_cauchy_schwarz_bound(self):
-        graph = fine_graph()
+        graph = four_leg_graph()
         family = fine_family(graph)
         labels = [
             s.label()
@@ -810,7 +764,7 @@ class TestFineAverage:
             assert report.purity >= 1.0 / report.d_input - 1e-15
 
     def test_off_profile_weights_exceed_the_bound(self):
-        graph = fine_graph()
+        graph = four_leg_graph()
         family = fine_family(graph)
         report = fine_average_purity(None, family, graph)  # uniform != solving
         assert report.purity > 1.0 / report.d_input + 1e-6
@@ -833,7 +787,7 @@ class TestFineAverage:
         assert report.single_boundary
 
     def test_invalid_weights(self):
-        graph = fine_graph()
+        graph = four_leg_graph()
         family = fine_family(graph)
         labels = [
             s.label()

@@ -7,8 +7,11 @@ from typing import Mapping
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import bridge_graph, random_instance
+from conftest import bridge_graph
+from strategies import boundary_instances, bulk_instances
 from holoising import ising, spins
 from holoising.entropy import sector_distribution
 from holoising.experiments import reproduce_c2
@@ -139,9 +142,10 @@ class TestHeldFamilyPool:
         assert calls == []
 
     def test_random_instances_keep_their_bits(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            graph, family, _, _ = random_instance(rng)
+        @settings(max_examples=60)
+        @given(bulk_instances())
+        def check(drawn):
+            graph, family = drawn
             with monkeypatch.context() as m:
                 m.setattr(ising, "_held", None)
                 m.setattr(ising, "_hold", empty_slot)
@@ -156,6 +160,8 @@ class TestHeldFamilyPool:
                 assert canon(table) == canon(again) == canon(ref_table)
                 assert consumers(graph, family, table) == reference
             assert "kernels" not in calls
+
+        check()
 
     def test_another_family_or_graph_replaces_the_slot(self, monkeypatch):
         graph = star_graph()
@@ -174,19 +180,22 @@ class TestHeldFamilyPool:
         assert calls[4:] == ["pool", "kernels"] and ising._held is not held
         assert ising._held.family is family and ising._held.graph is graph
 
-    def test_boundary_to_boundary_neither_reads_nor_fills(self):
-        rng = np.random.default_rng(7)
-        graph, family, state, part = random_instance(rng, with_state=True)
-        while part is None:
-            graph, family, state, part = random_instance(rng, with_state=True)
-        model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
-        table = model.partition_table()
-        assert ising._held is None
-        IsingModel(graph, family, BULK).partition_table()
-        held = ising._held
-        assert model.sector_set() is not held.pool
-        assert canon(model.partition_table()) == canon(table)
-        assert ising._held is held
+    def test_boundary_to_boundary_neither_reads_nor_fills(self, monkeypatch):
+        @settings(max_examples=5)
+        @given(boundary_instances())
+        def check(drawn):
+            graph, family, state, part, _ = drawn
+            monkeypatch.setattr(ising, "_held", None)
+            model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
+            table = model.partition_table()
+            assert ising._held is None
+            IsingModel(graph, family, BULK).partition_table()
+            held = ising._held
+            assert model.sector_set() is not held.pool
+            assert canon(model.partition_table()) == canon(table)
+            assert ising._held is held
+
+        check()
 
     def test_exhaustive_limit_still_applies(self, monkeypatch):
         graph = bridge_graph()
@@ -273,15 +282,15 @@ class TestWindowTable:
     of the table of the window's sectors and reuses the held labels."""
 
     def test_random_windows_keep_their_bits(self, monkeypatch):
-        rng = np.random.default_rng(3)
-        for _ in range(60):
-            graph, family, state, part = random_instance(rng, with_state=True)
-            kinds = [BULK] if part is None else [BULK, ModelKind.boundary_to_boundary(part)]
-            for kind in kinds:
+        @settings(max_examples=60)
+        @given(boundary_instances(), st.data())
+        def check(drawn, data):
+            graph, family, state, part, _ = drawn
+            for kind in (BULK, ModelKind.boundary_to_boundary(part)):
                 model = IsingModel(graph, family, kind, state=state)
                 pool = model.sector_set()
                 keys = [dict(zip(graph.boundary_ids(), map(Spin, key))) for key in pool.keys]
-                window = [keys[i] for i in rng.permutation(len(keys))[:3]]
+                window = data.draw(st.permutations(keys))[:3]
                 for entries in (window, window[::-1], window[:1]):
                     codes = [pool.keys.index(tuple(b[lid].twice for lid in graph.boundary_ids())) for b in entries]
                     sectors = [pool.sectors[a] for c in codes for a in np.flatnonzero(pool.key == c)]
@@ -292,6 +301,8 @@ class TestWindowTable:
                         assert canon(model.window_table(entries)) == expected
                     model.partition_table()
                     assert canon(model.window_table(entries)) == expected
+
+        check()
 
     def test_window_outside_the_allowed_spins(self):
         graph = bridge_graph()

@@ -8,18 +8,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import ising_reference as reference
-from conftest import (
-    bridge_family,
-    bridge_graph,
-    bridge_sectors,
-    bridge_state,
-    random_instance,
-)
+from conftest import bridge_family, bridge_graph, bridge_sectors, bridge_state
+from strategies import boundary_instances, bulk_instances, examples, intertwined_sectors
 from test_golden import signed_b2b_model
 from holoising import ising, spins
 from holoising.bulk import IntertwinerState, vertex_block_dims
@@ -37,7 +32,7 @@ from holoising.ising import (
     _logsumexp_rows,
     _unique_bool_rows,
 )
-from holoising.oracle import OracleError, build_cmap, build_hilbert, exact_replica_average
+from holoising.oracle import build_cmap, exact_replica_average
 from holoising.spins import SectorEnumerationError, SectorFamily, Spin, SpinSector, intertwiner_dim
 
 
@@ -658,15 +653,20 @@ class TestCompiledKernel:
         return seen
 
     def test_random_instances(self):
-        rng = np.random.default_rng(20220715)
+        """The first six default sectors of each draw of one to three
+        vertices."""
         seen = dict.fromkeys(("zero_dim", "mismatched"), 0)
-        for nv_choices in [(1,)] * 4 + [(2, 3)] * 4:
-            graph, family, _, _ = random_instance(rng, nv_choices=nv_choices)
+
+        @settings(max_examples=12)
+        @given(bulk_instances(st.integers(1, 3)))
+        def check(drawn):
+            graph, family = drawn
             model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-            sectors = model.default_sectors()[:6]
-            found = self.assert_matches(model, sectors, model._kernel)
+            found = self.assert_matches(model, model.default_sectors()[:6], model._kernel)
             for key in seen:
                 seen[key] += found[key]
+
+        check()
         assert all(seen.values()), seen
 
     def test_six_vertex_chain(self):
@@ -695,17 +695,14 @@ class TestCompiledKernel:
         self.assert_matches(model, model.default_sectors(), model._kernel)
 
     def test_boundary_to_boundary_single_pass(self):
-        rng = np.random.default_rng(7)
-        checked = 0
-        while checked < 3:
-            graph, family, state, part = random_instance(rng, with_state=True)
-            if part is None:
-                continue
-            model = IsingModel(
-                graph, family, ModelKind.boundary_to_boundary(part), state=state
-            )
+        @settings(max_examples=3)
+        @given(boundary_instances())
+        def check(drawn):
+            graph, family, state, part, _ = drawn
+            model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
             self.assert_matches(model, model.default_sectors(), model._kernel)
-            checked += 1
+
+        check()
 
     def test_public_methods_wrap_the_kernel(self):
         graph = bridge_graph()
@@ -846,16 +843,20 @@ class TestBatchedKernels:
         return len({tuple(j.spin(lid) != k.spin(lid) for lid in links) for j in sectors for k in sectors})
 
     def test_random_instances(self):
-        """The draws of `TestCompiledKernel.test_random_instances` (two
-        sectors each) and a second seed whose draws reach four sectors."""
+        """Every default sector of each draw of one to three vertices; the
+        draws meet at least two whose sectors differ on two links
+        independently (four sets of differing links)."""
         sets = []
-        for seed in (20220715, 3):
-            rng = np.random.default_rng(seed)
-            for nv_choices in [(1,)] * 4 + [(2, 3)] * 4:
-                graph, family, _, _ = random_instance(rng, nv_choices=nv_choices)
-                model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-                sets.append(self.assert_matches(model, model.default_sectors()))
-        assert sets.count(4) == 2, sets
+
+        @settings(max_examples=32)
+        @given(bulk_instances(st.integers(1, 3), max_dim=None))
+        def check(drawn):
+            graph, family = drawn
+            model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+            sets.append(self.assert_matches(model, model.default_sectors()))
+
+        check()
+        assert sets.count(4) >= 2, sets
 
     def test_six_vertex_chain(self):
         model = six_vertex_chain_model()
@@ -998,129 +999,6 @@ class TestBatchedKernels:
 # -- boundary-to-boundary kernels against brute force and the oracle --------
 
 
-LINK_SPINS = st.sampled_from([["0"], ["1/2"], ["1"], ["3/2"]])
-SUPERPOSED_SPINS = st.sampled_from([["0", "1"], ["1/2", "3/2"], ["1/2", "1"]])
-
-
-def draw_tree(draw, nv):
-    """A tree of `nv` 3- or 4-valent vertices v0, v1, ..., each joined to
-    an earlier one by link e_i, with a boundary leg b_n on every free
-    port.  Returns the graph and the (vertex, port) of each leg."""
-    valences = [draw(st.integers(3, 4)) for _ in range(nv)]
-    free = {i: list(range(valences[i])) for i in range(nv)}
-    links = []
-    for i in range(1, nv):
-        j = draw(st.integers(0, i - 1))
-        links.append({"id": f"e{i}", "ends": [[f"v{j}", free[j].pop(0)], [f"v{i}", free[i].pop(0)]]})
-    legs = [(i, p) for i in range(nv) for p in free[i]]
-    links += [{"id": f"b{n}", "end": [f"v{i}", p]} for n, (i, p) in enumerate(legs)]
-    graph = build_graph({"vertices": [{"id": f"v{i}", "valence": valences[i]} for i in range(nv)], "links": links})
-    return graph, legs
-
-
-@st.composite
-def bulk_instances(draw):
-    """(graph, family) of a bulk-to-boundary model, drawn like
-    `conftest.random_instance`: a tree of 1-3 vertices (`draw_tree`),
-    spins 0-3/2 per link, at most two superposed links alone and one
-    otherwise.  No leg is fitted to the others, so some sectors leave a
-    vertex without intertwiners."""
-    nv = draw(st.integers(1, 3))
-    graph, _ = draw_tree(draw, nv)
-    superposed = draw(st.sets(st.sampled_from(graph.link_ids()), max_size=2 if nv == 1 else 1))
-    allowed = {lid: draw(SUPERPOSED_SPINS if lid in superposed else LINK_SPINS) for lid in graph.link_ids()}
-    return graph, SectorFamily.build(graph, "0", "3/2", allowed=allowed, normalize=False)
-
-
-def leg_products(sectors, legs):
-    """The groups of four `sectors` that agree off the two `legs` (two
-    spins each) and so take every pair of their spins there; none where
-    `legs` is empty."""
-    groups = {}
-    for sec in sectors:
-        groups.setdefault(tuple(item for item in sec.key() if item[0] not in legs), []).append(sec)
-    return [group for group in groups.values() if len(group) == 4]
-
-
-@st.composite
-def boundary_instances(draw, vertex_counts=st.integers(1, 3)):
-    """(graph, family, state, partition, Hilbert index) of a
-    boundary-to-boundary model: a tree of 1-3 vertices (as many as
-    `vertex_counts` draws), each 3- or 4-valent with a boundary leg; spins
-    0-3/2 per link, the last leg of each vertex fitted to the others so
-    that the vertex has intertwiners; at most two superposed links alone
-    and one otherwise; complex link weights; a pure or rank-2 mixed bulk
-    state on 1-3 admissible sectors; and a proper, nonempty input region.
-    Some draws of two or three vertices give two spins to the fitted legs
-    of two vertices, make the first of these product legs input and the
-    other output, and may put the state on four sectors that agree off
-    them and take every pair of their spins there (`leg_products`), as
-    `test_golden.signed_b2b_model` does: a pair that differs on both legs
-    can have a negative Hilbert-Schmidt cosine.  Draws without admissible
-    sectors or with a Hilbert space above 2000 are rejected."""
-    nv = draw(vertex_counts)
-    graph, legs = draw_tree(draw, nv)
-    last_legs = {f"v{i}": f"b{n}" for n, (i, _) in enumerate(legs)}
-    superposed = draw(st.sets(st.sampled_from(graph.link_ids()), max_size=2 if nv == 1 else 1))
-    allowed = {
-        lid: draw(SUPERPOSED_SPINS if lid in superposed else LINK_SPINS)
-        for lid in graph.link_ids()
-        if lid not in last_legs.values()
-    }
-    # The last leg of each vertex takes spins admissible with the first
-    # spin of each of the vertex's other links, two where it is a product
-    # leg.  Product legs are two last legs with two such spins or more.
-    fits = {}
-    for x, lid in last_legs.items():
-        others = [Spin.parse(allowed[other][0]) for other in graph.links_at(x) if other != lid]
-        fits[lid] = [t for t in ("0", "1/2", "1", "3/2", "2") if intertwiner_dim((*others, Spin.parse(t))) > 0]
-    pairs = list(itertools.combinations(sorted(lid for lid, fit in fits.items() if len(fit) > 1), 2))
-    product_legs = draw(st.sampled_from(pairs)) if pairs and draw(st.booleans()) else ()
-    for lid, fit in fits.items():
-        pair = lid in product_legs
-        allowed[lid] = draw(
-            st.lists(st.sampled_from(fit), min_size=1 + pair, max_size=1 + (pair or lid in superposed), unique=True)
-        )
-    weight = st.complex_numbers(min_magnitude=0.2, max_magnitude=1.0)
-    weights = {lid: {spin: draw(weight) for spin in allowed[lid]} for lid in graph.internal_ids()}
-    family = SectorFamily.build(graph, "0", "2", allowed=allowed, weights=weights, normalize=True)
-    try:
-        index = build_hilbert(graph, family, cap=2000)
-    except OracleError:
-        assume(False)
-    sectors = index.family_sectors()
-    assume(sectors)
-    products = leg_products(sectors, product_legs)
-    if products and draw(st.booleans()):
-        picks = draw(st.sampled_from(products))
-    else:
-        picks = draw(st.lists(st.sampled_from(sectors), min_size=1, max_size=3, unique=True))
-    sizes = [math.prod(vertex_block_dims(graph, sec)) for sec in picks]
-    amplitude = st.complex_numbers(min_magnitude=0.1, max_magnitude=1.0)
-    if draw(st.booleans()):
-        vectors = [np.array(draw(st.lists(amplitude, min_size=n, max_size=n))) for n in sizes]
-        norm = math.sqrt(sum(float(np.vdot(v, v).real) for v in vectors))
-        state = IntertwinerState.from_pure(graph, {sec: v / norm for sec, v in zip(picks, vectors)})
-    else:
-        total = sum(sizes)
-        r = np.array(draw(st.lists(amplitude, min_size=2 * total, max_size=2 * total))).reshape(total, 2)
-        rho = r @ r.conj().T
-        rho /= np.trace(rho).real
-        at = np.cumsum([0] + sizes)
-        blocks = {
-            (x, y): rho[at[a] : at[a + 1], at[b] : at[b + 1]]
-            for a, x in enumerate(picks)
-            for b, y in enumerate(picks)
-            if a <= b
-        }
-        state = IntertwinerState.from_blocks(graph, picks, blocks)
-    bnd = sorted(graph.boundary_ids())
-    inputs = draw(st.lists(st.sampled_from(bnd), min_size=1, max_size=len(bnd) - 1, unique=True))
-    if product_legs:
-        inputs = [lid for lid in inputs if lid not in product_legs] + [product_legs[0]]
-    return graph, family, state, BoundaryPartition.from_input(graph, inputs), index
-
-
 def sequential_logsumexp(terms):
     """The scipy log-sum-exp steps with the shifted terms added one after
     another, where numpy sums 8 or more in pairwise blocks."""
@@ -1163,8 +1041,9 @@ class TestBoundaryKernels:
     def test_drawn_instances(self, monkeypatch):
         """On every draw: each kernel has the bits of `brute_force`; the
         pass takes each traced block at most once per (configuration, ket,
-        bra); and the totals equal the oracle's exact replica averages.  A second series
-        draws three vertices only.  The draws cover pure and mixed states,
+        bra); and the totals equal the oracle's exact replica averages.  The
+        draws have Hilbert spaces of at most 8,000; a second series draws
+        three vertices only.  The draws cover pure and mixed states,
         cells with a negative cosine, and three-vertex diagonal pairs that
         allow all 8 configurations, some of whose kernels a sequential sum
         of their terms would change."""
@@ -1202,15 +1081,8 @@ class TestBoundaryKernels:
                     seen["three_vertex_rows_of_8"] += 1
                     seen["order_sensitive"] += float(logsumexp(logs)).hex() != sequential_logsumexp(logs).hex()
 
-        for vertex_counts, examples in ((st.integers(1, 3), 60), (st.just(3), 40)):
-            run = given(boundary_instances(vertex_counts))(check)
-            settings(
-                max_examples=examples,
-                derandomize=True,
-                database=None,
-                deadline=None,
-                suppress_health_check=[HealthCheck.too_slow],
-            )(run)()
+        for vertex_counts, count in ((st.integers(1, 3), 60), (st.just(3), 40)):
+            settings(max_examples=count)(given(boundary_instances(vertex_counts, max_dim=8000))(check))()
         assert all(seen.values()), seen
 
     def test_entries_where_a_block_vanishes_or_the_cosine_is_zero(self):
@@ -1319,22 +1191,14 @@ class TestViews:
     batched passes; the reference scorer of `ising_reference` checks them
     cell by cell."""
 
-    SETTINGS = settings(
-        max_examples=40,
-        derandomize=True,
-        database=None,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow],
-    )
-
     def test_drawn_bulk_instances(self):
-        """Every default sector of each draw, those without intertwiners at
-        some vertex included: active there, they give Delta = 1 and
-        H = +inf."""
+        """Every default sector of each draw (of one to three vertices, with
+        a Hilbert space of at most 600), those without intertwiners at some
+        vertex included: active there, they give Delta = 1 and H = +inf."""
         seen = dict.fromkeys(("forbidden", "infinite", "negative"), 0)
 
-        @self.SETTINGS
-        @given(bulk_instances())
+        @settings(max_examples=40)
+        @given(bulk_instances(st.integers(1, 3), max_dim=600))
         def check(drawn):
             graph, family = drawn
             model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
@@ -1345,21 +1209,26 @@ class TestViews:
         assert not seen["negative"]
 
     def test_drawn_boundary_instances(self):
-        """Up to three admissible sectors of each draw's family (of two or
-        three vertices), sectors the state does not hold among them."""
+        """Up to three of the state's sectors of each draw (of two or three
+        vertices, with a Hilbert space of at most 8,000), three of a leg
+        product among them, and where the state holds fewer than three, one
+        sector of its family that it does not hold, if there is one."""
         seen = dict.fromkeys(("forbidden", "infinite", "negative", "unheld"), 0)
 
-        @settings(self.SETTINGS, max_examples=60)
-        @given(boundary_instances(st.integers(2, 3)), st.data())
+        @settings(max_examples=60)
+        @given(boundary_instances(st.integers(2, 3), max_dim=8000), st.data())
         def check(drawn, data):
-            graph, family, state, part, index = drawn
+            graph, family, state, part, _ = drawn
             model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
-            sectors = data.draw(st.lists(st.sampled_from(index.family_sectors()), min_size=1, max_size=3, unique=True))
-            seen["unheld"] += sum(sec not in state.sectors for sec in sectors)
+            sectors = list(state.sectors[:3])
+            unheld = [sec for sec in intertwined_sectors(graph, family) if sec not in state.sectors]
+            if unheld and len(sectors) < 3:
+                sectors.append(data.draw(st.sampled_from(unheld)))
+                seen["unheld"] += 1
             assert_views_match(model, sectors, seen)
 
         check()
-        assert seen["forbidden"] and seen["unheld"], seen
+        assert seen["forbidden"] and seen["unheld"] and seen["negative"], seen
 
     def test_signed_cosines(self):
         """The signed instance of `test_golden` has cells whose cosine is
@@ -1515,20 +1384,13 @@ class TestTableViews:
 
     @pytest.fixture(scope="class")
     def models(self):
-        """24 random instances under both kinds, where each boundary holds
-        at most one sector, plus the six-vertex chain, whose superposed
-        middle link puts two weighted sectors and one of zero weight behind
-        each boundary."""
-        rng = np.random.default_rng(20221018)
+        """24 drawn instances under both kinds, plus the six-vertex chain,
+        whose superposed middle link puts two weighted sectors and one of
+        zero weight behind each boundary."""
         found = []
-        while len(found) < 48:
-            graph, family, state, part = random_instance(rng, with_state=True)
-            if part is None:
-                continue
+        for graph, family, state, part, _ in examples(boundary_instances(), 24):
             found.append(IsingModel(graph, family, ModelKind.bulk_to_boundary()))
-            found.append(
-                IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
-            )
+            found.append(IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state))
         graph = chain_graph(6)
         allowed = {lid: ["1"] for lid in graph.link_ids()}
         allowed.update({lid: ["0"] for lid in ("l", "t0", "e1", "e5", "r", "t5")})

@@ -16,7 +16,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.random import Generator, Philox
 
-from conftest import random_instance
+from conftest import four_leg_graph, glued_graph, two_sector_vertex_family
+from strategies import boundary_instances, examples
 
 from holoising import oracle
 from holoising.bulk import IntertwinerState
@@ -56,45 +57,6 @@ def fresh_philox_row(seed, shot, vertex, block, n):
     raw = Generator(Philox(key=key, counter=counter)).standard_normal(2 * n * 64)
     flat = raw.reshape(64, 2 * n)[shot % 64 : shot % 64 + 1]
     return (flat / np.sqrt(np.einsum("ij,ij->i", flat, flat))[:, None]).view(complex)[0]
-
-
-def four_leg_graph():
-    return build_graph(
-        {
-            "vertices": [{"id": "x", "valence": 4}],
-            "links": [{"id": f"p{i}", "end": ["x", i - 1]} for i in range(1, 5)],
-        }
-    )
-
-
-def two_sector_vertex_family(graph):
-    """One free leg over {1/2, 3/2}, the rest pinned to 1/2: two sectors."""
-    return SectorFamily.build(
-        graph,
-        "1/2",
-        "3/2",
-        allowed={
-            "p1": ["1/2", "3/2"],
-            "p2": ["1/2"],
-            "p3": ["1/2"],
-            "p4": ["1/2"],
-        },
-    )
-
-
-def glued_graph():
-    return build_graph(
-        {
-            "vertices": [{"id": "x", "valence": 3}, {"id": "y", "valence": 3}],
-            "links": [
-                {"id": "e", "ends": [["x", 0], ["y", 0]]},
-                {"id": "a1", "end": ["x", 1]},
-                {"id": "a2", "end": ["x", 2]},
-                {"id": "b1", "end": ["y", 1]},
-                {"id": "b2", "end": ["y", 2]},
-            ],
-        }
-    )
 
 
 def glued_family(graph):
@@ -402,30 +364,36 @@ class TestEngineEquivalence:
         assert z1 == pytest.approx(totals[1], rel=1e-10)
 
     def test_random_instances_agree(self):
-        rng = np.random.default_rng(20240817)
-        for _ in range(6):
-            graph, family, state, part = random_instance(rng, with_state=True)
-            index = build_hilbert(graph, family, cap=600)
-            kind = ModelKind.bulk_to_boundary()
-            totals = IsingModel(graph, family, kind).partition_table().totals
-            cmap = build_cmap(index, kind)
-            z0 = exact_replica_average(index, (), cmap=cmap)
-            z1 = exact_replica_average(index, "bulk", cmap=cmap)
-            assert z0 == pytest.approx(totals[0], rel=1e-9)
-            assert z1 == pytest.approx(totals[1], rel=1e-9)
-            if part is None:
-                continue
-            kind = ModelKind.boundary_to_boundary(part)
-            totals = (
-                IsingModel(graph, family, kind, state=state)
-                .partition_table()
-                .totals
+        """The engine-oracle gate: on every draw of two or three vertices,
+        the totals of `partition_table` under both kinds equal the oracle's
+        exact replica averages of region () and of the swap region (the
+        bulk, or the input region).  The draws meet a cycle, three
+        vertices, a mixed state, a spin of weight 0 and a cell with a
+        negative cosine."""
+        seen = dict.fromkeys(("cycle", "three_vertices", "mixed", "zero_weight", "negative_cosine"), 0)
+
+        @settings(max_examples=60)
+        @given(boundary_instances(st.integers(2, 3), max_dim=8000))
+        def check(drawn):
+            graph, family, state, part, index = drawn
+            routes = (
+                (ModelKind.bulk_to_boundary(), None, "bulk"),
+                (ModelKind.boundary_to_boundary(part), state, sorted(part.input_region)),
             )
-            cmap = build_cmap(index, kind, state=state)
-            z0 = exact_replica_average(index, (), cmap=cmap)
-            z1 = exact_replica_average(index, sorted(part.input_region), cmap=cmap)
-            assert z0 == pytest.approx(totals[0], rel=1e-9)
-            assert z1 == pytest.approx(totals[1], rel=1e-9)
+            for kind, held, region in routes:
+                model = IsingModel(graph, family, kind, state=held)
+                table = model.partition_table()
+                cmap = build_cmap(index, kind, state=held)
+                assert table.totals[0] == pytest.approx(exact_replica_average(index, (), cmap=cmap), rel=1e-9)
+                assert table.totals[1] == pytest.approx(exact_replica_average(index, region, cmap=cmap), rel=1e-9)
+            seen["cycle"] += "x0" in graph.link_ids()
+            seen["three_vertices"] += len(graph.vertices) == 3
+            seen["mixed"] += state.amplitudes is None
+            seen["zero_weight"] += any(g == 0 for weights in family.weights.values() for g in weights.values())
+            seen["negative_cosine"] += int(np.count_nonzero(model._boundary_entries(table.sectors)[2] < 0))
+
+        check()
+        assert all(seen.values()), seen
 
 
 class TestGrades:
@@ -675,7 +643,7 @@ def brute_patterns(cmap, components, region, subsets, cols1=None, cols2=None):
     return totals.real
 
 
-def pattern_cases(rng, draws):
+def pattern_cases(draws):
     """(cmap, reference components, regions) for the tiny named instances
     and random draws."""
     cases = []
@@ -703,22 +671,20 @@ def pattern_cases(rng, draws):
     kind = ModelKind.boundary_to_boundary(part)
     cases.append((*with_reference(index, kind, state=state), [["a1", "a2"]]))
 
-    found = 0
-    while found < draws:
-        graph, family, state, part = random_instance(rng, max_dim=64, with_state=True)
-        index = build_hilbert(graph, family, cap=64)
+    def small(drawn):
+        """The explicit (out^2 x in^2) matrices stay small."""
+        cmap = build_cmap(drawn[4], ModelKind.bulk_to_boundary())
+        return cmap.out_dim * cmap.in_dim <= 1024
+
+    for graph, family, state, part, index in examples(boundary_instances(max_dim=64).filter(small), draws):
         bnd = sorted(graph.boundary_ids())
         cmap = build_cmap(index, ModelKind.bulk_to_boundary())
-        if cmap.out_dim * cmap.in_dim > 1024:
-            continue  # the explicit (out^2 x in^2) matrices stay small
-        found += 1
         cases.append((cmap, dense_components(index, cmap.kind), [(), "bulk", bnd[:1]]))
-        if part is not None:
-            kind = ModelKind.boundary_to_boundary(part)
-            cmap = build_cmap(index, kind, state=state)
-            if cmap.out_dim * cmap.in_dim <= 1024:
-                comps = dense_components(index, kind, state=state)
-                cases.append((cmap, comps, [(), sorted(part.input_region), bnd[-1:]]))
+        kind = ModelKind.boundary_to_boundary(part)
+        cmap = build_cmap(index, kind, state=state)
+        if cmap.out_dim * cmap.in_dim <= 1024:
+            comps = dense_components(index, kind, state=state)
+            cases.append((cmap, comps, [(), sorted(part.input_region), bnd[-1:]]))
     return cases
 
 
@@ -728,7 +694,7 @@ class TestPatternBruteForce:
 
     def test_every_pattern_matches_explicit_operators(self):
         seen = set()
-        for cmap, comps, regions in pattern_cases(np.random.default_rng(20261018), draws=6):
+        for cmap, comps, regions in pattern_cases(draws=6):
             index = cmap.index
             kind = "b2b" if cmap.kind.is_boundary_to_boundary else "bulk"
             if len(cmap.weights) > 1:
@@ -1179,20 +1145,20 @@ class TestMapEntries:
     for bit."""
 
     def test_random_instances_match_dense_reference(self):
-        rng = np.random.default_rng(20261019)
         seen = set()
-        for _ in range(32):
-            graph, family, state, part = random_instance(rng, max_dim=256, with_state=True)
-            index = build_hilbert(graph, family, cap=256)
-            cases = [(ModelKind.bulk_to_boundary(), None)]
-            if part is not None:
-                cases.append((ModelKind.boundary_to_boundary(part), state))
-            for kind, st in cases:
-                cmap, comps = with_reference(index, kind, state=st)
+
+        @settings(max_examples=32)
+        @given(boundary_instances(max_dim=256))
+        def check(drawn):
+            graph, family, state, part, index = drawn
+            for kind, held in ((ModelKind.bulk_to_boundary(), None), (ModelKind.boundary_to_boundary(part), state)):
+                cmap, comps = with_reference(index, kind, state=held)
                 assert cmap.weights == tuple(w for w, _ in comps)
                 assert (cmap.out_dim, cmap.in_dim) == comps[0][1].shape
                 assert_same_entries(cmap.entries, nonzero_entries(comps))
                 seen.add(("b2b" if kind.is_boundary_to_boundary else "bulk", len(comps)))
+
+        check()
         assert {("bulk", 1), ("b2b", 1), ("b2b", 2)} <= seen
 
     def test_zero_weight_spin_entries_are_dropped(self):
@@ -1601,13 +1567,9 @@ def kernel_maps():
     x or y frozen, which take the general pair Gram."""
     rng = np.random.default_rng(20261018)
     maps = []
-    for _ in range(24):
-        graph, family, state, part = random_instance(rng, max_dim=256, with_state=True)
-        index = build_hilbert(graph, family, cap=256)
+    for _, _, state, part, index in examples(boundary_instances(max_dim=256), 24):
         maps.append((index, build_cmap(index, ModelKind.bulk_to_boundary())))
-        if part is not None:
-            kind = ModelKind.boundary_to_boundary(part)
-            maps.append((index, build_cmap(index, kind, state=state)))
+        maps.append((index, build_cmap(index, ModelKind.boundary_to_boundary(part), state=state)))
     graph = glued_graph()
     index = build_hilbert(graph, glued_family(graph))
     s1, s2 = index.family_sectors()
@@ -1699,8 +1661,8 @@ def gram_traces(draw):
 
 
 def relabelling(strategy, check):
-    """Run check on every draw of strategy: 150 derandomized examples."""
-    settings(max_examples=150, derandomize=True, database=None, deadline=None)(given(strategy)(check))()
+    """Run check on every draw of strategy: 150 examples."""
+    settings(max_examples=150)(given(strategy)(check))()
 
 
 class TestRankedKeys:

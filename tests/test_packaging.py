@@ -1,6 +1,7 @@
 """Packaging metadata and the benchmark's tracer point at code that exists,
-the package runs on its declared dependencies alone, and the parity tool
-compares result files as it documents."""
+the package runs on its declared dependencies alone, the parity tool
+compares result files as it documents, and the test suite's `hypothesis`
+profile is deterministic."""
 
 import importlib
 import json
@@ -65,6 +66,16 @@ def test_scipy_is_a_test_dependency_only():
         project = tomllib.load(handle)["project"]
     assert not any(dep.startswith("scipy") for dep in project["dependencies"])
     assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
+
+
+def test_hypothesis_runs_derandomized_by_default():
+    """The suite's loaded `hypothesis` profile derandomizes every `@given`
+    test and keeps no example database, so tier-1 draws the same examples
+    on every run and writes nothing."""
+    from hypothesis import settings
+
+    assert settings.default.derandomize is True
+    assert settings.default.database is None
 
 
 def test_benchmark_tracer_wraps_existing_names_and_restores_them():

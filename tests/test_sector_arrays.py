@@ -13,15 +13,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import ising_reference as reference
-from conftest import random_instance
+from strategies import bulk_instances
 from holoising import spins
 from holoising.bulk import IntertwinerState
 from holoising.entropy import EntropyError, FineAverage, fine_average_purity, high_spin_energies
 from holoising.experiments import ExperimentError, reproduce_c2
 from holoising.graph import BoundaryPartition, build_graph
-from holoising.ising import EngineError, IsingModel, ModelKind, _kernel_sums
+from holoising.ising import IsingModel, ModelKind, _kernel_sums
 from holoising.isometry import window_groups
 from holoising.spins import (
     SectorDims,
@@ -73,8 +74,9 @@ def reference_kernel_sums(z, log_k, key, nkeys):
 
 
 def reference_window_groups(family, graph):
-    """The per-sector loop: each boundary key at its first admissible
-    sector in enumeration order, grouped by D_O."""
+    """The per-sector loop: each boundary key (doubled spins in
+    `graph.boundary_ids()` order) at its first admissible sector in
+    enumeration order, grouped by D_O."""
     seen = set()
     groups = {}
     for sec in enumerate_sectors(family, graph):
@@ -92,7 +94,7 @@ def reference_window_groups(family, graph):
         d_out = 1
         for lid, t in key:
             d_out *= Spin(t).dim
-        groups.setdefault(d_out, []).append({lid: Spin(t) for lid, t in key})
+        groups.setdefault(d_out, []).append(sec.twice_of(graph.boundary_ids()))
     return {d: tuple(entries) for d, entries in groups.items()}
 
 
@@ -285,12 +287,15 @@ class TestCancellation:
         assert table.log_cancellation[0] == 0.0 and table.log_cancellation[1] > 0.0
 
     def test_bulk_to_boundary_ratio_is_one(self):
-        rng = np.random.default_rng(4242)
-        for _ in range(12):
-            graph, family, _, _ = random_instance(rng)
+        @settings(max_examples=12)
+        @given(bulk_instances())
+        def check(drawn):
+            graph, family = drawn
             table = IsingModel(graph, family, ModelKind.bulk_to_boundary()).partition_table()
             assert table.log_cancellation == (0.0, 0.0)
             assert [math.exp(v) for v in table.log_cancellation] == [1.0, 1.0]
+
+        check()
 
 
 # -- sector matrices ---------------------------------------------------------
@@ -449,12 +454,13 @@ def late_admissible(weights=None):
 
 class TestWindowGroups:
     def test_matches_the_sector_loop_on_random_families(self):
-        rng = np.random.default_rng(77)
-        for _ in range(30):
-            graph, family, _, _ = random_instance(rng)
-            assert list(window_groups(family, graph).items()) == list(
-                reference_window_groups(family, graph).items()
-            )
+        @settings(max_examples=30)
+        @given(bulk_instances())
+        def check(drawn):
+            graph, family = drawn
+            assert list(window_groups(family, graph).items()) == list(reference_window_groups(family, graph).items())
+
+        check()
 
     def test_key_placed_at_its_first_admissible_sector(self):
         graph, family = late_admissible()
@@ -463,7 +469,8 @@ class TestWindowGroups:
         # b = 3/2 (D_O = 120) is admissible first, though b = 1/2 (D_O = 60)
         # enumerates first.
         assert list(groups) == [120, 60]
-        assert groups[60] == ({"a": Spin(4), "b": Spin(1), "c": Spin(2), "d": Spin(1)},)
+        assert graph.boundary_ids() == ("a", "b", "c", "d")
+        assert groups[60] == ((4, 1, 2, 1),)
 
     def test_tiny_amplitude_stays_admissible(self):
         graph, family = late_admissible(weights={"e": {"1/2": 1.0, "3/2": 1e-200}})
@@ -482,10 +489,12 @@ class TestWindowGroups:
 
 class TestDimensionEvaluator:
     def test_matches_the_sector_loops_on_random_families(self):
-        rng = np.random.default_rng(3)
         counts = {"sector_dims": 0, "fine": 0, "high_spin": 0, "single_boundary": 0}
-        for _ in range(60):
-            graph, family, _, _ = random_instance(rng)
+
+        @settings(max_examples=60)
+        @given(bulk_instances())
+        def check(drawn):
+            graph, family = drawn
             sectors = list(enumerate_sectors(family, graph))
             for sec in sectors[:: max(1, len(sectors) // 3)]:
                 assert hexed(sector_dims(sec, graph, family)) == hexed(reference_sector_dims(sec, graph, family))
@@ -512,4 +521,6 @@ class TestDimensionEvaluator:
                 expected["r_E"] = dims.r
                 assert hexed(high_spin_energies(j, k, family=family)) == hexed(expected)
                 counts["high_spin"] += 1
-        assert counts == {"sector_dims": 140, "fine": 60, "high_spin": 87, "single_boundary": 33}
+
+        check()
+        assert counts["fine"] == 60 and all(counts.values()), counts
