@@ -624,7 +624,6 @@ def fine_average_purity(
 def high_spin_energies(
     j: SpinSector,
     k: SpinSector,
-    kind: Union[str, ModelKind] = ModelKind.BULK_TO_BOUNDARY,
     family: Optional[SectorFamily] = None,
 ) -> Dict[str, float]:
     """Rescaled energies of the competing configurations of the pair (j, k).
@@ -647,12 +646,10 @@ def high_spin_energies(
     for pairs with different boundary spins some configurations admit no
     delta-allowed realization at all.  H1_up is infinite when G is empty.
     A vertex of j without intertwiners raises `EngineError`, and D_O = 1
-    raises `EntropyError`.  The model kind is checked but changes no entry.
+    raises `EntropyError`.
     """
     if j.graph != k.graph:
         raise EntropyError("sectors live on different graphs")
-    if not isinstance(kind, ModelKind) and kind not in (ModelKind.BULK_TO_BOUNDARY, ModelKind.BOUNDARY_TO_BOUNDARY):
-        raise EntropyError(f"unknown model kind {kind!r}")
     graph = j.graph
     twice = np.array([j.twice_of(graph.link_ids())], dtype=np.int64)
     dims = vertex_dims(graph, twice)[0]

@@ -39,10 +39,11 @@ take one Gram of entry pairs (`_pair_gram`): the entries that share a row
 its pairs' products with `bincount`, in chunks of whole Gram rows of at
 most PAIR_BLOCK pairs.  The fine grades restrict each replica to sector
 columns, Tr(P_j P_k) = ||X_j^+ X_k||_F^2, the same pair Gram across the two
-restrictions.  Row and column keys whose range exceeds RANK_SPAN times the
-entries are ranked before any `bincount` (`_ranked`), so exact traces need
+restrictions.  Row and column keys are ranked before any `bincount`
+(`_ranked`): ranks are dense and keep the keys' order, so exact traces need
 memory linear in the entries, whatever their key ranges, plus one chunk of
-pairs (more only where one Gram row pairs more).
+pairs (more only where one Gram row pairs more), and their bits depend on
+the entries and the order of their keys, not on how the keys are spaced.
 
 Monte Carlo multiplies each block of shots by A through a `ShotProduct`:
 the map's entries sorted by their target and split by their rank within
@@ -122,11 +123,6 @@ GRID_LIMIT = 1 << 24
 # Most entry pairs one chunk of a pair Gram lists at once (about 100 bytes
 # each while it is summed).
 PAIR_BLOCK = 1 << 14
-
-# Widest key range, in multiples of the entries, that an exact trace
-# counts with `bincount` as it is (8 bytes a key); wider keys are ranked
-# first, a sort that costs more than such a count.
-RANK_SPAN = 16
 
 
 class OracleError(RuntimeError):
@@ -813,11 +809,13 @@ def build_cmap(
     return cmap
 
 
-def _given_or_built(index, cmap, kind, state=None, fixed=None) -> CMap:
-    """`cmap` if given, else the map of `kind` (default bulk-to-boundary)."""
-    if cmap is not None:
-        return cmap
-    return build_cmap(index, kind or ModelKind.bulk_to_boundary(), state=state, fixed=fixed)
+def _check_map(index: HilbertIndex, cmap: CMap) -> None:
+    """Refuse a map that was not built on `index`."""
+    if cmap.index is not index:
+        raise OracleError(
+            f"the map was built on another index (dimension {cmap.index.dim}, this one "
+            f"{index.dim}); build the map on this index with build_cmap(index, ...)"
+        )
 
 
 def _bulk_eigenstates(
@@ -966,12 +964,9 @@ def _pattern_matrix(cmap: CMap, grid: RegionGrid, colsel, subset: Tuple[int, ...
     return x_row, x_col, value
 
 
-def _ranked(keys: np.ndarray, size: int) -> np.ndarray:
-    """`keys` where they lie below RANK_SPAN x `size`, else their ranks
-    among the distinct keys: ranking keeps their order, so a `bincount`
-    over them takes O(size) memory and keeps its bins' sums."""
-    if keys.max(initial=-1) < RANK_SPAN * size:
-        return keys
+def _ranked(keys: np.ndarray) -> np.ndarray:
+    """Each key's rank among the distinct keys: dense, in the keys' order, so
+    a `bincount` over them has no empty bin whatever the keys' spacing."""
     return np.unique(keys, return_inverse=True)[1]
 
 
@@ -980,13 +975,13 @@ def _pattern_trace(x1, x2) -> float:
     moduli where X X^+ (one entry per column) or X^+ X (one entry per row)
     is diagonal, else the pair Gram on the side whose product pairs fewer
     entries (X^+ X pairs the entries of a row, X X^+ those of a column).
-    Row and column keys whose range exceeds RANK_SPAN x the entries are
-    ranked first.  Ranks keep the keys' order, so every grouped sum and
-    every pair Gram keeps its bits; only the dot of ranked group sums, which
-    skips the empty bins of the keys' range, may round in another order."""
+    Row and column keys are ranked first.  Ranks are dense and keep the
+    keys' order, so every grouped sum, their dot and every pair Gram add
+    the same values in the same order however the keys are spaced: the
+    trace's bits are a function of the entries and the keys' order."""
     row, col, value = x1
     if x2 is x1:
-        row, col = _ranked(row, row.size), _ranked(col, col.size)
+        row, col = _ranked(row), _ranked(col)
         w = value.real**2 + value.imag**2
         counts = [np.bincount(keys) for keys in (col, row)]
         for group, lines in zip((row, col), counts):
@@ -998,17 +993,17 @@ def _pattern_trace(x1, x2) -> float:
         return _pair_gram(row, col, value, row, col, value)
     row2, col2, value2 = x2
     # One ranking of both replicas' rows keeps which entries share a row.
-    rows = _ranked(np.concatenate((row, row2)), row.size + row2.size)
-    return _pair_gram(rows[: row.size], col, value, rows[row.size :], _ranked(col2, col2.size), value2)
+    rows = _ranked(np.concatenate((row, row2)))
+    return _pair_gram(rows[: row.size], col, value, rows[row.size :], _ranked(col2), value2)
 
 
 def _pair_gram(shared1, other1, value1, shared2, other2, value2) -> float:
     """||G||_F^2 for G[a, b] = sum of conj(value1[i]) value2[j] over the
     entry pairs with shared1[i] == shared2[j], other1[i] == a and
     other2[j] == b.  The shared keys and other2 size its arrays, so callers
-    rank them where their range is wide (`_ranked`).  Each entry of the
-    first set meets the run of second entries with its shared index, so its
-    pairs are listed with `repeat`.
+    rank them (`_ranked`).  Each entry of the first set meets the run of
+    second entries with its shared index, so its pairs are listed with
+    `repeat`.
     The first set is taken in order of a, in chunks of whole rows of G that
     list at most PAIR_BLOCK pairs (a row with more is a chunk of its own):
     chunks fill disjoint rows of G, so ||G||_F^2 is the sum over chunks.  In
@@ -1072,22 +1067,21 @@ def _all_subsets(n: int) -> List[Tuple[int, ...]]:
 def exact_replica_average(
     index: HilbertIndex,
     region,
-    kind: Optional[ModelKind] = None,
+    *,
+    cmap: CMap,
     grade: str = "medium",
-    state: Optional[IntertwinerState] = None,
     weights: Optional[Mapping] = None,
-    fixed: Optional[FrozenVertices] = None,
-    cmap: Optional[CMap] = None,
 ) -> float:
-    """Exact replica trace summed over swap patterns of the requested grade.
+    """Exact replica trace of `cmap` summed over swap patterns of the requested grade.
 
     medium and coarse grades return the unnormalized pattern sum (the same
     convention as the Ising partition totals); the fine grades include their
     sector weights and dimension normalizations.  `region` is the replica
     swap: () for the denominator, "bulk" for the intertwiner slots, or an
-    iterable of boundary link ids / slot tokens.
+    iterable of boundary link ids / slot tokens.  `cmap`, built on `index`,
+    fixes the model kind, bulk state and frozen vertices (`build_cmap`).
     """
-    cmap = _given_or_built(index, cmap, kind, state, fixed)
+    _check_map(index, cmap)
     slots = resolve_region(index, region)
     grid = cmap.pair_basis(slots)
     nvert = len(cmap.in_vertices)
@@ -1154,17 +1148,14 @@ def _fine_pattern_sum(cmap: CMap, grid: RegionGrid, weights, grade: str) -> floa
 def replica_purity(
     index: HilbertIndex,
     region,
-    kind: Optional[ModelKind] = None,
+    *,
+    cmap: CMap,
     grade: str = "medium",
-    state: Optional[IntertwinerState] = None,
     weights: Optional[Mapping] = None,
-    fixed: Optional[FrozenVertices] = None,
-    cmap: Optional[CMap] = None,
 ) -> float:
-    """Averaged replica purity: the region trace over the empty-region trace."""
-    cmap = _given_or_built(index, cmap, kind, state, fixed)
-    z1 = exact_replica_average(index, region, grade=grade, weights=weights, cmap=cmap)
-    z0 = exact_replica_average(index, (), grade=grade, weights=weights, cmap=cmap)
+    """Averaged replica purity of `cmap`: the region trace over the empty-region trace."""
+    z1 = exact_replica_average(index, region, cmap=cmap, grade=grade, weights=weights)
+    z0 = exact_replica_average(index, (), cmap=cmap, grade=grade, weights=weights)
     if z0 <= 0:
         raise OracleError("normalization trace is not positive")
     return z1 / z0
@@ -1432,15 +1423,14 @@ def _shot_blocks(index, grade, seed, shots, block, weights=None):
 def mc_purity(
     index: HilbertIndex,
     region,
-    kind: Optional[ModelKind] = None,
-    state: Optional[IntertwinerState] = None,
+    *,
+    cmap: CMap,
     shots: int = 10_000,
     seed: int = 0,
     grade: str = "medium",
     weights: Optional[Mapping] = None,
-    cmap: Optional[CMap] = None,
 ) -> MCEstimate:
-    """Monte Carlo estimate of the averaged purity over random vertex states.
+    """Monte Carlo estimate of the averaged purity of `cmap` over random vertex states.
 
     Shots are drawn in the ranges [0, MC_BATCH), [MC_BATCH, 2 MC_BATCH),
     ... through the batch the index holds (see HilbertIndex).  An estimate
@@ -1461,7 +1451,7 @@ def mc_purity(
     """
     _check_at_least("shots", shots, 2, " (a one-shot error bar is undefined)")
     _check_seed(seed)
-    cmap = _given_or_built(index, cmap, kind, state)
+    _check_map(index, cmap)
     if cmap.in_vertices != index.graph.vertices:
         raise OracleError("Monte Carlo sampling requires all vertices averaged")
     product = cmap.grid_product(resolve_region(index, region))
@@ -1599,9 +1589,10 @@ def localisation_probe(
     sector: SpinSector,
     shots: int,
     seed: int = 0,
-    cmap: Optional[CMap] = None,
+    *,
+    cmap: CMap,
 ) -> LocalisationReport:
-    """Covariance of (squared sector weight, bulk purity of the sector block).
+    """Covariance of (squared sector weight, bulk purity of the sector block) under `cmap`.
 
     Medium-grade shots are drawn in batches of MC_BATCH through the batch
     the index holds, as `mc_purity` draws them: with shots <= MC_BATCH, a
@@ -1611,8 +1602,7 @@ def localisation_probe(
     """
     _check_at_least("shots", shots, 2, " (a one-shot error bar is undefined)")
     _check_seed(seed)
-    if cmap is None:
-        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+    _check_map(index, cmap)
     if len(cmap.weights) != 1:
         raise OracleError("the localisation probe expects a single-component map")
     rows, d_i = _out_sector_rows(cmap, sector)

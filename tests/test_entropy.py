@@ -871,16 +871,6 @@ class TestHighSpinEnergies:
         )
         assert solo["r_E"] == pytest.approx(own / dims.d_output, rel=1e-14)
 
-    def test_kind_spelling(self):
-        graph = glued_graph()
-        family = glued_family(graph)
-        sec = next(enumerate_sectors(family, graph))
-        a = high_spin_energies(sec, sec, kind="boundary_to_boundary")
-        b = high_spin_energies(sec, sec, kind=ModelKind.bulk_to_boundary())
-        assert a["s_j"] == b["s_j"]
-        with pytest.raises(EntropyError):
-            high_spin_energies(sec, sec, kind="sideways")
-
     def test_empty_intertwiner_space_raises(self):
         """Spins (0, 0, 1, 0) at one vertex have no intertwiner, so Lambda
         = log D has no value there."""

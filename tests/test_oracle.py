@@ -364,16 +364,17 @@ class TestEngineEquivalence:
         assert z1 == pytest.approx(totals[1], rel=1e-10)
 
     def test_random_instances_agree(self):
-        """The engine-oracle gate: on every draw of two or three vertices,
-        the totals of `partition_table` under both kinds equal the oracle's
-        exact replica averages of region () and of the swap region (the
-        bulk, or the input region).  The draws meet a cycle, three
-        vertices, a mixed state, a spin of weight 0 and a cell with a
-        negative cosine."""
-        seen = dict.fromkeys(("cycle", "three_vertices", "mixed", "zero_weight", "negative_cosine"), 0)
+        """The engine-oracle gate: on every draw, the totals of
+        `partition_table` under both kinds equal the oracle's exact replica
+        averages of region () and of the swap region (the bulk, or the
+        input region).  60 draws have two or three vertices, a second
+        series of 20 one vertex.  The draws meet one vertex, a cycle, three
+        vertices, a pure and a mixed state, a spin of weight 0 and a cell
+        with a negative cosine."""
+        seen = dict.fromkeys(
+            ("one_vertex", "cycle", "three_vertices", "pure", "mixed", "zero_weight", "negative_cosine"), 0
+        )
 
-        @settings(max_examples=60)
-        @given(boundary_instances(st.integers(2, 3), max_dim=8000))
         def check(drawn):
             graph, family, state, part, index = drawn
             routes = (
@@ -386,14 +387,45 @@ class TestEngineEquivalence:
                 cmap = build_cmap(index, kind, state=held)
                 assert table.totals[0] == pytest.approx(exact_replica_average(index, (), cmap=cmap), rel=1e-9)
                 assert table.totals[1] == pytest.approx(exact_replica_average(index, region, cmap=cmap), rel=1e-9)
+            seen["one_vertex"] += len(graph.vertices) == 1
             seen["cycle"] += "x0" in graph.link_ids()
             seen["three_vertices"] += len(graph.vertices) == 3
-            seen["mixed"] += state.amplitudes is None
+            seen["pure" if state.amplitudes is not None else "mixed"] += 1
             seen["zero_weight"] += any(g == 0 for weights in family.weights.values() for g in weights.values())
             seen["negative_cosine"] += int(np.count_nonzero(model._boundary_entries(table.sectors)[2] < 0))
 
-        check()
+        for vertex_counts, count in ((st.integers(2, 3), 60), (st.just(1), 20)):
+            settings(max_examples=count)(given(boundary_instances(vertex_counts, max_dim=8000))(check))()
         assert all(seen.values()), seen
+
+
+class TestOneMapPerQuestion:
+    """An oracle quantity is taken on the map it is given, which must be
+    built on the index it is given."""
+
+    @pytest.mark.parametrize(
+        "compute",
+        [
+            lambda index, cmap: exact_replica_average(index, "bulk", cmap=cmap),
+            lambda index, cmap: replica_purity(index, "bulk", cmap=cmap),
+            lambda index, cmap: mc_purity(index, "bulk", cmap=cmap, shots=256),
+            lambda index, cmap: localisation_probe(index, index.family_sectors()[0], cmap=cmap, shots=60),
+        ],
+        ids=["exact_replica_average", "replica_purity", "mc_purity", "localisation_probe"],
+    )
+    def test_a_map_of_another_index_is_refused(self, compute):
+        graph = four_leg_graph()
+        index = build_hilbert(graph, two_sector_vertex_family(graph))
+        kind = ModelKind.bulk_to_boundary()
+        compute(index, build_cmap(index, kind))
+        for other in (
+            build_hilbert(graph, SectorFamily.build(graph, "1/2", "1/2")),
+            build_hilbert(graph, two_sector_vertex_family(graph)),
+        ):
+            with pytest.raises(OracleError, match="built on another index") as err:
+                compute(index, build_cmap(other, kind))
+            assert f"dimension {other.dim}, this one {index.dim}" in str(err.value)
+            assert "build the map on this index" in str(err.value)
 
 
 class TestGrades:
@@ -489,8 +521,9 @@ class TestGrades:
     def test_unknown_grade_rejected(self):
         graph = four_leg_graph()
         index = build_hilbert(graph, SectorFamily.build(graph, "1/2", "1/2"))
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
         with pytest.raises(OracleError):
-            exact_replica_average(index, (), grade="smooth")
+            exact_replica_average(index, (), cmap=cmap, grade="smooth")
 
     def test_repeated_average_is_identical(self):
         graph = glued_graph()
@@ -792,6 +825,21 @@ class TestMonteCarlo:
             assert abs(est.value - 1.0) < 1e-15
             assert est.sigma < 1e-15
 
+    @pytest.mark.parametrize("grade, weights", [("coarse", None), ("fine", None), ("fine", (1.0, 3.0))])
+    def test_coarse_and_fine_grades_within_six_sigma(self, grade, weights):
+        """Each grade draws its own Haar states (one vector on the whole
+        space for coarse, one per sector and vertex for fine); the estimate
+        of each agrees with the exact purity of that grade."""
+        graph = four_leg_graph()
+        index = build_hilbert(graph, two_sector_vertex_family(graph))
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        if weights is not None:
+            weights = dict(zip(index.family_sectors(), weights))
+        exact = replica_purity(index, ["p1", "p2"], cmap=cmap, grade=grade, weights=weights)
+        est = mc_purity(index, ["p1", "p2"], cmap=cmap, shots=4000, seed=3, grade=grade, weights=weights)
+        assert abs(est.value - exact) < 6 * est.sigma
+        assert 0.0 < est.sigma < 0.01
+
 
 def count_draws(monkeypatch):
     """Count `_unit_gaussians` calls: one per (vertex, block) a batch draws."""
@@ -825,7 +873,7 @@ class TestHaarBatchReuse:
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
         calls = count_draws(monkeypatch)
-        mc_purity(index, "bulk", ModelKind.bulk_to_boundary(), shots=256, seed=5)
+        mc_purity(index, "bulk", cmap=build_cmap(index, ModelKind.bulk_to_boundary()), shots=256, seed=5)
         assert calls
         calls.clear()
         cmap, region = b2b_setup(index)
@@ -882,12 +930,14 @@ class TestHaarBatchReuse:
         index = build_hilbert(graph, two_sector_vertex_family(graph))
         sec = index.family_sectors()[0]
         calls = count_draws(monkeypatch)
-        mc_purity(index, "bulk", ModelKind.bulk_to_boundary(), shots=60, seed=4)
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        mc_purity(index, "bulk", cmap=cmap, shots=60, seed=4)
         calls.clear()
-        report = localisation_probe(index, sec, shots=60, seed=4)
+        report = localisation_probe(index, sec, cmap=cmap, shots=60, seed=4)
         assert calls == []
         fresh = build_hilbert(graph, two_sector_vertex_family(graph))
-        assert report == localisation_probe(fresh, fresh.family_sectors()[0], shots=60, seed=4)
+        fresh_cmap = build_cmap(fresh, ModelKind.bulk_to_boundary())
+        assert report == localisation_probe(fresh, fresh.family_sectors()[0], cmap=fresh_cmap, shots=60, seed=4)
 
     def test_written_samples_change_no_estimate(self):
         graph = glued_graph()
@@ -949,8 +999,9 @@ class TestArgumentRanges:
         graph = four_leg_graph()
         index = build_hilbert(graph, two_sector_vertex_family(graph))
         sec = index.family_sectors()[0]
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
         args = {"shots": 60, **kw}
-        refuses_without_drawing(monkeypatch, index, name, lambda: localisation_probe(index, sec, **args))
+        refuses_without_drawing(monkeypatch, index, name, lambda: localisation_probe(index, sec, cmap=cmap, **args))
 
     def test_edges_of_the_ranges_draw(self, monkeypatch):
         graph = glued_graph()
@@ -1019,6 +1070,36 @@ class TestReductions:
                 )
             )
             assert block.shape[0] == d_i
+
+    def test_sector_states_of_a_global_state(self):
+        """On a global state each sector block holds the state's entries
+        at `sector_columns`, its rows the intertwiner digits and its
+        columns the port digits, both row-major over the vertices, and its
+        weight is its columns' share of the squared norm."""
+        rng = np.random.default_rng(17)
+        for graph, family in ((glued_graph(), glued_family), (four_leg_graph(), two_sector_vertex_family)):
+            index = build_hilbert(graph, family(graph))
+            phi = rng.normal(size=index.dim) + 1j * rng.normal(size=index.dim)
+            split = sector_states(index, phi)
+            assert list(split) == list(index.family_sectors())
+            norm = float(np.vdot(phi, phi).real)
+            for sec, (w, block) in split.items():
+                cols = index.sector_columns(sec)
+                assert w == pytest.approx(float(np.vdot(phi[cols], phi[cols]).real) / norm, rel=1e-12)
+                rows, columns = np.zeros_like(cols), np.zeros_like(cols)
+                for space, bid, digits in zip(index.spaces, index.sector_block_ids(sec), index.digits()):
+                    blk, local = space.blocks[bid], digits[cols]
+                    # The intertwiner index varies fastest inside a block.
+                    rows = rows * blk.intertwiner_dim + (local - blk.offset) % blk.intertwiner_dim
+                    for p, d in enumerate(blk.port_dims):
+                        columns = columns * d + space.port_digit[p][local]
+                assert block.size == cols.size
+                assert np.array_equal(block[rows, columns], phi[cols])
+        # The last index has one vertex: its family's sectors tile it, so
+        # the weights sum to 1.
+        tiles = np.sort(np.concatenate([index.sector_columns(sec) for sec in split]))
+        assert np.array_equal(tiles, np.arange(index.dim))
+        assert sum(w for w, _ in split.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_region_resolution_errors(self):
         graph = glued_graph()
@@ -1104,7 +1185,8 @@ class TestLocalisation:
         family = SectorFamily.build(graph, "1/2", "1/2")
         index = build_hilbert(graph, family)
         sec = index.family_sectors()[0]
-        report = localisation_probe(index, sec, shots=40, seed=1)
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        report = localisation_probe(index, sec, cmap=cmap, shots=40, seed=1)
         # The single sector carries everything, so the weight never moves.
         assert abs(report.covariance) < 1e-15
         assert report.mean_weight == pytest.approx(1.0, abs=1e-12)
@@ -1114,7 +1196,8 @@ class TestLocalisation:
         family = two_sector_vertex_family(graph)
         index = build_hilbert(graph, family)
         sec = index.family_sectors()[0]
-        report = localisation_probe(index, sec, shots=60, seed=4)
+        cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+        report = localisation_probe(index, sec, cmap=cmap, shots=60, seed=4)
         assert np.isfinite(report.covariance)
         assert report.sigma > 0.0
         assert 0.0 < report.mean_weight < 1.0
@@ -1618,14 +1701,16 @@ def trace_entries(draw, nrows, ncols, one_per_column=False):
 
 
 @st.composite
-def increasing_map(draw, keys, floor=0):
-    """`keys` (ranks) through a strictly increasing map with drawn gaps,
-    whose smallest value is at least `floor`.  Values stay below about
-    2^21, so that a trace that failed to rank them would count them in a
-    few MB."""
+def increasing_map(draw, keys):
+    """`keys` (ranks) through a strictly increasing map with drawn gaps:
+    narrow ones (0-2 a step, from a start below 2^11), which leave a few
+    empty bins in a `bincount` over the values, or wide ones (up to 2^10 a
+    step, from a start below 2^20).  Values stay below about 2^21, so that
+    a trace that failed to rank them would count them in a few MB."""
     size = int(keys.max()) + 1
-    gaps = np.array(draw(st.lists(st.integers(0, 1 << 10), min_size=size, max_size=size)), dtype=np.int64)
-    start = draw(st.integers(floor, floor + (1 << 20)))
+    widest = draw(st.sampled_from([2, 1 << 10]))
+    gaps = np.array(draw(st.lists(st.integers(0, widest), min_size=size, max_size=size)), dtype=np.int64)
+    start = draw(st.integers(0, widest << 10))
     return (start + np.arange(size) + np.cumsum(gaps))[keys]
 
 
@@ -1633,15 +1718,10 @@ def increasing_map(draw, keys, floor=0):
 def grouped_traces(draw):
     """X with one entry per column, so that X X^+ is diagonal, and X
     relabelled.  Its row keys are the groups whose sums of squared moduli
-    are squared and summed; they are relabelled past RANK_SPAN times the
-    entries, so that the relabelled trace groups by ranks.  Narrower keys
-    keep their zero-padded `bincount`: its BLAS dot then depends on where
-    the empty bins fall, and a relabelling can move the trace's last
-    bits."""
+    are squared and summed."""
     row, col, value = draw(trace_entries(draw(st.integers(1, 40)), draw(st.integers(1, 40)), one_per_column=True))
     row = ranks(row)
-    rows = draw(increasing_map(row, floor=oracle.RANK_SPAN * row.size))
-    return (row, col, value), (rows, draw(increasing_map(col)), value)
+    return (row, col, value), (draw(increasing_map(row)), draw(increasing_map(col)), value)
 
 
 @st.composite
@@ -1665,21 +1745,27 @@ def relabelling(strategy, check):
     settings(max_examples=150)(given(strategy)(check))()
 
 
+def narrow_gaps(keys):
+    """Whether the keys leave empty bins below their maximum, but fewer
+    than 16 a key: a few empty bins in a `bincount` over them."""
+    return np.unique(keys).size <= keys.max() < 16 * keys.size
+
+
 class TestRankedKeys:
-    """_pattern_trace ranks row and column keys whose range exceeds
-    RANK_SPAN times the entries; ranking keeps the keys' order, so the
-    trace keeps its bits."""
+    """_pattern_trace ranks its row and column keys, so its bits do not
+    change under an order-preserving relabelling of the keys, whatever
+    gaps the relabelling leaves: an unranked `bincount` whose empty bins
+    move can make the BLAS dot of its sums round otherwise."""
 
     def test_grouped_sums_keep_their_bits(self):
-        seen = {"16+ groups": 0, "other key ranked": 0, "other key kept": 0}
+        seen = {"16+ groups": 0, "narrow gaps": 0, "wide gaps": 0}
 
         def check(case):
             (row, col, value), (rows, cols, _) = case
             for x, y in [((row, col, value), (rows, cols, value)), ((col, row, value), (cols, rows, value))]:
                 assert oracle._pattern_trace(y, y).hex() == oracle._pattern_trace(x, x).hex()
             seen["16+ groups"] += row.max() >= 15
-            ranked = cols.max() >= oracle.RANK_SPAN * cols.size
-            seen["other key ranked" if ranked else "other key kept"] += 1
+            seen["narrow gaps" if narrow_gaps(rows) else "wide gaps"] += 1
 
         relabelling(grouped_traces(), check)
         assert all(seen.values()), seen
@@ -1693,7 +1779,7 @@ class TestRankedKeys:
             return pair_gram(*args)
 
         monkeypatch.setattr(oracle, "_pair_gram", counted)
-        seen = {"rows ranked": 0, "rows kept": 0}
+        seen = {"narrow gaps": 0, "wide gaps": 0}
 
         def check(case):
             (x1, x2), (y1, y2) = case
@@ -1702,8 +1788,7 @@ class TestRankedKeys:
             assert grams == [True, True]
             assert oracle._pattern_trace(y1, y2).hex() == oracle._pattern_trace(x1, x2).hex()
             assert oracle._pattern_trace(y2, y1).hex() == oracle._pattern_trace(x2, x1).hex()
-            ranked = max(y1[0].max(), y2[0].max()) >= oracle.RANK_SPAN * (y1[0].size + y2[0].size)
-            seen["rows ranked" if ranked else "rows kept"] += 1
+            seen["narrow gaps" if narrow_gaps(np.concatenate((y1[0], y2[0]))) else "wide gaps"] += 1
 
         relabelling(gram_traces(), check)
         assert all(seen.values()), seen
