@@ -36,6 +36,10 @@ from .spins import SpinSector, intertwiner_dim
 
 SectorKey = Tuple[Tuple[str, int], ...]
 
+#: Absolute tolerance of the density-matrix checks: Hermiticity, positivity
+#: (relative to the largest eigenvalue), unit trace and purity.
+DENSITY_TOL = 1e-10
+
 
 class BulkStateError(ValueError):
     """Raised for ill-formed bulk states or incompatible operator inputs."""
@@ -124,14 +128,13 @@ class IntertwinerState:
         sectors: Sequence[SpinSector],
         blocks: Mapping[Tuple[SpinSector, SpinSector], object],
         require_density: bool = True,
-        tol: float = 1e-10,
     ) -> "IntertwinerState":
         """Build a density-matrix form state from explicit sector blocks.
 
         Blocks may be given for one triangle only; the missing conjugate
         blocks are filled in.  With `require_density` the assembled matrix
-        must be Hermitian, positive semidefinite (within `tol`), and of unit
-        trace.
+        must be Hermitian, positive semidefinite and of unit trace, each
+        within `DENSITY_TOL`.
         """
         sectors = tuple(sectors)
         dims = {s.key(): vertex_block_dims(graph, s) for s in sectors}
@@ -158,15 +161,15 @@ class IntertwinerState:
         )
         if require_density:
             full = state.assemble()
-            if not np.allclose(full, full.conj().T, atol=tol):
+            if not np.allclose(full, full.conj().T, atol=DENSITY_TOL):
                 raise BulkStateError("state matrix is not Hermitian")
             eigs = np.linalg.eigvalsh(full)
-            if eigs.min() < -tol * max(1.0, float(abs(eigs).max())):
+            if eigs.min() < -DENSITY_TOL * max(1.0, float(abs(eigs).max())):
                 raise BulkStateError(
                     f"state matrix is not positive semidefinite "
                     f"(min eigenvalue {eigs.min():.3e})"
                 )
-            if abs(np.trace(full).real - 1.0) > tol:
+            if abs(np.trace(full).real - 1.0) > DENSITY_TOL:
                 raise BulkStateError(
                     f"density matrix trace {np.trace(full).real!r} is not 1"
                 )
@@ -232,14 +235,14 @@ class IntertwinerState:
             ),
         )
 
-    def is_pure(self, tol: float = 1e-10) -> bool:
+    def is_pure(self) -> bool:
         if self.amplitudes is not None:
             return True
         full = self.assemble()
         tr = np.trace(full).real
         if tr <= 0:
             return False
-        return bool(abs(np.trace(full @ full).real / tr**2 - 1.0) <= tol)
+        return bool(abs(np.trace(full @ full).real / tr**2 - 1.0) <= DENSITY_TOL)
 
     # -- partial traces --------------------------------------------------
 

@@ -65,8 +65,8 @@ class SectorDistribution:
     `p` is the single-sector distribution K_j / sum K; `pair_probs` the
     exact pair distribution K_j K_k Z_0^{(j,k)} / Z_0 and
     `pair_probs_factorized` its high-spin product form p_j p_k.  `c`, when
-    dimension data is available, weights each boundary assignment E by
-    D_E / sum_F D_F; it is keyed by boundary id and is None otherwise.
+    asked for, weights each boundary assignment E by D_E / sum_F D_F; it is
+    keyed by boundary id and is None otherwise.
     """
 
     p: Mapping[str, float]
@@ -88,14 +88,15 @@ def _fsum(values, what: str) -> float:
 
 def sector_distribution(
     table: PartitionSumTable,
-    graph: Optional[OpenGraph] = None,
-    family: Optional[SectorFamily] = None,
+    *,
+    boundary_weights: bool = False,
 ) -> SectorDistribution:
     """Build the normalized distributions carried by `table`.
 
-    The boundary-region weights c_E need dimension data, so they are filled
-    only when both `graph` and `family` are given: D_I and D_O of every
-    boundary key of the family's `SectorSet`, keys with D_I = 0 left out.
+    With `boundary_weights` the boundary-region weights c_E are filled from
+    the dimension data of the table's own graph and family: D_I and D_O of
+    every boundary key of the family's bulk-to-boundary `SectorSet`, keys
+    with D_I = 0 left out.  Without it c_E is None.
     """
     k_total = _fsum(table.k.tolist(), "sector weights K")
     if k_total <= 0.0:
@@ -112,8 +113,10 @@ def sector_distribution(
     factorized = dict(zip(table.pair_ids, np.outer(p_array, p_array).ravel().tolist()))
 
     c_weights: Optional[Dict[str, float]] = None
-    if graph is not None and family is not None:
-        sectors = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
+    if boundary_weights:
+        sectors = IsingModel(
+            table.sectors.graph, table.sectors.family, ModelKind.bulk_to_boundary()
+        ).sector_set()
         codes = list(range(len(sectors.keys)))
         totals = {
             sectors.boundary_ids[c]: d_in * sectors.d_output(c)
@@ -176,8 +179,8 @@ def average_purity(
     table: PartitionSumTable,
     mode: str = "exact",
     cumulant_order: int = 4,
-    graph: Optional[OpenGraph] = None,
-    family: Optional[SectorFamily] = None,
+    *,
+    boundary_weights: bool = False,
 ) -> PurityReport:
     """Assemble the average purity Z_1/Z_0 from a partition table.
 
@@ -196,7 +199,9 @@ def average_purity(
     Cumulants are computed up to `cumulant_order` on the distribution
     conditioned on finite X.  Tables with signed pair weights (possible for
     boundary-to-boundary models with indefinite overlaps) are rejected:
-    the expectation view needs a genuine probability measure.
+    the expectation view needs a genuine probability measure.  The
+    report's distribution carries c_E with `boundary_weights` (see
+    `sector_distribution`).
     """
     if mode not in MODES:
         raise EntropyError(f"unknown mode {mode!r}; expected one of {MODES}")
@@ -274,7 +279,7 @@ def average_purity(
         feasible_mass=mass,
         rt_area_estimate=rt_estimate,
         provenance=provenance,
-        distribution=sector_distribution(table, graph, family),
+        distribution=sector_distribution(table, boundary_weights=boundary_weights),
     )
 
 

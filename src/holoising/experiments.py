@@ -56,6 +56,19 @@ _CONFIGS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _PAIR_KEYS = (("low", "low"), ("high", "high"), ("low", "high"))
 
+#: c1's coarse simplex grid takes steps of 1/C1_GRID in (a, d); the
+#: stability check repeats the search at twice that resolution.
+C1_GRID = 20
+
+#: c1's coordinate descent halves its step until it is no larger than this.
+_REFINE_STEP_TOL = 1e-7
+
+#: c2 inflates every output dimension by each of these factors.
+C2_SCALE_FACTORS = (1, 10, 100, 1000)
+
+#: c3 runs its engine cross-check for n up to this bound.
+C3_ENGINE_CHECK_MAX_N = 10
+
 
 def _config_label(config: Tuple[int, int]) -> str:
     return "".join("+" if s > 0 else "-" for s in config)
@@ -414,7 +427,7 @@ def _coarse_grid(fn, resolution: int):
     return points[best].tolist(), float(values[best]), len(points)
 
 
-def _refine(fn, x0, step0: float, step_tol: float = 1e-7):
+def _refine(fn, x0, step0: float):
     x = list(x0)
     best = float(fn(x))
     evals = 1
@@ -427,7 +440,7 @@ def _refine(fn, x0, step0: float, step_tol: float = 1e-7):
             return None
         return cand
 
-    while step > step_tol:
+    while step > _REFINE_STEP_TOL:
         moved = True
         while moved:
             moved = False
@@ -549,7 +562,6 @@ def reproduce_c1(
     region: str = "rightmost",
     *,
     start: Optional[Mapping[str, complex]] = None,
-    grid: int = 20,
 ) -> C1Report:
     """Read the bridge coupling structure off the engine, assemble its six
     partition sums, and minimize the averaged purity over the bulk-block
@@ -562,7 +574,9 @@ def reproduce_c1(
     states' give their cells and their tables (low at row 0, high at row
     1), and the start table checks the six sums; the minimizer's is its
     `partition_table`.  One array evaluator of the purity serves the coarse
-    grid, the refinement and the closed-form check at the start state.
+    grid (steps of 1/C1_GRID in (a, d), searched again at twice that
+    resolution to measure the minimizer's stability), the refinement and
+    the closed-form check at the start state.
     `region` selects the input leg: "rightmost" makes the two-spin
     superposed link the input (purity target 1/(12 s)); "upper_right" makes
     one of the plain spin-s legs the input (purity target 1/(2s+1)).
@@ -577,8 +591,6 @@ def reproduce_c1(
         raise ExperimentError(
             f"unknown region {region!r}; expected one of {REGIONS}"
         )
-    if grid < 4:
-        raise ExperimentError(f"grid resolution must be >= 4, got {grid!r}")
     couplings = {
         "L2": math.log(2 * s + 1),
         "L6p": math.log(6 * s + 1),
@@ -680,10 +692,10 @@ def reproduce_c1(
     def purity_at(x):
         return structure.purity(*_x_functionals(x))
 
-    coarse_pt, coarse_val, coarse_evals = _coarse_grid(purity_at, grid)
-    x_min, best, evals = _refine(purity_at, coarse_pt, 1.0 / grid)
-    coarse2_pt, coarse2_val, coarse2_evals = _coarse_grid(purity_at, 2 * grid)
-    x2_min, best2, evals2 = _refine(purity_at, coarse2_pt, 0.5 / grid)
+    coarse_pt, coarse_val, coarse_evals = _coarse_grid(purity_at, C1_GRID)
+    x_min, best, evals = _refine(purity_at, coarse_pt, 1.0 / C1_GRID)
+    coarse2_pt, coarse2_val, coarse2_evals = _coarse_grid(purity_at, 2 * C1_GRID)
+    x2_min, best2, evals2 = _refine(purity_at, coarse2_pt, 0.5 / C1_GRID)
 
     def to_opt(resolution, c_pt, c_val, c_evals, x, value, n_evals):
         return C1Optimum(
@@ -699,9 +711,9 @@ def reproduce_c1(
             evaluations=c_evals + n_evals,
         )
 
-    optimum = to_opt(grid, coarse_pt, coarse_val, coarse_evals, x_min, best, evals)
+    optimum = to_opt(C1_GRID, coarse_pt, coarse_val, coarse_evals, x_min, best, evals)
     doubled = to_opt(
-        2 * grid, coarse2_pt, coarse2_val, coarse2_evals, x2_min, best2, evals2
+        2 * C1_GRID, coarse2_pt, coarse2_val, coarse2_evals, x2_min, best2, evals2
     )
     stability = max(
         abs(optimum.a - doubled.a),
@@ -876,8 +888,6 @@ def reproduce_c2(
     family: SectorFamily,
     graph: OpenGraph,
     window: Optional[Sequence[Mapping[str, object]]] = None,
-    *,
-    scale_factors: Tuple[int, ...] = (1, 10, 100, 1000),
 ) -> C2Report:
     """Single-vertex sector census against the dimension-only partition sums.
 
@@ -886,7 +896,8 @@ def reproduce_c2(
     sector of the family is counted.  The report carries the diagonal sums
     (which the dimension formulas describe), the full engine totals
     including cross-sector normalization pairs, the cross-sector solution,
-    and the scaling behaviour as the output dimension is inflated.
+    and the scaling behaviour as the output dimension is inflated by each
+    of C2_SCALE_FACTORS.
     """
     if len(graph.vertices) != 1:
         raise ExperimentError(
@@ -962,7 +973,7 @@ def reproduce_c2(
     high_beta = []
     previous = math.inf
     monotone = True
-    for scale in scale_factors:
+    for scale in C2_SCALE_FACTORS:
         purity_defect = max(
             abs(
                 (d_i + scale * d_o) / (d_i * scale * d_o + 1.0) * d_i - 1.0
@@ -1164,8 +1175,6 @@ def _digamma_gap(start: float, count: int) -> float:
 def reproduce_c3(
     n: int,
     profile: str = "unit",
-    *,
-    engine_check: Optional[bool] = None,
 ) -> C3Report:
     """Branch sums of the single-bulk-link purity against closed forms.
 
@@ -1176,7 +1185,8 @@ def reproduce_c3(
     square-root profile |g|^2 ~ sqrt(D_x D_y) and the dimension-
     proportional profile |g|^2 ~ D_x D_y, re-evaluating the purity ratio
     for each; `profile="unit"` keeps the plain g = 1 census.  The engine
-    cross-check (parity-admissible subfamily) runs by default for n <= 10.
+    cross-check (parity-admissible subfamily) runs for n <=
+    C3_ENGINE_CHECK_MAX_N; beyond, the report's `engine` is None.
     """
     if n != int(n) or n < 2:
         raise ExperimentError(f"n must be an integer >= 2, got {n!r}")
@@ -1185,8 +1195,6 @@ def reproduce_c3(
         raise ExperimentError(
             f"unknown profile {profile!r}; expected 'unit' or 'isometric'"
         )
-    if engine_check is None:
-        engine_check = n <= 10
 
     b = 1.0 / n**3
     m_small = np.arange(1, n + 1, dtype=float)
@@ -1319,7 +1327,7 @@ def reproduce_c3(
             evaluate("dimension", dims_all**2 / float(np.sum(dims_all**2)))
         )
 
-    engine = _c3_engine_check(n) if engine_check else None
+    engine = _c3_engine_check(n) if n <= C3_ENGINE_CHECK_MAX_N else None
 
     notes = (
         "the final step of the large-m branch carries a vanishing dimension "

@@ -999,7 +999,8 @@ class IsingModel:
     """Evaluator for one graph + sector family + model kind.
 
     The boundary-to-boundary kind additionally needs the bulk intertwiner
-    state whose partial traces define its Delta and Hamiltonian data.
+    state whose partial traces define its Delta and Hamiltonian data; the
+    bulk-to-boundary kind reads no state and refuses one.
     """
 
     def __init__(
@@ -1021,6 +1022,10 @@ class IsingModel:
                 raise EngineError(
                     "boundary-to-boundary model needs a bulk intertwiner state"
                 )
+        elif state is not None:
+            raise EngineError(
+                "bulk-to-boundary model reads no bulk state; pass state=None"
+            )
 
     # -- pieces ----------------------------------------------------------
 

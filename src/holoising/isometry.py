@@ -57,6 +57,9 @@ REGIME_TOLERANCES = {"exact": 1e-3, "ground_state": 0.05}
 #: Relative tolerance used when validating state inputs (Hermiticity, purity).
 STATE_TOL = 1e-8
 
+#: Pass tolerance of `check_trace_preservation` on its overall defect.
+TRACE_PRESERVATION_TOL = 1e-9
+
 CLASSIFICATIONS = ("holographic", "transparent", "neither")
 
 
@@ -581,7 +584,6 @@ def check_trace_preservation(
     dims: Mapping,
     c_weights: Optional[Mapping] = None,
     k_value: Optional[float] = None,
-    tolerance: float = 1e-9,
 ) -> TracePreservationReport:
     """Measure how far pure sector states sit from trace preservation.
 
@@ -591,7 +593,9 @@ def check_trace_preservation(
     must be Hermitian and pure; a mixed block is rejected, because trace
     preservation and isometry cannot hold together on mixed sector states.
     With `c_weights` the sector weights are compared against D_I/sum(D_I),
-    and with `k_value` the channel constant against |K| = sum(D_I).
+    and with `k_value` the channel constant against |K| = sum(D_I).  The
+    report passes when its largest defect is at most
+    `TRACE_PRESERVATION_TOL`.
     """
     if not rho_sectors:
         raise IsometryError("no sector states supplied")
@@ -659,8 +663,8 @@ def check_trace_preservation(
         c_defects=c_defects,
         k_defect=k_defect,
         defect=overall,
-        tolerance=float(tolerance),
-        passed=overall <= tolerance,
+        tolerance=TRACE_PRESERVATION_TOL,
+        passed=overall <= TRACE_PRESERVATION_TOL,
     )
 
 

@@ -749,8 +749,13 @@ def build_cmap(
     bulk-to-boundary kind) or boundary-port labels alone (the
     boundary-to-boundary kind, which also contracts the bulk input state).
     Coherences between sectors that share boundary data survive this way,
-    exactly as in the projected states.
+    exactly as in the projected states.  The bulk-to-boundary map reads no
+    state and refuses one.
     """
+    if kind.is_boundary_to_boundary and state is None:
+        raise OracleError("the boundary-to-boundary map needs a bulk input state")
+    if not kind.is_boundary_to_boundary and state is not None:
+        raise OracleError("the bulk-to-boundary map reads no bulk state; pass state=None")
     graph = index.graph
     support, amp = _singlet_support(index)
     sup = np.flatnonzero(support)
@@ -772,8 +777,6 @@ def build_cmap(
     order = np.argsort(inverse, kind="stable")
     row, col = inverse[order], sup[order]
     if kind.is_boundary_to_boundary:
-        if state is None:
-            raise OracleError("the boundary-to-boundary map needs a bulk input state")
         weights, vectors = _bulk_eigenstates(index, state)
         bulk_keys, _ = index.bulk_key()
         # 0j + turns -0.0 parts into +0.0, as a sum into a zero matrix
@@ -1076,11 +1079,13 @@ def exact_replica_average(
 
     medium and coarse grades return the unnormalized pattern sum (the same
     convention as the Ising partition totals); the fine grades include their
-    sector weights and dimension normalizations.  `region` is the replica
+    sector weights (`weights`, uniform when None; the other grades refuse
+    them) and dimension normalizations.  `region` is the replica
     swap: () for the denominator, "bulk" for the intertwiner slots, or an
     iterable of boundary link ids / slot tokens.  `cmap`, built on `index`,
     fixes the model kind, bulk state and frozen vertices (`build_cmap`).
     """
+    _check_weights(grade, weights)
     _check_map(index, cmap)
     slots = resolve_region(index, region)
     grid = cmap.pair_basis(slots)
@@ -1093,6 +1098,15 @@ def exact_replica_average(
     if grade in ("fine", "fine-high"):
         return _fine_pattern_sum(cmap, grid, weights, grade)
     raise OracleError(f"unknown averaging grade {grade!r}")
+
+
+def _check_weights(grade: str, weights: Optional[Mapping]) -> None:
+    """Refuse sector weights at a grade that reads none."""
+    if weights is not None and grade in ("medium", "coarse"):
+        raise OracleError(
+            f"grade {grade!r} reads no sector weights; weights apply to the "
+            f"fine grades only, pass weights=None"
+        )
 
 
 def _fine_weights(index: HilbertIndex, weights) -> Dict[Tuple, float]:
@@ -1306,10 +1320,12 @@ def haar_sample(
     shots through `_haar_rows` where many are needed.  Every call draws
     afresh and returns a writable array of its own: it neither reads nor
     replaces the batch that `mc_purity` and `localisation_probe` share
-    through the index.  shot >= 0 and 0 <= seed < 2**64.
+    through the index.  shot >= 0 and 0 <= seed < 2**64; `weights` is
+    read by the fine grade only.
     """
     _check_at_least("shot", shot, 0)
     _check_seed(seed)
+    _check_weights(grade, weights)
     return _haar_rows(index, grade, seed, range(shot, shot + 1), weights)[0]
 
 
@@ -1447,10 +1463,12 @@ def mc_purity(
     sum over those blocks, each shape's blocks one batched Gram on its
     smaller side.  Memory is the held batch plus one block's layout, which
     no shot's value depends on.  shots >= 2 (a one-shot error bar is
-    undefined) and 0 <= seed < 2**64.
+    undefined) and 0 <= seed < 2**64; `weights` is read by the fine grade
+    only.
     """
     _check_at_least("shots", shots, 2, " (a one-shot error bar is undefined)")
     _check_seed(seed)
+    _check_weights(grade, weights)
     _check_map(index, cmap)
     if cmap.in_vertices != index.graph.vertices:
         raise OracleError("Monte Carlo sampling requires all vertices averaged")

@@ -127,6 +127,9 @@ def twice_intertwiner_dim(twice: Tuple[int, ...]) -> int:
     return _fusion_multiplicities(tuple(sorted(twice)))[0]
 
 
+#: Largest deviation of a bulk link's sum |g|^2 from 1 that `validate` accepts.
+NORM_TOL = 1e-12
+
 #: Largest number of sectors one enumeration may yield.
 SECTOR_LIMIT = 10**6
 
@@ -209,10 +212,10 @@ class SectorFamily:
             return 1.0 + 0.0j
         return w.get(spin.twice, 0.0 + 0.0j)
 
-    def validate(self, graph: OpenGraph, tol: float = 1e-12) -> None:
+    def validate(self, graph: OpenGraph) -> None:
         for lid in graph.internal_ids():
             total = sum(abs(v) ** 2 for v in self.weights[lid].values())
-            if abs(total - 1.0) > tol:
+            if abs(total - 1.0) > NORM_TOL:
                 raise ValueError(
                     f"link {lid!r}: sum |g|^2 = {total!r} is not normalized"
                 )

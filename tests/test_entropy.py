@@ -94,7 +94,7 @@ class TestSectorDistribution:
     def test_normalizations(self):
         graph = four_leg_graph()
         family = two_sector_vertex_family(graph)
-        dist = sector_distribution(bulk_table(graph, family), graph, family)
+        dist = sector_distribution(bulk_table(graph, family), boundary_weights=True)
         assert abs(math.fsum(dist.p.values()) - 1.0) < 1e-12
         assert abs(math.fsum(dist.pair_probs.values()) - 1.0) < 1e-12
         assert abs(math.fsum(dist.pair_probs_factorized.values()) - 1.0) < 1e-12
@@ -113,7 +113,7 @@ class TestSectorDistribution:
     def test_boundary_weights_are_dimension_ratios(self):
         graph = four_leg_graph()
         family = two_sector_vertex_family(graph)
-        dist = sector_distribution(bulk_table(graph, family), graph, family)
+        dist = sector_distribution(bulk_table(graph, family), boundary_weights=True)
         dims = {}
         for sec in enumerate_sectors(family, graph):
             d = sector_dims(sec, graph, family)
@@ -157,7 +157,7 @@ class TestSectorDistribution:
 
         def check(drawn):
             graph, family = drawn
-            dist = sector_distribution(bulk_table(graph, family), graph, family)
+            dist = sector_distribution(bulk_table(graph, family), boundary_weights=True)
             reference = by_sector_loop(graph, family)
             assert list(dist.c.items()) == list(reference.items())
             keys = {sec.boundary_part() for sec in enumerate_sectors(family, graph)}
@@ -364,9 +364,7 @@ class TestAveragePurity:
     def test_json_round_trip(self, tmp_path):
         graph = four_leg_graph()
         family = two_sector_vertex_family(graph)
-        report = average_purity(
-            bulk_table(graph, family), graph=graph, family=family
-        )
+        report = average_purity(bulk_table(graph, family), boundary_weights=True)
         blob = report.to_json_dict()
         # Infinite exponents must serialize as null, not break json.
         assert any(v is None for v in blob["X"].values())

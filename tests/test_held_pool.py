@@ -86,7 +86,7 @@ def raised(result) -> bool:
 def consumers(graph, family, table):
     """Every bulk-to-boundary consumer of the family after its default
     table, each through a model of its own."""
-    out = [outcome(sector_distribution, table, graph, family), outcome(suggest_window, family, graph)]
+    out = [outcome(sector_distribution, table, boundary_weights=True), outcome(suggest_window, family, graph)]
     try:
         window = suggest_window(family, graph)
     except IsometryError:
@@ -286,8 +286,8 @@ class TestWindowTable:
         @given(boundary_instances(), st.data())
         def check(drawn, data):
             graph, family, state, part, _ = drawn
-            for kind in (BULK, ModelKind.boundary_to_boundary(part)):
-                model = IsingModel(graph, family, kind, state=state)
+            for kind, kind_state in ((BULK, None), (ModelKind.boundary_to_boundary(part), state)):
+                model = IsingModel(graph, family, kind, state=kind_state)
                 pool = model.sector_set()
                 keys = [dict(zip(graph.boundary_ids(), map(Spin, key))) for key in pool.keys]
                 window = data.draw(st.permutations(keys))[:3]

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp
 
 import ising_reference as reference
-from conftest import bridge_family, bridge_graph, bridge_sectors, bridge_state
+from conftest import bridge_family, bridge_graph, bridge_sectors, bridge_state, four_leg_graph, two_sector_vertex_family
 from strategies import boundary_instances, bulk_instances, examples, intertwined_sectors
 from test_golden import signed_b2b_model
 from holoising import ising, spins
@@ -522,6 +522,47 @@ class TestBoundaryToBoundary:
                 read()
 
 
+def refused_calls():
+    """{case: call} for each input the engine cannot use: bulk-to-boundary
+    models of the bridge, and one sector and one parity-odd boundary of the
+    four-leg vertex, a graph of its own."""
+    graph = bridge_graph()
+    family = bridge_family(graph, 1)
+    low, high = bridge_sectors(graph, 1)
+    state = bridge_state(graph, (low, high), A, D, B, U, V, W)
+    bulk = ModelKind.bulk_to_boundary()
+    model = IsingModel(graph, family, bulk)
+    legs = four_leg_graph()
+    leg_family = two_sector_vertex_family(legs)
+    foreign = next(spins.enumerate_sectors(leg_family, legs))
+    odd = {"p1": "1", "p2": "1/2", "p3": "1/2", "p4": "1/2"}
+    return {
+        "bulk_kind_with_state": lambda: IsingModel(graph, family, bulk, state=state),
+        "replica_2": lambda: model.partition_sum_fixed(low, high, 2),
+        "j_of_another_graph": lambda: model.partition_sum_fixed(foreign, low, 0),
+        "k_of_another_graph": lambda: model.ground_state(low, foreign, 1),
+        "sector_set_of_another_graph": lambda: model.sector_set([low, foreign]),
+        "boundary_without_sector": lambda: IsingModel(legs, leg_family, bulk).boundary_fixed_sums(odd),
+    }
+
+
+REFUSALS = {
+    "bulk_kind_with_state": "bulk-to-boundary model reads no bulk state; pass state=None",
+    "replica_2": "replica must be 0 or 1, got 2",
+    "j_of_another_graph": "sector j belongs to a different graph",
+    "k_of_another_graph": "sector k belongs to a different graph",
+    "sector_set_of_another_graph": "sector belongs to a different graph",
+    "boundary_without_sector": "no admissible sector matches this boundary",
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_unusable_input_raises_its_name(self, case):
+        with pytest.raises(EngineError, match=f"^{re.escape(REFUSALS[case])}$"):
+            refused_calls()[case]()
+
+
 class TestTableSerialization:
     def make_table(self):
         graph = single_vertex_graph()
@@ -629,11 +670,7 @@ def chain_graph(nv, legs=1):
 
 class TestCompiledKernel:
     def assert_matches(self, model, sectors, kernel):
-        """Every ordered pair and replica agrees bit for bit.  Returns how
-        many cases had a zero-intertwiner vertex, a mismatched pair, a tied
-        ground state, and a tied ground state represented by a
-        configuration with spin-down vertices."""
-        seen = dict.fromkeys(("zero_dim", "mismatched", "ties", "tied_down_rep"), 0)
+        """Every ordered pair and replica agrees bit for bit."""
         for j, k in itertools.product(sectors, repeat=2):
             for replica in (0, 1):
                 z, e_min, degeneracy, gap, rep = brute_force(model, j, k, replica)
@@ -643,13 +680,6 @@ class TestCompiledKernel:
                 assert ground.degeneracy == degeneracy
                 assert float(ground.gap).hex() == float(gap).hex()
                 assert ground.config == rep
-                seen["zero_dim"] += any(
-                    intertwiner_dim(j.vertex_spins(x)) == 0 for x in model.graph.vertices
-                )
-                seen["mismatched"] += j != k
-                seen["ties"] += degeneracy > 1
-                seen["tied_down_rep"] += degeneracy > 1 and bool(rep.down_set())
-        return seen
 
     def test_random_instances(self):
         """The first six default sectors of each draw of one to three
@@ -661,37 +691,14 @@ class TestCompiledKernel:
         def check(drawn):
             graph, family = drawn
             model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-            found = self.assert_matches(model, model.default_sectors()[:6], model._kernel)
+            sectors = model.default_sectors()[:6]
+            self.assert_matches(model, sectors, model._kernel)
+            found = kernel_coverage(model, sectors, model._bulk_kernels(sectors))
             for key in seen:
                 seen[key] += found[key]
 
         check()
         assert all(seen.values()), seen
-
-    def test_six_vertex_chain(self):
-        """Spin-0 islands at both ends make flips free there, so ground
-        states tie; the superposed middle link reaches an empty intertwiner
-        space at spin 3, and the half-integer leg at spin 1/2."""
-        graph = chain_graph(6)
-        allowed = {lid: ["1"] for lid in graph.link_ids()}
-        allowed.update({lid: ["0"] for lid in ("l", "t0", "e1", "e5", "r", "t5")})
-        allowed.update({"e3": ["1", "2", "3"], "t1": ["1/2", "1"]})
-        family = SectorFamily.build(graph, "0", "3", allowed=allowed, normalize=False)
-        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-        seen = self.assert_matches(model, model.default_sectors(), model._kernel)
-        assert all(seen.values()), seen
-
-    def test_near_ties_and_summation_order(self):
-        """Half-integer and integer legs give sums of logs that tie up to
-        rounding, so a different summation order or an exact tie test would
-        change bits or tie counts here."""
-        graph = chain_graph(4, legs=2)
-        allowed = {lid: ["1"] for lid in graph.link_ids()}
-        allowed.update({lid: ["1/2"] for lid in ("e2", "t2", "u0", "u2")})
-        allowed.update({"e1": ["1", "2"], "r": ["1/2", "3/2"], "u1": ["3/2"]})
-        family = SectorFamily.build(graph, "1/2", "2", allowed=allowed, normalize=False)
-        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-        self.assert_matches(model, model.default_sectors(), model._kernel)
 
     def test_boundary_to_boundary_single_pass(self):
         @settings(max_examples=3)
@@ -776,7 +783,10 @@ class TestLogSumExp:
 
 
 def six_vertex_chain_model():
-    """The spin-0-island chain of `TestCompiledKernel.test_six_vertex_chain`."""
+    """A chain of six 3-valent vertices.  Spin-0 islands at both ends make
+    flips free there, so ground states tie; the superposed middle link
+    reaches an empty intertwiner space at spin 3, and the half-integer leg
+    at spin 1/2."""
     graph = chain_graph(6)
     allowed = {lid: ["1"] for lid in graph.link_ids()}
     allowed.update({lid: ["0"] for lid in ("l", "t0", "e1", "e5", "r", "t5")})
@@ -786,7 +796,10 @@ def six_vertex_chain_model():
 
 
 def near_tie_chain_model():
-    """The 4-valent chain of `TestCompiledKernel.test_near_ties_and_summation_order`."""
+    """A chain of four 4-valent vertices whose half-integer and integer
+    legs give sums of logs that tie up to rounding, so a different
+    summation order or an exact tie test would change bits or tie counts
+    here."""
     graph = chain_graph(4, legs=2)
     allowed = {lid: ["1"] for lid in graph.link_ids()}
     allowed.update({lid: ["1/2"] for lid in ("e2", "t2", "u0", "u2")})
@@ -814,6 +827,22 @@ def count_class_chain_model(extra=None):
     allowed.update({"e2": ["1", "2"], "t3": ["1/2", "3/2"]}, **(extra or {}))
     family = SectorFamily.build(graph, "1/2", "8", allowed=allowed, normalize=False)
     return IsingModel(graph, family, ModelKind.bulk_to_boundary())
+
+
+def kernel_coverage(model, sectors, kernels):
+    """How many (pair, replica) cells of `kernels` (a `_PairKernels` of
+    `sectors`) have a sector j with a zero-intertwiner vertex, a mismatched
+    pair, a tied ground state, and a tied ground state represented by a
+    configuration with spin-down vertices."""
+    seen = dict.fromkeys(("zero_dim", "mismatched", "ties", "tied_down_rep"), 0)
+    for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
+        for replica in (0, 1):
+            tied = kernels.degeneracy[a, b, replica] > 1
+            seen["zero_dim"] += any(intertwiner_dim(j.vertex_spins(x)) == 0 for x in model.graph.vertices)
+            seen["mismatched"] += j != k
+            seen["ties"] += tied
+            seen["tied_down_rep"] += tied and bool(model._config(int(kernels.rep[a, b, replica])).down_set())
+    return seen
 
 
 def assert_kernels_match(model, sectors, kernels):
@@ -862,6 +891,8 @@ class TestBatchedKernels:
         sectors = model.default_sectors()
         assert len(sectors) == 6
         assert self.assert_matches(model, sectors) == 4
+        seen = kernel_coverage(model, sectors, model._bulk_kernels(sectors))
+        assert all(seen.values()), seen
 
     def test_near_ties(self):
         model = near_tie_chain_model()
@@ -953,15 +984,21 @@ class TestBatchedKernels:
             assert field.shape == (0, 0, 2)
 
     def test_single_kernel_is_the_two_sector_case(self):
-        model = six_vertex_chain_model()
-        sectors = model.default_sectors()
-        kernels = model._bulk_kernels(sectors)
-        for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
-            for replica in (0, 1):
-                z, ground = model._kernel(j, k, replica)
-                assert z == kernels.z[a, b, replica]
-                assert ground.energy == kernels.e_min[a, b, replica]
-                assert ground.degeneracy == kernels.degeneracy[a, b, replica]
+        """`_kernel` of each pair of both fixed chains has the bits of that
+        pair's cell of the batched kernels, which `test_six_vertex_chain`
+        and `test_near_ties` check against `brute_force`."""
+        for model in (six_vertex_chain_model(), near_tie_chain_model()):
+            sectors = model.default_sectors()
+            kernels = model._bulk_kernels(sectors)
+            for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
+                for replica in (0, 1):
+                    at = (a, b, replica)
+                    z, ground = model._kernel(j, k, replica)
+                    assert z.hex() == float(kernels.z[at]).hex()
+                    assert ground.energy.hex() == float(kernels.e_min[at]).hex()
+                    assert ground.degeneracy == kernels.degeneracy[at]
+                    assert ground.gap.hex() == float(kernels.gap[at]).hex()
+                    assert ground.config == (None if kernels.rep[at] < 0 else model._config(int(kernels.rep[at])))
 
     def test_rank_orders_by_sorted_down_set(self):
         """`_rank` orders configurations by their sorted tuple of

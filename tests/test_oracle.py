@@ -6,6 +6,7 @@ enumerate, for both map kinds, without sharing any code with the engine.
 """
 
 import itertools
+import re
 import tracemalloc
 
 import numpy as np
@@ -243,7 +244,7 @@ class TestHaarSampling:
         # Shots 63 and 64 fall in different chunks of the stream.
         graph = glued_graph()
         index = build_hilbert(graph, glued_family(graph))
-        weights = {s: 1.0 + i for i, s in enumerate(index.family_sectors())}
+        weights = {s: 1.0 + i for i, s in enumerate(index.family_sectors())} if grade == "fine" else None
         rows = _haar_rows(index, grade, 3, range(63, 66), weights)
         for s, row in enumerate(rows):
             assert np.array_equal(row, haar_sample(index, grade, 3, 63 + s, weights))
@@ -1012,6 +1013,68 @@ class TestArgumentRanges:
         monkeypatch.setattr(oracle, "MC_BATCH", 1)
         est = mc_purity(index, "bulk", cmap=cmap, shots=2, seed=2**64 - 1)
         assert est.shots == 2 and np.isfinite(est.sigma)
+
+
+def refused_calls(index):
+    """{case: call} for each input the oracle cannot use, on the glued
+    index: a state handed to the bulk-to-boundary map or missing from the
+    boundary-to-boundary one, sector weights at a grade that reads none,
+    and fine weights that do not make a distribution over the family's
+    sectors."""
+    s1, s2 = index.family_sectors()
+    state = IntertwinerState.from_pure(index.graph, {s1: [0.6], s2: [0.8]})
+    cmap = build_cmap(index, ModelKind.bulk_to_boundary())
+    part = BoundaryPartition.from_input(index.graph, ["a1", "a2"])
+    weights = {s1: 1.0, s2: 3.0}
+
+    def held_then_weighted():
+        # the batch the index now holds has this grade, seed and shot range
+        mc_purity(index, "bulk", cmap=cmap, shots=64)
+        mc_purity(index, "bulk", cmap=cmap, shots=64, weights=weights)
+
+    return {
+        "bulk_map_with_state": lambda: build_cmap(index, ModelKind.bulk_to_boundary(), state=state),
+        "boundary_map_without_state": lambda: build_cmap(index, ModelKind.boundary_to_boundary(part)),
+        "exact_medium": lambda: exact_replica_average(index, "bulk", cmap=cmap, weights=weights),
+        "exact_coarse": lambda: exact_replica_average(index, (), cmap=cmap, grade="coarse", weights=weights),
+        "purity_medium": lambda: replica_purity(index, "bulk", cmap=cmap, weights=weights),
+        "mc_medium_held": held_then_weighted,
+        "mc_coarse": lambda: mc_purity(index, "bulk", cmap=cmap, shots=64, grade="coarse", weights=weights),
+        "haar_medium": lambda: haar_sample(index, weights=weights),
+        "haar_coarse": lambda: haar_sample(index, "coarse", weights=weights),
+        "fine_unknown_sector": lambda: exact_replica_average(index, "bulk", cmap=cmap, grade="fine", weights={"bogus": 1.0}),
+        "fine_negative": lambda: haar_sample(index, "fine", weights={s1: 1.0, s2: -0.5}),
+        "fine_no_mass": lambda: mc_purity(index, "bulk", cmap=cmap, shots=64, grade="fine", weights={s1: 0.0}),
+    }
+
+
+def graded(grade):
+    return f"grade {grade!r} reads no sector weights; weights apply to the fine grades only, pass weights=None"
+
+
+REFUSALS = {
+    "bulk_map_with_state": "the bulk-to-boundary map reads no bulk state; pass state=None",
+    "boundary_map_without_state": "the boundary-to-boundary map needs a bulk input state",
+    "exact_medium": graded("medium"),
+    "exact_coarse": graded("coarse"),
+    "purity_medium": graded("medium"),
+    "mc_medium_held": graded("medium"),
+    "mc_coarse": graded("coarse"),
+    "haar_medium": graded("medium"),
+    "haar_coarse": graded("coarse"),
+    "fine_unknown_sector": "weight given for unknown sector bogus",
+    "fine_negative": "sector weights must be non-negative",
+    "fine_no_mass": "sector weights must have positive mass",
+}
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("case", list(REFUSALS))
+    def test_unusable_input_raises_its_name(self, case):
+        graph = glued_graph()
+        index = build_hilbert(graph, glued_family(graph))
+        with pytest.raises(OracleError, match=f"^{re.escape(REFUSALS[case])}$"):
+            refused_calls(index)[case]()
 
 
 class TestReductions:
