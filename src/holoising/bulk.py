@@ -127,14 +127,12 @@ class IntertwinerState:
         graph: OpenGraph,
         sectors: Sequence[SpinSector],
         blocks: Mapping[Tuple[SpinSector, SpinSector], object],
-        require_density: bool = True,
     ) -> "IntertwinerState":
         """Build a density-matrix form state from explicit sector blocks.
 
         Blocks may be given for one triangle only; the missing conjugate
-        blocks are filled in.  With `require_density` the assembled matrix
-        must be Hermitian, positive semidefinite and of unit trace, each
-        within `DENSITY_TOL`.
+        blocks are filled in.  The assembled matrix must be Hermitian,
+        positive semidefinite and of unit trace, each within `DENSITY_TOL`.
         """
         sectors = tuple(sectors)
         dims = {s.key(): vertex_block_dims(graph, s) for s in sectors}
@@ -159,20 +157,19 @@ class IntertwinerState:
         state = IntertwinerState(
             graph=graph, sectors=sectors, blocks=table, amplitudes=None
         )
-        if require_density:
-            full = state.assemble()
-            if not np.allclose(full, full.conj().T, atol=DENSITY_TOL):
-                raise BulkStateError("state matrix is not Hermitian")
-            eigs = np.linalg.eigvalsh(full)
-            if eigs.min() < -DENSITY_TOL * max(1.0, float(abs(eigs).max())):
-                raise BulkStateError(
-                    f"state matrix is not positive semidefinite "
-                    f"(min eigenvalue {eigs.min():.3e})"
-                )
-            if abs(np.trace(full).real - 1.0) > DENSITY_TOL:
-                raise BulkStateError(
-                    f"density matrix trace {np.trace(full).real!r} is not 1"
-                )
+        full = state.assemble()
+        if not np.allclose(full, full.conj().T, atol=DENSITY_TOL):
+            raise BulkStateError("state matrix is not Hermitian")
+        eigs = np.linalg.eigvalsh(full)
+        if eigs.min() < -DENSITY_TOL * max(1.0, float(abs(eigs).max())):
+            raise BulkStateError(
+                f"state matrix is not positive semidefinite "
+                f"(min eigenvalue {eigs.min():.3e})"
+            )
+        if abs(np.trace(full).real - 1.0) > DENSITY_TOL:
+            raise BulkStateError(
+                f"density matrix trace {np.trace(full).real!r} is not 1"
+            )
         return state
 
     # -- bookkeeping -----------------------------------------------------

@@ -47,6 +47,9 @@ from .spins import SectorFamily, Spin, SpinSector, sector_dims, vertex_dims
 #: exact pair measure, or ground-state kernels under the factorized measure.
 MODES = ("exact", "ground_state", "high_spin")
 
+#: Highest cumulant a `PurityReport` carries in its series.
+CUMULANT_ORDER = 4
+
 #: Weights more negative than this are treated as genuinely signed.
 _SIGN_TOL = 1e-12
 
@@ -178,7 +181,6 @@ class PurityReport(JsonReport):
 def average_purity(
     table: PartitionSumTable,
     mode: str = "exact",
-    cumulant_order: int = 4,
     *,
     boundary_weights: bool = False,
 ) -> PurityReport:
@@ -196,7 +198,7 @@ def average_purity(
     * "high_spin": ground-state kernels under the factorized measure
       p_j p_k: Z_0, Z_1 reduce the kernels (1, e^{-E_min}).
 
-    Cumulants are computed up to `cumulant_order` on the distribution
+    Cumulants are computed up to `CUMULANT_ORDER` on the distribution
     conditioned on finite X.  Tables with signed pair weights (possible for
     boundary-to-boundary models with indefinite overlaps) are rejected:
     the expectation view needs a genuine probability measure.  The
@@ -205,8 +207,6 @@ def average_purity(
     """
     if mode not in MODES:
         raise EntropyError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if cumulant_order < 1:
-        raise EntropyError("cumulant_order must be at least 1")
     k_total = _fsum(table.k.tolist(), "sector weights K")
     if k_total <= 0.0:
         raise EntropyError("table carries no sector weight")
@@ -256,7 +256,7 @@ def average_purity(
         raise EntropyError("no pair carries both weight and a finite exponent")
     xs = np.array(x_vals)[feasible].tolist()
     ps = (probs[feasible] / mass).tolist()
-    series = _cumulant_series(xs, ps, cumulant_order)
+    series = _cumulant_series(xs, ps, CUMULANT_ORDER)
 
     provenance = {
         "exact": "exact",

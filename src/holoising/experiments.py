@@ -887,17 +887,15 @@ def _solve_cross_sector(dims: Sequence[Tuple[str, int, int]]) -> C2Solution:
 def reproduce_c2(
     family: SectorFamily,
     graph: OpenGraph,
-    window: Optional[Sequence[Mapping[str, object]]] = None,
 ) -> C2Report:
     """Single-vertex sector census against the dimension-only partition sums.
 
-    `window` optionally restricts the census to the listed boundary
-    assignments (each a {link: spin} map); by default every admissible
-    sector of the family is counted.  The report carries the diagonal sums
-    (which the dimension formulas describe), the full engine totals
-    including cross-sector normalization pairs, the cross-sector solution,
-    and the scaling behaviour as the output dimension is inflated by each
-    of C2_SCALE_FACTORS.
+    The census counts every admissible sector of the family, read from the
+    family's default table (`IsingModel.partition_table()`).  The report
+    carries the diagonal sums (which the dimension formulas describe), the
+    full engine totals including cross-sector normalization pairs, the
+    cross-sector solution, and the scaling behaviour as the output
+    dimension is inflated by each of C2_SCALE_FACTORS.
     """
     if len(graph.vertices) != 1:
         raise ExperimentError(
@@ -909,17 +907,10 @@ def reproduce_c2(
             "the sector census needs boundary links only (no loops)"
         )
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-    table = model.partition_table() if window is None else model.window_table(window)
+    table = model.partition_table()
     pool = table.sectors
-    for entry in window or ():
-        twice = tuple(Spin.parse(entry[lid]).twice for lid in graph.boundary_ids())
-        if twice not in pool.keys:
-            raise ExperimentError(
-                f"no admissible sector matches the boundary assignment "
-                f"{dict(entry)!r}"
-            )
     if not len(pool):
-        raise ExperimentError("the census window is empty")
+        raise ExperimentError("the census is empty: the family has no admissible sector")
 
     sectors = []
     dims = []

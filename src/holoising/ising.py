@@ -273,7 +273,8 @@ class ModelKind:
 
     The boundary-to-boundary kind carries the input/output split of the
     boundary legs; the bulk-to-boundary kind has no partition (the whole
-    boundary is output).
+    boundary is output).  Any other mode, or a partition on the wrong
+    kind, is refused.
     """
 
     mode: str
@@ -282,14 +283,21 @@ class ModelKind:
     BULK_TO_BOUNDARY = "bulk_to_boundary"
     BOUNDARY_TO_BOUNDARY = "boundary_to_boundary"
 
+    def __post_init__(self) -> None:
+        modes = (ModelKind.BULK_TO_BOUNDARY, ModelKind.BOUNDARY_TO_BOUNDARY)
+        if self.mode not in modes:
+            raise EngineError(f"unknown model kind {self.mode!r}; expected one of {modes}")
+        if self.is_boundary_to_boundary and self.partition is None:
+            raise EngineError("boundary-to-boundary kind needs a boundary partition")
+        if not self.is_boundary_to_boundary and self.partition is not None:
+            raise EngineError("bulk-to-boundary kind has no boundary partition; pass partition=None")
+
     @staticmethod
     def bulk_to_boundary() -> "ModelKind":
         return ModelKind(mode=ModelKind.BULK_TO_BOUNDARY)
 
     @staticmethod
     def boundary_to_boundary(partition: BoundaryPartition) -> "ModelKind":
-        if partition is None:
-            raise EngineError("boundary-to-boundary kind needs a boundary partition")
         return ModelKind(
             mode=ModelKind.BOUNDARY_TO_BOUNDARY, partition=partition
         )
@@ -1015,8 +1023,6 @@ class IsingModel:
         self.kind = kind
         self.state = state
         if kind.is_boundary_to_boundary:
-            if kind.partition is None:
-                raise EngineError("boundary-to-boundary kind lost its partition")
             kind.partition.validate(graph)
             if state is None:
                 raise EngineError(

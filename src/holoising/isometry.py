@@ -25,9 +25,10 @@ and the ladder of per-sector conditions equivalent to it:
   are rejected.
 
 Verdicts are graded, never boolean: every condition reports a nonnegative
-numeric defect per sector plus a pass flag at a configurable tolerance
-(defaults: relative 1e-3 with exact kernels, 5% in the ground-state
-approximation, whose kernels keep only e^{-E_min} of each pair).
+numeric defect per sector plus a pass flag at the regime's tolerance
+`REGIME_TOLERANCES` (relative 1e-3 with exact kernels, 5% in the
+ground-state approximation, whose kernels keep only e^{-E_min} of each
+pair).
 
 Z_b and Zbar_b are read, not summed here: the table's `totals` and `z_bar`
 in the exact regime, its reducer `kernel_sums` on e^{-E_min} otherwise.
@@ -51,7 +52,7 @@ from .spins import (
     intertwiner_dim,
 )
 
-#: Supported evaluation regimes and their default pass tolerances.
+#: Supported evaluation regimes and the pass tolerance each grades at.
 REGIME_TOLERANCES = {"exact": 1e-3, "ground_state": 0.05}
 
 #: Relative tolerance used when validating state inputs (Hermiticity, purity).
@@ -67,15 +68,12 @@ class IsometryError(RuntimeError):
     """Raised for inputs outside a check's domain."""
 
 
-def _resolve_regime(regime: str, tolerance: Optional[float]) -> Tuple[str, float]:
+def _regime_tolerance(regime: str) -> float:
     if regime not in REGIME_TOLERANCES:
         raise IsometryError(
             f"unknown regime {regime!r}; expected one of {sorted(REGIME_TOLERANCES)}"
         )
-    tol = REGIME_TOLERANCES[regime] if tolerance is None else float(tolerance)
-    if tol <= 0.0:
-        raise IsometryError(f"tolerance must be positive, got {tol!r}")
-    return regime, tol
+    return REGIME_TOLERANCES[regime]
 
 
 # -- condition matrix ----------------------------------------------------
@@ -328,7 +326,6 @@ def check_bulk_to_boundary(
     graph: OpenGraph,
     window: Sequence[Mapping[str, object]],
     regime: str = "exact",
-    tolerance: Optional[float] = None,
 ) -> IsometryVerdict:
     """Grade every holography condition over a window of boundary sectors.
 
@@ -349,9 +346,9 @@ def check_bulk_to_boundary(
     The total Z_0 in `sector_weight` keeps pairs with different boundary
     spins (their normalization kernels do not vanish), and the input
     dimensions D_{I_E} count every admissible bulk completion inside the
-    family's cutoff box.
+    family's cutoff box.  Each defect passes at `REGIME_TOLERANCES[regime]`.
     """
-    regime, tol = _resolve_regime(regime, tolerance)
+    tol = _regime_tolerance(regime)
     entries = _normalize_window(graph, window)
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
     table = model.window_table([fixed for _, fixed in entries])
@@ -741,7 +738,6 @@ def check_boundary_to_boundary(
     partition: BoundaryPartition,
     zeta: IntertwinerState,
     regime: str = "exact",
-    tolerance: Optional[float] = None,
 ) -> IsometryVerdict:
     """Grade the transparency condition for a two-boundary-region map.
 
@@ -751,8 +747,9 @@ def check_boundary_to_boundary(
     link dimensions over the distinct input boundary sectors the state
     covers.  For a single-vertex graph the dimension-only closed form and
     its two entropy factors are reported alongside the assembled purity.
+    Each defect passes at `REGIME_TOLERANCES[regime]`.
     """
-    regime, tol = _resolve_regime(regime, tolerance)
+    tol = _regime_tolerance(regime)
     if zeta is None:
         raise IsometryError("boundary-to-boundary check needs a bulk state")
     if not zeta.is_pure():

@@ -970,6 +970,11 @@ def _pattern_matrix(cmap: CMap, grid: RegionGrid, colsel, subset: Tuple[int, ...
 def _ranked(keys: np.ndarray) -> np.ndarray:
     """Each key's rank among the distinct keys: dense, in the keys' order, so
     a `bincount` over them has no empty bin whatever the keys' spacing."""
+    # A presence mask over the key range and its cumsum give the same ranks
+    # without a sort, but not faster: over the 2,992 calls of the
+    # oracle-xcheck benchmark at seed 5 (138 ops, median 144 keys, spans up
+    # to 331,776) it took 829-905 us per op against 415-458 us for
+    # np.unique, on a 2-CPU Xeon.
     return np.unique(keys, return_inverse=True)[1]
 
 

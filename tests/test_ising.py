@@ -543,6 +543,11 @@ def refused_calls():
         "k_of_another_graph": lambda: model.ground_state(low, foreign, 1),
         "sector_set_of_another_graph": lambda: model.sector_set([low, foreign]),
         "boundary_without_sector": lambda: IsingModel(legs, leg_family, bulk).boundary_fixed_sums(odd),
+        "unknown_kind": lambda: ModelKind("bogus"),
+        "boundary_kind_without_partition": lambda: ModelKind.boundary_to_boundary(None),
+        "bulk_kind_with_partition": lambda: ModelKind(
+            ModelKind.BULK_TO_BOUNDARY, BoundaryPartition.from_input(graph, ["c"])
+        ),
     }
 
 
@@ -553,6 +558,9 @@ REFUSALS = {
     "k_of_another_graph": "sector k belongs to a different graph",
     "sector_set_of_another_graph": "sector belongs to a different graph",
     "boundary_without_sector": "no admissible sector matches this boundary",
+    "unknown_kind": "unknown model kind 'bogus'; expected one of ('bulk_to_boundary', 'boundary_to_boundary')",
+    "boundary_kind_without_partition": "boundary-to-boundary kind needs a boundary partition",
+    "bulk_kind_with_partition": "bulk-to-boundary kind has no boundary partition; pass partition=None",
 }
 
 
@@ -1185,7 +1193,11 @@ class TestBoundaryKernels:
             blocks[(sec, sec)] = r @ r.T
         assert sizes[m] == 2
         blocks[(m, m)] = np.array([[0.5, 0.25j], [-0.25j, -0.5]])
-        state = IntertwinerState.from_blocks(graph, [j, k, m, n], blocks, require_density=False)
+        # `from_blocks` refuses a state that is no density matrix, so the
+        # constructor takes the blocks, each conjugate block filled in here.
+        blocks = {(x.key(), y.key()): np.asarray(blk, dtype=complex) for (x, y), blk in blocks.items()}
+        blocks.update({(y, x): blk.conj().T.copy() for (x, y), blk in list(blocks.items()) if x != y})
+        state = IntertwinerState(graph, (j, k, m, n), blocks)
         part = BoundaryPartition.from_input(graph, ["b1", "b2", "c"])
         model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
         table = model.partition_table()

@@ -19,6 +19,7 @@ from numpy.random import Generator, Philox
 
 from conftest import four_leg_graph, glued_graph, two_sector_vertex_family
 from strategies import boundary_instances, examples
+from test_sector_arrays import star_graph
 
 from holoising import oracle
 from holoising.bulk import IntertwinerState
@@ -1015,12 +1016,19 @@ class TestArgumentRanges:
         assert est.shots == 2 and np.isfinite(est.sigma)
 
 
+def sectorless_index():
+    """One vertex with three spin-1/2 legs, which cannot couple to spin 0:
+    the family has no admissible sector."""
+    graph = star_graph()
+    return build_hilbert(graph, SectorFamily.build(graph, "1/2", "1/2"))
+
+
 def refused_calls(index):
     """{case: call} for each input the oracle cannot use, on the glued
     index: a state handed to the bulk-to-boundary map or missing from the
     boundary-to-boundary one, sector weights at a grade that reads none,
     and fine weights that do not make a distribution over the family's
-    sectors."""
+    sectors; and a fine average over a family with no sector."""
     s1, s2 = index.family_sectors()
     state = IntertwinerState.from_pure(index.graph, {s1: [0.6], s2: [0.8]})
     cmap = build_cmap(index, ModelKind.bulk_to_boundary())
@@ -1045,6 +1053,7 @@ def refused_calls(index):
         "fine_unknown_sector": lambda: exact_replica_average(index, "bulk", cmap=cmap, grade="fine", weights={"bogus": 1.0}),
         "fine_negative": lambda: haar_sample(index, "fine", weights={s1: 1.0, s2: -0.5}),
         "fine_no_mass": lambda: mc_purity(index, "bulk", cmap=cmap, shots=64, grade="fine", weights={s1: 0.0}),
+        "fine_no_sector": lambda: haar_sample(sectorless_index(), "fine"),
     }
 
 
@@ -1065,6 +1074,7 @@ REFUSALS = {
     "fine_unknown_sector": "weight given for unknown sector bogus",
     "fine_negative": "sector weights must be non-negative",
     "fine_no_mass": "sector weights must have positive mass",
+    "fine_no_sector": "no admissible sectors for the fine average",
 }
 
 

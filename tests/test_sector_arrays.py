@@ -422,10 +422,11 @@ class TestSectorSet:
             bulk.window_table([{"a": "1"}])
 
     def test_empty_census_window(self):
+        """Three spin-1/2 legs cannot couple to spin 0."""
         graph = star_graph()
-        family = SectorFamily.build(graph, "1/2", "1")
-        with pytest.raises(ExperimentError, match="census window is empty"):
-            reproduce_c2(family, graph, window=[])
+        family = SectorFamily.build(graph, "1/2", "1/2")
+        with pytest.raises(ExperimentError, match="census is empty"):
+            reproduce_c2(family, graph)
 
 
 # -- window groups -------------------------------------------------------------
