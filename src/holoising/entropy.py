@@ -570,7 +570,7 @@ def fine_average_purity(
     admissible sectors.  Sectors with empty intertwiner space are ignored.
     """
     pool = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
-    pool = pool.take(np.flatnonzero((np.array(pool.vertex_dims) > 0).all(axis=1)))
+    pool = pool.take(np.flatnonzero(np.isfinite(pool.vertex_log_d).all(axis=1)))
     if not len(pool):
         raise EntropyError("family admits no sector with intertwiners")
     labels = pool.labels
@@ -601,13 +601,7 @@ def fine_average_purity(
     inter_dims = {a: math.prod(pool.vertex_dims[a]) for a in probs}
     d_input = sum(inter_dims.values())
 
-    raw = {}
-    for a, p in probs.items():
-        amp = math.prod(
-            abs(family.g(lid, pool.sectors[a].spin(lid))) ** 2
-            for lid in graph.internal_ids()
-        )
-        raw[a] = p * amp
+    raw = {a: p * math.prod(m**2 for m in pool.amplitude[a].tolist()) for a, p in probs.items()}
     norm = math.fsum(raw.values())
     if norm <= 0.0:
         raise EntropyError("all weighted sectors have vanishing amplitude")

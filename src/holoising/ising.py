@@ -105,14 +105,22 @@ spins, which the batched kernels read.  A bulk-to-boundary pool is the
 family's `spins.sector_matrix`; a boundary-to-boundary pool holds the
 state's sectors.  The set codes boundary assignments as integer keys.
 Labels, intertwiner dimensions per sector and vertex, log K per sector,
-D_I and D_O per key, and the `SpinSector` objects are views built on
-first use, so a matrix pool makes `SpinSector`s only for the rows a
-consumer iterates after `weighted()` drops the zero-weight ones.  Dimensions come from the one
-dimension evaluator of `spins`: `vertex_dims` gives the intertwiner
-dimensions per row (read from the module-level cache of
-`spins.twice_intertwiner_dim` by doubled-spin tuple), and `input_dims`
-gives D_I per key from one enumeration of the family's bulk spin
-assignments, shared by every key; the set memoizes D_I per key.
+D_I and D_O per key, the `SpinSector` objects and three factor views are
+built on first use, so a matrix pool makes `SpinSector`s only for the
+rows a consumer iterates after `weighted()` drops the zero-weight ones.
+The factor views are the one source of the terms of K and H:
+`link_log_d` (S x L, log d), `amplitude` (S x internal links, |g|) and
+`vertex_log_d` (S x V, log D, -inf where D = 0); `_memo_column` fills
+each column, evaluating its term once per distinct spin or vertex spin
+tuple (`spins.vertex_twice`).  Memory: 8 (L + L_int + V) bytes per
+sector, for L_int internal links.  log K, the energies of both kinds and
+the admissibility tests of `entropy` and `isometry` read them; the oracle
+(which checks the engine), `isometry.scaling_constraint_g` (one link's
+spins) and `entropy.high_spin_energies` (bare sectors, no model) keep
+their own.  Dimensions come from the one evaluator of `spins`:
+`vertex_dims` gives D per row and vertex, and `input_dims` gives D_I per
+key from one enumeration of the family's bulk spin assignments, shared
+by every key; the set memoizes D_I per key.
 `partition_table` drops the sectors of zero weight and builds the table
 from the weighted set and its kernels, `PartitionSumTable(sectors,
 kernels)`, the table's one constructor.
@@ -133,11 +141,11 @@ parses the window once (`spins.boundary_twice`) and, where the slot
 holds the family and every boundary lies in the held pool's box, returns
 the held table's `take` of each boundary's rows in turn, as fresh arrays
 with the held labels.  Otherwise it enumerates the window boundary by
-boundary, never the whole family.  Memory: the last default pool plus
-5 x 2S^2 kernel entries of its S weighted sectors, kept until another
-family's default table replaces them.  Boundary-to-boundary models
-neither read nor fill the slot; their windows slice the table of the
-state's sectors.
+boundary, never the whole family.  Memory: the last default pool with its
+factor views, plus 5 x 2S^2 kernel entries of its S weighted sectors,
+kept until another family's default table replaces them.
+Boundary-to-boundary models neither read nor fill the slot; their
+windows slice the table of the state's sectors.
 
 The table keeps the set's
 `log_k` and stores the kernels as arrays: `PartitionSumTable.z`, `e_min`,
@@ -151,10 +159,10 @@ isometry read the arrays directly.
 `IsingModel.k_factor` and `boundary_fixed_sums` are views too: the first
 reads log K and D_O of a one-sector `SectorSet`, the second the one
 boundary row of the table of a boundary's sectors.  So log K has one sum,
-`SectorSet.log_k`, and every K-weighted pair sum one, `_kernel_sums`
-(`PartitionSumTable.kernel_sums`, which reads the table's `log_k` and the
-set's boundary keys): the table's own `totals`, `z_bar` and
-`log_cancellation`, computed when the table is built, and the
+`SectorSet.log_k` over the set's factor views, and every K-weighted pair
+sum one, `_kernel_sums` (`PartitionSumTable.kernel_sums`, which reads the
+table's `log_k` and the set's boundary keys): the table's own `totals`,
+`z_bar` and `log_cancellation`, computed when the table is built, and the
 ground-state sums (`ground_kernel`) of `entropy` and `isometry`.
 `_kernel_sums` is a bucketed reducer: every nonzero term gets the bucket
 id of its replica, slot (the total or one boundary key) and sign, one
@@ -210,7 +218,9 @@ from .spins import (
     input_dims,
     intertwiner_dim,  # noqa: F401  (read as ising.intertwiner_dim by perfbench/test_perfbench.py)
     sector_matrix,
+    twice_intertwiner_dim,
     vertex_dims,
+    vertex_twice,
 )
 
 #: Absolute tolerance for counting ground-state ties.
@@ -669,19 +679,15 @@ def _log_cancellation(lp: float, ln: float, log_form: Tuple[int, float]) -> floa
     return math.inf if top > -math.inf else 0.0
 
 
-def _log_table(rows, zero: float) -> np.ndarray:
-    """math.log of every entry of `rows` (rows of ints), `zero` for 0."""
-    logs = {0: zero}
-    out = []
-    for row in rows:
-        values = []
-        for d in row:
-            value = logs.get(d)
-            if value is None:
-                value = logs[d] = math.log(d)
-            values.append(value)
-        out.append(values)
-    return np.array(out, dtype=float)
+def _memo_column(values: Iterable, term) -> List[float]:
+    """term(v) of every entry v of `values`, evaluated once per distinct v."""
+    known: Dict = {}
+    return [known[v] if v in known else known.setdefault(v, term(v)) for v in values]
+
+
+def _log_weight(value) -> float:
+    """math.log of a nonnegative number, -inf for 0."""
+    return math.log(value) if value > 0 else -math.inf
 
 
 @dataclass(frozen=True)
@@ -839,10 +845,10 @@ class SectorSet:
     integer codes: `key[a]` indexes `keys`, the list's distinct boundary
     spin tuples (columns in `graph.boundary_ids()` order) in sorted order.
     The `SpinSector` objects (`sectors`), labels, log K per sector (-inf
-    for zero weight), intertwiner dimensions per sector and vertex, and
-    D_I, D_O per boundary key are computed on first use.  The set keeps
-    the model's graph, family, kind and state, not the model and its
-    configuration masks.
+    for zero weight) and its factor views, intertwiner dimensions per
+    sector and vertex, and D_I, D_O per boundary key are computed on first
+    use.  The set keeps the model's graph, family, kind and state, not the
+    model and its configuration masks.
     """
 
     def __init__(self, model: "IsingModel", twice: np.ndarray, sectors: Optional[Sequence[SpinSector]] = None):
@@ -864,6 +870,9 @@ class SectorSet:
     def __len__(self) -> int:
         return len(self.twice)
 
+    #: The per-sector arrays `take` carries and `_hold` makes read-only.
+    ARRAYS = ("log_k", "link_log_d", "amplitude", "vertex_log_d")
+
     def take(self, index: np.ndarray) -> "SectorSet":
         """The sectors at `index`, sharing the caches and keeping the
         per-sector views already built."""
@@ -875,8 +884,9 @@ class SectorSet:
         for name in ("sectors", "labels", "vertex_dims"):
             if name in self.__dict__:
                 subset.__dict__[name] = tuple(map(self.__dict__[name].__getitem__, rows))
-        if "log_k" in self.__dict__:
-            subset.__dict__["log_k"] = self.log_k[index]
+        for name in self.ARRAYS:
+            if name in self.__dict__:
+                subset.__dict__[name] = self.__dict__[name][index]
         return subset
 
     def weighted(self) -> "SectorSet":
@@ -919,34 +929,48 @@ class SectorSet:
         return vertex_dims(self.graph, self.twice)
 
     @functools.cached_property
+    def link_log_d(self) -> np.ndarray:
+        """log d = log(2j + 1) of every sector (rows) and link (columns in
+        `graph.link_ids()` order)."""
+        return self._factors(self.twice.shape[1], ((c, lambda t: math.log(t + 1)) for c in self.twice.T.tolist()))
+
+    @functools.cached_property
+    def amplitude(self) -> np.ndarray:
+        """|g| of every sector and internal link (`graph.internal_ids()` order)."""
+        ids, g = self.graph.internal_ids(), self.family.g
+        columns = zip(ids, self.twice[:, : len(ids)].T.tolist())
+        return self._factors(len(ids), ((c, lambda t, lid=lid: abs(g(lid, Spin(t)))) for lid, c in columns))
+
+    @functools.cached_property
+    def vertex_log_d(self) -> np.ndarray:
+        """log D(j^x) of every sector and vertex (graph order), -inf where
+        D = 0, read from the cache of `spins.twice_intertwiner_dim`."""
+        term = lambda key: _log_weight(twice_intertwiner_dim(key))  # noqa: E731
+        return self._factors(len(self.graph.vertices), ((rows, term) for rows in vertex_twice(self.graph, self.twice)))
+
+    def _factors(self, width: int, columns) -> np.ndarray:
+        """S x `width`: column i is the `_memo_column` of the i-th (values, term)."""
+        out = np.empty((len(self), width))
+        for i, (values, term) in enumerate(columns):
+            out[:, i] = _memo_column(values, term)
+        return out
+
+    @functools.cached_property
     def log_k(self) -> np.ndarray:
-        """log K per sector, summed term by term: boundary links, internal
-        links, then the state weight or the vertices.  `IsingModel.k_factor`
-        is the one-sector case."""
-        graph = self.graph
-        column = {lid: i for i, lid in enumerate(graph.link_ids())}
+        """log K per sector, the factor views summed column by column: log d
+        of the boundary links, log |g|^2 of the internal links, then the
+        state weight or log D of the vertices.  `IsingModel.k_factor` is
+        the one-sector case."""
         log_k = np.zeros(len(self))
-
-        def add(lid: str, term) -> None:
-            spins = self.twice[:, column[lid]].tolist()
-            values = {t: term(t) for t in set(spins)}
-            log_k[:] += [values[t] for t in spins]
-
-        for lid in graph.boundary_ids():
-            add(lid, lambda t: math.log(t + 1))
-        for lid in graph.internal_ids():
-            def amplitude(t, lid=lid):
-                mag = abs(self.family.g(lid, Spin(t))) ** 2
-                return math.log(mag) if mag > 0.0 else -math.inf
-
-            add(lid, amplitude)
+        for column in self.link_log_d[:, len(self.graph.internal_ids()) :].T:
+            log_k += column
+        for column in self.amplitude.T.tolist():
+            log_k += _memo_column(column, lambda m: _log_weight(m**2))
         if self.kind.is_boundary_to_boundary:
-            weights = [self.state.weight(sec) for sec in self.sectors]
-            log_k += [math.log(w) if w > 0.0 else -math.inf for w in weights]
+            log_k += [_log_weight(self.state.weight(sec)) for sec in self.sectors]
         else:
-            vertex_logs = _log_table(self.vertex_dims, -math.inf).reshape(len(self), len(graph.vertices))
-            for p in range(len(graph.vertices)):
-                log_k += vertex_logs[:, p]
+            for column in self.vertex_log_d.T:
+                log_k += column
         return log_k
 
     def d_input(self, codes: Sequence[int]) -> List[int]:
@@ -985,8 +1009,10 @@ def _hold(model: "IsingModel", pool: SectorSet, weighted: SectorSet, kernels: _P
     """Make `pool` and the table of its weighted sectors the held pool,
     replacing the one held before; returns the table."""
     global _held
-    arrays = (kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap, kernels.rep)
-    for array in (pool.twice, pool.log_k, weighted.twice, weighted.log_k, *arrays):
+    # Reading a view builds it if need be (log_k of a bulk-to-boundary set
+    # has built them all), so the held sets get no writable view later.
+    views = [getattr(sectors, name) for sectors in (pool, weighted) for name in ("twice", *SectorSet.ARRAYS)]
+    for array in (*views, kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap, kernels.rep):
         array.flags.writeable = False
     # The pool holds every bulk completion of each of its boundary keys, so
     # D_I of a key is the sum of prod_x D(j^x) over its rows, the integer
@@ -1092,7 +1118,7 @@ class IsingModel:
         allowed = list(_agreement(differs, differs @ incidence.T, cut, actives))[replica]
         if not allowed[0, 0]:
             return 0.0, None
-        energies, _ = self._bulk_energies(sectors, masks)
+        energies = self._bulk_energies(sectors, masks)
         return 1.0, float(energies[replica][0, 0])
 
     def delta_factor(
@@ -1228,29 +1254,27 @@ class IsingModel:
         return self._boundary_masks_of(self._down)
 
     @staticmethod
-    def _bulk_energies(sectors: SectorSet, masks) -> Tuple[Tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """(energy per replica, vertex_lam) of every sector of `sectors` on
-        the configurations of `masks` (`_bulk_masks_of`).  energy[b]
-        (sectors x configurations) adds log d over the cut links in
-        `link_ids` order, then log D over the vertices active in replica b
-        in graph order, each with `np.add(..., where=)`, which leaves the
-        other entries alone; vertex_lam (sectors x vertices) holds log D,
-        +inf where a vertex has no intertwiners."""
-        cut, actives, incidence = masks
+    def _bulk_energies(sectors: SectorSet, masks) -> Tuple[np.ndarray, np.ndarray]:
+        """The energy per replica of every sector of `sectors` on the
+        configurations of `masks` (`_bulk_masks_of`).  energy[b] (sectors x
+        configurations) adds log d over the cut links in `link_ids` order,
+        then log D over the vertices active in replica b in graph order
+        (+inf where a vertex has no intertwiners), each with
+        `np.add(..., where=)`, which leaves the other entries alone."""
+        cut, actives, _ = masks
         count, size = len(sectors), cut.shape[1]
         link_part = np.zeros((count, size))
-        for li, column in enumerate(sectors.twice.T.tolist()):
-            lam = np.array([math.log(t + 1) for t in column])
+        for li, lam in enumerate(sectors.link_log_d.T):
             np.add(link_part, lam[:, None], out=link_part, where=cut[li])
-        vertex_lam = _log_table(sectors.vertex_dims, math.inf).reshape(count, len(incidence))
+        vertex_lam = np.where(np.isneginf(sectors.vertex_log_d), math.inf, sectors.vertex_log_d)
         # Replica 1 takes over the link part's memory.
         energies = (link_part.copy(), link_part)
         for energy, active in zip(energies, actives):
             for p in range(vertex_lam.shape[1]):
                 np.add(energy, vertex_lam[:, p, None], out=energy, where=active[p])
-        return energies, vertex_lam
+        return energies
 
-    def _bulk_kernels(self, sectors: Union[Sequence[SpinSector], SectorSet]) -> _PairKernels:
+    def _bulk_kernels(self, sectors: SectorSet) -> _PairKernels:
         """Kernels and ground states of every ordered pair of `sectors`, in
         both bulk-to-boundary replicas.
 
@@ -1282,18 +1306,17 @@ class IsingModel:
         matrix and one replica's kernel array, so that no block outgrows
         what the call holds anyway.
         """
-        sectors = sectors if isinstance(sectors, SectorSet) else self.sector_set(sectors)
         masks = cut, actives, incidence = self._bulk_masks
         count, size = len(sectors), cut.shape[1]
         twice = sectors.twice
-        energies, vertex_lam = self._bulk_energies(sectors, masks)
+        energies = self._bulk_energies(sectors, masks)
 
         pair_j, pair_k = np.divmod(np.arange(count * count), count)
         nl = twice.shape[1]
         # A pair's list key: the links where j and k differ, then the
         # vertices where j has no intertwiners.
         differs = (twice[:, None] != twice[None, :]).reshape(count * count, nl)
-        keys = np.concatenate([differs, np.isinf(vertex_lam)[pair_j]], axis=1)
+        keys = np.concatenate([differs, np.isneginf(sectors.vertex_log_d)[pair_j]], axis=1)
         lists, group = _unique_bool_rows(keys)
         rows, row_of_pair = np.unique(group.reshape(-1) * count + pair_j, return_inverse=True)
         row_list, row_j = np.divmod(rows, count)
@@ -1388,9 +1411,8 @@ class IsingModel:
         twice, links = sectors.twice, self.graph.link_ids()
         (count, nl), size = twice.shape, cut.shape[2]
         energy = np.zeros((2, count, size))  # [replica, sector, configuration]
-        lam = _log_table((twice + 1).tolist(), 0.0).reshape(count, nl)
-        for li in range(nl):
-            np.add(energy, lam[None, :, li, None], out=energy, where=cut[:, li, None])
+        for li, lam in enumerate(sectors.link_log_d.T):
+            np.add(energy, lam[None, :, None], out=energy, where=cut[:, li, None])
         kets, bras = sectors.sectors, state.sectors
         nb, vertices = len(bras), self.graph.vertices
         held = np.array([sec.twice_of(links) for sec in bras], dtype=np.int64).reshape(nb, nl)

@@ -373,7 +373,7 @@ def check_bulk_to_boundary(
     # (a) all-up minimizes the swapped-replica Hamiltonian, sector by sector.
     # In replica 1 it cuts no link and activates every vertex, so its
     # energy is sum_x log D_x.
-    h_up = [sum(map(math.log, dims)) for dims in pool.vertex_dims]
+    h_up = [sum(row) for row in pool.vertex_log_d.tolist()]
     cond_a = _record(
         "ground_state_all_up",
         "all-up configuration attains E_min of the swapped replica",
@@ -491,23 +491,18 @@ def window_groups(family: SectorFamily, graph: OpenGraph) -> Dict[int, Tuple[Tup
 
     A boundary sector is admissible when at least one bulk completion inside
     the family's box has nonzero intertwiner spaces and superposition
-    weight (|g| > 0 on every internal link; |g|^2 may underflow to 0, so
-    log K does not decide it).  Keys are D_O values; each value tuple lists
-    the boundary keys, doubled spins in `graph.boundary_ids()` order as
-    `SectorSet.keys` holds them, in enumeration order of their first
-    admissible sector.  The family's `SectorSet` holds its whole sector
-    matrix (8 bytes per link and sector) next to its per-sector boundary
-    tuples and vertex dimensions, so the peak is several times the matrix:
-    on a 7-link, 2-vertex family of 823,543 sectors the peak RSS grows by
-    219 MB for a 46 MB matrix.
+    weight: finite `vertex_log_d` and `amplitude` |g| > 0 on every internal
+    link (|g|^2 may underflow to 0, so log K does not decide it).  Keys are
+    D_O values; each value tuple lists the boundary keys, doubled spins in
+    `graph.boundary_ids()` order as `SectorSet.keys` holds them, in
+    enumeration order of their first admissible sector.  The family's
+    `SectorSet` keeps its sector matrix and the two views (8 bytes per
+    sector and link, vertex or internal link); the peak comes before them,
+    from its per-sector boundary tuples: on a 7-link, 2-vertex family of
+    823,543 sectors (cutoffs 0-3) the peak RSS grows by 219 MB.
     """
     pool = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
-    admissible = (np.array(pool.vertex_dims) > 0).all(axis=1)
-    for i, lid in enumerate(graph.internal_ids()):
-        column = pool.twice[:, i]
-        for t in set(column.tolist()):
-            if abs(family.g(lid, Spin(t))) == 0.0:
-                admissible &= column != t
+    admissible = np.isfinite(pool.vertex_log_d).all(axis=1) & (pool.amplitude > 0.0).all(axis=1)
     codes = pool.key[admissible]
     _, first = np.unique(codes, return_index=True)
     groups: Dict[int, List[Tuple[int, ...]]] = {}
@@ -767,25 +762,12 @@ def check_boundary_to_boundary(
         raise IsometryError("normalization sum Z_0 vanishes")
     purity = totals[1] / totals[0]
 
-    input_ids = tuple(
-        lid for lid in graph.boundary_ids() if lid in partition.input_region
-    )
-    output_ids = tuple(
-        lid for lid in graph.boundary_ids() if lid in partition.output_region
-    )
     in_dims: Dict[Tuple, int] = {}
     out_dims: Dict[Tuple, int] = {}
     for sec in table.sectors.sectors:
-        ikey = tuple((lid, sec.spin(lid).twice) for lid in input_ids)
-        okey = tuple((lid, sec.spin(lid).twice) for lid in output_ids)
-        d_i = 1
-        for _, t in ikey:
-            d_i *= Spin(t).dim
-        d_o = 1
-        for _, t in okey:
-            d_o *= Spin(t).dim
-        in_dims.setdefault(ikey, d_i)
-        out_dims.setdefault(okey, d_o)
+        for region, dims in ((partition.input_region, in_dims), (partition.output_region, out_dims)):
+            key = tuple(t for lid, t in sec.assignment if lid in region)
+            dims.setdefault(key, math.prod(t + 1 for t in key))
     d_input_total = sum(in_dims.values())
     d_output_total = sum(out_dims.values())
 

@@ -22,12 +22,12 @@ Sector pools come in two forms: `enumerate_sectors` yields `SpinSector`
 objects lazily, and `sector_matrix` returns the same sectors, in the same
 order, as one int64 matrix of doubled spins.
 
-One evaluator decides every dimension, on such matrices: `vertex_dims`
-gives D(j^x) per row and vertex, and `input_dims` gives D_I(E) per
-boundary key from one bulk `sector_matrix` shared by all keys.
-`sector_dims`, the engine's `SectorSet` and `entropy.high_spin_energies`
-(for sector j's vertex couplings) call them; `entropy`, `isometry` and
-`experiments` otherwise read dimensions through the set.
+One evaluator decides every dimension, on such matrices: `vertex_twice`
+gives each vertex's spin tuples, `vertex_dims` their D(j^x) and
+`input_dims` D_I(E) per boundary key from one bulk `sector_matrix`.  The
+engine's `SectorSet` is the one source of the factor terms (log d, |g|,
+log D) and dimensions that the other modules read; `sector_dims` and
+`entropy.high_spin_energies` (bare sectors) call this module directly.
 """
 
 from __future__ import annotations
@@ -76,11 +76,6 @@ class Spin:
 
     def __str__(self) -> str:
         return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
-
-
-def link_dim(j: Spin) -> int:
-    """d_j = 2j + 1."""
-    return j.dim
 
 
 @lru_cache(maxsize=None)
@@ -384,15 +379,20 @@ def sector_matrix(
     return np.fromiter(flat, dtype=np.int64, count=count * len(choices)).reshape(count, len(choices))
 
 
-def vertex_dims(graph: OpenGraph, twice: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
-    """D(j^x) for every row of `twice` (an (N, L) matrix of doubled spins,
-    columns in `graph.link_ids()` order) and every vertex (graph order),
-    each read from the cache of `twice_intertwiner_dim` by its row's tuple."""
+def vertex_twice(graph: OpenGraph, twice: np.ndarray) -> Iterator[Iterator[Tuple[int, ...]]]:
+    """Per vertex (graph order), the tuple of its link spins (`links_at`
+    order) in each row of `twice` (an (N, L) matrix of doubled spins,
+    columns in `graph.link_ids()` order), made lazily from one list per link."""
     column = {lid: i for i, lid in enumerate(graph.link_ids())}
-    per_vertex = []
     for x in graph.vertices:
-        rows = twice[:, [column[lid] for lid in graph.links_at(x)]].tolist()
-        per_vertex.append(list(map(twice_intertwiner_dim, map(tuple, rows))))
+        yield zip(*twice[:, [column[lid] for lid in graph.links_at(x)]].T.tolist())
+
+
+def vertex_dims(graph: OpenGraph, twice: np.ndarray) -> Tuple[Tuple[int, ...], ...]:
+    """D(j^x) for every row of `twice` and every vertex (graph order), each
+    read from the cache of `twice_intertwiner_dim` by its `vertex_twice`
+    tuple."""
+    per_vertex = [list(map(twice_intertwiner_dim, rows)) for rows in vertex_twice(graph, twice)]
     return tuple(zip(*per_vertex)) if per_vertex else tuple(() for _ in range(len(twice)))
 
 

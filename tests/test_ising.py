@@ -701,7 +701,7 @@ class TestCompiledKernel:
             model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
             sectors = model.default_sectors()[:6]
             self.assert_matches(model, sectors, model._kernel)
-            found = kernel_coverage(model, sectors, model._bulk_kernels(sectors))
+            found = kernel_coverage(model, sectors, model._bulk_kernels(model.sector_set(sectors)))
             for key in seen:
                 seen[key] += found[key]
 
@@ -874,7 +874,7 @@ class TestBatchedKernels:
 
     def assert_matches(self, model, sectors):
         """Returns the number of distinct sets of differing links."""
-        assert_kernels_match(model, sectors, model._bulk_kernels(sectors))
+        assert_kernels_match(model, sectors, model._bulk_kernels(model.sector_set(sectors)))
         links = model.graph.link_ids()
         return len({tuple(j.spin(lid) != k.spin(lid) for lid in links) for j in sectors for k in sectors})
 
@@ -899,7 +899,7 @@ class TestBatchedKernels:
         sectors = model.default_sectors()
         assert len(sectors) == 6
         assert self.assert_matches(model, sectors) == 4
-        seen = kernel_coverage(model, sectors, model._bulk_kernels(sectors))
+        seen = kernel_coverage(model, sectors, model._bulk_kernels(model.sector_set(sectors)))
         assert all(seen.values()), seen
 
     def test_near_ties(self):
@@ -967,7 +967,7 @@ class TestBatchedKernels:
         empty = [a for a, sec in enumerate(sectors) if intertwiner_dim(sec.vertex_spins("v4")) == 0]
         assert 0 < len(empty) < len(sectors)
         assert self.assert_matches(model, sectors) == 8
-        kernels = model._bulk_kernels(sectors)
+        kernels = model._bulk_kernels(model.sector_set(sectors))
         infeasible = [
             (a, b)
             for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2)
@@ -987,7 +987,8 @@ class TestBatchedKernels:
         assert kernels.rep[empty[0], empty[0], 0] >> (4 - v4) & 1 == 0
 
     def test_empty_sector_list_kernels(self):
-        kernels = six_vertex_chain_model()._bulk_kernels([])
+        model = six_vertex_chain_model()
+        kernels = model._bulk_kernels(model.sector_set([]))
         for field in (kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap, kernels.rep):
             assert field.shape == (0, 0, 2)
 
@@ -997,7 +998,7 @@ class TestBatchedKernels:
         and `test_near_ties` check against `brute_force`."""
         for model in (six_vertex_chain_model(), near_tie_chain_model()):
             sectors = model.default_sectors()
-            kernels = model._bulk_kernels(sectors)
+            kernels = model._bulk_kernels(model.sector_set(sectors))
             for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
                 for replica in (0, 1):
                     at = (a, b, replica)

@@ -14,15 +14,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ising_reference as reference
-from strategies import bulk_instances
+from strategies import boundary_instances, bulk_instances
 from holoising import spins
 from holoising.bulk import IntertwinerState
 from holoising.entropy import EntropyError, FineAverage, fine_average_purity, high_spin_energies
 from holoising.experiments import ExperimentError, reproduce_c2
 from holoising.graph import BoundaryPartition, build_graph
-from holoising.ising import IsingModel, ModelKind, _kernel_sums
+from holoising.ising import IsingModel, ModelKind, SectorSet, _kernel_sums
 from holoising.isometry import window_groups
 from holoising.spins import (
     SectorDims,
@@ -387,8 +388,10 @@ class TestSectorSet:
         built = (pool.sectors, pool.labels, pool.vertex_dims, pool.log_k)
         index = np.array([3, 0, 2])
         subset = pool.take(index)
-        for name in ("sectors", "labels", "vertex_dims", "log_k"):
+        for name in ("sectors", "labels", "vertex_dims", "log_k", "link_log_d", "amplitude", "vertex_log_d"):
             assert name in subset.__dict__
+            if name in SectorSet.ARRAYS:
+                assert subset.__dict__[name].tolist() == pool.__dict__[name][index].tolist()
         assert list(subset.sectors) == [built[0][i] for i in index]
         assert list(subset.labels) == [built[1][i] for i in index]
         fresh = IsingModel(model.graph, model.family, ModelKind.bulk_to_boundary()).sector_set(subset.sectors)
@@ -451,6 +454,59 @@ def late_admissible(weights=None):
     )
     allowed = {"e": ["1/2", "3/2"], "a": ["2"], "b": ["1/2", "3/2"], "c": ["1"], "d": ["1/2"]}
     return graph, SectorFamily.build(graph, "1/2", "2", allowed=allowed, weights=weights)
+
+
+class TestFactorViews:
+    """The factor views of `SectorSet` against a direct recomputation, and
+    log K against their terms summed row by row in the stated order:
+    boundary links, internal links, then the vertices or the state weight."""
+
+    @staticmethod
+    def check(model):
+        pool = model.sector_set()
+        graph, family = model.graph, model.family
+        internal = graph.internal_ids()
+        for a, sec in enumerate(pool.sectors):
+            d = [math.log(sec.spin(lid).dim) for lid in graph.link_ids()]
+            g = [abs(family.g(lid, sec.spin(lid))) for lid in internal]
+            dims = [spins.twice_intertwiner_dim(sec.vertex_twice(x)) for x in graph.vertices]
+            big_d = [math.log(dim) if dim else -math.inf for dim in dims]
+            assert pool.link_log_d[a].tolist() == d
+            assert pool.amplitude[a].tolist() == g
+            assert pool.vertex_log_d[a].tolist() == big_d
+            terms = d[len(internal) :] + [math.log(m**2) if m**2 > 0.0 else -math.inf for m in g]
+            if model.kind.is_boundary_to_boundary:
+                weight = model.state.weight(sec)
+                terms.append(math.log(weight) if weight > 0.0 else -math.inf)
+            else:
+                terms += big_d
+            log_k = 0.0
+            for term in terms:
+                log_k += term
+            assert float(pool.log_k[a]).hex() == log_k.hex()
+        return pool
+
+    def test_bulk_instances(self):
+        seen = {"empty_vertex": 0, "zero_amplitude": 0}
+
+        @settings(max_examples=20)
+        @given(bulk_instances(st.integers(1, 3), max_dim=None))
+        def check(drawn):
+            pool = self.check(IsingModel(*drawn, ModelKind.bulk_to_boundary()))
+            seen["empty_vertex"] += int(np.isneginf(pool.vertex_log_d).any())
+            seen["zero_amplitude"] += int((pool.amplitude == 0.0).any())
+
+        check()
+        assert all(seen.values()), seen
+
+    def test_boundary_instances(self):
+        @settings(max_examples=20)
+        @given(boundary_instances(max_dim=None))
+        def check(drawn):
+            graph, family, state, partition, _ = drawn
+            self.check(IsingModel(graph, family, ModelKind.boundary_to_boundary(partition), state))
+
+        check()
 
 
 class TestWindowGroups:

@@ -12,7 +12,6 @@ from holoising.spins import (
     SpinSector,
     enumerate_sectors,
     intertwiner_dim,
-    link_dim,
     sector_dims,
     truncated_link_dim,
 )
@@ -57,10 +56,10 @@ def brute_force_invariant_count(twices):
 
 
 def test_link_dim():
-    assert link_dim(Spin.parse(0)) == 1
-    assert link_dim(Spin.parse("1/2")) == 2
+    assert Spin.parse(0).dim == 1
+    assert Spin.parse("1/2").dim == 2
     for n in (3, 7, 10):
-        assert link_dim(Spin.parse(f"{n - 1}/2")) == n
+        assert Spin.parse(f"{n - 1}/2").dim == n
 
 
 def test_spin_parsing():
