@@ -57,11 +57,10 @@ is one batched Gram per block of shots; memory and Gram work follow the
 occupied blocks, not keep x rest.  A block of shots takes at most
 SHOT_BLOCK shots and only as many as fit in GRID_BLOCK layout entries, at
 least one, so its layout stays within 4 MB unless one shot's is larger.
-GRID_LIMIT caps each such array, and the dense grid `reduced_density`
-lays one state out on; exact traces never build either, so the limit does
-not apply to them.  The pattern sum with unit weights reproduces the
-Ising engine's unnormalized partition totals; normalized grades reweight
-the same traces.
+GRID_LIMIT caps each such array; exact traces never build one, so the
+limit does not apply to them.  The pattern sum with unit weights
+reproduces the Ising engine's unnormalized partition totals; normalized
+grades reweight the same traces.
 
 Haar streams.  A Haar vector is a normalized standard complex Gaussian.
 The Gaussians of (vertex, block) for shot s come from chunk c = s //
@@ -90,7 +89,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .bulk import IntertwinerState
-from .graph import OpenGraph, PortRef
+from .graph import OpenGraph
 from .ising import ModelKind
 from .spins import SectorFamily, Spin, SpinSector, enumerate_sectors, intertwiner_dim
 
@@ -115,9 +114,8 @@ SHOT_BLOCK = 64
 # as fit, at least one.
 GRID_BLOCK = 1 << 18
 
-# Most complex entries, 16 bytes each, one grid array may hold: a Monte
-# Carlo layout (shots times the occupied blocks' cells), or the dense
-# keep x rest grid `reduced_density` lays a state out on.
+# Most complex entries, 16 bytes each, one Monte Carlo layout may hold:
+# shots times the occupied blocks' cells.
 GRID_LIMIT = 1 << 24
 
 # Most entry pairs one chunk of a pair Gram lists at once (about 100 bytes
@@ -279,14 +277,6 @@ class HilbertIndex:
             ]
         return self._digits
 
-    def slots(self) -> Tuple[Slot, ...]:
-        out: List[Slot] = []
-        for space in self.spaces:
-            out.append(("I", space.vertex))
-            for p in range(len(space.port_links)):
-                out.append(("L", space.vertex, p))
-        return tuple(out)
-
     def slot_key(self, slot: Slot) -> Tuple[np.ndarray, int]:
         """(alphabet key of the slot for every global label, alphabet size)."""
         kind = slot[0]
@@ -369,38 +359,6 @@ def build_hilbert(
 
 
 # ---------------------------------------------------------------------------
-# Link projectors
-# ---------------------------------------------------------------------------
-
-
-def singlet_projector(index: HilbertIndex, link_id: str) -> np.ndarray:
-    """Weighted singlet projector of one internal link, on its two port alphabets.
-
-    The spin-j block carries weight |g_j|^2 on the normalized two-port
-    singlet (1/sqrt d) sum_k (-1)^k |k>|d-1-k>.  This is the operator whose
-    single insertion per replica copy defines the averaged traces; the map
-    built by build_cmap uses its amplitude square root per side instead, so
-    that the sandwich C rho C^+ composes to the same weight.
-    """
-    link = next(
-        (e for e in index.graph.internal_links if e.link_id == link_id), None
-    )
-    if link is None:
-        raise OracleError(f"link {link_id!r} is not an internal link")
-    allowed = index.family.allowed[link_id]
-    offsets, acc = _alphabet(allowed)
-    out = np.zeros((acc * acc, acc * acc), dtype=complex)
-    for s in allowed:
-        d = s.dim
-        off = offsets[s.twice]
-        vec = np.zeros(acc * acc, dtype=complex)
-        for k in range(d):
-            vec[(off + k) * acc + (off + d - 1 - k)] = (-1.0) ** k / np.sqrt(d)
-        out += abs(index.family.g(link_id, s)) ** 2 * np.outer(vec, vec.conj())
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Region grids: output rows laid out by their labels inside and outside R
 # ---------------------------------------------------------------------------
 
@@ -412,9 +370,9 @@ class RegionGrid:
     outside the swap region R.  Distinct rows have distinct cells, so an
     array over the rows becomes a (keep_dim, rest_dim) array that is zero
     where no row lands, and a partial trace onto R is one matrix product.
-    Only `lay_out` (for `reduced_density`) allocates the dense grid, which
-    GRID_LIMIT caps; Monte Carlo lays shots out on its occupied blocks
-    (`GridBlocks`), and exact traces read the entries.
+    The package never allocates that dense grid: Monte Carlo lays shots
+    out on its occupied blocks (`GridBlocks`), and exact traces read the
+    entries.
     """
 
     def __init__(self, keys_r: List[np.ndarray], keys_rest: List[np.ndarray], dim: int):
@@ -423,27 +381,6 @@ class RegionGrid:
         self.keep_dim = int(self.rid.max()) + 1 if dim else 0
         self.rest_dim = int(self.bid.max()) + 1 if dim else 0
         self.cell = self.rid * self.rest_dim + self.bid
-
-    def lay_out(self, values: np.ndarray) -> np.ndarray:
-        """Scatter `values`, one per row, onto the (keep_dim, rest_dim) grid."""
-        what = f"laying rows out on the {self.keep_dim} x {self.rest_dim} (region x rest) grid"
-        out = _limited_zeros((self.keep_dim * self.rest_dim,), what)
-        out[self.cell] = values
-        return out.reshape(self.keep_dim, self.rest_dim)
-
-
-def _limited_zeros(shape: Tuple[int, ...], what: str, hint: str = "") -> np.ndarray:
-    """A complex zero array of `shape`, refused above GRID_LIMIT entries
-    with an error that says `what` the array is for, then `hint`."""
-    entries = math.prod(shape)
-    if entries > GRID_LIMIT:
-        raise OracleError(
-            f"{what} needs an array of {' x '.join(map(str, shape))} = {entries} "
-            f"entries, above GRID_LIMIT = {GRID_LIMIT}; raise "
-            f"holoising.oracle.GRID_LIMIT (16 bytes per entry) or tighten the "
-            f"spin lists{hint}"
-        )
-    return np.zeros(shape, dtype=complex)
 
 
 def _compress_rows(key_arrays: List[np.ndarray], dim: int) -> np.ndarray:
@@ -662,16 +599,20 @@ class GridBlocks(ShotProduct):
     def zeros(self, shots: int) -> np.ndarray:
         """A complex zero layout for `shots` shots, refused above GRID_LIMIT
         entries."""
-        grid = self.grid
-        return _limited_zeros(
-            (shots, self.size),
-            f"laying {shots} shots out on the occupied blocks of the {grid.keep_dim} x "
-            f"{grid.rest_dim * self.n} (region x rest) grid ({sum(c for _, c, _, _ in self.runs)} "
-            f"blocks, {self.size} cells a shot)",
-            f".  Monte Carlo lays out one block of shots at a time: at most SHOT_BLOCK = "
-            f"{SHOT_BLOCK}, and only as many as fit in GRID_BLOCK = {GRID_BLOCK} layout "
-            f"entries, at least one",
-        )
+        entries = shots * self.size
+        if entries > GRID_LIMIT:
+            grid = self.grid
+            raise OracleError(
+                f"laying {shots} shots out on the occupied blocks of the {grid.keep_dim} x "
+                f"{grid.rest_dim * self.n} (region x rest) grid ({sum(c for _, c, _, _ in self.runs)} "
+                f"blocks, {self.size} cells a shot) needs an array of {shots} x {self.size} = "
+                f"{entries} entries, above GRID_LIMIT = {GRID_LIMIT}; raise "
+                f"holoising.oracle.GRID_LIMIT (16 bytes per entry) or tighten the spin lists.  "
+                f"Monte Carlo lays out one block of shots at a time: at most SHOT_BLOCK = "
+                f"{SHOT_BLOCK}, and only as many as fit in GRID_BLOCK = {GRID_BLOCK} layout "
+                f"entries, at least one"
+            )
+        return np.zeros((shots, self.size), dtype=complex)
 
 
 def _components(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
@@ -932,13 +873,18 @@ def resolve_region(index: HilbertIndex, region) -> Tuple[Slot, ...]:
             return tuple(("I", x) for x in index.graph.vertices)
         region = [region]
     out: List[Slot] = []
+    boundary = index.graph.boundary_ids()
     for item in region:
         if isinstance(item, tuple) and item and item[0] in ("I", "L"):
             out.append(item)
-        elif isinstance(item, str):
+        elif isinstance(item, str) and item in boundary:
             out.append(index.boundary_slot(item))
         else:
-            raise OracleError(f"cannot interpret region item {item!r}")
+            raise OracleError(
+                f"cannot interpret region item {item!r}: a region is \"bulk\" or lists "
+                f"boundary link ids of the graph ({', '.join(boundary)}) and slot tokens "
+                f"('I', vertex) or ('L', vertex, port)"
+            )
     return tuple(out)
 
 
@@ -1164,22 +1110,6 @@ def _fine_pattern_sum(cmap: CMap, grid: RegionGrid, weights, grade: str) -> floa
     return total
 
 
-def replica_purity(
-    index: HilbertIndex,
-    region,
-    *,
-    cmap: CMap,
-    grade: str = "medium",
-    weights: Optional[Mapping] = None,
-) -> float:
-    """Averaged replica purity of `cmap`: the region trace over the empty-region trace."""
-    z1 = exact_replica_average(index, region, cmap=cmap, grade=grade, weights=weights)
-    z0 = exact_replica_average(index, (), cmap=cmap, grade=grade, weights=weights)
-    if z0 <= 0:
-        raise OracleError("normalization trace is not positive")
-    return z1 / z0
-
-
 # ---------------------------------------------------------------------------
 # Haar sampling
 # ---------------------------------------------------------------------------
@@ -1335,80 +1265,6 @@ def haar_sample(
 
 
 # ---------------------------------------------------------------------------
-# Reductions of explicit states
-# ---------------------------------------------------------------------------
-
-
-def reduced_density(
-    source,
-    phi: np.ndarray,
-    subsystem,
-) -> np.ndarray:
-    """Partial trace of a pure state onto a slot subsystem.
-
-    `source` is a HilbertIndex (states on the global basis) or a CMap (states
-    on its output space).  `subsystem` follows resolve_region; the result is
-    indexed by the compressed labels of the kept slots.
-    """
-    grid = _reduction_grid(source, subsystem)
-    phi = grid.lay_out(np.asarray(phi, dtype=complex).reshape(-1))
-    return phi @ phi.conj().T
-
-
-def _reduction_grid(source, subsystem) -> RegionGrid:
-    if isinstance(source, CMap):
-        return source.pair_basis(resolve_region(source.index, subsystem))
-    index = source
-    slots = resolve_region(index, subsystem)
-    key_r = [index.slot_key(s)[0] for s in slots]
-    rest = [index.slot_key(s)[0] for s in index.slots() if s not in set(slots)]
-    return RegionGrid(key_r, rest, index.dim)
-
-
-def sector_states(source, phi: np.ndarray) -> Dict[SpinSector, Tuple[float, np.ndarray]]:
-    """Split a state into sectors: {sector: (weight, block as (d_bulk, d_rest))}.
-
-    With a CMap source, `phi` lives on the map's output space and the block
-    columns are boundary labels; with a HilbertIndex source, `phi` is a
-    global state and the columns collect every port factor.  Weights are
-    relative squared norms.
-    """
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    total = float(np.vdot(phi, phi).real)
-    if total <= 0:
-        raise OracleError("cannot sector-resolve a null state")
-    out: Dict[SpinSector, Tuple[float, np.ndarray]] = {}
-    if isinstance(source, CMap):
-        index = source.index
-        for sec in index.family_sectors():
-            rows, d_i = _out_sector_rows(source, sec)
-            block = phi[rows]
-            w = float(np.vdot(block, block).real) / total
-            out[sec] = (w, block.reshape(d_i, -1))
-        return out
-    index = source
-    for sec in index.family_sectors():
-        cols = index.sector_columns(sec)
-        block = phi[cols]
-        w = float(np.vdot(block, block).real) / total
-        shape: List[int] = []
-        int_axes: List[int] = []
-        port_axes: List[int] = []
-        for space, bid in zip(index.spaces, index.sector_block_ids(sec)):
-            blk = space.blocks[bid]
-            for d in blk.port_dims:
-                port_axes.append(len(shape))
-                shape.append(d)
-            int_axes.append(len(shape))
-            shape.append(blk.intertwiner_dim)
-        tensor = block.reshape(shape)
-        tensor = np.transpose(tensor, int_axes + port_axes)
-        d_i = int(np.prod([shape[i] for i in int_axes], dtype=np.int64))
-        out[sec] = (w, tensor.reshape(d_i, -1))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # Monte Carlo estimates
 # ---------------------------------------------------------------------------
 
@@ -1512,88 +1368,6 @@ def mc_purity(
         shots=shots,
         seed=seed,
     )
-
-
-# ---------------------------------------------------------------------------
-# Channel diagnostics on sector data
-# ---------------------------------------------------------------------------
-
-
-def choi_map(
-    rho_sectors: Mapping,
-    x_ops: Mapping,
-    dims: Mapping,
-    c_weights: Mapping,
-    window: Sequence,
-) -> Dict:
-    """Bulk-to-boundary superoperator applied to a sector-diagonal operator.
-
-    rho_sectors maps each window sector to its (dI*dO, dI*dO) density block;
-    x_ops maps sectors to (dI, dI) operators.  Off-window or sector-mixing
-    inputs are rejected.  Returns {sector: boundary operator}, scaled by the
-    total input dimension.
-    """
-    window = list(window)
-    win = {_sector_key(s) for s in window}
-    for key in x_ops:
-        if _sector_key(key) not in win:
-            raise OracleError("operator input mixes sectors outside the window")
-    k_total = sum(dims[_sector_key(s)][0] for s in window)
-    out: Dict = {}
-    for s in window:
-        key = _sector_key(s)
-        d_i, d_o = dims[key]
-        x = None
-        for cand in x_ops:
-            if _sector_key(cand) == key:
-                x = np.asarray(x_ops[cand], dtype=complex)
-        if x is None:
-            continue
-        if x.shape != (d_i, d_i):
-            raise OracleError(f"operator block for {key} has shape {x.shape}")
-        rho4 = np.asarray(rho_sectors[key], dtype=complex).reshape(d_i, d_o, d_i, d_o)
-        # Tr_I[(X (x) 1) rho] contracts X against the two intertwiner axes.
-        out[key] = k_total * c_weights[key] * np.einsum("ab,boap->op", x, rho4)
-    return out
-
-
-def _sector_key(s):
-    return s.key() if isinstance(s, SpinSector) else s
-
-
-def hs_isometry_defect(
-    rho_sectors: Mapping,
-    dims: Mapping,
-    c_weights: Mapping,
-    window: Sequence,
-) -> float:
-    """Worst-sector defect of the two-copy swap condition plus the Gram defect.
-
-    The first part measures, per sector, how far c^2 K^2 Tr_{O^2}[(rho (x)
-    rho) S_O] is from the input swap; the second compares the channel's Gram
-    matrix on matrix units with the identity's.
-    """
-    window = list(window)
-    k_total = sum(dims[_sector_key(s)][0] for s in window)
-    worst = 0.0
-    for s in window:
-        key = _sector_key(s)
-        d_i, d_o = dims[key]
-        c = float(c_weights[key])
-        rho4 = np.asarray(rho_sectors[key], dtype=complex).reshape(d_i, d_o, d_i, d_o)
-        two_copy = np.einsum("aobp,cpdo->acbd", rho4, rho4).reshape(d_i * d_i, d_i * d_i)
-        swap_in = np.zeros((d_i * d_i, d_i * d_i), dtype=complex)
-        for a in range(d_i):
-            for b in range(d_i):
-                swap_in[a * d_i + b, b * d_i + a] = 1.0
-        delta = (c * k_total) ** 2 * two_copy - swap_in
-        worst = max(worst, float(np.max(np.abs(np.linalg.eigvalsh((delta + delta.conj().T) / 2)))))
-        # Gram defect over the sector's matrix units.
-        images = (c * k_total) * rho4  # images[b, o, a, p] = T(e_ab)[o, p]
-        gram = np.einsum("boap,fodp->abdf", np.conj(images), images)
-        ident = np.einsum("ad,bf->abdf", np.eye(d_i), np.eye(d_i))
-        worst = max(worst, float(np.max(np.abs(gram - ident))))
-    return worst
 
 
 @dataclass(frozen=True)

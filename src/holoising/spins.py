@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -51,6 +52,13 @@ class Spin:
     twice: int
 
     def __post_init__(self):
+        if type(self.twice) is not int:
+            if isinstance(self.twice, bool) or not isinstance(self.twice, numbers.Integral):
+                raise TypeError(
+                    f"Spin takes the doubled spin twice_j = 2j as an integer, got {self.twice!r}; "
+                    f"Spin.parse takes j"
+                )
+            object.__setattr__(self, "twice", int(self.twice))
         if self.twice < 0:
             raise ValueError(f"negative spin: twice_j = {self.twice}")
 
@@ -68,7 +76,12 @@ class Spin:
         """Accept a Spin, an int/float j, or a string like "3/2"."""
         if isinstance(value, Spin):
             return value
-        fr = Fraction(str(value))
+        try:
+            fr = Fraction(str(value))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(
+                f"cannot read {value!r} as a spin j: give a Spin, a number or a string like \"3/2\""
+            ) from None
         twice = 2 * fr
         if twice.denominator != 1:
             raise ValueError(f"{value!r} is not a half-integer spin")
@@ -438,14 +451,3 @@ def sector_dims(
         d_output=math.prod(ldims[lid] for lid in graph.boundary_ids()),
         dim_sector=dim_sector,
     )
-
-
-def truncated_link_dim(family: SectorFamily) -> int:
-    """Truncated single-link dimension: the inclusive sum of 2j + 1 from the
-    lower to the upper cutoff over the half-integer grid.
-
-    Note: an alternative closed form (d_J(d_J + 1) - d_jmin(d_jmin + 1)) / 2
-    floating around for this quantity excludes the lower endpoint and is
-    smaller by d_jmin; this function implements the inclusive sum.
-    """
-    return sum(t + 1 for t in range(family.lower.twice, family.upper.twice + 1))

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import array_table
+from oracle_reference import hs_isometry_defect
 
 from holoising.bulk import IntertwinerState
 from holoising.graph import BoundaryPartition, build_graph
@@ -34,7 +35,6 @@ from holoising.isometry import (
     suggest_window,
     window_groups,
 )
-from holoising.oracle import hs_isometry_defect
 from holoising.entropy import average_purity
 from holoising.spins import SectorFamily, Spin, enumerate_sectors
 

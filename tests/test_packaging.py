@@ -1,8 +1,10 @@
 """Packaging metadata and the benchmark's tracer point at code that exists,
-the package runs on its declared dependencies alone, the parity tool
-compares result files as it documents, and the test suite's `hypothesis`
-profile is deterministic."""
+the package runs on its declared dependencies alone, every public name of
+the package has a caller outside the tests, the parity tool compares
+result files as it documents, and the test suite's `hypothesis` profile is
+deterministic."""
 
+import ast
 import importlib
 import json
 import os
@@ -18,6 +20,20 @@ PYPROJECT = ROOT / "pyproject.toml"
 TRACING = ROOT / "perfbench" / "tracing.py"
 PARITY = ROOT / "tools" / "parity.py"
 
+# Public names with no caller in the package, `tools/` or `perfbench/`
+# that stay public: the paper's quantities, the trace-preservation check
+# and the Haar draw of one shot.
+KEPT = (
+    "cumulant_expansion",
+    "rt_average",
+    "lqg_area_match",
+    "coarse_average_purity",
+    "scaling_constraint_g",
+    "localisation_probe",
+    "check_trace_preservation",
+    "haar_sample",
+)
+
 
 @pytest.mark.skipif(sys.version_info < (3, 11), reason="tomllib needs Python 3.11")
 def test_console_scripts_resolve():
@@ -31,6 +47,37 @@ def test_console_scripts_resolve():
         for part in attr.split("."):
             entry = getattr(entry, part)
         assert callable(entry), f"console script {name!r} -> {target!r} is not callable"
+
+
+def code_names(nodes):
+    """The names `nodes` use in code: each variable name and attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for top in nodes
+        for node in ast.walk(top)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_has_a_caller():
+    """Each public top-level function and class of `src/holoising` is used
+    in code (a name or an attribute, not a docstring) outside its own
+    definition: in its module, in another module of the package, in
+    `tools/` or in `perfbench/`, or it is one of the `KEPT` names.  A
+    helper only the tests call lives with the tests.  Each `KEPT` name
+    exists and has no such caller."""
+    modules = {path: ast.parse(path.read_text()).body for path in sorted((ROOT / "src" / "holoising").glob("*.py"))}
+    scripts = sorted(ROOT.glob("tools/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
+    outside = code_names(ast.parse(path.read_text()) for path in scripts)
+    unused = set()
+    for path, body in modules.items():
+        other = outside.union(*(code_names(b) for p, b in modules.items() if p != path))
+        for node in body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if node.name not in other | code_names(n for n in body if n is not node):
+                    unused.add(node.name)
+    assert not unused - set(KEPT), f"public names with no caller outside the tests: {sorted(unused - set(KEPT))}"
+    assert set(KEPT) <= unused
 
 
 IMPORT_EVERY_MODULE = """

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from holoising.spins import (
     enumerate_sectors,
     intertwiner_dim,
     sector_dims,
-    truncated_link_dim,
 )
 
 
@@ -70,6 +70,23 @@ def test_spin_parsing():
         Spin.parse(0.3)
     with pytest.raises(ValueError):
         Spin(-1)
+
+
+def test_spin_takes_an_integer_twice_j():
+    """`Spin` takes the doubled spin as an integer: a bool or a float is
+    refused with a pointer to `Spin.parse`, and an integral numpy scalar is
+    stored as a Python int."""
+    for bad in (1.5, 2.0, True, np.bool_(True), "3"):
+        with pytest.raises(TypeError, match=r"Spin\.parse takes j"):
+            Spin(bad)
+    spin = Spin(np.int64(3))
+    assert type(spin.twice) is int and spin == Spin(3) and str(spin) == "3/2"
+
+
+def test_spin_parse_names_what_it_could_not_read():
+    for bad in ("abc", True, "1/0", None):
+        with pytest.raises(ValueError, match=f"cannot read {re.escape(repr(bad))} as a spin j"):
+            Spin.parse(bad)
 
 
 def test_intertwiner_dim_basics():
@@ -215,9 +232,3 @@ def test_weight_lookup_boundary_is_unit():
     assert fam.g("bx1", Spin(1)) == 1.0
     assert fam.g("e0", Spin(1)) != 0.0
 
-
-def test_truncated_link_dim():
-    g = _family_graph()
-    assert truncated_link_dim(SectorFamily.build(g, "1/2", "1/2")) == 2
-    assert truncated_link_dim(SectorFamily.build(g, "1/2", 1)) == 5
-    assert truncated_link_dim(SectorFamily.build(g, 0, 1)) == 6
