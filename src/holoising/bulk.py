@@ -219,19 +219,6 @@ class IntertwinerState:
                 ] = self.block(ka, kb)
         return out
 
-    def conjugate(self) -> "IntertwinerState":
-        """Entrywise complex conjugate of every block (same sector set)."""
-        return IntertwinerState(
-            graph=self.graph,
-            sectors=self.sectors,
-            blocks={key: blk.conj() for key, blk in self.blocks.items()},
-            amplitudes=(
-                None
-                if self.amplitudes is None
-                else {key: vec.conj() for key, vec in self.amplitudes.items()}
-            ),
-        )
-
     def is_pure(self) -> bool:
         if self.amplitudes is not None:
             return True

@@ -540,10 +540,6 @@ class C1Report(JsonReport):
     reference_minimizer: Tuple[float, float, float]
     minimizer_distance: float
 
-    @property
-    def minimizer(self) -> Tuple[float, float, float]:
-        return (self.optimum.a, self.optimum.d, self.optimum.w)
-
     def to_json_dict(self) -> dict:
         return {**super().to_json_dict(), **json_value({
             "start": {

@@ -117,29 +117,6 @@ class OpenGraph:
             raise KeyError(link_id)
         return self._ends[link_id][0]
 
-    # -- serialization ---------------------------------------------------
-
-    def to_dict(self) -> dict:
-        return {
-            "vertices": [
-                {"id": v, "valence": self.valence[v]} for v in self.vertices
-            ],
-            "links": [
-                {
-                    "id": e.link_id,
-                    "ends": [
-                        [e.source.vertex, e.source.port],
-                        [e.target.vertex, e.target.port],
-                    ],
-                }
-                for e in self.internal_links
-            ]
-            + [
-                {"id": s.link_id, "end": [s.end.vertex, s.end.port]}
-                for s in self.boundary_links
-            ],
-        }
-
 
 def build_graph(spec: dict) -> OpenGraph:
     """Build and validate an OpenGraph from a plain-dict description.

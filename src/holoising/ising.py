@@ -152,7 +152,7 @@ The table keeps the set's
 `degeneracy` and `gap` each hold S^2 x 2 entries, indexed [j, k, replica]
 (8 bytes each, so 16 S^2 bytes per field), so every table covers every
 sector pair, and the boundary-diagonal sums one entry per boundary key.  `rows`,
-`k_factors`, `boundary_rows`, `d_total`, `y` and the CSV/JSON writers are
+`k_factors`, `boundary_rows`, `d_total`, `y` and the JSON writer are
 views over these arrays, built on first use (so D_I, which enumerates the
 family's bulk box, is not asked for until a dimension is read); entropy and
 isometry read the arrays directly.
@@ -189,9 +189,9 @@ reshapes are left out of the derived dict by `json_field(None)`.  A
 nested report, alone or in a tuple, is written by its own
 `to_json_dict`.  `json_value` maps each float that is not finite to None
 and each int beyond 2^53 in magnitude to its decimal string, which a
-reader that parses numbers as float64 would round; `JsonReport.to_json`
-writes strict JSON (`allow_nan=False`).  `PartitionSumTable` is not a
-dataclass and keeps its own writers.  A table's JSON keeps its totals and
+reader that parses numbers as float64 would round, so every dict dumps as
+strict JSON (`allow_nan=False`).  `PartitionSumTable` is not a dataclass
+and keeps its own `to_json_dict`.  A table's JSON keeps its totals and
 boundary sums in log domain too (`log_totals`, `log_Z_bar_0/1`), so a
 total that overflows reads null as a float but stays a finite log.
 """
@@ -199,9 +199,7 @@ total that overflows reads null as a float but stays a finite log.
 from __future__ import annotations
 
 import copy
-import csv
 import functools
-import json
 import math
 from dataclasses import dataclass, field, fields
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
@@ -267,9 +265,6 @@ class IsingConfig:
     def sigma(self) -> Dict[str, int]:
         return dict(self.values)
 
-    def down_set(self) -> Tuple[str, ...]:
-        return tuple(x for x, s in self.values if s < 0)
-
     def label(self) -> str:
         return "".join("+" if s > 0 else "-" for _, s in self.values)
 
@@ -322,7 +317,8 @@ class ModelKind:
 
 @dataclass(frozen=True)
 class KFactor:
-    """Sector weight K and its split K = L * D_O (log-domain internally)."""
+    """Sector weight K (log-domain internally) and the sector's output
+    dimension D_O."""
 
     log_value: float
     d_output: int
@@ -330,14 +326,6 @@ class KFactor:
     @property
     def value(self) -> float:
         return math.exp(self.log_value) if math.isfinite(self.log_value) else 0.0
-
-    @property
-    def log_l(self) -> float:
-        return self.log_value - math.log(self.d_output)
-
-    @property
-    def l_value(self) -> float:
-        return math.exp(self.log_l) if math.isfinite(self.log_l) else 0.0
 
 
 # -- results -------------------------------------------------------------
@@ -456,16 +444,12 @@ def json_field(name: Optional[str], **kwargs):
 class JsonReport:
     """Base of the reports: `to_json_dict` is the `json_value` of every
     dataclass field under its JSON name (`json_field`, else the field's own
-    name), and `to_json` writes it as strict JSON, so no NaN or Infinity
-    token is written."""
+    name), so it dumps as strict JSON (`allow_nan=False`): no NaN or
+    Infinity token."""
 
     def to_json_dict(self) -> dict:
         keys = ((f.metadata.get("json", f.name), f.name) for f in fields(self))
         return {key: json_value(getattr(self, name)) for key, name in keys if key is not None}
-
-    def to_json(self, path) -> None:
-        with open(path, "w") as handle:
-            json.dump(self.to_json_dict(), handle, indent=2, allow_nan=False)
 
 
 class PartitionSumTable(JsonReport):
@@ -487,11 +471,11 @@ class PartitionSumTable(JsonReport):
 
     `rows`, `k_factors`, `boundary_rows`, `d_total` and `y` are views built
     on first use, so the family's bulk box (`SectorSet.d_input`) is not
-    enumerated until a dimension is read.  `to_csv` and `to_json_dict`
-    (`json_value`) serialize them; the JSON also holds `log_totals` and
-    each boundary row's `log_z_bar` (`log_Z_bar_0`, `log_Z_bar_1`) as
-    [sign, log|.|], which stay finite where a float total is null.  `take`
-    gives the table of a sub-list of the sectors.
+    enumerated until a dimension is read.  `to_json_dict` (`json_value`)
+    serializes them; the JSON also holds `log_totals` and each boundary
+    row's `log_z_bar` (`log_Z_bar_0`, `log_Z_bar_1`) as [sign, log|.|],
+    which stay finite where a float total is null.  `take` gives the table
+    of a sub-list of the sectors.
     """
 
     def __init__(self, sectors: "SectorSet", kernels: "_PairKernels"):
@@ -566,24 +550,6 @@ class PartitionSumTable(JsonReport):
             BoundarySumRow(ids[c], self.z_bar[c], self.y[c], self.d_total[c], self.log_z_bar[c])
             for c in self.boundary_keys
         )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(
-                ["sector_pair_id", "replica", "Z", "E_min", "degeneracy", "gap"]
-            )
-            for row in self.rows:
-                writer.writerow(
-                    [
-                        row.pair_id,
-                        row.replica,
-                        f"{row.z:.17g}",
-                        f"{row.e_min:.17g}",
-                        row.degeneracy,
-                        f"{row.gap:.17g}",
-                    ]
-                )
 
     def to_json_dict(self) -> dict:
         return json_value({
@@ -1540,10 +1506,6 @@ class IsingModel:
 
     # -- assembled sums --------------------------------------------------
 
-    def default_sectors(self) -> List[SpinSector]:
-        """The sectors of the default `sector_set`."""
-        return list(self.sector_set().sectors)
-
     def sector_set(self, sectors: Optional[Iterable[SpinSector]] = None) -> SectorSet:
         """The `SectorSet` of `sectors`, or of the default pool: every sector
         of the family (its `sector_matrix`) for the bulk-to-boundary kind,
@@ -1608,7 +1570,7 @@ class IsingModel:
         """Kernels, ground-state data, K factors, boundary sums, totals.
 
         `sectors` is a sector list or a `SectorSet` (default: the model's
-        `default_sectors`); sectors of zero weight K are dropped.  Totals
+        default `sector_set`); sectors of zero weight K are dropped.  Totals
         include every sector pair (also pairs with different boundary
         spins); the boundary rows are the boundary-diagonal restrictions.
         All pair kernels come from one `_pair_kernels` call.  For the

@@ -61,9 +61,6 @@ STATE_TOL = 1e-8
 #: Pass tolerance of `check_trace_preservation` on its overall defect.
 TRACE_PRESERVATION_TOL = 1e-9
 
-CLASSIFICATIONS = ("holographic", "transparent", "neither")
-
-
 class IsometryError(RuntimeError):
     """Raised for inputs outside a check's domain."""
 
@@ -121,15 +118,6 @@ class ConditionMatrix(JsonReport):
         if not math.isfinite(self.zeroth_order_sum):
             return math.inf
         return abs(self.zeroth_order_sum / self.d_input - 1.0)
-
-    def form_at(self, weights: Sequence[float]) -> float:
-        """Literal quadratic form <q, M q> at a caller-supplied measure."""
-        q = np.asarray(weights, dtype=float)
-        if q.shape != (len(self.labels),):
-            raise IsometryError(
-                f"weight vector has shape {q.shape}, expected ({len(self.labels)},)"
-            )
-        return float(q @ self.m @ q)
 
     def to_json_dict(self) -> dict:
         return {**super().to_json_dict(), "zeroth_order_defect": json_value(self.zeroth_order_defect)}

@@ -24,22 +24,22 @@ The components of a mixed bulk input are stacked as A = [sqrt(w_n) C_n],
 built straight from the singlet support as its nonzero entries: support
 label i is input column i of the output row of its labels, one entry per
 component.  A map takes O(nnz) memory, not out_dim x dim x 16 B per
-component, and frozen vertices are contracted on the entries.  An
-output row sits in the (region x rest) cell of its compressed labels inside
-and outside R, so for each U the entries form a sparse X_U with rows (region
-cell, inputs of U) and columns (rest cell, component, other inputs); X_U X_U^+
-is a partial trace onto R and U, and T_U = ||X_U^+ X_U||_F^2 (the Haar
-average of random tensor networks, Hayden et al., arXiv:1601.01694).  Where
-each column (row) of X_U holds one entry, X_U X_U^+ (X_U^+ X_U) is diagonal
-and T_U sums squared grouped row (column) norms: for U = {} on every map
-without frozen vertices, which has at most one nonzero per input column and
-component, and for every pattern of a one-vertex pure map.  Other patterns
-take one Gram of entry pairs (`_pair_gram`): the entries that share a row
-(or, where that pairs fewer, a column) are paired, and each Gram cell sums
-its pairs' products with `bincount`, in chunks of whole Gram rows of at
-most PAIR_BLOCK pairs.  The fine grades restrict each replica to sector
-columns, Tr(P_j P_k) = ||X_j^+ X_k||_F^2, the same pair Gram across the two
-restrictions.  Row and column keys are ranked before any `bincount`
+component.  An output row sits in the (region x rest) cell of its
+compressed labels inside and outside R, so for each U the entries form a
+sparse X_U with rows (region cell, inputs of U) and columns (rest cell,
+component, other inputs); X_U X_U^+ is a partial trace onto R and U, and
+T_U = ||X_U^+ X_U||_F^2 (the Haar average of random tensor networks,
+Hayden et al., arXiv:1601.01694).  Where each column (row) of X_U holds
+one entry, X_U X_U^+ (X_U^+ X_U) is diagonal and T_U sums squared grouped
+row (column) norms: for U = {} on every map, which has at most one
+nonzero per input column and component, and for every pattern of a
+one-vertex pure map.  Other patterns take one Gram of entry pairs
+(`_pair_gram`): the entries that share a row (or, where that pairs fewer,
+a column) are paired, and each Gram cell sums its pairs' products with
+`bincount`, in chunks of whole Gram rows of at most PAIR_BLOCK pairs.  The
+fine grades restrict each replica to sector columns, Tr(P_j P_k) =
+||X_j^+ X_k||_F^2, the same pair Gram across the two restrictions.  Row
+and column keys are ranked before any `bincount`
 (`_ranked`): ranks are dense and keep the keys' order, so exact traces need
 memory linear in the entries, whatever their key ranges, plus one chunk of
 pairs (more only where one Gram row pairs more), and their bits depend on
@@ -265,6 +265,10 @@ class HilbertIndex:
         return tuple(s.dim for s in self.spaces)
 
     def space(self, vertex: str) -> VertexSpace:
+        if vertex not in self.graph.vertices:
+            raise OracleError(
+                f"unknown vertex {vertex!r}: the graph's vertices are ({', '.join(self.graph.vertices)})"
+            )
         return self.spaces[self.graph.vertices.index(vertex)]
 
     def digits(self) -> List[np.ndarray]:
@@ -405,18 +409,6 @@ def _compress_rows(key_arrays: List[np.ndarray], dim: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FrozenVertices:
-    """A fixed (non-averaged) joint state on a subset of vertices.
-
-    `amplitudes` is indexed row-major over the named vertices' local bases in
-    the order given.
-    """
-
-    vertices: Tuple[str, ...]
-    amplitudes: np.ndarray
-
-
 class CMap:
     """A concrete linear map from averaged vertex states to an output space.
 
@@ -425,13 +417,13 @@ class CMap:
     the nonzero entries of A = [sqrt(w_n) C_n] as arrays (output row, input
     column, component, value), ordered by component and then row-major, as
     np.nonzero lists them.  Memory is O(nnz); no dense out_dim x in_dim
-    component is kept.  Input columns are row-major over `col_dims`, one
-    axis per vertex of `in_vertices`.  Exact traces read the entries
-    directly, in memory linear in them; Monte Carlo applies A to blocks of
-    shots through a `ShotProduct`, one per swap region (`grid_product`,
-    onto the occupied blocks of that region's grid) plus one onto the
-    stacked output rows (`row_product`), each built on first use and kept
-    with the map.
+    component is kept.  Input columns are the index's global labels,
+    row-major over `index.vertex_dims`, one axis per vertex, so `in_dim` is
+    `index.dim`.  Exact traces read the entries directly, in memory linear
+    in them; Monte Carlo applies A to blocks of shots through a
+    `ShotProduct`, one per swap region (`grid_product`, onto the occupied
+    blocks of that region's grid) plus one onto the stacked output rows
+    (`row_product`), each built on first use and kept with the map.
     """
 
     def __init__(
@@ -443,8 +435,6 @@ class CMap:
         out_dim: int,
         out_slots: Tuple[Slot, ...],
         out_keys: Mapping[Slot, Tuple[np.ndarray, int]],
-        in_vertices: Tuple[str, ...],
-        col_dims: Tuple[int, ...],
     ):
         self.index = index
         self.kind = kind
@@ -452,10 +442,8 @@ class CMap:
         self.entries = entries
         self.out_slots = out_slots
         self.out_keys = dict(out_keys)
-        self.in_vertices = in_vertices
-        self.col_dims = col_dims
         self.out_dim = out_dim
-        self.in_dim = math.prod(col_dims)
+        self.in_dim = index.dim
         self._grid_cache: Dict[Tuple[Slot, ...], RegionGrid] = {}
         self._product_cache: Dict[Tuple[Slot, ...], GridBlocks] = {}
 
@@ -681,7 +669,6 @@ def build_cmap(
     index: HilbertIndex,
     kind: ModelKind,
     state: Optional[IntertwinerState] = None,
-    fixed: Optional[FrozenVertices] = None,
 ) -> CMap:
     """Build the averaged map for either model kind, as its nonzero entries.
 
@@ -737,20 +724,7 @@ def build_cmap(
         arr[inverse] = keys
         out_keys[slot] = (arr, index.slot_key(slot)[1])
 
-    cmap = CMap(
-        index,
-        kind,
-        weights,
-        entries,
-        out_dim,
-        out_slots,
-        out_keys,
-        in_vertices=graph.vertices,
-        col_dims=index.vertex_dims,
-    )
-    if fixed is not None:
-        cmap = _freeze_vertices(cmap, fixed)
-    return cmap
+    return CMap(index, kind, weights, entries, out_dim, out_slots, out_keys)
 
 
 def _check_map(index: HilbertIndex, cmap: CMap) -> None:
@@ -816,49 +790,6 @@ def _out_sector_rows(cmap: CMap, sector: SpinSector) -> Tuple[np.ndarray, int]:
     return np.flatnonzero(mask), d_i
 
 
-def _freeze_vertices(cmap: CMap, fixed: FrozenVertices) -> CMap:
-    """Contract the frozen vertices' input digits against their joint state,
-    entry by entry: each entry is multiplied by the state's amplitude at its
-    frozen digits and summed into its (component, row, remaining column)."""
-    graph = cmap.index.graph
-    order = [graph.vertices.index(x) for x in fixed.vertices]
-    if len(set(order)) != len(order):
-        raise OracleError("frozen vertices must be distinct")
-    dims = tuple(cmap.col_dims[i] for i in order)
-    core = np.asarray(fixed.amplitudes, dtype=complex).reshape(dims)
-    remaining = tuple(
-        x for x in cmap.in_vertices if x not in set(fixed.vertices)
-    )
-    col_dims = tuple(
-        d for i, d in enumerate(cmap.col_dims) if i not in set(order)
-    )
-    row, col, comp, value = cmap.entries
-    digits = np.unravel_index(col, cmap.col_dims)
-    rest = np.zeros_like(col)  # the remaining digits, row-major over col_dims
-    for i, d in enumerate(cmap.col_dims):
-        if i not in order:
-            rest = rest * d + digits[i]
-    width = math.prod(col_dims)
-    key = (comp * cmap.out_dim + row) * width + rest
-    keys, slot = np.unique(key, return_inverse=True)
-    summed = np.zeros(keys.size, dtype=complex)
-    np.add.at(summed, slot, value * core[tuple(digits[i] for i in order)])
-    keep = np.flatnonzero(summed)
-    keys = keys[keep]
-    entries = (keys // width % cmap.out_dim, keys % width, keys // (width * cmap.out_dim), summed[keep])
-    return CMap(
-        cmap.index,
-        cmap.kind,
-        cmap.weights,
-        entries,
-        cmap.out_dim,
-        cmap.out_slots,
-        cmap.out_keys,
-        in_vertices=remaining,
-        col_dims=col_dims,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Swap-pattern traces
 # ---------------------------------------------------------------------------
@@ -876,6 +807,7 @@ def resolve_region(index: HilbertIndex, region) -> Tuple[Slot, ...]:
     boundary = index.graph.boundary_ids()
     for item in region:
         if isinstance(item, tuple) and item and item[0] in ("I", "L"):
+            _check_slot(index, item)
             out.append(item)
         elif isinstance(item, str) and item in boundary:
             out.append(index.boundary_slot(item))
@@ -888,12 +820,24 @@ def resolve_region(index: HilbertIndex, region) -> Tuple[Slot, ...]:
     return tuple(out)
 
 
+def _check_slot(index: HilbertIndex, slot: Slot) -> None:
+    """Refuse a slot token that is not ('I', vertex) or ('L', vertex, port)
+    with a vertex of the graph and a port of that vertex."""
+    if len(slot) != (2 if slot[0] == "I" else 3):
+        raise OracleError(f"slot token {slot!r} is not ('I', vertex) or ('L', vertex, port)")
+    space = index.space(slot[1])
+    if slot[0] == "L":
+        port, ports = slot[2], len(space.port_links)
+        if not (isinstance(port, (int, np.integer)) and 0 <= port < ports):
+            raise OracleError(f"slot token {slot!r}: vertex {slot[1]!r} has ports 0 to {ports - 1}")
+
+
 def _pattern_matrix(cmap: CMap, grid: RegionGrid, colsel, subset: Tuple[int, ...]):
     """X_U as (rows, columns, values) of its entries.  `colsel` keeps, per
-    averaged vertex, the listed input columns only; an input's index at a
-    vertex becomes its position in that list."""
+    vertex, the listed input columns only; an input's index at a vertex
+    becomes its position in that list."""
     row, col, comp, value = cmap.entries
-    dims = cmap.col_dims
+    dims = cmap.index.vertex_dims
     digits = list(np.unravel_index(col, dims)) if dims else []
     if colsel is not None:
         for i, cols in enumerate(colsel):
@@ -1034,13 +978,13 @@ def exact_replica_average(
     them) and dimension normalizations.  `region` is the replica
     swap: () for the denominator, "bulk" for the intertwiner slots, or an
     iterable of boundary link ids / slot tokens.  `cmap`, built on `index`,
-    fixes the model kind, bulk state and frozen vertices (`build_cmap`).
+    fixes the model kind and bulk state (`build_cmap`).
     """
     _check_weights(grade, weights)
     _check_map(index, cmap)
     slots = resolve_region(index, region)
     grid = cmap.pair_basis(slots)
-    nvert = len(cmap.in_vertices)
+    nvert = len(index.graph.vertices)
 
     if grade == "medium":
         return _component_pattern_sum(cmap, grid, _all_subsets(nvert))
@@ -1085,8 +1029,6 @@ def _fine_weights(index: HilbertIndex, weights) -> Dict[Tuple, float]:
 
 def _fine_pattern_sum(cmap: CMap, grid: RegionGrid, weights, grade: str) -> float:
     index = cmap.index
-    if cmap.in_vertices != index.graph.vertices:
-        raise OracleError("fine averaging requires all vertices to be averaged")
     p = _fine_weights(index, weights)
     sectors = [s for s in index.family_sectors() if p.get(s.key(), 0.0) > 0.0]
     w = [p[s.key()] for s in sectors]
@@ -1331,8 +1273,6 @@ def mc_purity(
     _check_seed(seed)
     _check_weights(grade, weights)
     _check_map(index, cmap)
-    if cmap.in_vertices != index.graph.vertices:
-        raise OracleError("Monte Carlo sampling requires all vertices averaged")
     product = cmap.grid_product(resolve_region(index, region))
     block = min(SHOT_BLOCK, MC_BATCH, shots, max(1, GRID_BLOCK // max(product.size, 1)))
     # One layout array for every block: a block rewrites the same cells.

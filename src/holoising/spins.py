@@ -214,11 +214,15 @@ class SectorFamily:
         return SectorFamily(lower=lo, upper=hi, allowed=table, weights=wtable)
 
     def g(self, link_id: str, spin: Spin) -> complex:
-        """Superposition amplitude of `spin` on `link_id` (1 on the boundary)."""
+        """Superposition amplitude of `spin` on `link_id`: 1 on a boundary
+        link, 0 for a spin an internal link does not allow.  A link id the
+        family does not hold is refused."""
         w = self.weights.get(link_id)
-        if w is None:
-            return 1.0 + 0.0j
-        return w.get(spin.twice, 0.0 + 0.0j)
+        if w is not None:
+            return w.get(spin.twice, 0.0 + 0.0j)
+        if link_id not in self.allowed:
+            raise ValueError(f"unknown link {link_id!r}: the family's links are ({', '.join(self.allowed)})")
+        return 1.0 + 0.0j
 
     def validate(self, graph: OpenGraph) -> None:
         for lid in graph.internal_ids():
@@ -283,10 +287,6 @@ class SpinSector:
         """Doubled spins of j^x, ordered by port number: `vertex_spins`
         without the `Spin` objects."""
         return self.twice_of(self.graph.links_at(vertex))
-
-    def boundary_part(self) -> Tuple[Tuple[str, int], ...]:
-        bnd = set(self.graph.boundary_ids())
-        return tuple((lid, t) for lid, t in self.assignment if lid in bnd)
 
     def key(self) -> Tuple[Tuple[str, int], ...]:
         """Hashable canonical id used by partition tables."""

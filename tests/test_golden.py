@@ -1,8 +1,8 @@
 """Golden bytes: SHA-256 digests of the serialized engine outputs.
 
-Each digest pins the exact bytes of one output (a table's CSV file and
-JSON dict, a purity report in every mode, an isometry verdict, a c1, c2
-or c3 report) on a fixed small instance.  The instances cover
+Each digest pins the exact bytes of one output (a table's kernel arrays
+and JSON dict, a purity report in every mode, an isometry verdict, a c1,
+c2 or c3 report) on a fixed small instance.  The instances cover
 cross-boundary pairs whose swapped kernel is infeasible, sectors with zero
 weight K (a vanishing superposition amplitude, a vertex without
 intertwiners) and a boundary-to-boundary table with negative pair kernels.  Any change of a
@@ -131,10 +131,15 @@ def bulk_model(graph, family):
     return IsingModel(graph, family, ModelKind.bulk_to_boundary())
 
 
-def table_digests(table, tmp_path):
-    path = tmp_path / "table.csv"
-    table.to_csv(path)
-    return {"csv": sha(path.read_bytes()), "json": json_sha(table.to_json_dict())}
+def table_digests(table):
+    """The table's labels and the raw bytes (with their dtype) of its
+    kernel arrays `z`, `e_min`, `degeneracy` and `gap`, which keep every
+    bit and tell inf from NaN, and its JSON dict."""
+    digest = hashlib.sha256(json.dumps(list(table.labels)).encode())
+    for array in (table.z, table.e_min, table.degeneracy, table.gap):
+        digest.update(array.dtype.str.encode())
+        digest.update(np.ascontiguousarray(array).tobytes())
+    return {"kernels": digest.hexdigest(), "json": json_sha(table.to_json_dict())}
 
 
 def purity_digests(table, boundary_weights=False):
@@ -160,17 +165,19 @@ def purity_digests(table, boundary_weights=False):
 #: digests (star, zero_weight_bridge, signed_b2b) were regenerated when the
 #: table's JSON gained its log-domain totals, `log_totals` and each boundary
 #: row's `log_Z_bar_0`/`log_Z_bar_1`; with those keys removed, each dict
-#: is the one pinned before, and no CSV or other digest moved.
+#: is the one pinned before, and no CSV or other digest moved.  The CSV
+#: digests were replaced by the "kernels" digests, made on the tree that
+#: still wrote the CSV files, when the table's CSV writer was removed.
 GOLDEN = {
     "star": {
-        "csv": "1421be80d820478a75c1d6127c19c77d50aababc1fd472a1c83e850ae44bcae6",
+        "kernels": "8676dcb35d2464d83fff7cf2e6b40da9c585065f93bf0df3a0ffde42fa188899",
         "json": "d91ad501b348e89f52883c3a5db966ae589fa004213ff4e8ad96a0de5f0f8430",
         "exact": "b6354ab6ecc046bdadc42fd4dbf1e99619b0d10ad3fef9cc86083f51a75a3696",
         "ground_state": "a7971bc8664b97c131c4fd1dd8f517099033316a52f192d2806c63eee3d479a9",
         "high_spin": "6d0fd728631a88547d71a0f3faa401df709878d02130d88555dfdd0f6f8ffa50"
     },
     "zero_weight_bridge": {
-        "csv": "34a17e2f5e0b252e23f719cec643081380cfb2c811b0a9018bdea304d37d4a91",
+        "kernels": "d1c8056f723769ef286c019b2acb24a332d86fb591ce6c6ab32623a69ce3e1fb",
         "json": "fcff64e8d19db25cedd7b43b264e26f85cd432b01ceec34afa6fdac7508a77ff",
         "exact": "1e6efe2e52ead6a29bc1262c54ade276220c65a90a407e323013c4ddc25523e4",
         "ground_state": "f21f679f6eeb79fd5c93f7a35a9c29da282a42f0d1a206fdc45fd1dd8ef508cb",
@@ -180,7 +187,7 @@ GOLDEN = {
         "condition_matrix": "2156f97a527ccb56267b86c3e33b2f18ba5928ffe6f891d16d881e7eaf698867"
     },
     "signed_b2b": {
-        "csv": "e7328ee30ccbf93216892e64a5444652067f09187cd219c597a6b18e78b59136",
+        "kernels": "2cce545f1c69dfd77894d87407b81dd4f3c7b35e5be5556073f35681dcb4b782",
         "json": "27b89c428662c92c4be6ee1a17bf367425593f60ae843f0e6eb7d1bd930a45b6",
         "verdict_exact": "3269c4d7926318b08c221998ecf984bf6ae44a01d4a33744f4dffd622ca4e111",
         "verdict_ground_state": "c322bfa561aee20636aa9f243cd4d3a336592f5846442327e12d69fd7320debd"
@@ -215,21 +222,21 @@ def test_zero_weight_instance_drops_sectors():
     graph, family = zero_weight_bridge()
     model = bulk_model(graph, family)
     weighted = {label for label, _ in model.partition_table().k_factors}
-    assert 0 < len(weighted) < len(model.default_sectors())
+    assert 0 < len(weighted) < len(model.sector_set().sectors)
 
 
-def test_star_table(tmp_path):
+def test_star_table():
     graph, family = star_table()
     table = bulk_model(graph, family).partition_table()
-    got = table_digests(table, tmp_path)
+    got = table_digests(table)
     got.update(purity_digests(table, boundary_weights=True))
     assert got == GOLDEN["star"]
 
 
-def test_zero_weight_bridge(tmp_path):
+def test_zero_weight_bridge():
     graph, family = zero_weight_bridge()
     table = bulk_model(graph, family).partition_table()
-    got = table_digests(table, tmp_path)
+    got = table_digests(table)
     got.update(purity_digests(table))
     window = suggest_window(family, graph)
     got["verdict"] = json_sha(check_bulk_to_boundary(family, graph, window).to_json_dict())
@@ -240,9 +247,9 @@ def test_zero_weight_bridge(tmp_path):
     assert got == GOLDEN["zero_weight_bridge"]
 
 
-def test_signed_b2b_table(tmp_path):
+def test_signed_b2b_table():
     model = signed_b2b_model()
-    got = table_digests(model.partition_table(), tmp_path)
+    got = table_digests(model.partition_table())
     for regime in ("exact", "ground_state"):
         verdict = check_boundary_to_boundary(
             model.family, model.graph, model.kind.partition, model.state, regime=regime

@@ -74,11 +74,6 @@ def test_coincident_endpoints_rejected():
         build_graph(spec)
 
 
-def test_roundtrip_serialization():
-    g = build_graph(two_vertex_spec())
-    assert build_graph(g.to_dict()) == g
-
-
 def test_region_cut_equals_complement_cut():
     g = build_graph(two_vertex_spec())
     for region in [frozenset(), {"x"}, {"y"}, {"x", "y"}]:

@@ -27,7 +27,6 @@ from holoising.bulk import IntertwinerState
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import IsingModel, ModelKind
 from holoising.oracle import (
-    FrozenVertices,
     OracleError,
     _all_subsets,
     _component_pattern_sum,
@@ -504,15 +503,14 @@ class TestGrades:
         assert "raise holoising.oracle.GRID_LIMIT" in message
 
 
-def dense_components(index, kind, state=None, fixed=None):
+def dense_components(index, kind, state=None):
     """[(w_n, C_n)]: the averaged map's components as dense out_dim x in_dim
     matrices, the reference the sparse build is checked against.  Output
     rows are the distinct label tuples of the singlet support in
     lexicographic order (np.unique), and support label s is entry (its
     row, s): amp[s] for the bulk-to-boundary kind, and the conjugate bulk
     eigenvector's entry times amp[s], summed into a zero matrix with
-    np.add.at, for the boundary-to-boundary kind.  Frozen vertices are
-    contracted with tensordot."""
+    np.add.at, for the boundary-to-boundary kind."""
     graph = index.graph
     support, amp = oracle._singlet_support(index)
     sup = np.flatnonzero(support)
@@ -534,15 +532,6 @@ def dense_components(index, kind, state=None, fixed=None):
         f = np.zeros((out_dim, index.dim), dtype=complex)
         f[inverse, sup] = amp[sup]
         comps = [(1.0, f)]
-    if fixed is not None:
-        dims = index.vertex_dims
-        order = [graph.vertices.index(x) for x in fixed.vertices]
-        core = np.asarray(fixed.amplitudes, dtype=complex).reshape([dims[i] for i in order])
-        axes = ([1 + i for i in order], list(range(len(order))))
-        comps = [
-            (w, np.tensordot(f.reshape((out_dim,) + dims), core, axes=axes).reshape(out_dim, -1))
-            for w, f in comps
-        ]
     return comps
 
 
@@ -563,12 +552,9 @@ def assert_same_entries(got, want):
         assert a.tobytes() == b.tobytes()
 
 
-def with_reference(index, kind, state=None, fixed=None):
+def with_reference(index, kind, state=None):
     """The map build_cmap makes and its dense reference components."""
-    return (
-        build_cmap(index, kind, state=state, fixed=fixed),
-        dense_components(index, kind, state=state, fixed=fixed),
-    )
+    return build_cmap(index, kind, state=state), dense_components(index, kind, state=state)
 
 
 def brute_patterns(cmap, components, region, subsets, cols1=None, cols2=None):
@@ -599,14 +585,13 @@ def brute_patterns(cmap, components, region, subsets, cols1=None, cols2=None):
     def swap_in(subset):
         """S_U on (in x in) as the permutation it is: swap the digits of
         the vertices in U between the two input labels."""
-        digits = np.array(np.unravel_index(np.arange(n_in), cmap.col_dims))
+        dims = cmap.index.vertex_dims
+        digits = np.array(np.unravel_index(np.arange(n_in), dims))
         a1, a2 = (g.reshape(-1) for g in np.meshgrid(np.arange(n_in), np.arange(n_in), indexing="ij"))
         d1, d2 = digits[:, a1], digits[:, a2]
         u = list(subset)
         d1[u], d2[u] = d2[u].copy(), d1[u].copy()
-        return np.ravel_multi_index(tuple(d1), cmap.col_dims) * n_in + np.ravel_multi_index(
-            tuple(d2), cmap.col_dims
-        )
+        return np.ravel_multi_index(tuple(d1), dims) * n_in + np.ravel_multi_index(tuple(d2), dims)
 
     def restrict(f, cols):
         if cols is None:
@@ -687,7 +672,7 @@ class TestPatternBruteForce:
                 slots = resolve_region(index, region)
                 grid = cmap.pair_basis(slots)
                 seen.add((kind, "bulk" if region == "bulk" else bool(slots)))
-                subsets = _all_subsets(len(cmap.in_vertices))
+                subsets = _all_subsets(len(index.graph.vertices))
                 want = brute_patterns(cmap, comps, slots, subsets)
                 for subset, expect in zip(subsets, want):
                     got = _component_pattern_sum(cmap, grid, [subset])
@@ -1057,6 +1042,19 @@ class TestReductions:
         # An internal link is no region item either.
         with pytest.raises(OracleError, match="cannot interpret region item 'e'"):
             resolve_region(index, "e")
+        # Slot tokens name a vertex of the graph and a port of that vertex.
+        assert resolve_region(index, [("I", "y"), ("L", "x", 2)]) == (("I", "y"), ("L", "x", 2))
+        with pytest.raises(OracleError, match=r"^unknown vertex 'zz': the graph's vertices are \(x, y\)$"):
+            resolve_region(index, [("I", "zz")])
+        with pytest.raises(OracleError, match=r"^unknown vertex 'zz'"):
+            resolve_region(index, [("L", "zz", 0)])
+        for port in (3, -1, "0"):
+            with pytest.raises(OracleError, match=r"vertex 'x' has ports 0 to 2$"):
+                resolve_region(index, [("L", "x", port)])
+        with pytest.raises(OracleError, match=r"is not \('I', vertex\) or \('L', vertex, port\)"):
+            resolve_region(index, [("I", "x", 0)])
+        with pytest.raises(OracleError, match=r"^unknown vertex 'zz': the graph's vertices are \(x, y\)$"):
+            index.space("zz")
 
 
 class TestChannelDiagnostics:
@@ -1116,26 +1114,6 @@ class TestLocalisation:
         assert np.isfinite(report.covariance)
         assert report.sigma > 0.0
         assert 0.0 < report.mean_weight < 1.0
-
-
-class TestFrozenVertices:
-    def test_freezing_matches_explicit_contraction(self):
-        graph = glued_graph()
-        family = glued_family(graph)
-        index = build_hilbert(graph, family)
-        kind = ModelKind.bulk_to_boundary()
-        ((_, f),) = dense_components(index, kind)
-        rng = np.random.default_rng(8)
-        dx, dy = index.vertex_dims
-        core = rng.normal(size=dy) + 1j * rng.normal(size=dy)
-        frozen = build_cmap(
-            index, kind, fixed=FrozenVertices(vertices=("y",), amplitudes=core)
-        )
-        assert frozen.in_vertices == ("x",)
-        psi_x = rng.normal(size=dx) + 1j * rng.normal(size=dx)
-        full = f @ np.kron(psi_x, core)
-        part = frozen.row_product(psi_x[None, :], np.zeros((1, frozen.out_dim), dtype=complex))[0]
-        assert np.allclose(full, part, atol=1e-12)
 
 
 class TestMapEntries:
@@ -1229,43 +1207,9 @@ class TestMapEntries:
         assert peak < 20 * 2**20
         comps = dense_components(index, kind)
         assert_same_entries(entries, nonzero_entries(comps))
-        ref = oracle.CMap(
-            index, kind, [1.0], nonzero_entries(comps), cmap.out_dim,
-            cmap.out_slots, cmap.out_keys, cmap.in_vertices, cmap.col_dims,
-        )
+        ref = oracle.CMap(index, kind, [1.0], nonzero_entries(comps), cmap.out_dim, cmap.out_slots, cmap.out_keys)
         del comps
         assert exact_replica_average(index, ["p1", "p2"], cmap=ref).hex() == got.hex()
-
-    def test_frozen_map_stays_sparse_in_memory(self):
-        """71,824 labels and 2,320 output rows: one dense component would
-        take 2.7 GB, the frozen map (y fixed) stays below 20 MB."""
-        graph = glued_graph()
-        half = ["1/2", "3/2"]
-        family = SectorFamily.build(
-            graph, "1/2", "2", allowed={"e": ["1", "2"], "a1": half, "a2": half, "b1": half, "b2": half}
-        )
-        index = build_hilbert(graph, family, cap=80_000)
-        dy = index.space("y").dim
-        core = np.random.default_rng(5).normal(size=dy) + 0j
-        tracemalloc.start()
-        try:
-            cmap = build_cmap(index, ModelKind.bulk_to_boundary(), fixed=FrozenVertices(("y",), core))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert index.dim == 71_824 and cmap.out_dim == 2_320
-        assert cmap.in_dim == index.space("x").dim
-        assert cmap.entries[0].size > 0
-        assert peak < 20 * 2**20
-        # Pattern (x) pairs 303,808 entries that share a row: the pair Gram
-        # lists them in chunks of PAIR_BLOCK, so the trace peaks near the
-        # 1.3 MB of a sparse matrix product, not at the 15 MB of every pair.
-        region = ["a1", "a2"]
-        got, peak = traced_peak(lambda: exact_replica_average(index, region, cmap=cmap))
-        assert peak < 4 * 2**20
-        grid = cmap.pair_basis(resolve_region(index, region))
-        want = sum(scipy_gram_sq(oracle._pattern_matrix(cmap, grid, None, u)) for u in [(), (0,)])
-        assert got == pytest.approx(want, rel=1e-12)
 
     def test_one_vertex_traces_take_memory_of_their_entries(self):
         """Pattern {} of region () keys its 2,976 columns by (rest cell,
@@ -1408,53 +1352,6 @@ def scipy_gram_sq(x1, x2=None, side="rows"):
 
 
 class TestSparseMaps:
-    def test_frozen_vertex_patterns_match_explicit_operators(self, monkeypatch):
-        """A frozen vertex leaves many entries per input column, so some
-        patterns take the general pair Gram."""
-        grams = []
-        pair_gram = oracle._pair_gram
-
-        def counted(*args):
-            grams.append(args[0].size)
-            return pair_gram(*args)
-
-        monkeypatch.setattr(oracle, "_pair_gram", counted)
-        graph = glued_graph()
-        index = build_hilbert(graph, tiny_glued_family(graph))
-        s1, s2 = index.family_sectors()
-        state = IntertwinerState.from_blocks(
-            graph,
-            [s1, s2],
-            {
-                (s1, s1): np.array([[0.6]]),
-                (s1, s2): np.array([[0.2 - 0.3j]]),
-                (s2, s2): np.array([[0.4]]),
-            },
-        )
-        part = BoundaryPartition.from_input(graph, ["a1", "a2"])
-        rng = np.random.default_rng(31)
-        cases = []
-        for vertex in ("x", "y"):
-            dim = index.space(vertex).dim
-            core = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-            fixed = FrozenVertices(vertices=(vertex,), amplitudes=core)
-            bulk = with_reference(index, ModelKind.bulk_to_boundary(), fixed=fixed)
-            cases.append((*bulk, [(), "bulk", ["a1"], ["b1"], ["a2", "b1"]]))
-            b2b = with_reference(index, ModelKind.boundary_to_boundary(part), state=state, fixed=fixed)
-            assert len(b2b[0].weights) == 2
-            cases.append((*b2b, [(), ["a1", "a2"], ["b1"]]))
-        for cmap, comps, regions in cases:
-            assert len(cmap.in_vertices) == 1
-            for region in regions:
-                slots = resolve_region(index, region)
-                grid = cmap.pair_basis(slots)
-                subsets = _all_subsets(1)
-                want = brute_patterns(cmap, comps, slots, subsets)
-                for subset, expect in zip(subsets, want):
-                    got = _component_pattern_sum(cmap, grid, [subset])
-                    assert got == pytest.approx(expect, rel=1e-12, abs=1e-300)
-        assert grams
-
     @pytest.mark.parametrize("mixed", [False, True])
     def test_mc_purity_matches_dense_products(self, mixed, monkeypatch):
         graph = glued_graph()
@@ -1560,10 +1457,9 @@ class TestSparseMaps:
 
 
 def kernel_maps():
-    """(index, map) pairs: both kinds on random instances, mixed bulk states
-    (two or more components) among them, and maps of the glued graph with
-    x or y frozen, which take the general pair Gram."""
-    rng = np.random.default_rng(20261018)
+    """(index, map) pairs: both kinds on random instances, some of which
+    take the general pair Gram, and both kinds on the glued graph under a
+    mixed bulk state (two components)."""
     maps = []
     for _, _, state, part, index in examples(boundary_instances(max_dim=256), 24):
         maps.append((index, build_cmap(index, ModelKind.bulk_to_boundary())))
@@ -1577,12 +1473,8 @@ def kernel_maps():
         {(s1, s1): np.array([[0.55]]), (s1, s2): np.array([[0.1 + 0.2j]]), (s2, s2): np.array([[0.45]])},
     )
     b2b = ModelKind.boundary_to_boundary(BoundaryPartition.from_input(graph, ["a1", "a2"]))
-    for vertex in ("x", "y"):
-        dim = index.space(vertex).dim
-        core = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        fixed = FrozenVertices(vertices=(vertex,), amplitudes=core)
-        maps.append((index, build_cmap(index, ModelKind.bulk_to_boundary(), fixed=fixed)))
-        maps.append((index, build_cmap(index, b2b, state=state, fixed=fixed)))
+    maps.append((index, build_cmap(index, ModelKind.bulk_to_boundary())))
+    maps.append((index, build_cmap(index, b2b, state=state)))
     return maps
 
 
@@ -1716,15 +1608,14 @@ class TestNumpyKernels:
     def maps(self):
         maps = kernel_maps()
         assert any(len(cmap.weights) >= 2 for _, cmap in maps)
-        assert any(len(cmap.in_vertices) < len(index.graph.vertices) for index, cmap in maps)
         return maps
 
     def test_gram_on_both_sides_matches_scipy(self, maps):
         general = 0
-        for _, cmap in maps:
+        for index, cmap in maps:
             for region in kernel_regions(cmap):
                 grid = cmap.pair_basis(region)
-                for subset in _all_subsets(len(cmap.in_vertices)):
+                for subset in _all_subsets(len(index.graph.vertices)):
                     x = oracle._pattern_matrix(cmap, grid, None, subset)
                     row, col, value = x
                     by_rows, by_cols = scipy_gram_sq(x), scipy_gram_sq(x, side="columns")
@@ -1742,8 +1633,6 @@ class TestNumpyKernels:
     def test_cross_traces_match_scipy(self, maps):
         crossed = 0
         for index, cmap in maps:
-            if cmap.in_vertices != index.graph.vertices:
-                continue
             ranges = [index.sector_local_ranges(sec) for sec in index.family_sectors()]
             for region in kernel_regions(cmap):
                 grid = cmap.pair_basis(region)

@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ TRACING = ROOT / "perfbench" / "tracing.py"
 PARITY = ROOT / "tools" / "parity.py"
 
 # Public names with no caller in the package, `tools/` or `perfbench/`
-# that stay public: the paper's quantities, the trace-preservation check
-# and the Haar draw of one shot.
+# that stay public: the paper's quantities, the trace-preservation check,
+# the Haar draw of one shot and the paper's solution family beside
+# `scaling_constraint_g`.  A class member is written "Class.member".
 KEPT = (
     "cumulant_expansion",
     "rt_average",
@@ -32,6 +34,7 @@ KEPT = (
     "localisation_probe",
     "check_trace_preservation",
     "haar_sample",
+    "ScalingProfile.r_weights",
 )
 
 
@@ -50,32 +53,61 @@ def test_console_scripts_resolve():
 
 
 def code_names(nodes):
-    """The names `nodes` use in code: each variable name and attribute."""
-    return {
+    """How often `nodes` use each name in code: each variable name that is
+    read (not assigned) and each attribute."""
+    return Counter(
         node.id if isinstance(node, ast.Name) else node.attr
         for top in nodes
         for node in ast.walk(top)
-        if isinstance(node, (ast.Name, ast.Attribute))
-    }
+        if isinstance(node, ast.Attribute) or (isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store))
+    )
+
+
+def string_constants(tree):
+    """The string constants of `tree`: the benchmark's tracer and the parity
+    tool reach methods by name."""
+    return {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def public_definitions(body):
+    """(name, node) of each public top-level function, class and constant of
+    a module body, and ("Class.member", node) of each public method and
+    property of its top-level classes."""
+    for node in body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield node.name, node
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    yield f"{node.name}.{member.name}", member
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                if isinstance(target, ast.Name):
+                    yield target.id, node
 
 
 def test_every_public_name_has_a_caller():
-    """Each public top-level function and class of `src/holoising` is used
+    """Each public top-level function, class and constant of `src/holoising`,
+    and each public method and property of its top-level classes, is used
     in code (a name or an attribute, not a docstring) outside its own
     definition: in its module, in another module of the package, in
-    `tools/` or in `perfbench/`, or it is one of the `KEPT` names.  A
-    helper only the tests call lives with the tests.  Each `KEPT` name
-    exists and has no such caller."""
+    `tools/` or in `perfbench/` (where a string constant counts too), or it
+    is one of the `KEPT` names.  A helper only the tests call lives with
+    the tests.  Each `KEPT` name exists and has no such caller."""
     modules = {path: ast.parse(path.read_text()).body for path in sorted((ROOT / "src" / "holoising").glob("*.py"))}
-    scripts = sorted(ROOT.glob("tools/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
-    outside = code_names(ast.parse(path.read_text()) for path in scripts)
+    scripts = [ast.parse(path.read_text()) for path in sorted(ROOT.glob("tools/*.py")) + sorted(ROOT.glob("perfbench/*.py"))]
+    outside = set(code_names(scripts)).union(*map(string_constants, scripts))
     unused = set()
     for path, body in modules.items():
         other = outside.union(*(code_names(b) for p, b in modules.items() if p != path))
-        for node in body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                if node.name not in other | code_names(n for n in body if n is not node):
-                    unused.add(node.name)
+        here = code_names(body)
+        for name, node in public_definitions(body):
+            short = name.rpartition(".")[2]
+            if short.startswith("_"):
+                continue
+            if short not in other and not (here - code_names([node]))[short]:
+                unused.add(name)
     assert not unused - set(KEPT), f"public names with no caller outside the tests: {sorted(unused - set(KEPT))}"
     assert set(KEPT) <= unused
 

@@ -143,17 +143,10 @@ def test_json_value_writes_ints_beyond_float64_as_strings():
 
 
 @pytest.mark.parametrize("name", REPORTS)
-def test_every_report_is_strict_json(name, tmp_path):
-    report = REPORTS[name]()
-    blob = report.to_json_dict()
+def test_every_report_is_strict_json(name):
+    blob = REPORTS[name]().to_json_dict()
     text = json.dumps(blob, allow_nan=False)
     assert json.loads(text) == blob
-    if hasattr(report, "to_json"):
-        path = tmp_path / "report.json"
-        report.to_json(path)
-        written = path.read_text()
-        assert "Infinity" not in written and "NaN" not in written
-        assert json.loads(written) == blob
 
 
 @pytest.mark.parametrize("name", REPORTS)

@@ -80,8 +80,9 @@ def reference_window_groups(family, graph):
     enumeration order, grouped by D_O."""
     seen = set()
     groups = {}
+    bnd = graph.boundary_ids()
     for sec in enumerate_sectors(family, graph):
-        key = sec.boundary_part()
+        key = sec.twice_of(bnd)
         if key in seen:
             continue
         admissible = all(
@@ -93,9 +94,9 @@ def reference_window_groups(family, graph):
             continue
         seen.add(key)
         d_out = 1
-        for lid, t in key:
+        for t in key:
             d_out *= Spin(t).dim
-        groups.setdefault(d_out, []).append(sec.twice_of(graph.boundary_ids()))
+        groups.setdefault(d_out, []).append(key)
     return {d: tuple(entries) for d, entries in groups.items()}
 
 
@@ -111,7 +112,8 @@ def reference_sector_dims(sector, graph, family):
     d_out = 1
     for lid in graph.boundary_ids():
         d_out *= ldims[lid]
-    boundary = {lid: Spin(t) for lid, t in sector.boundary_part()}
+    bnd = graph.boundary_ids()
+    boundary = {lid: Spin(t) for lid, t in zip(bnd, sector.twice_of(bnd))}
     d_in = 0
     for sec in enumerate_sectors(family, graph, boundary_filter=boundary):
         prod = 1
@@ -167,7 +169,7 @@ def reference_fine_average(weights, family, graph):
         p_tilde=p_tilde,
         solving_weights={label: inter_dims[label] / d_input for label in inter_dims},
         d_input=d_input,
-        single_boundary=len({sec.boundary_part() for sec in support}) == 1,
+        single_boundary=len({sec.twice_of(graph.boundary_ids()) for sec in support}) == 1,
     )
 
 
@@ -326,8 +328,9 @@ class TestSectorMatrix:
     def test_equals_enumerate_sectors(self, family):
         graph, fam = family
         links = graph.link_ids()
+        bnd = graph.boundary_ids()
         filters = [None] + [
-            dict(sec.boundary_part()) for sec in list(enumerate_sectors(fam, graph))[:3]
+            dict(zip(bnd, sec.twice_of(bnd))) for sec in list(enumerate_sectors(fam, graph))[:3]
         ]
         for boundary in filters:
             spins = None if boundary is None else {lid: Spin(t) for lid, t in boundary.items()}

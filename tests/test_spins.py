@@ -151,6 +151,21 @@ def _family_graph():
     return g
 
 
+def test_family_amplitude_refuses_unknown_links():
+    """`g` is 1 on a boundary link, the link's weight on an internal one
+    and 0 for a spin that link does not allow; a link id the family does
+    not hold is refused with the family's links named."""
+    g = _family_graph()
+    fam = SectorFamily.build(g, "1/2", 1, allowed={"e0": ["1/2", "1"]}, weights={"e0": {"1/2": 0.6, "1": 0.8j}})
+    assert fam.g("bx1", Spin(1)) == 1.0 + 0.0j
+    assert fam.g("e0", Spin(1)) == 0.6 + 0.0j
+    assert fam.g("e0", Spin(2)) == 0.8j
+    assert fam.g("e0", Spin(3)) == 0.0
+    with pytest.raises(ValueError) as err:
+        fam.g("zz", Spin(1))
+    assert str(err.value) == "unknown link 'zz': the family's links are (e0, bx1, bx2, bx3, by1, by2, by3)"
+
+
 def test_enumerate_sectors_lexicographic():
     g = build_graph(
         {
@@ -181,7 +196,7 @@ def test_enumerate_with_boundary_filter():
     sectors = list(enumerate_sectors(fam, g, boundary_filter=boundary))
     assert len(sectors) == 2  # only the internal link varies
     for s in sectors:
-        assert all(t == 1 for lid, t in s.boundary_part())
+        assert all(t == 1 for t in s.twice_of(g.boundary_ids()))
 
 
 def test_sector_dims_single_vertex():
