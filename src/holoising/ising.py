@@ -26,7 +26,10 @@ Any factor that can vanish lives in Delta, never in H; Hamiltonians are only
 defined on Delta-allowed configurations.  All sums accumulate in log domain.
 
 Evaluation paths.  Every kernel Z^{(j,k)}_b and its ground state come from
-an enumeration of all 2^V configurations:
+an enumeration of all 2^V configurations.  Both kinds read the masks
+built once per model (`IsingModel._masks`: the links each configuration
+cuts per replica, and the links at each vertex) and price the cut links
+by one pass, `_cut_energies`:
 
 * bulk-to-boundary kernels are batched over a whole sector list.  On an
   allowed configuration the energy of pair (j, k) depends on j alone, so
@@ -44,38 +47,36 @@ an enumeration of all 2^V configurations:
   log-sum-exp for the kernel, then minimum, ties, gap and representative.
   Grouping by count keeps each row's sum over its own entries, so the bits
   are those of reducing the row alone; a row padded with zeros to a common
-  width would be summed in other pairwise slots.  Memory: the masks built
-  once per model (a cut mask per replica, links x configurations, built
-  for both kinds and equal in this one, and one active mask, vertices x
-  configurations, per replica: 2^V (2L + 2V) bytes of booleans, and where
-  ties occur the rank, 8 bytes per configuration); per call, S x 2^V float64 per replica
-  and one more for the shared link part, one boolean mask of 2^V per
-  column list, and the column lists of one class (8 bytes per entry).  A
-  class is reduced in slices of at most S x max(S, 2^V) entries, the size
-  of one energy matrix or of one replica's kernel array, so no block is
-  larger than what the call holds anyway.
+  width would be summed in other pairwise slots.  Memory: the masks and
+  the spin-down mask built once per model (2^V (2L + V) bytes of
+  booleans, and where ties occur the rank, 8 bytes per configuration);
+  per call, the spin-up mask (V 2^V bytes), S x 2^V float64 per replica,
+  one boolean mask of 2^V per column list, and the column lists of one
+  class (8 bytes per entry).  A class is reduced in slices of at most
+  S x max(S, 2^V) entries, the size of one energy matrix or of one
+  replica's kernel array, so no block is larger than what the call holds
+  anyway.
 * boundary-to-boundary kernels are batched over a whole sector list too,
   in one pass over the configurations.  A pair's cut energy is again j's
   alone, so one energy matrix per replica (sectors x configurations) holds
-  every pair's, accumulated link by link.  Its
-  Delta and the rest of its energy depend on two traced blocks of the bulk
-  state over the spin-down set, whose ket is j or k and whose bra is a
-  mixed sector stitched from both.  The mixed sectors of all pairs are
-  coded at once, over all configurations, and looked up among the state's
-  sectors; then the pairs are walked in configuration order: each traced
-  block (configuration, ket, bra) is taken once, with its norm and log
-  term, and each pair costs one overlap, which gives its cosine, Delta.
-  Neither depends on the replica.  The pass (`_boundary_entries`) lists
-  the allowed entries as compact arrays (row = (pair, replica),
+  every pair's.  Its Delta and the rest of its energy depend on two traced
+  blocks of the bulk state over the spin-down set, whose ket is j or k and
+  whose bra is a mixed sector stitched from both.  The mixed sectors of all
+  pairs are coded at once, over all configurations, and looked up among the
+  state's sectors; then the pairs are walked in configuration order: each
+  traced block (configuration, ket, bra) is taken once, with its norm and
+  log term, and each pair costs one overlap, which gives its cosine,
+  Delta.  Neither depends on the replica.  The pass (`_boundary_entries`)
+  lists the allowed entries as compact arrays (row = (pair, replica),
   configuration, sign, log term, energy), from which the bridge scenario
   c1 also reads its cells, and `_reduce_entries` reduces them: z is the
   log-sum-exp of each (row, sign) bucket in configuration order, and
   E_min, ties, gap and representative are order-independent reductions,
   so every kernel has the bits of scoring its configurations one at a
-  time.  Memory: the
-  masks built once per model (the cut per replica and the up mask and its
-  complement, 4 L 2^V bytes of booleans, and the rank, 8 bytes per
-  configuration); per call, 2 S x 2^V float64 cut energies, the coded
+  time.  Memory: the masks and the spin-down mask built once per model
+  (2^V (2L + V) bytes of booleans, and the rank, 8 bytes per
+  configuration); per call, the links with a spin-up end and the rest
+  (2 L 2^V bytes), 2 S x 2^V float64 cut energies, the coded
   mixed sectors (S^2 T 2^V bytes of booleans, for T state sectors), the
   pairs with a nonzero cosine (at most S^2 2^V, a Python tuple of about
   200 bytes each), the entries (at most 2 S^2 2^V, 33 bytes each), and
@@ -86,10 +87,10 @@ break ground-state ties by a rank of the configurations, built once per
 model (`IsingModel._rank`): by the bulk kind where a ground state first
 ties, by the boundary-to-boundary kind on its first table.  The public
 `delta_factor` and `hamiltonian` are one-configuration views of the same
-passes (`IsingModel._cell`): the model's masks are built on that one
-configuration instead of all 2^V, and the bulk kind's Delta skips the
-kernels' exclusion of vertices without intertwiners (such a vertex,
-active, gives Delta = 1 and H = +inf).  So each kind has one evaluator of
+passes (`IsingModel._cell`): the masks are built on that one configuration
+(`_masks_of`) instead of all 2^V, and the bulk kind's Delta skips the
+kernels' exclusion of vertices without intertwiners (such a vertex, active,
+gives Delta = 1 and H = +inf).  So each kind has one evaluator of
 Delta and H; the configuration-by-configuration scorer they are checked
 against lives in `tests/ising_reference.py`.
 
@@ -127,7 +128,7 @@ kernels)`, the table's one constructor.
 
 The module holds one family pool.  A kernel depends only on its pair's
 spins, not on the pool it is asked in, so the purity, the isometry
-verdict over a window, c2 and `boundary_fixed_sums` of one family can
+verdict over a window, c2 and the sums at one boundary of one family can
 share the kernels of its default pool.  The bulk-to-boundary
 `partition_table()` on the default pool fills the slot with that pool's
 `SectorSet` and its table, keyed by the identity of the family and the
@@ -156,9 +157,10 @@ sector pair, and the boundary-diagonal sums one entry per boundary key.  `rows`,
 views over these arrays, built on first use (so D_I, which enumerates the
 family's bulk box, is not asked for until a dimension is read); entropy and
 isometry read the arrays directly.
-`IsingModel.k_factor` and `boundary_fixed_sums` are views too: the first
-reads log K and D_O of a one-sector `SectorSet`, the second the one
-boundary row of the table of a boundary's sectors.  So log K has one sum,
+`IsingModel.k_factor` is a view too: it reads log K and D_O of a
+one-sector `SectorSet`.  The sums at one boundary are the one boundary
+row of that boundary's `window_table`, a `BoundarySumRow`, and the
+table's labels count its sectors.  So log K has one sum,
 `SectorSet.log_k` over the set's factor views, and every K-weighted pair
 sum one, `_kernel_sums` (`PartitionSumTable.kernel_sums`, which reads the
 table's `log_k` and the set's boundary keys): the table's own `totals`,
@@ -346,19 +348,6 @@ class GroundState:
 
 
 @dataclass(frozen=True)
-class BoundaryFixedSums:
-    """Pair sums restricted to one boundary assignment, and normalized.
-    `log_z_bar` holds each sum as (sign, log|Zbar_b|), which stays finite
-    where the float overflows to +/-inf."""
-
-    z_bar: Tuple[float, float]  # (replica 0, replica 1)
-    y: Tuple[float, float]
-    d_total: int
-    sector_count: int
-    log_z_bar: Tuple[Tuple[int, float], Tuple[int, float]]
-
-
-@dataclass(frozen=True)
 class PairRow:
     pair_id: str
     replica: int
@@ -370,10 +359,12 @@ class PairRow:
 
 @dataclass(frozen=True)
 class BoundarySumRow:
-    """One boundary-diagonal sum; `log_z_bar` as in `BoundaryFixedSums`."""
+    """The K-weighted pair sums of one boundary assignment, per replica,
+    and y = Zbar_b / d_total^2.  `log_z_bar` holds each sum as (sign,
+    log|Zbar_b|), which stays finite where the float overflows to +/-inf."""
 
     boundary_id: str
-    z_bar: Tuple[float, float]
+    z_bar: Tuple[float, float]  # (replica 0, replica 1)
     y: Tuple[float, float]
     d_total: int
     log_z_bar: Tuple[Tuple[int, float], Tuple[int, float]]
@@ -1079,12 +1070,13 @@ class IsingModel:
             row, _, cos, _, energy = self._boundary_entries(sectors, down)
             at = np.flatnonzero(row == 2 + replica)  # row of pair (0, 1)
             return (float(cos[at[0]]), float(energy[at[0]])) if at.size else (0.0, None)
-        masks = cut, actives, incidence = self._bulk_masks_of(down)
+        cut, incidence = self._masks_of(down)
+        actives = down, ~down
         differs = sectors.twice[:1] != sectors.twice[1:]
-        allowed = list(_agreement(differs, differs @ incidence.T, cut, actives))[replica]
+        allowed = list(_agreement(differs, differs @ incidence.T, cut[0], actives))[replica]
         if not allowed[0, 0]:
             return 0.0, None
-        energies = self._bulk_energies(sectors, masks)
+        energies = self._bulk_energies(sectors, cut, actives)
         return 1.0, float(energies[replica][0, 0])
 
     def delta_factor(
@@ -1167,7 +1159,7 @@ class IsingModel:
             last[at] = q
         return rank
 
-    def _link_masks_of(self, down: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def _masks_of(self, down: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(cut, incidence) of the configurations of `down` (vertices x
         configurations, True where a vertex has spin -1).  `cut` (2, links,
         configurations) is boolean, links in `link_ids` order, so that each
@@ -1191,47 +1183,31 @@ class IsingModel:
                     cut[replica, li] = down[row[src]] != pin_down
         return cut, incidence
 
-    def _bulk_masks_of(self, down: np.ndarray) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """(cut, active per replica, incidence) of the configurations of
-        `down`: `_link_masks_of` with the cut of replica 0, which is that of
-        both replicas in this kind, and active[p] (vertices x
-        configurations) marking where vertex p's spin opposes the replica
-        field b."""
-        cut, incidence = self._link_masks_of(down)
-        return cut[0], (down, ~down), incidence
-
     @functools.cached_property
-    def _bulk_masks(self) -> Tuple[np.ndarray, Tuple[np.ndarray, np.ndarray], np.ndarray]:
-        """`_bulk_masks_of` every configuration (`_down`), built once."""
-        return self._bulk_masks_of(self._down)
-
-    def _boundary_masks_of(self, down: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """(cut, sides) of the configurations of `down`: `_link_masks_of`'s
-        cut, and sides (2, links, configurations) where sides[0, l] marks
-        where link l has a spin-up end among the graph's vertices, and
-        sides[1] is its complement."""
-        cut, incidence = self._link_masks_of(down)
-        up = incidence.T @ ~down
-        return cut, np.stack([up, ~up])
-
-    @functools.cached_property
-    def _boundary_masks(self) -> Tuple[np.ndarray, np.ndarray]:
-        """`_boundary_masks_of` every configuration (`_down`), built once."""
-        return self._boundary_masks_of(self._down)
+    def _masks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """`_masks_of` every configuration (`_down`), built once."""
+        return self._masks_of(self._down)
 
     @staticmethod
-    def _bulk_energies(sectors: SectorSet, masks) -> Tuple[np.ndarray, np.ndarray]:
-        """The energy per replica of every sector of `sectors` on the
-        configurations of `masks` (`_bulk_masks_of`).  energy[b] (sectors x
-        configurations) adds log d over the cut links in `link_ids` order,
-        then log D over the vertices active in replica b in graph order
-        (+inf where a vertex has no intertwiners), each with
-        `np.add(..., where=)`, which leaves the other entries alone."""
-        cut, actives, _ = masks
-        count, size = len(sectors), cut.shape[1]
-        link_part = np.zeros((count, size))
+    def _cut_energies(sectors: SectorSet, cut: np.ndarray) -> np.ndarray:
+        """The cut energy of every sector of `sectors` on the configurations
+        of `cut` (replicas x links x configurations, `_masks_of`): energy
+        (replicas x sectors x configurations) adds log d over the cut links
+        in `link_ids` order with `np.add(..., where=)`, which leaves the
+        other entries alone."""
+        energy = np.zeros((len(cut), len(sectors), cut.shape[2]))
         for li, lam in enumerate(sectors.link_log_d.T):
-            np.add(link_part, lam[:, None], out=link_part, where=cut[li])
+            np.add(energy, lam[None, :, None], out=energy, where=cut[:, li, None])
+        return energy
+
+    @staticmethod
+    def _bulk_energies(sectors: SectorSet, cut: np.ndarray, actives) -> Tuple[np.ndarray, np.ndarray]:
+        """energy[b] (sectors x configurations): the `_cut_energies` of
+        replica 0 (whose cut is that of both in this kind), then log D
+        added over the vertices active in replica b (`actives[b]`, where a
+        vertex's spin opposes the field b) in graph order, +inf where a
+        vertex has no intertwiners."""
+        link_part = IsingModel._cut_energies(sectors, cut[:1])[0]
         vertex_lam = np.where(np.isneginf(sectors.vertex_log_d), math.inf, sectors.vertex_log_d)
         # Replica 1 takes over the link part's memory.
         energies = (link_part.copy(), link_part)
@@ -1272,10 +1248,11 @@ class IsingModel:
         matrix and one replica's kernel array, so that no block outgrows
         what the call holds anyway.
         """
-        masks = cut, actives, incidence = self._bulk_masks
-        count, size = len(sectors), cut.shape[1]
+        (cut, incidence), down = self._masks, self._down
+        actives = down, ~down
+        count, size = len(sectors), down.shape[1]
         twice = sectors.twice
-        energies = self._bulk_energies(sectors, masks)
+        energies = self._bulk_energies(sectors, cut, actives)
 
         pair_j, pair_k = np.divmod(np.arange(count * count), count)
         nl = twice.shape[1]
@@ -1289,7 +1266,7 @@ class IsingModel:
         # Vertices that must stay inactive: at a differing link, or empty.
         idle = (lists[:, :nl] @ incidence.T) | lists[:, nl:]
         kernels = _PairKernels.empty((count, count, 2))
-        allowed_per_replica = _agreement(lists[:, :nl], idle, cut, actives)
+        allowed_per_replica = _agreement(lists[:, :nl], idle, cut[0], actives)
         for replica, (energy, allowed) in enumerate(zip(energies, allowed_per_replica)):
             found = _PairKernels.empty(len(rows))
             list_count = np.count_nonzero(allowed, axis=1)
@@ -1345,22 +1322,21 @@ class IsingModel:
 
         On a configuration, pair (j, k) is allowed in replica b where no
         link cut in b has different spins in j and k; its cut energy is
-        then j's alone (log d summed over the cut links in `link_ids`
-        order), so one matrix per replica (sectors x configurations) holds
-        every pair's.  Its Delta and the rest of its energy come from two
-        traced blocks over the spin-down vertices: (j, mixed_1) and
-        (k, mixed_2), where mixed_1 carries j's spins on the links at
-        spin-up vertices and k's elsewhere, and mixed_2 is mixed_1 of
-        (k, j).  The mixed sectors of all pairs are coded at once, over all
-        configurations, and looked up among the state's sectors: a sector
-        the state does not hold has no block, so Delta = 0 there, as where
-        a block vanishes, a weight is zero or the cosine is 0.  Then the
-        live pairs are walked in configuration order: each traced block
-        (ket, bra) is taken once, with its squared norm and its log term
-        0.5 log(norm / w^2), and kept only while its configuration is
-        processed; each pair needs one overlap, which gives its cosine
-        overlap / sqrt(n1 n2), and H = (cut energy - log term 1) - log
-        term 2.
+        then j's alone, so one matrix per replica (sectors x
+        configurations, `_cut_energies`) holds every pair's.  Its Delta
+        and the rest of its energy come from two traced blocks over the
+        spin-down vertices: (j, mixed_1) and (k, mixed_2), where mixed_1
+        carries j's spins on the links at spin-up vertices and k's
+        elsewhere, and mixed_2 is mixed_1 of (k, j).  The mixed sectors of
+        all pairs are coded at once, over all configurations, and looked
+        up among the state's sectors: a sector the state does not hold has
+        no block, so Delta = 0 there, as where a block vanishes, a weight
+        is zero or the cosine is 0.  Then the live pairs are walked in
+        configuration order: each traced block (ket, bra) is taken once,
+        with its squared norm and its log term 0.5 log(norm / w^2), and
+        kept only while its configuration is processed; each pair needs
+        one overlap, which gives its cosine overlap / sqrt(n1 n2), and
+        H = (cut energy - log term 1) - log term 2.
 
         `hamiltonian` and `delta_factor` read one configuration's entry,
         and the reference in `tests/ising_reference.py` takes the same
@@ -1371,14 +1347,14 @@ class IsingModel:
         the entries, and one configuration's traced blocks."""
         state = self.state
         if down is None:
-            (cut, sides), down = self._boundary_masks, self._down
+            (cut, incidence), down = self._masks, self._down
         else:
-            cut, sides = self._boundary_masks_of(down)
+            cut, incidence = self._masks_of(down)
+        # Per link and configuration: has it a spin-up end among the vertices?
+        up_end = incidence.T @ ~down
         twice, links = sectors.twice, self.graph.link_ids()
-        (count, nl), size = twice.shape, cut.shape[2]
-        energy = np.zeros((2, count, size))  # [replica, sector, configuration]
-        for li, lam in enumerate(sectors.link_log_d.T):
-            np.add(energy, lam[None, :, None], out=energy, where=cut[:, li, None])
+        (count, nl), size = twice.shape, down.shape[1]
+        energy = self._cut_energies(sectors, cut)  # [replica, sector, configuration]
         kets, bras = sectors.sectors, state.sectors
         nb, vertices = len(bras), self.graph.vertices
         held = np.array([sec.twice_of(links) for sec in bras], dtype=np.int64).reshape(nb, nl)
@@ -1391,7 +1367,7 @@ class IsingModel:
         allowed = ~(differs @ cut).reshape(2, count, count, size)
         # mixed_1 of (a, b) is the state sector with which a agrees on the
         # links at spin-up vertices and b on the others, if any.
-        up, rest = ~(foreign @ sides).reshape(2, count, nb, size)
+        up, rest = ~(foreign @ np.stack([up_end, ~up_end])).reshape(2, count, nb, size)
         match = up[:, None] & rest[None, :]
         mixed = np.where(match.any(axis=2), match.argmax(axis=2), -1)
         live = (allowed[0] | allowed[1]) & (mixed >= 0) & (mixed.transpose(1, 0, 2) >= 0) & weighted
@@ -1547,22 +1523,6 @@ class IsingModel:
         parts = [sector_matrix(self.family, self.graph, boundary_filter=b) for b in boundaries]
         empty = np.empty((0, len(self.graph.link_ids())), dtype=np.int64)
         return self.partition_table(SectorSet(self, np.concatenate([empty, *parts])))
-
-    def boundary_fixed_sums(
-        self, boundary: Mapping[str, object]
-    ) -> BoundaryFixedSums:
-        """K-weighted pair sums over bulk spins at a fixed boundary: the one
-        boundary row of the `window_table` of the boundary."""
-        table = self.window_table([boundary])
-        if not len(table.labels):
-            raise EngineError("no admissible sector matches this boundary")
-        return BoundaryFixedSums(
-            z_bar=table.z_bar[0],
-            y=table.y[0],
-            d_total=table.d_total[0],
-            sector_count=len(table.labels),
-            log_z_bar=table.log_z_bar[0],
-        )
 
     def partition_table(
         self, sectors: Union[None, Iterable[SpinSector], SectorSet] = None

@@ -79,6 +79,13 @@ def outcome(call, *args, **kwargs):
         return type(exc).__name__, str(exc)
 
 
+def boundary_sums(model, boundary):
+    """The sums at one boundary: the one boundary row of its window table,
+    and the table's sector count."""
+    table = model.window_table([boundary])
+    return table.boundary_rows[0], len(table.labels)
+
+
 def raised(result) -> bool:
     return isinstance(result[0], str)
 
@@ -96,7 +103,7 @@ def consumers(graph, family, table):
         for entries in (window, window[::-1]):
             out.append(outcome(check_bulk_to_boundary, family, graph, entries, regime))
     for boundary in window:
-        out.append(outcome(IsingModel(graph, family, BULK).boundary_fixed_sums, boundary))
+        out.append(outcome(boundary_sums, IsingModel(graph, family, BULK), boundary))
     if len(graph.vertices) == 1 and not graph.internal_ids():
         out.append(outcome(reproduce_c2, family, graph))
     return out
@@ -209,7 +216,7 @@ class TestHeldFamilyPool:
         with pytest.raises(EngineError, match="EXHAUSTIVE_LIMIT = 1"):
             low.window_table(window)
         with pytest.raises(EngineError, match="EXHAUSTIVE_LIMIT = 1"):
-            low.boundary_fixed_sums(window[0])
+            boundary_sums(low, window[0])
 
     def test_held_arrays_are_read_only_and_sub_tables_their_own(self):
         graph = bridge_graph()
@@ -245,14 +252,14 @@ class TestWindowWithoutWholeFamily:
         window = suggest_window(family, graph)
         model = IsingModel(graph, family, BULK)
         expected = [outcome(check_bulk_to_boundary, family, graph, window),
-                    outcome(model.boundary_fixed_sums, window[0])]
+                    outcome(boundary_sums, model, window[0])]
         assert not any(map(raised, expected))
         monkeypatch.setattr(spins, "SECTOR_LIMIT", 6)
         with pytest.raises(SectorEnumerationError):
             IsingModel(graph, family, BULK).sector_set()
         fresh = IsingModel(graph, family, BULK)
         got = [outcome(check_bulk_to_boundary, family, graph, window),
-               outcome(fresh.boundary_fixed_sums, window[0])]
+               outcome(boundary_sums, fresh, window[0])]
         assert got == expected
         assert ising._held is None
 
@@ -269,9 +276,6 @@ class TestWindowWithoutWholeFamily:
         boundary = spoil(suggest_window(family, graph)[0])
         model = IsingModel(graph, family, BULK)
         for _ in ("empty", "held"):
-            with pytest.raises(ValueError) as err:
-                model.boundary_fixed_sums(boundary)
-            assert str(err.value) == message
             with pytest.raises(ValueError) as err:
                 model.window_table([boundary])
             assert str(err.value) == message
@@ -356,8 +360,10 @@ class TestWindowTable:
         monkeypatch.setattr(ising.SectorSet, "_parts", staticmethod(counted))
         for regime in ("exact", "ground_state"):
             check_bulk_to_boundary(family, graph, window, regime)
+        # A boundary row's id is a label, so read the arrays it is made of.
         for boundary in window:
-            IsingModel(graph, family, BULK).boundary_fixed_sums(boundary)
+            table = IsingModel(graph, family, BULK).window_table([boundary])
+            assert len(table.labels) and table.d_total[0] > 0 and len(table.y[0]) == 2
         if len(graph.vertices) == 1:
             reproduce_c2(family, graph)
         assert parts == []

@@ -193,11 +193,11 @@ class TestMixedSectorConstraints:
         with pytest.raises(ContractViolation):
             model.hamiltonian(sec_j, sec_k, cfg, 1)
 
-    def test_boundary_fixed_sums_match_manual_loop(self):
+    def test_boundary_sum_row_matches_manual_loop(self):
         graph, family, sec_j, sec_k = self.setup_bulk_family()
         model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
         boundary = {lid: 1 for lid in graph.boundary_ids()}
-        sums = model.boundary_fixed_sums(boundary)
+        sums = model.window_table([boundary]).boundary_rows[0]
         for replica in (0, 1):
             manual = 0.0
             for a in (sec_j, sec_k):
@@ -514,7 +514,7 @@ class TestBoundaryToBoundary:
             lambda: table.y,
             lambda: table.boundary_rows,
             lambda: table.to_json_dict(),
-            lambda: model.boundary_fixed_sums({lid: "1/2" for lid in legs}),
+            lambda: model.window_table([{lid: "1/2" for lid in legs}]).boundary_rows[0],
         ):
             with pytest.raises(SectorEnumerationError, match="4 sectors exceed the guard of 3"):
                 read()
@@ -522,8 +522,8 @@ class TestBoundaryToBoundary:
 
 def refused_calls():
     """{case: call} for each input the engine cannot use: bulk-to-boundary
-    models of the bridge, and one sector and one parity-odd boundary of the
-    four-leg vertex, a graph of its own."""
+    models of the bridge, and one sector of the four-leg vertex, a graph of
+    its own."""
     graph = bridge_graph()
     family = bridge_family(graph, 1)
     low, high = bridge_sectors(graph, 1)
@@ -533,14 +533,12 @@ def refused_calls():
     legs = four_leg_graph()
     leg_family = two_sector_vertex_family(legs)
     foreign = next(spins.enumerate_sectors(leg_family, legs))
-    odd = {"p1": "1", "p2": "1/2", "p3": "1/2", "p4": "1/2"}
     return {
         "bulk_kind_with_state": lambda: IsingModel(graph, family, bulk, state=state),
         "replica_2": lambda: model.partition_sum_fixed(low, high, 2),
         "j_of_another_graph": lambda: model.partition_sum_fixed(foreign, low, 0),
         "k_of_another_graph": lambda: model.ground_state(low, foreign, 1),
         "sector_set_of_another_graph": lambda: model.sector_set([low, foreign]),
-        "boundary_without_sector": lambda: IsingModel(legs, leg_family, bulk).boundary_fixed_sums(odd),
         "unknown_kind": lambda: ModelKind("bogus"),
         "boundary_kind_without_partition": lambda: ModelKind.boundary_to_boundary(None),
         "bulk_kind_with_partition": lambda: ModelKind(
@@ -555,7 +553,6 @@ REFUSALS = {
     "j_of_another_graph": "sector j belongs to a different graph",
     "k_of_another_graph": "sector k belongs to a different graph",
     "sector_set_of_another_graph": "sector belongs to a different graph",
-    "boundary_without_sector": "no admissible sector matches this boundary",
     "unknown_kind": "unknown model kind 'bogus'; expected one of ('bulk_to_boundary', 'boundary_to_boundary')",
     "boundary_kind_without_partition": "boundary-to-boundary kind needs a boundary partition",
     "bulk_kind_with_partition": "bulk-to-boundary kind has no boundary partition; pass partition=None",
@@ -1389,12 +1386,13 @@ class TestLogDomainTotals:
         assert log == pytest.approx(800.0 + math.log1p(-math.exp(-1.0)), rel=1e-15)
 
 
-# -- k_factor and boundary_fixed_sums as views ---------------------------------
+# -- k_factor and window tables as views ----------------------------------------
 
 
 class TestTableViews:
-    """`k_factor` and `boundary_fixed_sums` answer from the same arrays as
-    the full `partition_table`, bit for bit, under both model kinds."""
+    """`k_factor` and the window table of one boundary answer from the
+    same arrays as the full `partition_table`, bit for bit, under both
+    model kinds."""
 
     @pytest.fixture(scope="class")
     def models(self):
@@ -1421,22 +1419,28 @@ class TestTableViews:
                 assert factor.log_value.hex() == log.hex(), sector.label()
                 assert factor.value == k
 
-    def test_boundary_fixed_sums_are_the_table_rows(self, models):
+    def test_window_tables_are_the_table_rows(self, models):
         kinds, shared = set(), 0
         for model, table in models:
             boundary_ids = model.graph.boundary_ids()
             for c in table.boundary_keys:
                 key = table.sectors.keys[c]
-                sums = model.boundary_fixed_sums(
-                    {lid: str(Spin(t)) for lid, t in zip(boundary_ids, key)}
-                )
+                window = model.window_table([{lid: str(Spin(t)) for lid, t in zip(boundary_ids, key)}])
+                sums = window.boundary_rows[0]
                 assert [v.hex() for v in sums.z_bar] == [v.hex() for v in table.z_bar[c]]
                 assert [v.hex() for v in sums.y] == [v.hex() for v in table.y[c]]
                 assert sums.d_total == table.d_total[c]
                 assert [(s, v.hex()) for s, v in sums.log_z_bar] == [
                     (s, v.hex()) for s, v in table.log_z_bar[c]
                 ]
-                assert sums.sector_count == int(np.count_nonzero(table.sectors.key == c))
+                assert len(window.labels) == int(np.count_nonzero(table.sectors.key == c))
                 kinds.add(model.kind.mode)
-                shared += sums.sector_count > 1
+                shared += len(window.labels) > 1
         assert len(kinds) == 2 and shared
+
+    def test_window_of_a_boundary_without_sectors_has_no_row(self):
+        legs = four_leg_graph()
+        model = IsingModel(legs, two_sector_vertex_family(legs), ModelKind.bulk_to_boundary())
+        table = model.window_table([{"p1": "1", "p2": "1/2", "p3": "1/2", "p4": "1/2"}])
+        assert table.labels == () and table.boundary_rows == ()
+        assert [v.hex() for v in table.totals] == [0.0.hex()] * 2

@@ -2,11 +2,11 @@
 
 Runs the op list of one benchmark workload (generated by
 `perfbench/workloads.py`, which is imported and not modified) and records
-each partition table, window table, kernel, boundary-fixed sum, purity
-report, condition matrix, isometry verdict, c1/c2/c3 report, exact oracle
-replica average (`oracle.exact_replica_average`) and oracle map
-(`oracle.build_cmap`, as its entry arrays: output rows, input columns,
-components and values) that the ops build.  Each `average_purity` call
+each partition table, window table, kernel, purity report, condition
+matrix, isometry verdict, c1/c2/c3 report, exact oracle replica average
+(`oracle.exact_replica_average`) and oracle map (`oracle.build_cmap`, as
+its entry arrays: output rows, input columns, components and values)
+that the ops build.  Each `average_purity` call
 is also recorded in its other modes, each `check_bulk_to_boundary` call
 in its other regime, and each boundary-to-boundary `partition_table` as
 the `check_boundary_to_boundary` verdict of its model in every regime (the
@@ -91,12 +91,11 @@ from holoising import entropy, experiments, ising, isometry, oracle, spins  # no
 
 BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
 
-# Fields compared for these result types.  The boundary sums leave out
+# Fields compared for these result types.  The boundary rows leave out
 # their log-domain field (`log_z_bar`), so that trees with and without it
 # compare equal.
 FIELDS = {
     "BoundarySumRow": ("boundary_id", "z_bar", "y", "d_total"),
-    "BoundaryFixedSums": ("z_bar", "y", "d_total", "sector_count"),
     "MCEstimate": ("value", "sigma", "mean_numerator", "mean_denominator"),
 }
 
@@ -314,7 +313,7 @@ class Recorder:
                     self._undo.append((mod, attr, original))
 
     def install(self) -> None:
-        for name in ("partition_table", "window_table", "partition_sum_fixed", "ground_state", "boundary_fixed_sums"):
+        for name in ("partition_table", "window_table", "partition_sum_fixed", "ground_state"):
             self.patch_method(ising.IsingModel, name)
         self.patch_function(entropy, "average_purity")
         for name in ("condition_matrix", "check_bulk_to_boundary", "check_boundary_to_boundary"):
