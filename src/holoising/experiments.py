@@ -331,14 +331,13 @@ def _bridge_cells(
     w = 0.45), so the set equals its `weighted()` and the table is the one
     `partition_table` builds."""
     pool = model.sector_set(sectors)
-    entries = model._boundary_entries(pool)
-    row, config, _, _, energy = entries
+    row, config, cos, log, energy = model._boundary_entries(pool)
     names = ("low", "high")
     cells = {}
     for r, i, h in zip(row.tolist(), config.tolist(), energy.tolist()):
         (a, b), replica = divmod(r // 2, 2), r % 2
         cells[(names[a], names[b]), replica, _CONFIGS[i]] = h
-    return cells, PartitionSumTable(pool, model._reduce_entries(len(pool), *entries))
+    return cells, PartitionSumTable(pool, model._reduce_entries(len(pool), row, cos, log, energy))
 
 
 def _extract_structure(

@@ -25,11 +25,11 @@ replica of the boundary-to-boundary kind pins the input-region legs to -1.
 Any factor that can vanish lives in Delta, never in H; Hamiltonians are only
 defined on Delta-allowed configurations.  All sums accumulate in log domain.
 
-Evaluation paths.  Every kernel Z^{(j,k)}_b and its ground state come from
-an enumeration of all 2^V configurations.  Both kinds read the masks
-built once per model (`IsingModel._masks`: the links each configuration
-cuts per replica, and the links at each vertex) and price the cut links
-by one pass, `_cut_energies`:
+Evaluation paths.  Every kernel Z^{(j,k)}_b and its ground-state data
+(E_min, ties, gap) come from an enumeration of all 2^V configurations.
+Both kinds read the masks built once per model (`IsingModel._masks`: the
+links each configuration cuts per replica, and the links at each vertex)
+and price the cut links by one pass, `_cut_energies`:
 
 * bulk-to-boundary kernels are batched over a whole sector list.  On an
   allowed configuration the energy of pair (j, k) depends on j alone, so
@@ -44,12 +44,11 @@ by one pass, `_cut_energies`:
   a (key, j) pair.  Rows are grouped by how many configurations they
   allow, and each (count, replica) class is reduced by one call, as a
   dense block with each row's entries in ascending configuration order:
-  log-sum-exp for the kernel, then minimum, ties, gap and representative.
-  Grouping by count keeps each row's sum over its own entries, so the bits
-  are those of reducing the row alone; a row padded with zeros to a common
-  width would be summed in other pairwise slots.  Memory: the masks and
-  the spin-down mask built once per model (2^V (2L + V) bytes of
-  booleans, and where ties occur the rank, 8 bytes per configuration);
+  log-sum-exp for the kernel, then minimum, ties and gap.  Grouping by
+  count keeps each row's sum over its own entries, so the bits are those
+  of reducing the row alone; a row padded with zeros to a common width
+  would be summed in other pairwise slots.  Memory: the masks and the
+  spin-down mask built once per model (2^V (2L + V) bytes of booleans);
   per call, the spin-up mask (V 2^V bytes), S x 2^V float64 per replica,
   one boolean mask of 2^V per column list, and the column lists of one
   class (8 bytes per entry).  A class is reduced in slices of at most
@@ -71,28 +70,27 @@ by one pass, `_cut_energies`:
   configuration, sign, log term, energy), from which the bridge scenario
   c1 also reads its cells, and `_reduce_entries` reduces them: z is the
   log-sum-exp of each (row, sign) bucket in configuration order, and
-  E_min, ties, gap and representative are order-independent reductions,
-  so every kernel has the bits of scoring its configurations one at a
-  time.  Memory: the masks and the spin-down mask built once per model
-  (2^V (2L + V) bytes of booleans, and the rank, 8 bytes per
-  configuration); per call, the links with a spin-up end and the rest
+  E_min, ties and gap are order-independent reductions, so every kernel
+  has the bits of scoring its configurations one at a time.  Memory: the
+  masks and the spin-down mask built once per model (2^V (2L + V) bytes
+  of booleans); per call, the links with a spin-up end and the rest
   (2 L 2^V bytes), 2 S x 2^V float64 cut energies, the coded
   mixed sectors (S^2 T 2^V bytes of booleans, for T state sectors), the
   pairs with a nonzero cosine (at most S^2 2^V, a Python tuple of about
   200 bytes each), the entries (at most 2 S^2 2^V, 33 bytes each), and
   one configuration's traced blocks.
 
-A single kernel, `_kernel`, is the two-sector case of either.  Both kinds
-break ground-state ties by a rank of the configurations, built once per
-model (`IsingModel._rank`): by the bulk kind where a ground state first
-ties, by the boundary-to-boundary kind on its first table.  The public
-`delta_factor` and `hamiltonian` are one-configuration views of the same
-passes (`IsingModel._cell`): the masks are built on that one configuration
-(`_masks_of`) instead of all 2^V, and the bulk kind's Delta skips the
+A single kernel, `_kernel`, is the two-sector case of either.  No table
+holds a ground state's configuration: `ground_state` alone finds it, from
+one pair's view of the same passes (`IsingModel._cells`: the allowed
+configurations with their Delta and H), as the tie within `TIE_TOL` whose
+sorted tuple of spin-down vertex ids is least.  The public `delta_factor`
+and `hamiltonian` read that view on one configuration: the masks are built
+on it (`_masks_of`) instead of all 2^V.  The bulk kind's view skips the
 kernels' exclusion of vertices without intertwiners (such a vertex, active,
-gives Delta = 1 and H = +inf).  So each kind has one evaluator of
-Delta and H; the configuration-by-configuration scorer they are checked
-against lives in `tests/ising_reference.py`.
+gives Delta = 1 and H = +inf, which never ties a finite minimum).  So each
+kind has one evaluator of Delta and H; the configuration-by-configuration
+scorer they are checked against lives in `tests/ising_reference.py`.
 
 Log-sum-exp follows the steps of `scipy.special.logsumexp` in plain numpy,
 so that sums keep scipy's bits.
@@ -734,13 +732,8 @@ def _unique_bool_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _infeasible(shape) -> Tuple[np.ndarray, ...]:
-    """(E_min, degeneracy, gap, representative) where nothing is allowed."""
-    return (
-        np.full(shape, math.inf),
-        np.zeros(shape, dtype=np.int64),
-        np.full(shape, math.inf),
-        np.full(shape, -1, dtype=np.int64),
-    )
+    """(E_min, degeneracy, gap) where nothing is allowed."""
+    return np.full(shape, math.inf), np.zeros(shape, dtype=np.int64), np.full(shape, math.inf)
 
 
 def _agreement(links: np.ndarray, idle: np.ndarray, cut: np.ndarray, actives) -> Iterator[np.ndarray]:
@@ -763,27 +756,26 @@ def _agreement(links: np.ndarray, idle: np.ndarray, cut: np.ndarray, actives) ->
 @dataclass(frozen=True)
 class _PairKernels:
     """Kernels and ground-state data of every ordered pair of a sector list,
-    each an (S, S, 2) array indexed [j, k, replica].  `rep` is the
-    representative's configuration index (`IsingModel._config`, a column
-    of `_down`), -1 where no configuration is allowed."""
+    each an (S, S, 2) array indexed [j, k, replica]: the fields a table
+    reports.  The configuration of a ground state is not among them;
+    `IsingModel.ground_state` finds it."""
 
     z: np.ndarray
     e_min: np.ndarray
     degeneracy: np.ndarray
     gap: np.ndarray
-    rep: np.ndarray
 
     @staticmethod
     def empty(shape) -> "_PairKernels":
         return _PairKernels(np.zeros(shape), *_infeasible(shape))
 
     def put(self, index, values) -> None:
-        """Store (z, e_min, degeneracy, gap, rep) at `index`."""
-        self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index], self.rep[index] = values
+        """Store (z, e_min, degeneracy, gap) at `index`."""
+        self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index] = values
 
     def at(self, index) -> Tuple:
-        """(z, e_min, degeneracy, gap, rep) at `index`."""
-        return self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index], self.rep[index]
+        """(z, e_min, degeneracy, gap) at `index`."""
+        return self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index]
 
     def take(self, index: np.ndarray) -> "_PairKernels":
         """The kernels of the pairs of the sectors at `index`, as fresh
@@ -969,7 +961,7 @@ def _hold(model: "IsingModel", pool: SectorSet, weighted: SectorSet, kernels: _P
     # Reading a view builds it if need be (log_k of a bulk-to-boundary set
     # has built them all), so the held sets get no writable view later.
     views = [getattr(sectors, name) for sectors in (pool, weighted) for name in ("twice", *SectorSet.ARRAYS)]
-    for array in (*views, kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap, kernels.rep):
+    for array in (*views, kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap):
         array.flags.writeable = False
     # The pool holds every bulk completion of each of its boundary keys, so
     # D_I of a key is the sum of prod_x D(j^x) over its rows, the integer
@@ -1045,39 +1037,48 @@ class IsingModel:
         if k.graph is not self.graph and k.graph != self.graph:
             raise EngineError("sector k belongs to a different graph")
 
+    def _cells(
+        self, j: SpinSector, k: SpinSector, replica: int, down: Optional[np.ndarray] = None
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(configurations, Delta, H) of the allowed configurations of pair
+        (j, k) in `replica` among those of `down` (vertices x
+        configurations, True where a vertex has spin -1; default every
+        configuration, `_down`): the columns of `down` in ascending order,
+        with their Delta and H, from the batched pass of this model's kind
+        over the sectors [j, k].
+
+        Bulk-to-boundary: a configuration is allowed where it cuts no link
+        on which j and k differ and leaves inactive every vertex at such a
+        link (`_agreement`); Delta is 1 and H is j's entry of
+        `_bulk_energies`.  Unlike the kernels, a vertex where j has no
+        intertwiners is not excluded: active, it gives H = +inf, which
+        carries no weight.  Boundary-to-boundary: the pair's entries in
+        `_boundary_entries`, Delta the cosine and H the energy."""
+        sectors = self.sector_set([j, k])
+        if self.kind.is_boundary_to_boundary:
+            row, config, cos, _, energy = self._boundary_entries(sectors, down)
+            at = row == 2 + replica  # the rows of pair (0, 1)
+            return config[at], cos[at], energy[at]
+        (cut, incidence), down = (self._masks, self._down) if down is None else (self._masks_of(down), down)
+        actives = down, ~down
+        differs = sectors.twice[:1] != sectors.twice[1:]
+        allowed = list(_agreement(differs, differs @ incidence.T, cut[0], actives))[replica][0]
+        config = np.flatnonzero(allowed)
+        energy = self._bulk_energies(sectors, cut, actives)[replica][0, config]
+        return config, np.ones(len(config)), energy
+
     def _cell(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
     ) -> Tuple[float, Optional[float]]:
-        """(Delta, H) of one configuration, H None where Delta = 0: the
-        batched pass of this model's kind over the sectors [j, k] and this
-        configuration alone, so `EXHAUSTIVE_LIMIT` does not apply.  The
-        configuration must name every vertex of the graph and no other, as
-        `IsingConfig.make` checks.
-
-        Bulk-to-boundary: Delta is 1 where the configuration cuts no link
-        on which j and k differ and leaves inactive every vertex at such a
-        link (`_agreement`), else 0, and H is j's entry of `_bulk_energies`.
-        Unlike the kernels, a vertex where j has no intertwiners is not
-        excluded: active, it gives Delta = 1 and H = +inf, which carries no
-        weight.  Boundary-to-boundary: Delta and H are the cosine and the
-        energy of the pair's entry in `_boundary_entries`; without an entry,
-        Delta = 0."""
+        """(Delta, H) of one configuration, H None where Delta = 0: `_cells`
+        on this configuration alone, so `EXHAUSTIVE_LIMIT` does not apply.
+        The configuration must name every vertex of the graph and no other,
+        as `IsingConfig.make` checks."""
         self._check_pair(j, k, replica)
         config = IsingConfig.make(self.graph, config.sigma)
         down = np.array([s < 0 for _, s in config.values], dtype=bool)[:, None]
-        sectors = self.sector_set([j, k])
-        if self.kind.is_boundary_to_boundary:
-            row, _, cos, _, energy = self._boundary_entries(sectors, down)
-            at = np.flatnonzero(row == 2 + replica)  # row of pair (0, 1)
-            return (float(cos[at[0]]), float(energy[at[0]])) if at.size else (0.0, None)
-        cut, incidence = self._masks_of(down)
-        actives = down, ~down
-        differs = sectors.twice[:1] != sectors.twice[1:]
-        allowed = list(_agreement(differs, differs @ incidence.T, cut[0], actives))[replica]
-        if not allowed[0, 0]:
-            return 0.0, None
-        energies = self._bulk_energies(sectors, cut, actives)
-        return 1.0, float(energies[replica][0, 0])
+        _, delta, energy = self._cells(j, k, replica, down)
+        return (float(delta[0]), float(energy[0])) if delta.size else (0.0, None)
 
     def delta_factor(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
@@ -1137,28 +1138,6 @@ class IsingModel:
         nv = self._check_limit()
         return ((np.arange(2**nv) >> np.arange(nv - 1, -1, -1)[:, None]) & 1).astype(bool)
 
-    @functools.cached_property
-    def _rank(self) -> np.ndarray:
-        """rank[i] is configuration i's position when configurations are
-        ordered by their sorted tuple of spin-down vertex ids, a prefix
-        sorting first: the ground-state tie-break, built on first use.
-
-        Let q_1 < ... < q_m be the positions (in id order, of nv) of i's
-        spin-down vertices, and q_0 = -1.  The configurations before i are
-        its m proper prefixes and, for each t, those that agree with it up
-        to q_{t-1}, take next some r with q_{t-1} < r < q_t, and any of the
-        2^(nv-1-r) sets above r.  So rank = sum over t of
-        1 + 2^(nv-1-q_{t-1}) - 2^(nv-q_t)."""
-        down = self._down
-        nv, size = down.shape
-        rank = np.zeros(size, dtype=np.int64)
-        last = np.full(size, -1, dtype=np.int64)  # q of the last spin-down vertex so far
-        for q, p in enumerate(sorted(range(nv), key=self.graph.vertices.__getitem__)):
-            at = down[p]
-            rank[at] += 1 + np.left_shift(1, nv - 1 - last[at]) - (1 << (nv - q))
-            last[at] = q
-        return rank
-
     def _masks_of(self, down: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """(cut, incidence) of the configurations of `down` (vertices x
         configurations, True where a vertex has spin -1).  `cut` (2, links,
@@ -1217,8 +1196,8 @@ class IsingModel:
         return energies
 
     def _bulk_kernels(self, sectors: SectorSet) -> _PairKernels:
-        """Kernels and ground states of every ordered pair of `sectors`, in
-        both bulk-to-boundary replicas.
+        """Kernels and ground-state data of every ordered pair of
+        `sectors`, in both bulk-to-boundary replicas.
 
         On an allowed configuration the energy of pair (j, k) is the energy
         of j alone, so one matrix per replica (sectors x configurations,
@@ -1281,20 +1260,16 @@ class IsingModel:
                 for start in range(0, len(members), step):
                     part, of_row = members[start : start + step], which[start : start + step]
                     block = energy[row_j[part, None], cols[of_row]]
-                    found.put(part, self._reduce_rows(block, cols, of_row))
+                    found.put(part, self._reduce_rows(block))
                     del block  # freed before the next slice is gathered
             kernels.put((pair_j, pair_k, replica), found.at(row_of_pair))
         return kernels
 
-    def _reduce_rows(
-        self, energy: np.ndarray, cols: np.ndarray, of_row: np.ndarray
-    ) -> Tuple[np.ndarray, ...]:
-        """(z, E_min, degeneracy, gap, representative) of each row of
-        `energy` (rows x k, finite).  Row i holds the energies of the
-        configurations `cols[of_row[i]]`, ascending columns of `_down`; z
-        is the sum of e^-E over the row.  Where several
-        configurations tie, the representative is the one of least rank
-        (`_rank`)."""
+    @staticmethod
+    def _reduce_rows(energy: np.ndarray) -> Tuple[np.ndarray, ...]:
+        """(z, E_min, degeneracy, gap) of each row of `energy` (rows x k,
+        finite, each row's configurations in ascending order); z is the
+        sum of e^-E over the row."""
         if energy.shape[1] == 0:
             return (np.zeros(len(energy)), *_infeasible(len(energy)))
         z = np.array([math.exp(v) for v in _logsumexp_rows(0.0 - energy).tolist()])
@@ -1302,13 +1277,7 @@ class IsingModel:
         tied = energy - e_min[:, None] <= TIE_TOL
         degeneracy = np.count_nonzero(tied, axis=1)
         gap = np.where(tied, math.inf, energy).min(axis=1) - e_min
-        rep = cols[of_row, tied.argmax(axis=1)]
-        ties = np.flatnonzero(degeneracy > 1)
-        if ties.size:
-            tied_cols = cols[of_row[ties]]
-            ranks = np.where(tied[ties], self._rank[tied_cols], np.iinfo(np.int64).max)
-            rep[ties] = tied_cols[np.arange(ties.size), ranks.argmin(axis=1)]
-        return z, e_min, degeneracy, gap, rep
+        return z, e_min, degeneracy, gap
 
     def _boundary_entries(self, sectors: SectorSet, down: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
         """The allowed entries (row, configuration, cosine, log, energy) of
@@ -1400,22 +1369,21 @@ class IsingModel:
         n, replica, e = n[finite], replica[finite], e[finite]
         return (a[n] * count + b[n]) * 2 + replica, c[n], cos[n], log_cos[n] - e, e
 
+    @staticmethod
     def _reduce_entries(
-        self, count: int, row: np.ndarray, config: np.ndarray, cos: np.ndarray, log: np.ndarray, energy: np.ndarray
+        count: int, row: np.ndarray, cos: np.ndarray, log: np.ndarray, energy: np.ndarray
     ) -> _PairKernels:
         """The kernels of `count` sectors from the compact entries of their
         2 count^2 rows (pair, replica), as `_boundary_entries` lists them:
-        entry i of row `row[i]` is configuration `config[i]` with energy
-        `energy[i]` and weight sign(cos[i]) exp(log[i]); a row holds a
-        configuration at most once, and the entries are listed in ascending
-        configuration order.
+        entry i of row `row[i]` has energy `energy[i]` and weight
+        sign(cos[i]) exp(log[i]); a row holds a configuration at most once,
+        and the entries are listed in ascending configuration order.
 
         z sums each (row, sign) bucket by `_bucket_logsumexp`, its terms in
         configuration order (one stable argsort of the bucket ids), and
         joins the two signs by `_signed_logs`.  E_min, the ties within
-        `TIE_TOL`, the gap and the representative (the tie of least rank,
-        `_rank`) are order-independent reductions.  So each row has
-        the bits of reducing it alone."""
+        `TIE_TOL` and the gap are order-independent reductions.  So each
+        row has the bits of reducing it alone."""
         nrows = count * count * 2
         ids = row * 2 + (cos < 0.0)
         lengths = np.bincount(ids, minlength=2 * nrows)
@@ -1423,60 +1391,58 @@ class IsingModel:
         z = np.zeros(nrows)
         for r in np.flatnonzero(lengths.reshape(nrows, 2).any(axis=1)).tolist():
             z[r] = _signed_logs(*sums[r])[0]
-        e_min, _, gap, rep = _infeasible(nrows)
+        e_min, _, gap = _infeasible(nrows)
         np.minimum.at(e_min, row, energy)
         tied = energy - e_min[row] <= TIE_TOL
         degeneracy = np.bincount(row[tied], minlength=nrows)
         np.minimum.at(gap, row[~tied], energy[~tied])
         feasible = degeneracy > 0
         gap[feasible] -= e_min[feasible]
-        # The least (rank, configuration) key of each row's ties.
-        size = self._down.shape[1]
-        key = self._rank[config[tied]] * size + config[tied]
-        least = np.full(nrows, np.iinfo(np.int64).max)
-        np.minimum.at(least, row[tied], key)
-        rep[feasible] = least[feasible] % size
-        return _PairKernels(*(x.reshape(count, count, 2) for x in (z, e_min, degeneracy, gap, rep)))
+        return _PairKernels(*(x.reshape(count, count, 2) for x in (z, e_min, degeneracy, gap)))
 
     def _pair_kernels(self, sectors: SectorSet) -> _PairKernels:
-        """Kernels and ground states of every ordered pair of `sectors`, in
-        both replicas, each from one batched pass over the sector list:
+        """Kernels and ground-state data of every ordered pair of `sectors`,
+        in both replicas, each from one batched pass over the sector list:
         `_bulk_kernels`, or the `_reduce_entries` of `_boundary_entries`."""
         if not self.kind.is_boundary_to_boundary:
             return self._bulk_kernels(sectors)
-        return self._reduce_entries(len(sectors), *self._boundary_entries(sectors))
+        row, _, cos, log, energy = self._boundary_entries(sectors)
+        return self._reduce_entries(len(sectors), row, cos, log, energy)
 
     def _kernel(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
-        """Kernel and ground state of one (pair, replica): the two-sector
-        case of `_pair_kernels`."""
+        """Kernel and ground state of one (pair, replica).  z, E_min, the
+        degeneracy and the gap are the two-sector case of `_pair_kernels`.
+        Where a configuration is allowed, the representative is the
+        configuration of `_cells` with H - E_min <= `TIE_TOL` whose sorted
+        tuple of spin-down vertex ids is least (a prefix first)."""
         self._check_pair(j, k, replica)
-        return self._result(*self._pair_kernels(self.sector_set([j, k])).at((0, 1, replica)))
-
-    def _result(self, z, e_min, degeneracy, gap, rep) -> Tuple[float, GroundState]:
-        """(z, GroundState) from one pair's kernel values."""
-        return float(z), GroundState(
-            config=self._config(int(rep)) if rep >= 0 else None,
-            energy=float(e_min),
-            degeneracy=int(degeneracy),
-            gap=float(gap),
-        )
+        z, e_min, degeneracy, gap = self._pair_kernels(self.sector_set([j, k])).at((0, 1, replica))
+        config = None
+        if degeneracy:
+            found, _, energy = self._cells(j, k, replica)
+            ties = map(self._config, found[energy - e_min <= TIE_TOL].tolist())
+            config = min(ties, key=lambda c: sorted(x for x, s in c.values if s < 0))
+        return float(z), GroundState(config, float(e_min), int(degeneracy), float(gap))
 
     def partition_sum_fixed(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> float:
-        """Exact kernel Z^{(j,k)} = sum over configurations of Delta e^-H."""
-        return self._kernel(j, k, replica)[0]
+        """Exact kernel Z^{(j,k)} = sum over configurations of Delta e^-H:
+        the two-sector case of `_pair_kernels`."""
+        self._check_pair(j, k, replica)
+        return float(self._pair_kernels(self.sector_set([j, k])).z[0, 1, replica])
 
     def ground_state(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> GroundState:
-        """Minimizing allowed configuration, tie count, and spectral gap.
+        """Minimizing allowed configuration, tie count, and spectral gap
+        (`_kernel`).
 
-        Ties within 1e-12 share the minimum; the representative is the tied
-        configuration whose spin-down vertex set is lexicographically
-        smallest.  An empty feasible set gives (None, inf, 0, inf).
+        Ties within `TIE_TOL` share the minimum; the representative is the
+        tied configuration whose sorted tuple of spin-down vertex ids is
+        least.  An empty feasible set gives (None, inf, 0, inf).
         """
         return self._kernel(j, k, replica)[1]
 

@@ -195,7 +195,5 @@ def array_table(labels, k, z, e_min=None):
         with np.errstate(divide="ignore"):
             e_min = -np.log(z)
     e_min = np.asarray(e_min, dtype=float).reshape(z.shape)
-    kernels = _PairKernels(
-        z, e_min, np.isfinite(e_min).astype(np.int64), np.full(z.shape, math.inf), np.full(z.shape, -1)
-    )
+    kernels = _PairKernels(z, e_min, np.isfinite(e_min).astype(np.int64), np.full(z.shape, math.inf))
     return PartitionSumTable(StandInSectors(labels, k), kernels)

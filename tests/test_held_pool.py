@@ -228,7 +228,7 @@ class TestHeldFamilyPool:
         names = ("link_log_d", "amplitude", "vertex_log_d")
         views = [getattr(sectors, name) for sectors in (held.pool, table.sectors) for name in names]
         for array in (table.z, table.e_min, table.degeneracy, table.gap, table.log_k,
-                      table._kernels.rep, held.pool.twice, held.pool.log_k, table.sectors.twice, *views):
+                      held.pool.twice, held.pool.log_k, table.sectors.twice, *views):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[(0,) * array.ndim] = 0

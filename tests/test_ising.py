@@ -821,13 +821,14 @@ def kernel_coverage(model, sectors, kernels):
             seen["zero_dim"] += any(intertwiner_dim(j.vertex_spins(x)) == 0 for x in model.graph.vertices)
             seen["mismatched"] += j != k
             seen["ties"] += tied
-            seen["tied_down_rep"] += tied and any(s < 0 for _, s in model._config(int(kernels.rep[a, b, replica])).values)
+            seen["tied_down_rep"] += tied and any(s < 0 for _, s in model.ground_state(j, k, replica).config.values)
     return seen
 
 
 def assert_kernels_match(model, sectors, kernels):
     """Every ordered pair of `sectors` and replica of `kernels` (a
-    `_PairKernels`) has the bits of `brute_force`."""
+    `_PairKernels`) has the bits of `brute_force`, and its `ground_state`
+    the representative."""
     for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
         for replica in (0, 1):
             z, e_min, degeneracy, gap, rep = brute_force(model, j, k, replica)
@@ -836,8 +837,7 @@ def assert_kernels_match(model, sectors, kernels):
             assert float(kernels.e_min[at]).hex() == float(e_min).hex()
             assert kernels.degeneracy[at] == degeneracy
             assert float(kernels.gap[at]).hex() == float(gap).hex()
-            got = None if kernels.rep[at] < 0 else model._config(int(kernels.rep[at]))
-            assert got == rep
+            assert model.ground_state(j, k, replica).config == rep
 
 
 class TestBatchedKernels:
@@ -935,7 +935,6 @@ class TestBatchedKernels:
         other rows."""
         model = count_class_chain_model({"u4": ["1/2", "8"]})
         sectors = model.sector_set().sectors
-        v4 = model.graph.vertices.index("v4")
         empty = [a for a, sec in enumerate(sectors) if intertwiner_dim(sec.vertex_spins("v4")) == 0]
         assert 0 < len(empty) < len(sectors)
         assert self.assert_matches(model, sectors) == 8
@@ -947,7 +946,7 @@ class TestBatchedKernels:
         ]
         assert infeasible
         for a, b in infeasible:
-            assert kernels.at((a, b, 1)) == (0.0, math.inf, 0, math.inf, -1)
+            assert kernels.at((a, b, 1)) == (0.0, math.inf, 0, math.inf)
             assert kernels.z[a, b, 0] > 0.0
         assert (kernels.degeneracy[:, :, 1] > 0).any()
         # Diagonal pairs share the empty set of differing links; a sector
@@ -956,18 +955,19 @@ class TestBatchedKernels:
         for replica in (0, 1):
             assert allowed_count(model, sectors[empty[0]], sectors[empty[0]], replica) == 16
             assert allowed_count(model, sectors[full[0]], sectors[full[0]], replica) == 32
-        assert kernels.rep[empty[0], empty[0], 0] >> (4 - v4) & 1 == 0
+        assert model.ground_state(sectors[empty[0]], sectors[empty[0]], 0).config.sigma["v4"] == 1
 
     def test_empty_sector_list_kernels(self):
         model = six_vertex_chain_model()
         kernels = model._bulk_kernels(model.sector_set([]))
-        for field in (kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap, kernels.rep):
+        for field in (kernels.z, kernels.e_min, kernels.degeneracy, kernels.gap):
             assert field.shape == (0, 0, 2)
 
     def test_single_kernel_is_the_two_sector_case(self):
         """`_kernel` of each pair of both fixed chains has the bits of that
         pair's cell of the batched kernels, which `test_six_vertex_chain`
-        and `test_near_ties` check against `brute_force`."""
+        and `test_near_ties` check against `brute_force`, and its
+        representative."""
         for model in (six_vertex_chain_model(), near_tie_chain_model()):
             sectors = model.sector_set().sectors
             kernels = model._bulk_kernels(model.sector_set(sectors))
@@ -979,12 +979,14 @@ class TestBatchedKernels:
                     assert ground.energy.hex() == float(kernels.e_min[at]).hex()
                     assert ground.degeneracy == kernels.degeneracy[at]
                     assert ground.gap.hex() == float(kernels.gap[at]).hex()
-                    assert ground.config == (None if kernels.rep[at] < 0 else model._config(int(kernels.rep[at])))
+                    assert ground.config == brute_force(model, j, k, replica)[4]
 
-    def test_rank_orders_by_sorted_down_set(self):
-        """`_rank` orders configurations by their sorted tuple of
-        spin-down vertex ids, a prefix first, where the id order is not
-        the graph's vertex order."""
+    def test_ties_break_by_sorted_down_ids(self):
+        """The representative of tied ground states is the one whose sorted
+        tuple of spin-down vertex ids is least, where the id order is not
+        the graph's vertex order: the mixed pairs tie four configurations
+        in replica 1, and the least is --+-+ (down set {a, b, d}), where a
+        rule in graph order would give --+++."""
         ids = ["d", "b", "e", "a", "c"]
         graph = build_graph(
             {
@@ -994,9 +996,16 @@ class TestBatchedKernels:
                 + [{"id": "u0", "end": ["d", 1]}, {"id": "u4", "end": ["c", 0]}],
             }
         )
-        model = IsingModel(graph, SectorFamily.build(graph, "1", "1"), ModelKind.bulk_to_boundary())
-        order = sorted(range(32), key=lambda i: tuple(sorted(x for x, s in model._config(i).values if s < 0)))
-        assert model._rank[order].tolist() == list(range(32))
+        allowed = {lid: ["1"] for lid in graph.link_ids()}
+        allowed.update({"l0": ["1", "2"], "l2": ["0"], "l3": ["0"], "t3": ["0"]})
+        family = SectorFamily.build(graph, "0", "2", allowed=allowed, normalize=False)
+        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+        j, k = model.sector_set().sectors
+        for a, b in ((j, k), (k, j)):
+            ground = model.ground_state(a, b, 1)
+            assert ground.degeneracy == 4
+            assert ground.config.label() == "--+-+"
+            assert ground.config == brute_force(model, a, b, 1)[4]
 
     @pytest.mark.parametrize("width", [0, 1, 5, 40, 64, 65, 130])
     def test_packed_grouping_matches_unique(self, width):
@@ -1061,10 +1070,12 @@ class TestBoundaryKernels:
         the pass takes each traced block at most once per (configuration,
         ket, bra).  The draws have Hilbert spaces of at most 8,000; a
         second series draws three vertices only.  The draws cover pure and
-        mixed states, cells with a negative cosine, and three-vertex
-        diagonal pairs that allow all 8 configurations, some of whose
-        kernels a sequential sum of their terms would change."""
-        seen = dict.fromkeys(("pure", "mixed", "negative_cosine", "three_vertex_rows_of_8", "order_sensitive"), 0)
+        mixed states, cells with a negative cosine, three-vertex diagonal
+        pairs that allow all 8 configurations, some of whose kernels a
+        sequential sum of their terms would change, and tied ground states
+        represented by a configuration with spin-down vertices."""
+        names = ("pure", "mixed", "negative_cosine", "three_vertex_rows_of_8", "order_sensitive", "tied_down_rep")
+        seen = dict.fromkeys(names, 0)
         traced_block = IntertwinerState.traced_block
 
         def check(drawn):
@@ -1083,6 +1094,7 @@ class TestBoundaryKernels:
             assert len(calls) == len(set(calls))
             sectors = table.sectors.sectors
             assert_kernels_match(model, sectors, table._kernels)
+            seen["tied_down_rep"] += kernel_coverage(model, sectors, table._kernels)["tied_down_rep"]
             seen["negative_cosine"] += int(np.count_nonzero(assert_entries_match(model, sectors) < 0))
             seen["pure" if state.amplitudes is not None else "mixed"] += 1
             if len(graph.vertices) < 3:

@@ -19,7 +19,10 @@ weighted sectors, which no op calls either.  The one-configuration views
 `IsingModel.delta_factor` and `hamiltonian`, which no op calls, are
 recorded on the first sector pair of each op's bulk-to-boundary model and
 of each boundary-to-boundary table's model: every configuration in both
-replicas, each cell's value or the type of the exception it raises.  No op
+replicas, each cell's value or the type of the exception it raises.  The
+single kernel `partition_sum_fixed` and `ground_state`, whose
+representative no table holds, are recorded on that pair too, in both
+replicas (`IsingModel.<name>[first pair]`).  No op
 builds a condition matrix, so `isometry.condition_matrix` of that bulk
 model's default table is recorded too, at the total input dimension of
 the table's boundary rows.  On
@@ -258,7 +261,9 @@ class Recorder:
         by replica, configurations in `itertools.product((1, -1), ...)`
         order over the graph's vertices.  A value is recorded as a float,
         so that an H summed over no term compares equal whether it comes
-        back as the int 0 or as 0.0.  Recording is paused meanwhile.
+        back as the int 0 or as 0.0.  Then record `partition_sum_fixed`
+        and `ground_state` of the pair, one result each listing the
+        outcomes of replicas 0 and 1.  Recording is paused meanwhile.
         Returns the pair, or None (recording nothing) where the set is
         empty."""
         self.paused += 1
@@ -274,6 +279,9 @@ class Recorder:
                 view = getattr(model, name)
                 cells = [outcome(lambda: float(view(*pair, config, replica))) for replica in (0, 1) for config in configs]
                 self.record(f"{prefix}IsingModel.{name}", cells)
+            for name in ("partition_sum_fixed", "ground_state"):
+                view = getattr(model, name)
+                self.record(f"{prefix}IsingModel.{name}[first pair]", [outcome(view, *pair, r) for r in (0, 1)])
             return pair
         finally:
             self.paused -= 1
