@@ -29,68 +29,35 @@ Evaluation paths.  Every kernel Z^{(j,k)}_b and its ground-state data
 (E_min, ties, gap) come from an enumeration of all 2^V configurations.
 Both kinds read the masks built once per model (`IsingModel._masks`: the
 links each configuration cuts per replica, and the links at each vertex)
-and price the cut links by one pass, `_cut_energies`:
+and price the cut links by one pass, `_cut_energies`.  A table's kernels
+come from one batched pass over its whole sector list, whose docstring
+states its mechanics and memory:
 
-* bulk-to-boundary kernels are batched over a whole sector list.  On an
-  allowed configuration the energy of pair (j, k) depends on j alone, so
-  the model accumulates one energy matrix per replica (sectors x
-  configurations, `_bulk_energies`), link by link and then vertex by
-  vertex; the kept energies are therefore bit-identical to scoring
-  configurations one at a time.  Which configurations a pair
-  allows depends only on the links where j and k differ and on the
-  vertices where j has no intertwiners (an active one gives an infinite
-  energy, so it is excluded like a Delta violation).  Pairs with the same
-  such key share one column list of allowed configurations, and a row is
-  a (key, j) pair.  Rows are grouped by how many configurations they
-  allow, and each (count, replica) class is reduced by one call, as a
-  dense block with each row's entries in ascending configuration order:
-  log-sum-exp for the kernel, then minimum, ties and gap.  Grouping by
-  count keeps each row's sum over its own entries, so the bits are those
-  of reducing the row alone; a row padded with zeros to a common width
-  would be summed in other pairwise slots.  Memory: the masks and the
-  spin-down mask built once per model (2^V (2L + V) bytes of booleans);
-  per call, the spin-up mask (V 2^V bytes), S x 2^V float64 per replica,
-  one boolean mask of 2^V per column list, and the column lists of one
-  class (8 bytes per entry).  A class is reduced in slices of at most
-  S x max(S, 2^V) entries, the size of one energy matrix or of one
-  replica's kernel array, so no block is larger than what the call holds
-  anyway.
-* boundary-to-boundary kernels are batched over a whole sector list too,
-  in one pass over the configurations.  A pair's cut energy is again j's
-  alone, so one energy matrix per replica (sectors x configurations) holds
-  every pair's.  Its Delta and the rest of its energy depend on two traced
-  blocks of the bulk state over the spin-down set, whose ket is j or k and
-  whose bra is a mixed sector stitched from both.  The mixed sectors of all
-  pairs are coded at once, over all configurations, and looked up among the
-  state's sectors; then the pairs are walked in configuration order: each
-  traced block (configuration, ket, bra) is taken once, with its norm and
-  log term, and each pair costs one overlap, which gives its cosine,
-  Delta.  Neither depends on the replica.  The pass (`_boundary_entries`)
-  lists the allowed entries as compact arrays (row = (pair, replica),
-  configuration, sign, log term, energy), from which the bridge scenario
-  c1 also reads its cells, and `_reduce_entries` reduces them: z is the
-  log-sum-exp of each (row, sign) bucket in configuration order, and
-  E_min, ties and gap are order-independent reductions, so every kernel
-  has the bits of scoring its configurations one at a time.  Memory: the
-  masks and the spin-down mask built once per model (2^V (2L + V) bytes
-  of booleans); per call, the links with a spin-up end and the rest
-  (2 L 2^V bytes), 2 S x 2^V float64 cut energies, the coded
-  mixed sectors (S^2 T 2^V bytes of booleans, for T state sectors), the
-  pairs with a nonzero cosine (at most S^2 2^V, a Python tuple of about
-  200 bytes each), the entries (at most 2 S^2 2^V, 33 bytes each), and
-  one configuration's traced blocks.
+* bulk-to-boundary: `_bulk_kernels`, one energy matrix per replica
+  (sectors x configurations), whose rows are reduced in classes of equal
+  length by `_reduce_rows`;
+* boundary-to-boundary: `_boundary_entries`, one walk over the
+  configurations that takes each traced block once and lists the allowed
+  entries, which `_reduce_entries` reduces.
 
-A single kernel, `_kernel`, is the two-sector case of either.  No table
-holds a ground state's configuration: `ground_state` alone finds it, from
-one pair's view of the same passes (`IsingModel._cells`: the allowed
-configurations with their Delta and H), as the tie within `TIE_TOL` whose
-sorted tuple of spin-down vertex ids is least.  The public `delta_factor`
-and `hamiltonian` read that view on one configuration: the masks are built
-on it (`_masks_of`) instead of all 2^V.  The bulk kind's view skips the
-kernels' exclusion of vertices without intertwiners (such a vertex, active,
-gives Delta = 1 and H = +inf, which never ties a finite minimum).  So each
-kind has one evaluator of Delta and H; the configuration-by-configuration
-scorer they are checked against lives in `tests/ising_reference.py`.
+Each reduction sums a row over its own entries in configuration order, so
+a kernel has the bits of reducing its row alone, and so of scoring its
+configurations one at a time.
+
+A single kernel, `_kernel` (behind `partition_sum_fixed` and
+`ground_state`), is one pass of its kind over the pair:
+`IsingModel._cells` lists the pair's allowed configurations with their
+Delta, log weight and H, and `_reduce_entries` reduces them as the one
+row of a one-sector list.  No table holds a ground state's configuration:
+`ground_state` picks it from the same entries, as the tie within
+`TIE_TOL` whose sorted tuple of spin-down vertex ids is least.  The public
+`delta_factor` and `hamiltonian` read `_cells` on one configuration: the
+masks are built on it (`_masks_of`) instead of all 2^V.  The bulk kind's
+`_cells` skips the kernels' exclusion of vertices without intertwiners
+(such a vertex, active, gives Delta = 1 and H = +inf, which `_kernel`
+drops).  So each kind has one evaluator of Delta and H; the
+configuration-by-configuration scorer they are checked against lives in
+`tests/ising_reference.py`.
 
 Log-sum-exp follows the steps of `scipy.special.logsumexp` in plain numpy,
 so that sums keep scipy's bits.
@@ -1039,33 +1006,33 @@ class IsingModel:
 
     def _cells(
         self, j: SpinSector, k: SpinSector, replica: int, down: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(configurations, Delta, H) of the allowed configurations of pair
-        (j, k) in `replica` among those of `down` (vertices x
+    ) -> Tuple[np.ndarray, ...]:
+        """(configurations, Delta, log, H) of the allowed configurations of
+        pair (j, k) in `replica` among those of `down` (vertices x
         configurations, True where a vertex has spin -1; default every
         configuration, `_down`): the columns of `down` in ascending order,
-        with their Delta and H, from the batched pass of this model's kind
-        over the sectors [j, k].
+        with their Delta, log = log|Delta| - H and H, from one pass of this
+        model's kind over the sectors [j, k].
 
         Bulk-to-boundary: a configuration is allowed where it cuts no link
         on which j and k differ and leaves inactive every vertex at such a
-        link (`_agreement`); Delta is 1 and H is j's entry of
-        `_bulk_energies`.  Unlike the kernels, a vertex where j has no
+        link (`_agreement`); Delta is 1, H is j's entry of `_bulk_energies`
+        and log is 0 - H.  Unlike the kernels, a vertex where j has no
         intertwiners is not excluded: active, it gives H = +inf, which
         carries no weight.  Boundary-to-boundary: the pair's entries in
         `_boundary_entries`, Delta the cosine and H the energy."""
         sectors = self.sector_set([j, k])
         if self.kind.is_boundary_to_boundary:
-            row, config, cos, _, energy = self._boundary_entries(sectors, down)
+            row, *entries = self._boundary_entries(sectors, down)
             at = row == 2 + replica  # the rows of pair (0, 1)
-            return config[at], cos[at], energy[at]
+            return tuple(x[at] for x in entries)
         (cut, incidence), down = (self._masks, self._down) if down is None else (self._masks_of(down), down)
         actives = down, ~down
         differs = sectors.twice[:1] != sectors.twice[1:]
         allowed = list(_agreement(differs, differs @ incidence.T, cut[0], actives))[replica][0]
         config = np.flatnonzero(allowed)
         energy = self._bulk_energies(sectors, cut, actives)[replica][0, config]
-        return config, np.ones(len(config)), energy
+        return config, np.ones(len(config)), 0.0 - energy, energy
 
     def _cell(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
@@ -1077,7 +1044,7 @@ class IsingModel:
         self._check_pair(j, k, replica)
         config = IsingConfig.make(self.graph, config.sigma)
         down = np.array([s < 0 for _, s in config.values], dtype=bool)[:, None]
-        _, delta, energy = self._cells(j, k, replica, down)
+        _, delta, _, energy = self._cells(j, k, replica, down)
         return (float(delta[0]), float(energy[0])) if delta.size else (0.0, None)
 
     def delta_factor(
@@ -1226,6 +1193,11 @@ class IsingModel:
         slices of at most S x max(S, 2^V) entries, the larger of one energy
         matrix and one replica's kernel array, so that no block outgrows
         what the call holds anyway.
+
+        Memory: the masks and the spin-down mask built once per model
+        (2^V (2L + V) bytes of booleans); per call, the spin-up mask (V 2^V
+        bytes), S x 2^V float64 per replica, one boolean mask of 2^V per
+        column list, and the column lists of one class (8 bytes per entry).
         """
         (cut, incidence), down = self._masks, self._down
         actives = down, ~down
@@ -1311,9 +1283,16 @@ class IsingModel:
         and the reference in `tests/ising_reference.py` takes the same
         steps one configuration at a time, so every entry has its bits,
         and each kernel `_reduce_entries` makes of the entries keeps them.
-        Memory as the module docstring states: the masks, the cut
-        energies, the coded mixed sectors, the pairs with a nonzero cosine,
-        the entries, and one configuration's traced blocks."""
+        The bridge scenario c1 reads its cells from these entries too.
+
+        Memory: the masks and the spin-down mask built once per model
+        (2^V (2L + V) bytes of booleans); per call, the links with a
+        spin-up end and the rest (2 L 2^V bytes), 2 S x 2^V float64 cut
+        energies, the coded mixed sectors (S^2 T 2^V bytes of booleans, for
+        T state sectors), the pairs with a nonzero cosine (at most S^2 2^V,
+        a Python tuple of about 200 bytes each), the entries (at most
+        2 S^2 2^V, 33 bytes each), and one configuration's traced
+        blocks."""
         state = self.state
         if down is None:
             (cut, incidence), down = self._masks, self._down
@@ -1374,10 +1353,11 @@ class IsingModel:
         count: int, row: np.ndarray, cos: np.ndarray, log: np.ndarray, energy: np.ndarray
     ) -> _PairKernels:
         """The kernels of `count` sectors from the compact entries of their
-        2 count^2 rows (pair, replica), as `_boundary_entries` lists them:
-        entry i of row `row[i]` has energy `energy[i]` and weight
-        sign(cos[i]) exp(log[i]); a row holds a configuration at most once,
-        and the entries are listed in ascending configuration order.
+        2 count^2 rows (pair, replica), as `_boundary_entries` lists them
+        (or `_kernel` its one row): entry i of row `row[i]` has energy
+        `energy[i]` and weight sign(cos[i]) exp(log[i]); a row holds a
+        configuration at most once, and the entries are listed in ascending
+        configuration order.
 
         z sums each (row, sign) bucket by `_bucket_logsumexp`, its terms in
         configuration order (one stable argsort of the bucket ids), and
@@ -1400,39 +1380,34 @@ class IsingModel:
         gap[feasible] -= e_min[feasible]
         return _PairKernels(*(x.reshape(count, count, 2) for x in (z, e_min, degeneracy, gap)))
 
-    def _pair_kernels(self, sectors: SectorSet) -> _PairKernels:
-        """Kernels and ground-state data of every ordered pair of `sectors`,
-        in both replicas, each from one batched pass over the sector list:
-        `_bulk_kernels`, or the `_reduce_entries` of `_boundary_entries`."""
-        if not self.kind.is_boundary_to_boundary:
-            return self._bulk_kernels(sectors)
-        row, _, cos, log, energy = self._boundary_entries(sectors)
-        return self._reduce_entries(len(sectors), row, cos, log, energy)
-
     def _kernel(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
-        """Kernel and ground state of one (pair, replica).  z, E_min, the
-        degeneracy and the gap are the two-sector case of `_pair_kernels`.
-        Where a configuration is allowed, the representative is the
-        configuration of `_cells` with H - E_min <= `TIE_TOL` whose sorted
-        tuple of spin-down vertex ids is least (a prefix first)."""
+        """Kernel and ground state of one (pair, replica), from one `_cells`
+        pass.  Its entries of finite H (an active vertex without
+        intertwiners, which the kernels exclude, has H = +inf) are the one
+        row of a one-sector `_reduce_entries`, which gives z, E_min, the
+        degeneracy and the gap with the bits of the pair's cell of a
+        batched table.  The representative is the entry with H - E_min <=
+        `TIE_TOL` whose sorted tuple of spin-down vertex ids (read from its
+        column of `_down`) is least, a prefix first; only that entry becomes
+        an `IsingConfig`, and none where nothing is allowed."""
         self._check_pair(j, k, replica)
-        z, e_min, degeneracy, gap = self._pair_kernels(self.sector_set([j, k])).at((0, 1, replica))
-        config = None
-        if degeneracy:
-            found, _, energy = self._cells(j, k, replica)
-            ties = map(self._config, found[energy - e_min <= TIE_TOL].tolist())
-            config = min(ties, key=lambda c: sorted(x for x, s in c.values if s < 0))
-        return float(z), GroundState(config, float(e_min), int(degeneracy), float(gap))
+        cells = self._cells(j, k, replica)
+        finite = cells[3] < math.inf
+        config, cos, log, energy = (x[finite] for x in cells)
+        z, e_min, degeneracy, gap = self._reduce_entries(1, np.zeros_like(config), cos, log, energy).at((0, 0, 0))
+        ties, vertices = config[energy - e_min <= TIE_TOL].tolist(), self.graph.vertices
+        rep = min(ties, key=lambda c: sorted(x for x, d in zip(vertices, self._down[:, c]) if d), default=None)
+        rep = None if rep is None else self._config(rep)
+        return float(z), GroundState(rep, float(e_min), int(degeneracy), float(gap))
 
     def partition_sum_fixed(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> float:
-        """Exact kernel Z^{(j,k)} = sum over configurations of Delta e^-H:
-        the two-sector case of `_pair_kernels`."""
-        self._check_pair(j, k, replica)
-        return float(self._pair_kernels(self.sector_set([j, k])).z[0, 1, replica])
+        """Exact kernel Z^{(j,k)} = sum over configurations of Delta e^-H
+        (`_kernel`)."""
+        return self._kernel(j, k, replica)[0]
 
     def ground_state(
         self, j: SpinSector, k: SpinSector, replica: int
@@ -1499,15 +1474,10 @@ class IsingModel:
         default `sector_set`); sectors of zero weight K are dropped.  Totals
         include every sector pair (also pairs with different boundary
         spins); the boundary rows are the boundary-diagonal restrictions.
-        All pair kernels come from one `_pair_kernels` call.  For the
-        bulk-to-boundary kind that is one energy matrix per replica, whose
-        rows are grouped by how many configurations they allow and reduced
-        once per (count, replica) class, so that each row keeps the bits of
-        summing it alone (see `_bulk_kernels`).  For the
-        boundary-to-boundary kind it is one pass over the configurations
-        for all pairs, which takes each traced block once per
-        configuration and lists compact entries (`_boundary_entries`),
-        then one reduction of them (`_reduce_entries`).
+        All pair kernels come from one batched pass over the weighted
+        sectors: `_bulk_kernels` for the bulk-to-boundary kind, and for the
+        boundary-to-boundary kind `_boundary_entries` reduced by
+        `_reduce_entries`.
 
         A bulk-to-boundary `partition_table()` on the default pool fills
         the module's one held family pool (see the module docstring): the
@@ -1527,7 +1497,11 @@ class IsingModel:
         if not isinstance(sectors, SectorSet):
             sectors = self.sector_set(sectors)
         weighted = sectors.weighted()
-        kernels = self._pair_kernels(weighted)
+        if self.kind.is_boundary_to_boundary:
+            row, _, cos, log, energy = self._boundary_entries(weighted)
+            kernels = self._reduce_entries(len(weighted), row, cos, log, energy)
+        else:
+            kernels = self._bulk_kernels(weighted)
         if default:
             return _hold(self, sectors, weighted, kernels)
         return PartitionSumTable(weighted, kernels)

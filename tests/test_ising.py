@@ -648,18 +648,24 @@ def chain_graph(nv, legs=1):
     return build_graph({"vertices": vertices, "links": links})
 
 
+def hexed(z, e_min, degeneracy, gap, *rep):
+    """A kernel's (z, E_min, degeneracy, gap), floats by `float.hex`, and
+    any representative after them, for comparing bits."""
+    return (float(z).hex(), float(e_min).hex(), int(degeneracy), float(gap).hex(), *rep)
+
+
+def single_kernel(model, j, k, replica):
+    """`hexed` of `model._kernel(j, k, replica)`, its representative last."""
+    z, ground = model._kernel(j, k, replica)
+    return hexed(z, ground.energy, ground.degeneracy, ground.gap, ground.config)
+
+
 class TestCompiledKernel:
-    def assert_matches(self, model, sectors, kernel):
+    def assert_matches(self, model, sectors):
         """Every ordered pair and replica agrees bit for bit."""
         for j, k in itertools.product(sectors, repeat=2):
             for replica in (0, 1):
-                z, e_min, degeneracy, gap, rep = brute_force(model, j, k, replica)
-                got_z, ground = kernel(j, k, replica)
-                assert float(got_z).hex() == float(z).hex()
-                assert float(ground.energy).hex() == float(e_min).hex()
-                assert ground.degeneracy == degeneracy
-                assert float(ground.gap).hex() == float(gap).hex()
-                assert ground.config == rep
+                assert single_kernel(model, j, k, replica) == hexed(*brute_force(model, j, k, replica))
 
     def test_random_instances(self):
         """The first six default sectors of each draw of one to three
@@ -672,7 +678,7 @@ class TestCompiledKernel:
             graph, family = drawn
             model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
             sectors = model.sector_set().sectors[:6]
-            self.assert_matches(model, sectors, model._kernel)
+            self.assert_matches(model, sectors)
             found = kernel_coverage(model, sectors, model._bulk_kernels(model.sector_set(sectors)))
             for key in seen:
                 seen[key] += found[key]
@@ -686,7 +692,7 @@ class TestCompiledKernel:
         def check(drawn):
             graph, family, state, part, _ = drawn
             model = IsingModel(graph, family, ModelKind.boundary_to_boundary(part), state=state)
-            self.assert_matches(model, model.sector_set().sectors, model._kernel)
+            self.assert_matches(model, model.sector_set().sectors)
 
         check()
 
@@ -699,6 +705,32 @@ class TestCompiledKernel:
             z, ground = model._kernel(low, high, replica)
             assert model.partition_sum_fixed(low, high, replica) == z
             assert model.ground_state(low, high, replica) == ground
+
+    def test_one_pass_per_single_pair_query(self, monkeypatch):
+        """`ground_state` and `partition_sum_fixed` make one
+        `_boundary_entries` pass each in the boundary-to-boundary kind, and
+        no `_bulk_kernels` call in the bulk-to-boundary kind, on feasible
+        cells (the diagonal ones) and on infeasible ones."""
+        graph, boundary, low, high = TestBoundaryToBoundary().make_model()
+        bulk = IsingModel(graph, boundary.family, ModelKind.bulk_to_boundary())
+        passes = []
+
+        def counted(method):
+            def call(self, *args):
+                passes.append(method.__name__)
+                return method(self, *args)
+
+            return call
+
+        for name in ("_boundary_entries", "_bulk_kernels"):
+            monkeypatch.setattr(IsingModel, name, counted(getattr(IsingModel, name)))
+        for model, per_query in ((boundary, ["_boundary_entries"]), (bulk, [])):
+            for (j, k), replica in itertools.product(((low, low), (low, high)), (0, 1)):
+                for query in (model.ground_state, model.partition_sum_fixed):
+                    passes.clear()
+                    query(j, k, replica)
+                    assert passes == per_query
+            assert all(model.ground_state(low, low, replica).feasible for replica in (0, 1))
 
 
 # -- the batched evaluator and its log-sum-exp ------------------------------
@@ -827,17 +859,13 @@ def kernel_coverage(model, sectors, kernels):
 
 def assert_kernels_match(model, sectors, kernels):
     """Every ordered pair of `sectors` and replica of `kernels` (a
-    `_PairKernels`) has the bits of `brute_force`, and its `ground_state`
-    the representative."""
+    `_PairKernels`) has the bits of `brute_force`, and so has the pair's
+    single kernel `_kernel`, its representative included."""
     for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
         for replica in (0, 1):
-            z, e_min, degeneracy, gap, rep = brute_force(model, j, k, replica)
-            at = (a, b, replica)
-            assert float(kernels.z[at]).hex() == float(z).hex()
-            assert float(kernels.e_min[at]).hex() == float(e_min).hex()
-            assert kernels.degeneracy[at] == degeneracy
-            assert float(kernels.gap[at]).hex() == float(gap).hex()
-            assert model.ground_state(j, k, replica).config == rep
+            want = hexed(*brute_force(model, j, k, replica))
+            assert hexed(*kernels.at((a, b, replica))) == want[:4]
+            assert single_kernel(model, j, k, replica) == want
 
 
 class TestBatchedKernels:
@@ -964,10 +992,9 @@ class TestBatchedKernels:
             assert field.shape == (0, 0, 2)
 
     def test_single_kernel_is_the_two_sector_case(self):
-        """`_kernel` of each pair of both fixed chains has the bits of that
-        pair's cell of the batched kernels, which `test_six_vertex_chain`
-        and `test_near_ties` check against `brute_force`, and its
-        representative."""
+        """`_kernel`, one pass over the pair alone, has the bits of that
+        pair's cell of the batched kernels of the whole list on both fixed
+        chains, and `brute_force`'s representative."""
         for model in (six_vertex_chain_model(), near_tie_chain_model()):
             sectors = model.sector_set().sectors
             kernels = model._bulk_kernels(model.sector_set(sectors))
