@@ -27,14 +27,30 @@ pairs, and the missing mass is reported separately; the identity
 holds in exact arithmetic (in floats, to rounding), so nothing is lost by
 the split.
 
+A purity report is built in two steps.  At the call, `average_purity`
+forms the per-pair ratios and the pair measure as arrays and reads Z_0,
+Z_1, the purity, S_2 and `feasible_mass` from them and the table; it
+makes every refusal there, those of `sector_distribution` (with c_E
+under `boundary_weights`) included, so no read of the report raises.
+The per-pair decomposition (`x`, `pair_probs`, the cumulant series,
+`rt_area_estimate` and the maps of `distribution`) is built from those
+arrays and the table on first read, once.  Memory: until then the report
+holds two S^2 float64 arrays (ratios and pair measure) and its table;
+reading every view builds four S^2-entry maps (`x`, `pair_probs` and the
+two pair maps of `distribution`), the exponent list and the table's
+`pair_ids`.
+
 All entropies are in nats.  Every function here is a pure aggregation over
-immutable inputs and is safe to call from multiple threads.
+immutable inputs and is safe to call from multiple threads; two threads
+that first read one view of a report at once may each build it, with the
+same result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -70,12 +86,32 @@ class SectorDistribution:
     `pair_probs_factorized` its high-spin product form p_j p_k.  `c`, when
     asked for, weights each boundary assignment E by D_E / sum_F D_F; it is
     keyed by boundary id and is None otherwise.
+
+    `sector_distribution` computes `c` and the normalizations sum K
+    (`_sum_k`) and Z_0 (`_z0`), with every refusal; `p`,
+    `pair_probs` and `pair_probs_factorized` are views of the table built
+    on first read.
     """
 
-    p: Mapping[str, float]
-    pair_probs: Mapping[str, float]
-    pair_probs_factorized: Mapping[str, float]
     c: Optional[Mapping[str, float]]
+    _table: PartitionSumTable = field(repr=False, compare=False)
+    _sum_k: float = field(repr=False)
+    _z0: float = field(repr=False)
+
+    @functools.cached_property
+    def p(self) -> Mapping[str, float]:
+        return dict(zip(self._table.labels, (self._table.k / self._sum_k).tolist()))
+
+    @functools.cached_property
+    def pair_probs(self) -> Mapping[str, float]:
+        table = self._table
+        weights = np.outer(table.k, table.k).ravel() * table.z.reshape(-1, 2)[:, 0] / self._z0
+        return dict(zip(table.pair_ids, weights.tolist()))
+
+    @functools.cached_property
+    def pair_probs_factorized(self) -> Mapping[str, float]:
+        p_array = self._table.k / self._sum_k
+        return dict(zip(self._table.pair_ids, np.outer(p_array, p_array).ravel().tolist()))
 
 
 def _fsum(values, what: str) -> float:
@@ -89,6 +125,14 @@ def _fsum(values, what: str) -> float:
     return total
 
 
+def _k_total(table: PartitionSumTable) -> float:
+    """sum_j K_j, refused where it overflows or carries no weight."""
+    k_total = _fsum(table.k.tolist(), "sector weights K")
+    if k_total <= 0.0:
+        raise EntropyError("table carries no sector weight")
+    return k_total
+
+
 def sector_distribution(
     table: PartitionSumTable,
     *,
@@ -99,21 +143,15 @@ def sector_distribution(
     With `boundary_weights` the boundary-region weights c_E are filled from
     the dimension data of the table's own graph and family: D_I and D_O of
     every boundary key of the family's bulk-to-boundary `SectorSet`, keys
-    with D_I = 0 left out.  Without it c_E is None.
+    with D_I = 0 left out.  Without it c_E is None.  The refusals and c_E
+    come from this call; the per-sector and per-pair maps are built on
+    first read (see `SectorDistribution`).
     """
-    k_total = _fsum(table.k.tolist(), "sector weights K")
-    if k_total <= 0.0:
-        raise EntropyError("table carries no sector weight")
-    p_array = table.k / k_total
-    p = dict(zip(table.labels, p_array.tolist()))
-
+    k_total = _k_total(table)
     z0_total = table.totals[0]
     require_finite([z0_total], "Z_0")
     if z0_total == 0.0:
         raise EntropyError("Z_0 = 0: the pair distribution is undefined")
-    weights = np.outer(table.k, table.k).ravel() * table.z.reshape(-1, 2)[:, 0] / z0_total
-    pair_probs = dict(zip(table.pair_ids, weights.tolist()))
-    factorized = dict(zip(table.pair_ids, np.outer(p_array, p_array).ravel().tolist()))
 
     c_weights: Optional[Dict[str, float]] = None
     if boundary_weights:
@@ -131,15 +169,15 @@ def sector_distribution(
             raise EntropyError("family admits no sector with intertwiners")
         c_weights = {bid: d / grand for bid, d in totals.items()}
 
-    return SectorDistribution(
-        p=p,
-        pair_probs=pair_probs,
-        pair_probs_factorized=factorized,
-        c=c_weights,
-    )
+    return SectorDistribution(c=c_weights, _table=table, _sum_k=k_total, _z0=z0_total)
 
 
 # -- purity reports ------------------------------------------------------
+
+
+def _feasible(ratios: np.ndarray) -> np.ndarray:
+    """True where the exponent X = -log ratio is finite: 0 < ratio < inf."""
+    return (ratios > 0.0) & (ratios < math.inf)
 
 
 @dataclass(frozen=True)
@@ -153,28 +191,79 @@ class PurityReport(JsonReport):
     weight of that condition is `feasible_mass`.  `rt_area_estimate` is
     4 * <X> in the ground-state modes, where X prices the domain-wall cut,
     and None in exact mode.
+
+    `z0`, `z1`, `purity`, `s2`, `feasible_mass`, `provenance` and the
+    normalizations and c_E of `distribution` come from `average_purity`,
+    with every refusal.  `x`, `pair_probs`, `cumulants`,
+    `cumulant_partial_sums`, `rt_area_estimate` and the maps of
+    `distribution` are views built on first read, from the per-pair
+    ratios and pair measure the call formed (`_ratios` and `_probs`) and
+    the table.  Memory: until then the report holds those two S^2 float64
+    arrays and its table; the reads build four S^2-entry maps (`x`,
+    `pair_probs` and the two pair maps of `distribution`), the S^2
+    exponents and the table's `pair_ids`.
     """
 
     z0: float = json_field("Z_0")
     z1: float = json_field("Z_1")
     purity: float
     s2: float = json_field("S_2")
-    x: Mapping[str, float] = json_field("X")
-    pair_probs: Mapping[str, float]
-    cumulants: Tuple[float, ...]
-    cumulant_partial_sums: Tuple[float, ...]
     feasible_mass: float
-    rt_area_estimate: Optional[float]
     provenance: str
     distribution: SectorDistribution = json_field(None)
+    _table: PartitionSumTable = json_field(None, repr=False, compare=False)
+    _ratios: np.ndarray = json_field(None, repr=False, compare=False)
+    _probs: np.ndarray = json_field(None, repr=False, compare=False)
+
+    @functools.cached_property
+    def _exponents(self) -> List[float]:
+        # math.log, whose bits numpy's vectorized log need not share.
+        return [
+            -math.log(r) if r > 0.0 else (math.inf if r == 0.0 else math.nan)
+            for r in self._ratios.tolist()
+        ]
+
+    @functools.cached_property
+    def x(self) -> Mapping[str, float]:
+        return dict(zip(self._table.pair_ids, self._exponents))
+
+    @functools.cached_property
+    def pair_probs(self) -> Mapping[str, float]:
+        return dict(zip(self._table.pair_ids, self._probs.tolist()))
+
+    @functools.cached_property
+    def _series(self) -> CumulantSeries:
+        feasible = _feasible(self._ratios)
+        xs = np.array(self._exponents)[feasible].tolist()
+        ps = (self._probs[feasible] / self.feasible_mass).tolist()
+        return _cumulant_series(xs, ps, CUMULANT_ORDER)
+
+    @property
+    def cumulants(self) -> Tuple[float, ...]:
+        return self._series.cumulants
+
+    @property
+    def cumulant_partial_sums(self) -> Tuple[float, ...]:
+        return self._series.partial_sums
+
+    @property
+    def rt_area_estimate(self) -> Optional[float]:
+        return None if self.provenance == "exact" else 4.0 * self.cumulants[0]
 
     def to_json_dict(self) -> dict:
         dist = self.distribution
-        return {**super().to_json_dict(), "distribution": json_value({
-            "p": dist.p,
-            "pair_probs": dist.pair_probs,
-            "pair_probs_factorized": dist.pair_probs_factorized,
-            **({} if dist.c is None else {"c": dist.c}),
+        return {**super().to_json_dict(), **json_value({
+            "X": self.x,
+            "pair_probs": self.pair_probs,
+            "cumulants": self.cumulants,
+            "cumulant_partial_sums": self.cumulant_partial_sums,
+            "rt_area_estimate": self.rt_area_estimate,
+            "distribution": {
+                "p": dist.p,
+                "pair_probs": dist.pair_probs,
+                "pair_probs_factorized": dist.pair_probs_factorized,
+                **({} if dist.c is None else {"c": dist.c}),
+            },
         })}
 
 
@@ -203,20 +292,22 @@ def average_purity(
     boundary-to-boundary models with indefinite overlaps) are rejected:
     the expectation view needs a genuine probability measure.  The
     report's distribution carries c_E with `boundary_weights` (see
-    `sector_distribution`).
+    `sector_distribution`).  Every refusal, those of `sector_distribution`
+    included, is made here; the per-pair decomposition is built on first
+    read (see `PurityReport`).
     """
     if mode not in MODES:
         raise EntropyError(f"unknown mode {mode!r}; expected one of {MODES}")
-    k_total = _fsum(table.k.tolist(), "sector weights K")
-    if k_total <= 0.0:
-        raise EntropyError("table carries no sector weight")
+    _k_total(table)
 
-    ids, z = table.pair_ids, table.z.reshape(-1, 2)
+    z = table.z.reshape(-1, 2)
     z0 = z[:, 0]
     if mode == "exact":
         zero = np.flatnonzero(z0 == 0.0)
         if zero.size:
-            raise EntropyError(f"pair {ids[zero[0]]!r} has Z_0^(j,k) = 0")
+            j, k = divmod(int(zero[0]), len(table.labels))
+            pid = f"{table.labels[j]}|{table.labels[k]}"
+            raise EntropyError(f"pair {pid!r} has Z_0^(j,k) = 0")
         ratios = z[:, 1] / z0
         z0_rep, z1_rep = table.totals
     else:
@@ -239,47 +330,31 @@ def average_purity(
     # max(v, 0.0) entry by entry: -0.0 and nan stay as they are.
     probs = np.where(probs < 0.0, 0.0, probs)
 
-    # math.log, whose bits numpy's vectorized log need not share.
-    x_vals = [
-        -math.log(r) if r > 0.0 else (math.inf if r == 0.0 else math.nan)
-        for r in ratios.tolist()
-    ]
-
     purity = z1_rep / z0_rep
     if purity <= 0.0:
         raise EntropyError(f"nonpositive purity {purity!r}")
     s2 = -math.log(purity)
 
-    feasible = np.isfinite(x_vals)
-    mass = math.fsum(probs[feasible].tolist())
+    mass = math.fsum(probs[_feasible(ratios)].tolist())
     if mass <= 0.0:
         raise EntropyError("no pair carries both weight and a finite exponent")
-    xs = np.array(x_vals)[feasible].tolist()
-    ps = (probs[feasible] / mass).tolist()
-    series = _cumulant_series(xs, ps, CUMULANT_ORDER)
 
     provenance = {
         "exact": "exact",
         "ground_state": "ground-state",
         "high_spin": "high-spin",
     }[mode]
-    rt_estimate = None
-    if mode != "exact":
-        rt_estimate = 4.0 * series.cumulants[0]
-
     return PurityReport(
         z0=z0_rep,
         z1=z1_rep,
         purity=purity,
         s2=s2,
-        x=dict(zip(ids, x_vals)),
-        pair_probs=dict(zip(ids, probs.tolist())),
-        cumulants=series.cumulants,
-        cumulant_partial_sums=series.partial_sums,
         feasible_mass=mass,
-        rt_area_estimate=rt_estimate,
         provenance=provenance,
         distribution=sector_distribution(table, boundary_weights=boundary_weights),
+        _table=table,
+        _ratios=ratios,
+        _probs=probs,
     )
 
 

@@ -146,21 +146,7 @@ buckets of each total also give `log_cancellation`, the log of the larger
 bucket over |Z_b|.  `entropy` and `isometry` raise `TotalsOverflowError`,
 which names `log_totals`, rather than dividing infinities.
 
-Reports as JSON.  One rule writes every report: a report is a dataclass
-on `JsonReport`, whose `to_json_dict` is the `json_value` of each field
-under its JSON name.  The name lives at the field, as
-`json_field("Z_0")`, where it differs from the field's own.  A key that is
-not one field each (a label made from a field, fields zipped into rows, a
-property) is written by a short override of the class, and the fields it
-reshapes are left out of the derived dict by `json_field(None)`.  A
-nested report, alone or in a tuple, is written by its own
-`to_json_dict`.  `json_value` maps each float that is not finite to None
-and each int beyond 2^53 in magnitude to its decimal string, which a
-reader that parses numbers as float64 would round, so every dict dumps as
-strict JSON (`allow_nan=False`).  `PartitionSumTable` is not a dataclass
-and keeps its own `to_json_dict`.  A table's JSON keeps its totals and
-boundary sums in log domain too (`log_totals`, `log_Z_bar_0/1`), so a
-total that overflows reads null as a float but stays a finite log.
+Reports as JSON follow one rule, stated at `JsonReport`.
 """
 
 from __future__ import annotations
@@ -398,10 +384,24 @@ def json_field(name: Optional[str], **kwargs):
 
 
 class JsonReport:
-    """Base of the reports: `to_json_dict` is the `json_value` of every
-    dataclass field under its JSON name (`json_field`, else the field's own
-    name), so it dumps as strict JSON (`allow_nan=False`): no NaN or
-    Infinity token."""
+    """Base of the reports: one rule writes every report as JSON.
+
+    A report is a dataclass on `JsonReport`, whose `to_json_dict` is the
+    `json_value` of each field under its JSON name.  The name lives at the
+    field, as `json_field("Z_0")`, where it differs from the field's own.
+    A key that is not one field each (a label made from a field, fields
+    zipped into rows, a property or a view built on first read) is
+    written by a short override of the class, and the fields it reshapes
+    are left out of the derived dict by `json_field(None)`.  A nested
+    report, alone or in a tuple, is written by its own `to_json_dict`.
+    `json_value` maps each float that is not finite to None and each int
+    beyond 2^53 in magnitude to its decimal string, which a reader that
+    parses numbers as float64 would round, so every dict dumps as strict
+    JSON (`allow_nan=False`): no NaN or Infinity token.
+    `PartitionSumTable` is not a dataclass and keeps its own
+    `to_json_dict`.  A table's JSON keeps its totals and boundary sums in
+    log domain too (`log_totals`, `log_Z_bar_0/1`), so a total that
+    overflows reads null as a float but stays a finite log."""
 
     def to_json_dict(self) -> dict:
         keys = ((f.metadata.get("json", f.name), f.name) for f in fields(self))
@@ -1016,8 +1016,10 @@ class IsingModel:
 
         Bulk-to-boundary: a configuration is allowed where it cuts no link
         on which j and k differ and leaves inactive every vertex at such a
-        link (`_agreement`); Delta is 1, H is j's entry of `_bulk_energies`
-        and log is 0 - H.  Unlike the kernels, a vertex where j has no
+        link (`_agreement`, this replica's mask alone); Delta is 1, H is the
+        `_bulk_energies` of j alone in this replica and log is 0 - H.  The
+        pair's two rows of spins serve only to find the links where j and
+        k differ.  Unlike the kernels, a vertex where j has no
         intertwiners is not excluded: active, it gives H = +inf, which
         carries no weight.  Boundary-to-boundary: the pair's entries in
         `_boundary_entries`, Delta the cosine and H the energy."""
@@ -1027,11 +1029,11 @@ class IsingModel:
             at = row == 2 + replica  # the rows of pair (0, 1)
             return tuple(x[at] for x in entries)
         (cut, incidence), down = (self._masks, self._down) if down is None else (self._masks_of(down), down)
-        actives = down, ~down
+        active = [(down, ~down)[replica]]
         differs = sectors.twice[:1] != sectors.twice[1:]
-        allowed = list(_agreement(differs, differs @ incidence.T, cut[0], actives))[replica][0]
+        allowed = next(_agreement(differs, differs @ incidence.T, cut[0], active))[0]
         config = np.flatnonzero(allowed)
-        energy = self._bulk_energies(sectors, cut, actives)[replica][0, config]
+        energy = self._bulk_energies(sectors.take(np.arange(1)), cut, active)[0][0, config]
         return config, np.ones(len(config)), 0.0 - energy, energy
 
     def _cell(
@@ -1147,16 +1149,17 @@ class IsingModel:
         return energy
 
     @staticmethod
-    def _bulk_energies(sectors: SectorSet, cut: np.ndarray, actives) -> Tuple[np.ndarray, np.ndarray]:
-        """energy[b] (sectors x configurations): the `_cut_energies` of
-        replica 0 (whose cut is that of both in this kind), then log D
-        added over the vertices active in replica b (`actives[b]`, where a
-        vertex's spin opposes the field b) in graph order, +inf where a
+    def _bulk_energies(sectors: SectorSet, cut: np.ndarray, actives) -> Tuple[np.ndarray, ...]:
+        """energy[b] (sectors x configurations), one per entry of
+        `actives`: the `_cut_energies` of replica 0 (whose cut is that of
+        both in this kind), then log D added over the vertices active in
+        `actives[b]` (vertices x configurations, where a vertex's spin
+        opposes the field of its replica) in graph order, +inf where a
         vertex has no intertwiners."""
         link_part = IsingModel._cut_energies(sectors, cut[:1])[0]
         vertex_lam = np.where(np.isneginf(sectors.vertex_log_d), math.inf, sectors.vertex_log_d)
-        # Replica 1 takes over the link part's memory.
-        energies = (link_part.copy(), link_part)
+        # The last entry takes over the link part's memory.
+        energies = (*(link_part.copy() for _ in actives[1:]), link_part)
         for energy, active in zip(energies, actives):
             for p in range(vertex_lam.shape[1]):
                 np.add(energy, vertex_lam[:, p, None], out=energy, where=active[p])

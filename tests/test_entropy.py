@@ -15,6 +15,7 @@ from hypothesis import given, settings
 
 from conftest import array_table, bridge_family, bridge_graph, four_leg_graph, glued_graph, two_sector_vertex_family
 from strategies import boundary_instances, bulk_instances, examples
+from test_golden import json_sha, signed_b2b_model, star_graph
 from test_sector_arrays import reference_sector_dims
 
 from holoising.entropy import (
@@ -30,7 +31,7 @@ from holoising.entropy import (
     sector_distribution,
 )
 from holoising.graph import build_graph
-from holoising.ising import EngineError, IsingModel, ModelKind
+from holoising.ising import EngineError, IsingModel, ModelKind, TotalsOverflowError
 from holoising.spins import (
     SectorFamily,
     Spin,
@@ -379,6 +380,97 @@ class TestAveragePurity:
         assert loaded["purity"] == pytest.approx(report.purity, rel=1e-15)
         assert loaded["provenance"] == "exact"
         assert abs(sum(loaded["distribution"]["c"].values()) - 1.0) < 1e-12
+
+
+def one_pair_table(z, k=1.0, e_min=None):
+    """A one-sector table whose only pair has kernels `z` = (Z_0, Z_1)."""
+    return array_table(("A",), k=(k,), z=[z], e_min=e_min)
+
+
+def no_intertwiner_table():
+    """The signed boundary-to-boundary state's table under a family whose
+    leg l = 1/2 leaves vertex v0 without intertwiners in every sector: the
+    table carries weight, the family no D_I."""
+    model = signed_b2b_model()
+    allowed = {"e1": ["1"], "l": ["1/2"], "r": ["1"], "t0": ["1", "2"], "t1": ["1", "2"]}
+    family = SectorFamily.build(model.graph, "1/2", "2", allowed=allowed, normalize=False)
+    return IsingModel(model.graph, family, model.kind, state=model.state).partition_table()
+
+
+SIGNED = [[(1.0, 0.5), (-0.5, 0.1)], [(-0.5, 0.1), (1.0, 0.5)]]
+
+#: (table maker, keyword arguments of `average_purity`, exception, message).
+REFUSALS = {
+    "unknown_mode": (lambda: one_pair_table((1.0, 0.5)), {"mode": "leading"}, EntropyError, "unknown mode"),
+    "no_sector_weight": (lambda: one_pair_table((1.0, 0.5), k=0.0), {}, EntropyError, "no sector weight"),
+    "pair_z0_zero": (lambda: one_pair_table((0.0, 0.0)), {}, EntropyError, r"Z_0\^\(j,k\) = 0"),
+    "total_z0_zero": (lambda: one_pair_table((0.0, 0.0)), {"mode": "ground_state"}, EntropyError, "Z_0 = 0"),
+    "overflowing_totals": (lambda: one_pair_table((1.0, 0.5), k=1e200), {}, TotalsOverflowError, "log_totals"),
+    "signed_pair_weights": (
+        lambda: array_table(("A", "B"), k=(1.0, 1.0), z=SIGNED, e_min=np.broadcast_to([0.0, 0.2], (2, 2, 2))),
+        {},
+        EntropyError,
+        "signed",
+    ),
+    "nonpositive_purity": (lambda: one_pair_table((1.0, -0.5), e_min=[(0.0, 0.7)]), {}, EntropyError, "nonpositive purity"),
+    # Z_1 / Z_0 overflows to +inf: the purity is positive, but X = -inf on
+    # the only pair, so no pair is feasible.
+    "no_feasible_mass": (lambda: one_pair_table((1e-300, 1e10)), {}, EntropyError, "finite exponent"),
+    "no_intertwiners": (no_intertwiner_table, {"boundary_weights": True}, EntropyError, "no sector with intertwiners"),
+}
+
+
+class TestCallTimeRefusals:
+    """Every refusal of `average_purity` comes from the call itself, before
+    the per-pair decomposition is built, not from its first read."""
+
+    @pytest.mark.parametrize("case", sorted(REFUSALS))
+    def test_refused_at_the_call(self, case):
+        make, kwargs, error, message = REFUSALS[case]
+        table = make()
+        with pytest.raises(error, match=message):
+            average_purity(table, **kwargs)
+
+    def test_no_intertwiner_table_passes_without_boundary_weights(self):
+        """The boundary-weights case is refused for its family alone: the
+        same table yields a report without `boundary_weights`."""
+        assert average_purity(no_intertwiner_table()).purity > 0.0
+
+
+class TestLazyDecomposition:
+    """The per-pair decomposition is built on first read: a report read
+    for its purity and S_2 builds neither the table's pair ids nor its
+    rows, and the views, once read, have the bits they had when the call
+    built them."""
+
+    #: `test_golden.json_sha` of the exact report's `to_json_dict()` on
+    #: the star below, made while the call built every per-pair field.
+    DIGEST = "c5479138e5948856250746f533b5360bff7ac486f61fda60b489edd22f6c5a30"
+
+    def test_purity_reads_build_no_pair_maps(self):
+        graph = star_graph(5)
+        table = bulk_table(graph, SectorFamily.build(graph, "1", "2"))
+        assert len(table.labels) == 122
+        report = average_purity(table)
+        assert 0.0 < report.purity <= 1.0
+        assert report.s2 == -math.log(report.purity)
+        assert "pair_ids" not in vars(table)
+        assert "rows" not in vars(table)
+        assert not {"x", "pair_probs", "_series"} & set(vars(report))
+        assert not {"p", "pair_probs", "pair_probs_factorized"} & set(vars(report.distribution))
+        read = (
+            report.x,
+            report.pair_probs,
+            report.cumulants,
+            report.cumulant_partial_sums,
+            report.rt_area_estimate,
+            report.distribution.p,
+            report.distribution.pair_probs,
+            report.distribution.pair_probs_factorized,
+        )
+        assert len(read[0]) == len(read[1]) == 122**2
+        assert json_sha(report.to_json_dict()) == self.DIGEST
+        assert "rows" not in vars(table)
 
 
 # -- cumulant expansion --------------------------------------------------

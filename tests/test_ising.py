@@ -732,6 +732,28 @@ class TestCompiledKernel:
                     assert passes == per_query
             assert all(model.ground_state(low, low, replica).feasible for replica in (0, 1))
 
+    def test_bulk_query_prices_one_sector(self, monkeypatch):
+        """A bulk-to-boundary single-pair query, and a one-configuration
+        view, prices the energies of sector j alone, in the asked replica
+        alone."""
+        model = six_vertex_chain_model()
+        sectors = model.sector_set().sectors
+        pairs = [(sectors[0], sectors[0]), (sectors[0], sectors[-1]), (sectors[-1], sectors[1])]
+        priced = []
+        energies = IsingModel._bulk_energies
+
+        def spy(sector_set, cut, actives):
+            priced.append((len(sector_set), len(actives)))
+            return energies(sector_set, cut, actives)
+
+        monkeypatch.setattr(IsingModel, "_bulk_energies", staticmethod(spy))
+        config = model._config(5)
+        for (j, k), replica in itertools.product(pairs, (0, 1)):
+            model.partition_sum_fixed(j, k, replica)
+            model.ground_state(j, k, replica)
+            model.delta_factor(j, k, config, replica)
+        assert priced == [(1, 1)] * 3 * len(pairs) * 2
+
 
 # -- the batched evaluator and its log-sum-exp ------------------------------
 

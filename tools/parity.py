@@ -96,10 +96,18 @@ BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS", "N
 
 # Fields compared for these result types.  The boundary rows leave out
 # their log-domain field (`log_z_bar`), so that trees with and without it
-# compare equal.
+# compare equal.  A purity report and a sector distribution build their
+# per-pair parts on first read, as views that are not dataclass fields;
+# they are compared under the names, in the order, of the fields they had
+# when all of them were.
 FIELDS = {
     "BoundarySumRow": ("boundary_id", "z_bar", "y", "d_total"),
     "MCEstimate": ("value", "sigma", "mean_numerator", "mean_denominator"),
+    "PurityReport": (
+        "z0", "z1", "purity", "s2", "x", "pair_probs", "cumulants", "cumulant_partial_sums",
+        "feasible_mass", "rt_area_estimate", "provenance", "distribution",
+    ),
+    "SectorDistribution": ("p", "pair_probs", "pair_probs_factorized", "c"),
 }
 
 # Calls recorded in the --values file only, not in the digests (see the
