@@ -308,7 +308,8 @@ def average_purity(
             j, k = divmod(int(zero[0]), len(table.labels))
             pid = f"{table.labels[j]}|{table.labels[k]}"
             raise EntropyError(f"pair {pid!r} has Z_0^(j,k) = 0")
-        ratios = z[:, 1] / z0
+        with np.errstate(over="ignore"):  # a ratio past float64 is +inf, and X = -inf there
+            ratios = z[:, 1] / z0
         z0_rep, z1_rep = table.totals
     else:
         ratios = ground_kernel(table.e_min.reshape(-1, 2)[:, 1])

@@ -40,9 +40,9 @@ states its mechanics and memory:
   configurations that takes each traced block once and lists the allowed
   entries, which `_reduce_entries` reduces.
 
-Each reduction sums a row over its own entries in configuration order, so
-a kernel has the bits of reducing its row alone, and so of scoring its
-configurations one at a time.
+Each reduction sums a row over its own entries in configuration order by
+the rule of `_scaled_sums`, so a kernel has the bits of reducing its row
+alone, and so of scoring its configurations one at a time.
 
 A single kernel, `_kernel` (behind `partition_sum_fixed` and
 `ground_state`), is one pass of its kind over the pair:
@@ -52,15 +52,11 @@ row of a one-sector list.  No table holds a ground state's configuration:
 `ground_state` picks it from the same entries, as the tie within
 `TIE_TOL` whose sorted tuple of spin-down vertex ids is least.  The public
 `delta_factor` and `hamiltonian` read `_cells` on one configuration: the
-masks are built on it (`_masks_of`) instead of all 2^V.  The bulk kind's
-`_cells` skips the kernels' exclusion of vertices without intertwiners
-(such a vertex, active, gives Delta = 1 and H = +inf, which `_kernel`
-drops).  So each kind has one evaluator of Delta and H; the
-configuration-by-configuration scorer they are checked against lives in
-`tests/ising_reference.py`.
-
-Log-sum-exp follows the steps of `scipy.special.logsumexp` in plain numpy,
-so that sums keep scipy's bits.
+masks are built on it (`_masks_of`) instead of all 2^V.  In the bulk
+kind, an active vertex without intertwiners gives Delta = 1 and H = +inf,
+a term that adds 0 to a kernel and never ties.  So each kind has one
+evaluator of Delta and H; the configuration-by-configuration scorer they
+are checked against lives in `tests/ising_reference.py`.
 
 Both paths refuse graphs with more than `EXHAUSTIVE_LIMIT` vertices; the
 one-configuration views do not enumerate and take any graph.
@@ -131,20 +127,16 @@ sum one, `_kernel_sums` (`PartitionSumTable.kernel_sums`, which reads the
 table's `log_k` and the set's boundary keys): the table's own `totals`,
 `z_bar` and `log_cancellation`, computed when the table is built, and the
 ground-state sums (`ground_kernel`) of `entropy` and `isometry`.
-`_kernel_sums` is a bucketed reducer: every nonzero term gets the bucket
-id of its replica, slot (the total or one boundary key) and sign, one
-stable argsort of the ids keeps each bucket's terms in row-major pair
-order, and the buckets of one length share one log-sum-exp call.
 
 Totals in log domain.  Z_b sums K_j K_k Z^{(j,k)}_b over all pairs; each
-nonzero term enters its sign bucket as log K_j + log K_k + log|Z^{(j,k)}_b|
-and each bucket is reduced by log-sum-exp, so `PartitionSumTable.log_totals`
-holds every total as (sign, log|Z_b|) and never overflows.  The float
-`totals` are those bucket sums exponentiated, +/-inf where they leave
-float64; boundary rows carry `log_z_bar` the same way.  The two sign
-buckets of each total also give `log_cancellation`, the log of the larger
-bucket over |Z_b|.  `entropy` and `isometry` raise `TotalsOverflowError`,
-which names `log_totals`, rather than dividing infinities.
+nonzero term enters as log K_j + log K_k + log|Z^{(j,k)}_b| with its sign,
+and `_scaled_sums` gives every total as (sign, log|Z_b|), which never
+overflows, so `PartitionSumTable.log_totals` holds them.  The float
+`totals` are +/-inf where they leave float64; boundary rows carry
+`log_z_bar` the same way.  The two sign parts of each total also give
+`log_cancellation`, the log of the larger part over |Z_b|.  `entropy` and
+`isometry` raise `TotalsOverflowError`, which names `log_totals`, rather
+than dividing infinities.
 
 Reports as JSON follow one rule, stated at `JsonReport`.
 """
@@ -418,7 +410,7 @@ class PartitionSumTable(JsonReport):
     every pair; `pair_ids` names the pairs "j|k" in row-major order.
     `totals` are Z_0 and Z_1 as floats (+/-inf where they overflow) and
     `log_totals` the same sums as (sign, log|Z_b|).  `log_cancellation`
-    holds, per replica, log of the larger sign bucket of Z_b over |Z_b|, 0
+    holds, per replica, log of the larger sign part of Z_b over |Z_b|, 0
     where no term has the other sign (so for every bulk-to-boundary table).
     Boundary-diagonal sums are indexed by the set's boundary keys: `z_bar`,
     `log_z_bar`, `y` and `d_total` hold one entry per key, and
@@ -539,66 +531,51 @@ class PartitionSumTable(JsonReport):
         })
 
 
-def _logsumexp_rows(a: np.ndarray) -> np.ndarray:
-    """log(sum(exp(row))) of each row of a 2-D array of finite values.
+def _scaled_sums(bucket: np.ndarray, log: np.ndarray, negative: np.ndarray, count: int) -> Tuple[np.ndarray, ...]:
+    """The sums of signed terms over `count` buckets at once: term i, of
+    bucket `bucket[i]`, is -e^log[i] where `negative[i]`, else +e^log[i].
+    Returns, per bucket, (total, sign, log|total|, cancellation) arrays.
 
-    The steps are those of `scipy.special.logsumexp` on one row, so the bits
-    are too: the maxima are counted (m) and taken out of the sum, the other
-    terms are shifted by the maximum and summed, and the result is
-    log1p(s / m) + log(m) + max.  The shifted terms are a fresh C-contiguous
-    array, and numpy sums each row of it along axis 1 with the same pairwise
-    summation as that row alone as a 1-D array, so the bits are scipy's
-    whatever the layout of `a`.
+    The summation rule of every kernel and K-weighted sum.  One stable
+    argsort groups the terms by bucket and sign, each group in the order
+    given.  Each bucket is scaled by its largest log term m
+    (`np.maximum.reduceat`), and its positive and negative parts P and N,
+    sums of e^(log - m), are each summed by `np.add.reduceat` (the first
+    term plus the pairwise sum of the rest).  Then total = e^m (P - N),
+    log|total| = m + log|P - N|, and cancellation = log max(P, N) -
+    log|P - N|, the log of the larger part over |total|: 0 where the
+    terms have one sign, +inf where the parts cancel exactly.  A bucket's
+    result depends on its own terms and their order alone, so it has the
+    bits of summing that bucket alone.  A bucket with no term, or only
+    terms e^-inf = 0, gives (0.0, 0, -inf, 0.0).  The total is +/-inf
+    where it leaves float64; its sign and log stay finite.
     """
-    a_max = a.max(axis=1, keepdims=True)
-    top = a == a_max
-    m = np.count_nonzero(top, axis=1, keepdims=True).astype(float)
-    shifted = a - a_max
-    np.exp(shifted, out=shifted)
-    shifted[top] = 0.0
-    s = shifted.sum(axis=1, keepdims=True)
-    s = np.where(s == 0, s, s / m)
-    return (np.log1p(s) + np.log(m) + a_max)[:, 0]
-
-
-def _bucket_logsumexp(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Log-sum-exp of each bucket of `terms`, which holds the buckets one
-    after another with the given lengths, with the bits of reducing the
-    bucket alone (-inf for an empty bucket).  The buckets of one length
-    share one `_logsumexp_rows` call.
-    """
-    starts = np.cumsum(lengths) - lengths
-    out = np.full(len(lengths), -math.inf)
-    for n in set(lengths[lengths > 0].tolist()):
-        buckets = np.flatnonzero(lengths == n)
-        out[buckets] = _logsumexp_rows(terms[starts[buckets, None] + np.arange(n)])
-    return out
-
-
-def _signed_logs(lp: float, ln: float) -> Tuple[float, Tuple[int, float]]:
-    """exp(lp) - exp(ln) for the log-sum-exps of a positive and a negative
-    bucket (-inf for an empty one): (the float, +/-inf where it overflows;
-    (sign, log|sum|))."""
-    if lp > ln:
-        log_form = (1, float(lp + math.log1p(-math.exp(ln - lp))))
-    elif ln > lp:
-        log_form = (-1, float(ln + math.log1p(-math.exp(lp - ln))))
-    else:
-        log_form = (0, -math.inf)
-    try:
-        total = math.exp(lp) - math.exp(ln)
-    except OverflowError:
-        total = log_form[0] * _exp(log_form[1])
-    return total, log_form
-
-
-def _log_cancellation(lp: float, ln: float, log_form: Tuple[int, float]) -> float:
-    """log of (larger sign bucket) / |sum|: 0 for a one-signed sum, +inf
-    where the buckets cancel exactly, 0 for an empty sum."""
-    top = max(lp, ln)
-    if log_form[0]:
-        return float(top - log_form[1])
-    return math.inf if top > -math.inf else 0.0
+    ids = 2 * bucket + negative
+    log = log[np.argsort(ids.astype(np.min_scalar_type(2 * count)), kind="stable")]
+    sizes = np.bincount(ids, minlength=2 * count)  # per (bucket, sign)
+    ends = np.cumsum(sizes)
+    parts, lengths = sizes > 0, sizes[0::2] + sizes[1::2]
+    filled = lengths > 0
+    top = np.maximum.reduceat(log, (ends[1::2] - lengths)[filled])
+    top[np.isneginf(top)] = 0.0  # a bucket of zero terms is left unscaled
+    log -= np.repeat(top, lengths[filled])
+    np.exp(log, out=log)
+    sums, scale = np.zeros(2 * count), np.zeros(count)
+    sums[parts] = np.add.reduceat(log, (ends - sizes)[parts])
+    scale[filled] = top
+    pos, neg = sums[0::2], sums[1::2]
+    diff = pos - neg
+    sign = np.sign(diff).astype(np.int64)
+    larger = np.maximum(pos, neg)
+    total, cancellation = np.zeros(count), np.zeros(count)
+    nonzero, some = diff != 0.0, larger > 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        log_diff = np.log(np.abs(diff))
+        total[nonzero] = np.exp(scale[nonzero]) * diff[nonzero]
+        big = np.isinf(total)  # e^m overflows, or the total itself
+        total[big] = sign[big] * np.exp(scale[big] + log_diff[big])
+    cancellation[some] = np.log(larger[some]) - log_diff[some]
+    return total, sign, scale + log_diff, cancellation
 
 
 def _memo_column(values: Iterable, term) -> List[float]:
@@ -619,8 +596,8 @@ class _KernelSums:
     two sectors share boundary key c (`z_bar[c]`, `log_z_bar[c]`).
     `keys_with_rows` lists the keys with a nonzero kernel in their block.
     `log_cancellation` is, per replica, log of the larger of the two sign
-    buckets of the total over |total| (`_log_cancellation`): 0 where every
-    term has one sign, large where the signed terms cancel."""
+    parts of the total over |total| (`_scaled_sums`): 0 where every term
+    has one sign, large where the signed terms cancel."""
 
     totals: Tuple
     log_totals: Tuple
@@ -633,38 +610,32 @@ class _KernelSums:
 def _kernel_sums(z: np.ndarray, log_k: np.ndarray, key: np.ndarray, nkeys: int) -> _KernelSums:
     """Sum K_j K_k Z^(j,k)_b over all pairs of the (S, S, 2) kernel array
     `z` and over each boundary key's diagonal block (`key[j]` is sector
-    j's code, below `nkeys`).  Each nonzero kernel is the log term
-    (log K_j + log K_k) + log|Z|, with logs from `math.log`, whose bits
-    numpy's vectorized log need not share.
-
-    Buckets are (replica, slot, sign), slot 0 for the total and c + 1 for
-    key c, so a term of a diagonal block lands in two buckets.  One stable
-    argsort of the bucket ids keeps each bucket's terms in row-major pair
-    order, which fixes the bits of its log-sum-exp, and the buckets of one
-    length are reduced by one `_logsumexp_rows` call.  The two signs of a
-    (replica, slot) are then combined by `_signed_logs`.
-    """
+    j's code, below `nkeys`), by one `_scaled_sums` call.  Each nonzero
+    kernel is the log term (log K_j + log K_k) + log|Z| (`np.log`) in the
+    bucket of its replica and slot, slot 0 for the total and c + 1 for key
+    c, so a term of a diagonal block lands in two buckets, each in
+    row-major pair order."""
     count, slots = len(log_k), nkeys + 1
     flat = z.reshape(count * count, 2)
     pair, replica = np.nonzero(flat)
     values = flat[pair, replica]
     j, k = np.divmod(pair, count)
-    logs = (log_k[j] + log_k[k]) + np.array(list(map(math.log, np.abs(values).tolist())), dtype=float)
-    ids = replica * (2 * slots) + ~(values > 0.0)
+    logs = (log_k[j] + log_k[k]) + np.log(np.abs(values))
+    negative = values < 0.0
     diagonal = np.flatnonzero(key[j] == key[k])
-    ids = np.concatenate([ids, ids[diagonal] + 2 * (key[j[diagonal]] + 1)])
-    terms = np.concatenate([logs, logs[diagonal]])[np.argsort(ids, kind="stable")]
-    lengths = np.bincount(ids, minlength=4 * slots)
-    rows = _bucket_logsumexp(terms, lengths).reshape(2, slots, 2).tolist()  # [replica][slot]: (lp, ln)
-    signed = [[_signed_logs(lp, ln) for lp, ln in row] for row in rows]
-    has_row = lengths.reshape(2, slots, 2)[:, 1:].any(axis=(0, 2))
+    owner = key[j[diagonal]]
+    bucket = np.concatenate([replica * slots, replica[diagonal] * slots + owner + 1])
+    sums = _scaled_sums(
+        bucket, np.concatenate([logs, logs[diagonal]]), np.concatenate([negative, negative[diagonal]]), 2 * slots
+    )
+    total, sign, log, cancellation = (x.reshape(2, slots).tolist() for x in sums)
     return _KernelSums(
-        totals=(signed[0][0][0], signed[1][0][0]),
-        log_totals=(signed[0][0][1], signed[1][0][1]),
-        z_bar=[(a[0], b[0]) for a, b in zip(signed[0][1:], signed[1][1:])],
-        log_z_bar=[(a[1], b[1]) for a, b in zip(signed[0][1:], signed[1][1:])],
-        keys_with_rows=tuple(np.flatnonzero(has_row).tolist()),
-        log_cancellation=tuple(_log_cancellation(*rows[r][0], signed[r][0][1]) for r in (0, 1)),
+        totals=(total[0][0], total[1][0]),
+        log_totals=((sign[0][0], log[0][0]), (sign[1][0], log[1][0])),
+        z_bar=list(zip(total[0][1:], total[1][1:])),
+        log_z_bar=[((s0, l0), (s1, l1)) for s0, l0, s1, l1 in zip(sign[0][1:], log[0][1:], sign[1][1:], log[1][1:])],
+        keys_with_rows=tuple(np.flatnonzero(np.bincount(owner, minlength=nkeys)).tolist()),
+        log_cancellation=(cancellation[0][0], cancellation[1][0]),
     )
 
 
@@ -1019,15 +990,15 @@ class IsingModel:
         link (`_agreement`, this replica's mask alone); Delta is 1, H is the
         `_bulk_energies` of j alone in this replica and log is 0 - H.  The
         pair's two rows of spins serve only to find the links where j and
-        k differ.  Unlike the kernels, a vertex where j has no
-        intertwiners is not excluded: active, it gives H = +inf, which
-        carries no weight.  Boundary-to-boundary: the pair's entries in
-        `_boundary_entries`, Delta the cosine and H the energy."""
-        sectors = self.sector_set([j, k])
+        k differ.  As in the kernels, an active vertex where j has no
+        intertwiners gives H = +inf, which carries no weight.
+        Boundary-to-boundary: the `_boundary_entries` of this one cell
+        (of [j] alone where k = j, so that each block is taken once),
+        Delta the cosine and H the energy."""
         if self.kind.is_boundary_to_boundary:
-            row, *entries = self._boundary_entries(sectors, down)
-            at = row == 2 + replica  # the rows of pair (0, 1)
-            return tuple(x[at] for x in entries)
+            pool = [j] if j == k else [j, k]
+            return self._boundary_entries(self.sector_set(pool), down, (0, len(pool) - 1, replica))[1:]
+        sectors = self.sector_set([j, k])
         (cut, incidence), down = (self._masks, self._down) if down is None else (self._masks_of(down), down)
         active = [(down, ~down)[replica]]
         differs = sectors.twice[:1] != sectors.twice[1:]
@@ -1178,24 +1149,20 @@ class IsingModel:
 
         A pair allows the configurations that cut no link where j and k
         differ and leave inactive every vertex at such a link (a vertex's
-        spin tuple differs exactly when one of its links does) and every
-        vertex where j has no intertwiners (its energy would be infinite,
-        which carries no weight).  Pairs are grouped by that key of links
-        and vertices with one `_unique_bool_rows` (keys packed into words);
-        each key has one column list of allowed configurations, and its
-        masks are built for all keys at once (`_agreement`).
-        A row is a (key, j) pair; it shares its key's column list.
+        spin tuple differs exactly when one of its links does); an active
+        vertex where j has no intertwiners has energy +inf there, which
+        adds 0.  Pairs are grouped by their key of differing links with one
+        `_unique_bool_rows` (keys packed into words); each key has one
+        column list of allowed configurations, and its masks are built for
+        all keys at once (`_agreement`).  A row is a (key, j) pair; it
+        shares its key's column list.
 
-        Rows are then grouped by how many configurations they allow, and
-        each (count, replica) class is one dense block, each row's entries
-        in ascending column order, reduced by one `_reduce_rows` call.
-        Each row is thus summed over its own entries in its own order, with
-        the bits of summing it alone.  Padding rows with zeros to a common
-        width would not be: numpy's pairwise summation puts entries in
-        other slots once a row is 8 or more long.  A class is reduced in
-        slices of at most S x max(S, 2^V) entries, the larger of one energy
-        matrix and one replica's kernel array, so that no block outgrows
-        what the call holds anyway.
+        Rows are then grouped by how many configurations they allow, so
+        that each (count, replica) class is one dense block, each row's
+        entries in ascending column order, reduced by one `_reduce_rows`
+        call.  A class is reduced in slices of at most S x max(S, 2^V)
+        entries, the larger of one energy matrix and one replica's kernel
+        array, so that no block outgrows what the call holds anyway.
 
         Memory: the masks and the spin-down mask built once per model
         (2^V (2L + V) bytes of booleans); per call, the spin-up mask (V 2^V
@@ -1209,18 +1176,12 @@ class IsingModel:
         energies = self._bulk_energies(sectors, cut, actives)
 
         pair_j, pair_k = np.divmod(np.arange(count * count), count)
-        nl = twice.shape[1]
-        # A pair's list key: the links where j and k differ, then the
-        # vertices where j has no intertwiners.
-        differs = (twice[:, None] != twice[None, :]).reshape(count * count, nl)
-        keys = np.concatenate([differs, np.isneginf(sectors.vertex_log_d)[pair_j]], axis=1)
-        lists, group = _unique_bool_rows(keys)
+        # A pair's list key: the links where j and k differ.
+        lists, group = _unique_bool_rows((twice[:, None] != twice[None, :]).reshape(count * count, twice.shape[1]))
         rows, row_of_pair = np.unique(group.reshape(-1) * count + pair_j, return_inverse=True)
         row_list, row_j = np.divmod(rows, count)
-        # Vertices that must stay inactive: at a differing link, or empty.
-        idle = (lists[:, :nl] @ incidence.T) | lists[:, nl:]
         kernels = _PairKernels.empty((count, count, 2))
-        allowed_per_replica = _agreement(lists[:, :nl], idle, cut[0], actives)
+        allowed_per_replica = _agreement(lists, lists @ incidence.T, cut[0], actives)
         for replica, (energy, allowed) in enumerate(zip(energies, allowed_per_replica)):
             found = _PairKernels.empty(len(rows))
             list_count = np.count_nonzero(allowed, axis=1)
@@ -1243,24 +1204,33 @@ class IsingModel:
     @staticmethod
     def _reduce_rows(energy: np.ndarray) -> Tuple[np.ndarray, ...]:
         """(z, E_min, degeneracy, gap) of each row of `energy` (rows x k,
-        finite, each row's configurations in ascending order); z is the
-        sum of e^-E over the row."""
+        C-contiguous, each row's configurations in ascending order, with a
+        finite minimum), reduced in place: the block is overwritten.  z is
+        e^-E_min times the sum of e^-(E - E_min) over the row, summed as
+        `_scaled_sums` sums a bucket, so with its bits; +inf entries add
+        0 and never tie."""
         if energy.shape[1] == 0:
             return (np.zeros(len(energy)), *_infeasible(len(energy)))
-        z = np.array([math.exp(v) for v in _logsumexp_rows(0.0 - energy).tolist()])
         e_min = energy.min(axis=1)
-        tied = energy - e_min[:, None] <= TIE_TOL
+        energy -= e_min[:, None]
+        tied = energy <= TIE_TOL
         degeneracy = np.count_nonzero(tied, axis=1)
-        gap = np.where(tied, math.inf, energy).min(axis=1) - e_min
+        gap = np.min(energy, axis=1, initial=math.inf, where=~tied)
+        np.negative(energy, out=energy)
+        np.exp(energy, out=energy)
+        z = np.exp(-e_min) * np.add.reduceat(energy.reshape(-1), np.arange(0, energy.size, energy.shape[1]))
         return z, e_min, degeneracy, gap
 
-    def _boundary_entries(self, sectors: SectorSet, down: Optional[np.ndarray] = None) -> Tuple[np.ndarray, ...]:
+    def _boundary_entries(
+        self, sectors: SectorSet, down: Optional[np.ndarray] = None, cell: Optional[Tuple[int, int, int]] = None
+    ) -> Tuple[np.ndarray, ...]:
         """The allowed entries (row, configuration, cosine, log, energy) of
-        every ordered pair (a, b) of `sectors` in both replicas, from one
-        pass over the configurations of `down` (vertices x configurations,
-        True where a vertex has spin -1; default every configuration,
-        `_down`): row = (a S + b) 2 + replica, the configuration indexes
-        the columns of `down`, Delta = cosine, Delta e^-H = sign(cosine)
+        every ordered pair (a, b) of `sectors` in both replicas, or of the
+        one `cell` (a, b, replica) alone, from one pass over the
+        configurations of `down` (vertices x configurations, True where a
+        vertex has spin -1; default every configuration, `_down`): row =
+        (a S + b) 2 + replica, the configuration indexes the columns of
+        `down`, Delta = cosine, Delta e^-H = sign(cosine)
         exp(log) and energy = H.  A cell is allowed exactly when it has an
         entry; a row lists its entries in ascending configuration order.
 
@@ -1316,6 +1286,10 @@ class IsingModel:
         weighted = np.array(weights) > 0.0
         weighted = (weighted[:, None] & weighted[None, :])[:, :, None]
         allowed = ~(differs @ cut).reshape(2, count, count, size)
+        if cell is not None:
+            only = np.zeros((2, count, count, 1), dtype=bool)
+            only[cell[2], cell[0], cell[1]] = True
+            allowed &= only
         # mixed_1 of (a, b) is the state sector with which a agrees on the
         # links at spin-up vertices and b on the others, if any.
         up, rest = ~(foreign @ np.stack([up_end, ~up_end])).reshape(2, count, nb, size)
@@ -1362,18 +1336,12 @@ class IsingModel:
         configuration at most once, and the entries are listed in ascending
         configuration order.
 
-        z sums each (row, sign) bucket by `_bucket_logsumexp`, its terms in
-        configuration order (one stable argsort of the bucket ids), and
-        joins the two signs by `_signed_logs`.  E_min, the ties within
-        `TIE_TOL` and the gap are order-independent reductions.  So each
-        row has the bits of reducing it alone."""
+        z is the `_scaled_sums` total of each row, its terms in
+        configuration order.  E_min, the ties within `TIE_TOL` and the gap
+        are order-independent reductions.  So each row has the bits of
+        reducing it alone."""
         nrows = count * count * 2
-        ids = row * 2 + (cos < 0.0)
-        lengths = np.bincount(ids, minlength=2 * nrows)
-        sums = _bucket_logsumexp(log[np.argsort(ids, kind="stable")], lengths).reshape(nrows, 2).tolist()
-        z = np.zeros(nrows)
-        for r in np.flatnonzero(lengths.reshape(nrows, 2).any(axis=1)).tolist():
-            z[r] = _signed_logs(*sums[r])[0]
+        z = _scaled_sums(row, log, cos < 0.0, nrows)[0]
         e_min, _, gap = _infeasible(nrows)
         np.minimum.at(e_min, row, energy)
         tied = energy - e_min[row] <= TIE_TOL
@@ -1387,18 +1355,16 @@ class IsingModel:
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
         """Kernel and ground state of one (pair, replica), from one `_cells`
-        pass.  Its entries of finite H (an active vertex without
-        intertwiners, which the kernels exclude, has H = +inf) are the one
-        row of a one-sector `_reduce_entries`, which gives z, E_min, the
-        degeneracy and the gap with the bits of the pair's cell of a
-        batched table.  The representative is the entry with H - E_min <=
+        pass.  Its entries are the one row of a one-sector
+        `_reduce_entries`, which gives z, E_min, the degeneracy and the gap
+        with the bits of the pair's cell of a batched table (an active
+        vertex without intertwiners has H = +inf there too, which adds 0
+        and never ties).  The representative is the entry with H - E_min <=
         `TIE_TOL` whose sorted tuple of spin-down vertex ids (read from its
         column of `_down`) is least, a prefix first; only that entry becomes
         an `IsingConfig`, and none where nothing is allowed."""
         self._check_pair(j, k, replica)
-        cells = self._cells(j, k, replica)
-        finite = cells[3] < math.inf
-        config, cos, log, energy = (x[finite] for x in cells)
+        config, cos, log, energy = self._cells(j, k, replica)
         z, e_min, degeneracy, gap = self._reduce_entries(1, np.zeros_like(config), cos, log, energy).at((0, 0, 0))
         ties, vertices = config[energy - e_min <= TIE_TOL].tolist(), self.graph.vertices
         rep = min(ties, key=lambda c: sorted(x for x, d in zip(vertices, self._down[:, c]) if d), default=None)

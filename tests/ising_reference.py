@@ -17,10 +17,10 @@ against them bit for bit:
     boundary_terms  cosine and log terms of the two traced blocks of the
                     boundary-to-boundary kind
 
-and the one-bucket log-sum-exp and signed sum that the package's bucketed
-reducers (`ising._bucket_logsumexp`, `ising._kernel_sums`) replaced:
+and the summation rule of `ising._scaled_sums` on one bucket, which the
+package applies to all buckets at once:
 
-    logsumexp       log-sum-exp of one list of terms
+    part_sum        sum of one sign's scaled terms, in the order given
     signed_sum      sum of +exp(pos) and -exp(neg) terms given by their logs
 """
 
@@ -32,7 +32,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from holoising.ising import IsingConfig, IsingModel, _logsumexp_rows, _signed_logs
+from holoising.ising import IsingConfig, IsingModel
 from holoising.spins import SpinSector, twice_intertwiner_dim
 
 
@@ -144,19 +144,30 @@ def configurations(model: IsingModel) -> Iterable[IsingConfig]:
         yield IsingConfig(tuple(zip(vertices, bits)))
 
 
-def logsumexp(terms: Sequence[float]) -> float:
-    """`ising._logsumexp_rows` of one row (-inf for no terms).  A single
-    term is its own log-sum-exp: the scipy steps give log1p(0) + log(1) +
-    x = x."""
-    if len(terms) == 1:
-        return terms[0]
-    if len(terms) == 0:
-        return -math.inf
-    return _logsumexp_rows(np.asarray(terms, dtype=float)[None, :])[0]
+def part_sum(values: Sequence[float]) -> float:
+    """The first value plus the pairwise sum (`np.sum`) of the rest; 0 for
+    no value."""
+    values = np.asarray(values, dtype=float)
+    return float(values[0] + np.sum(values[1:])) if len(values) else 0.0
 
 
-def signed_sum(pos: Sequence[float], neg: Sequence[float]) -> Tuple[float, Tuple[int, float]]:
-    """Sum of +exp(pos) and -exp(neg) terms given by their logs, each
-    bucket reduced by log-sum-exp: (the float, +/-inf where it overflows;
-    (sign, log|sum|))."""
-    return _signed_logs(logsumexp(pos), logsumexp(neg))
+def signed_sum(pos: Sequence[float], neg: Sequence[float]) -> Tuple[float, Tuple[int, float], float]:
+    """Sum of +exp(pos) and -exp(neg) terms given by their logs, each list
+    in its order: (the float, +/-inf where it overflows; (sign,
+    log|sum|); log of the larger part over |sum|).  Both parts are scaled
+    by the largest log m of either (0 where there is none or it is -inf):
+    P and N are the `part_sum`s of exp(log - m), and the sum is
+    exp(m) (P - N).  Exponentials and logs are numpy's, as the package's
+    are."""
+    pos, neg = np.asarray(pos, dtype=float), np.asarray(neg, dtype=float)
+    m = max(pos.max(initial=-math.inf), neg.max(initial=-math.inf))
+    m = float(m) if m > -math.inf else 0.0
+    p, n = part_sum(np.exp(pos - m)), part_sum(np.exp(neg - m))
+    if p == n:
+        return 0.0, (0, -math.inf), (math.inf if p > 0.0 else 0.0)
+    sign, log = (1 if p > n else -1), float(m + np.log(abs(p - n)))
+    with np.errstate(over="ignore"):
+        total = float(np.exp(m) * (p - n))
+        if math.isinf(total):
+            total = sign * float(np.exp(log))
+    return total, (sign, log), float(np.log(max(p, n)) - np.log(abs(p - n)))

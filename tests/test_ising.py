@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import logsumexp
 
 import ising_reference as reference
 from conftest import bridge_family, bridge_graph, bridge_sectors, bridge_state, four_leg_graph, two_sector_vertex_family
@@ -27,8 +26,7 @@ from holoising.ising import (
     IsingModel,
     ModelKind,
     TotalsOverflowError,
-    _bucket_logsumexp,
-    _logsumexp_rows,
+    _scaled_sums,
     _unique_bool_rows,
 )
 from holoising.spins import SectorEnumerationError, SectorFamily, Spin, SpinSector, intertwiner_dim
@@ -616,15 +614,14 @@ def brute_force(model, j, k, replica):
     pos, neg, found = [], [], []
     for cfg in reference.configurations(model):
         delta, energy = reference.evaluate(model, j, k, cfg, replica)
-        if delta == 0.0 or energy is None or math.isinf(energy):
+        if delta == 0.0 or energy is None:
             continue
+        # An infinite energy (an active vertex without intertwiners) is a
+        # term e^-inf = 0 of the sum, never a ground state.
         (pos if delta > 0 else neg).append(math.log(abs(delta)) - energy)
-        found.append((energy, cfg))
-    z = 0.0
-    if pos:
-        z += math.exp(logsumexp(np.array(pos)))
-    if neg:
-        z -= math.exp(logsumexp(np.array(neg)))
+        if not math.isinf(energy):
+            found.append((energy, cfg))
+    z = reference.signed_sum(pos, neg)[0]
     if not found:
         return z, math.inf, 0, math.inf, None
     e_min = min(e for e, _ in found)
@@ -732,6 +729,29 @@ class TestCompiledKernel:
                     assert passes == per_query
             assert all(model.ground_state(low, low, replica).feasible for replica in (0, 1))
 
+    def test_boundary_query_walks_its_own_cell(self, monkeypatch):
+        """A boundary-to-boundary single-pair query takes the traced blocks
+        of its own (pair, replica) alone, each once: the distinct blocks
+        that the reference scorer takes over the same cell."""
+        graph, model, low, high = TestBoundaryToBoundary().make_model()
+        traced_block = IntertwinerState.traced_block
+        calls = []
+
+        def record(self, ket, bra, keep):
+            calls.append((frozenset(keep), ket.key(), bra.key()))
+            return traced_block(self, ket, bra, keep)
+
+        monkeypatch.setattr(IntertwinerState, "traced_block", record)
+        for (j, k), replica in itertools.product(((low, high), (high, low), (low, low)), (0, 1)):
+            calls.clear()
+            for cfg in reference.configurations(model):
+                reference.evaluate(model, j, k, cfg, replica)
+            walked = set(calls)
+            calls.clear()
+            model.ground_state(j, k, replica)
+            assert len(calls) == len(set(calls))
+            assert set(calls) == walked
+
     def test_bulk_query_prices_one_sector(self, monkeypatch):
         """A bulk-to-boundary single-pair query, and a one-configuration
         view, prices the energies of sector j alone, in the asked replica
@@ -755,65 +775,53 @@ class TestCompiledKernel:
         assert priced == [(1, 1)] * 3 * len(pairs) * 2
 
 
-# -- the batched evaluator and its log-sum-exp ------------------------------
+# -- the batched evaluator and its scaled sums -----------------------------
 
 
-class TestLogSumExp:
-    def vectors(self):
-        """Seeded vectors of length 1-70 (across numpy's 8-wide pairwise
-        blocks): plain draws, repeated maxima, log-dimension sums full of
-        exact ties, and spreads so wide that every non-maximal term
-        underflows."""
-        rng = np.random.default_rng(2207)
-        for n in range(1, 71):
-            for scale in (1.0, 40.0, 2000.0):
-                a = rng.normal(size=n) * scale
-                yield a
-                tied = a.copy()
-                tied[rng.integers(0, n, size=max(1, n // 3))] = a.max()
-                yield tied
-            yield -np.log(rng.integers(1, 9, size=(n, 3))).sum(axis=1)
-            yield -800.0 * np.arange(n) - 3.5
+class TestScaledSums:
+    """`_scaled_sums` sums every bucket at once with the bits of
+    `reference.signed_sum` on that bucket alone."""
 
-    def test_matches_scipy_bit_for_bit(self):
-        seen = dict.fromkeys(("repeated_max", "underflow"), 0)
-        for a in self.vectors():
-            want = float(logsumexp(a)).hex()
-            assert float(_logsumexp_rows(a[None, :])[0]).hex() == want, a
-            # Rows of a block reduce independently.
-            block = np.stack([a, a[::-1], np.sort(a)])
-            assert [float(v).hex() for v in _logsumexp_rows(block)] == [
-                float(logsumexp(row)).hex() for row in block
-            ]
-            top = a == a.max()
-            seen["repeated_max"] += np.count_nonzero(top) > 1
-            seen["underflow"] += (~top).any() and not np.exp(a[~top] - a.max()).any()
+    def buckets(self, rng):
+        """Signed buckets of lengths 0-20 and around numpy's 8-wide
+        unrolled sums, its 128-entry pairwise blocks and 1024: plain draws,
+        tied maxima, wide spreads, one-signed buckets, terms e^-inf = 0,
+        an exactly cancelling bucket and totals past float64."""
+        lengths = [*range(21), *range(21), 127, 128, 129, 255, 256, 257, 1023, 1024, 1025]
+        for n in rng.permutation(lengths).tolist():
+            logs = rng.normal(size=n) * rng.choice([0.5, 40.0, 2000.0])
+            negative = rng.random(n) < rng.choice([0.0, 0.3, 1.0])
+            if n > 3 and rng.random() < 0.3:
+                logs[rng.integers(0, n, size=n // 3)] = logs.max()
+            if n > 1 and rng.random() < 0.2:
+                logs[rng.integers(0, n, size=n // 2)] = -math.inf
+            yield logs, negative
+        yield np.array([3.0, 3.0]), np.array([False, True])
+        yield np.array([-math.inf, -math.inf]), np.array([False, True])
+        yield np.array([800.0, 1.0, 799.0]), np.array([False, False, True])
+        yield np.array([800.0, 800.0]), np.array([True, False])
+
+    def test_matches_the_one_bucket_rule(self):
+        rng = np.random.default_rng(43)
+        seen = dict.fromkeys(("cancel", "zero_terms", "overflow", "signed", "long"), 0)
+        buckets = list(self.buckets(rng))
+        # The buckets' terms interleaved at random, each kept in its order.
+        owner = rng.permutation(np.repeat(np.arange(len(buckets)), [len(logs) for logs, _ in buckets]))
+        logs, negative = np.empty(len(owner)), np.empty(len(owner), dtype=bool)
+        for b, (terms, signs) in enumerate(buckets):
+            logs[owner == b], negative[owner == b] = terms, signs
+        total, sign, log, cancellation = _scaled_sums(owner, logs, negative, len(buckets))
+        for b, (terms, signs) in enumerate(buckets):
+            want_total, (want_sign, want_log), want_cancellation = reference.signed_sum(terms[~signs], terms[signs])
+            got = (total[b].hex(), int(sign[b]), log[b].hex(), cancellation[b].hex())
+            assert got == (want_total.hex(), want_sign, want_log.hex(), want_cancellation.hex()), b
+            seen["cancel"] += len(terms) > 0 and sign[b] == 0 and cancellation[b] == math.inf
+            seen["zero_terms"] += np.isneginf(terms).any()
+            seen["overflow"] += math.isinf(total[b]) and math.isfinite(log[b])
+            seen["signed"] += signs.any() and not signs.all()
+            seen["long"] += len(terms) > 1000
         assert all(seen.values()), seen
-
-    def test_buckets(self):
-        """Fifty buckets of each length 0-20, shuffled into one array, each
-        with the bits of scipy on the bucket alone."""
-        rng = np.random.default_rng(8)
-        lengths = rng.permutation(np.repeat(np.arange(21), 50))
-        terms = rng.normal(size=lengths.sum()) * rng.choice([0.5, 1.0, 40.0], size=lengths.sum())
-        starts = np.cumsum(lengths) - lengths
-        terms[starts[lengths == 5][0] : starts[lengths == 5][0] + 5] = 1.5  # tied maxima
-        got = _bucket_logsumexp(terms, lengths)
-        want = [float(logsumexp(terms[a : a + n])) if n else -math.inf for a, n in zip(starts, lengths)]
-        assert [float(v).hex() for v in got] == [v.hex() for v in want]
-
-    def test_long_rows_and_strided_blocks(self):
-        """Rows whose lengths straddle numpy's 8-wide unrolled sums, its
-        128-entry pairwise blocks and 1024, reduced as C-contiguous blocks
-        and as row- and column-sliced views of a larger array."""
-        rng = np.random.default_rng(1024)
-        for n in (7, 8, 9, 15, 16, 17, 127, 128, 129, 255, 256, 257, 1023, 1024, 1025):
-            wide = rng.normal(size=(7, n + 2)) * rng.choice([1.0, 40.0, 2000.0], size=(7, 1))
-            wide[3, 1 : n + 1 : 3] = wide[3, 1 : n + 1].max()
-            for block in (np.ascontiguousarray(wide[:, 1 : n + 1]), wide[::2, 1 : n + 1]):
-                assert [float(v).hex() for v in _logsumexp_rows(block)] == [
-                    float(logsumexp(row)).hex() for row in block
-                ], n
+        assert not np.isnan(np.concatenate([total, log, cancellation])).any()
 
 
 def six_vertex_chain_model():
@@ -1074,15 +1082,15 @@ class TestBatchedKernels:
 # -- boundary-to-boundary kernels against brute force and the oracle --------
 
 
-def sequential_logsumexp(terms):
-    """The scipy log-sum-exp steps with the shifted terms added one after
-    another, where numpy sums 8 or more in pairwise blocks."""
+def sequential_sum(terms):
+    """The sum of e^terms scaled as `reference.signed_sum` scales it, with
+    the scaled terms added one after another, where numpy sums 8 or more
+    in pairwise blocks."""
     top = terms.max()
     total = 0.0
-    for value in np.exp(terms - top)[terms != top].tolist():
+    for value in np.exp(terms - top).tolist():
         total += value
-    m = float(np.count_nonzero(terms == top))
-    return float(np.log1p(total / m) + np.log(m) + top)
+    return float(np.exp(top) * total)
 
 
 def assert_entries_match(model, sectors):
@@ -1153,7 +1161,7 @@ class TestBoundaryKernels:
                 logs = np.array([math.log(abs(delta)) - energy for delta, energy in found if delta])
                 if len(logs) == 8:
                     seen["three_vertex_rows_of_8"] += 1
-                    seen["order_sensitive"] += float(logsumexp(logs)).hex() != sequential_logsumexp(logs).hex()
+                    seen["order_sensitive"] += reference.signed_sum(logs, [])[0].hex() != sequential_sum(logs).hex()
 
         for vertex_counts, count in ((st.integers(1, 3), 60), (st.just(3), 40)):
             settings(max_examples=count)(given(boundary_instances(vertex_counts, max_dim=8000))(check))()
@@ -1436,13 +1444,13 @@ class TestLogDomainTotals:
         for _ in range(200):
             pos = rng.normal(scale=3.0, size=int(rng.integers(0, 5))).tolist()
             neg = rng.normal(scale=3.0, size=int(rng.integers(0, 5))).tolist()
-            total, (sign, log) = reference.signed_sum(pos, neg)
+            total, (sign, log), _ = reference.signed_sum(pos, neg)
             if total == 0.0:
                 assert sign == 0 and log == -math.inf
                 continue
             assert sign == (1 if total > 0 else -1)
             assert math.exp(log) == pytest.approx(abs(total), rel=1e-9, abs=1e-12)
-        total, (sign, log) = reference.signed_sum([800.0, 1.0], [799.0])
+        total, (sign, log), _ = reference.signed_sum([800.0, 1.0], [799.0])
         assert total == math.inf and sign == 1
         assert log == pytest.approx(800.0 + math.log1p(-math.exp(-1.0)), rel=1e-15)
 

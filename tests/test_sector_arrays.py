@@ -2,7 +2,7 @@
 kernel-sum reducer.
 
 The references live here: the per-key `signed_sum` loop that
-`ising._kernel_sums` replaced, the per-sector loop that
+`ising._kernel_sums` sums in one `_scaled_sums` call, the per-sector loop that
 `isometry.window_groups` replaced, and the `enumerate_sectors` +
 `intertwiner_dim` loops that `spins.sector_dims` and
 `entropy.fine_average_purity` replaced.  The array versions must give
@@ -44,7 +44,7 @@ from holoising.spins import (
 def reference_kernel_sums(z, log_k, key, nkeys):
     """One `reference.signed_sum` per replica over all pairs and per (replica,
     boundary key) over the key's diagonal block, each bucket in row-major
-    pair order; plus log(larger bucket / |total|) per replica."""
+    pair order; plus log(larger part / |total|) per replica."""
     count = len(log_k)
     log_kk = (log_k[:, None] + log_k[None, :]).ravel()
     same = (key[:, None] == key[None, :]).ravel()
@@ -56,21 +56,17 @@ def reference_kernel_sums(z, log_k, key, nkeys):
         flat = z[:, :, replica].ravel()
         nonzero = np.flatnonzero(flat)
         values = flat[nonzero]
-        logs = log_kk[nonzero] + np.array(list(map(math.log, np.abs(values).tolist())), dtype=float)
+        logs = log_kk[nonzero] + np.log(np.abs(values))
         pos = values > 0.0
-        total = reference.signed_sum(logs[pos], logs[~pos])
-        totals.append(total)
-        top = max(reference.logsumexp(logs[pos]), reference.logsumexp(logs[~pos]))
-        if total[1][0]:
-            cancellation.append(float(top - total[1][1]))
-        else:
-            cancellation.append(math.inf if top > -math.inf else 0.0)
+        *total, ratio = reference.signed_sum(logs[pos], logs[~pos])
+        totals.append(tuple(total))
+        cancellation.append(ratio)
         diagonal = same[nonzero]
         owner = key_of_pair[nonzero]
         for c in range(nkeys):
             block = diagonal & (owner == c)
             has_row[c] |= block.any()
-            by_key[c][replica] = reference.signed_sum(logs[block & pos], logs[block & ~pos])
+            by_key[c][replica] = reference.signed_sum(logs[block & pos], logs[block & ~pos])[:2]
     return totals, by_key, tuple(np.flatnonzero(has_row).tolist()), cancellation
 
 
@@ -214,6 +210,41 @@ class TestKernelSums:
                 if trial == 3:
                     log_k += 400.0
                 yield z, log_k, key, nkeys
+        yield from self.wide_cases()
+        yield from self.zero_weight_cases()
+        yield self.cancelling_case()
+
+    def wide_cases(self):
+        """Signed kernels whose log K spans 1,500 across the boundary keys:
+        the keys carry weight offsets spread evenly over [-760, 760], none
+        within 150 of 0, so no sum lies near 1 and the totals leave
+        float64."""
+        rng = np.random.default_rng(1500)
+        for count, nkeys in ((6, 2), (17, 4), (30, 6)):
+            key = rng.permutation(np.arange(count) % nkeys)
+            offset = np.linspace(-760.0, 760.0, nkeys)
+            log_k = offset[key] + rng.normal(scale=2.0, size=count)
+            z = rng.normal(size=(count, count, 2)) * np.exp(rng.normal(scale=2.0, size=(count, count, 2)))
+            yield z, log_k, key, nkeys
+
+    def zero_weight_cases(self):
+        """Sectors of zero weight (log K = -inf) beside weighted ones, and a
+        key whose sectors all have zero weight."""
+        rng = np.random.default_rng(0)
+        for count, nkeys in ((3, 1), (8, 3), (12, 4)):
+            key = np.arange(count) % nkeys
+            z = rng.normal(size=(count, count, 2))
+            log_k = rng.normal(size=count)
+            log_k[key == 0] = -math.inf
+            log_k[count - 1] = -math.inf
+            yield z, log_k, key, nkeys
+
+    def cancelling_case(self):
+        """Two sectors of one key and equal weight whose cross kernels are
+        +1.5 and -1.5: every bucket cancels exactly."""
+        z = np.zeros((2, 2, 2))
+        z[0, 1], z[1, 0] = 1.5, -1.5
+        return z, np.full(2, 0.25), np.zeros(2, dtype=np.int64), 1
 
     def test_matches_the_per_key_loop(self):
         kinds = {"inf": 0, "single": 0, "empty": 0, "negative": 0}
@@ -233,6 +264,51 @@ class TestKernelSums:
                 block = key == c
                 kinds["single"] += np.count_nonzero(z[np.ix_(block, block)][:, :, 0]) == 1
         assert all(kinds.values()), kinds
+
+    def test_wide_weights_against_fsum(self):
+        """Every log_totals and log_z_bar entry is within 1e-14 relative of
+        a per-pair `math.fsum` of the terms, each scaled by its bucket's
+        largest term."""
+
+        def fsum_log(z, log_kk, block):
+            values = z[block]
+            logs = log_kk[block][values != 0.0] + np.log(np.abs(values[values != 0.0]))
+            top = logs.max()
+            total = math.fsum((np.sign(values[values != 0.0]) * np.exp(logs - top)).tolist())
+            return top + math.log(abs(total))
+
+        checked = 0
+        for z, log_k, key, nkeys in self.wide_cases():
+            assert np.ptp(log_k) >= 1500.0
+            got = _kernel_sums(z, log_k, key, nkeys)
+            log_kk = log_k[:, None] + log_k[None, :]
+            diagonal = key[:, None] == key[None, :]
+            for replica in (0, 1):
+                blocks = [np.ones_like(diagonal)] + [diagonal & (key[:, None] == c) for c in range(nkeys)]
+                logs = [got.log_totals[replica]] + [row[replica] for row in got.log_z_bar]
+                for block, (sign, log) in zip(blocks, logs):
+                    assert log == pytest.approx(fsum_log(z[:, :, replica], log_kk, block), rel=1e-14, abs=0.0)
+                    checked += 1
+            assert math.isinf(got.totals[0]) and math.isinf(got.totals[1])
+        assert checked == 2 * (3 + 5 + 7)
+
+    def test_zero_weight_sectors(self):
+        """A bucket whose every term has zero weight sums to (0, -inf), and
+        no sum is NaN."""
+        for z, log_k, key, nkeys in self.zero_weight_cases():
+            got = _kernel_sums(z, log_k, key, nkeys)
+            assert got.z_bar[0] == (0.0, 0.0) and got.log_z_bar[0] == ((0, -math.inf), (0, -math.inf))
+            values = [*got.totals, *got.log_cancellation, *(v for row in got.z_bar for v in row)]
+            values += [log for row in got.log_z_bar for _, log in row] + [log for _, log in got.log_totals]
+            assert not any(math.isnan(v) for v in values)
+            weighted = np.isfinite(log_k).any()
+            assert all((sign != 0) == weighted for sign, _ in got.log_totals)
+
+    def test_exact_cancellation(self):
+        got = _kernel_sums(*self.cancelling_case())
+        assert got.totals == (0.0, 0.0) and got.log_totals == ((0, -math.inf), (0, -math.inf))
+        assert got.z_bar == [(0.0, 0.0)] and got.log_z_bar == [((0, -math.inf), (0, -math.inf))]
+        assert got.log_cancellation == (math.inf, math.inf) and got.keys_with_rows == (0,)
 
     def test_empty_table(self):
         sums = _kernel_sums(np.zeros((0, 0, 2)), np.zeros(0), np.zeros(0, dtype=np.int64), 0)
