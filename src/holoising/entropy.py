@@ -13,9 +13,10 @@ and replica totals.  This module turns them into reports:
   (per-sector Haar with manual weights) averaging grades, and
 * rescaled configuration energies used in high-spin isometry arguments.
 
-Z_0 and Z_1 are read, not summed here: the table's `totals` in exact mode,
-its reducer `kernel_sums` on the ground-state kernels otherwise.  P(j,k)
-divides by that Z_0.
+Z_0 and Z_1 are read, not summed here, as (sign, log|Z_b|): the table's
+`log_totals` in exact mode, those of its reducer `kernel_sums` on the
+ground-state kernels otherwise.  S_2 = log Z_0 - log Z_1, and P(j,k) and
+p_j are read from log K and log Z_0, so no total past float64 is refused.
 
 Pairs whose swapped-replica kernel vanishes (sectors with different boundary
 spins admit no configuration satisfying the deltas) have X = infinity.
@@ -29,7 +30,7 @@ the split.
 
 A purity report is built in two steps.  At the call, `average_purity`
 forms the per-pair ratios and the pair measure as arrays and reads Z_0,
-Z_1, the purity, S_2 and `feasible_mass` from them and the table; it
+Z_1, the purity, S_2 and `feasible_mass` from them and the sums; it
 makes every refusal there, those of `sector_distribution` (with c_E
 under `boundary_weights`) included, so no read of the report raises.
 The per-pair decomposition (`x`, `pair_probs`, the cumulant series,
@@ -56,7 +57,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Uni
 import numpy as np
 
 from .graph import OpenGraph, agreement_region, boundary_of_region
-from .ising import EngineError, IsingModel, JsonReport, ModelKind, PartitionSumTable, ground_kernel, json_field, json_value, require_finite
+from .ising import EngineError, IsingModel, JsonReport, ModelKind, PartitionSumTable, _ratio, _shares, ground_kernel, json_field, json_value
 from .spins import SectorFamily, Spin, SpinSector, sector_dims, vertex_dims
 
 #: Report modes: exact per-pair kernels, ground-state kernels under the
@@ -87,50 +88,44 @@ class SectorDistribution:
     asked for, weights each boundary assignment E by D_E / sum_F D_F; it is
     keyed by boundary id and is None otherwise.
 
-    `sector_distribution` computes `c` and the normalizations sum K
-    (`_sum_k`) and Z_0 (`_z0`), with every refusal; `p`,
-    `pair_probs` and `pair_probs_factorized` are views of the table built
-    on first read.
+    `sector_distribution` computes `c`, with every refusal.  The p_j array
+    (`_p`, from log K shifted by its maximum) and the pair measure
+    (`_measure`, from log K and the table's log Z_0) are built on first
+    use, so neither refuses a total past float64, and `p`, `pair_probs`
+    and `pair_probs_factorized` are views of them built on first read.
     """
 
     c: Optional[Mapping[str, float]]
     _table: PartitionSumTable = field(repr=False, compare=False)
-    _sum_k: float = field(repr=False)
-    _z0: float = field(repr=False)
+
+    @functools.cached_property
+    def _p(self) -> np.ndarray:
+        return _shares(self._table.log_k)
+
+    @functools.cached_property
+    def _measure(self) -> np.ndarray:
+        table = self._table
+        return _pair_measure(table, table.z.reshape(-1, 2)[:, 0], table.log_totals[0])
 
     @functools.cached_property
     def p(self) -> Mapping[str, float]:
-        return dict(zip(self._table.labels, (self._table.k / self._sum_k).tolist()))
+        return dict(zip(self._table.labels, self._p.tolist()))
 
     @functools.cached_property
     def pair_probs(self) -> Mapping[str, float]:
-        table = self._table
-        weights = np.outer(table.k, table.k).ravel() * table.z.reshape(-1, 2)[:, 0] / self._z0
-        return dict(zip(table.pair_ids, weights.tolist()))
+        return dict(zip(self._table.pair_ids, self._measure.tolist()))
 
     @functools.cached_property
     def pair_probs_factorized(self) -> Mapping[str, float]:
-        p_array = self._table.k / self._sum_k
-        return dict(zip(self._table.pair_ids, np.outer(p_array, p_array).ravel().tolist()))
+        return dict(zip(self._table.pair_ids, np.outer(self._p, self._p).ravel().tolist()))
 
 
-def _fsum(values, what: str) -> float:
-    """math.fsum, raising `TotalsOverflowError` where the sum leaves
-    float64."""
-    try:
-        total = math.fsum(values)
-    except (OverflowError, ValueError):
-        total = math.nan
-    require_finite([total], what)
-    return total
-
-
-def _k_total(table: PartitionSumTable) -> float:
-    """sum_j K_j, refused where it overflows or carries no weight."""
-    k_total = _fsum(table.k.tolist(), "sector weights K")
-    if k_total <= 0.0:
-        raise EntropyError("table carries no sector weight")
-    return k_total
+def _pair_measure(table: PartitionSumTable, kernel, log_z0: Tuple[int, float]) -> np.ndarray:
+    """K_j K_k kernel_jk / Z_0 over all pairs in row-major order, from log K
+    and (sign, log|Z_0|): one exp per sector, K_j / |Z_0|^(1/2)."""
+    sign, log = log_z0
+    scaled = np.exp(table.log_k - 0.5 * log)
+    return ((sign * scaled)[:, None] * scaled).ravel() * kernel
 
 
 def sector_distribution(
@@ -147,10 +142,9 @@ def sector_distribution(
     come from this call; the per-sector and per-pair maps are built on
     first read (see `SectorDistribution`).
     """
-    k_total = _k_total(table)
-    z0_total = table.totals[0]
-    require_finite([z0_total], "Z_0")
-    if z0_total == 0.0:
+    if table.log_k.max(initial=-math.inf) == -math.inf:
+        raise EntropyError("table carries no sector weight")
+    if table.log_totals[0][0] == 0:
         raise EntropyError("Z_0 = 0: the pair distribution is undefined")
 
     c_weights: Optional[Dict[str, float]] = None
@@ -169,7 +163,7 @@ def sector_distribution(
             raise EntropyError("family admits no sector with intertwiners")
         c_weights = {bid: d / grand for bid, d in totals.items()}
 
-    return SectorDistribution(c=c_weights, _table=table, _sum_k=k_total, _z0=z0_total)
+    return SectorDistribution(c=c_weights, _table=table)
 
 
 # -- purity reports ------------------------------------------------------
@@ -193,8 +187,11 @@ class PurityReport(JsonReport):
     and None in exact mode.
 
     `z0`, `z1`, `purity`, `s2`, `feasible_mass`, `provenance` and the
-    normalizations and c_E of `distribution` come from `average_purity`,
-    with every refusal.  `x`, `pair_probs`, `cumulants`,
+    c_E of `distribution` come from `average_purity`, with every
+    refusal.  `s2` = log Z_0 - log Z_1 and `purity` = e^{-S_2} are read
+    from the (sign, log|Z_b|) totals, so no total past float64 is
+    refused: there `z0` and `z1`, the float totals, read +inf (null in
+    the JSON) or 0.  `x`, `pair_probs`, `cumulants`,
     `cumulant_partial_sums`, `rt_area_estimate` and the maps of
     `distribution` are views built on first read, from the per-pair
     ratios and pair measure the call formed (`_ratios` and `_probs`) and
@@ -298,7 +295,6 @@ def average_purity(
     """
     if mode not in MODES:
         raise EntropyError(f"unknown mode {mode!r}; expected one of {MODES}")
-    _k_total(table)
 
     z = table.z.reshape(-1, 2)
     z0 = z[:, 0]
@@ -310,31 +306,31 @@ def average_purity(
             raise EntropyError(f"pair {pid!r} has Z_0^(j,k) = 0")
         with np.errstate(over="ignore"):  # a ratio past float64 is +inf, and X = -inf there
             ratios = z[:, 1] / z0
-        z0_rep, z1_rep = table.totals
+        sums = table
     else:
         ratios = ground_kernel(table.e_min.reshape(-1, 2)[:, 1])
         pair = z0 if mode == "ground_state" else np.ones_like(z0)
-        kernel = np.stack([pair, pair * ratios], axis=1).reshape(table.z.shape)
-        z0_rep, z1_rep = table.kernel_sums(kernel).totals
-    require_finite([z0_rep, z1_rep], "Z_0, Z_1")
-    if z0_rep == 0.0:
-        raise EntropyError("Z_0 = 0: purity undefined")
-
-    base = np.outer(table.k, table.k).ravel()
-    if mode != "high_spin":
-        base = base * z0
-    probs = base / z0_rep
+        sums = table.kernel_sums(np.stack([pair, pair * ratios], axis=1).reshape(table.z.shape))
+    # Refuses Z_0 = 0 of the exact and ground-state modes, which sum the
+    # same kernels Z_0^(j,k), and so share the distribution's measure; the
+    # high-spin Z_0 = (sum K)^2 is positive once some K is.
+    distribution = sector_distribution(table, boundary_weights=boundary_weights)
+    log_z0, log_z1 = sums.log_totals
+    probs = _pair_measure(table, 1.0, log_z0) if mode == "high_spin" else distribution._measure
     if (probs < -_SIGN_TOL).any():
         raise EntropyError(
             "pair weights are signed; no probability-average decomposition"
         )
-    # max(v, 0.0) entry by entry: -0.0 and nan stay as they are.
-    probs = np.where(probs < 0.0, 0.0, probs)
+    # max(v, 0.0) entry by entry, on a copy only where some entry is
+    # negative, so the report shares the distribution's measure: -0.0 and
+    # nan stay as they are.
+    if (probs < 0.0).any():
+        probs = np.where(probs < 0.0, 0.0, probs)
 
-    purity = z1_rep / z0_rep
-    if purity <= 0.0:
+    purity = _ratio(log_z1, log_z0)
+    if log_z0[0] * log_z1[0] <= 0:
         raise EntropyError(f"nonpositive purity {purity!r}")
-    s2 = -math.log(purity)
+    s2 = log_z0[1] - log_z1[1]
 
     mass = math.fsum(probs[_feasible(ratios)].tolist())
     if mass <= 0.0:
@@ -346,13 +342,13 @@ def average_purity(
         "high_spin": "high-spin",
     }[mode]
     return PurityReport(
-        z0=z0_rep,
-        z1=z1_rep,
+        z0=sums.totals[0],
+        z1=sums.totals[1],
         purity=purity,
         s2=s2,
         feasible_mass=mass,
         provenance=provenance,
-        distribution=sector_distribution(table, boundary_weights=boundary_weights),
+        distribution=distribution,
         _table=table,
         _ratios=ratios,
         _probs=probs,

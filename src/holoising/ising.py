@@ -128,15 +128,9 @@ table's `log_k` and the set's boundary keys): the table's own `totals`,
 `z_bar` and `log_cancellation`, computed when the table is built, and the
 ground-state sums (`ground_kernel`) of `entropy` and `isometry`.
 
-Totals in log domain.  Z_b sums K_j K_k Z^{(j,k)}_b over all pairs; each
-nonzero term enters as log K_j + log K_k + log|Z^{(j,k)}_b| with its sign,
-and `_scaled_sums` gives every total as (sign, log|Z_b|), which never
-overflows, so `PartitionSumTable.log_totals` holds them.  The float
-`totals` are +/-inf where they leave float64; boundary rows carry
-`log_z_bar` the same way.  The two sign parts of each total also give
-`log_cancellation`, the log of the larger part over |Z_b|.  `entropy` and
-`isometry` raise `TotalsOverflowError`, which names `log_totals`, rather
-than dividing infinities.
+Totals in log domain: `_kernel_sums` gives every K-weighted sum as (sign,
+log|Z_b|) (`log_totals`, `log_z_bar`), and `entropy` and `isometry` read
+that form, through `_ratio` and `_shares`.
 
 Reports as JSON follow one rule, stated at `JsonReport`.
 """
@@ -270,7 +264,7 @@ class KFactor:
 
     @property
     def value(self) -> float:
-        return math.exp(self.log_value) if math.isfinite(self.log_value) else 0.0
+        return _exp(self.log_value)
 
 
 # -- results -------------------------------------------------------------
@@ -313,12 +307,6 @@ class BoundarySumRow:
     log_z_bar: Tuple[Tuple[int, float], Tuple[int, float]]
 
 
-class TotalsOverflowError(OverflowError):
-    """A sum of K-weighted kernels does not fit a float64.  The table keeps
-    every total in log domain: read `PartitionSumTable.log_totals` (and
-    `BoundarySumRow.log_z_bar`) instead."""
-
-
 def _exp(value: float) -> float:
     """math.exp, but +inf where the result does not fit a float64."""
     try:
@@ -327,25 +315,20 @@ def _exp(value: float) -> float:
         return math.inf
 
 
-def _over_square(total: float, log_form: Tuple[int, float], d: int) -> float:
-    """total / d^2 as a float, from the log form where the total or d^2
-    overflows."""
-    if math.isfinite(total):
-        try:
-            return total / d**2
-        except OverflowError:
-            pass
-    sign, log = log_form
-    return sign * _exp(log - 2.0 * math.log(d))
+def _ratio(num: Tuple[int, float], den: Tuple[int, float], log_scale: float = 0.0) -> float:
+    """num / den * e^log_scale from the (sign, log|.|) forms of two sums,
+    den nonzero: +/-inf or 0 only where the ratio itself leaves float64."""
+    return num[0] * den[0] * _exp(num[1] - den[1] + log_scale)
 
 
-def require_finite(values: Iterable[float], what: str) -> None:
-    """Raise `TotalsOverflowError` unless every value is finite."""
-    if not all(math.isfinite(v) for v in values):
-        raise TotalsOverflowError(
-            f"{what} overflow float64; the partition table keeps its totals "
-            f"in log domain as PartitionSumTable.log_totals"
-        )
+def _shares(log: np.ndarray) -> np.ndarray:
+    """e^log / sum e^log, one exp per entry of `log` shifted by its
+    maximum; empty where no entry is above -inf."""
+    top = log.max(initial=-math.inf)
+    if top == -math.inf:
+        return log[:0]
+    weights = np.exp(log - top)
+    return weights / math.fsum(weights.tolist())
 
 
 def json_value(value):
@@ -470,7 +453,7 @@ class PartitionSumTable(JsonReport):
         """Zbar_b / D_E^2 per boundary key, (0, 0) for a key without a row."""
         y = [(0.0, 0.0)] * len(self.z_bar)
         for c in self.boundary_keys:
-            y[c] = tuple(_over_square(t, log, self.d_total[c]) for t, log in zip(self.z_bar[c], self.log_z_bar[c]))
+            y[c] = tuple(sign * _exp(log - 2.0 * math.log(self.d_total[c])) for sign, log in self.log_z_bar[c])
         return y
 
     @functools.cached_property
@@ -614,7 +597,10 @@ def _kernel_sums(z: np.ndarray, log_k: np.ndarray, key: np.ndarray, nkeys: int) 
     kernel is the log term (log K_j + log K_k) + log|Z| (`np.log`) in the
     bucket of its replica and slot, slot 0 for the total and c + 1 for key
     c, so a term of a diagonal block lands in two buckets, each in
-    row-major pair order."""
+    row-major pair order.  Each sum comes as (sign, log|Z_b|), which never
+    overflows, and as a float, +/-inf where it leaves float64; its two
+    sign parts give `log_cancellation`, the log of the larger part over
+    |Z_b|."""
     count, slots = len(log_k), nkeys + 1
     flat = z.reshape(count * count, 2)
     pair, replica = np.nonzero(flat)

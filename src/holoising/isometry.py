@@ -30,8 +30,11 @@ numeric defect per sector plus a pass flag at the regime's tolerance
 ground-state approximation, whose kernels keep only e^{-E_min} of each
 pair).
 
-Z_b and Zbar_b are read, not summed here: the table's `totals` and `z_bar`
-in the exact regime, its reducer `kernel_sums` on e^{-E_min} otherwise.
+Z_b and Zbar_b are read, not summed here, as (sign, log|.|): the table's
+`log_totals` and `log_z_bar` in the exact regime, those of its reducer
+`kernel_sums` on e^{-E_min} otherwise.  Each purity and defect is a
+scale-free ratio of those logs, so no sum past float64 is refused;
+reported scales (`fitted_q`, `mean_value`) read +inf where they leave it.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 
 from .bulk import IntertwinerState
 from .graph import BoundaryPartition, OpenGraph
-from .ising import IsingModel, JsonReport, ModelKind, PartitionSumTable, ground_kernel, json_field, json_value, require_finite
+from .ising import IsingModel, JsonReport, ModelKind, PartitionSumTable, _exp, _ratio, _shares, ground_kernel, json_field, json_value
 from .spins import (
     SectorFamily,
     Spin,
@@ -136,15 +139,12 @@ def condition_matrix(table: PartitionSumTable, d_input: float) -> ConditionMatri
         raise IsometryError("partition table carries no weighted sector")
     if d_input <= 0.0:
         raise IsometryError(f"total input dimension must be positive, got {d_input!r}")
-    require_finite(table.totals, "Z_0, Z_1")
     n = len(labels)
     z = np.moveaxis(table.z, 2, 0).copy()
     z0, z1 = z[0], z[1]
-    k = table.k
-    total_k = float(k.sum())
-    if total_k <= 0.0:
+    p = _shares(table.log_k)
+    if not p.size:
         raise IsometryError("sector weights carry no mass")
-    p = k / total_k
     m = z1 - 1.0 / d_input
     w = np.diag(z1).copy()
     w_zero = bool(np.any(w == 0.0))
@@ -164,9 +164,10 @@ def condition_matrix(table: PartitionSumTable, d_input: float) -> ConditionMatri
         rank_one = 1.0 - float(np.linalg.inv(z1).sum()) / d_input
         det_m = det_z1 * rank_one
     zeroth = math.inf if w_zero else float(np.sum(1.0 / w))
-    if table.totals[0] <= 0.0:
+    log_z0, log_z1 = table.log_totals
+    if log_z0[0] <= 0:
         raise IsometryError("total normalization sum Z_0 is not positive")
-    quadratic = table.totals[1] / table.totals[0] - 1.0 / d_input
+    quadratic = _ratio(log_z1, log_z0) - 1.0 / d_input
     factorized = float(p @ m @ p)
     return ConditionMatrix(
         labels=labels,
@@ -303,10 +304,10 @@ def _normalize_window(
 
 
 def _sums(table: PartitionSumTable, regime: str):
-    """(Z_0, Z_1) and, per boundary key, (Zbar_0, Zbar_1) of `regime`."""
+    """(Z_0, Z_1) and, per boundary key, (Zbar_0, Zbar_1) of `regime`, each
+    sum as (sign, log|.|)."""
     sums = table if regime == "exact" else table.kernel_sums(ground_kernel(table.e_min))
-    require_finite(sums.totals, "K-weighted sums Z_0, Z_1")
-    return sums.totals, sums.z_bar
+    return sums.log_totals, sums.log_z_bar
 
 
 def check_bulk_to_boundary(
@@ -351,7 +352,7 @@ def check_bulk_to_boundary(
             )
         e_codes.append(code[twice])
     totals, zbar = _sums(table, regime)
-    if totals[0] <= 0.0:
+    if totals[0][0] <= 0:
         raise IsometryError("window normalization sum Z_0 vanishes")
 
     d_inputs = pool.d_input(e_codes)
@@ -370,10 +371,11 @@ def check_bulk_to_boundary(
         tol,
     )
 
-    # (b) the non-intertwiner part of K is the same for every full sector.
-    values_b = [
-        k / math.prod(dims) for k, dims in zip(table.k.tolist(), pool.vertex_dims)
-    ]
+    # (b) the non-intertwiner part of K is the same for every full sector,
+    # each value taken relative to the largest.
+    log_b = table.log_k - np.array(h_up)
+    top_b = log_b.max()
+    values_b = np.exp(log_b - top_b).tolist()
     mean_b = sum(values_b) / len(values_b)
     cond_b = _record(
         "weight_constancy",
@@ -381,7 +383,7 @@ def check_bulk_to_boundary(
         list(pool.labels),
         [abs(v - mean_b) / mean_b for v in values_b],
         tol,
-        extras=(("mean_value", mean_b),),
+        extras=(("mean_value", mean_b * _exp(top_b)),),
     )
 
     # (c) constant output dimension across the window.
@@ -397,16 +399,17 @@ def check_bulk_to_boundary(
     )
 
     # (d) boundary-fixed sector conditions.
+    log_d_total = math.log(d_input_total)
     defects_ratio, defects_weight = [], []
     for c, d_in in zip(e_codes, d_inputs):
-        zb0, zb1 = zbar[c][0], zbar[c][1]
-        if zb0 <= 0.0:
+        zb0, zb1 = zbar[c]
+        if zb0[0] <= 0:
             defects_ratio.append(math.inf)
             defects_weight.append(math.inf)
             continue
-        defects_ratio.append(abs(zb1 / zb0 * d_in - 1.0))
-        target = (d_in / d_input_total) ** 2
-        defects_weight.append(abs(zb0 / totals[0] / target - 1.0))
+        defects_ratio.append(abs(_ratio(zb1, zb0, math.log(d_in)) - 1.0))
+        # Zbar_0/Z_0 over its target (d_in / d_input_total)^2
+        defects_weight.append(abs(_ratio(zb0, totals[0], 2.0 * (log_d_total - math.log(d_in))) - 1.0))
     cond_d1 = _record(
         "sector_purity",
         "Zbar_1/Zbar_0 = 1/D_I per boundary sector",
@@ -422,12 +425,16 @@ def check_bulk_to_boundary(
         tol,
     )
 
-    # (e) the same conditions phrased through one normalization constant q.
-    estimates = []
+    # (e) the same conditions phrased through one normalization constant q,
+    # each estimate taken relative to the largest.
+    logs = []
     for c, d_in in zip(e_codes, d_inputs):
-        estimates.append(zbar[c][1] / d_in)
-        estimates.append(zbar[c][0] / d_in**2)
+        (sign0, log0), (sign1, log1) = zbar[c]
+        logs += [(sign1, log1 - math.log(d_in)), (sign0, log0 - 2.0 * math.log(d_in))]
+    top_q = max(log for _, log in logs)
+    estimates = [sign * _exp(log - top_q) for sign, log in logs]
     q_fit = sum(estimates) / len(estimates)
+    fitted_q = q_fit * _exp(top_q)
     defects_e = []
     for i in range(len(e_codes)):
         q1, q0 = estimates[2 * i], estimates[2 * i + 1]
@@ -440,18 +447,18 @@ def check_bulk_to_boundary(
         defects_e,
         tol,
         extras=(
-            ("fitted_q", q_fit),
+            ("fitted_q", fitted_q),
             ("q_spread", spread),
-            ("fitted_k", q_fit / mean_out**2),
+            ("fitted_k", fitted_q / mean_out**2),
         ),
     )
 
-    purity = totals[1] / totals[0]
+    purity = _ratio(totals[1], totals[0])
     cond_purity = _record(
         "average_purity",
         "window purity Z_1/Z_0 equals 1/D_I",
         (),
-        [abs(purity * d_input_total - 1.0)],
+        [abs(_ratio(totals[1], totals[0], log_d_total) - 1.0)],
         tol,
         extras=(("purity", purity), ("purity_target", 1.0 / d_input_total)),
     )
@@ -746,9 +753,9 @@ def check_boundary_to_boundary(
     if not table.labels:
         raise IsometryError("the bulk state carries no weighted sector")
     totals, _ = _sums(table, regime)
-    if totals[0] <= 0.0:
+    if totals[0][0] <= 0:
         raise IsometryError("normalization sum Z_0 vanishes")
-    purity = totals[1] / totals[0]
+    purity = _ratio(totals[1], totals[0])
 
     in_dims: Dict[Tuple, int] = {}
     out_dims: Dict[Tuple, int] = {}
@@ -783,7 +790,7 @@ def check_boundary_to_boundary(
         "average_purity",
         "purity Z_1/Z_0 equals 1/D_I over the input boundary sectors",
         (),
-        [abs(purity * d_input_total - 1.0)],
+        [abs(_ratio(totals[1], totals[0], math.log(d_input_total)) - 1.0)],
         tol,
         extras=extras,
     )

@@ -31,7 +31,7 @@ from holoising.entropy import (
     sector_distribution,
 )
 from holoising.graph import build_graph
-from holoising.ising import EngineError, IsingModel, ModelKind, TotalsOverflowError
+from holoising.ising import EngineError, IsingModel, ModelKind
 from holoising.spins import (
     SectorFamily,
     Spin,
@@ -405,7 +405,6 @@ REFUSALS = {
     "no_sector_weight": (lambda: one_pair_table((1.0, 0.5), k=0.0), {}, EntropyError, "no sector weight"),
     "pair_z0_zero": (lambda: one_pair_table((0.0, 0.0)), {}, EntropyError, r"Z_0\^\(j,k\) = 0"),
     "total_z0_zero": (lambda: one_pair_table((0.0, 0.0)), {"mode": "ground_state"}, EntropyError, "Z_0 = 0"),
-    "overflowing_totals": (lambda: one_pair_table((1.0, 0.5), k=1e200), {}, TotalsOverflowError, "log_totals"),
     "signed_pair_weights": (
         lambda: array_table(("A", "B"), k=(1.0, 1.0), z=SIGNED, e_min=np.broadcast_to([0.0, 0.2], (2, 2, 2))),
         {},
@@ -431,6 +430,15 @@ class TestCallTimeRefusals:
         with pytest.raises(error, match=message):
             average_purity(table, **kwargs)
 
+    @pytest.mark.parametrize("k", [1e-200, 1e200])
+    def test_totals_past_float_range_answer(self, k):
+        """K^2 Z_0 leaves float64 (0 or +inf), but the purity 0.5 is read
+        from the log totals, within the rounding of logs near 921."""
+        report = average_purity(one_pair_table((1.0, 0.5), k=k))
+        assert report.purity == pytest.approx(0.5, rel=1e-12)
+        assert report.s2 == pytest.approx(math.log(2.0), rel=1e-12)
+        assert report.pair_probs["A|A"] == pytest.approx(1.0, rel=1e-12)
+
     def test_no_intertwiner_table_passes_without_boundary_weights(self):
         """The boundary-weights case is refused for its family alone: the
         same table yields a report without `boundary_weights`."""
@@ -445,8 +453,9 @@ class TestLazyDecomposition:
 
     #: `test_golden.json_sha` of the exact report's `to_json_dict()` on
     #: the star below, made while the call built every per-pair field, and
-    #: regenerated when the table's sums moved to `ising._scaled_sums`.
-    DIGEST = "4a6db623f0b97a6c4dfdd2741d78edb24f14b86ce1fd551aae6e4526adc0c61e"
+    #: regenerated when the table's sums moved to `ising._scaled_sums`, and
+    #: again when the report began to read the (sign, log) totals.
+    DIGEST = "5f5846011d32ab0d19c3822ec211622e9a83bf6219f15a8bee9e242482506b47"
 
     def test_purity_reads_build_no_pair_maps(self):
         graph = star_graph(5)
@@ -480,7 +489,8 @@ class TestLazyDecomposition:
 class TestOneReduction:
     """Every K-weighted total the reports read comes from the table's one
     reducer: exact reports and verdicts read the table's own totals, bit
-    for bit, the ground-state and high-spin sums come from
+    for bit, S_2 and the purities their (sign, log) forms, the
+    ground-state and high-spin sums come from
     `PartitionSumTable.kernel_sums`, and each agrees with a `math.fsum`
     over the same cells."""
 
@@ -541,6 +551,8 @@ class TestOneReduction:
                     continue
                 checked.add((model.kind.mode, mode))
                 self.assert_close((report.z0, report.z1), self.reference(table, kernel))
+                (_, log_z0), (_, log_z1) = table.kernel_sums(kernel).log_totals
+                assert report.s2.hex() == (log_z0 - log_z1).hex()
                 if mode == "exact":
                     assert report.z0.hex() == table.totals[0].hex()
                     assert report.z1.hex() == table.totals[1].hex()
@@ -575,13 +587,89 @@ class TestOneReduction:
                 else:
                     verdict = check_bulk_to_boundary(family, graph, window, regime=regime)
                 purity = dict(verdict.extras)["purity"]
-                assert purity.hex() == (sums.totals[1] / sums.totals[0]).hex()
+                (sign0, log_z0), (sign1, log_z1) = sums.log_totals
+                assert purity.hex() == (sign0 * sign1 * math.exp(log_z1 - log_z0)).hex()
                 self.assert_close(sums.totals, self.reference(table, kernel))
                 for c in table.boundary_keys:
                     block = np.flatnonzero(table.sectors.key == c)
                     self.assert_close(sums.z_bar[c], self.reference(table, kernel, block))
                 checked.add((model.kind.mode, regime))
         assert len(checked) == 4
+
+
+class TestScaleInvariance:
+    """Scaling every internal |g| by one factor c scales every K by the same
+    factor, which each report divides out: purities, S_2, the measures,
+    the condition matrix's quadratic forms and every verdict defect and
+    flag are those of c = 1, also where the totals leave float64 (on the
+    chain's seven internal links c = 1e40 puts Z_0 near e^2601 and c =
+    1e-40 near e^-2557, against e^22 at c = 1)."""
+
+    REL = 1e-12
+
+    @pytest.fixture(scope="class")
+    def instances(self):
+        """(graph, family) of the all-spin-1 `chain_graph(8)` and of 16
+        drawn bulk-to-boundary instances."""
+        from test_ising import chain_graph
+
+        graph = chain_graph(8)
+        family = SectorFamily.build(graph, "1", "1", normalize=False)
+        return [(graph, family)] + examples(bulk_instances(), 16)
+
+    @staticmethod
+    def scaled(graph, family, scale):
+        weights = {lid: {str(Spin(t)): scale * v for t, v in w.items()} for lid, w in family.weights.items()}
+        allowed = {lid: [str(s) for s in spins] for lid, spins in family.allowed.items()}
+        return SectorFamily.build(graph, family.lower, family.upper, allowed=allowed, weights=weights, normalize=False)
+
+    @staticmethod
+    def readings(graph, family):
+        """Every scale-free reading of the reports, or the refusal."""
+        from holoising.isometry import check_bulk_to_boundary, condition_matrix, suggest_window
+
+        table = IsingModel(graph, family, ModelKind.bulk_to_boundary()).partition_table()
+        out = {}
+        for mode in ("exact", "ground_state", "high_spin"):
+            try:
+                report = average_purity(table, mode=mode, boundary_weights=True)
+            except EntropyError as exc:
+                out[mode] = str(exc)
+                continue
+            dist = report.distribution
+            out[mode] = (report.purity, report.s2, report.pair_probs, dist.p, dist.pair_probs,
+                         dist.pair_probs_factorized, dist.c)
+        matrix = condition_matrix(table, 7.0)
+        out["condition_matrix"] = (matrix.quadratic_form, matrix.quadratic_form_factorized)
+        window = suggest_window(family, graph)
+        for regime in ("exact", "ground_state"):
+            verdict = check_bulk_to_boundary(family, graph, window, regime=regime)
+            out[regime + " verdict"] = (verdict.classification, *(
+                (cond.name, cond.sector_defects, cond.defect, cond.sector_passed, cond.passed)
+                for cond in verdict.conditions
+            ))
+        return out
+
+    def assert_close(self, got, want, where):
+        if isinstance(want, float):
+            assert got == pytest.approx(want, rel=self.REL), where
+        elif isinstance(want, dict):
+            assert got.keys() == want.keys(), where
+            for key in want:
+                self.assert_close(got[key], want[key], f"{where}/{key}")
+        elif isinstance(want, tuple):
+            assert len(got) == len(want), where
+            for i, (g, w) in enumerate(zip(got, want)):
+                self.assert_close(g, w, f"{where}[{i}]")
+        else:
+            assert got == want, where
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e40])
+    def test_reports_do_not_see_a_common_k_factor(self, instances, scale):
+        for n, (graph, family) in enumerate(instances):
+            want = self.readings(graph, self.scaled(graph, family, 1.0))
+            got = self.readings(graph, self.scaled(graph, family, scale))
+            self.assert_close(got, want, f"instance {n}")
 
 
 class TestCumulantExpansion:

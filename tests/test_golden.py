@@ -175,30 +175,37 @@ def purity_digests(table, boundary_weights=False):
 #: most 1e-13 absolute, and E_min, degeneracy, gap and labels kept their
 #: bytes.  The star and zero_weight_bridge kernels digests, both
 #: bridge_verdict digests, the signed_b2b ground-state verdict and every c3
-#: digest kept theirs.
+#: digest kept theirs.  Every purity, verdict and condition-matrix digest
+#: and the zero_weight_bridge and signed_b2b table JSON digests were
+#: regenerated when the reports began to read the (sign, log) totals
+#: (S_2 = log Z_0 - log Z_1, purities, defects, p_j and the pair measure)
+#: and the boundary rows' y its one log-domain path: each float moved by at
+#: most 1e-13 relative, residues near 0 (defects) by at most 3e-16
+#: absolute.  The kernels digests, the star table JSON and every c1, c2
+#: and c3 digest kept their bytes.
 GOLDEN = {
     "star": {
         "kernels": "8676dcb35d2464d83fff7cf2e6b40da9c585065f93bf0df3a0ffde42fa188899",
         "json": "306f12534beb49413ad2a07323b2d3790283af41f1b60adbdafe82ddb322bd57",
-        "exact": "f347103acb921839fbeabc161ef57a295efab611676f0da919c11322b1503423",
-        "ground_state": "937640c48877d47aebda1fc32f0cbd8e9826fc9e9548e479820add167c64b9cf",
-        "high_spin": "b90f657a4f247d28c5dbcdb0187779369998d70f829cef770794234125b21412"
+        "exact": "9fe8f7b21cafd8d6b3326ad7ef94bfa55c1d9a66ec805e44e68120bcdf5a1565",
+        "ground_state": "6b66a40739091db8df3e8b29aca4aea74e210b35a2f92c625fe01c80129806ff",
+        "high_spin": "abcd67ffa10fd2ff28b0dcbc5a800d74e052646d8666893930ca4a13086cd574"
     },
     "zero_weight_bridge": {
         "kernels": "d1c8056f723769ef286c019b2acb24a332d86fb591ce6c6ab32623a69ce3e1fb",
-        "json": "bf86d0a4231c63c8fe2cd4f9294bb346faa289813f3741d493cab53dc9e173f8",
-        "exact": "cd0dd6e9000f37f1ea1841d9fed5ef19e3a6b97f97c0ce99fb5563f629500db8",
-        "ground_state": "59936f23a5ea02524ae625f6006853fc745d0c6b0e3c85873fbf8aaea4637469",
-        "high_spin": "73a29c931a727725eafcb8e09e58dce3d152b319572e20336d5c3fe6511d3915",
-        "verdict": "b341c054d3b35a46a7fe72ab5ce609e9d1838b7513515a63bdda6deb2903379b",
-        "verdict_gs": "cd169d1906fbc328fcd7a74e22a35803612fba01d96395db435b8c7a21fc11da",
-        "condition_matrix": "016877a9f0bd2c2e3fb3e235af29a0768a0b7fbbb5dec24dfd20c94e707fd257"
+        "json": "6e3084d931e2806b85444803430b4aabb1fc432abda8d9350b9e6dc90c1150c1",
+        "exact": "5eb126b4e723398f70ca22fba05b7a7e0e4d9c68d8c75072355e01772f243890",
+        "ground_state": "2bcdbb2336008688abcb63c35273e1b8a1fb2979fcb53738eef036b7afc3924a",
+        "high_spin": "70006928658f7d8aec0bb1dcbe0fec308c2735453ddefaf40a9f6ed8fe625163",
+        "verdict": "61efbc08e39cd951343167176d8bdddf40e50b9d074d73c0526b52f6e654200c",
+        "verdict_gs": "800dcb62f67f858eedb5e3b863252e666a47d6675733602a1e811206d007ed4d",
+        "condition_matrix": "bebeb836f646fe010a4a9138fc7b02a16a0a3ebaf0fd4f215fa5446b7c1da52b"
     },
     "signed_b2b": {
         "kernels": "0ea3111f12d800bdb24fb1a55c24554d422c812a54fbfc1ea7a22d03d5d734e0",
-        "json": "655d1d98cf44f454fd7704d8af637f0aa8d0654767740afa96631833d765f0c8",
-        "verdict_exact": "ed17e7d401aea83e5ef6552d2224cf85f0106035360e4b21efd12f99a1ba74ed",
-        "verdict_ground_state": "c322bfa561aee20636aa9f243cd4d3a336592f5846442327e12d69fd7320debd"
+        "json": "48c3ebe1d005a38cf48d8272e178cac8ebade41b48f48876b446bc35fe3f5138",
+        "verdict_exact": "9a38c246e069b4582ac9254e3c68015b5aaa1559bbdad3183fc957a60a2785ba",
+        "verdict_ground_state": "641aa5698d8d2f6e58d13f9d4c77e96a35d67c783de6e37a2caf4ed6b85b0368"
     },
     "bridge_verdict": {
         "exact": "1ea9f6ee0b100777d322ecda29a4d32e0da3b50c981d8386620426d41e2e278b",

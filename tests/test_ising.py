@@ -25,7 +25,6 @@ from holoising.ising import (
     IsingConfig,
     IsingModel,
     ModelKind,
-    TotalsOverflowError,
     _scaled_sums,
     _unique_bool_rows,
 )
@@ -1425,19 +1424,33 @@ class TestLogDomainTotals:
         assert row["Z_bar_0"] is None
         assert row["log_Z_bar_0"] == [sign, log] and row["log_Z_bar_1"] == data["log_totals"]["Z_1"]
 
-    def test_consumers_name_the_log_totals(self, big):
+    def test_consumers_answer_past_float_range(self, big):
+        """Z_0 leaves float64, yet every consumer answers from the log
+        totals: S_2 = log Z_0 - log Z_1 in each mode of `average_purity`,
+        and the condition matrix and the verdict read the purity e^{-S_2}."""
         from holoising.entropy import average_purity
+        from holoising.ising import ground_kernel
         from holoising.isometry import check_bulk_to_boundary, condition_matrix
 
         model, table = big
-        for mode in ("exact", "ground_state", "high_spin"):
-            with pytest.raises(TotalsOverflowError, match="log_totals"):
-                average_purity(table, mode=mode)
-        with pytest.raises(TotalsOverflowError, match="log_totals"):
-            condition_matrix(table, 2.0)
+        ground = ground_kernel(table.e_min[:, :, 1])
+        kernels = {
+            "exact": table.z,
+            "ground_state": np.stack([table.z[:, :, 0], table.z[:, :, 0] * ground], axis=2),
+            "high_spin": np.stack([np.ones_like(ground), ground], axis=2),
+        }
+        for mode, kernel in kernels.items():
+            (_, log_z0), (_, log_z1) = table.kernel_sums(kernel).log_totals
+            report = average_purity(table, mode=mode)
+            assert report.s2 == log_z0 - log_z1
+            assert report.purity == math.exp(log_z1 - log_z0)
+        s2 = table.log_totals[0][1] - table.log_totals[1][1]
+        assert report.z0 == math.inf and 121.6 < s2 < 121.7
+        assert condition_matrix(table, 2.0).quadratic_form == math.exp(-s2) - 0.5
         window = [{lid: "1000" for lid in model.graph.boundary_ids()}]
-        with pytest.raises(TotalsOverflowError, match="log_totals"):
-            check_bulk_to_boundary(model.family, model.graph, window)
+        verdict = check_bulk_to_boundary(model.family, model.graph, window)
+        assert dict(verdict.extras)["purity"] == math.exp(-s2)
+        assert verdict.condition("sector_purity").defect == verdict.condition("average_purity").defect
 
     def test_signed_sum_log_form(self):
         rng = np.random.default_rng(5)
@@ -1487,6 +1500,9 @@ class TestTableViews:
                 factor = model.k_factor(sector)
                 assert factor.log_value.hex() == log.hex(), sector.label()
                 assert factor.value == k
+        # Past float64 and at zero weight, K reads as the table's `k` does.
+        assert ising.KFactor(800.0, 1).value == math.inf
+        assert ising.KFactor(-math.inf, 1).value == 0.0
 
     def test_window_tables_are_the_table_rows(self, models):
         kinds, shared = set(), 0

@@ -213,7 +213,8 @@ def write_values(path, values):
 
 def test_parity_compare_matches_results_by_content(monkeypatch, tmp_path, capsys):
     """`parity.py --compare` on small `--values` files: identical files
-    agree; a float off by 1e-15 is reported with its path; and a repeated
+    agree; a float off by 1e-15 is reported with its path, and its field
+    with its relative and absolute differences; and a repeated
     result that B drops is listed as only in A, with the results after it
     matched to their equals rather than shifted onto other values."""
     parity = load_parity(monkeypatch)
@@ -234,6 +235,7 @@ def test_parity_compare_matches_results_by_content(monkeypatch, tmp_path, capsys
     assert parity.compare(a, write_values(tmp_path / "off.jsonl", off)) == 0
     out = capsys.readouterr().out
     assert "oracle.mc_purity: 1 of 1 differ, largest relative float difference 1.11e-15 at /totals[0]" in out
+    assert "    /totals: 1.11e-15 relative, 5.55e-16 absolute" in out
     assert f"{table}: 0 of 2 differ" in out
 
     repeated = [(0, table, first), (0, table, first), (0, table, second)]

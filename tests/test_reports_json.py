@@ -106,16 +106,20 @@ REPORTS = {
 # scaling-profile reports was regenerated when kernels and K-weighted sums
 # moved to one scaled-sum reducer (`ising._scaled_sums`): each float moved
 # by at most 1e-12 relative, residues (defects) by at most 1e-13 absolute.
+# The zero-weight and b2b table, purity, verdict and condition-matrix
+# digests were regenerated when the reports began to read the (sign, log)
+# totals and the boundary rows' y its one log-domain path: each float moved
+# by at most 1e-13 relative, residues near 0 by at most 3e-16 absolute.
 DIGESTS = {
     "overflowing_table": "dd8ba9b2d294ce0041fc2b771e9ea78bb9ca9dc33554cd865cce2fcf978e4da2",
-    "zero_weight_table": "bf86d0a4231c63c8fe2cd4f9294bb346faa289813f3741d493cab53dc9e173f8",
-    "b2b_table": "655d1d98cf44f454fd7704d8af637f0aa8d0654767740afa96631833d765f0c8",
-    "purity_exact": "cd0dd6e9000f37f1ea1841d9fed5ef19e3a6b97f97c0ce99fb5563f629500db8",
-    "purity_ground_state": "59936f23a5ea02524ae625f6006853fc745d0c6b0e3c85873fbf8aaea4637469",
-    "purity_high_spin": "73a29c931a727725eafcb8e09e58dce3d152b319572e20336d5c3fe6511d3915",
-    "bulk_verdict": "b341c054d3b35a46a7fe72ab5ce609e9d1838b7513515a63bdda6deb2903379b",
-    "b2b_verdict": "ed17e7d401aea83e5ef6552d2224cf85f0106035360e4b21efd12f99a1ba74ed",
-    "condition_matrix": "016877a9f0bd2c2e3fb3e235af29a0768a0b7fbbb5dec24dfd20c94e707fd257",
+    "zero_weight_table": "6e3084d931e2806b85444803430b4aabb1fc432abda8d9350b9e6dc90c1150c1",
+    "b2b_table": "48c3ebe1d005a38cf48d8272e178cac8ebade41b48f48876b446bc35fe3f5138",
+    "purity_exact": "5eb126b4e723398f70ca22fba05b7a7e0e4d9c68d8c75072355e01772f243890",
+    "purity_ground_state": "2bcdbb2336008688abcb63c35273e1b8a1fb2979fcb53738eef036b7afc3924a",
+    "purity_high_spin": "70006928658f7d8aec0bb1dcbe0fec308c2735453ddefaf40a9f6ed8fe625163",
+    "bulk_verdict": "61efbc08e39cd951343167176d8bdddf40e50b9d074d73c0526b52f6e654200c",
+    "b2b_verdict": "9a38c246e069b4582ac9254e3c68015b5aaa1559bbdad3183fc957a60a2785ba",
+    "condition_matrix": "bebeb836f646fe010a4a9138fc7b02a16a0a3ebaf0fd4f215fa5446b7c1da52b",
     "trace_preservation": "7784ce7b2d6dff6cbaa8c27db383dcc192282ccceba49dc0560bb4b8a4eda878",
     "closed_form": "698cf30a5167ea425a54af600aa7ad112e5a9783d779f3f644d7c411f2f56605",
     "scaling_profile": "d165d0f2e426bd9f850af8e5b986c4d42ef5c73fbf110a3d848eb4477756d5d2",

@@ -60,7 +60,9 @@ order, listing those that only one file holds, so a tree that drops a
 repeated call reads as that call, not as every later result shifted.  It
 prints, per result kind, how many results differ, the largest relative
 difference of a float (with the path of the float that has it), the
-largest per field (the path with its indices dropped) and every
+largest relative and absolute differences per field (the path with its
+indices dropped), so that a residue near 0 whose relative difference is
+large reads as the small move it is, and every
 difference that is not a float (a bool, int, string, label, key or
 length):
 
@@ -366,14 +368,16 @@ def _rel(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def _differences(a: Any, b: Any, path: str, floats: List[Tuple[float, str]], other: List[str]) -> None:
+def _differences(a: Any, b: Any, path: str, floats: List[Tuple[float, float, str]], other: List[str]) -> None:
     """Walk two canonical forms side by side: differing floats go to
-    `floats` as (relative difference, path), everything else to `other`."""
+    `floats` as (relative difference, absolute difference, path),
+    everything else to `other`.  A finite relative difference has two
+    finite floats; the absolute difference is inf where it is not."""
     fa, fb = _float(a), _float(b)
     if fa is not None and fb is not None:
         rel = _rel(fa, fb)
         if rel:
-            floats.append((rel, path))
+            floats.append((rel, abs(fa - fb) if math.isfinite(rel) else math.inf, path))
     elif isinstance(a, dict) and isinstance(b, dict):
         if a.keys() != b.keys():
             other.append(f"{path}: keys {sorted(a.keys() ^ b.keys())}")
@@ -442,24 +446,25 @@ def compare(path_a: str, path_b: str) -> int:
         status = 1
     report: Dict[str, Dict[str, Any]] = {}
     for ra, rb in pairs:
-        floats: List[Tuple[float, str]] = []
+        floats: List[Tuple[float, float, str]] = []
         other: List[str] = []
         _differences(ra["value"], rb["value"], "", floats, other)
         entry = report.setdefault(ra["kind"], {"count": 0, "differ": 0, "max": (0.0, ""), "fields": {}, "other": []})
         entry["count"] += 1
         entry["differ"] += bool(floats or other)
-        entry["max"] = max([entry["max"], *floats])
-        for rel, where in floats:
+        entry["max"] = max([entry["max"], *((rel, where) for rel, _, where in floats)])
+        for rel, gap, where in floats:
             field = re.sub(r"\[\d+\]", "", where)
-            entry["fields"][field] = max(entry["fields"].get(field, 0.0), rel)
+            largest = entry["fields"].get(field, (0.0, 0.0))
+            entry["fields"][field] = (max(largest[0], rel), max(largest[1], gap))
         entry["other"].extend(f"op {ra['op']} {line}" for line in other)
     for kind, entry in sorted(report.items()):
         rel, where = entry["max"]
         print(f"{kind}: {entry['differ']} of {entry['count']} differ, largest relative float "
               f"difference {rel:.3g}{f' at {where}' if rel else ''}, "
               f"{len(entry['other'])} non-float differences")
-        for field, rel in sorted(entry["fields"].items()):
-            print(f"    {field or '/'}: {rel:.3g}")
+        for field, (rel, gap) in sorted(entry["fields"].items()):
+            print(f"    {field or '/'}: {rel:.3g} relative, {gap:.3g} absolute")
         for line in entry["other"][:20]:
             print(f"    {line}")
         status |= bool(entry["other"])
