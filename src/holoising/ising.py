@@ -25,41 +25,22 @@ replica of the boundary-to-boundary kind pins the input-region legs to -1.
 Any factor that can vanish lives in Delta, never in H; Hamiltonians are only
 defined on Delta-allowed configurations.  All sums accumulate in log domain.
 
-Evaluation paths.  Every kernel Z^{(j,k)}_b and its ground-state data
-(E_min, ties, gap) come from an enumeration of all 2^V configurations.
-Both kinds read the masks built once per model (`IsingModel._masks`: the
-links each configuration cuts per replica, and the links at each vertex)
-and price the cut links by one pass, `_cut_energies`.  A table's kernels
-come from one batched pass over its whole sector list, whose docstring
-states its mechanics and memory:
+Evaluation paths (each states its mechanics and memory):
 
-* bulk-to-boundary: `_bulk_kernels`, one energy matrix per replica
-  (sectors x configurations), whose rows are reduced in classes of equal
-  length by `_reduce_rows`;
-* boundary-to-boundary: `_boundary_entries`, one walk over the
-  configurations that takes each traced block once and lists the allowed
-  entries, which `_reduce_entries` reduces.
-
-Each reduction sums a row over its own entries in configuration order by
-the rule of `_scaled_sums`, so a kernel has the bits of reducing its row
-alone, and so of scoring its configurations one at a time.
-
-A single kernel, `_kernel` (behind `partition_sum_fixed` and
-`ground_state`), is one pass of its kind over the pair:
-`IsingModel._cells` lists the pair's allowed configurations with their
-Delta, log weight and H, and `_reduce_entries` reduces them as the one
-row of a one-sector list.  No table holds a ground state's configuration:
-`ground_state` picks it from the same entries, as the tie within
-`TIE_TOL` whose sorted tuple of spin-down vertex ids is least.  The public
-`delta_factor` and `hamiltonian` read `_cells` on one configuration: the
-masks are built on it (`_masks_of`) instead of all 2^V.  In the bulk
-kind, an active vertex without intertwiners gives Delta = 1 and H = +inf,
-a term that adds 0 to a kernel and never ties.  So each kind has one
-evaluator of Delta and H; the configuration-by-configuration scorer they
-are checked against lives in `tests/ising_reference.py`.
-
-Both paths refuse graphs with more than `EXHAUSTIVE_LIMIT` vertices; the
-one-configuration views do not enumerate and take any graph.
+    bulk tables      `_bulk_kernels`: one elimination over sigma with the
+                     S sectors as rows; no 2^V mask
+    boundary tables  `_boundary_entries` walks the 2^V configurations
+                     (`_masks`); `_reduce_entries` reduces the entries
+    one pair         `_kernel`: the bulk elimination over [j, k], or the
+                     boundary walk over its cell; `ground_state` takes the
+                     tie of `_cells` whose sorted spin-down ids are least
+    one config       `delta_factor`, `hamiltonian`: `_cells` on the masks
+                     of that configuration alone (`_masks_of`)
+    limits           `EXHAUSTIVE_LIMIT` bounds the variables of one bulk
+                     elimination table (`_plan`) and the vertices of the
+                     enumerating paths; the one-config views take any graph
+    reference        `tests/ising_reference.py`, the scorer of one
+                     configuration at a time that every path is checked on
 
 Sector sets and the columnar table.  `IsingModel.sector_set` builds one
 `SectorSet` per sector pool from the pool's S x L matrix of doubled link
@@ -141,7 +122,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -163,7 +144,8 @@ from .spins import (
 #: Absolute tolerance for counting ground-state ties.
 TIE_TOL = 1e-12
 
-#: Most vertices a model enumerates the 2^V configurations of.
+#: Most vertices a model enumerates the 2^V configurations of, and most
+#: variables (spins plus kept pins) one bulk elimination table spans.
 EXHAUSTIVE_LIMIT = 20
 
 
@@ -633,50 +615,6 @@ def ground_kernel(e_min: np.ndarray) -> np.ndarray:
     ).reshape(e_min.shape)
 
 
-def _unique_bool_rows(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """np.unique(keys, axis=0, return_inverse=True) for a 2-D bool array.
-
-    Each row is left-padded with zeros to whole 64-bit words and packed
-    big-endian, so comparing its words in turn orders rows as np.unique
-    does (False before True, first column first); one `np.lexsort` over
-    the words then groups them.
-    """
-    n, width = keys.shape
-    nwords = max(1, -(-width // 64))
-    padded = np.zeros((n, 64 * nwords), dtype=bool)
-    padded[:, 64 * nwords - width :] = keys
-    words = np.packbits(padded, axis=1).view(">u8")
-    order = np.lexsort(words.T[::-1])
-    ordered = words[order]
-    first = np.ones(n, dtype=bool)
-    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    inverse = np.empty(n, dtype=np.int64)
-    inverse[order] = np.cumsum(first) - 1
-    return keys[order[first]], inverse
-
-
-def _infeasible(shape) -> Tuple[np.ndarray, ...]:
-    """(E_min, degeneracy, gap) where nothing is allowed."""
-    return np.full(shape, math.inf), np.zeros(shape, dtype=np.int64), np.full(shape, math.inf)
-
-
-def _agreement(links: np.ndarray, idle: np.ndarray, cut: np.ndarray, actives) -> Iterator[np.ndarray]:
-    """Per replica, allowed (keys x configurations): True where a
-    configuration cuts no link of the key (`links`, keys x links, against
-    `cut`, links x configurations) and leaves inactive every vertex of the
-    key (`idle`, keys x vertices, against that replica's entry of
-    `actives`, vertices x configurations).  One numpy call per link and
-    per vertex that some key holds."""
-    broken = np.zeros((len(links), cut.shape[1]), dtype=bool)
-    for li in np.flatnonzero(links.any(axis=0)):
-        np.logical_or(broken, cut[li], out=broken, where=links[:, li, None])
-    for active in actives:
-        allowed = broken.copy()
-        for p in np.flatnonzero(idle.any(axis=0)):
-            np.logical_or(allowed, active[p], out=allowed, where=idle[:, p, None])
-        yield np.logical_not(allowed, out=allowed)
-
-
 @dataclass(frozen=True)
 class _PairKernels:
     """Kernels and ground-state data of every ordered pair of a sector list,
@@ -689,14 +627,6 @@ class _PairKernels:
     degeneracy: np.ndarray
     gap: np.ndarray
 
-    @staticmethod
-    def empty(shape) -> "_PairKernels":
-        return _PairKernels(np.zeros(shape), *_infeasible(shape))
-
-    def put(self, index, values) -> None:
-        """Store (z, e_min, degeneracy, gap) at `index`."""
-        self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index] = values
-
     def at(self, index) -> Tuple:
         """(z, e_min, degeneracy, gap) at `index`."""
         return self.z[index], self.e_min[index], self.degeneracy[index], self.gap[index]
@@ -705,6 +635,28 @@ class _PairKernels:
         """The kernels of the pairs of the sectors at `index`, as fresh
         arrays."""
         return _PairKernels(*self.at(np.ix_(index, index)))
+
+
+def _merge(m: np.ndarray, rest: Tuple, axis: int, keep: bool) -> Tuple:
+    """The table (m, (weight, count, slack)) summing out the spin on `axis`
+    of the product (m, rest) of `IsingModel._eliminate`: the halves merge
+    on the lower m, one within `TIE_TOL` of it adding its count and its
+    slack as a next level, one above offering its m, and the weights add,
+    scaled by e^-(m - lower m).  Where `keep` the axis stays, the kept pin:
+    index 0 the inactive half, index 1 the merged one."""
+    weight, count, slack = rest
+    low = m.min(axis, keepdims=True)
+    above = m - low
+    tied = above <= TIE_TOL
+    merged = (low, (weight * np.exp(low - m)).sum(axis, keepdims=True), (count * tied).sum(axis, keepdims=True),
+              np.where(tied, slack + above, above).min(axis, keepdims=True))
+    if not keep:
+        return merged[0].squeeze(axis), tuple(x.squeeze(axis) for x in merged[1:])
+    inactive, summed = ((slice(None),) * axis + (slice(i, i + 1),) for i in (0, 1))
+    tables = [np.empty(m.shape) for _ in merged]
+    for table, x, y in zip(tables, (m, *rest), merged):
+        table[inactive], table[summed] = x[inactive] if isinstance(x, np.ndarray) else x, y
+    return tables[0], tuple(tables[1:])
 
 
 # -- sector sets -----------------------------------------------------------
@@ -838,7 +790,7 @@ class SectorSet:
         for column in self.link_log_d[:, len(self.graph.internal_ids()) :].T:
             log_k += column
         for column in self.amplitude.T.tolist():
-            log_k += _memo_column(column, lambda m: _log_weight(m**2))
+            log_k += _memo_column(column, lambda m: 2.0 * _log_weight(m))
         if self.kind.is_boundary_to_boundary:
             log_k += [_log_weight(self.state.weight(sec)) for sec in self.sectors]
         else:
@@ -971,13 +923,11 @@ class IsingModel:
         with their Delta, log = log|Delta| - H and H, from one pass of this
         model's kind over the sectors [j, k].
 
-        Bulk-to-boundary: a configuration is allowed where it cuts no link
-        on which j and k differ and leaves inactive every vertex at such a
-        link (`_agreement`, this replica's mask alone); Delta is 1, H is the
-        `_bulk_energies` of j alone in this replica and log is 0 - H.  The
-        pair's two rows of spins serve only to find the links where j and
-        k differ.  As in the kernels, an active vertex where j has no
-        intertwiners gives H = +inf, which carries no weight.
+        Bulk-to-boundary: the pin rule of `_bulk_kernels` on this replica's
+        mask; Delta is 1, H is j's alone, its `_cut_energies` (replica 0's
+        cut is both replicas' here) plus log D of each active vertex in
+        graph order (+inf where D = 0, which adds 0 and never ties), and
+        log = 0 - H.
         Boundary-to-boundary: the `_boundary_entries` of this one cell
         (of [j] alone where k = j, so that each block is taken once),
         Delta the cosine and H the energy."""
@@ -986,12 +936,13 @@ class IsingModel:
             return self._boundary_entries(self.sector_set(pool), down, (0, len(pool) - 1, replica))[1:]
         sectors = self.sector_set([j, k])
         (cut, incidence), down = (self._masks, self._down) if down is None else (self._masks_of(down), down)
-        active = [(down, ~down)[replica]]
-        differs = sectors.twice[:1] != sectors.twice[1:]
-        allowed = next(_agreement(differs, differs @ incidence.T, cut[0], active))[0]
-        config = np.flatnonzero(allowed)
-        energy = self._bulk_energies(sectors.take(np.arange(1)), cut, active)[0][0, config]
-        return config, np.ones(len(config)), 0.0 - energy, energy
+        active, differs = (down, ~down)[replica], sectors.twice[0] != sectors.twice[1]
+        legs = replica == 1 and differs[len(self.graph.internal_ids()) :].any()
+        config = np.flatnonzero(~(active[incidence @ differs].any(axis=0) | legs))
+        energy = self._cut_energies(sectors.take(np.arange(1)), cut[:1])[0, 0]
+        for p, lam in enumerate(sectors.vertex_log_d[0].tolist()):
+            np.add(energy, lam if lam > -math.inf else math.inf, out=energy, where=active[p])
+        return config, np.ones(len(config)), 0.0 - energy[config], energy[config]
 
     def _cell(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
@@ -1036,10 +987,9 @@ class IsingModel:
         nv = len(self.graph.vertices)
         if nv > EXHAUSTIVE_LIMIT:
             raise EngineError(
-                f"{nv} vertices exceed EXHAUSTIVE_LIMIT = {EXHAUSTIVE_LIMIT}; "
-                f"kernels and ground states both enumerate all 2^V "
-                f"configurations.  Raise holoising.ising.EXHAUSTIVE_LIMIT to "
-                f"go further, at 2^{nv} time and memory"
+                f"{nv} vertices exceed EXHAUSTIVE_LIMIT = {EXHAUSTIVE_LIMIT}; single-pair queries and "
+                f"boundary-to-boundary kernels enumerate all 2^V configurations.  Raise "
+                f"holoising.ising.EXHAUSTIVE_LIMIT to go further, at 2^{nv} time and memory"
             )
         return nv
 
@@ -1105,107 +1055,141 @@ class IsingModel:
             np.add(energy, lam[None, :, None], out=energy, where=cut[:, li, None])
         return energy
 
-    @staticmethod
-    def _bulk_energies(sectors: SectorSet, cut: np.ndarray, actives) -> Tuple[np.ndarray, ...]:
-        """energy[b] (sectors x configurations), one per entry of
-        `actives`: the `_cut_energies` of replica 0 (whose cut is that of
-        both in this kind), then log D added over the vertices active in
-        `actives[b]` (vertices x configurations, where a vertex's spin
-        opposes the field of its replica) in graph order, +inf where a
-        vertex has no intertwiners."""
-        link_part = IsingModel._cut_energies(sectors, cut[:1])[0]
-        vertex_lam = np.where(np.isneginf(sectors.vertex_log_d), math.inf, sectors.vertex_log_d)
-        # The last entry takes over the link part's memory.
-        energies = (*(link_part.copy() for _ in actives[1:]), link_part)
-        for energy, active in zip(energies, actives):
-            for p in range(vertex_lam.shape[1]):
-                np.add(energy, vertex_lam[:, p, None], out=energy, where=active[p])
-        return energies
-
     def _bulk_kernels(self, sectors: SectorSet) -> _PairKernels:
-        """Kernels and ground-state data of every ordered pair of
-        `sectors`, in both bulk-to-boundary replicas.
+        """Kernels and ground-state data of every ordered pair of `sectors`
+        in both bulk-to-boundary replicas: one elimination over sigma whose
+        rows are the S sectors (`_eliminate`), read per pair (`_read`).
 
-        On an allowed configuration the energy of pair (j, k) is the energy
-        of j alone, so one matrix per replica (sectors x configurations,
-        `_bulk_energies`) holds every pair's energies: cut links, then
-        active vertices, in the order of the one-configuration view
-        `hamiltonian` and of the reference in `tests/ising_reference.py`,
-        so every kept energy has their bits.
+        The pin rule: a pair (j, k) pins inactive (up in replica 0, down in
+        replica 1) every vertex at a link where j and k differ.  Those links
+        are then uncut, except a leg in replica 1, so a pair whose boundary
+        keys differ allows nothing in replica 1.  The energy is then j's
+        alone: the kernel is j's sum with the pair's pinned vertices held
+        inactive.  No 2^V mask is built."""
+        return self._read(sectors, *self._eliminate(sectors))
 
-        A pair allows the configurations that cut no link where j and k
-        differ and leave inactive every vertex at such a link (a vertex's
-        spin tuple differs exactly when one of its links does); an active
-        vertex where j has no intertwiners has energy +inf there, which
-        adds 0.  Pairs are grouped by their key of differing links with one
-        `_unique_bool_rows` (keys packed into words); each key has one
-        column list of allowed configurations, and its masks are built for
-        all keys at once (`_agreement`).  A row is a (key, j) pair; it
-        shares its key's column list.
+    @functools.cached_property
+    def _order(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int], ...]]:
+        """(order, links): the vertices (graph indices) by minimum degree
+        with fill-in over the internal links, ties to the lower index, and
+        (column, a, b), a < b, of each internal link that is no loop (a
+        loop is never cut).  Both depend on the graph alone."""
+        row = {x: p for p, x in enumerate(self.graph.vertices)}
+        ends = [sorted(row[x] for x in self.graph.endpoints(lid)) for lid in self.graph.internal_ids()]
+        links = tuple((li, a, b) for li, (a, b) in enumerate(ends) if a != b)
+        near = [{b if a == p else a for _, a, b in links if p in (a, b)} for p in range(len(row))]
+        left, order = set(row.values()), []
+        while left:
+            p = min(left, key=lambda v: (len(near[v]), v))
+            left.remove(p)
+            for a in near[p]:
+                near[a] = (near[a] | near[p]) - {a, p}
+            order.append(p)
+        return tuple(order), links
 
-        Rows are then grouped by how many configurations they allow, so
-        that each (count, replica) class is one dense block, each row's
-        entries in ascending column order, reduced by one `_reduce_rows`
-        call.  A class is reduced in slices of at most S x max(S, 2^V)
-        entries, the larger of one energy matrix and one replica's kernel
-        array, so that no block outgrows what the call holds anyway.
+    def _varying(self, twice: np.ndarray) -> List[List[int]]:
+        """Per vertex, the columns of its links on which rows of `twice`
+        differ: some pair of the rows pins the vertex where it is not empty."""
+        varies = (twice != twice[:1]).any(axis=0).tolist()
+        column = {lid: i for i, lid in enumerate(self.graph.link_ids())}
+        return [[column[lid] for lid in self.graph.links_at(x) if varies[column[lid]]] for x in self.graph.vertices]
 
-        Memory: the masks and the spin-down mask built once per model
-        (2^V (2L + V) bytes of booleans); per call, the spin-up mask (V 2^V
-        bytes), S x 2^V float64 per replica, one boolean mask of 2^V per
-        column list, and the column lists of one class (8 bytes per entry).
-        """
-        (cut, incidence), down = self._masks, self._down
-        actives = down, ~down
-        count, size = len(sectors), down.shape[1]
-        twice = sectors.twice
-        energies = self._bulk_energies(sectors, cut, actives)
+    def _plan(self, varying: List[List[int]]) -> Tuple[List, List]:
+        """(scopes, steps): the variables (graph indices, ascending) of each
+        table (a leaf per vertex, then per link of `_order`, then each
+        step's result), and the steps (p, bucket, union), each the product
+        of the live tables that hold spin p over their `union` (p None: of
+        the tables left).  Axis p holds spin p up to its step, then p's
+        kept pin where `varying[p]`.  Refuses a table over more than
+        `EXHAUSTIVE_LIMIT` variables, of which there are never more than V."""
+        order, links = self._order
+        scopes = [(p,) for p in range(len(varying))] + [(a, b) for _, a, b in links]
+        live, steps = list(range(len(scopes))), []
+        for p in (*order, None):
+            bucket = [f for f in live if p is None or p in scopes[f]]
+            union = tuple(sorted(set().union(*(scopes[f] for f in bucket))))
+            if len(union) > EXHAUSTIVE_LIMIT:
+                raise EngineError(
+                    f"an elimination table spans {len(union)} variables (spins plus kept pins), more than "
+                    f"EXHAUSTIVE_LIMIT = {EXHAUSTIVE_LIMIT}; it holds 2 x S x 2^{len(union)} entries.  Raise "
+                    f"holoising.ising.EXHAUSTIVE_LIMIT to go further, at that memory, or superpose fewer links"
+                )
+            steps.append((p, bucket, union))
+            live = [f for f in live if f not in bucket] + [len(scopes)]
+            scopes.append(tuple(v for v in union if v != p or varying[p]))
+        return scopes, steps
 
-        pair_j, pair_k = np.divmod(np.arange(count * count), count)
-        # A pair's list key: the links where j and k differ.
-        lists, group = _unique_bool_rows((twice[:, None] != twice[None, :]).reshape(count * count, twice.shape[1]))
-        rows, row_of_pair = np.unique(group.reshape(-1) * count + pair_j, return_inverse=True)
-        row_list, row_j = np.divmod(rows, count)
-        kernels = _PairKernels.empty((count, count, 2))
-        allowed_per_replica = _agreement(lists, lists @ incidence.T, cut[0], actives)
-        for replica, (energy, allowed) in enumerate(zip(energies, allowed_per_replica)):
-            found = _PairKernels.empty(len(rows))
-            list_count = np.count_nonzero(allowed, axis=1)
-            for k in sorted(set(list_count.tolist())):
-                # The class's column lists, its rows, and the list of each row.
-                chosen = np.flatnonzero(list_count == k)
-                cols = np.flatnonzero(allowed[chosen]).reshape(len(chosen), k)
-                cols -= size * np.arange(len(chosen))[:, None]
-                members = np.flatnonzero(list_count[row_list] == k)
-                which = np.searchsorted(chosen, row_list[members])
-                step = count * max(count, size) // max(k, 1)
-                for start in range(0, len(members), step):
-                    part, of_row = members[start : start + step], which[start : start + step]
-                    block = energy[row_j[part, None], cols[of_row]]
-                    found.put(part, self._reduce_rows(block))
-                    del block  # freed before the next slice is gathered
-            kernels.put((pair_j, pair_k, replica), found.at(row_of_pair))
-        return kernels
+    def _eliminate(self, sectors: SectorSet) -> Tuple[Tuple[np.ndarray, ...], List[List[int]]]:
+        """((m, weight, count, slack), varying): each sector's final table,
+        each field (2, S, 2^q) indexed [replica, sector, pinned set], by
+        bucket elimination along `_plan`, and the `_varying` links that
+        decide the q kept pins.
 
-    @staticmethod
-    def _reduce_rows(energy: np.ndarray) -> Tuple[np.ndarray, ...]:
-        """(z, E_min, degeneracy, gap) of each row of `energy` (rows x k,
-        C-contiguous, each row's configurations in ascending order, with a
-        finite minimum), reduced in place: the block is overwritten.  z is
-        e^-E_min times the sum of e^-(E - E_min) over the row, summed as
-        `_scaled_sums` sums a bucket, so with its bits; +inf entries add
-        0 and never tie."""
-        if energy.shape[1] == 0:
-            return (np.zeros(len(energy)), *_infeasible(len(energy)))
-        e_min = energy.min(axis=1)
-        energy -= e_min[:, None]
-        tied = energy <= TIE_TOL
-        degeneracy = np.count_nonzero(tied, axis=1)
-        gap = np.min(energy, axis=1, initial=math.inf, where=~tied)
-        np.negative(energy, out=energy)
-        np.exp(energy, out=energy)
-        z = np.exp(-e_min) * np.add.reduceat(energy.reshape(-1), np.arange(0, energy.size, energy.shape[1]))
-        return z, e_min, degeneracy, gap
+        A variable is a vertex's activity, 0 inactive, 1 active (spin down
+        in replica 0, up in replica 1).  A vertex's leaf holds log d of its
+        legs where its spin is down plus log D where it is active (+inf
+        where D = 0); a link's, log d where its ends differ.  An entry
+        holds, over the configurations it sums, the least energy m, the
+        weight sum of e^-(E - m), the count tied with m and the slack, the
+        next level above m relative to m (leaf: 1, 1, +inf).  A product adds
+        the m's, multiplies weights and counts and keeps the least slack;
+        summing out a spin merges its halves (`_merge`); z = e^-m weight.
+        Ties are decided against each partial minimum, so merging within
+        `TIE_TOL` is not transitive: every configuration within `TIE_TOL`
+        of E_min counts, but in a chain of near-ties spanning more, a level
+        that tied a partial minimum stays counted when that one ties the
+        next, so degeneracy and gap can exceed those of enumeration.
+
+        Where a pair pins p, p's step keeps its inactive half beside the
+        merged one (index 0 pinned, 1 summed).  The order and each
+        product's order depend on the graph alone and a kept axis only adds
+        entries, so a kernel has the bits of the elimination over its own
+        pair (`_kernel`), whatever the sector list.  Memory: four float64
+        tables of 2 x S x 2^(w + q) per step, for w spins and q kept pins,
+        and about as many temporaries."""
+        varying = self._varying(sectors.twice)
+        scopes, steps = self._plan(varying)
+        links, count, lam = self._order[1], len(sectors), sectors.link_log_d
+        row = {x: p for p, x in enumerate(self.graph.vertices)}
+        legs = np.zeros((len(row), count))
+        for li, lid in enumerate(self.graph.boundary_ids(), len(self.graph.internal_ids())):
+            legs[row[self.graph.endpoints(lid)[0]]] += lam[:, li]
+        vertex = np.where(np.isneginf(sectors.vertex_log_d), math.inf, sectors.vertex_log_d).T
+        unary = np.zeros((len(row), 2, count, 2))
+        unary[:, 0, :, 1], unary[:, 1, :, 0], unary[:, 1, :, 1] = legs + vertex, legs, vertex
+        pair = np.zeros((len(links), 1, count, 2, 2))
+        pair[:, 0, :, 0, 1] = pair[:, 0, :, 1, 0] = lam[:, [li for li, _, _ in links]].T
+        tables: List[Tuple] = [(m, ()) for m in (*unary, *pair)]
+        for p, bucket, union in steps:
+            m, rest = 0.0, []
+            for f in bucket:
+                (energy, data), shape = tables[f], (count, *(2 if v in scopes[f] else 1 for v in union))
+                m = m + energy.reshape(len(energy), *shape)
+                rest += [[a.reshape(2, *shape) for a in data]] if data else []
+            weight, ties, slack = rest[0] if rest else (1.0, 1.0, math.inf)
+            for w, c, g in rest[1:]:
+                weight, ties, slack = weight * w, ties * c, np.minimum(slack, g)
+            if p is not None:
+                tables.append(_merge(m, (weight, ties, slack), 2 + union.index(p), bool(varying[p])))
+        final = (np.broadcast_to(a, m.shape).reshape(2, count, 2 ** len(union)) for a in (m, weight, ties, slack))
+        return tuple(final), varying
+
+    def _read(self, sectors: SectorSet, final: Tuple[np.ndarray, ...], varying: List[List[int]]) -> _PairKernels:
+        """The kernels of every ordered pair of `sectors` from `_eliminate`:
+        (j, k) reads j's entry at its pinned set, one bit per kept vertex
+        (the first highest), 1 where the pair leaves it free; z = e^-m
+        weight, and nothing in replica 1 where the boundary keys differ."""
+        twice, count = sectors.twice, len(sectors)
+        index = np.zeros((count, count), dtype=np.int64)
+        for cols in filter(None, varying):
+            index <<= 1
+            index |= np.logical_and.reduce([twice[:, c, None] == twice[None, :, c] for c in cols])
+        m, weight, ties, slack = (a.transpose(1, 2, 0)[np.arange(count)[:, None], index] for a in final)
+        z = np.exp(-m) * weight
+        mixed = (sectors.key[:, None] != sectors.key[None, :]).reshape(-1)
+        for field, value in ((z, 0.0), (m, math.inf), (ties, 0.0), (slack, math.inf)):
+            field.reshape(-1, 2)[mixed, 1] = value
+        return _PairKernels(z, m, ties.astype(np.int64), slack)
 
     def _boundary_entries(
         self, sectors: SectorSet, down: Optional[np.ndarray] = None, cell: Optional[Tuple[int, int, int]] = None
@@ -1328,7 +1312,7 @@ class IsingModel:
         reducing it alone."""
         nrows = count * count * 2
         z = _scaled_sums(row, log, cos < 0.0, nrows)[0]
-        e_min, _, gap = _infeasible(nrows)
+        e_min, gap = np.full(nrows, math.inf), np.full(nrows, math.inf)
         np.minimum.at(e_min, row, energy)
         tied = energy - e_min[row] <= TIE_TOL
         degeneracy = np.bincount(row[tied], minlength=nrows)
@@ -1340,18 +1324,23 @@ class IsingModel:
     def _kernel(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
-        """Kernel and ground state of one (pair, replica), from one `_cells`
-        pass.  Its entries are the one row of a one-sector
-        `_reduce_entries`, which gives z, E_min, the degeneracy and the gap
-        with the bits of the pair's cell of a batched table (an active
-        vertex without intertwiners has H = +inf there too, which adds 0
-        and never ties).  The representative is the entry with H - E_min <=
-        `TIE_TOL` whose sorted tuple of spin-down vertex ids (read from its
-        column of `_down`) is least, a prefix first; only that entry becomes
-        an `IsingConfig`, and none where nothing is allowed."""
+        """Kernel and ground state of one (pair, replica), with the bits of
+        the pair's cell of a batched table: z, E_min, the degeneracy and
+        the gap reduce the `_cells` entries as the one row of a one-sector
+        `_reduce_entries` (boundary-to-boundary), or come from the
+        elimination over [j, k] (bulk-to-boundary).  The representative is
+        the `_cells` entry with H - E_min <= `TIE_TOL` whose sorted tuple of
+        spin-down vertex ids (its column of `_down`) is least, a prefix
+        first, and the only one made an `IsingConfig`; None where nothing
+        is allowed."""
         self._check_pair(j, k, replica)
         config, cos, log, energy = self._cells(j, k, replica)
-        z, e_min, degeneracy, gap = self._reduce_entries(1, np.zeros_like(config), cos, log, energy).at((0, 0, 0))
+        if self.kind.is_boundary_to_boundary:
+            kernels, at = self._reduce_entries(1, np.zeros_like(config), cos, log, energy), (0, 0, 0)
+        else:
+            sectors = self.sector_set([j, k])
+            kernels, at = self._read(sectors, *self._eliminate(sectors)), (0, 1, replica)
+        z, e_min, degeneracy, gap = kernels.at(at)
         ties, vertices = config[energy - e_min <= TIE_TOL].tolist(), self.graph.vertices
         rep = min(ties, key=lambda c: sorted(x for x, d in zip(vertices, self._down[:, c]) if d), default=None)
         rep = None if rep is None else self._config(rep)
@@ -1441,12 +1430,12 @@ class IsingModel:
         While it holds this model's family and graph, `partition_table()`
         returns the held table itself, whose arrays are read-only, and
         `window_table` slices it.  `EXHAUSTIVE_LIMIT` is checked either
-        way.  Memory: the last default pool plus 5 x 2S^2 kernel entries
-        (8 bytes each) of its S weighted sectors.
+        way (`_plan`).  Memory: the last default pool plus 5 x 2S^2 kernel
+        entries (8 bytes each) of its S weighted sectors.
         """
         held = self._held_pool()
         if sectors is None and held is not None:
-            self._check_limit()
+            self._plan(self._varying(held.table.sectors.twice))
             return held.table
         default = sectors is None and not self.kind.is_boundary_to_boundary
         if not isinstance(sectors, SectorSet):

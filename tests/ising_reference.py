@@ -1,13 +1,14 @@
 """The per-configuration scorer of an Ising model: the tests' reference.
 
-`holoising.ising.IsingModel` evaluates Delta and H through one batched pass
-per model kind (`_bulk_kernels`, `_boundary_entries`), and its public
-`delta_factor` and `hamiltonian` are one-configuration views of those
-passes.  The functions here score one configuration at a time straight
-from the definitions, link by link and vertex by vertex, with no mask, no
-matrix and no shared state; nothing in the package calls them.  The tests
-check every kernel, every boundary-to-boundary entry and both views
-against them bit for bit:
+`holoising.ising.IsingModel` computes its kernels through one batched pass
+per model kind (`_bulk_kernels`, an elimination over sigma, and
+`_boundary_entries`), and its public `delta_factor` and `hamiltonian` are
+one-configuration views of `_cells`.  The functions here score one
+configuration at a time straight from the definitions, link by link and
+vertex by vertex, with no mask, no matrix and no shared state; nothing in
+the package calls them.  The tests check every boundary-to-boundary kernel
+and entry and both views against them bit for bit, and every
+bulk-to-boundary kernel within the bounds of summing in another order:
 
     configurations  all 2^V configurations, in the model's `_config` order
     evaluate        (Delta, H) of one configuration, H None where Delta = 0

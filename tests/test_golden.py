@@ -219,12 +219,12 @@ GOLDEN = {
     "c1_2_upper_right": "86115266a0c56148517e284eda1f96b7cc8acc8639cb4bdf253be280a79bf9ce",
     "c3_2_unit": "483311a689789f8e08c3c2903a338bb37e1269d7bbf74e3e86ea88f7f3f18c99",
     "c3_2_isometric": "d57d2160f0fab393cf73aaed7bb1effaff2a6adbee437c3816c029304ffe2a32",
-    "c3_3_unit": "6843621e225aff398d4560619bc6dd5e085d407c597c124add21f1237d7b69f7",
-    "c3_3_isometric": "f8e27260eb899b567660065b4aedfa636e2d254358eeaab840c948a4a0ab661a",
-    "c3_6_unit": "aac2df7cfb0ad8a8bf5889635a574da22a72e9c760178e39958f2585055f9009",
-    "c3_6_isometric": "b136c5a36b814b79c30d1718cc0e98f14f57537dee84ade9d2680898a62ed0a6",
-    "c3_10_unit": "ff5ccb144b0486e1ace524be4988a2719362fe3cae6238d708ba592551113b22",
-    "c3_10_isometric": "2573f442d59f2f731cb70a16d0846fe29a9630c504dbb49ade673c26bc8e280a"
+    "c3_3_unit": "367820f041c66b70ed8a7f590ee4abd17b81e8b75363857d50a31805406f3d1b",
+    "c3_3_isometric": "44d18c13de79cdb0c058ae947b3cad6de58f5cf9d70bae4cf011528a2e50b7c0",
+    "c3_6_unit": "df5307bb281fe17993fbe694326dc4a8949e87f01128fc989ff70093a3222b74",
+    "c3_6_isometric": "b8979e35e9ec5eb58542e601cb9872cdcdb7e1308da2ff2db547396282b6a1eb",
+    "c3_10_unit": "12dded3d78129c154fef879ad353886b2d9597e20d8f03f52566875740224dea",
+    "c3_10_isometric": "7c5afb81b06cf7da52fa7df5590340d28cf1ef7d6fc2573e07ec7a9b6b18dd96"
 }
 
 

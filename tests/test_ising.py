@@ -26,7 +26,6 @@ from holoising.ising import (
     IsingModel,
     ModelKind,
     _scaled_sums,
-    _unique_bool_rows,
 )
 from holoising.spins import SectorEnumerationError, SectorFamily, Spin, SpinSector, intertwiner_dim
 
@@ -759,13 +758,13 @@ class TestCompiledKernel:
         sectors = model.sector_set().sectors
         pairs = [(sectors[0], sectors[0]), (sectors[0], sectors[-1]), (sectors[-1], sectors[1])]
         priced = []
-        energies = IsingModel._bulk_energies
+        energies = IsingModel._cut_energies
 
-        def spy(sector_set, cut, actives):
-            priced.append((len(sector_set), len(actives)))
-            return energies(sector_set, cut, actives)
+        def spy(sector_set, cut):
+            priced.append((len(sector_set), len(cut)))
+            return energies(sector_set, cut)
 
-        monkeypatch.setattr(IsingModel, "_bulk_energies", staticmethod(spy))
+        monkeypatch.setattr(IsingModel, "_cut_energies", staticmethod(spy))
         config = model._config(5)
         for (j, k), replica in itertools.product(pairs, (0, 1)):
             model.partition_sum_fixed(j, k, replica)
@@ -886,20 +885,44 @@ def kernel_coverage(model, sectors, kernels):
     return seen
 
 
+def assert_near(got, want):
+    """A kernel's (z, E_min, degeneracy, gap) against `want` within the
+    bounds of summing in another order: z within 1e-14 relative, E_min and
+    the gap within 1e-14 x max(1, |E_min|), the degeneracy (and so the
+    feasibility) exact."""
+    z, e_min, degeneracy, gap = map(float, got)
+    scale = 1e-14 * max(1.0, abs(want[1])) if math.isfinite(want[1]) else 0.0
+    assert z == pytest.approx(want[0], rel=1e-14, abs=0.0)
+    assert e_min == pytest.approx(want[1], rel=0.0, abs=scale)
+    assert int(degeneracy) == want[2]
+    assert gap == pytest.approx(want[3], rel=0.0, abs=scale)
+
+
 def assert_kernels_match(model, sectors, kernels):
     """Every ordered pair of `sectors` and replica of `kernels` (a
-    `_PairKernels`) has the bits of `brute_force`, and so has the pair's
-    single kernel `_kernel`, its representative included."""
+    `_PairKernels`) agrees with `brute_force`, and so does the pair's
+    single kernel `_kernel`, whose representative is `brute_force`'s.  The
+    boundary-to-boundary kind reduces the entries of each pair in
+    configuration order, so it has their bits; the bulk-to-boundary kind
+    eliminates over sigma, so it agrees within `assert_near`."""
     for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
         for replica in (0, 1):
-            want = hexed(*brute_force(model, j, k, replica))
-            assert hexed(*kernels.at((a, b, replica))) == want[:4]
-            assert single_kernel(model, j, k, replica) == want
+            want = brute_force(model, j, k, replica)
+            got = kernels.at((a, b, replica))
+            z, ground = model._kernel(j, k, replica)
+            single = (z, ground.energy, ground.degeneracy, ground.gap)
+            assert ground.config == want[4]
+            if model.kind.is_boundary_to_boundary:
+                assert hexed(*got) == hexed(*single) == hexed(*want)[:4]
+            else:
+                assert_near(got, want)
+                assert_near(single, want)
 
 
 class TestBatchedKernels:
     """`_bulk_kernels` on whole sector lists, pair by pair, against the
-    per-configuration `brute_force`."""
+    per-configuration `brute_force`, within `assert_near`: degeneracies,
+    feasibility and representatives exact."""
 
     def assert_matches(self, model, sectors):
         """Returns the number of distinct sets of differing links."""
@@ -932,6 +955,8 @@ class TestBatchedKernels:
         assert all(seen.values()), seen
 
     def test_near_ties(self):
+        """Merging within `TIE_TOL` step by step gives the degeneracies of
+        enumeration here."""
         model = near_tie_chain_model()
         sectors = model.sector_set().sectors
         assert len(sectors) == 4
@@ -939,10 +964,9 @@ class TestBatchedKernels:
 
     def test_rows_with_empty_intertwiners(self):
         """Spin 3 on leg t2 (or spin 0 on t1 next to spins 1/2 and 3/2)
-        leaves a vertex without intertwiners, so some energy rows mix finite
-        and infinite entries.  Summing such a row with its infinite entries
-        as zeros moves the finite ones to other pairwise-sum slots and
-        changes bits; the evaluator drops them row by row."""
+        leaves a vertex without intertwiners, so some sums mix finite and
+        infinite energies: the active half of such a vertex is +inf in the
+        elimination, which adds 0 and never ties."""
         graph = chain_graph(3)
         allowed = {"e1": ["1/2"], "e2": ["3/2"], "l": ["1"], "r": ["1/2"], "t0": ["3/2"]}
         allowed.update({"t1": ["0", "1"], "t2": ["1", "3"]})
@@ -968,10 +992,9 @@ class TestBatchedKernels:
         assert table.totals == (0.0, 0.0)
 
     def test_count_classes(self):
-        """Rows of different difference sets share count classes, and
-        several classes hold rows of 8 or more entries.  There, summing a
-        row padded with zeros to the full 2^V width, or summing its entries
-        in sequence, would change the kernel's bits."""
+        """The four difference sets allow 32, 16, 8, 4 or no configurations,
+        and the spins vary from link to link: each pinned set reads its own
+        entry of the elimination, with sums of 8 or more terms."""
         model = count_class_chain_model()
         sectors = model.sector_set().sectors
         counts = {
@@ -1063,19 +1086,113 @@ class TestBatchedKernels:
             assert ground.config.label() == "--+-+"
             assert ground.config == brute_force(model, a, b, 1)[4]
 
-    @pytest.mark.parametrize("width", [0, 1, 5, 40, 64, 65, 130])
-    def test_packed_grouping_matches_unique(self, width):
-        # Keys wider than 64 bits span several words; repeated rows make
-        # groups with more than one member.
-        rng = np.random.default_rng(width)
-        for rows, density in [(0, 0.5), (1, 0.5), (300, 0.1), (625, 0.5)]:
-            keys = rng.random((rows, width)) < density
-            keys[rows // 2 :] = keys[: rows - rows // 2]
-            lists, group = _unique_bool_rows(keys)
-            ref_lists, ref_group = np.unique(keys, axis=0, return_inverse=True)
-            assert lists.dtype == bool
-            assert np.array_equal(lists, ref_lists)
-            assert np.array_equal(group, ref_group.reshape(-1))
+
+def transfer_kernel(graph, sector, replica):
+    """The diagonal kernel of `sector` on a `chain_graph` of 3-valent
+    vertices, written from the definitions as a product of 2 x 2 transfer
+    matrices over the spins (+1, -1) of v0, v1, ...: a spin -1 cuts the
+    vertex's legs (weight 1/d each), a vertex is active where its spin
+    opposes its replica's field (-1 in replica 0, +1 in replica 1; weight
+    1/D, 0 where D = 0), and link e_i between v_{i-1} and v_i has weight
+    1/d where their spins differ."""
+    nv = len(graph.vertices)
+
+    def weight(i, spin):
+        legs = [f"t{i}"] + (["l"] if i == 0 else []) + (["r"] if i == nv - 1 else [])
+        w = math.prod(1.0 / sector.spin(lid).dim for lid in legs) if spin < 0 else 1.0
+        if (spin < 0) == (replica == 0):
+            dim = intertwiner_dim(sector.vertex_spins(f"v{i}"))
+            w = w / dim if dim else 0.0
+        return w
+
+    vector = [weight(0, s) for s in (1, -1)]
+    for i in range(1, nv):
+        cut = 1.0 / sector.spin(f"e{i}").dim
+        vector = [
+            (vector[0] * (1.0 if s > 0 else cut) + vector[1] * (cut if s > 0 else 1.0)) * weight(i, s)
+            for s in (1, -1)
+        ]
+    return vector[0] + vector[1]
+
+
+class TestEliminatedTables:
+    """Bulk tables past enumeration, without masks, and their limit."""
+
+    @pytest.mark.parametrize("nv, superposed", [(40, ("e5", "e20")), (100, ("e5", "e50"))])
+    def test_long_chains_match_transfer_products(self, nv, superposed):
+        """Chains of 40 and 100 vertices, past `EXHAUSTIVE_LIMIT`, with two
+        links over spins {1, 2, 3}: every diagonal kernel is the chain's
+        transfer product within 1e-14 relative."""
+        graph = chain_graph(nv)
+        allowed = {lid: ["1"] for lid in graph.link_ids()}
+        allowed.update({lid: ["1", "2", "3"] for lid in superposed})
+        family = SectorFamily.build(graph, "1", "3", allowed=allowed)
+        table = IsingModel(graph, family, ModelKind.bulk_to_boundary()).partition_table()
+        sectors = table.sectors.sectors
+        assert len(sectors) == 4 and nv > ising.EXHAUSTIVE_LIMIT
+        for a, sec in enumerate(sectors):
+            for replica in (0, 1):
+                assert table.z[a, a, replica] == pytest.approx(transfer_kernel(graph, sec, replica), rel=1e-14, abs=0.0)
+
+    def test_bulk_tables_build_no_masks(self, monkeypatch):
+        """A bulk table and its windows, held or not, never build the 2^V
+        masks; the boundary-to-boundary kind and a single pair's ground
+        state still do."""
+
+        def refuse(*args):
+            raise AssertionError("a 2^V mask was built")
+
+        monkeypatch.setattr(IsingModel, "_down", property(refuse))
+        monkeypatch.setattr(IsingModel, "_masks_of", refuse)
+        monkeypatch.setattr(ising, "_held", None)
+        model = six_vertex_chain_model()
+        graph = model.graph
+        pool = model.sector_set()
+        window = [dict(zip(graph.boundary_ids(), map(Spin, key))) for key in pool.keys]
+        assert len(window) == 2
+        alone = model.window_table(window)
+        table = model.partition_table()
+        assert ising._held.table is table
+        assert len(model.window_table(window).labels) == len(alone.labels) == len(table.labels) > 1
+        j, k = pool.sectors[:2]
+        with pytest.raises(AssertionError, match="mask"):
+            model.ground_state(j, k, 0)
+        _, boundary, low, high = TestBoundaryToBoundary().make_model()
+        with pytest.raises(AssertionError, match="mask"):
+            boundary.partition_table()
+
+    def test_limit_names_the_table_width(self, monkeypatch):
+        """The weighted sectors of the six-vertex chain differ on e3 alone,
+        which pins v2 and v3, and the chain is eliminated from v0 on: the
+        step of v3 multiplies over v3, v4 and the kept pin of v2, and the
+        step of v4 over v4, v5 and both kept pins, four variables of six
+        vertices."""
+        model = six_vertex_chain_model()
+        for limit, width in ((2, 3), (3, 4)):
+            monkeypatch.setattr(ising, "EXHAUSTIVE_LIMIT", limit)
+            message = (
+                rf"an elimination table spans {width} variables \(spins plus kept pins\), "
+                rf"more than EXHAUSTIVE_LIMIT = {limit}; "
+            )
+            with pytest.raises(EngineError, match=message):
+                model.partition_table()
+        monkeypatch.setattr(ising, "EXHAUSTIVE_LIMIT", 4)
+        assert len(model.partition_table().labels) > 1
+
+
+def test_log_k_keeps_a_tiny_amplitude():
+    """|g|^2 underflows to 0 below |g| of about 1.5e-162; log K takes
+    2 log|g|, so the sector with |g(2)| = 1e-170 on e1 keeps its weight and
+    its row, like the one with |g(2)| = 1e-150."""
+    graph = chain_graph(2)
+    allowed = {lid: ["1"] for lid in graph.link_ids()}
+    allowed["e1"] = ["1", "2"]
+    for tiny in (1e-150, 1e-170):
+        weights = {"e1": {"1": 1.0, "2": tiny}}
+        family = SectorFamily.build(graph, "1", "2", allowed=allowed, weights=weights, normalize=False)
+        table = IsingModel(graph, family, ModelKind.bulk_to_boundary()).partition_table()
+        assert len(table.labels) == 2
+        assert table.log_k[1] == pytest.approx(4 * math.log(3) + 2 * math.log(tiny), rel=1e-14)
 
 
 # -- boundary-to-boundary kernels against brute force and the oracle --------

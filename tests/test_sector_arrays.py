@@ -553,7 +553,7 @@ class TestFactorViews:
             assert pool.link_log_d[a].tolist() == d
             assert pool.amplitude[a].tolist() == g
             assert pool.vertex_log_d[a].tolist() == big_d
-            terms = d[len(internal) :] + [math.log(m**2) if m**2 > 0.0 else -math.inf for m in g]
+            terms = d[len(internal) :] + [2.0 * math.log(m) if m > 0.0 else -math.inf for m in g]
             if model.kind.is_boundary_to_boundary:
                 weight = model.state.weight(sec)
                 terms.append(math.log(weight) if weight > 0.0 else -math.inf)
@@ -614,10 +614,12 @@ class TestWindowGroups:
         groups = window_groups(family, graph)
         assert list(groups.items()) == list(reference_window_groups(family, graph).items())
         assert list(groups) == [120, 60]
-        # The only admissible sector of b = 1/2 has log K = -inf.
+        # The only admissible sector of b = 1/2 keeps a finite log K, 2 log|g|
+        # of its amplitude, though |g|^2 underflows; the other has no
+        # intertwiner at x.
         pool = IsingModel(graph, family, ModelKind.bulk_to_boundary()).sector_set()
         rows = [i for i, row in enumerate(pool.twice.tolist()) if row[2] == 1]
-        assert not np.isfinite(pool.log_k[rows]).any()
+        assert np.isfinite(pool.log_k[rows]).tolist() == [False, True]
 
 
 # -- the dimension evaluator -------------------------------------------------

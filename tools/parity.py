@@ -38,8 +38,9 @@ Monte Carlo estimates (`oracle.mc_purity`) are left out of the digests:
 they follow the definition of the Haar streams and the order of their
 sums, which can change while the engine and the oracle's exact traces keep
 their bits.  Each result is reduced to a canonical JSON form in which
-every float is written with `float.hex`, so two trees can be compared bit
-for bit:
+every float is written with `float.hex`, and a tuple of (name, value)
+pairs named by identifiers (a verdict's extras) is keyed by name, so two
+trees can be compared bit for bit and field by field:
 
     python3 tools/parity.py --workload sector-wide --seed 5 --out a.txt
     (in the other checkout, same arguments)         --out b.txt
@@ -129,7 +130,10 @@ CHECK_B2B = isometry.check_boundary_to_boundary
 
 
 def canon(obj: Any) -> Any:
-    """A JSON-ready form of `obj` with every float as `float.hex`."""
+    """A JSON-ready form of `obj` with every float as `float.hex`.  A tuple
+    of (name, value) pairs whose names are distinct identifiers (a
+    verdict's extras) becomes a mapping keyed by name, so that `--compare`
+    reports each value as its own field."""
     if isinstance(obj, (bool, str)) or obj is None:
         return obj
     if isinstance(obj, (float, np.floating)):
@@ -156,6 +160,9 @@ def canon(obj: Any) -> Any:
     if isinstance(obj, dict) or hasattr(obj, "items"):
         return [[canon(k), canon(v)] for k, v in obj.items()]
     if isinstance(obj, (list, tuple)):
+        names = {x[0] for x in obj if isinstance(x, tuple) and len(x) == 2 and isinstance(x[0], str) and x[0].isidentifier()}
+        if isinstance(obj, tuple) and obj and len(names) == len(obj):
+            return {name: canon(value) for name, value in obj}
         return [canon(x) for x in obj]
     raise TypeError(f"cannot canonicalize {type(obj).__name__}")
 
