@@ -31,14 +31,16 @@ Evaluation paths (each states its mechanics and memory):
                      S sectors as rows; no 2^V mask
     boundary tables  `_boundary_entries` walks the 2^V configurations
                      (`_masks`); `_reduce_entries` reduces the entries
-    one pair         `_kernel`: the bulk elimination over [j, k], or the
-                     boundary walk over its cell; `ground_state` takes the
-                     tie of `_cells` whose sorted spin-down ids are least
+    one pair         `_cell_data`: the bulk elimination over [j, k], or the
+                     boundary walk over its cell; `_least` picks the
+                     representative, from clamped eliminations of the pair
+                     (bulk) or from the walk's ties (boundary)
     one config       `delta_factor`, `hamiltonian`: `_cells` on the masks
                      of that configuration alone (`_masks_of`)
     limits           `EXHAUSTIVE_LIMIT` bounds the variables of one bulk
-                     elimination table (`_plan`) and the vertices of the
-                     enumerating paths; the one-config views take any graph
+                     elimination table (`_plan`) and the vertices of a
+                     boundary-to-boundary model; the one-config views take
+                     any graph
     reference        `tests/ising_reference.py`, the scorer of one
                      configuration at a time that every path is checked on
 
@@ -122,7 +124,7 @@ import copy
 import functools
 import math
 from dataclasses import dataclass, field, fields
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -144,8 +146,9 @@ from .spins import (
 #: Absolute tolerance for counting ground-state ties.
 TIE_TOL = 1e-12
 
-#: Most vertices a model enumerates the 2^V configurations of, and most
-#: variables (spins plus kept pins) one bulk elimination table spans.
+#: Most variables (spins plus kept pins) one bulk-to-boundary elimination
+#: table spans, and most vertices of a boundary-to-boundary model, whose
+#: kernels enumerate the 2^V configurations.
 EXHAUSTIVE_LIMIT = 20
 
 
@@ -543,6 +546,15 @@ def _scaled_sums(bucket: np.ndarray, log: np.ndarray, negative: np.ndarray, coun
     return total, sign, scale + log_diff, cancellation
 
 
+def _refuse_repeats(rows: Sequence[tuple], name: Callable[[int], str]) -> None:
+    """EngineError where one of `rows` equals an earlier one, naming the
+    repeat by `name(index)`: a table would hold that sector twice."""
+    first: Dict[tuple, int] = {}
+    for i, row in enumerate(rows):
+        if first.setdefault(row, i) != i:
+            raise EngineError(f"{name(i)} is listed twice; a table holds each sector once")
+
+
 def _memo_column(values: Iterable, term) -> List[float]:
     """term(v) of every entry v of `values`, evaluated once per distinct v."""
     known: Dict = {}
@@ -918,10 +930,11 @@ class IsingModel:
     ) -> Tuple[np.ndarray, ...]:
         """(configurations, Delta, log, H) of the allowed configurations of
         pair (j, k) in `replica` among those of `down` (vertices x
-        configurations, True where a vertex has spin -1; default every
-        configuration, `_down`): the columns of `down` in ascending order,
-        with their Delta, log = log|Delta| - H and H, from one pass of this
-        model's kind over the sectors [j, k].
+        configurations, True where a vertex has spin -1; default, in the
+        boundary-to-boundary kind alone, every configuration, `_down`): the
+        columns of `down` in ascending order, with their Delta, log =
+        log|Delta| - H and H, from one pass of this model's kind over the
+        sectors [j, k].
 
         Bulk-to-boundary: the pin rule of `_bulk_kernels` on this replica's
         mask; Delta is 1, H is j's alone, its `_cut_energies` (replica 0's
@@ -935,7 +948,7 @@ class IsingModel:
             pool = [j] if j == k else [j, k]
             return self._boundary_entries(self.sector_set(pool), down, (0, len(pool) - 1, replica))[1:]
         sectors = self.sector_set([j, k])
-        (cut, incidence), down = (self._masks, self._down) if down is None else (self._masks_of(down), down)
+        cut, incidence = self._masks_of(down)
         active, differs = (down, ~down)[replica], sectors.twice[0] != sectors.twice[1]
         legs = replica == 1 and differs[len(self.graph.internal_ids()) :].any()
         config = np.flatnonzero(~(active[incidence @ differs].any(axis=0) | legs))
@@ -987,30 +1000,17 @@ class IsingModel:
         nv = len(self.graph.vertices)
         if nv > EXHAUSTIVE_LIMIT:
             raise EngineError(
-                f"{nv} vertices exceed EXHAUSTIVE_LIMIT = {EXHAUSTIVE_LIMIT}; single-pair queries and "
+                f"{nv} vertices exceed EXHAUSTIVE_LIMIT = {EXHAUSTIVE_LIMIT}; "
                 f"boundary-to-boundary kernels enumerate all 2^V configurations.  Raise "
                 f"holoising.ising.EXHAUSTIVE_LIMIT to go further, at 2^{nv} time and memory"
             )
         return nv
 
-    def _config(self, index: int) -> IsingConfig:
-        """Configuration `index`, column `index` of `_down`: spin -1 on
-        vertex p exactly when bit V-1-p of `index` is set (the first vertex
-        varies slowest)."""
-        vertices = self.graph.vertices
-        last = len(vertices) - 1
-        return IsingConfig(
-            tuple(
-                (x, -1 if (index >> (last - p)) & 1 else 1)
-                for p, x in enumerate(vertices)
-            )
-        )
-
     @functools.cached_property
     def _down(self) -> np.ndarray:
-        """Boolean mask over all configurations in `_config` order, built
-        once: down[p, i] is True where configuration i has spin -1 on
-        vertex p."""
+        """Boolean mask over all configurations, built once: down[p, i] is
+        True where configuration i has spin -1 on vertex p, that is where
+        bit V-1-p of i is set (the first vertex varies slowest)."""
         nv = self._check_limit()
         return ((np.arange(2**nv) >> np.arange(nv - 1, -1, -1)[:, None]) & 1).astype(bool)
 
@@ -1119,7 +1119,7 @@ class IsingModel:
             scopes.append(tuple(v for v in union if v != p or varying[p]))
         return scopes, steps
 
-    def _eliminate(self, sectors: SectorSet) -> Tuple[Tuple[np.ndarray, ...], List[List[int]]]:
+    def _eliminate(self, sectors: SectorSet, clamp=0.0) -> Tuple[Tuple[np.ndarray, ...], List[List[int]]]:
         """((m, weight, count, slack), varying): each sector's final table,
         each field (2, S, 2^q) indexed [replica, sector, pinned set], by
         bucket elimination along `_plan`, and the `_varying` links that
@@ -1128,7 +1128,9 @@ class IsingModel:
         A variable is a vertex's activity, 0 inactive, 1 active (spin down
         in replica 0, up in replica 1).  A vertex's leaf holds log d of its
         legs where its spin is down plus log D where it is active (+inf
-        where D = 0); a link's, log d where its ends differ.  An entry
+        where D = 0), plus `clamp` (V, 2 replicas, 1, 2 activities), +inf
+        where `_cell_data` fixes the spin the other way; a link's, log d where
+        its ends differ.  An entry
         holds, over the configurations it sums, the least energy m, the
         weight sum of e^-(E - m), the count tied with m and the slack, the
         next level above m relative to m (leaf: 1, 1, +inf).  A product adds
@@ -1144,7 +1146,7 @@ class IsingModel:
         merged one (index 0 pinned, 1 summed).  The order and each
         product's order depend on the graph alone and a kept axis only adds
         entries, so a kernel has the bits of the elimination over its own
-        pair (`_kernel`), whatever the sector list.  Memory: four float64
+        pair (`_cell_data`), whatever the sector list.  Memory: four float64
         tables of 2 x S x 2^(w + q) per step, for w spins and q kept pins,
         and about as many temporaries."""
         varying = self._varying(sectors.twice)
@@ -1157,6 +1159,7 @@ class IsingModel:
         vertex = np.where(np.isneginf(sectors.vertex_log_d), math.inf, sectors.vertex_log_d).T
         unary = np.zeros((len(row), 2, count, 2))
         unary[:, 0, :, 1], unary[:, 1, :, 0], unary[:, 1, :, 1] = legs + vertex, legs, vertex
+        unary += clamp
         pair = np.zeros((len(links), 1, count, 2, 2))
         pair[:, 0, :, 0, 1] = pair[:, 0, :, 1, 0] = lam[:, [li for li, _, _ in links]].T
         tables: List[Tuple] = [(m, ()) for m in (*unary, *pair)]
@@ -1301,7 +1304,7 @@ class IsingModel:
     ) -> _PairKernels:
         """The kernels of `count` sectors from the compact entries of their
         2 count^2 rows (pair, replica), as `_boundary_entries` lists them
-        (or `_kernel` its one row): entry i of row `row[i]` has energy
+        (or `_cell_data` its one row): entry i of row `row[i]` has energy
         `energy[i]` and weight sign(cos[i]) exp(log[i]); a row holds a
         configuration at most once, and the entries are listed in ascending
         configuration order.
@@ -1324,34 +1327,66 @@ class IsingModel:
     def _kernel(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> Tuple[float, GroundState]:
-        """Kernel and ground state of one (pair, replica), with the bits of
-        the pair's cell of a batched table: z, E_min, the degeneracy and
-        the gap reduce the `_cells` entries as the one row of a one-sector
-        `_reduce_entries` (boundary-to-boundary), or come from the
-        elimination over [j, k] (bulk-to-boundary).  The representative is
-        the `_cells` entry with H - E_min <= `TIE_TOL` whose sorted tuple of
-        spin-down vertex ids (its column of `_down`) is least, a prefix
-        first, and the only one made an `IsingConfig`; None where nothing
-        is allowed."""
+        """Kernel and ground state of one (pair, replica) (`_cell_data`);
+        the representative is `_least` of the ties, None where nothing is
+        allowed."""
+        z, e_min, degeneracy, gap, ties = self._cell_data(j, k, replica)
+        return z, GroundState(self._least(ties) if degeneracy else None, e_min, degeneracy, gap)
+
+    def _cell_data(self, j: SpinSector, k: SpinSector, replica: int) -> Tuple:
+        """(z, E_min, degeneracy, gap, ties) of one (pair, replica), with the
+        bits of the pair's cell of a batched table: the numbers come from
+        the elimination over [j, k] (bulk-to-boundary), or reduce the
+        `_cells` entries of the walk over the cell as the one row of a
+        one-sector `_reduce_entries` (boundary-to-boundary).  `ties(down)`,
+        for `_least`, tells whether a configuration within `TIE_TOL` of
+        E_min has the spins of `down`: in the bulk kind, whether the
+        elimination over [j, k] clamped to those spins has its E_min at the
+        pair's cell within `TIE_TOL` of the pair's (where the clamp leaves
+        no finite configuration, `_merge` computes inf - inf, which numpy
+        is told to ignore, and E_min reads +inf); in the boundary kind,
+        whether such a `_cells` entry has them."""
         self._check_pair(j, k, replica)
-        config, cos, log, energy = self._cells(j, k, replica)
         if self.kind.is_boundary_to_boundary:
-            kernels, at = self._reduce_entries(1, np.zeros_like(config), cos, log, energy), (0, 0, 0)
+            config, cos, log, energy = self._cells(j, k, replica)
+            z, e_min, degeneracy, gap = self._reduce_entries(1, np.zeros_like(config), cos, log, energy).at((0, 0, 0))
+            tied = self._down[:, config[energy - e_min <= TIE_TOL]]
+            ties = lambda down: (tied[list(down)].T == [*down.values()]).all(axis=1).any()  # noqa: E731
         else:
             sectors = self.sector_set([j, k])
-            kernels, at = self._read(sectors, *self._eliminate(sectors)), (0, 1, replica)
-        z, e_min, degeneracy, gap = kernels.at(at)
-        ties, vertices = config[energy - e_min <= TIE_TOL].tolist(), self.graph.vertices
-        rep = min(ties, key=lambda c: sorted(x for x, d in zip(vertices, self._down[:, c]) if d), default=None)
-        rep = None if rep is None else self._config(rep)
-        return float(z), GroundState(rep, float(e_min), int(degeneracy), float(gap))
+            z, e_min, degeneracy, gap = self._read(sectors, *self._eliminate(sectors)).at((0, 1, replica))
+
+            def ties(down: Dict[int, bool]) -> bool:
+                at, d, clamp = list(down), np.int_([*down.values()]), np.zeros((len(self.graph.vertices), 2, 1, 2))
+                clamp[at, 0, 0, 1 - d] = clamp[at, 1, 0, d] = math.inf
+                with np.errstate(invalid="ignore"):
+                    return self._read(sectors, *self._eliminate(sectors, clamp)).e_min[0, 1, replica] - e_min <= TIE_TOL
+        return float(z), float(e_min), int(degeneracy), float(gap), ties
+
+    def _least(self, ties: Callable[[Dict[int, bool]], bool]) -> IsingConfig:
+        """The tied configuration whose sorted tuple of spin-down vertex ids
+        is least, a prefix first; `ties(down)` tells whether a tied
+        configuration has the spins of `down` (graph index -> True for spin
+        -1), and some configuration ties.  Walks the ids in sorted order:
+        where the rest may all be up and still tie, it stops; else it sets
+        the vertex down where some tie allows it, and up where none does.
+        A vertex set up leaves that first question as it was, so it is
+        asked again only after a vertex set down."""
+        vertices = self.graph.vertices
+        order = sorted(range(len(vertices)), key=vertices.__getitem__)
+        down: Dict[int, bool] = {}
+        for i, p in enumerate(order):
+            if (i == 0 or down[order[i - 1]]) and ties({**down, **dict.fromkeys(order[i:], False)}):
+                break
+            down[p] = ties({**down, p: True})
+        return IsingConfig(tuple((x, -1 if down.get(p) else 1) for p, x in enumerate(vertices)))
 
     def partition_sum_fixed(
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> float:
         """Exact kernel Z^{(j,k)} = sum over configurations of Delta e^-H
-        (`_kernel`)."""
-        return self._kernel(j, k, replica)[0]
+        (`_cell_data`)."""
+        return self._cell_data(j, k, replica)[0]
 
     def ground_state(
         self, j: SpinSector, k: SpinSector, replica: int
@@ -1399,6 +1434,7 @@ class IsingModel:
         boundaries = list(boundaries)
         bnd = self.graph.boundary_ids()
         keys = [tuple(map(boundary_twice(self.graph, b).__getitem__, bnd)) for b in boundaries]
+        _refuse_repeats(keys, lambda i: f"boundary {','.join(SectorSet._parts(bnd, keys[i:i + 1])[0])} of the window")
         held = self._held_pool()
         if self.kind.is_boundary_to_boundary or held is not None and set(keys) <= set(held.pool.keys):
             table = self.partition_table()
@@ -1440,6 +1476,8 @@ class IsingModel:
         default = sectors is None and not self.kind.is_boundary_to_boundary
         if not isinstance(sectors, SectorSet):
             sectors = self.sector_set(sectors)
+        if not default:
+            _refuse_repeats(list(map(tuple, sectors.twice.tolist())), lambda i: f"sector {sectors.take([i]).labels[0]}")
         weighted = sectors.weighted()
         if self.kind.is_boundary_to_boundary:
             row, _, cos, log, energy = self._boundary_entries(weighted)

@@ -10,7 +10,7 @@ the package calls them.  The tests check every boundary-to-boundary kernel
 and entry and both views against them bit for bit, and every
 bulk-to-boundary kernel within the bounds of summing in another order:
 
-    configurations  all 2^V configurations, in the model's `_config` order
+    configurations  all 2^V configurations, in the model's `_down` order
     evaluate        (Delta, H) of one configuration, H None where Delta = 0
     cut_links       the links whose two ends are antialigned
     cut_energy      sum of log d over the cut links, None where a cut link

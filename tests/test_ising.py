@@ -529,8 +529,12 @@ def refused_calls():
     legs = four_leg_graph()
     leg_family = two_sector_vertex_family(legs)
     foreign = next(spins.enumerate_sectors(leg_family, legs))
+    boundary = dict(zip(graph.boundary_ids(), map(Spin, model.sector_set().keys[0])))
     return {
         "bulk_kind_with_state": lambda: IsingModel(graph, family, bulk, state=state),
+        "repeated_sector": lambda: model.partition_table([low, low, high]),
+        "repeated_boundary": lambda: model.window_table([boundary, boundary]),
+        "repeated_held_boundary": lambda: (model.partition_table(), model.window_table([boundary, boundary])),
         "replica_2": lambda: model.partition_sum_fixed(low, high, 2),
         "j_of_another_graph": lambda: model.partition_sum_fixed(foreign, low, 0),
         "k_of_another_graph": lambda: model.ground_state(low, foreign, 1),
@@ -545,6 +549,11 @@ def refused_calls():
 
 REFUSALS = {
     "bulk_kind_with_state": "bulk-to-boundary model reads no bulk state; pass state=None",
+    "repeated_sector": "sector e=1,a1=1,a2=1,a3=3,b1=1,b2=1,c=2 is listed twice; a table holds each sector once",
+    "repeated_boundary": "boundary a1=1,a2=1,a3=3,b1=1,b2=1,c=2 of the window is listed twice; "
+    "a table holds each sector once",
+    "repeated_held_boundary": "boundary a1=1,a2=1,a3=3,b1=1,b2=1,c=2 of the window is listed twice; "
+    "a table holds each sector once",
     "replica_2": "replica must be 0 or 1, got 2",
     "j_of_another_graph": "sector j belongs to a different graph",
     "k_of_another_graph": "sector k belongs to a different graph",
@@ -560,6 +569,15 @@ class TestRefusals:
     def test_unusable_input_raises_its_name(self, case):
         with pytest.raises(EngineError, match=f"^{re.escape(REFUSALS[case])}$"):
             refused_calls()[case]()
+
+    def test_a_pair_may_name_one_sector_twice(self):
+        """A single pair's kernel asks for the set [j, j]: `sector_set`
+        keeps the repeat, which only a table refuses."""
+        graph = bridge_graph()
+        low, _ = bridge_sectors(graph, 1)
+        model = IsingModel(graph, bridge_family(graph, 1), ModelKind.bulk_to_boundary())
+        assert len(model.sector_set([low, low])) == 2
+        assert all(model.ground_state(low, low, replica).feasible for replica in (0, 1))
 
 
 class TestTableSerialization:
@@ -594,13 +612,14 @@ class TestTableSerialization:
         assert first.rows == second.rows == fresh.rows
 
     def test_exhaustive_limit(self, monkeypatch):
-        graph = bridge_graph()
-        family = bridge_family(graph, 1)
-        sec_low, _ = bridge_sectors(graph, 1)
-        model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+        """A bulk-to-boundary query meets the width of its elimination, a
+        boundary-to-boundary one the vertex count."""
+        _, (low, _), (bulk, boundary) = TestViews().bridge_models()
         monkeypatch.setattr(ising, "EXHAUSTIVE_LIMIT", 1)
+        with pytest.raises(EngineError, match="an elimination table spans 2 variables .* EXHAUSTIVE_LIMIT = 1; "):
+            bulk.partition_sum_fixed(low, low, 0)
         with pytest.raises(EngineError, match="2 vertices exceed EXHAUSTIVE_LIMIT = 1; "):
-            model.partition_sum_fixed(sec_low, sec_low, 0)
+            boundary.partition_sum_fixed(low, low, 0)
 
 
 # -- compiled kernels against configuration-by-configuration evaluation ----
@@ -630,16 +649,18 @@ def brute_force(model, j, k, replica):
     return z, e_min, len(ties), gap, rep
 
 
-def chain_graph(nv, legs=1):
+def chain_graph(nv, legs=1, ids=None):
     """Chain of (2 + legs)-valent vertices: port 0 left, port 1 right, and
-    boundary legs t (port 2) and, with legs=2, u (port 3)."""
+    boundary legs t (port 2) and, with legs=2, u (port 3).  The vertices
+    are v0, v1, ..., or the `ids` given, in chain order."""
+    v = ids or [f"v{i}" for i in range(nv)]
     links = [
-        {"id": f"e{i}", "ends": [[f"v{i - 1}", 1], [f"v{i}", 0]]} for i in range(1, nv)
+        {"id": f"e{i}", "ends": [[v[i - 1], 1], [v[i], 0]]} for i in range(1, nv)
     ]
-    links += [{"id": "l", "end": ["v0", 0]}, {"id": "r", "end": [f"v{nv - 1}", 1]}]
+    links += [{"id": "l", "end": [v[0], 0]}, {"id": "r", "end": [v[nv - 1], 1]}]
     for port, name in zip((2, 3), "tu"[:legs]):
-        links += [{"id": f"{name}{i}", "end": [f"v{i}", port]} for i in range(nv)]
-    vertices = [{"id": f"v{i}", "valence": 2 + legs} for i in range(nv)]
+        links += [{"id": f"{name}{i}", "end": [v[i], port]} for i in range(nv)]
+    vertices = [{"id": v[i], "valence": 2 + legs} for i in range(nv)]
     return build_graph({"vertices": vertices, "links": links})
 
 
@@ -751,9 +772,9 @@ class TestCompiledKernel:
             assert set(calls) == walked
 
     def test_bulk_query_prices_one_sector(self, monkeypatch):
-        """A bulk-to-boundary single-pair query, and a one-configuration
-        view, prices the energies of sector j alone, in the asked replica
-        alone."""
+        """A bulk-to-boundary single-pair query prices no energies by
+        configuration, and a one-configuration view the energies of sector j
+        alone, in the asked replica alone."""
         model = six_vertex_chain_model()
         sectors = model.sector_set().sectors
         pairs = [(sectors[0], sectors[0]), (sectors[0], sectors[-1]), (sectors[-1], sectors[1])]
@@ -765,12 +786,12 @@ class TestCompiledKernel:
             return energies(sector_set, cut)
 
         monkeypatch.setattr(IsingModel, "_cut_energies", staticmethod(spy))
-        config = model._config(5)
+        config = IsingConfig.make(model.graph, {x: -1 if x in ("v3", "v5") else 1 for x in model.graph.vertices})
         for (j, k), replica in itertools.product(pairs, (0, 1)):
             model.partition_sum_fixed(j, k, replica)
             model.ground_state(j, k, replica)
             model.delta_factor(j, k, config, replica)
-        assert priced == [(1, 1)] * 3 * len(pairs) * 2
+        assert priced == [(1, 1)] * len(pairs) * 2
 
 
 # -- the batched evaluator and its scaled sums -----------------------------
@@ -1134,14 +1155,51 @@ class TestEliminatedTables:
             for replica in (0, 1):
                 assert table.z[a, a, replica] == pytest.approx(transfer_kernel(graph, sec, replica), rel=1e-14, abs=0.0)
 
+    @pytest.mark.parametrize("nv, superposed, firsts", [(40, ("e5", "e20"), 4), (100, ("e5", "e50"), 1)])
+    def test_long_chain_single_pairs(self, nv, superposed, firsts):
+        """Single-pair queries past `EXHAUSTIVE_LIMIT`, on chains of 40 and
+        100 vertices with two links over spins {1, 2, 3}: the end vertices
+        a and b, whose ids sort before every other, have only spin-0 links,
+        so their flips cost nothing and they are the only ties (degeneracy
+        4).  `partition_sum_fixed` and `ground_state` of every pair whose
+        first sector is among the first `firsts`, in both replicas, have
+        the bits of the table's cell; the representative's H is E_min
+        within `TIE_TOL`; and by the tie rule both islands are down where
+        the rest of the ground state has a spin down, and up otherwise."""
+        graph = chain_graph(nv, ids=["a", *(f"v{i}" for i in range(1, nv - 1)), "b"])
+        allowed = {lid: ["1"] for lid in graph.link_ids()}
+        allowed.update({lid: ["0"] for lid in ("l", "e1", "t0", f"e{nv - 1}", "r", f"t{nv - 1}")})
+        allowed.update({lid: ["1", "2", "3"] for lid in superposed})
+        model = IsingModel(graph, SectorFamily.build(graph, "0", "3", allowed=allowed), ModelKind.bulk_to_boundary())
+        table = model.partition_table()
+        sectors = table.sectors.sectors
+        assert len(sectors) == 4 and nv > ising.EXHAUSTIVE_LIMIT
+        rests = set()
+        for (a, j), (b, k) in itertools.product(enumerate(sectors[:firsts]), enumerate(sectors)):
+            for replica in (0, 1):
+                at = (a, b, replica)
+                ground = model.ground_state(j, k, replica)
+                got = (model.partition_sum_fixed(j, k, replica), ground.energy, ground.degeneracy, ground.gap)
+                assert hexed(*got) == hexed(table.z[at], table.e_min[at], table.degeneracy[at], table.gap[at])
+                assert ground.degeneracy == 4
+                assert abs(model.hamiltonian(j, k, ground.config, replica) - ground.energy) <= TIE_TOL
+                sigma = ground.config.sigma
+                rest = any(s < 0 for x, s in sigma.items() if x not in "ab")
+                assert sigma["a"] == sigma["b"] == (-1 if rest else 1)
+                rests.add(rest)
+        assert rests == {False, True}
+
     def test_bulk_tables_build_no_masks(self, monkeypatch):
-        """A bulk table and its windows, held or not, never build the 2^V
-        masks; the boundary-to-boundary kind and a single pair's ground
-        state still do."""
+        """A bulk table and its windows, held or not, and a single pair's
+        kernel and ground state never build the 2^V masks; the
+        boundary-to-boundary kind still does."""
 
         def refuse(*args):
             raise AssertionError("a 2^V mask was built")
 
+        scorer = six_vertex_chain_model()
+        queries = [(j, k, r) for j, k in itertools.product(scorer.sector_set().sectors, repeat=2) for r in (0, 1)]
+        expected = [brute_force(scorer, *query) for query in queries]
         monkeypatch.setattr(IsingModel, "_down", property(refuse))
         monkeypatch.setattr(IsingModel, "_masks_of", refuse)
         monkeypatch.setattr(ising, "_held", None)
@@ -1154,9 +1212,10 @@ class TestEliminatedTables:
         table = model.partition_table()
         assert ising._held.table is table
         assert len(model.window_table(window).labels) == len(alone.labels) == len(table.labels) > 1
-        j, k = pool.sectors[:2]
-        with pytest.raises(AssertionError, match="mask"):
-            model.ground_state(j, k, 0)
+        for query, (z, e_min, degeneracy, _, rep) in zip(queries, expected):
+            ground = model.ground_state(*query)
+            assert (ground.energy, ground.degeneracy, ground.config) == (e_min, degeneracy, rep)
+            assert model.partition_sum_fixed(*query) == pytest.approx(z, rel=1e-14, abs=0.0)
         _, boundary, low, high = TestBoundaryToBoundary().make_model()
         with pytest.raises(AssertionError, match="mask"):
             boundary.partition_table()
@@ -1450,13 +1509,14 @@ class TestViews:
         return graph, (low, high), [IsingModel(graph, family, kind, state=held) for kind, held in kinds]
 
     def test_views_take_any_vertex_count(self, monkeypatch):
-        """Past `EXHAUSTIVE_LIMIT` the kernels refuse the bridge, but both
-        views still answer on each configuration, under both kinds, with
-        the bits of the reference scorer."""
+        """Past `EXHAUSTIVE_LIMIT` the kernels refuse the bridge, the bulk
+        kind by the width of its elimination and the boundary kind by its
+        vertex count, but both views still answer on each configuration,
+        under both kinds, with the bits of the reference scorer."""
         graph, (low, high), models = self.bridge_models()
         monkeypatch.setattr(ising, "EXHAUSTIVE_LIMIT", 1)
-        for model in models:
-            with pytest.raises(EngineError, match="2 vertices exceed EXHAUSTIVE_LIMIT = 1"):
+        for model, refusal in zip(models, ("an elimination table spans 2 variables", "2 vertices exceed")):
+            with pytest.raises(EngineError, match=refusal):
                 model.partition_sum_fixed(low, high, 0)
             answered = 0
             for (j, k), replica, bits in itertools.product(

@@ -21,8 +21,10 @@ recorded on the first sector pair of each op's bulk-to-boundary model and
 of each boundary-to-boundary table's model: every configuration in both
 replicas, each cell's value or the type of the exception it raises.  The
 single kernel `partition_sum_fixed` and `ground_state`, whose
-representative no table holds, are recorded on that pair too, in both
-replicas (`IsingModel.<name>[first pair]`).  No op
+representative no table holds, are recorded on every ordered pair of the
+first four weighted sectors of those models, in both replicas
+(`IsingModel.<name>[first four]`), so that tied ground states and
+mismatched pairs are compared.  No op
 builds a condition matrix, so `isometry.condition_matrix` of that bulk
 model's default table is recorded too, at the total input dimension of
 the table's boundary rows.  On
@@ -279,10 +281,11 @@ class Recorder:
         order over the graph's vertices.  A value is recorded as a float,
         so that an H summed over no term compares equal whether it comes
         back as the int 0 or as 0.0.  Then record `partition_sum_fixed`
-        and `ground_state` of the pair, one result each listing the
-        outcomes of replicas 0 and 1.  Recording is paused meanwhile.
-        Returns the pair, or None (recording nothing) where the set is
-        empty."""
+        and `ground_state` of every ordered pair of the first four weighted
+        sectors, one result each listing the outcomes pair by pair (in
+        `itertools.product` order), replicas 0 and 1 of each.  Recording is
+        paused meanwhile.  Returns the first pair, or None (recording
+        nothing) where the set is empty."""
         self.paused += 1
         try:
             sectors = model.sector_set().weighted().sectors
@@ -296,9 +299,11 @@ class Recorder:
                 view = getattr(model, name)
                 cells = [outcome(lambda: float(view(*pair, config, replica))) for replica in (0, 1) for config in configs]
                 self.record(f"{prefix}IsingModel.{name}", cells)
+            pairs = list(itertools.product(sectors[:4], repeat=2))
             for name in ("partition_sum_fixed", "ground_state"):
                 view = getattr(model, name)
-                self.record(f"{prefix}IsingModel.{name}[first pair]", [outcome(view, *pair, r) for r in (0, 1)])
+                self.record(f"{prefix}IsingModel.{name}[first four]",
+                            [outcome(view, *two, r) for two in pairs for r in (0, 1)])
             return pair
         finally:
             self.paused -= 1
