@@ -673,11 +673,14 @@ def fine_average_purity(
     inter_dims = {a: math.prod(pool.vertex_dims[a]) for a in probs}
     d_input = sum(inter_dims.values())
 
-    raw = {a: p * math.prod(m**2 for m in pool.amplitude[a].tolist()) for a, p in probs.items()}
-    norm = math.fsum(raw.values())
-    if norm <= 0.0:
+    # p_tilde from log p + 2 sum log|g|, so that |g|^2 may underflow.
+    rows = list(probs)
+    with np.errstate(divide="ignore"):
+        log = np.log([probs[a] for a in rows]) + 2.0 * np.log(pool.amplitude[rows]).sum(axis=1)
+    shares = _shares(log)
+    if not len(shares):
         raise EntropyError("all weighted sectors have vanishing amplitude")
-    p_tilde = {a: v / norm for a, v in raw.items()}
+    p_tilde = dict(zip(rows, shares.tolist()))
 
     purity = math.fsum(p_tilde[a] ** 2 / inter_dims[a] for a in p_tilde)
     return FineAverage(

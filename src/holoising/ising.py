@@ -27,20 +27,25 @@ defined on Delta-allowed configurations.  All sums accumulate in log domain.
 
 Evaluation paths (each states its mechanics and memory):
 
-    bulk tables      `_bulk_kernels`: one elimination over sigma with the
-                     S sectors as rows; no 2^V mask
+    bulk tables      `_eliminate`: one elimination over sigma with the
+                     S sectors as rows, along the list's one `_plan`; no
+                     2^V mask
     boundary tables  `_boundary_entries` walks the 2^V configurations
                      (`_masks`); `_reduce_entries` reduces the entries
-    one pair         `_cell_data`: the bulk elimination over [j, k], or the
-                     boundary walk over its cell; `_least` picks the
-                     representative, from clamped eliminations of the pair
-                     (bulk) or from the walk's ties (boundary)
-    one config       `delta_factor`, `hamiltonian`: `_cells` on the masks
-                     of that configuration alone (`_masks_of`)
+    one pair         `_cell_data`: the bulk elimination over [j, k] along
+                     the pair's one `_plan`, or the boundary walk over its
+                     cell (`_boundary_entries`); `_least` picks the
+                     representative, from clamped eliminations along that
+                     same plan (bulk) or from the walk's ties (boundary)
+    one config       `delta_factor`, `hamiltonian`: `_cell` on the masks
+                     of that configuration alone (`_masks_of`), by the pin
+                     rule (bulk) or `_boundary_entries` of its cell
+                     (boundary)
     limits           `EXHAUSTIVE_LIMIT` bounds the variables of one bulk
-                     elimination table (`_plan`) and the vertices of a
-                     boundary-to-boundary model; the one-config views take
-                     any graph
+                     elimination table (`_check_width`, on each step of
+                     `_plan` and on the held table's widest at each held
+                     read) and the vertices of a boundary-to-boundary
+                     model; the one-config views take any graph
     reference        `tests/ising_reference.py`, the scorer of one
                      configuration at a time that every path is checked on
 
@@ -70,27 +75,11 @@ by every key; the set memoizes D_I per key.
 from the weighted set and its kernels, `PartitionSumTable(sectors,
 kernels)`, the table's one constructor.
 
-The module holds one family pool.  A kernel depends only on its pair's
-spins, not on the pool it is asked in, so the purity, the isometry
-verdict over a window, c2 and the sums at one boundary of one family can
-share the kernels of its default pool.  The bulk-to-boundary
-`partition_table()` on the default pool fills the slot with that pool's
-`SectorSet` and its table, keyed by the identity of the family and the
-graph, and memoizes D_I of every boundary key from the pool's own rows;
-the default table of another (family, graph), an equal one included,
-replaces it.  While the slot holds a model's family and graph,
-`sector_set()` returns the held set and `partition_table()` the held
-table itself, whose arrays are read-only.  A window of boundary
-assignments reaches the engine one way, `IsingModel.window_table`: it
-parses the window once (`spins.boundary_twice`) and, where the slot
-holds the family and every boundary lies in the held pool's box, returns
-the held table's `take` of each boundary's rows in turn, as fresh arrays
-with the held labels.  Otherwise it enumerates the window boundary by
-boundary, never the whole family.  Memory: the last default pool with its
-factor views, plus 5 x 2S^2 kernel entries of its S weighted sectors,
-kept until another family's default table replaces them.
-Boundary-to-boundary models neither read nor fill the slot; their
-windows slice the table of the state's sectors.
+The module holds one family pool, the default bulk-to-boundary pool of
+the last (family, graph) with its table and that table's width: `_hold`
+fills it, `partition_table` and `sector_set` return it, and
+`window_table` slices it.  Boundary-to-boundary models neither read nor
+fill it.
 
 The table keeps the set's
 `log_k` and stores the kernels as arrays: `PartitionSumTable.z`, `e_min`,
@@ -671,6 +660,17 @@ def _merge(m: np.ndarray, rest: Tuple, axis: int, keep: bool) -> Tuple:
     return tables[0], tuple(tables[1:])
 
 
+def _check_width(width: int) -> None:
+    """Refuses an elimination table over `width` variables, of which there
+    are never more than V, where that is more than `EXHAUSTIVE_LIMIT`."""
+    if width > EXHAUSTIVE_LIMIT:
+        raise EngineError(
+            f"an elimination table spans {width} variables (spins plus kept pins), more than "
+            f"EXHAUSTIVE_LIMIT = {EXHAUSTIVE_LIMIT}; it holds 2 x S x 2^{width} entries.  Raise "
+            f"holoising.ising.EXHAUSTIVE_LIMIT to go further, at that memory, or superpose fewer links"
+        )
+
+
 # -- sector sets -----------------------------------------------------------
 
 
@@ -829,12 +829,14 @@ class SectorSet:
 @dataclass(frozen=True)
 class _HeldPool:
     """The default bulk-to-boundary pool of one (family, graph) and its
-    table, both read-only."""
+    table, both read-only, and the variables of the widest table of the
+    elimination that built it."""
 
     family: SectorFamily
     graph: OpenGraph
     pool: SectorSet
     table: PartitionSumTable
+    width: int
 
 
 #: The pool of the (family, graph) whose default bulk-to-boundary table was
@@ -842,9 +844,24 @@ class _HeldPool:
 _held: Optional[_HeldPool] = None
 
 
-def _hold(model: "IsingModel", pool: SectorSet, weighted: SectorSet, kernels: _PairKernels) -> PartitionSumTable:
-    """Make `pool` and the table of its weighted sectors the held pool,
-    replacing the one held before; returns the table."""
+def _hold(model: "IsingModel", pool: SectorSet, weighted: SectorSet, kernels: _PairKernels, plan: Tuple) -> PartitionSumTable:
+    """Make `pool` and the table of its weighted sectors, built along
+    `plan` (`IsingModel._plan`), the held pool of the model's (family,
+    graph), keyed by the identity of both; returns the table.
+
+    It replaces the pool held before, also that of an equal family or
+    graph.  The held arrays are made read-only, and D_I of every boundary
+    key is memoized from the pool's own rows.  `IsingModel.partition_table`
+    returns the held table while the pool holds the asking model's family
+    and graph, and `IsingModel.window_table` returns, where every boundary
+    of its window lies in the held pool's box, the held table's `take` of
+    each boundary's rows in turn, as fresh arrays with the held labels
+    (else it enumerates the window boundary by boundary, never the whole
+    family).  Memory: the last default pool with its factor views, plus 5
+    x 2S^2 kernel entries (8 bytes each) of its S weighted sectors and the
+    width of the plan's widest table, against which each held read checks
+    `EXHAUSTIVE_LIMIT`, kept until another family's default table replaces
+    them."""
     global _held
     # Reading a view builds it if need be (log_k of a bulk-to-boundary set
     # has built them all), so the held sets get no writable view later.
@@ -859,7 +876,7 @@ def _hold(model: "IsingModel", pool: SectorSet, weighted: SectorSet, kernels: _P
         d_input[c] += math.prod(dims)
     pool._d_input.update((pool.keys[c], d) for c, d in d_input.items())
     table = PartitionSumTable(weighted, kernels)
-    _held = _HeldPool(model.family, model.graph, pool, table)
+    _held = _HeldPool(model.family, model.graph, pool, table, max(len(union) for _, _, union in plan[2]))
     return table
 
 
@@ -925,50 +942,38 @@ class IsingModel:
         if k.graph is not self.graph and k.graph != self.graph:
             raise EngineError("sector k belongs to a different graph")
 
-    def _cells(
-        self, j: SpinSector, k: SpinSector, replica: int, down: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, ...]:
-        """(configurations, Delta, log, H) of the allowed configurations of
-        pair (j, k) in `replica` among those of `down` (vertices x
-        configurations, True where a vertex has spin -1; default, in the
-        boundary-to-boundary kind alone, every configuration, `_down`): the
-        columns of `down` in ascending order, with their Delta, log =
-        log|Delta| - H and H, from one pass of this model's kind over the
-        sectors [j, k].
-
-        Bulk-to-boundary: the pin rule of `_bulk_kernels` on this replica's
-        mask; Delta is 1, H is j's alone, its `_cut_energies` (replica 0's
-        cut is both replicas' here) plus log D of each active vertex in
-        graph order (+inf where D = 0, which adds 0 and never ties), and
-        log = 0 - H.
-        Boundary-to-boundary: the `_boundary_entries` of this one cell
-        (of [j] alone where k = j, so that each block is taken once),
-        Delta the cosine and H the energy."""
-        if self.kind.is_boundary_to_boundary:
-            pool = [j] if j == k else [j, k]
-            return self._boundary_entries(self.sector_set(pool), down, (0, len(pool) - 1, replica))[1:]
-        sectors = self.sector_set([j, k])
-        cut, incidence = self._masks_of(down)
-        active, differs = (down, ~down)[replica], sectors.twice[0] != sectors.twice[1]
-        legs = replica == 1 and differs[len(self.graph.internal_ids()) :].any()
-        config = np.flatnonzero(~(active[incidence @ differs].any(axis=0) | legs))
-        energy = self._cut_energies(sectors.take(np.arange(1)), cut[:1])[0, 0]
-        for p, lam in enumerate(sectors.vertex_log_d[0].tolist()):
-            np.add(energy, lam if lam > -math.inf else math.inf, out=energy, where=active[p])
-        return config, np.ones(len(config)), 0.0 - energy[config], energy[config]
-
     def _cell(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
     ) -> Tuple[float, Optional[float]]:
-        """(Delta, H) of one configuration, H None where Delta = 0: `_cells`
-        on this configuration alone, so `EXHAUSTIVE_LIMIT` does not apply.
-        The configuration must name every vertex of the graph and no other,
-        as `IsingConfig.make` checks."""
+        """(Delta, H) of one configuration, H None where Delta = 0, from the
+        masks of this configuration alone (`_masks_of`), so
+        `EXHAUSTIVE_LIMIT` does not apply.  The configuration must name
+        every vertex of the graph and no other, as `IsingConfig.make`
+        checks.
+
+        Bulk-to-boundary: the pin rule of `_eliminate` on this replica's
+        mask; Delta is 1, H is j's alone, its `_cut_energies` (replica 0's
+        cut is both replicas' here) plus log D of each active vertex in
+        graph order (+inf where D = 0).
+        Boundary-to-boundary: the `_boundary_entries` of this one cell (of
+        [j] alone where k = j, so that each block is taken once), Delta the
+        cosine and H the energy."""
         self._check_pair(j, k, replica)
         config = IsingConfig.make(self.graph, config.sigma)
         down = np.array([s < 0 for _, s in config.values], dtype=bool)[:, None]
-        _, delta, _, energy = self._cells(j, k, replica, down)
-        return (float(delta[0]), float(energy[0])) if delta.size else (0.0, None)
+        if self.kind.is_boundary_to_boundary:
+            pool = [j] if j == k else [j, k]
+            _, _, delta, _, energy = self._boundary_entries(self.sector_set(pool), down, (0, len(pool) - 1, replica))
+            return (float(delta[0]), float(energy[0])) if delta.size else (0.0, None)
+        sectors = self.sector_set([j, k])
+        cut, incidence = self._masks_of(down)
+        active, differs = (down, ~down)[replica], sectors.twice[0] != sectors.twice[1]
+        if active[incidence @ differs].any() or replica == 1 and differs[len(self.graph.internal_ids()) :].any():
+            return 0.0, None
+        energy = self._cut_energies(sectors.take(np.arange(1)), cut[:1])[0, 0]
+        for p, lam in enumerate(sectors.vertex_log_d[0].tolist()):
+            np.add(energy, lam if lam > -math.inf else math.inf, out=energy, where=active[p])
+        return 1.0, float(energy[0])
 
     def delta_factor(
         self, j: SpinSector, k: SpinSector, config: IsingConfig, replica: int
@@ -1055,19 +1060,6 @@ class IsingModel:
             np.add(energy, lam[None, :, None], out=energy, where=cut[:, li, None])
         return energy
 
-    def _bulk_kernels(self, sectors: SectorSet) -> _PairKernels:
-        """Kernels and ground-state data of every ordered pair of `sectors`
-        in both bulk-to-boundary replicas: one elimination over sigma whose
-        rows are the S sectors (`_eliminate`), read per pair (`_read`).
-
-        The pin rule: a pair (j, k) pins inactive (up in replica 0, down in
-        replica 1) every vertex at a link where j and k differ.  Those links
-        are then uncut, except a leg in replica 1, so a pair whose boundary
-        keys differ allows nothing in replica 1.  The energy is then j's
-        alone: the kernel is j's sum with the pair's pinned vertices held
-        inactive.  No 2^V mask is built."""
-        return self._read(sectors, *self._eliminate(sectors))
-
     @functools.cached_property
     def _order(self) -> Tuple[Tuple[int, ...], Tuple[Tuple[int, int, int], ...]]:
         """(order, links): the vertices (graph indices) by minimum degree
@@ -1087,43 +1079,48 @@ class IsingModel:
             order.append(p)
         return tuple(order), links
 
-    def _varying(self, twice: np.ndarray) -> List[List[int]]:
-        """Per vertex, the columns of its links on which rows of `twice`
-        differ: some pair of the rows pins the vertex where it is not empty."""
+    def _plan(self, twice: np.ndarray) -> Tuple[List[List[int]], List, List]:
+        """(varying, scopes, steps), the elimination plan of the sector list
+        of `twice`: per vertex, the columns of its links on which rows of
+        `twice` differ (some pair of the rows pins the vertex where it is
+        not empty); the variables (graph indices, ascending) of each table
+        (a leaf per vertex, then per link of `_order`, then each step's
+        result); and the steps (p, bucket, union), each the product of the
+        live tables that hold spin p over their `union` (p None: of the
+        tables left).  Axis p holds spin p up to its step, then p's kept pin
+        where `varying[p]`.  The plan depends on the graph and on the links
+        where the list varies alone.  Refuses (`_check_width`) at the first
+        step whose table is too wide."""
         varies = (twice != twice[:1]).any(axis=0).tolist()
         column = {lid: i for i, lid in enumerate(self.graph.link_ids())}
-        return [[column[lid] for lid in self.graph.links_at(x) if varies[column[lid]]] for x in self.graph.vertices]
-
-    def _plan(self, varying: List[List[int]]) -> Tuple[List, List]:
-        """(scopes, steps): the variables (graph indices, ascending) of each
-        table (a leaf per vertex, then per link of `_order`, then each
-        step's result), and the steps (p, bucket, union), each the product
-        of the live tables that hold spin p over their `union` (p None: of
-        the tables left).  Axis p holds spin p up to its step, then p's
-        kept pin where `varying[p]`.  Refuses a table over more than
-        `EXHAUSTIVE_LIMIT` variables, of which there are never more than V."""
+        varying = [[column[lid] for lid in self.graph.links_at(x) if varies[column[lid]]] for x in self.graph.vertices]
         order, links = self._order
         scopes = [(p,) for p in range(len(varying))] + [(a, b) for _, a, b in links]
         live, steps = list(range(len(scopes))), []
         for p in (*order, None):
             bucket = [f for f in live if p is None or p in scopes[f]]
             union = tuple(sorted(set().union(*(scopes[f] for f in bucket))))
-            if len(union) > EXHAUSTIVE_LIMIT:
-                raise EngineError(
-                    f"an elimination table spans {len(union)} variables (spins plus kept pins), more than "
-                    f"EXHAUSTIVE_LIMIT = {EXHAUSTIVE_LIMIT}; it holds 2 x S x 2^{len(union)} entries.  Raise "
-                    f"holoising.ising.EXHAUSTIVE_LIMIT to go further, at that memory, or superpose fewer links"
-                )
+            _check_width(len(union))
             steps.append((p, bucket, union))
             live = [f for f in live if f not in bucket] + [len(scopes)]
             scopes.append(tuple(v for v in union if v != p or varying[p]))
-        return scopes, steps
+        return varying, scopes, steps
 
-    def _eliminate(self, sectors: SectorSet, clamp=0.0) -> Tuple[Tuple[np.ndarray, ...], List[List[int]]]:
-        """((m, weight, count, slack), varying): each sector's final table,
-        each field (2, S, 2^q) indexed [replica, sector, pinned set], by
-        bucket elimination along `_plan`, and the `_varying` links that
-        decide the q kept pins.
+    def _eliminate(self, sectors: SectorSet, plan: Optional[Tuple] = None, clamp=0.0) -> _PairKernels:
+        """Kernels and ground-state data of every ordered pair of `sectors`
+        in both bulk-to-boundary replicas: one bucket elimination over sigma
+        along `plan`, the `_plan` of `sectors` (planned here if None), whose
+        rows are the S sectors, read per pair by `_read` from each sector's
+        final table (m, weight, count, slack), each field (2, S, 2^q)
+        indexed [replica, sector, pinned set], for the q kept pins that the
+        plan's varying links decide.  No 2^V mask is built.
+
+        The pin rule: a pair (j, k) pins inactive (up in replica 0, down in
+        replica 1) every vertex at a link where j and k differ.  Those links
+        are then uncut, except a leg in replica 1, so a pair whose boundary
+        keys differ allows nothing in replica 1.  The energy is then j's
+        alone: the kernel is j's sum with the pair's pinned vertices held
+        inactive.
 
         A variable is a vertex's activity, 0 inactive, 1 active (spin down
         in replica 0, up in replica 1).  A vertex's leaf holds log d of its
@@ -1149,8 +1146,7 @@ class IsingModel:
         pair (`_cell_data`), whatever the sector list.  Memory: four float64
         tables of 2 x S x 2^(w + q) per step, for w spins and q kept pins,
         and about as many temporaries."""
-        varying = self._varying(sectors.twice)
-        scopes, steps = self._plan(varying)
+        varying, scopes, steps = plan or self._plan(sectors.twice)
         links, count, lam = self._order[1], len(sectors), sectors.link_log_d
         row = {x: p for p, x in enumerate(self.graph.vertices)}
         legs = np.zeros((len(row), count))
@@ -1175,13 +1171,14 @@ class IsingModel:
             if p is not None:
                 tables.append(_merge(m, (weight, ties, slack), 2 + union.index(p), bool(varying[p])))
         final = (np.broadcast_to(a, m.shape).reshape(2, count, 2 ** len(union)) for a in (m, weight, ties, slack))
-        return tuple(final), varying
+        return self._read(sectors, varying, final)
 
-    def _read(self, sectors: SectorSet, final: Tuple[np.ndarray, ...], varying: List[List[int]]) -> _PairKernels:
-        """The kernels of every ordered pair of `sectors` from `_eliminate`:
-        (j, k) reads j's entry at its pinned set, one bit per kept vertex
-        (the first highest), 1 where the pair leaves it free; z = e^-m
-        weight, and nothing in replica 1 where the boundary keys differ."""
+    def _read(self, sectors: SectorSet, varying: List[List[int]], final: Iterable[np.ndarray]) -> _PairKernels:
+        """The kernels of every ordered pair of `sectors` from the final
+        tables of `_eliminate` along a plan with `varying` links: (j, k)
+        reads j's entry at its pinned set, one bit per kept vertex (the
+        first highest), 1 where the pair leaves it free; z = e^-m weight,
+        and nothing in replica 1 where the boundary keys differ."""
         twice, count = sectors.twice, len(sectors)
         index = np.zeros((count, count), dtype=np.int64)
         for cols in filter(None, varying):
@@ -1336,31 +1333,35 @@ class IsingModel:
     def _cell_data(self, j: SpinSector, k: SpinSector, replica: int) -> Tuple:
         """(z, E_min, degeneracy, gap, ties) of one (pair, replica), with the
         bits of the pair's cell of a batched table: the numbers come from
-        the elimination over [j, k] (bulk-to-boundary), or reduce the
-        `_cells` entries of the walk over the cell as the one row of a
-        one-sector `_reduce_entries` (boundary-to-boundary).  `ties(down)`,
-        for `_least`, tells whether a configuration within `TIE_TOL` of
-        E_min has the spins of `down`: in the bulk kind, whether the
-        elimination over [j, k] clamped to those spins has its E_min at the
-        pair's cell within `TIE_TOL` of the pair's (where the clamp leaves
-        no finite configuration, `_merge` computes inf - inf, which numpy
-        is told to ignore, and E_min reads +inf); in the boundary kind,
-        whether such a `_cells` entry has them."""
+        the elimination over [j, k] along its one `_plan` (bulk-to-boundary),
+        or reduce the `_boundary_entries` of the walk over the cell (of [j]
+        alone where k = j, so that each block is taken once) as the one row
+        of a one-sector `_reduce_entries` (boundary-to-boundary).
+        `ties(down)`, for `_least`, tells whether a configuration within
+        `TIE_TOL` of E_min has the spins of `down`: in the bulk kind,
+        whether the elimination over [j, k] along the same plan, clamped to
+        those spins, has its E_min at the pair's cell within `TIE_TOL` of
+        the pair's (where the clamp leaves no finite configuration, `_merge`
+        computes inf - inf, which numpy is told to ignore, and E_min reads
+        +inf); in the boundary kind, whether such an entry of the walk has
+        them."""
         self._check_pair(j, k, replica)
         if self.kind.is_boundary_to_boundary:
-            config, cos, log, energy = self._cells(j, k, replica)
+            pool = [j] if j == k else [j, k]
+            _, config, cos, log, energy = self._boundary_entries(self.sector_set(pool), None, (0, len(pool) - 1, replica))
             z, e_min, degeneracy, gap = self._reduce_entries(1, np.zeros_like(config), cos, log, energy).at((0, 0, 0))
             tied = self._down[:, config[energy - e_min <= TIE_TOL]]
             ties = lambda down: (tied[list(down)].T == [*down.values()]).all(axis=1).any()  # noqa: E731
         else:
             sectors = self.sector_set([j, k])
-            z, e_min, degeneracy, gap = self._read(sectors, *self._eliminate(sectors)).at((0, 1, replica))
+            plan = self._plan(sectors.twice)
+            z, e_min, degeneracy, gap = self._eliminate(sectors, plan).at((0, 1, replica))
 
             def ties(down: Dict[int, bool]) -> bool:
                 at, d, clamp = list(down), np.int_([*down.values()]), np.zeros((len(self.graph.vertices), 2, 1, 2))
                 clamp[at, 0, 0, 1 - d] = clamp[at, 1, 0, d] = math.inf
                 with np.errstate(invalid="ignore"):
-                    return self._read(sectors, *self._eliminate(sectors, clamp)).e_min[0, 1, replica] - e_min <= TIE_TOL
+                    return self._eliminate(sectors, plan, clamp).e_min[0, 1, replica] - e_min <= TIE_TOL
         return float(z), float(e_min), int(degeneracy), float(gap), ties
 
     def _least(self, ties: Callable[[Dict[int, bool]], bool]) -> IsingConfig:
@@ -1455,23 +1456,26 @@ class IsingModel:
         include every sector pair (also pairs with different boundary
         spins); the boundary rows are the boundary-diagonal restrictions.
         All pair kernels come from one batched pass over the weighted
-        sectors: `_bulk_kernels` for the bulk-to-boundary kind, and for the
-        boundary-to-boundary kind `_boundary_entries` reduced by
-        `_reduce_entries`.
+        sectors: `_eliminate` along their `_plan` for the bulk-to-boundary
+        kind, and for the boundary-to-boundary kind `_boundary_entries`
+        reduced by `_reduce_entries`.
 
         A bulk-to-boundary `partition_table()` on the default pool fills
-        the module's one held family pool (see the module docstring): the
-        default `SectorSet` and this table, kept until the default table of
-        another (family, graph), an equal one included, replaces them.
-        While it holds this model's family and graph, `partition_table()`
-        returns the held table itself, whose arrays are read-only, and
-        `window_table` slices it.  `EXHAUSTIVE_LIMIT` is checked either
-        way (`_plan`).  Memory: the last default pool plus 5 x 2S^2 kernel
-        entries (8 bytes each) of its S weighted sectors.
+        the module's one held family pool (`_hold`).  While the pool holds
+        this model's family and graph, `partition_table()` returns the held
+        table itself, whose arrays are read-only, after checking the width
+        of the held plan's widest table against `EXHAUSTIVE_LIMIT`
+        (`_check_width`), so a lowered limit still refuses it; it plans and
+        eliminates nothing.  `sector_set()`
+        returns the held set, and `window_table` slices the held table.  A
+        kernel depends only on its pair's spins, not on the pool it is
+        asked in, so the purity, the isometry verdict over a window, c2 and
+        the sums at one boundary of one family share the kernels of its
+        default pool.
         """
         held = self._held_pool()
         if sectors is None and held is not None:
-            self._plan(self._varying(held.table.sectors.twice))
+            _check_width(held.width)
             return held.table
         default = sectors is None and not self.kind.is_boundary_to_boundary
         if not isinstance(sectors, SectorSet):
@@ -1483,9 +1487,10 @@ class IsingModel:
             row, _, cos, log, energy = self._boundary_entries(weighted)
             kernels = self._reduce_entries(len(weighted), row, cos, log, energy)
         else:
-            kernels = self._bulk_kernels(weighted)
+            plan = self._plan(weighted.twice)
+            kernels = self._eliminate(weighted, plan)
         if default:
-            return _hold(self, sectors, weighted, kernels)
+            return _hold(self, sectors, weighted, kernels, plan)
         return PartitionSumTable(weighted, kernels)
 
     def _held_pool(self) -> Optional[_HeldPool]:

@@ -487,10 +487,9 @@ def window_groups(family: SectorFamily, graph: OpenGraph) -> Dict[int, Tuple[Tup
     A boundary sector is admissible when at least one bulk completion inside
     the family's box has nonzero intertwiner spaces and superposition
     weight: finite `vertex_log_d` and `amplitude` |g| > 0 on every internal
-    link (|g|^2 may underflow to 0, so log K does not decide it).  Keys are
-    D_O values; each value tuple lists the boundary keys, doubled spins in
-    `graph.boundary_ids()` order as `SectorSet.keys` holds them, in
-    enumeration order of their first admissible sector.  The family's
+    link.  Keys are D_O values; each value tuple lists the boundary keys,
+    doubled spins in `graph.boundary_ids()` order as `SectorSet.keys` holds
+    them, in enumeration order of their first admissible sector.  The family's
     `SectorSet` keeps its sector matrix and the two views (8 bytes per
     sector and link, vertex or internal link); the peak comes before them,
     from its per-sector boundary tuples: on a 7-link, 2-vertex family of

@@ -1,9 +1,9 @@
 """The per-configuration scorer of an Ising model: the tests' reference.
 
 `holoising.ising.IsingModel` computes its kernels through one batched pass
-per model kind (`_bulk_kernels`, an elimination over sigma, and
+per model kind (`_eliminate`, an elimination over sigma, and
 `_boundary_entries`), and its public `delta_factor` and `hamiltonian` are
-one-configuration views of `_cells`.  The functions here score one
+one-configuration views of `_cell`.  The functions here score one
 configuration at a time straight from the definitions, link by link and
 vertex by vertex, with no mask, no matrix and no shared state; nothing in
 the package calls them.  The tests check every boundary-to-boundary kernel

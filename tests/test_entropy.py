@@ -970,6 +970,34 @@ class TestFineAverage:
             )
         assert report.single_boundary
 
+    def test_tiny_amplitudes_keep_their_shares(self):
+        """Two 3-valent vertices joined by e, every link at spin 1 but e
+        over {1, 2} with |g| in ratio 1 : 0.5: the shares are 0.8 and 0.2
+        and the purity 0.68 (D = 1 in both sectors) at any common scale of
+        |g|, also below 1.5e-162, where |g|^2 underflows to 0.  Only where
+        every weighted sector has some |g| = 0 is there no share to take."""
+        graph = build_graph({
+            "vertices": [{"id": "x", "valence": 3}, {"id": "y", "valence": 3}],
+            "links": [{"id": "e", "ends": [["x", 0], ["y", 0]]}, {"id": "a1", "end": ["x", 1]},
+                      {"id": "a2", "end": ["x", 2]}, {"id": "b1", "end": ["y", 1]}, {"id": "b2", "end": ["y", 2]}],
+        })
+        allowed = {lid: ["1"] for lid in graph.link_ids()}
+        allowed["e"] = ["1", "2"]
+
+        def report(scale, second=0.5, weights=None):
+            g = {"e": {"1": scale, "2": second * scale}}
+            family = SectorFamily.build(graph, "1", "2", allowed=allowed, weights=g, normalize=False)
+            return fine_average_purity(weights, family, graph)
+
+        for scale in (1.0, 1e-160, 1e-170, 1e-300):
+            fine = report(scale)
+            assert list(fine.p_tilde.values()) == pytest.approx([0.8, 0.2], rel=1e-13)
+            assert fine.purity == pytest.approx(0.68, rel=1e-13)
+        assert list(report(1e-170, 0.0).p_tilde.values()) == [1.0, 0.0]
+        high = {"e=2,a1=1,a2=1,b1=1,b2=1": 1.0}
+        with pytest.raises(EntropyError, match="all weighted sectors have vanishing amplitude"):
+            report(1.0, 0.0, high)
+
     def test_invalid_weights(self):
         graph = four_leg_graph()
         family = fine_family(graph)

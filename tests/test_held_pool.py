@@ -109,7 +109,7 @@ def consumers(graph, family, table):
     return out
 
 
-def empty_slot(model, pool, weighted, kernels):
+def empty_slot(model, pool, weighted, kernels, plan):
     """`ising._hold` that leaves the slot empty and returns the table."""
     return PartitionSumTable(weighted, kernels)
 
@@ -117,17 +117,17 @@ def empty_slot(model, pool, weighted, kernels):
 def count_draws(monkeypatch):
     """Record each kernel batch and each sector enumeration from now on."""
     calls = []
-    bulk, matrix = IsingModel._bulk_kernels, spins.sector_matrix
+    bulk, matrix = IsingModel._eliminate, spins.sector_matrix
 
-    def counted_bulk(self, sectors):
+    def counted_bulk(self, *args):
         calls.append("kernels")
-        return bulk(self, sectors)
+        return bulk(self, *args)
 
     def counted_matrix(*args, **kwargs):
         calls.append("pool")
         return matrix(*args, **kwargs)
 
-    monkeypatch.setattr(IsingModel, "_bulk_kernels", counted_bulk)
+    monkeypatch.setattr(IsingModel, "_eliminate", counted_bulk)
     monkeypatch.setattr(spins, "sector_matrix", counted_matrix)
     monkeypatch.setattr(ising, "sector_matrix", counted_matrix)
     return calls
@@ -217,6 +217,25 @@ class TestHeldFamilyPool:
             low.window_table(window)
         with pytest.raises(EngineError, match="EXHAUSTIVE_LIMIT = 1"):
             boundary_sums(low, window[0])
+
+    def test_held_reads_plan_nothing(self, monkeypatch):
+        """A held `partition_table()` read, a `window_table` on the held
+        pool and a verdict over such a window, each through a fresh model,
+        make no `_plan` and build no `_order`: the limit check reads the width
+        of the widest table of the held plan."""
+        graph = bridge_graph()
+        family = bridge_box_family(graph)
+        table = IsingModel(graph, family, BULK).partition_table()
+        window = suggest_window(family, graph)
+
+        def refuse(*args):
+            raise AssertionError("a held read planned an elimination")
+
+        monkeypatch.setattr(IsingModel, "_plan", refuse)
+        monkeypatch.setattr(IsingModel, "_order", property(refuse))
+        assert IsingModel(graph, family, BULK).partition_table() is table
+        assert 0 < len(IsingModel(graph, family, BULK).window_table(window).labels) < len(table.labels)
+        assert check_bulk_to_boundary(family, graph, window, "exact").kind == "bulk_to_boundary"
 
     def test_held_arrays_are_read_only_and_sub_tables_their_own(self):
         graph = bridge_graph()
