@@ -336,18 +336,13 @@ def average_purity(
     if mass <= 0.0:
         raise EntropyError("no pair carries both weight and a finite exponent")
 
-    provenance = {
-        "exact": "exact",
-        "ground_state": "ground-state",
-        "high_spin": "high-spin",
-    }[mode]
     return PurityReport(
         z0=sums.totals[0],
         z1=sums.totals[1],
         purity=purity,
         s2=s2,
         feasible_mass=mass,
-        provenance=provenance,
+        provenance=mode.replace("_", "-"),
         distribution=distribution,
         _table=table,
         _ratios=ratios,

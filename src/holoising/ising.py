@@ -49,62 +49,22 @@ Evaluation paths (each states its mechanics and memory):
     reference        `tests/ising_reference.py`, the scorer of one
                      configuration at a time that every path is checked on
 
-Sector sets and the columnar table.  `IsingModel.sector_set` builds one
-`SectorSet` per sector pool from the pool's S x L matrix of doubled link
-spins, which the batched kernels read.  A bulk-to-boundary pool is the
-family's `spins.sector_matrix`; a boundary-to-boundary pool holds the
-state's sectors.  The set codes boundary assignments as integer keys.
-Labels, intertwiner dimensions per sector and vertex, log K per sector,
-D_I and D_O per key, the `SpinSector` objects and three factor views are
-built on first use, so a matrix pool makes `SpinSector`s only for the
-rows a consumer iterates after `weighted()` drops the zero-weight ones.
-The factor views are the one source of the terms of K and H:
-`link_log_d` (S x L, log d), `amplitude` (S x internal links, |g|) and
-`vertex_log_d` (S x V, log D, -inf where D = 0); `_memo_column` fills
-each column, evaluating its term once per distinct spin or vertex spin
-tuple (`spins.vertex_twice`).  Memory: 8 (L + L_int + V) bytes per
-sector, for L_int internal links.  log K, the energies of both kinds and
-the admissibility tests of `entropy` and `isometry` read them; the oracle
-(which checks the engine), `isometry.scaling_constraint_g` (one link's
-spins) and `entropy.high_spin_energies` (bare sectors, no model) keep
-their own.  Dimensions come from the one evaluator of `spins`:
-`vertex_dims` gives D per row and vertex, and `input_dims` gives D_I per
-key from one enumeration of the family's bulk spin assignments, shared
-by every key; the set memoizes D_I per key.
-`partition_table` drops the sectors of zero weight and builds the table
-from the weighted set and its kernels, `PartitionSumTable(sectors,
-kernels)`, the table's one constructor.
+Data (each states its layout, caching and memory):
 
-The module holds one family pool, the default bulk-to-boundary pool of
-the last (family, graph) with its table and that table's width: `_hold`
-fills it, `partition_table` and `sector_set` return it, and
-`window_table` slices it.  Boundary-to-boundary models neither read nor
-fill it.
-
-The table keeps the set's
-`log_k` and stores the kernels as arrays: `PartitionSumTable.z`, `e_min`,
-`degeneracy` and `gap` each hold S^2 x 2 entries, indexed [j, k, replica]
-(8 bytes each, so 16 S^2 bytes per field), so every table covers every
-sector pair, and the boundary-diagonal sums one entry per boundary key.  `rows`,
-`k_factors`, `boundary_rows`, `d_total`, `y` and the JSON writer are
-views over these arrays, built on first use (so D_I, which enumerates the
-family's bulk box, is not asked for until a dimension is read); entropy and
-isometry read the arrays directly.
-`IsingModel.k_factor` is a view too: it reads log K and D_O of a
-one-sector `SectorSet`.  The sums at one boundary are the one boundary
-row of that boundary's `window_table`, a `BoundarySumRow`, and the
-table's labels count its sectors.  So log K has one sum,
-`SectorSet.log_k` over the set's factor views, and every K-weighted pair
-sum one, `_kernel_sums` (`PartitionSumTable.kernel_sums`, which reads the
-table's `log_k` and the set's boundary keys): the table's own `totals`,
-`z_bar` and `log_cancellation`, computed when the table is built, and the
-ground-state sums (`ground_kernel`) of `entropy` and `isometry`.
-
-Totals in log domain: `_kernel_sums` gives every K-weighted sum as (sign,
-log|Z_b|) (`log_totals`, `log_z_bar`), and `entropy` and `isometry` read
-that form, through `_ratio` and `_shares`.
-
-Reports as JSON follow one rule, stated at `JsonReport`.
+    sector sets      `SectorSet`: the per-sector data of one sector list
+                     (doubled spins, boundary keys, log K and the factor
+                     views of K and H, dimensions), each built on first use
+    tables           `PartitionSumTable`: every pair's kernels as
+                     (S, S, 2) arrays and their K-weighted sums
+                     (`_kernel_sums`, in log domain); its rows, boundary
+                     rows and dimensions are views built on first use
+    the held pool    `_hold`: the last default bulk-to-boundary pool and
+                     its table, which `partition_table` and `sector_set`
+                     return and `window_table` slices
+    sums             `_scaled_sums`, the one summation rule of every kernel
+                     and K-weighted sum, each sum also as (sign, log|Z|)
+    reports          `JsonReport`, the one rule that writes every report
+                     as JSON, the table's rows and boundary sums included
 """
 
 from __future__ import annotations
@@ -258,29 +218,6 @@ class GroundState:
         return self.config is not None
 
 
-@dataclass(frozen=True)
-class PairRow:
-    pair_id: str
-    replica: int
-    z: float
-    e_min: float
-    degeneracy: int
-    gap: float
-
-
-@dataclass(frozen=True)
-class BoundarySumRow:
-    """The K-weighted pair sums of one boundary assignment, per replica,
-    and y = Zbar_b / d_total^2.  `log_z_bar` holds each sum as (sign,
-    log|Zbar_b|), which stays finite where the float overflows to +/-inf."""
-
-    boundary_id: str
-    z_bar: Tuple[float, float]  # (replica 0, replica 1)
-    y: Tuple[float, float]
-    d_total: int
-    log_z_bar: Tuple[Tuple[int, float], Tuple[int, float]]
-
-
 def _exp(value: float) -> float:
     """math.exp, but +inf where the result does not fit a float64."""
     try:
@@ -347,40 +284,86 @@ class JsonReport:
     beyond 2^53 in magnitude to its decimal string, which a reader that
     parses numbers as float64 would round, so every dict dumps as strict
     JSON (`allow_nan=False`): no NaN or Infinity token.
-    `PartitionSumTable` is not a dataclass and keeps its own
-    `to_json_dict`.  A table's JSON keeps its totals and boundary sums in
-    log domain too (`log_totals`, `log_Z_bar_0/1`), so a total that
-    overflows reads null as a float but stays a finite log."""
+    A table's rows and boundary sums are reports under this rule
+    (`PairRow`, `BoundarySumRow`); only the table's top-level keys are its
+    own, as `PartitionSumTable` is not a dataclass.  A table's JSON keeps
+    its totals and boundary sums in log domain too (`log_totals`,
+    `log_Z_bar_0/1`), so a total that overflows reads null as a float but
+    stays a finite log."""
 
     def to_json_dict(self) -> dict:
         keys = ((f.metadata.get("json", f.name), f.name) for f in fields(self))
         return {key: json_value(getattr(self, name)) for key, name in keys if key is not None}
 
 
+@dataclass(frozen=True)
+class PairRow(JsonReport):
+    pair_id: str = json_field("sector_pair_id")
+    replica: int
+    z: float = json_field("Z")
+    e_min: float = json_field("E_min")
+    degeneracy: int
+    gap: float
+
+
+@dataclass(frozen=True)
+class BoundarySumRow(JsonReport):
+    """The K-weighted pair sums of one boundary assignment, per replica,
+    and y = Zbar_b / d_total^2.  `log_z_bar` holds each sum as (sign,
+    log|Zbar_b|), which stays finite where the float overflows to +/-inf.
+    The JSON writes each per-replica pair as two keys, `Z_bar_0/1`, `Y_0/1`
+    and `log_Z_bar_0/1`."""
+
+    boundary_id: str
+    z_bar: Tuple[float, float] = json_field(None)  # (replica 0, replica 1)
+    y: Tuple[float, float] = json_field(None)
+    d_total: int = json_field("D_total")
+    log_z_bar: Tuple[Tuple[int, float], Tuple[int, float]] = json_field(None)
+
+    def to_json_dict(self) -> dict:
+        pairs = (("Z_bar", self.z_bar), ("Y", self.y), ("log_Z_bar", self.log_z_bar))
+        return {**super().to_json_dict(), **json_value({f"{key}_{r}": pair[r] for key, pair in pairs for r in (0, 1)})}
+
+
 class PartitionSumTable(JsonReport):
     """All per-pair kernels plus K factors, boundary sums, and totals of one
     sector set.
 
+    `partition_table` drops the sectors of zero weight and builds the
+    table from the weighted set and its kernels; `PartitionSumTable(sectors,
+    kernels)` is the table's one constructor, and `take` gives the table of
+    a sub-list of the sectors.
+
     The table is held as arrays over the S sectors of `sectors` (`labels`,
     `log_k` and its float view `k`): `z`, `e_min`, `degeneracy` and `gap`
-    have shape (S, S, 2) and are indexed [j, k, replica], so they hold
-    every pair; `pair_ids` names the pairs "j|k" in row-major order.
+    have shape (S, S, 2) and are indexed [j, k, replica], so every table
+    covers every sector pair (8 bytes an entry, 16 S^2 bytes per field);
+    `pair_ids` names the pairs "j|k" in row-major order.  `entropy` and
+    `isometry` read the arrays directly.
+
+    Every K-weighted pair sum is one `_kernel_sums` call, `kernel_sums`,
+    which reads the table's `log_k` and the set's boundary keys: the
+    table's own sums, computed when it is built, are `kernel_sums(z)`, and
+    the ground-state sums of `entropy` and `isometry` are those of kernels
+    built from `ground_kernel(e_min)`.  Each sum comes as a float and as
+    (sign, log|Z_b|), which stays finite where the float overflows;
+    `entropy` and `isometry` read the log form, through `_ratio` and
+    `_shares`.
     `totals` are Z_0 and Z_1 as floats (+/-inf where they overflow) and
     `log_totals` the same sums as (sign, log|Z_b|).  `log_cancellation`
     holds, per replica, log of the larger sign part of Z_b over |Z_b|, 0
     where no term has the other sign (so for every bulk-to-boundary table).
     Boundary-diagonal sums are indexed by the set's boundary keys: `z_bar`,
     `log_z_bar`, `y` and `d_total` hold one entry per key, and
-    `boundary_keys` lists the keys that have a row.  Every sum comes from
-    `kernel_sums(z)`.
+    `boundary_keys` lists the keys that have a row.  The sums at one
+    boundary are the one boundary row of that boundary's `window_table`,
+    and the table's labels count its sectors.
 
     `rows`, `k_factors`, `boundary_rows`, `d_total` and `y` are views built
     on first use, so the family's bulk box (`SectorSet.d_input`) is not
-    enumerated until a dimension is read.  `to_json_dict` (`json_value`)
-    serializes them; the JSON also holds `log_totals` and each boundary
-    row's `log_z_bar` (`log_Z_bar_0`, `log_Z_bar_1`) as [sign, log|.|],
-    which stay finite where a float total is null.  `take` gives the table
-    of a sub-list of the sectors.
+    enumerated until a dimension is read.  `to_json_dict` writes `rows`
+    and `boundary_rows` by the report rule (`PairRow`, `BoundarySumRow`),
+    and `k_factors`, `totals` and `log_totals` under keys of its own.
     """
 
     def __init__(self, sectors: "SectorSet", kernels: "_PairKernels"):
@@ -458,31 +441,9 @@ class PartitionSumTable(JsonReport):
 
     def to_json_dict(self) -> dict:
         return json_value({
-            "rows": [
-                {
-                    "sector_pair_id": r.pair_id,
-                    "replica": r.replica,
-                    "Z": r.z,
-                    "E_min": r.e_min,
-                    "degeneracy": r.degeneracy,
-                    "gap": r.gap,
-                }
-                for r in self.rows
-            ],
+            "rows": self.rows,
             "k_factors": dict(self.k_factors),
-            "boundary_sums": [
-                {
-                    "boundary_id": b.boundary_id,
-                    "Z_bar_0": b.z_bar[0],
-                    "Z_bar_1": b.z_bar[1],
-                    "Y_0": b.y[0],
-                    "Y_1": b.y[1],
-                    "D_total": b.d_total,
-                    "log_Z_bar_0": b.log_z_bar[0],
-                    "log_Z_bar_1": b.log_z_bar[1],
-                }
-                for b in self.boundary_rows
-            ],
+            "boundary_sums": self.boundary_rows,
             "totals": {"Z_0": self.totals[0], "Z_1": self.totals[1]},
             "log_totals": {"Z_0": self.log_totals[0], "Z_1": self.log_totals[1]},
         })
@@ -653,10 +614,8 @@ def _merge(m: np.ndarray, rest: Tuple, axis: int, keep: bool) -> Tuple:
               np.where(tied, slack + above, above).min(axis, keepdims=True))
     if not keep:
         return merged[0].squeeze(axis), tuple(x.squeeze(axis) for x in merged[1:])
-    inactive, summed = ((slice(None),) * axis + (slice(i, i + 1),) for i in (0, 1))
-    tables = [np.empty(m.shape) for _ in merged]
-    for table, x, y in zip(tables, (m, *rest), merged):
-        table[inactive], table[summed] = x[inactive] if isinstance(x, np.ndarray) else x, y
+    inactive = (slice(None),) * axis + (slice(0, 1),)
+    tables = [np.concatenate([np.broadcast_to(x, m.shape)[inactive], y], axis) for x, y in zip((m, *rest), merged)]
     return tables[0], tuple(tables[1:])
 
 
@@ -678,14 +637,34 @@ class SectorSet:
     """Per-sector data of one sector list of a model, computed once.
 
     The set is built from `twice`, the S x L matrix of doubled link spins
-    (columns in `graph.link_ids()` order).  Boundary assignments are
-    integer codes: `key[a]` indexes `keys`, the list's distinct boundary
-    spin tuples (columns in `graph.boundary_ids()` order) in sorted order.
+    (columns in `graph.link_ids()` order), which the batched kernels read.
+    `IsingModel.sector_set` builds one per sector pool: a bulk-to-boundary
+    pool is the family's `spins.sector_matrix`, a boundary-to-boundary
+    pool holds the state's sectors.  Boundary assignments are integer
+    codes: `key[a]` indexes `keys`, the list's distinct boundary spin
+    tuples (columns in `graph.boundary_ids()` order) in sorted order.
     The `SpinSector` objects (`sectors`), labels, log K per sector (-inf
     for zero weight) and its factor views, intertwiner dimensions per
     sector and vertex, and D_I, D_O per boundary key are computed on first
-    use.  The set keeps the model's graph, family, kind and state, not the
-    model and its configuration masks.
+    use, so a matrix pool makes `SpinSector`s only for the rows a consumer
+    iterates after `weighted()` drops the zero-weight ones.  The set keeps
+    the model's graph, family, kind and state, not the model and its
+    configuration masks.
+
+    The factor views are the one source of the terms of K and H:
+    `link_log_d` (S x L, log d), `amplitude` (S x internal links, |g|) and
+    `vertex_log_d` (S x V, log D, -inf where D = 0); `_memo_column` fills
+    each column, evaluating its term once per distinct spin or vertex spin
+    tuple (`spins.vertex_twice`).  Memory: 8 (L + L_int + V) bytes per
+    sector, for L_int internal links.  log K (`log_k`, the one sum of K),
+    the energies of both kinds and the admissibility tests of `entropy`
+    and `isometry` read them; the oracle (which checks the engine),
+    `isometry.scaling_constraint_g` (one link's spins) and
+    `entropy.high_spin_energies` (bare sectors, no model) keep their own.
+    Dimensions come from the one evaluator of `spins`: `vertex_dims` gives
+    D per row and vertex, and `input_dims` gives D_I per key from one
+    enumeration of the family's bulk spin assignments, shared by every
+    key; the set memoizes D_I per key.
     """
 
     def __init__(self, model: "IsingModel", twice: np.ndarray, sectors: Optional[Sequence[SpinSector]] = None):
@@ -1321,15 +1300,6 @@ class IsingModel:
         gap[feasible] -= e_min[feasible]
         return _PairKernels(*(x.reshape(count, count, 2) for x in (z, e_min, degeneracy, gap)))
 
-    def _kernel(
-        self, j: SpinSector, k: SpinSector, replica: int
-    ) -> Tuple[float, GroundState]:
-        """Kernel and ground state of one (pair, replica) (`_cell_data`);
-        the representative is `_least` of the ties, None where nothing is
-        allowed."""
-        z, e_min, degeneracy, gap, ties = self._cell_data(j, k, replica)
-        return z, GroundState(self._least(ties) if degeneracy else None, e_min, degeneracy, gap)
-
     def _cell_data(self, j: SpinSector, k: SpinSector, replica: int) -> Tuple:
         """(z, E_min, degeneracy, gap, ties) of one (pair, replica), with the
         bits of the pair's cell of a batched table: the numbers come from
@@ -1393,13 +1363,15 @@ class IsingModel:
         self, j: SpinSector, k: SpinSector, replica: int
     ) -> GroundState:
         """Minimizing allowed configuration, tie count, and spectral gap
-        (`_kernel`).
+        (`_cell_data`).
 
         Ties within `TIE_TOL` share the minimum; the representative is the
         tied configuration whose sorted tuple of spin-down vertex ids is
-        least.  An empty feasible set gives (None, inf, 0, inf).
+        least (`_least` of the ties).  An empty feasible set gives (None,
+        inf, 0, inf).
         """
-        return self._kernel(j, k, replica)[1]
+        _, e_min, degeneracy, gap, ties = self._cell_data(j, k, replica)
+        return GroundState(self._least(ties) if degeneracy else None, e_min, degeneracy, gap)
 
     # -- assembled sums --------------------------------------------------
 

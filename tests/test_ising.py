@@ -678,9 +678,10 @@ COMPILED_KERNEL_SEED = 0xE72F9883CDB9A085BD8A9E9495A444BDC76DE12956751B57A8DC74A
 
 
 def single_kernel(model, j, k, replica):
-    """`hexed` of `model._kernel(j, k, replica)`, its representative last."""
-    z, ground = model._kernel(j, k, replica)
-    return hexed(z, ground.energy, ground.degeneracy, ground.gap, ground.config)
+    """`hexed` of the single kernel of (j, k, replica), `partition_sum_fixed`
+    and `ground_state`, its representative last."""
+    ground = model.ground_state(j, k, replica)
+    return hexed(model.partition_sum_fixed(j, k, replica), ground.energy, ground.degeneracy, ground.gap, ground.config)
 
 
 class TestCompiledKernel:
@@ -710,6 +711,28 @@ class TestCompiledKernel:
         check()
         assert all(seen.values()), seen
 
+    def test_fresh_bulk_draws_agree_within_rounding(self):
+        """The first six default sectors of each unpinned draw of one to
+        three vertices: `partition_sum_fixed` and `ground_state` against
+        `brute_force` within `assert_near`, the representative exact.  The
+        elimination sums in another order than the enumeration, so a z can
+        be an ulp off."""
+
+        @settings(max_examples=12)
+        @given(bulk_instances(st.integers(1, 3)))
+        def check(drawn):
+            graph, family = drawn
+            model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+            for j, k in itertools.product(model.sector_set().sectors[:6], repeat=2):
+                for replica in (0, 1):
+                    want = brute_force(model, j, k, replica)
+                    ground = model.ground_state(j, k, replica)
+                    single = (model.partition_sum_fixed(j, k, replica), ground.energy, ground.degeneracy, ground.gap)
+                    assert_near(single, want)
+                    assert ground.config == want[4]
+
+        check()
+
     def test_boundary_to_boundary_single_pass(self):
         @settings(max_examples=3)
         @given(boundary_instances())
@@ -721,14 +744,19 @@ class TestCompiledKernel:
         check()
 
     def test_public_methods_wrap_the_kernel(self):
+        """`partition_sum_fixed` and `ground_state` read the pair's cell of
+        the two-sector table, and the representative is `brute_force`'s."""
         graph = bridge_graph()
         family = bridge_family(graph, 1)
         low, high = bridge_sectors(graph, 1)
         model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
+        kernels = model._eliminate(model.sector_set([low, high]))
         for replica in (0, 1):
-            z, ground = model._kernel(low, high, replica)
+            z, e_min, degeneracy, gap = kernels.at((0, 1, replica))
+            ground = model.ground_state(low, high, replica)
             assert model.partition_sum_fixed(low, high, replica) == z
-            assert model.ground_state(low, high, replica) == ground
+            assert (ground.energy, ground.degeneracy, ground.gap) == (e_min, degeneracy, gap)
+            assert ground.config == brute_force(model, low, high, replica)[4]
 
     def test_one_pass_per_single_pair_query(self, monkeypatch):
         """`ground_state` and `partition_sum_fixed` make one
@@ -935,16 +963,17 @@ def assert_near(got, want):
 def assert_kernels_match(model, sectors, kernels):
     """Every ordered pair of `sectors` and replica of `kernels` (a
     `_PairKernels`) agrees with `brute_force`, and so does the pair's
-    single kernel `_kernel`, whose representative is `brute_force`'s.  The
-    boundary-to-boundary kind reduces the entries of each pair in
-    configuration order, so it has their bits; the bulk-to-boundary kind
-    eliminates over sigma, so it agrees within `assert_near`."""
+    single kernel (`partition_sum_fixed` and `ground_state`), whose
+    representative is `brute_force`'s.  The boundary-to-boundary kind
+    reduces the entries of each pair in configuration order, so it has
+    their bits; the bulk-to-boundary kind eliminates over sigma, so it
+    agrees within `assert_near`."""
     for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
         for replica in (0, 1):
             want = brute_force(model, j, k, replica)
             got = kernels.at((a, b, replica))
-            z, ground = model._kernel(j, k, replica)
-            single = (z, ground.energy, ground.degeneracy, ground.gap)
+            ground = model.ground_state(j, k, replica)
+            single = (model.partition_sum_fixed(j, k, replica), ground.energy, ground.degeneracy, ground.gap)
             assert ground.config == want[4]
             if model.kind.is_boundary_to_boundary:
                 assert hexed(*got) == hexed(*single) == hexed(*want)[:4]
@@ -1078,16 +1107,17 @@ class TestBatchedKernels:
             assert field.shape == (0, 0, 2)
 
     def test_single_kernel_is_the_two_sector_case(self):
-        """`_kernel`, one pass over the pair alone, has the bits of that
-        pair's cell of the batched kernels of the whole list on both fixed
-        chains, and `brute_force`'s representative."""
+        """The single kernel (`partition_sum_fixed` and `ground_state`), one
+        pass over the pair alone, has the bits of that pair's cell of the
+        batched kernels of the whole list on both fixed chains, and
+        `brute_force`'s representative."""
         for model in (six_vertex_chain_model(), near_tie_chain_model()):
             sectors = model.sector_set().sectors
             kernels = model._eliminate(model.sector_set(sectors))
             for (a, j), (b, k) in itertools.product(enumerate(sectors), repeat=2):
                 for replica in (0, 1):
                     at = (a, b, replica)
-                    z, ground = model._kernel(j, k, replica)
+                    z, ground = model.partition_sum_fixed(j, k, replica), model.ground_state(j, k, replica)
                     assert z.hex() == float(kernels.z[at]).hex()
                     assert ground.energy.hex() == float(kernels.e_min[at]).hex()
                     assert ground.degeneracy == kernels.degeneracy[at]
@@ -1405,7 +1435,8 @@ class TestBoundaryKernels:
         assert table.z.shape == (0, 0, 2) and table.totals == (0.0, 0.0)
         other = SpinSector.make(graph, {**{lid: low.spin(lid) for lid in graph.link_ids()}, "a3": "1"})
         for replica in (0, 1):
-            assert model._kernel(low, other, replica) == (0.0, GroundState(None, math.inf, 0, math.inf))
+            assert model.partition_sum_fixed(low, other, replica) == 0.0
+            assert model.ground_state(low, other, replica) == GroundState(None, math.inf, 0, math.inf)
 
     def test_zero_trace_sector_reached_as_mixed_sector(self):
         """A state that is no density matrix: sector m has a traceless

@@ -171,3 +171,17 @@ def test_overflowing_totals_read_null():
     (row,) = blob["boundary_sums"]
     assert row["Z_bar_0"] is None and row["Z_bar_1"] == table.totals[1]
     assert row["D_total"] == str(table.d_total[0])
+
+
+def test_table_rows_are_reports():
+    """A table's JSON `rows` and `boundary_sums` are the `to_json_dict` of
+    its `PairRow`s and `BoundarySumRow`s, under the table's keys."""
+    for name in ("overflowing_table", "zero_weight_table", "b2b_table"):
+        table = REPORTS[name]()
+        blob = table.to_json_dict()
+        assert blob["rows"] == [row.to_json_dict() for row in table.rows]
+        assert blob["boundary_sums"] == [row.to_json_dict() for row in table.boundary_rows]
+        assert {key for row in blob["rows"] for key in row} == {"sector_pair_id", "replica", "Z", "E_min", "degeneracy", "gap"}
+        assert {key for row in blob["boundary_sums"] for key in row} == {
+            "boundary_id", "Z_bar_0", "Z_bar_1", "Y_0", "Y_1", "D_total", "log_Z_bar_0", "log_Z_bar_1"
+        }
