@@ -174,22 +174,6 @@ def _resolve_start(start: Optional[Mapping[str, complex]]) -> Dict[str, complex]
     a, d = float(params["a"].real), float(params["d"].real)
     b, u, v = complex(params["b"]), complex(params["u"]), complex(params["v"])
     w = float(params.get("w", 1.0 - a - d).real)
-    block = np.array(
-        [
-            [a, b, u],
-            [np.conj(b), d, v],
-            [np.conj(u), np.conj(v), w],
-        ]
-    )
-    if abs(np.trace(block).real - 1.0) > 1e-10:
-        raise ExperimentError(
-            f"start parameters must have unit trace, got {np.trace(block).real!r}"
-        )
-    if float(np.linalg.eigvalsh(block)[0]) < -1e-10:
-        raise ExperimentError(
-            "infeasible start: the bulk block (a, b, d, u, v, w) is not "
-            "positive semidefinite"
-        )
     if a + d <= 0.0 or w <= 0.0 or abs(u) ** 2 + abs(v) ** 2 == 0.0:
         raise ExperimentError(
             "degenerate start: both sector weights and the cross column must "
@@ -577,7 +561,12 @@ def reproduce_c1(
     one of the plain spin-s legs the input (purity target 1/(2s+1)).
     `start` optionally replaces the default generic bulk block (a, d, b, u,
     v[, w]); it must be a unit-trace positive-semidefinite block with both
-    sector weights and the cross column nonzero.
+    sector weights and the cross column nonzero.  Each check is made once:
+    `_resolve_start` raises `ExperimentError` on an unknown or missing
+    parameter and on a zero sector weight or cross column, and
+    `IntertwinerState.from_blocks`, which builds the start state, raises
+    `BulkStateError` on a block whose trace is not 1 or that is not
+    positive semidefinite.
     """
     if s != int(s) or s < 1:
         raise ExperimentError(f"scale must be an integer >= 1, got {s!r}")

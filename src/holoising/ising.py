@@ -292,8 +292,14 @@ class JsonReport:
     stays a finite log."""
 
     def to_json_dict(self) -> dict:
-        keys = ((f.metadata.get("json", f.name), f.name) for f in fields(self))
-        return {key: json_value(getattr(self, name)) for key, name in keys if key is not None}
+        return {key: json_value(getattr(self, name)) for key, name in _json_keys(type(self))}
+
+
+@functools.cache
+def _json_keys(cls: type) -> Tuple[Tuple[str, str], ...]:
+    """(JSON key, field name) of each field `JsonReport.to_json_dict`
+    writes, in field order, computed once per class."""
+    return tuple((key, f.name) for f in fields(cls) if (key := f.metadata.get("json", f.name)) is not None)
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,8 @@ from .spins import (
     SectorFamily,
     Spin,
     SpinSector,
-    intertwiner_dim,
+    boundary_twice,
+    twice_intertwiner_dim,
 )
 
 #: Supported evaluation regimes and the pass tolerance each grades at.
@@ -274,35 +275,6 @@ def _boundary_label(key: Tuple[Tuple[str, int], ...]) -> str:
     return ",".join(f"{lid}={Spin(t)}" for lid, t in key)
 
 
-def _normalize_window(
-    graph: OpenGraph, window: Sequence[Mapping[str, object]]
-) -> List[Tuple[Tuple[Tuple[str, int], ...], Dict[str, Spin]]]:
-    entries = list(window)
-    if not entries:
-        raise IsometryError(
-            "window is empty: the input algebra needs at least one boundary sector"
-        )
-    bnd = graph.boundary_ids()
-    bset = set(bnd)
-    out = []
-    seen = set()
-    for entry in entries:
-        fixed = {str(lid): Spin.parse(sp) for lid, sp in dict(entry).items()}
-        if set(fixed) != bset:
-            raise IsometryError(
-                f"window entry {sorted(fixed)} must assign exactly the boundary "
-                f"links {sorted(bset)}"
-            )
-        key = tuple((lid, fixed[lid].twice) for lid in bnd)
-        if key in seen:
-            raise IsometryError(
-                f"window repeats boundary sector {_boundary_label(key)}"
-            )
-        seen.add(key)
-        out.append((key, fixed))
-    return out
-
-
 def _sums(table: PartitionSumTable, regime: str):
     """(Z_0, Z_1) and, per boundary key, (Zbar_0, Zbar_1) of `regime`, each
     sum as (sign, log|.|)."""
@@ -336,28 +308,35 @@ def check_bulk_to_boundary(
     spins (their normalization kernels do not vanish), and the input
     dimensions D_{I_E} count every admissible bulk completion inside the
     family's cutoff box.  Each defect passes at `REGIME_TOLERANCES[regime]`.
+
+    Each input is refused once, by the layer that reads it: an empty window,
+    a boundary no admissible sector matches and an unknown regime raise
+    `IsometryError` here; `IsingModel.window_table` parses each entry with
+    `spins.boundary_twice` (`ValueError` where an entry names a link that
+    is not a boundary link or leaves one free) and raises `EngineError` on
+    a repeated boundary.
     """
     tol = _regime_tolerance(regime)
-    entries = _normalize_window(graph, window)
+    window = list(window)
+    if not window:
+        raise IsometryError("window is empty: the input algebra needs at least one boundary sector")
     model = IsingModel(graph, family, ModelKind.bulk_to_boundary())
-    table = model.window_table([fixed for _, fixed in entries])
+    table = model.window_table(window)
     pool = table.sectors
-    code = {key: c for c, key in enumerate(pool.keys)}
-    e_codes = []
-    for key, _ in entries:
-        twice = tuple(t for _, t in key)
-        if twice not in code:
-            raise IsometryError(
-                f"no admissible sector matches boundary {_boundary_label(key)}"
-            )
-        e_codes.append(code[twice])
+    bnd = graph.boundary_ids()
+    # The table lists each boundary's rows in window order.
+    e_codes = list(dict.fromkeys(pool.key.tolist()))
+    if len(e_codes) < len(window):
+        keys = [tuple(map(boundary_twice(graph, entry).__getitem__, bnd)) for entry in window]
+        missing = next(key for key in keys if key not in pool.keys)
+        raise IsometryError(f"no admissible sector matches boundary {_boundary_label(tuple(zip(bnd, missing)))}")
     totals, zbar = _sums(table, regime)
     if totals[0][0] <= 0:
         raise IsometryError("window normalization sum Z_0 vanishes")
 
     d_inputs = pool.d_input(e_codes)
     d_input_total = sum(d_inputs)
-    e_labels = [_boundary_label(key) for key, _ in entries]
+    e_labels = [_boundary_label(tuple(zip(bnd, pool.keys[c]))) for c in e_codes]
 
     # (a) all-up minimizes the swapped-replica Hamiltonian, sector by sector.
     # In replica 1 it cuts no link and activates every vertex, so its
@@ -560,7 +539,7 @@ def _state_label(sector) -> str:
     if isinstance(sector, tuple):
         try:
             return _boundary_label(sector)
-        except Exception:
+        except (TypeError, ValueError):
             return str(sector)
     return str(sector)
 
@@ -896,6 +875,9 @@ def scaling_constraint_g(
     `e_range` lists the boundary sectors over which the normalized inverse
     products are additionally checked for boundary independence.  For a
     loop (both endpoints equal) the product runs over the single vertex.
+    Each entry of `e_range` is parsed by `spins.boundary_twice`, which
+    raises `ValueError` on a malformed entry; an empty range and a repeated
+    boundary raise `IsometryError`.
     """
     internal = graph.internal_ids()
     if link_id is None:
@@ -907,11 +889,7 @@ def scaling_constraint_g(
         link_id = internal[0]
     elif link_id not in set(internal):
         raise IsometryError(f"{link_id!r} is not an internal link")
-    ends = graph.endpoints(link_id)
-    vertices = []
-    for v in ends:
-        if v not in vertices:
-            vertices.append(v)
+    vertices = list(dict.fromkeys(graph.endpoints(link_id)))
     for other in internal:
         if other == link_id:
             continue
@@ -920,23 +898,21 @@ def scaling_constraint_g(
                 f"internal link {other!r} shares a vertex with {link_id!r}; "
                 f"the bulk does not factorize around the profiled link"
             )
-    entries = _normalize_window(graph, e_range)
+    bnd = graph.boundary_ids()
+    keys = [tuple(zip(bnd, map(boundary_twice(graph, entry).__getitem__, bnd))) for entry in e_range]
+    if not keys:
+        raise IsometryError("e_range is empty: the profile needs at least one boundary sector")
+    for i, key in enumerate(keys):
+        if key in keys[:i]:
+            raise IsometryError(f"e_range repeats boundary sector {_boundary_label(key)}")
     spins = tuple(family.allowed[link_id])
-
-    def vertex_dim(vertex: str, fixed: Mapping[str, Spin], u: Spin) -> int:
-        tup = []
-        for lid in graph.links_at(vertex):
-            tup.append(u if lid == link_id else fixed[lid])
-        return intertwiner_dim(tuple(tup))
-
     labels, products, shares = [], [], []
-    for key, fixed in entries:
+    for key in keys:
+        fixed = dict(key)
         prods = []
         for u in spins:
-            value = 1.0
-            for v in vertices:
-                value *= vertex_dim(v, fixed, u)
-            prods.append(value)
+            fixed[link_id] = u.twice
+            prods.append(float(math.prod(twice_intertwiner_dim(tuple(map(fixed.__getitem__, graph.links_at(v)))) for v in vertices)))
         total = sum(prods)
         if total <= 0.0:
             raise IsometryError(

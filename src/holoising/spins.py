@@ -323,13 +323,14 @@ def boundary_twice(graph: OpenGraph, boundary_filter: Mapping[str, object]) -> D
     on each boundary link.  Raises `ValueError` where it names a
     non-boundary link or leaves a boundary link free."""
     fixed: Dict[str, int] = {}
-    bnd = set(graph.boundary_ids())
+    bnd = graph.boundary_ids()
     for lid, sp in boundary_filter.items():
         if lid not in bnd:
             raise ValueError(f"boundary filter names non-boundary link {lid!r}")
         fixed[lid] = Spin.parse(sp).twice
-    if set(fixed) != bnd:
-        raise ValueError("boundary filter must fix every boundary link")
+    free = [lid for lid in bnd if lid not in fixed]
+    if free:
+        raise ValueError(f"boundary filter must fix every boundary link; it leaves {', '.join(free)} free")
     return fixed
 
 

@@ -8,6 +8,7 @@ import pytest
 import scipy.special
 
 from holoising import experiments
+from holoising.bulk import BulkStateError
 from holoising.experiments import (
     REGIONS,
     ExperimentError,
@@ -160,6 +161,24 @@ class TestC1:
         assert report.start["w"] == pytest.approx(0.45)
         assert report.closed_form_defect <= TOL
         assert report.engine_defect <= TOL
+
+    @pytest.mark.parametrize(
+        "change, error, message",
+        [
+            ({"t": 0.1}, ExperimentError, r"unknown start parameters \['t'\]"),
+            ({"v": None}, ExperimentError, "start is missing parameter 'v'"),
+            ({"u": 0j, "v": 0j}, ExperimentError, "degenerate start"),
+            ({"w": 0.65}, BulkStateError, r"density matrix trace .*1\.2.* is not 1"),
+            ({"b": 0.5}, BulkStateError, "not positive semidefinite"),
+        ],
+    )
+    def test_start_refusals(self, change, error, message):
+        """`_resolve_start` refuses the parameters it reads; the start
+        state's `from_blocks` refuses a block that is not a density matrix."""
+        start = {**experiments._DEFAULT_START, **change}
+        start = {key: value for key, value in start.items() if value is not None}
+        with pytest.raises(error, match=message):
+            reproduce_c1(1, start=start)
 
     def test_rejects_bad_scale(self):
         with pytest.raises(ExperimentError, match="scale"):

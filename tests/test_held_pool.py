@@ -286,7 +286,7 @@ class TestWindowWithoutWholeFamily:
         "spoil, message",
         [
             (lambda b: {**b, "e": "1"}, "boundary filter names non-boundary link 'e'"),
-            (lambda b: {k: v for k, v in b.items() if k != "c"}, "boundary filter must fix every boundary link"),
+            (lambda b: {k: v for k, v in b.items() if k != "c"}, "boundary filter must fix every boundary link; it leaves c free"),
         ],
     )
     def test_filter_errors_with_and_without_a_held_pool(self, spoil, message):

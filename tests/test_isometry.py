@@ -20,6 +20,7 @@ from oracle_reference import hs_isometry_defect
 from holoising.bulk import IntertwinerState
 from holoising.graph import BoundaryPartition, build_graph
 from holoising.ising import (
+    EngineError,
     IsingConfig,
     IsingModel,
     ModelKind,
@@ -242,17 +243,20 @@ class TestBulkToBoundary:
         assert not verdict.condition("sector_weight").passed
 
     def test_window_validation(self):
-        with pytest.raises(IsometryError):
+        # Each refusal comes from the layer that reads the input: the
+        # verdict (IsometryError), `spins.boundary_twice` (ValueError) or
+        # `IsingModel.window_table` (EngineError).
+        with pytest.raises(IsometryError, match="window is empty"):
             check_bulk_to_boundary(self.family, self.graph, [])
-        with pytest.raises(IsometryError):
+        with pytest.raises(ValueError, match="it leaves b3 free"):
             check_bulk_to_boundary(self.family, self.graph, [{"b1": 1, "b2": 1}])
-        with pytest.raises(IsometryError):
+        with pytest.raises(ValueError, match="non-boundary link 'b4'"):
             check_bulk_to_boundary(
                 self.family,
                 self.graph,
                 [{"b1": 1, "b2": 1, "b3": 1, "b4": 1}],
             )
-        with pytest.raises(IsometryError):
+        with pytest.raises(EngineError, match="listed twice"):
             check_bulk_to_boundary(
                 self.family,
                 self.graph,
@@ -264,10 +268,21 @@ class TestBulkToBoundary:
                 self.graph,
                 [{"b1": "1/2", "b2": "1/2", "b3": "1/2"}],
             )
-        with pytest.raises(IsometryError):
+        with pytest.raises(IsometryError, match="unknown regime"):
             check_bulk_to_boundary(
                 self.family, self.graph, self.window, regime="thermal"
             )
+
+    def test_window_keys_come_from_the_table_in_window_order(self):
+        # Labels follow the window, not the table's sorted key order, and
+        # a missing boundary is named though admissible ones precede it.
+        window = self.window + [{"b1": 1, "b2": 1, "b3": 1}]
+        for entries in (window, window[::-1]):
+            verdict = check_bulk_to_boundary(self.family, self.graph, entries)
+            expected = [",".join(f"{lid}={Spin.parse(b[lid])}" for lid in ("b1", "b2", "b3")) for b in entries]
+            assert list(verdict.condition("sector_purity").sector_labels) == expected
+        with pytest.raises(IsometryError, match="no admissible sector matches boundary b1=1/2,b2=1/2,b3=1/2"):
+            check_bulk_to_boundary(self.family, self.graph, [*self.window, {"b1": "1/2", "b2": "1/2", "b3": "1/2"}])
 
     def test_condition_names_and_lookup(self):
         verdict = check_bulk_to_boundary(self.family, self.graph, self.window)
@@ -732,6 +747,19 @@ class TestScalingConstraint:
                 [{"a": 1, "b": 1, "c": 1, "d": 1, "f": 1}],
                 link_id="e1",
             )
+
+    def test_range_validation(self):
+        g = bridge_graph()
+        fam = SectorFamily.build(g, 0, 1)
+        entry = {"a1": 1, "a2": 1, "c1": 1, "c2": 1}
+        with pytest.raises(IsometryError, match="e_range is empty"):
+            scaling_constraint_g(fam, g, [])
+        with pytest.raises(IsometryError, match="repeats boundary sector a1=1,a2=1,c1=1,c2=1"):
+            scaling_constraint_g(fam, g, [entry, {**entry, "a1": "1"}])
+        with pytest.raises(ValueError, match="it leaves c2 free"):
+            scaling_constraint_g(fam, g, [{"a1": 1, "a2": 1, "c1": 1}])
+        with pytest.raises(ValueError, match="non-boundary link 'x'"):
+            scaling_constraint_g(fam, g, [{**entry, "x": 1}])
 
     def test_json_dict(self):
         g = bridge_graph()
