@@ -168,7 +168,7 @@ class IntertwinerState:
             )
         if abs(np.trace(full).real - 1.0) > DENSITY_TOL:
             raise BulkStateError(
-                f"density matrix trace {np.trace(full).real!r} is not 1"
+                f"density matrix trace {float(np.trace(full).real)} is not 1"
             )
         return state
 

@@ -301,9 +301,7 @@ def average_purity(
     if mode == "exact":
         zero = np.flatnonzero(z0 == 0.0)
         if zero.size:
-            j, k = divmod(int(zero[0]), len(table.labels))
-            pid = f"{table.labels[j]}|{table.labels[k]}"
-            raise EntropyError(f"pair {pid!r} has Z_0^(j,k) = 0")
+            raise EntropyError(f"pair {table.pair_ids[int(zero[0])]!r} has Z_0^(j,k) = 0")
         with np.errstate(over="ignore"):  # a ratio past float64 is +inf, and X = -inf there
             ratios = z[:, 1] / z0
         sums = table

@@ -9,11 +9,14 @@ state, the six partition sums are assembled term by term and checked
 against the kernels of the start state's table, and the averaged purity is
 minimized over the positive-semidefinite bulk-block parameters (a, b, d,
 u, v, w) by a coarse grid over the parameter simplex followed by
-coordinate-descent refinement, both through one array evaluator.  Each
-state makes one batched boundary-to-boundary pass: the probe and start
-states' passes list the allowed cells with their Hamiltonians and give the
-state's table from the same entries, and the minimizer's is its
-`partition_table`.
+coordinate-descent refinement.  The six sums, the closed-form check at the
+start state and the minimizer all read one kernel evaluator,
+`_BridgeStructure.kernel`.  The reported dimensions come from the engine:
+the superposed link's and the input links' from the sectors' spins, the
+intertwiner dimensions from the start state's table.  Each state makes one
+batched boundary-to-boundary pass: the probe and start states' passes list
+the allowed cells with their Hamiltonians and give the state's table from
+the same entries, and the minimizer's is its `partition_table`.
 
 Scenario ``c2``: a census of boundary sectors on a single vertex.  The
 dimension-only partition sums Z0 = sum(D^2 + D) and Z1 = sum D_I D_O (D_I +
@@ -33,7 +36,6 @@ and its log K and endpoint dimensions from that table's sector set.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -268,8 +270,9 @@ class _BridgeStructure:
     the allowed configurations in `_CONFIGS` order: the kernel of one is the
     geometric factor times t^has_S2 q^has_Sigma, with t = e^{-S2} and
     q = e^{-Sigma}.  `k_geom` holds the state-independent K factors
-    (K_low / w_low, K_high / w_high).  `purity` is the one evaluator of the
-    averaged purity, for any array of states.
+    (K_low / w_low, K_high / w_high).  `kernel` is the one evaluator of a
+    kernel and `purity`, which reads it, of the averaged purity, for any
+    array of states.
     """
 
     entries: Dict[
@@ -278,6 +281,21 @@ class _BridgeStructure:
     ]
     forbidden: Tuple[Tuple[Tuple[str, str], int, Tuple[int, int]], ...]
     k_geom: Tuple[float, float]
+
+    def kernel(self, pair, replica, t, q):
+        """(terms, total) of one kernel at (t, q).  `terms` pairs each
+        allowed entry's config with its factor, times t where it has S2,
+        then times q where it has Sigma; `total` adds the terms to 0.0 in
+        `_CONFIGS` order."""
+        terms = []
+        total = 0.0
+        for config, factor, combo in self.entries[(pair, replica)]:
+            term = factor * t if combo[3] else factor
+            if combo[4]:
+                term = term * q
+            terms.append((config, term))
+            total = total + term
+        return terms, total
 
     def purity(self, wj, wk, t, q) -> np.ndarray:
         """Averaged purity Z_1 / Z_0 over arrays of (w_low, w_high, t, q),
@@ -293,13 +311,7 @@ class _BridgeStructure:
             (2.0 * kj * kk, ("low", "high")),
         ):
             for replica in (0, 1):
-                kernel = 0.0
-                for _, factor, combo in self.entries[(pair, replica)]:
-                    term = factor * t if combo[3] else factor
-                    if combo[4]:
-                        term = term * q
-                    kernel = kernel + term
-                z[replica] = z[replica] + weight * kernel
+                z[replica] = z[replica] + weight * self.kernel(pair, replica, t, q)[1]
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.where(z[0] > 0.0, z[1] / z[0], np.inf)
 
@@ -329,15 +341,16 @@ def _extract_structure(
     family: SectorFamily,
     sectors,
     kind: ModelKind,
-    s: int,
+    dims: Tuple[int, int, int],
 ) -> _BridgeStructure:
     """Read the kernel structure off the engine at the probe state.
 
     Every cell, and the probe state's table, come from one `_bridge_cells`
     pass; a cell without an entry is forbidden.  An allowed cell's coupling
-    counts are its cut links (the model's cut mask) by dimension (2s+1,
-    6s+1, 6s-1), its geometric factor is exp(-lambda) with lambda the sum
-    of log d over those links, and its state flags name the one member of
+    counts are its cut links (the model's cut mask) counted by each
+    dimension of the coupling basis `dims`, its geometric factor is
+    exp(-lambda) with lambda the sum of log d over those links, and its
+    state flags name the one member of
     {0, S2, Sigma, S2 + Sigma} that its H exceeds lambda by.  The K factors
     and the check that the mirrored cross pair has the same kernels read
     that table, low at row 0 and high at row 1.
@@ -345,7 +358,6 @@ def _extract_structure(
     params = _params_from_x(_PROBE)
     model = IsingModel(graph, family, kind, state=_bridge_state(graph, sectors, params))
     s2, sigma = _state_functionals(params)
-    dims = (2 * s + 1, 6 * s + 1, 6 * s - 1)
     sec = {"low": sectors[0], "high": sectors[1]}
     allowed, table = _bridge_cells(model, sectors)
     cut_mask, links = model._masks[0], graph.link_ids()
@@ -552,10 +564,11 @@ def reproduce_c1(
     Each state makes one boundary-to-boundary pass: the probe and start
     states' give their cells and their tables (low at row 0, high at row
     1), and the start table checks the six sums; the minimizer's is its
-    `partition_table`.  One array evaluator of the purity serves the coarse
-    grid (steps of 1/C1_GRID in (a, d), searched again at twice that
-    resolution to measure the minimizer's stability), the refinement and
-    the closed-form check at the start state.
+    `partition_table`.  One kernel evaluator gives the six sums at the
+    start state and, through the array evaluator of the purity, the
+    closed-form check there and every value of the search: a coarse grid
+    (steps of 1/C1_GRID in (a, d)) and its refinement, run again at twice
+    that resolution to measure the minimizer's stability.
     `region` selects the input leg: "rightmost" makes the two-spin
     superposed link the input (purity target 1/(12 s)); "upper_right" makes
     one of the plain spin-s legs the input (purity target 1/(2s+1)).
@@ -575,11 +588,8 @@ def reproduce_c1(
         raise ExperimentError(
             f"unknown region {region!r}; expected one of {REGIONS}"
         )
-    couplings = {
-        "L2": math.log(2 * s + 1),
-        "L6p": math.log(6 * s + 1),
-        "L6m": math.log(6 * s - 1),
-    }
+    basis = {"L2": 2 * s + 1, "L6p": 6 * s + 1, "L6m": 6 * s - 1}
+    couplings = {name: math.log(dim) for name, dim in basis.items()}
     graph = _bridge_graph()
     family = _bridge_family(graph, s)
     low, high = _bridge_spins(s)
@@ -587,7 +597,7 @@ def reproduce_c1(
     partition = BoundaryPartition.from_input(graph, list(_REGION_INPUTS[region]))
     kind = ModelKind.boundary_to_boundary(partition)
 
-    structure = _extract_structure(graph, family, sectors, kind, s)
+    structure = _extract_structure(graph, family, sectors, kind, tuple(basis.values()))
 
     start_params = _resolve_start(start)
     start_state = _bridge_state(graph, sectors, start_params)
@@ -631,22 +641,13 @@ def reproduce_c1(
     sums = []
     for pair in _PAIR_KEYS:
         for replica in (0, 1):
-            terms = []
-            total = 0.0
-            for config, weight, combo in structure.entries[(pair, replica)]:
-                value = weight
-                if combo[3]:
-                    value *= t_start
-                if combo[4]:
-                    value *= q_start
-                terms.append((_config_label(config), value))
-                total += value
+            terms, total = structure.kernel(pair, replica, t_start, q_start)
             engine = float(table.z[row[pair[0]], row[pair[1]], replica])
             sums.append(
                 C1Sum(
                     pair=pair,
                     replica=replica,
-                    terms=tuple(terms),
+                    terms=tuple((_config_label(config), value) for config, value in terms),
                     total=total,
                     engine=engine,
                     defect=abs(engine - total) / max(abs(total), 1e-300),
@@ -676,29 +677,23 @@ def reproduce_c1(
     def purity_at(x):
         return structure.purity(*_x_functionals(x))
 
-    coarse_pt, coarse_val, coarse_evals = _coarse_grid(purity_at, C1_GRID)
-    x_min, best, evals = _refine(purity_at, coarse_pt, 1.0 / C1_GRID)
-    coarse2_pt, coarse2_val, coarse2_evals = _coarse_grid(purity_at, 2 * C1_GRID)
-    x2_min, best2, evals2 = _refine(purity_at, coarse2_pt, 0.5 / C1_GRID)
-
-    def to_opt(resolution, c_pt, c_val, c_evals, x, value, n_evals):
+    def minimize(resolution):
+        coarse_pt, coarse_val, coarse_evals = _coarse_grid(purity_at, resolution)
+        x, value, evals = _refine(purity_at, coarse_pt, 1.0 / resolution)
         return C1Optimum(
             resolution=resolution,
-            coarse_point=tuple(c_pt),
-            coarse_value=c_val,
+            coarse_point=tuple(coarse_pt),
+            coarse_value=coarse_val,
             a=x[0],
             d=x[1],
             w=1.0 - x[0] - x[1],
             t_hat=x[2],
             q_hat=x[3],
             purity=value,
-            evaluations=c_evals + n_evals,
+            evaluations=coarse_evals + evals,
         )
 
-    optimum = to_opt(C1_GRID, coarse_pt, coarse_val, coarse_evals, x_min, best, evals)
-    doubled = to_opt(
-        2 * C1_GRID, coarse2_pt, coarse2_val, coarse2_evals, x2_min, best2, evals2
-    )
+    optimum, doubled = minimize(C1_GRID), minimize(2 * C1_GRID)
     stability = max(
         abs(optimum.a - doubled.a),
         abs(optimum.d - doubled.d),
@@ -706,20 +701,23 @@ def reproduce_c1(
     )
 
     # engine confirmation at the minimizer
-    min_params = _params_from_x(x_min)
+    min_params = _params_from_x((optimum.a, optimum.d, optimum.t_hat, optimum.q_hat))
     min_state = _bridge_state(graph, sectors, min_params)
     min_model = IsingModel(graph, family, kind, state=min_state)
     min_table = min_model.partition_table()
     engine_purity = min_table.totals[1] / min_table.totals[0]
-    engine_defect = abs(engine_purity - best) / engine_purity
+    engine_defect = abs(engine_purity - optimum.purity) / engine_purity
 
+    # D_I sums the input links' dimension products over the distinct input
+    # spins of the two sectors.  The targets are the paper's, which the
+    # engine is checked against.
+    inputs = _REGION_INPUTS[region]
+    d_input = sum(math.prod(key) for key in {tuple(sec.spin(lid).dim for lid in inputs) for sec in sectors})
     if region == "rightmost":
-        d_input = (6 * s - 1) + (6 * s + 1)
         target_formula = "1/(12 s)"
         target = 1.0 / (12 * s)
         reference_min = (0.25, 0.25, 0.5)
     else:
-        d_input = 2 * s + 1
         target_formula = "1/(2 s + 1)"
         target = 1.0 / (2 * s + 1)
         reference_min = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
@@ -728,22 +726,14 @@ def reproduce_c1(
     )
 
     dims = {
-        "low": {
-            "c": float(6 * s - 1),
-            "intertwiner": 2.0,
-            "k_geometric": structure.k_geom[0],
-        },
-        "high": {
-            "c": float(6 * s + 1),
-            "intertwiner": 1.0,
-            "k_geometric": structure.k_geom[1],
-        },
+        name: {"c": float(sec.spin("c").dim), "intertwiner": float(math.prod(vertex)), "k_geometric": k}
+        for name, sec, vertex, k in zip(("low", "high"), sectors, table.sectors.vertex_dims, structure.k_geom)
     }
     return C1Report(
         s=s,
         region=region,
         mode="exact",
-        input_links=_REGION_INPUTS[region],
+        input_links=inputs,
         couplings=couplings,
         d_input=d_input,
         sector_dims=dims,
@@ -762,7 +752,7 @@ def reproduce_c1(
         engine_defect=engine_defect,
         target_formula=target_formula,
         target_value=target,
-        target_rel_dev=abs(best - target) / target,
+        target_rel_dev=abs(optimum.purity - target) / target,
         reference_minimizer=reference_min,
         minimizer_distance=minimizer_distance,
     )
@@ -837,17 +827,23 @@ class C2Report(JsonReport):
 
 
 def _solve_cross_sector(dims: Sequence[Tuple[str, int, int]]) -> C2Solution:
+    """Solve the paired conditions over the sectors' (label, D_I, D_O).
+
+    With D = D_I D_O, q_weight = D (D_I + D_O) / D_I = D_O (D_I + D_O) and
+    q_norm = D (D + 1) / D_I^2 = D_O (D_I D_O + 1) / D_I are equal exactly
+    when D_I (D_I + D_O) = D_I D_O + 1, that is D_I^2 = 1, so a sector is
+    refused where D_I != 1.  `sector_q` holds both as floats, each the
+    exact quotient rounded once (int / int).
+    """
     sector_q = []
     failures = []
     r_values = []
     outputs = sorted({d_o for _, _, d_o in dims})
     for label, d_i, d_o in dims:
         d = d_i * d_o
-        q_weight = Fraction(d * (d_i + d_o), d_i)
-        q_norm = Fraction(d * (d + 1), d_i * d_i)
-        sector_q.append((label, float(q_weight), float(q_norm)))
+        sector_q.append((label, d * (d_i + d_o) / d_i, d * (d + 1) / (d_i * d_i)))
         r_values.append(1.0 / d)
-        if q_weight != q_norm:
+        if d_i != 1:
             failures.append(
                 f"sector {label}: input dimension {d_i} breaks the paired "
                 f"conditions (they force a one-dimensional input)"
@@ -1186,29 +1182,23 @@ def reproduce_c3(
     gamma = float(np.euler_gamma)
     pi2 = math.pi**2
 
-    def h1(x: int) -> float:
-        return _harmonic(x)
-
-    def h2(x: int) -> float:
-        return _harmonic(x, 2)
-
     # psi(1.5 n) - psi(0.5 n + 1) and psi(1.5 n + 1) - psi(0.5 n + 1).
     gap, gap_high = _digamma_gap(0.5 * n + 1.0, n - 1), _digamma_gap(0.5 * n + 1.0, n)
-    mid = h1(n - 1) + gap
+    mid = _harmonic(n - 1) + gap
 
     y1_small_direct = float(np.sum(z1_small))
-    y1_small_closed = h2(n) * (1.0 + 2.0 / n**3) + 1.0 / n**5
+    y1_small_closed = _harmonic(n, 2) * (1.0 + 2.0 / n**3) + 1.0 / n**5
     y1_large_direct = float(np.sum(z1_large))
-    y1_large_closed = h2(n - 1) + (2.0 / (3.0 * n**4)) * mid + (n - 1.0) / n**6
+    y1_large_closed = _harmonic(n - 1, 2) + (2.0 / (3.0 * n**4)) * mid + (n - 1.0) / n**6
     y0_small_direct = float(np.sum(z0_small))
-    y0_small_closed = n + 2.0 * h2(n) / n**3 + h2(n) / n**6
+    y0_small_closed = n + 2.0 * _harmonic(n, 2) / n**3 + _harmonic(n, 2) / n**6
     y0_large_direct = float(np.sum(z0_large))
-    y0_large_closed = (n - 1.0) + (2.0 / (3.0 * n**4)) * mid + h2(n - 1) / n**6
+    y0_large_closed = (n - 1.0) + (2.0 / (3.0 * n**4)) * mid + _harmonic(n - 1, 2) / n**6
 
     # pi^2 - psi_1(n) and psi(n), with psi_1(n) = pi^2/6 - H^(2)_{n-1} and
     # psi(n) = H_{n-1} - gamma.
-    psi1_formal = pi2 - (pi2 / 6.0 - h2(n - 1))
-    psi0_formal = h1(n - 1) - gamma
+    psi1_formal = pi2 - (pi2 / 6.0 - _harmonic(n - 1, 2))
+    psi0_formal = _harmonic(n - 1) - gamma
     y1_large_formal = (
         -pi2 * n**5
         + 6.0 * n**5 * psi1_formal

@@ -404,6 +404,13 @@ REFUSALS = {
     "unknown_mode": (lambda: one_pair_table((1.0, 0.5)), {"mode": "leading"}, EntropyError, "unknown mode"),
     "no_sector_weight": (lambda: one_pair_table((1.0, 0.5), k=0.0), {}, EntropyError, "no sector weight"),
     "pair_z0_zero": (lambda: one_pair_table((0.0, 0.0)), {}, EntropyError, r"Z_0\^\(j,k\) = 0"),
+    # the first pair in row-major order with Z_0 = 0 is named j|k
+    "pair_z0_zero_named": (
+        lambda: array_table(("A", "B"), k=(1.0, 1.0), z=[[(1.0, 0.5), (1.0, 0.5)], [(0.0, 0.0), (1.0, 0.5)]]),
+        {},
+        EntropyError,
+        r"^pair 'B\|A' has Z_0\^\(j,k\) = 0$",
+    ),
     "total_z0_zero": (lambda: one_pair_table((0.0, 0.0)), {"mode": "ground_state"}, EntropyError, "Z_0 = 0"),
     "signed_pair_weights": (
         lambda: array_table(("A", "B"), k=(1.0, 1.0), z=SIGNED, e_min=np.broadcast_to([0.0, 0.2], (2, 2, 2))),

@@ -168,7 +168,9 @@ class TestC1:
             ({"t": 0.1}, ExperimentError, r"unknown start parameters \['t'\]"),
             ({"v": None}, ExperimentError, "start is missing parameter 'v'"),
             ({"u": 0j, "v": 0j}, ExperimentError, "degenerate start"),
-            ({"w": 0.65}, BulkStateError, r"density matrix trace .*1\.2.* is not 1"),
+            # the trace is printed as a bare float: a numpy scalar's repr,
+            # "np.float64(1.2000000000000002)", does not match
+            ({"w": 0.65}, BulkStateError, r"density matrix trace .*1\.2000000000000002 is not 1$"),
             ({"b": 0.5}, BulkStateError, "not positive semidefinite"),
         ],
     )
@@ -183,6 +185,29 @@ class TestC1:
     def test_rejects_bad_scale(self):
         with pytest.raises(ExperimentError, match="scale"):
             reproduce_c1(0)
+
+    @pytest.mark.parametrize("region", REGIONS)
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_dimensions_match_the_paper(self, s, region):
+        """The dimensions read off the engine are the paper's: c carries
+        6s - 1 (low) and 6s + 1 (high), the intertwiner spaces have
+        dimension 2 and 1, and D_I is 12 s (rightmost) or 2s + 1
+        (upper_right)."""
+        report = reproduce_c1(s, region)
+        low, high = report.sector_dims["low"], report.sector_dims["high"]
+        assert (low["c"], low["intertwiner"]) == (float(6 * s - 1), 2.0)
+        assert (high["c"], high["intertwiner"]) == (float(6 * s + 1), 1.0)
+        assert all(type(v) is float for dims in (low, high) for v in dims.values())
+        assert report.d_input == (12 * s if region == "rightmost" else 2 * s + 1)
+
+    @pytest.mark.parametrize("region", REGIONS)
+    def test_sum_totals_add_their_terms_in_order(self, region):
+        report = reproduce_c1(1, region)
+        for item in report.sums:
+            total = 0.0
+            for _, value in item.terms:
+                total += value
+            assert total.hex() == item.total.hex()
 
     @pytest.mark.parametrize(
         "dropped_at, error, message",
@@ -236,6 +261,40 @@ class TestC2:
         assert not report.solution.feasible
         assert len(report.solution.failures) == 3
         assert report.high_beta_monotone
+        check_sector_q(report)
+
+    def test_feasible_star(self):
+        """Two sectors, each with D_I = 1 and D_O = 4, solve the paired
+        conditions with q = D + 1 = 5 and r = 1/D."""
+        graph = build_graph(
+            {
+                "vertices": [{"id": "x", "valence": 3}],
+                "links": [{"id": f"b{i}", "end": ["x", i]} for i in range(3)],
+            }
+        )
+        family = SectorFamily.build(
+            graph, "0", "1/2", allowed={"b0": ["0", "1/2"], "b1": ["1/2"], "b2": ["0", "1/2"]}
+        )
+        report = reproduce_c2(family, graph)
+        assert [(item.d_input, item.d_output) for item in report.sectors] == [(1, 4), (1, 4)]
+        solution = report.solution
+        assert solution.feasible
+        assert (solution.q, solution.d_input, solution.d_output) == (5, 1, 4)
+        assert solution.r_values == (0.25, 0.25)
+        assert solution.failures == ()
+        check_sector_q(report)
+
+
+def check_sector_q(report):
+    """Each sector's q_weight = D (D_I + D_O) / D_I and q_norm =
+    D (D + 1) / D_I^2 has the bits of the exact rational rounded once."""
+    dims = {item.label: (item.d_input, item.d_output) for item in report.sectors}
+    assert len(report.solution.sector_q) == len(dims)
+    for label, q_weight, q_norm in report.solution.sector_q:
+        d_i, d_o = dims[label]
+        d = d_i * d_o
+        assert q_weight.hex() == float(Fraction(d * (d_i + d_o), d_i)).hex()
+        assert q_norm.hex() == float(Fraction(d * (d + 1), d_i * d_i)).hex()
 
 
 class TestC3:
